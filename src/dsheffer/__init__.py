@@ -30,9 +30,11 @@ from dsheffer.operators import (
     apply_base,
     apply_lowering,
     functional_eval,
+    lowering_from_couple,
     lowering_from_H,
 )
 from dsheffer.dorth import (
+    BackSubstitutionError,
     DualityReport,
     LoweringReport,
     OrthogonalityReport,
@@ -54,8 +56,8 @@ __all__ = [
     "PolySequence", "ShefferPair", "check_conditions", "couple_from_json_dict",
     "couple_from_pair", "expand_polynomials", "pair_from_couple",
     "DERIVATIVE", "DIFFERENCE", "FunctionalVector", "LoweringOp", "apply_base",
-    "apply_lowering", "functional_eval", "lowering_from_H",
-    "DualityReport", "LoweringReport", "OrthogonalityReport", "RecurrenceTable",
-    "RegularityViolationError", "WindowViolationError", "extract_recurrence",
-    "verify_d_orthogonality", "verify_duality", "verify_lowering",
+    "apply_lowering", "functional_eval", "lowering_from_couple", "lowering_from_H",
+    "BackSubstitutionError", "DualityReport", "LoweringReport", "OrthogonalityReport",
+    "RecurrenceTable", "RegularityViolationError", "WindowViolationError",
+    "extract_recurrence", "verify_d_orthogonality", "verify_duality", "verify_lowering",
 ]

@@ -7,10 +7,12 @@ for an auxiliary polynomial pi are normalized to exp(pi(t) - pi(0)): the
 couple only ever sees pi', and exact rational arithmetic cannot represent
 the constant factor e^(pi(0)) anyway.
 
-Discrete families are stated in the Newton form A(t) (1 + omega*H(t))^(x/omega);
+Discrete families are stated in the Newton form A(t) (1 + omega*h(t))^(x/omega);
 expansion goes through the equivalent exponential form with
-log(1 + omega*H)/omega, while the lowering operator keeps the original H and
-acts through the forward difference of step omega.
+H = log(1 + omega*h)/omega.  The lowering operator and the functionals come
+from the couple alone, through the forward difference of the family's step
+omega (see `family_step`), so a family is realized in closed form only for
+the generating pair.
 
 The Laguerre-type 2-orthogonal family and the Meixner-type family also carry
 explicit moment functionals (series in derivatives of f, respectively sums
@@ -25,16 +27,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Mapping, Optional
 
-from mpmath import mp, mpf
-
 from dsheffer.exactnum import binomial, pochhammer, stirling2
-from dsheffer.operators import (
-    DERIVATIVE,
-    DIFFERENCE,
-    FunctionalVector,
-    LoweringOp,
-    lowering_from_H,
-)
+from dsheffer.operators import DERIVATIVE, DIFFERENCE, LoweringOp, lowering_from_couple
 from dsheffer.series import Poly, Series
 from dsheffer.sheffer import CoupleSpec, ShefferPair
 
@@ -193,7 +187,8 @@ _register(FamilyInfo(
     aux_text="a_0..a_(d-2), degree d-2",
     d_min=2,
     d_fixed=None,
-    restrictions="c not in {0, 1/3, 1}; a_(d-2) != 0",
+    restrictions="c not in {0, 1/3, 1}; a_(d-2) != 0; "
+                 "beta not a nonpositive integer for d = 2",
     generating_text="exp(pi(t)-pi(0)) * (1-t)^(-beta) * "
                     "(1 + ((c-1)/(2c)) (t^2 - 2t)/(1-t)^2)^x",
 ))
@@ -291,6 +286,12 @@ def validate_params(spec: FamilySpec) -> tuple[str, ...]:
             violations.append(f"c = {p['c']} must avoid 0, 1/3 and 1")
         if aux[d - 2] == 0:
             violations.append("leading auxiliary coefficient a_(d-2) must be nonzero")
+        # at d = 2, beta_d / alpha_(d+1) = -beta: beta = 0 drops the degree of
+        # gamma and beta = -n breaks regularity at n
+        if d == 2 and _is_nonpositive_integer(p["beta"]):
+            violations.append(
+                f"beta = {p['beta']} must not be a nonpositive integer for d = 2"
+            )
     return tuple(violations)
 
 
@@ -362,15 +363,8 @@ def family_couple(spec: FamilySpec) -> CoupleSpec:
     return CoupleSpec(d=d, gamma=gamma.coeffs, sigma=sigma.coeffs)
 
 
-@dataclass(frozen=True)
-class _Realization:
-    A: Series
-    Hx: Series
-    newton_H: Optional[Series]
-    omega: Optional[Fraction]
-
-
-def _realize(spec: FamilySpec, N: int) -> _Realization:
+def family_generating(spec: FamilySpec, N: int) -> ShefferPair:
+    """The closed-form generating pair, truncated at order N."""
     require_valid(spec)
     if N < 1:
         raise ValueError("order must be at least 1")
@@ -382,72 +376,60 @@ def _realize(spec: FamilySpec, N: int) -> _Realization:
         a = p["alpha"]
         A = one_minus_t.pow_rat(-(a + 1) * d)
         Hx = 1 - one_minus_t.pow_rat(-d)
-        return _Realization(A, Hx, None, None)
+        return ShefferPair(A=A, Hx=Hx)
     if fam == LAGUERRE_EQ10:
         a = p["alpha"]
         A = Series.from_poly(_aux_tilde(spec), N).exp() * one_minus_t.pow_rat(-(a + 1))
         Hx = Series.from_poly(Poly((0, -1)), N) * one_minus_t.invert_mul()
-        return _Realization(A, Hx, None, None)
+        return ShefferPair(A=A, Hx=Hx)
     if fam == LAGUERRE_EQ11:
         a = p["alpha"]
         A = one_minus_t.pow_rat(-(a + 1))
         Hx = (Series.from_poly(Poly((0, -2, 1)), N) * Fraction(1, 2)
               * Series.from_poly(Poly((1, -2, 1)), N).invert_mul())
-        return _Realization(A, Hx, None, None)
+        return ShefferPair(A=A, Hx=Hx)
     if fam == HERMITE_EQ12:
         A = Series.from_poly(_aux_tilde(spec), N).exp()
-        return _Realization(A, Series.identity(N), None, None)
+        return ShefferPair(A=A, Hx=Series.identity(N))
     if fam == CHARLIER_EQ13:
         omega = p["omega"]
         A = Series.from_poly(_aux_tilde(spec), N).exp()
         Hx = Series.from_poly(Poly((1, omega)), N).log() * (1 / omega)
-        return _Realization(A, Hx, Series.identity(N), omega)
+        return ShefferPair(A=A, Hx=Hx)
     if fam == MEIXNER_EQ14:
         c, beta = p["c"], p["beta"]
         A = Series.from_poly(_aux_tilde(spec), N).exp() * one_minus_t.pow_rat(-beta)
         newton = Series.from_poly(Poly((0, (c - 1) / c)), N) * one_minus_t.invert_mul()
-        return _Realization(A, (1 + newton).log(), newton, Fraction(1))
+        return ShefferPair(A=A, Hx=(1 + newton).log())
     if fam == MEIXNER_EQ16:
         c, beta = p["c"], p["beta"]
         A = one_minus_t.pow_rat(-beta * d)
         newton = (one_minus_t.pow_rat(-d) - 1) * ((c - 1) / (d * c))
-        return _Realization(A, (1 + newton).log(), newton, Fraction(1))
+        return ShefferPair(A=A, Hx=(1 + newton).log())
     if fam == MEIXNER_EQ21:
         c, beta = p["c"], p["beta"]
         A = Series.from_poly(_aux_tilde(spec), N).exp() * one_minus_t.pow_rat(-beta)
         newton = (Series.from_poly(Poly((0, -2, 1)), N) * ((c - 1) / (2 * c))
                   * Series.from_poly(Poly((1, -2, 1)), N).invert_mul())
-        return _Realization(A, (1 + newton).log(), newton, Fraction(1))
+        return ShefferPair(A=A, Hx=(1 + newton).log())
     raise InvalidParameterError(f"unknown family: {fam!r}")  # pragma: no cover
 
 
-def family_generating(spec: FamilySpec, N: int) -> ShefferPair:
-    """The closed-form generating pair, truncated at order N."""
-    r = _realize(spec, N)
-    return ShefferPair(A=r.A, Hx=r.Hx)
+def family_step(spec: FamilySpec) -> Optional[Fraction]:
+    """Step omega of the family's forward difference; None for the derivative kind.
+
+    The Meixner families are stated in Newton form with step 1.
+    """
+    if FAMILIES[spec.family].kind == DERIVATIVE:
+        return None
+    if spec.family == CHARLIER_EQ13:
+        return spec.param("omega")
+    return Fraction(1)
 
 
 def family_lowering(spec: FamilySpec, N: int) -> LoweringOp:
-    """The family's native lowering operator at truncation order N.
-
-    Continuous families revert H itself (derivative kind); Newton-form
-    families revert the H inside (1 + omega H)^(x/omega) and act through the
-    forward difference of step omega.
-    """
-    r = _realize(spec, N)
-    if r.newton_H is None:
-        return lowering_from_H(r.Hx, DERIVATIVE, N)
-    return lowering_from_H(r.newton_H, DIFFERENCE, N, omega=r.omega)
-
-
-def family_functionals(spec: FamilySpec, N: int) -> FunctionalVector:
-    """Functional vector built from the family's own A and lowering operator."""
-    r = _realize(spec, N)
-    if r.newton_H is None:
-        lop = lowering_from_H(r.Hx, DERIVATIVE, N)
-    else:
-        lop = lowering_from_H(r.newton_H, DIFFERENCE, N, omega=r.omega)
-    return FunctionalVector(A=r.A, lop=lop, d=spec.d)
+    """The family's native lowering operator at truncation order N."""
+    return lowering_from_couple(family_couple(spec), N, family_step(spec))
 
 
 def laguerre2_functionals(alpha: Fraction, i: int, f: Poly) -> Fraction:
@@ -538,54 +520,6 @@ def meixner_functional_exact(d: int, c: Fraction, beta: Fraction,
             part += fm * s
         total += binomial(r, i) * (-1) ** i * part
     return total / factorial(r)
-
-
-def _to_mpf(x: Fraction):
-    return mpf(x.numerator) / mpf(x.denominator)
-
-
-def meixner_functional_numeric(d: int, c: Fraction, beta: Fraction,
-                               r: int, f: Poly, dps: int = 40):
-    """High-precision <u_r, f> for the Meixner-type family, summed verbatim.
-
-    Partial sums of the defining node series, cut off once the term ratio is
-    provably below q = (1+|w|)/2 and the geometric tail bound drops under the
-    working tolerance.  Returns an mpmath float.
-    """
-    c = Fraction(c)
-    beta = Fraction(beta)
-    w = _meixner_gates(d, c, beta, r)
-    deg = f.degree()
-    if deg is None:
-        return mpf(0)
-    abs_f = Poly(tuple(abs(fc) for fc in f.coeffs))
-    with mp.workdps(dps):
-        z = _to_mpf(d * c / (1 - c))
-        big_m = _to_mpf(1 - d * c / (c - 1))
-        w_abs = abs(_to_mpf(w))
-        q = (1 + w_abs) / 2
-        tol = mpf(10) ** (-(dps - 8))
-        total = mpf(0)
-        for i in range(r + 1):
-            b = beta + Fraction(i, d)
-            b_mp = _to_mpf(b)
-            base = mp.power(big_m, -b_mp)   # (b)_j z^j / (M^(b+j) j!) at j = 0
-            inner = mpf(0)
-            j = 0
-            while True:
-                inner += base * _to_mpf(f(Fraction(j)))
-                nxt = base * (b_mp + j) * z / (big_m * (j + 1))
-                ratio_bound = (w_abs * (1 + (abs(b_mp) + 1) / (j + 1))
-                               * ((j + 2) / (j + 1)) ** deg)
-                tail_bound = abs(nxt) * _to_mpf(abs_f(Fraction(j + 1))) / (1 - q)
-                if j > deg and ratio_bound <= q and tail_bound < tol * (1 + abs(inner)):
-                    break
-                base = nxt
-                j += 1
-                if j > 100000:  # pragma: no cover
-                    raise RuntimeError("node series failed to converge numerically")
-            total += binomial(r, i) * (-1) ** i * inner
-        return total / factorial(r)
 
 
 def meixner_classical_functional(c: Fraction, beta: Fraction, f: Poly) -> Fraction:

@@ -29,7 +29,7 @@ from dsheffer.dorth import (
     verify_lowering,
 )
 from dsheffer.exactnum import parse_rational
-from dsheffer.operators import DERIVATIVE, FunctionalVector, functional_eval, lowering_from_H
+from dsheffer.operators import FunctionalVector, functional_eval, lowering_from_couple
 from dsheffer.series import Poly
 from dsheffer.sheffer import (
     CoupleFileError,
@@ -54,11 +54,17 @@ class CliError(Exception):
 
 
 class _Source:
-    """Resolved construction source: a family spec or a raw couple."""
+    """Resolved construction source: a family spec or a raw couple.
 
-    def __init__(self, spec=None, couple: CoupleSpec | None = None):
+    Both kinds resolve to a couple and the step omega of the lowering
+    operator's forward difference (None for the derivative), which is all the
+    operator and the functionals need.
+    """
+
+    def __init__(self, couple: CoupleSpec, spec=None):
         self.spec = spec
         self.couple = couple
+        self.omega = None if spec is None else catalog.family_step(spec)
 
     @property
     def is_family(self) -> bool:
@@ -66,7 +72,7 @@ class _Source:
 
     @property
     def d(self) -> int:
-        return self.spec.d if self.spec is not None else self.couple.d
+        return self.couple.d
 
     def to_jsonable(self) -> dict:
         if self.is_family:
@@ -83,11 +89,6 @@ class _Source:
         if self.is_family:
             return catalog.family_generating(self.spec, N)
         return pair_from_couple(self.couple, N)
-
-    def lowering(self, N: int):
-        if self.is_family:
-            return catalog.family_lowering(self.spec, N)
-        return lowering_from_H(self.pair(N).Hx, DERIVATIVE, N)
 
 
 def _parse_param_items(items) -> dict[str, Fraction]:
@@ -129,19 +130,23 @@ def _resolve_source(args) -> _Source:
             params=_parse_param_items(args.param),
             aux=_parse_aux(args.aux),
         )
-        catalog.require_valid(spec)
-        return _Source(spec=spec)
+        return _Source(catalog.family_couple(spec), spec=spec)
     if args.d is not None or args.param or args.aux is not None:
         raise CliError(EXIT_BAD_PARAMS, "--d/--param/--aux only apply to --family sources")
     try:
         text = Path(args.couple_file).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_IO, f"cannot read couple file: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_IO, f"couple file is not valid JSON: {exc}") from None
-    return _Source(couple=couple_from_json_dict(doc))
+    return _Source(couple_from_json_dict(doc))
+
+
+def _require_order(N: int, least: int, why: str = ""):
+    if N < least:
+        raise CliError(EXIT_BAD_PARAMS, f"--order must be at least {least}{why}, got {N}")
 
 
 def _emit(args, text: str):
@@ -157,6 +162,7 @@ def _emit(args, text: str):
 def cmd_expand(args) -> int:
     source = _resolve_source(args)
     N = args.order
+    _require_order(N, 1)
     seq = expand_polynomials(source.pair(N), N)
     if args.format == render.JSON:
         doc = {
@@ -210,11 +216,10 @@ def cmd_verify(args) -> int:
     check_d = args.check_d if args.check_d is not None else source.d
     if check_d < 1:
         raise CliError(EXIT_BAD_PARAMS, f"--check-d must be >= 1, got {check_d}")
-    big = 2 * N
+    _require_order(N, check_d + 2, f" for the recurrence at d = {check_d}")
 
-    couple = catalog.family_couple(source.spec) if source.is_family else source.couple
-    pair = source.pair(big)
-    seq = expand_polynomials(pair, N)
+    couple = source.couple
+    seq = expand_polynomials(source.pair(N), N)
 
     sections = {}
 
@@ -243,8 +248,9 @@ def cmd_verify(args) -> int:
 
     _, sections["recurrence"] = _recurrence_section(seq, check_d)
 
-    lop = source.lowering(big)
-    fv = FunctionalVector(A=pair.A, lop=lop, d=check_d)
+    # orthogonality products P_n P_m reach degree 2N
+    lop = lowering_from_couple(couple, 2 * N, source.omega)
+    fv = FunctionalVector(couple, lop, check_d)
     dual = verify_duality(seq, fv)
     sections["duality"] = {
         "status": "pass" if dual.passed else "fail",
@@ -278,6 +284,7 @@ def cmd_recurrence(args) -> int:
     source = _resolve_source(args)
     N = args.order
     d = source.d
+    _require_order(N, d + 2, f" for the recurrence at d = {d}")
     seq = expand_polynomials(source.pair(N), N)
     table = extract_recurrence(seq, d)  # violations surface as exit 1 via main
     if args.format == render.JSON:
@@ -307,14 +314,10 @@ def cmd_functionals(args) -> int:
     if args.index is not None and not 0 <= args.index < d:
         raise CliError(EXIT_BAD_PARAMS, f"--index must lie in 0..{d - 1}, got {args.index}")
     indices = range(d) if args.index is None else (args.index,)
+    _require_order(N, max(1, d - 1), f" for {d} functionals")
 
-    if source.is_family:
-        fv = catalog.family_functionals(source.spec, N)
-        explicit = catalog.explicit_functional(source.spec)
-    else:
-        pair = source.pair(N)
-        fv = FunctionalVector(A=pair.A, lop=lowering_from_H(pair.Hx, DERIVATIVE, N), d=d)
-        explicit = None
+    fv = FunctionalVector(source.couple, lowering_from_couple(source.couple, N, source.omega), d)
+    explicit = catalog.explicit_functional(source.spec) if source.is_family else None
 
     rows = []
     all_match = True
@@ -462,12 +465,9 @@ def main(argv=None) -> int:
     except CoupleFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (catalog.InvalidParameterError, InvalidCoupleError, IndexError, ValueError) as exc:
+    except (catalog.InvalidParameterError, InvalidCoupleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -46,6 +46,22 @@ class RegularityViolationError(Exception):
         )
 
 
+class BackSubstitutionError(RuntimeError):
+    """x P_n left a remainder after back-substitution in P_0..P_(n+1).
+
+    Cannot happen for a sequence with deg P_n = n.  An exception, not an
+    assert, so that python -O keeps the check; not a ValueError, so that the
+    CLI never reports it as bad input.
+    """
+
+    def __init__(self, n: int, remainder: Poly):
+        self.n = n
+        self.remainder = remainder
+        super().__init__(
+            f"back-substitution of x P_{n} left the remainder {remainder.pretty()}"
+        )
+
+
 @dataclass(frozen=True)
 class RecurrenceTable:
     """Row n holds alpha_{0..d+1}(n); indices below zero are stored as 0."""
@@ -84,7 +100,8 @@ def extract_recurrence(seq: PolySequence, d: int) -> RecurrenceTable:
             if cj:
                 q = q - seq[j] * cj
             coeffs[j] = cj
-        assert q.is_zero()
+        if not q.is_zero():
+            raise BackSubstitutionError(n=n, remainder=q)
         for j in range(0, n - d):
             if coeffs[j]:
                 raise WindowViolationError(d=d, n=n, index=j, value=coeffs[j])

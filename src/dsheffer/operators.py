@@ -3,15 +3,24 @@
 For a pair (A, H) the lowering operator is sigma = H*(B), where H* is the
 compositional inverse of H and B is the base operator: d/dx for sets written
 as A(t) exp(x H(t)), or the forward difference of step omega for sets written
-in the Newton form A(t) (1 + omega H(t))^(x/omega).  Both base operators
+in the Newton form A(t) (1 + omega h(t))^(x/omega).  Both base operators
 strictly lower degree, so operator series act on polynomials as finite sums.
 
-The functional vector (u_0, ..., u_{d-1}) dual to the sequence is
+Everything here is built from the couple (gamma, sigma), through H' = 1/sigma
+and A'/A = gamma/sigma.  The inverse y = H* solves the polynomial ODE
+
+    (1 + omega s) y' = sigma(y),    y(0) = 0
+
+(omega = 0 for the derivative kind), since the exponential form of a Newton
+pair is log(1 + omega h)/omega.  The functional vector (u_0, ..., u_{d-1})
+dual to the sequence is
 
     <u_i, f> = (1/i!) [ sigma^i / A(sigma) f(x) ]_{x=0}
 
-and is evaluated by assembling t^i / A(t) composed with H* into a single
-operator series in B, then applying it once.
+and along y the same couple gives log A(y) = integral gamma(y)/(1 + omega s),
+so each operator series y^i / A(y) needs only products, an integral and exp.
+`lowering_from_H` reverts a given H instead; it is the independent route the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from fractions import Fraction
 from math import factorial
 
 from dsheffer.series import Poly, Series
+from dsheffer.sheffer import CoupleSpec
 
 DERIVATIVE = "derivative"
 DIFFERENCE = "difference"
@@ -70,6 +80,36 @@ class LoweringOp:
         return apply_base(self.kind, f, self.omega)
 
 
+def lowering_from_couple(couple: CoupleSpec, N: int,
+                         omega: Fraction | None = None) -> LoweringOp:
+    """The couple's lowering operator at truncation order N.
+
+    y = H* solves (1 + omega s) y' = sigma(y) with y(0) = 0.  Comparing the
+    coefficients of s^k gives (k+1) y_(k+1) = [s^k] sigma(y) - omega k y_k,
+    and [s^k] y^j only involves y_1..y_k, so each coefficient follows from
+    the ones before it.  omega None is the derivative kind; a step omega
+    gives the forward-difference kind of a family in Newton form.
+    """
+    if N < 1:
+        raise ValueError("order must be at least 1")
+    couple.validate()
+    step = Fraction(0) if omega is None else Fraction(omega)
+    sigma = Poly(couple.sigma).coeffs
+    y = [Fraction(0)] * (N + 1)
+    # rows[j][k] = [s^k] y^j, filled one column k at a time; row 1 is y itself
+    rows = [None, y] + [[Fraction(0)] * N for _ in range(len(sigma) - 2)]
+    for k in range(N):
+        for j in range(2, len(sigma)):
+            prev = rows[j - 1]
+            rows[j][k] = sum(y[i] * prev[k - i] for i in range(1, k - j + 2))
+        rhs = sum(sigma[j] * rows[j][k] for j in range(1, len(sigma)))
+        if k == 0:
+            rhs += sigma[0]
+        y[k + 1] = (rhs - step * k * y[k]) / (k + 1)
+    kind = DERIVATIVE if omega is None else DIFFERENCE
+    return LoweringOp(kind=kind, hstar=Series(y), omega=omega)
+
+
 def lowering_from_H(H: Series, kind: str, N: int | None = None,
                     omega: Fraction | None = None) -> LoweringOp:
     """Revert H and wrap it as an operator series at truncation order N."""
@@ -98,32 +138,31 @@ def apply_lowering(op: LoweringOp, f: Poly) -> Poly:
 
 
 class FunctionalVector:
-    """The d moment functionals of a pair, ready for exact evaluation.
+    """The d moment functionals of a couple, ready for exact evaluation.
 
-    The operator series t^i (1/A(t)) composed with H* is precomputed per
-    index at construction, so evaluations share work and the object stays
-    immutable afterwards.
+    The operator series y^i / A(y) along y = H* is precomputed per index at
+    construction, at the order of the lowering operator, so evaluations
+    share work and the object stays immutable afterwards.
     """
 
-    __slots__ = ("A", "lop", "d", "_ops")
+    __slots__ = ("lop", "d", "_ops")
 
-    def __init__(self, A: Series, lop: LoweringOp, d: int):
+    def __init__(self, couple: CoupleSpec, lop: LoweringOp, d: int):
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
-        if A.coeffs[0] == 0:
-            raise ValueError("A(0) must be nonzero")
-        order = min(A.order, lop.hstar.order)
+        y = lop.hstar
+        order = y.order
         if d - 1 > order:
             raise ValueError(f"order {order} too small for d={d}")
-        a = A.truncate(order)
-        hstar = lop.hstar.truncate(order)
-        inv_a = a.invert_mul()
-        ops = []
-        for i in range(d):
-            u = Series.monomial(i, order) * inv_a if i else inv_a
-            ops.append(u.compose(hstar))
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "lop", LoweringOp(lop.kind, hstar, lop.omega))
+        gamma_y = Series.constant(couple.gamma[-1], order)
+        for c in reversed(couple.gamma[:-1]):
+            gamma_y = gamma_y * y + c
+        if lop.omega is not None:                 # divide by 1 + omega s
+            gamma_y = gamma_y * Series([(-lop.omega) ** k for k in range(order + 1)])
+        ops = [(-gamma_y.integrate()).exp()]       # 1 / A(y)
+        for _ in range(1, d):
+            ops.append(ops[-1] * y)
+        object.__setattr__(self, "lop", lop)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "_ops", tuple(ops))
 
@@ -132,7 +171,7 @@ class FunctionalVector:
 
     @property
     def order(self) -> int:
-        return self.A.order
+        return self.lop.hstar.order
 
     def __repr__(self) -> str:
         return f"FunctionalVector(d={self.d}, kind={self.lop.kind}, order={self.order})"

@@ -5,7 +5,9 @@ trailing zeros trimmed (the zero polynomial has no coefficients and degree
 None).  `Series` is a formal power series truncated at a fixed inclusive
 order N; every operation is exact modulo t^(N+1), and operations that would
 need unknown coefficients beyond the truncation shrink the order instead of
-guessing.
+guessing.  Composition and reversion are the tests' independent reference
+route; the verifier builds H* and the functionals from the couple instead
+(see `operators`).
 
 Series coefficients may be Fraction or Poly.  The Poly case is what turns
 A(t) * exp(x*H(t)) into a polynomial sequence without a second engine: the

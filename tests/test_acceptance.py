@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from meixner_numeric import meixner_functional_numeric
 
 from dsheffer import (
     FunctionalVector,
@@ -49,6 +50,11 @@ def mono(m: int) -> Poly:
     return Poly.monomial(m) if m else Poly.one()
 
 
+def family_functionals(spec, order):
+    return FunctionalVector(catalog.family_couple(spec), catalog.family_lowering(spec, order),
+                            d=spec.d)
+
+
 @pytest.fixture(scope="module")
 def suite():
     """Every default family sample, fully built at expansion order N = 12."""
@@ -58,7 +64,7 @@ def suite():
         pair = catalog.family_generating(spec, 2 * N)
         seq = expand_polynomials(pair, N)
         lop = catalog.family_lowering(spec, 2 * N)
-        v = FunctionalVector(A=pair.A, lop=lop, d=spec.d)
+        v = FunctionalVector(catalog.family_couple(spec), lop, d=spec.d)
         built.append((spec, pair, seq, lop, v))
     elapsed = time.perf_counter() - start
     return built, elapsed
@@ -198,7 +204,7 @@ def test_criterion_5_laguerre2_functionals():
     for alpha in (F(1, 2), F(0), F(3)):
         spec = FamilySpec(family=catalog.LAGUERRE_EQ11, d=2,
                           params={"alpha": alpha}, aux=None)
-        v = catalog.family_functionals(spec, 12)
+        v = family_functionals(spec, 12)
         for i in (0, 1):
             for m in range(13):
                 series_value = catalog.laguerre2_functionals(alpha, i, mono(m))
@@ -224,14 +230,14 @@ def test_criterion_6_meixner_functionals():
     d, c, beta = 2, F(1, 2), F(1)
     spec = FamilySpec(family=catalog.MEIXNER_EQ16, d=d,
                       params={"c": c, "beta": beta}, aux=None)
-    v = catalog.family_functionals(spec, 8)
+    v = family_functionals(spec, 8)
     for r in range(d):
         for m in range(9):
             exact = catalog.meixner_functional_exact(d, c, beta, r, mono(m))
             operator_value = functional_eval(v, r, mono(m))
             if exact != operator_value:
                 failures.append(("exact-vs-operator", r, m))
-            approx = catalog.meixner_functional_numeric(d, c, beta, r, mono(m))
+            approx = meixner_functional_numeric(d, c, beta, r, mono(m))
             if exact == 0:
                 if abs(approx) > 1e-25:
                     failures.append(("numeric-zero", r, m, float(approx)))
@@ -268,9 +274,9 @@ def test_criterion_7_lowering_operators(suite):
     closed = Series.constant(F(1), 16) - \
         (Series.constant(F(1), 16) - Series.monomial(1, 16, 2)).pow_rat(F(-1, 2))
     if op.hstar.coeffs != closed.coeffs:
-        failures.append("closed form 1 - (1-2t)^{-1/2} disagrees with reversion")
+        failures.append("closed form 1 - (1-2t)^{-1/2} disagrees with the lowering series")
     report(f"criterion 7: sigma P_n = n P_(n-1) exactly for n <= {N} across "
-           "derivative and difference kinds; reversion matches the closed form "
+           "derivative and difference kinds; the lowering series matches the closed form "
            "to order 16", failures)
 
 
@@ -293,7 +299,7 @@ def test_criterion_8_classical_reductions():
     pair = catalog.family_generating(laguerre, 8)
     if pair.A.coeffs != (1,) * 9:                       # A = (1-t)^{-1}
         failures.append(("laguerre-A", pair.A.coeffs[:4]))
-    v = catalog.family_functionals(laguerre, 8)
+    v = family_functionals(laguerre, 8)
     if functional_eval(v, 0, Poly.x()) != 1:
         failures.append(("laguerre-moment", str(functional_eval(v, 0, Poly.x()))))
 

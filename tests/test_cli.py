@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
+from dsheffer import cli
 from dsheffer.cli import main
+from dsheffer.dorth import BackSubstitutionError
 
 APP1 = '{"d": 1, "gamma": [-1, 1], "sigma": [-1, 2, -1]}'
 
@@ -108,6 +112,14 @@ def test_malformed_json(tmp_path, capsys):
     path.write_text("{not json")
     code, _, _ = run(capsys, "expand", "--couple-file", str(path))
     assert code == 3
+
+
+def test_undecodable_couple_file(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, _, err = run(capsys, "expand", "--couple-file", str(path))
+    assert code == 3
+    assert "couple file" in err
 
 
 def test_decimal_coefficients_in_file(tmp_path, capsys):
@@ -299,3 +311,51 @@ def test_help_exits_zero(capsys):
 
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
+
+
+# ---------------------------------------------------------------- --order bounds and exit 2
+
+LAGUERRE_D1 = ("--family", "laguerre-eq9", "--d", "1", "--param", "alpha=0")
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--order", "0") + LAGUERRE_D1,
+    ("expand", "--order", "-3") + LAGUERRE_D1,
+    ("verify", "--order", "2") + LAGUERRE_D1,                      # needs d + 2 = 3
+    ("verify", "--order", "3", "--check-d", "2") + LAGUERRE_D1,    # needs 4
+    ("recurrence", "--order", "0") + LAGUERRE_D1,
+    ("recurrence", "--order", "3", "--family", "laguerre-eq9", "--d", "2",
+     "--param", "alpha=0"),                                        # needs 4
+    ("functionals", "--order", "0") + LAGUERRE_D1,
+    ("functionals", "--order", "1", "--family", "meixner-eq16", "--d", "3",
+     "--param", "c=1/2", "--param", "beta=1"),                     # needs d - 1 = 2
+])
+def test_order_below_its_bound_exits_2(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--order" in err
+
+
+def test_order_at_its_bound_runs(capsys):
+    assert run(capsys, "verify", "--order", "3", *LAGUERRE_D1)[0] == 0
+    assert run(capsys, "recurrence", "--order", "3", *LAGUERRE_D1)[0] == 0
+    assert run(capsys, "functionals", "--order", "2", "--family", "meixner-eq16", "--d", "3",
+               "--param", "c=1/2", "--param", "beta=1")[0] == 0
+
+
+def test_internal_errors_are_not_read_as_bad_input(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not a bad parameter")
+
+    monkeypatch.setattr(cli, "expand_polynomials", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["expand", "--order", "3", *LAGUERRE_D1])
+
+    def remainder(*args, **kwargs):
+        raise BackSubstitutionError(n=1, remainder=cli.Poly.x())
+
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "extract_recurrence", remainder)
+    with pytest.raises(BackSubstitutionError):
+        main(["recurrence", "--order", "3", *LAGUERRE_D1])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dsheffer import (
-    DERIVATIVE,
+    BackSubstitutionError,
     FunctionalVector,
     Poly,
     PolySequence,
@@ -13,7 +13,7 @@ from dsheffer import (
     WindowViolationError,
     expand_polynomials,
     extract_recurrence,
-    lowering_from_H,
+    lowering_from_couple,
     pair_from_couple,
     verify_d_orthogonality,
     verify_duality,
@@ -32,8 +32,8 @@ def build(couple, top, order=None):
     order = order if order is not None else 2 * top
     pair = pair_from_couple(couple, order)
     seq = expand_polynomials(pair, top)
-    lop = lowering_from_H(pair.Hx, DERIVATIVE)
-    v = FunctionalVector(A=pair.A, lop=lop, d=couple.d)
+    lop = lowering_from_couple(couple, order)
+    v = FunctionalVector(couple, lop, d=couple.d)
     return seq, v, lop
 
 
@@ -102,6 +102,26 @@ def test_recurrence_needs_enough_polynomials():
         extract_recurrence(seq, 1)
 
 
+class _UncheckedSequence:
+    """P_0..P_N without PolySequence's degree check, to reach the guard."""
+
+    def __init__(self, polys):
+        self.polys = polys
+        self.max_index = len(polys) - 1
+
+    def __getitem__(self, n):
+        return self.polys[n]
+
+
+def test_back_substitution_remainder_raises_typed_error():
+    # P_2 has degree 1, so x P_1 = x^2 cannot be written in P_0..P_2
+    seq = _UncheckedSequence([Poly.one(), Poly.x(), Poly((1, 1)), Poly.monomial(3)])
+    with pytest.raises(BackSubstitutionError) as info:
+        extract_recurrence(seq, 1)
+    assert info.value.n == 1
+    assert not isinstance(info.value, ValueError)
+
+
 # ---------------------------------------------------------------- orthogonality
 
 def test_laguerre_orthogonality_clean():
@@ -126,7 +146,7 @@ def test_orthogonality_d2_has_unchecked_boundaries():
     spec = catalog.default_spec(catalog.LAGUERRE_EQ9, 2)
     pair = catalog.family_generating(spec, 12)
     seq = expand_polynomials(pair, 6)
-    v = catalog.family_functionals(spec, 12)
+    v = FunctionalVector(catalog.family_couple(spec), catalog.family_lowering(spec, 12), d=2)
     rep = verify_d_orthogonality(seq, v)
     assert rep.passed
     assert rep.unchecked

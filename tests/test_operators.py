@@ -15,10 +15,11 @@ from dsheffer import (
     apply_lowering,
     expand_polynomials,
     functional_eval,
+    lowering_from_couple,
     lowering_from_H,
     pair_from_couple,
 )
-from dsheffer.sheffer import CoupleSpec
+from dsheffer.sheffer import CoupleSpec, InvalidCoupleError
 
 F = Fraction
 
@@ -111,18 +112,31 @@ def test_lowering_from_H_can_re_truncate():
     assert op.hstar.order == 4
 
 
+def test_lowering_from_couple_kind_follows_step():
+    op = lowering_from_couple(LAGUERRE, 6)
+    assert op.kind == DERIVATIVE and op.omega is None
+    assert op.hstar.order == 6
+    charlier = CoupleSpec(d=1, gamma=(F(0), F(1)), sigma=(F(1), F(1, 2)))
+    opd = lowering_from_couple(charlier, 6, omega=F(1, 2))
+    assert opd.kind == DIFFERENCE and opd.omega == F(1, 2)
+    assert opd.hstar == Series.identity(6)          # (1 + s/2) y' = 1 + y/2
+
+
+def test_lowering_from_couple_contracts():
+    with pytest.raises(ValueError):
+        lowering_from_couple(LAGUERRE, 0)
+    with pytest.raises(InvalidCoupleError):
+        lowering_from_couple(CoupleSpec(d=1, gamma=(F(1), F(1)), sigma=(F(0), F(1))), 6)
+
+
 # ---------------------------------------------------------------- functional vector
 
 def laguerre_functionals(order=12):
-    pair = pair_from_couple(LAGUERRE, order)
-    lop = lowering_from_H(pair.Hx, DERIVATIVE)
-    return FunctionalVector(A=pair.A, lop=lop, d=1)
+    return FunctionalVector(LAGUERRE, lowering_from_couple(LAGUERRE, order), d=1)
 
 
 def hermite_functionals(order=12):
-    pair = pair_from_couple(HERMITE, order)
-    lop = lowering_from_H(pair.Hx, DERIVATIVE)
-    return FunctionalVector(A=pair.A, lop=lop, d=1)
+    return FunctionalVector(HERMITE, lowering_from_couple(HERMITE, order), d=1)
 
 
 def test_laguerre_moments_are_factorials():
@@ -171,7 +185,15 @@ def test_functional_degree_guard():
 
 
 def test_functional_vector_truncates_to_common_order():
+    # the functionals are built at the order of the operator they are given
     pair = pair_from_couple(LAGUERRE, 10)
     lop = lowering_from_H(pair.Hx, DERIVATIVE, N=6)
-    v = FunctionalVector(A=pair.A, lop=lop, d=1)
+    v = FunctionalVector(LAGUERRE, lop, d=1)
     assert v.order == 6
+
+
+def test_functional_vector_needs_room_for_d():
+    with pytest.raises(ValueError):
+        FunctionalVector(LAGUERRE, lowering_from_couple(LAGUERRE, 2), d=0)
+    with pytest.raises(ValueError):
+        FunctionalVector(LAGUERRE, lowering_from_couple(LAGUERRE, 2), d=4)
