@@ -29,7 +29,7 @@ from dsheffer.dorth import (
     verify_lowering,
 )
 from dsheffer.exactnum import parse_rational
-from dsheffer.operators import FunctionalVector, functional_eval, lowering_from_couple
+from dsheffer.operators import FunctionalVector, lowering_from_couple
 from dsheffer.series import Poly
 from dsheffer.sheffer import (
     CoupleFileError,
@@ -322,13 +322,11 @@ def cmd_functionals(args) -> int:
     rows = []
     all_match = True
     for i in indices:
-        for m in range(N + 1):
-            mono = Poly.monomial(m) if m else Poly.one()
-            value = functional_eval(fv, i, mono)
+        for m, value in enumerate(fv.moments[i]):
             cross = None
             if explicit is not None:
                 label, fn = explicit
-                cross_value = fn(i, mono)
+                cross_value = fn(i, Poly.monomial(m) if m else Poly.one())
                 match = cross_value == value
                 all_match = all_match and match
                 cross = {"evaluator": label, "value": str(cross_value), "match": match}

@@ -5,7 +5,9 @@ Two independent routes are verified and never conflated:
 * the (d+2)-term recurrence x P_n = sum_k alpha_k(n) P_{n-d+k}, read off by
   exact back-substitution in the triangular basis P_0..P_{n+1};
 * the moment conditions <u_k, P_n P_m> = 0 for m > n d + k and != 0 at the
-  boundary m = n d + k, evaluated through the functional vector.
+  boundary m = n d + k, read off the functionals' moment table
+  mu_k(j) = <u_k, x^j> as the Hankel form sum_(a,b) P_n[a] mu_k(a+b) P_m[b];
+  duality <u_i, P_k> = delta_ik is the same form with P_m = 1.
 
 All values are exact rationals; failing cells carry the offending value.
 """
@@ -167,29 +169,32 @@ def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> Orthogonal
 
     For each k < d and n, the values with m > n d + k must vanish and the
     boundary m = n d + k must not; boundaries beyond the sequence are
-    recorded as unchecked rather than silently skipped.
+    recorded as unchecked rather than silently skipped.  Each value is the
+    Hankel form of the moment table, so no product P_n P_m is built.
     """
     top = seq.max_index
-    plan = []
-    unchecked = []
-    for k in range(v.d):
-        for n in range(top + 1):
-            boundary = n * v.d + k
-            if boundary > top:
-                unchecked.append((k, n, boundary))
-                continue
-            for m in range(boundary, top + 1):
-                plan.append((k, n, m, "nonzero" if m == boundary else "zero"))
-    max_deg = max((n + m for _, n, m, _ in plan), default=0)
+    max_deg = top + top // v.d        # n = top // d at k = 0, with m = top
     if v.order < max_deg:
         raise ValueError(
             f"functional order {v.order} too small: products reach degree {max_deg}"
         )
     cells = []
-    for k, n, m, req in plan:
-        value = functional_eval(v, k, seq[n] * seq[m])
-        ok = (value == 0) if req == "zero" else (value != 0)
-        cells.append(OrthCell(k=k, n=n, m=m, value=value, requirement=req, ok=ok))
+    unchecked = []
+    for k in range(v.d):
+        mu = v.moments[k]
+        for n in range(top + 1):
+            boundary = n * v.d + k
+            if boundary > top:
+                unchecked.append((k, n, boundary))
+                continue
+            # row[b] = <u_k, P_n x^b>, shared by every m of this (k, n)
+            row = [sum(c * mu[a + b] for a, c in enumerate(seq[n].coeffs))
+                   for b in range(top + 1)]
+            for m in range(boundary, top + 1):
+                value = sum(r * c for r, c in zip(row, seq[m].coeffs))
+                req = "nonzero" if m == boundary else "zero"
+                ok = (value == 0) if req == "zero" else (value != 0)
+                cells.append(OrthCell(k=k, n=n, m=m, value=value, requirement=req, ok=ok))
     return OrthogonalityReport(
         d=v.d,
         max_index=top,

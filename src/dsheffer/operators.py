@@ -1,4 +1,4 @@
-"""Lowering operators and the moment functionals built from them.
+"""Lowering operators and the moment table of the functionals built from them.
 
 For a pair (A, H) the lowering operator is sigma = H*(B), where H* is the
 compositional inverse of H and B is the base operator: d/dx for sets written
@@ -18,9 +18,15 @@ dual to the sequence is
     <u_i, f> = (1/i!) [ sigma^i / A(sigma) f(x) ]_{x=0}
 
 and along y the same couple gives log A(y) = integral gamma(y)/(1 + omega s),
-so each operator series y^i / A(y) needs only products, an integral and exp.
-`lowering_from_H` reverts a given H instead; it is the independent route the
-tests compare against.
+so each operator series w = y^i / A(y) needs only products, an integral and
+exp.  A functional is fixed by its moments, and [B^l x^j]_{x=0} is
+l! S(j, l) omega^(j-l) (S the Stirling numbers of the second kind), so
+
+    mu_i(j) = <u_i, x^j> = (1/i!) sum_l w_l l! S(j, l) omega^(j-l)
+
+for both kinds; at omega = 0 only l = j survives.  Every functional value
+is a dot product with this table.  `lowering_from_H` reverts a given H
+instead; it is the independent route the tests compare against.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from dsheffer.exactnum import stirling2
 from dsheffer.series import Poly, Series
 from dsheffer.sheffer import CoupleSpec
 
@@ -75,9 +82,6 @@ class LoweringOp:
     def __repr__(self) -> str:
         step = "" if self.omega is None else f", omega={self.omega}"
         return f"LoweringOp({self.kind}{step}, order={self.hstar.order})"
-
-    def apply_base(self, f: Poly) -> Poly:
-        return apply_base(self.kind, f, self.omega)
 
 
 def lowering_from_couple(couple: CoupleSpec, N: int,
@@ -130,7 +134,7 @@ def apply_lowering(op: LoweringOp, f: Poly) -> Poly:
     out = Poly.zero()
     g = f
     for k in range(1, deg + 1):
-        g = op.apply_base(g)
+        g = apply_base(op.kind, g, op.omega)
         if g.is_zero():
             break
         out = out + g * op.hstar.coeffs[k]
@@ -138,14 +142,13 @@ def apply_lowering(op: LoweringOp, f: Poly) -> Poly:
 
 
 class FunctionalVector:
-    """The d moment functionals of a couple, ready for exact evaluation.
+    """The d moment functionals of a couple, as their table of moments.
 
-    The operator series y^i / A(y) along y = H* is precomputed per index at
-    construction, at the order of the lowering operator, so evaluations
-    share work and the object stays immutable afterwards.
+    moments[i][j] = <u_i, x^j> for j up to the order of the lowering
+    operator; the functionals read nothing else.
     """
 
-    __slots__ = ("lop", "d", "_ops")
+    __slots__ = ("lop", "d", "moments")
 
     def __init__(self, couple: CoupleSpec, lop: LoweringOp, d: int):
         if d < 1:
@@ -159,12 +162,23 @@ class FunctionalVector:
             gamma_y = gamma_y * y + c
         if lop.omega is not None:                 # divide by 1 + omega s
             gamma_y = gamma_y * Series([(-lop.omega) ** k for k in range(order + 1)])
-        ops = [(-gamma_y.integrate()).exp()]       # 1 / A(y)
-        for _ in range(1, d):
-            ops.append(ops[-1] * y)
+        w = (-gamma_y.integrate()).exp()           # 1 / A(y), then y^i / A(y)
+        step = lop.omega or Fraction(0)
+        powers = [step ** e for e in range(order + 1)]
+        moments = []
+        for i in range(d):
+            if i:
+                w = w * y
+            scaled = [c * factorial(l) for l, c in enumerate(w.coeffs)]
+            # at omega = 0 every term below l = j carries a factor 0^(j-l)
+            moments.append(tuple(
+                sum(scaled[l] * stirling2(j, l) * powers[j - l]
+                    for l in range(0 if step else j, j + 1)) / factorial(i)
+                for j in range(order + 1)
+            ))
         object.__setattr__(self, "lop", lop)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_ops", tuple(ops))
+        object.__setattr__(self, "moments", tuple(moments))
 
     def __setattr__(self, name, value):
         raise AttributeError("FunctionalVector is immutable")
@@ -188,12 +202,4 @@ def functional_eval(v: FunctionalVector, i: int, f: Poly) -> Fraction:
         raise ValueError(
             f"functional order {v.order} too small for polynomial degree {deg}"
         )
-    w = v._ops[i]
-    total = w.coeffs[0] * f(Fraction(0))
-    g = f
-    for k in range(1, deg + 1):
-        g = v.lop.apply_base(g)
-        if g.is_zero():
-            break
-        total += w.coeffs[k] * g(Fraction(0))
-    return total / factorial(i)
+    return sum((c * mu for c, mu in zip(f.coeffs, v.moments[i])), Fraction(0))

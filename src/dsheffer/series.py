@@ -2,41 +2,24 @@
 
 `Poly` is a dense univariate polynomial over Fraction, lowest degree first,
 trailing zeros trimmed (the zero polynomial has no coefficients and degree
-None).  `Series` is a formal power series truncated at a fixed inclusive
-order N; every operation is exact modulo t^(N+1), and operations that would
-need unknown coefficients beyond the truncation shrink the order instead of
-guessing.  Composition and reversion are the tests' independent reference
+None).  `Series` is a formal power series over Fraction, truncated at a
+fixed inclusive order N; every operation is exact modulo t^(N+1), and
+operations that would need unknown coefficients beyond the truncation shrink
+the order instead of guessing.  Composition and reversion are the tests' independent reference
 route; the verifier builds H* and the functionals from the couple instead
 (see `operators`).
-
-Series coefficients may be Fraction or Poly.  The Poly case is what turns
-A(t) * exp(x*H(t)) into a polynomial sequence without a second engine: the
-exponential recursion only ever multiplies coefficients and divides by
-integers, which a polynomial ring supports.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-Coeff = Union[Fraction, "Poly"]
+from typing import Iterable, Sequence
 
 
-def _coerce(value) -> Coeff:
-    if isinstance(value, Poly):
-        return value
+def _coerce(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("float coefficients are not exact; use Fraction")
     return Fraction(value)
-
-
-def _zero_like(sample: Coeff) -> Coeff:
-    return Poly() if isinstance(sample, Poly) else Fraction(0)
-
-
-def _one_like(sample: Coeff) -> Coeff:
-    return Poly((1,)) if isinstance(sample, Poly) else Fraction(1)
 
 
 class Poly:
@@ -250,8 +233,7 @@ class Series:
 
     @classmethod
     def constant(cls, c, order: int) -> "Series":
-        c = _coerce(c)
-        return cls((c,) + (_zero_like(c),) * order)
+        return cls((_coerce(c),) + (Fraction(0),) * order)
 
     @classmethod
     def identity(cls, order: int) -> "Series":
@@ -278,7 +260,7 @@ class Series:
             raise ValueError(f"cannot truncate order {self.order} up to {order}")
         return Series(self.coeffs[: order + 1])
 
-    def constant_term(self) -> Coeff:
+    def constant_term(self) -> Fraction:
         return self.coeffs[0]
 
     def __eq__(self, other) -> bool:
@@ -297,7 +279,7 @@ class Series:
         return Series(tuple(-c for c in self.coeffs))
 
     def __add__(self, other) -> "Series":
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (int, Fraction)):
             out = list(self.coeffs)
             out[0] = out[0] + other
             return Series(out)
@@ -309,8 +291,8 @@ class Series:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Series":
-        if isinstance(other, (int, Fraction, Poly)):
-            return self + (-Fraction(other) if not isinstance(other, Poly) else -other)
+        if isinstance(other, (int, Fraction)):
+            return self + (-Fraction(other))
         if not isinstance(other, Series):
             return NotImplemented
         self._check_order(other)
@@ -340,13 +322,12 @@ class Series:
     def differentiate(self) -> "Series":
         """Formal d/dt; the result order drops by one (top coeff unknown)."""
         if self.order == 0:
-            return Series((_zero_like(self.coeffs[0]),))
+            return Series((Fraction(0),))
         return Series(tuple((k + 1) * self.coeffs[k + 1] for k in range(self.order)))
 
     def integrate(self) -> "Series":
         """Formal integral from 0; same order, the top input coefficient drops."""
-        zero = _zero_like(self.coeffs[0])
-        out = [zero]
+        out = [Fraction(0)]
         for k in range(self.order):
             out.append(self.coeffs[k] * Fraction(1, k + 1))
         return Series(out)
@@ -369,7 +350,7 @@ class Series:
         """exp of a series with zero constant term, via E' = s' E."""
         if self.coeffs[0] != 0:
             raise ValueError("exp needs a zero constant term")
-        out = [_one_like(self.coeffs[0])]
+        out = [Fraction(1)]
         for n in range(1, self.order + 1):
             acc = self.coeffs[1] * out[n - 1]
             for k in range(2, n + 1):
@@ -379,12 +360,11 @@ class Series:
 
     def log(self) -> "Series":
         """log of a series with constant term 1, via s' = L' s."""
-        if self.coeffs[0] != _one_like(self.coeffs[0]):
+        if self.coeffs[0] != 1:
             raise ValueError("log needs constant term 1")
-        zero = _zero_like(self.coeffs[0])
-        out = [zero]
+        out = [Fraction(0)]
         for n in range(1, self.order + 1):
-            acc = zero
+            acc = Fraction(0)
             for k in range(1, n):
                 acc = acc + (k * out[k]) * self.coeffs[n - k]
             out.append(self.coeffs[n] - acc * Fraction(1, n))
@@ -413,7 +393,7 @@ class Series:
         # composition with a zero-constant inner series, which Newton's
         # iteration below never reads.
         d = self.differentiate()
-        return Series(d.coeffs + (_zero_like(self.coeffs[0]),))
+        return Series(d.coeffs + (Fraction(0),))
 
     def reversion(self) -> "Series":
         """Compositional inverse g with self(g(t)) = t (mod t^(N+1)).

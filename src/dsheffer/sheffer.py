@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from dsheffer.exactnum import parse_rational
 from dsheffer.series import Poly, Series
@@ -132,6 +133,13 @@ def couple_from_json_dict(obj) -> CoupleSpec:
 
     g = conv(gamma, "gamma")
     s = conv(sigma, "sigma")
+    if 1 <= d and len(g) <= d and len(s) <= d + 2:
+        # padding would give gamma a zero leading coefficient, after first
+        # allocating d + 1 entries however large d is; d < 1 and an overlong
+        # sigma keep CoupleSpec's own messages
+        raise InvalidCoupleError(
+            f"gamma must have degree exactly d={d} (leading coefficient is 0)"
+        )
     try:
         return CoupleSpec(d=d, gamma=tuple(g), sigma=tuple(s))
     except ValueError as exc:
@@ -255,21 +263,21 @@ def pair_from_couple(couple: CoupleSpec, N: int) -> ShefferPair:
 
 
 def expand_polynomials(pair: ShefferPair, N: int) -> PolySequence:
-    """Expand A(t) exp(x H(t)) into P_0..P_N (with the n! normalization)."""
+    """Expand A(t) exp(x H(t)) into P_0..P_N (with the n! normalization).
+
+    exp(x H) = sum_k x^k H^k / k!, so [x^k] P_n = n!/k! [t^n] (A H^k), and
+    each A H^k is one Fraction series product away from the one before.
+    """
     if pair.order < N:
         raise ValueError(f"pair order {pair.order} too small for expansion order {N}")
-    a = pair.A.truncate(N)
     hx = pair.Hx.truncate(N)
-    x_h = Series(tuple(Poly((0, c)) for c in hx.coeffs))
-    lifted_a = Series(tuple(Poly.constant(c) for c in a.coeffs))
-    g = lifted_a * x_h.exp()
-    polys = []
-    fact = 1
-    for n, c in enumerate(g.coeffs):
-        if n:
-            fact *= n
-        polys.append(c * fact)
-    return PolySequence(tuple(polys))
+    columns = [pair.A.truncate(N)]             # columns[k] = A H^k
+    for _ in range(N):
+        columns.append(columns[-1] * hx)
+    return PolySequence(tuple(
+        Poly(columns[k].coeffs[n] * (factorial(n) // factorial(k)) for k in range(n + 1))
+        for n in range(N + 1)
+    ))
 
 
 def couple_from_pair(pair: ShefferPair, d: int) -> CoupleSpec:

@@ -5,6 +5,7 @@ output) and asserts the same condition, so the suite doubles as a checklist.
 All equalities are exact unless a tolerance is stated.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -323,22 +324,83 @@ def test_criterion_8_classical_reductions():
 
 # criterion 9: runtime and determinism
 
+# sha256 of the verify --order 12 and functionals --order 8 reports of every
+# default sample; a change to any value, key or verdict shows up here
+VERIFY_DIGESTS = {
+    ("charlier-eq13", 1): "0a2cbfb250a315c12808766992092343bf5a728b14f6d5d1cc7d3488f5abb5ce",
+    ("charlier-eq13", 2): "bf6b29a178dc9298e605cde9f478d63d86902decdefef53fabb996665c182058",
+    ("charlier-eq13", 3): "3d4e539fc3c923685385855a239a7d078e8ce4adf0b1531d45707063dc50fee0",
+    ("hermite-eq12", 1): "036fa6e7e1ea97804875271b97f68285c13ea1a729b2c11766ac0b688ff02434",
+    ("hermite-eq12", 2): "2de7e4d5f6d58a4543066255b0c9ba01b3e4ad08c55caab2b1ff66d0052a602d",
+    ("hermite-eq12", 3): "bf85c634d2f33c4fc782b5b041bbeed3988082ccf83be06fec95ba53a20016b9",
+    ("laguerre-eq10", 1): "f99000b11d301346b09bed6a7c82e37f4bdac03a66751ab750370284ae9a5395",
+    ("laguerre-eq10", 2): "c2a05937a7871215c10e2cd6fdf54cb77e1e4f9e8c7700b0565da3558629680a",
+    ("laguerre-eq10", 3): "2af5de5c600d95bf5046b8805a3061d7708e14b30c93ce27cd44c4fbeaeac27a",
+    ("laguerre-eq11", 2): "e2d268eb618e361e1d4ab76e912b8b2e96de0952a1ec7ccbc62dc7922942b6f9",
+    ("laguerre-eq9", 1): "539a1da905d4245be828328bcc8a641bf0e420aabeb6d0e466f4cc90a29db18b",
+    ("laguerre-eq9", 2): "a63e171ebee4debcb1a2d62737017c62bd62f9f216524eef21ec2b619667a636",
+    ("laguerre-eq9", 3): "e563f7d17a94534cfcb54077c3bf24d490edb9b8b3dd69f6d7f15753c4995978",
+    ("meixner-eq14", 1): "055674ea9b4ff11db64467b4af1b8b9ad3d2b0248f8c4172024f828de9e195b2",
+    ("meixner-eq14", 2): "1e902b6f002791f6958a4869eb1a8e70f3dff48dcd348ff82f3bcce29795a232",
+    ("meixner-eq14", 3): "2031611e4abc6545136a235eeed8c12744896cecbbcb773a715be637f9786e20",
+    ("meixner-eq16", 1): "2529e549a7562d06737ea9e1ea6b2e2b208084bab412508de790b09cb93a9dc8",
+    ("meixner-eq16", 2): "0226c0e9aefef33d643f75d452b0578cc49d00f914eaa7dad417f168f2502891",
+    ("meixner-eq16", 3): "df5acf3163885399507ee260b9054914bc9bb3f41de5e732a1e62e59fabec9f8",
+    ("meixner-eq21", 2): "513ee3c26f012d1894acdae165791075ac2e9577b7a24d7600b708420ef63a14",
+    ("meixner-eq21", 3): "127eb06b87a6f736ca97a09b3f2d453f565835ccf5c721f8a859e7b1612cb92b",
+}
+
+FUNCTIONALS_DIGESTS = {
+    ("charlier-eq13", 1): "d4c8c829964c4b86a549d48c8ebe76c7cefc823ed2e7d32ec9c19d2ae8b4c237",
+    ("charlier-eq13", 2): "6226683bfff54898a83ebab188c250d67f3bf021830718c89a36daab3a0ce7e0",
+    ("charlier-eq13", 3): "dbe80c1df4ee1d6612972f13a8dbda5e7ff83572198210b2f83677e2bd460c86",
+    ("hermite-eq12", 1): "a225eeeda51d128972eee8333037711b7e2ae22f9542c4c7e545d247b3232c2b",
+    ("hermite-eq12", 2): "2fbaadbbadf5423e085813fac55da05ef1656da78a235a367f044adc6a259886",
+    ("hermite-eq12", 3): "269b7ab0ecafc1b7338d810d496f0cbfcc109085ddb49e8d09d46e509ba65b1f",
+    ("laguerre-eq10", 1): "a2c3154fe1aa4305a4b5fc0b9576e4bc6986a9de304d20308dae20b8a61a32b9",
+    ("laguerre-eq10", 2): "9bb97c902636db01af97eaf1c802e9765ca5589135146037d07b92099ceee830",
+    ("laguerre-eq10", 3): "9ba24784811de5fa6ee56b78c0364ee32b24dd98ef3983abc8601c9a3215e068",
+    ("laguerre-eq11", 2): "2608688608c460f54adff886a7a760c4d2103122a04b34a4718201ef5e270950",
+    ("laguerre-eq9", 1): "6020728c26b110082173e5e76f74079d2fb88f7680a2807e9886ef30631012cc",
+    ("laguerre-eq9", 2): "b675dab4ee389277342be5d5c31ff8e37b33329c8c5d0f10d2a7e567ddd434c2",
+    ("laguerre-eq9", 3): "aef72bd8236422c396603d751d7751e9ddaca00c97f6775376f73b89484ea397",
+    ("meixner-eq14", 1): "1d2ae17fe7952f3fbb4b4c4b55f96fada3ba040b2db8abc38ed5205f502cda67",
+    ("meixner-eq14", 2): "081ea13d4be612209fe8b3d3eb2c41f833f6433592780ea6b5063ef34ff62d03",
+    ("meixner-eq14", 3): "b5e0b4ccebb0c71de77974255fcc0463e4f09e28e645b08777e40400fb24e06c",
+    ("meixner-eq16", 1): "ae683eb10e04ba49e370046e46c9b899081b2763ce7019d5e797c20def0faea4",
+    ("meixner-eq16", 2): "c0d826db55c7f52b0ef123520611f96d9aa0d58093f760815398d996c0a75783",
+    ("meixner-eq16", 3): "4d27998f51ef4133538cae076d8d9bbed420e1b2e1ba241d46879bb7cd5e0d8b",
+    ("meixner-eq21", 2): "9e5e4ed135f08a24ae4254283352d33a49abd11907615a8d45d4e42d132f54b7",
+    ("meixner-eq21", 3): "2e185e4405fa2a4c6cabcf3fde79861629613d57300e25819f74b8a0fa1fc1f1",
+}
+
+
+def family_argv(spec) -> list[str]:
+    argv = ["--family", spec.family, "--d", str(spec.d)]
+    for key, value in spec.params.items():
+        argv += ["--param", f"{key}={value}"]
+    if spec.aux is not None:
+        argv += ["--aux", ",".join(str(a) for a in spec.aux)]
+    return argv
+
+
+def digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 def test_criterion_9_runtime_and_determinism(suite, tmp_path):
     built, build_seconds = suite
     failures = []
     start = time.perf_counter()
     for index, (spec, *_rest) in enumerate(built):
-        argv = ["verify", "--family", spec.family, "--d", str(spec.d),
-                "--order", str(N), "--out", str(tmp_path / f"r{index}.json")]
-        for key, value in spec.params.items():
-            argv += ["--param", f"{key}={value}"]
-        if spec.aux is not None:
-            argv += ["--aux", ",".join(str(a) for a in spec.aux)]
-        code = main(argv)
+        code = main(["verify", *family_argv(spec), "--order", str(N),
+                     "--out", str(tmp_path / f"r{index}.json")])
         if code != 0:
             failures.append((spec.family, spec.d, f"exit {code}"))
     cli_seconds = time.perf_counter() - start
+    for index, (spec, *_rest) in enumerate(built):
+        if digest(tmp_path / f"r{index}.json") != VERIFY_DIGESTS[(spec.family, spec.d)]:
+            failures.append((spec.family, spec.d, "report differs from its pinned digest"))
     total = build_seconds + cli_seconds
     if total >= 60:
         failures.append(f"suite took {total:.1f}s, budget 60s")
@@ -354,3 +416,14 @@ def test_criterion_9_runtime_and_determinism(suite, tmp_path):
         json.loads(first.read_text())                   # and they are valid JSON
     report(f"criterion 9: full verification of {len(built)} samples at N={N} in "
            f"{total:.1f}s (< 60s) with byte-identical reports", failures)
+
+
+def test_functionals_reports_match_their_digests(tmp_path):
+    failures = []
+    for spec in catalog.default_sample_specs():
+        path = tmp_path / f"{spec.family}-{spec.d}.json"
+        code = main(["functionals", *family_argv(spec), "--order", "8", "--out", str(path)])
+        if code != 0 or digest(path) != FUNCTIONALS_DIGESTS[(spec.family, spec.d)]:
+            failures.append((spec.family, spec.d, code))
+    report("functionals --order 8 reports of all samples match their pinned digests",
+           failures)

@@ -1,9 +1,15 @@
 """End-to-end CLI behavior: exit codes, report shapes, determinism, formats."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dsheffer
 from dsheffer import cli
 from dsheffer.cli import main
 from dsheffer.dorth import BackSubstitutionError
@@ -128,6 +134,36 @@ def test_decimal_coefficients_in_file(tmp_path, capsys):
     code, _, err = run(capsys, "expand", "--couple-file", str(path))
     assert code == 3
     assert "exact" in err
+
+
+def test_short_gamma_exits_2_with_the_degree_message(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text('{"d": 2, "gamma": [0, 1], "sigma": [1]}')
+    code, _, err = run(capsys, "expand", "--couple-file", str(path), "--order", "4")
+    assert code == 2
+    assert "gamma must have degree exactly d=2 (leading coefficient is 0)" in err
+
+
+@pytest.mark.parametrize("command", ["expand", "verify"])
+def test_huge_d_exits_2_promptly(command, tmp_path):
+    # Padding gamma to d + 1 entries would allocate gigabytes before anything
+    # rejected the couple.  The child runs under a 1 GiB address-space cap,
+    # so a regression ends in a MemoryError (exit 1) rather than in swap.
+    path = tmp_path / "c.json"
+    path.write_text('{"d": 1000000000, "gamma": [0, 1], "sigma": [1]}')
+    cap = 1 << 30
+    src = str(Path(dsheffer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from dsheffer.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", command, "--couple-file", str(path), "--order", "4"],
+        capture_output=True, text=True, timeout=60, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "gamma must have degree exactly d=1000000000" in proc.stderr
+    assert proc.stdout == ""
 
 
 # ---------------------------------------------------------------- verify

@@ -5,7 +5,9 @@ series y^i / A(y) from the couple alone, by the ODE (1 + omega s) y' =
 sigma(y).  The reference route reverts the closed-form H (the Newton form h
 for difference families) and composes t^i / A(t) with the result.  The two
 share no code past the family's couple and generating pair, and must agree
-coefficient for coefficient.
+coefficient for coefficient.  The verifier keeps only the moment table
+<u_i, x^j>, built by one Stirling-number formula for both operator kinds;
+the reference moments apply the base operator to x^j instead.
 """
 
 import contextlib
@@ -13,6 +15,8 @@ import io
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -21,8 +25,12 @@ from dsheffer import (
     DERIVATIVE,
     DIFFERENCE,
     FunctionalVector,
+    LoweringOp,
+    Poly,
     Series,
+    apply_base,
     check_conditions,
+    functional_eval,
     lowering_from_couple,
     lowering_from_H,
     pair_from_couple,
@@ -39,6 +47,38 @@ def reference_ops(A: Series, hstar: Series, d: int):
     """t^i / A(t) composed with H*, for i < d."""
     inv_a = A.invert_mul()
     return [(Series.monomial(i, hstar.order) * inv_a).compose(hstar) for i in range(d)]
+
+
+def base_values(lop, f: Poly) -> list[Fraction]:
+    """[B^k f]_(x=0) for k <= deg f, applying the base operator B k times."""
+    values = []
+    g = f
+    for _ in f.coeffs:                         # B lowers the degree of f each time
+        values.append(g(Fraction(0)))
+        g = apply_base(lop.kind, g, lop.omega)
+    return values
+
+
+def reference_value(w: Series, i: int, values) -> Fraction:
+    """(1/i!) sum_k w_k [B^k f]_(x=0), given the values of base_values."""
+    return sum((c * b for c, b in zip(w.coeffs, values)), Fraction(0)) / factorial(i)
+
+
+def reference_eval(w: Series, i: int, lop, f: Poly) -> Fraction:
+    return reference_value(w, i, base_values(lop, f))
+
+
+@lru_cache(maxsize=None)
+def monomial_base_values(kind: str, omega, order: int):
+    """base_values of x^0..x^order; they depend on the base operator only."""
+    lop = LoweringOp(kind, Series.identity(order), omega)
+    return [base_values(lop, Poly.monomial(j)) for j in range(order + 1)]
+
+
+def reference_moments(ops, lop):
+    """<u_i, x^j> for j up to the operator order, by the reference evaluator."""
+    values = monomial_base_values(lop.kind, lop.omega, lop.hstar.order)
+    return tuple(tuple(reference_value(w, i, v) for v in values) for i, w in enumerate(ops))
 
 
 def reference_family(spec: FamilySpec, N: int):
@@ -66,8 +106,9 @@ def assert_family_routes_agree(spec: FamilySpec, N: int):
     assert catalog.family_lowering(spec, N).hstar == lop.hstar
     assert (lop.kind, lop.omega) == (ref_lop.kind, ref_lop.omega), spec
     assert lop.hstar == ref_lop.hstar, spec
+    ref_moments = reference_moments(ref_ops, ref_lop)
     for i in range(spec.d):
-        assert v._ops[i] == ref_ops[i], (spec, i)
+        assert v.moments[i] == ref_moments[i], (spec, i)
 
 
 def test_default_samples_agree_at_order_24():
@@ -76,6 +117,18 @@ def test_default_samples_agree_at_order_24():
     assert {FAMILIES[s.family].kind for s in specs} == {DERIVATIVE, DIFFERENCE}
     for spec in specs:
         assert_family_routes_agree(spec, 24)
+
+
+def charlier_with_step(d: int, omega: Fraction) -> FamilySpec:
+    default = catalog.default_spec(catalog.CHARLIER_EQ13, d)
+    return FamilySpec(family=default.family, d=d, params={"omega": omega}, aux=default.aux)
+
+
+def test_charlier_non_unit_steps_agree_at_order_24():
+    # the default samples all step by 1, where omega^(j-l) never differs from 1
+    for d in (1, 2):
+        for omega in (F(1, 3), F(-2)):
+            assert_family_routes_agree(charlier_with_step(d, omega), 24)
 
 
 def random_regular_couple(rng: random.Random) -> CoupleSpec:
@@ -101,7 +154,33 @@ def test_couple_sources_agree_at_order_24():
         ref = lowering_from_H(pair.Hx, DERIVATIVE, 24)
         lop, v = couple_route(couple, 24, None, couple.d)
         assert lop.hstar == ref.hstar, couple
-        assert list(v._ops) == reference_ops(pair.A, ref.hstar, couple.d), couple
+        ref_ops = reference_ops(pair.A, ref.hstar, couple.d)
+        assert v.moments == reference_moments(ref_ops, ref), couple
+
+
+# ---------------------------------------------------------------- functional values
+
+PROPERTY_SPECS = catalog.default_sample_specs() + (charlier_with_step(2, F(-2, 3)),)
+
+
+@lru_cache(maxsize=None)
+def property_routes(index: int):
+    """Reference operator and series, and the verifier's table, at order 12."""
+    spec = PROPERTY_SPECS[index]
+    ref_lop, ref_ops = reference_family(spec, 12)
+    _, v = couple_route(catalog.family_couple(spec), 12, catalog.family_step(spec), spec.d)
+    return ref_lop, ref_ops, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_functional_eval_matches_the_reference_evaluator(data):
+    ref_lop, ref_ops, v = property_routes(
+        data.draw(st.integers(min_value=0, max_value=len(PROPERTY_SPECS) - 1)))
+    i = data.draw(st.integers(min_value=0, max_value=v.d - 1))
+    f = Poly(data.draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                                max_size=v.order + 1)))
+    assert functional_eval(v, i, f) == reference_eval(ref_ops[i], i, ref_lop, f)
 
 
 # ---------------------------------------------------------------- random family parameters

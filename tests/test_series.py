@@ -331,10 +331,9 @@ def test_all_results_stay_fractions():
     assert all(isinstance(c, Fraction) for c in s.coeffs)
 
 
-def test_polynomial_coefficients_supported():
-    # exp of x*t with Poly coefficients: coefficient of t^k is x^k / k!
-    xt = Series((Poly(()), Poly((0, 1)), Poly(()), Poly(())))
-    e = xt.exp()
-    assert e.coeffs[0] == Poly((1,))
-    assert e.coeffs[2] == Poly((0, 0, F(1, 2)))
-    assert e.coeffs[3] == Poly((0, 0, 0, F(1, 6)))
+def test_polynomial_coefficients_rejected():
+    # series coefficients are rationals only; expand_polynomials needs no more
+    with pytest.raises(TypeError):
+        Series((Poly(()), Poly((0, 1))))
+    with pytest.raises(TypeError):
+        Series.constant(Poly((0, 1)), 3)
