@@ -194,12 +194,14 @@ _register(FamilyInfo(
 ))
 
 
-def _is_nonpositive_integer(x: Fraction) -> bool:
-    return x.denominator == 1 and x <= 0
-
-
 def validate_params(spec: FamilySpec) -> tuple[str, ...]:
-    """Return the violated restrictions (empty tuple means valid)."""
+    """Return the violated restrictions (empty tuple means valid).
+
+    Shape first (d, parameter names, aux length), then the few rules the
+    couple cannot express, then the couple's own regularity decision: every
+    other restriction in a family's text is that decision written out for
+    the family's parameters.
+    """
     info = FAMILIES[spec.family]
     violations = []
 
@@ -215,20 +217,16 @@ def validate_params(spec: FamilySpec) -> tuple[str, ...]:
     if unknown:
         violations.append(f"unknown parameter(s): {', '.join(sorted(unknown))}")
 
-    aux = spec.aux
     if info.aux_len is None:
-        if aux is not None:
+        if spec.aux is not None:
             violations.append(f"{spec.family} takes no auxiliary polynomial")
     else:
         want = max(info.aux_len(spec.d), 0) if spec.d >= 1 else 0
-        if aux is None:
-            # an omitted auxiliary polynomial means the zero polynomial;
-            # families needing a nonzero leading coefficient flag that below
-            aux = (Fraction(0),) * want
-        elif len(aux) != want:
+        # an omitted auxiliary polynomial means the zero polynomial
+        if spec.aux is not None and len(spec.aux) != want:
             violations.append(
                 f"auxiliary polynomial needs {want} coefficient(s) ({info.aux_text}), "
-                f"got {len(aux)}"
+                f"got {len(spec.aux)}"
             )
 
     if violations:
@@ -236,62 +234,27 @@ def validate_params(spec: FamilySpec) -> tuple[str, ...]:
         return tuple(violations)
 
     p = spec.params
-    d = spec.d
     fam = spec.family
-    if fam == LAGUERRE_EQ9:
-        if _is_nonpositive_integer((p["alpha"] + 1) * d):
-            violations.append(
-                f"alpha = {p['alpha']} violates n/d + alpha + 1 != 0 (n >= 0)"
-            )
-    elif fam == LAGUERRE_EQ10:
-        if d >= 2:
-            if aux[d - 1] == 0:
-                violations.append("leading auxiliary coefficient a_(d-1) must be nonzero")
-        elif _is_nonpositive_integer(p["alpha"] + 1):
-            violations.append(
-                f"alpha = {p['alpha']} violates alpha + n + 1 != 0 (n >= 0) for d = 1"
-            )
-    elif fam == LAGUERRE_EQ11:
-        if _is_nonpositive_integer(p["alpha"] + 1):
-            violations.append(
-                f"alpha = {p['alpha']} violates alpha + n + 1 != 0 (n >= 0)"
-            )
-    elif fam == HERMITE_EQ12:
-        if aux[d + 1] == 0:
-            violations.append("leading auxiliary coefficient a_(d+1) must be nonzero")
-    elif fam == CHARLIER_EQ13:
-        if p["omega"] == 0:
-            violations.append("omega must be nonzero")
-        if aux[d] == 0:
-            violations.append("leading auxiliary coefficient a_d must be nonzero")
-    elif fam == MEIXNER_EQ14:
-        if p["c"] in (0, 1):
-            violations.append(f"c = {p['c']} must avoid 0 and 1")
-        if d >= 2:
-            if aux[d - 1] == 0:
-                violations.append("leading auxiliary coefficient a_(d-1) must be nonzero")
-        elif _is_nonpositive_integer(p["beta"]):
-            violations.append(
-                f"beta = {p['beta']} must not be a nonpositive integer for d = 1"
-            )
-    elif fam == MEIXNER_EQ16:
-        if p["c"] in (0, 1):
-            violations.append(f"c = {p['c']} must avoid 0 and 1")
-        elif d >= 2 and p["c"] == Fraction(1, 1 - d):
-            violations.append(f"c = {p['c']} must avoid 1/(1-d)")
-        if _is_nonpositive_integer(p["beta"] * d):
-            violations.append(f"beta = {p['beta']} violates beta != -n/d (n >= 0)")
-    elif fam == MEIXNER_EQ21:
-        if p["c"] in (0, Fraction(1, 3), 1):
-            violations.append(f"c = {p['c']} must avoid 0, 1/3 and 1")
-        if aux[d - 2] == 0:
-            violations.append("leading auxiliary coefficient a_(d-2) must be nonzero")
-        # at d = 2, beta_d / alpha_(d+1) = -beta: beta = 0 drops the degree of
-        # gamma and beta = -n breaks regularity at n
-        if d == 2 and _is_nonpositive_integer(p["beta"]):
-            violations.append(
-                f"beta = {p['beta']} must not be a nonpositive integer for d = 2"
-            )
+    # the couple divides by c and c - 1, and its omega = 0 is no difference step
+    if fam in (MEIXNER_EQ14, MEIXNER_EQ16, MEIXNER_EQ21) and p["c"] in (0, 1):
+        violations.append(f"c = {p['c']} must avoid 0 and 1")
+    if fam == CHARLIER_EQ13 and p["omega"] == 0:
+        violations.append("omega must be nonzero")
+    # at d = 2 the derivative of pi drops a_0 before it reaches the couple
+    if fam == MEIXNER_EQ21 and _aux_poly(spec).coeff(spec.d - 2) == 0:
+        violations.append("leading auxiliary coefficient a_(d-2) must be nonzero")
+    if violations:
+        return tuple(violations)
+
+    broken = _couple_of(spec).violations()
+    if broken:
+        values = [f"d = {spec.d}"] + [f"{k} = {v}" for k, v in p.items()]
+        if spec.aux is not None:
+            values.append("aux = " + ",".join(str(a) for a in spec.aux))
+        violations.append(
+            f"{fam} at {', '.join(values)} violates {info.restrictions!r}: "
+            f"its couple has {'; '.join(broken)}"
+        )
     return tuple(violations)
 
 
@@ -318,6 +281,11 @@ def _aux_tilde(spec: FamilySpec) -> Poly:
 def family_couple(spec: FamilySpec) -> CoupleSpec:
     """The couple (gamma, sigma) of a valid family instance."""
     require_valid(spec)
+    return _couple_of(spec)
+
+
+def _couple_of(spec: FamilySpec) -> CoupleSpec:
+    # the couple of a well-shaped spec with c not in {0, 1}, unchecked
     d = spec.d
     p = spec.params
     fam = spec.family

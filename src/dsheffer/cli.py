@@ -248,8 +248,9 @@ def cmd_verify(args) -> int:
 
     _, sections["recurrence"] = _recurrence_section(seq, check_d)
 
-    # orthogonality products P_n P_m reach degree 2N
-    lop = lowering_from_couple(couple, 2 * N, source.omega)
+    # orthogonality reads moments up to degree N + N // check_d (the cell
+    # n = N // check_d, m = N); duality and the lowering check need only N
+    lop = lowering_from_couple(couple, N + N // check_d, source.omega)
     fv = FunctionalVector(couple, lop, check_d)
     dual = verify_duality(seq, fv)
     sections["duality"] = {

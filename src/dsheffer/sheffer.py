@@ -7,12 +7,16 @@ degree exactly d, sigma of degree at most d+1, through
     H(t)    = integral_0^t 1/sigma
     G(x, t) = A(t) exp(x H(t)) = sum_n P_n(x) t^n / n!
 
-subject to the regularity conditions alpha_0 != 0 and
+subject to the regularity conditions alpha_0 != 0, beta_d != 0 and
 n*alpha_{d+1} - beta_d != 0 for n >= 1 (beta_d, alpha_0, alpha_{d+1} being
-the leading/constant coefficients involved).  Everything here works over a
-fixed truncation order with exact rationals, so the inverse direction
-(recovering the couple from a pair) can certify "polynomial of the right
-degree" by checking that every higher series coefficient vanishes exactly.
+the leading/constant coefficients involved).  The last is linear in n, so it
+is decided for all n at once: it fails exactly when beta_d / alpha_{d+1} is a
+positive integer (CoupleSpec.irregular_n), and CoupleSpec.violations is the
+one regularity decision that both check_conditions and the catalog's
+parameter validation read.  Everything else works over a fixed truncation
+order with exact rationals, so the inverse direction (recovering the couple
+from a pair) can certify "polynomial of the right degree" by checking that
+every higher series coefficient vanishes exactly.
 """
 
 from __future__ import annotations
@@ -80,6 +84,29 @@ class CoupleSpec:
     @property
     def alpha_top(self) -> Fraction:
         return self.sigma[self.d + 1]
+
+    def irregular_n(self) -> int | None:
+        """The smallest n >= 1 with n*alpha_(d+1) = beta_d, or None.
+
+        The condition is linear in n: it has the single root
+        beta_d / alpha_(d+1) when that is a positive integer, none when
+        alpha_(d+1) = 0 != beta_d, and every n when both vanish.
+        """
+        if self.alpha_top == 0:
+            return 1 if self.beta_d == 0 else None
+        root = self.beta_d / self.alpha_top
+        return int(root) if root.denominator == 1 and root >= 1 else None
+
+    def violations(self) -> tuple[str, ...]:
+        """The regularity conditions this couple breaks, for all n >= 1."""
+        found = []
+        if self.alpha_0 == 0:
+            found.append("alpha_0 = 0")
+        if self.beta_d == 0:
+            found.append("beta_d = 0")  # with alpha_(d+1) = 0 every n is a root too
+        elif (n := self.irregular_n()) is not None:
+            found.append(f"n*alpha_(d+1) = beta_d at n = {n}")
+        return tuple(found)
 
     def validate(self):
         if self.beta_d == 0:
@@ -200,27 +227,22 @@ class PolySequence:
 
 
 def check_conditions(couple: CoupleSpec, N: int):
-    """Evaluate the regularity conditions for n = 1..N without raising.
+    """Decide the regularity conditions for every n >= 1 without raising.
 
     Returns a ConditionReport; a couple that fails (even structurally, with
     alpha_0 = 0 or beta_d = 0) yields a failing report rather than an error.
+    The failing n is reported wherever it lies; N only fills the report's
+    checked_n field.
     """
-    entries = []
-    failures = []
-    for n in range(1, N + 1):
-        value = n * couple.alpha_top - couple.beta_d
-        ok = value != 0
-        if not ok:
-            failures.append(n)
-        entries.append((n, value, ok))
+    n = couple.irregular_n()
     return ConditionReport(
         d=couple.d,
         alpha_0=couple.alpha_0,
         beta_d=couple.beta_d,
         alpha_top=couple.alpha_top,
-        entries=tuple(entries),
-        failures=tuple(failures),
-        passed=(couple.alpha_0 != 0 and couple.beta_d != 0 and not failures),
+        checked_n=N,
+        failures=() if n is None else (n,),
+        passed=not couple.violations(),
     )
 
 
@@ -230,8 +252,8 @@ class ConditionReport:
     alpha_0: Fraction
     beta_d: Fraction
     alpha_top: Fraction
-    entries: tuple
-    failures: tuple
+    checked_n: int
+    failures: tuple[int, ...]
     passed: bool
 
     def to_jsonable(self) -> dict:
@@ -240,10 +262,8 @@ class ConditionReport:
             "alpha_0": str(self.alpha_0),
             "beta_d": str(self.beta_d),
             "alpha_top": str(self.alpha_top),
-            "checked_n": len(self.entries),
-            "failures": [
-                {"n": n, "value": str(v)} for n, v, ok in self.entries if not ok
-            ],
+            "checked_n": self.checked_n,
+            "failures": [{"n": n, "value": "0"} for n in self.failures],
             "alpha_0_nonzero": self.alpha_0 != 0,
             "beta_d_nonzero": self.beta_d != 0,
         }

@@ -124,6 +124,16 @@ def test_conditions_fail_at_n_3():
     assert rep.failures == (3,)
 
 
+def test_conditions_report_a_root_beyond_n():
+    # alpha_top = 1, beta_d = 20: n = 20 fails however small the checked N
+    couple = CoupleSpec(d=1, gamma=(F(0), F(20)), sigma=(F(1), F(0), F(1)))
+    rep = check_conditions(couple, 12)
+    assert not rep.passed
+    assert rep.failures == (20,)
+    assert rep.to_jsonable()["checked_n"] == 12
+    assert rep.to_jsonable()["failures"] == [{"n": 20, "value": "0"}]
+
+
 def test_conditions_report_structural_breakage_without_raising():
     rep = check_conditions(CoupleSpec(d=1, gamma=(F(0), F(0)), sigma=(F(0),)), 4)
     assert not rep.passed
