@@ -19,8 +19,10 @@ from dsheffer.sheffer import (
     check_conditions,
     couple_from_json_dict,
     couple_from_pair,
+    expand_from_couple,
     expand_polynomials,
     pair_from_couple,
+    recurrence_rows,
 )
 from dsheffer.operators import (
     DERIVATIVE,
@@ -42,6 +44,7 @@ from dsheffer.dorth import (
     RegularityViolationError,
     WindowViolationError,
     extract_recurrence,
+    recurrence_from_couple,
     verify_d_orthogonality,
     verify_duality,
     verify_lowering,
@@ -54,10 +57,12 @@ __all__ = [
     "Poly", "Series",
     "CoupleFileError", "CoupleSpec", "InvalidCoupleError", "NotDOrthogonalShefferError",
     "PolySequence", "ShefferPair", "check_conditions", "couple_from_json_dict",
-    "couple_from_pair", "expand_polynomials", "pair_from_couple",
+    "couple_from_pair", "expand_from_couple", "expand_polynomials", "pair_from_couple",
+    "recurrence_rows",
     "DERIVATIVE", "DIFFERENCE", "FunctionalVector", "LoweringOp", "apply_base",
     "apply_lowering", "functional_eval", "lowering_from_couple", "lowering_from_H",
     "BackSubstitutionError", "DualityReport", "LoweringReport", "OrthogonalityReport",
     "RecurrenceTable", "RegularityViolationError", "WindowViolationError",
-    "extract_recurrence", "verify_d_orthogonality", "verify_duality", "verify_lowering",
+    "extract_recurrence", "recurrence_from_couple", "verify_d_orthogonality",
+    "verify_duality", "verify_lowering",
 ]

@@ -24,6 +24,7 @@ from dsheffer.dorth import (
     RegularityViolationError,
     WindowViolationError,
     extract_recurrence,
+    recurrence_from_couple,
     verify_d_orthogonality,
     verify_duality,
     verify_lowering,
@@ -37,6 +38,7 @@ from dsheffer.sheffer import (
     InvalidCoupleError,
     check_conditions,
     couple_from_json_dict,
+    expand_from_couple,
     expand_polynomials,
     pair_from_couple,
 )
@@ -163,7 +165,7 @@ def cmd_expand(args) -> int:
     source = _resolve_source(args)
     N = args.order
     _require_order(N, 1)
-    seq = expand_polynomials(source.pair(N), N)
+    seq = expand_from_couple(source.couple, N)
     if args.format == render.JSON:
         doc = {
             "command": "expand",
@@ -230,7 +232,7 @@ def cmd_verify(args) -> int:
     }
 
     if source.is_family:
-        other = expand_polynomials(pair_from_couple(couple, N), N)
+        other = expand_from_couple(couple, N)
         mismatches = [
             {"n": n, "closed_form": seq[n].pretty(), "from_couple": other[n].pretty()}
             for n in range(N + 1)
@@ -286,8 +288,7 @@ def cmd_recurrence(args) -> int:
     N = args.order
     d = source.d
     _require_order(N, d + 2, f" for the recurrence at d = {d}")
-    seq = expand_polynomials(source.pair(N), N)
-    table = extract_recurrence(seq, d)  # violations surface as exit 1 via main
+    table = recurrence_from_couple(source.couple, N)  # violations surface as exit 1 via main
     if args.format == render.JSON:
         doc = {
             "command": "recurrence",

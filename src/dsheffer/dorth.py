@@ -3,7 +3,9 @@
 Two independent routes are verified and never conflated:
 
 * the (d+2)-term recurrence x P_n = sum_k alpha_k(n) P_{n-d+k}, read off by
-  exact back-substitution in the triangular basis P_0..P_{n+1};
+  exact back-substitution in the triangular basis P_0..P_{n+1} (the
+  `recurrence` command reads the same table off the couple instead, through
+  recurrence_from_couple, and both enforce regularity in one place);
 * the moment conditions <u_k, P_n P_m> = 0 for m > n d + k and != 0 at the
   boundary m = n d + k, read off the functionals' moment table
   mu_k(j) = <u_k, x^j> as the Hankel form sum_(a,b) P_n[a] mu_k(a+b) P_m[b];
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 from dsheffer.operators import FunctionalVector, LoweringOp, apply_lowering, functional_eval
 from dsheffer.series import Poly
-from dsheffer.sheffer import PolySequence
+from dsheffer.sheffer import CoupleSpec, PolySequence, recurrence_rows
 
 
 class WindowViolationError(Exception):
@@ -111,8 +113,22 @@ def extract_recurrence(seq: PolySequence, d: int) -> RecurrenceTable:
             coeffs[n - d + k] if n - d + k >= 0 else Fraction(0)
             for k in range(d + 2)
         ))
+    return _regular_table(d, rows)
+
+
+def recurrence_from_couple(couple: CoupleSpec, top: int) -> RecurrenceTable:
+    """The rows n < top read off the couple (sheffer.recurrence_rows), no expansion.
+
+    Equal to extract_recurrence on the couple's sequence P_0..P_top, and
+    raises the same RegularityViolationError; the window holds by
+    construction.
+    """
+    return _regular_table(couple.d, recurrence_rows(couple, top))
+
+
+def _regular_table(d: int, rows) -> RecurrenceTable:
     bad = tuple(
-        n for n in range(d, top)
+        n for n in range(d, len(rows))
         if rows[n][0] == 0 or rows[n][d + 1] == 0
     )
     if bad:

@@ -13,7 +13,9 @@ the leading/constant coefficients involved).  The last is linear in n, so it
 is decided for all n at once: it fails exactly when beta_d / alpha_{d+1} is a
 positive integer (CoupleSpec.irregular_n), and CoupleSpec.violations is the
 one regularity decision that both check_conditions and the catalog's
-parameter validation read.  Everything else works over a fixed truncation
+parameter validation read.  The same couple gives the (d+2)-term recurrence
+in closed form (recurrence_rows), which generates the sequence without any
+series (expand_from_couple).  Everything else works over a fixed truncation
 order with exact rationals, so the inverse direction (recovering the couple
 from a pair) can certify "polynomial of the right degree" by checking that
 every higher series coefficient vanishes exactly.
@@ -60,7 +62,7 @@ class CoupleSpec:
 
     Value-level restrictions (beta_d != 0, alpha_0 != 0) are deliberately not
     enforced at construction: check_conditions must be able to report on
-    broken couples.  pair_from_couple enforces them.
+    broken couples.  pair_from_couple and recurrence_rows enforce them.
     """
 
     d: int
@@ -298,6 +300,53 @@ def expand_polynomials(pair: ShefferPair, N: int) -> PolySequence:
         Poly(columns[k].coeffs[n] * (factorial(n) // factorial(k)) for k in range(n + 1))
         for n in range(N + 1)
     ))
+
+
+def recurrence_rows(couple: CoupleSpec, top: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows n < top of the recurrence x P_n = sum_k alpha_k(n) P_(n-d+k), from the couple.
+
+    x G = sigma(t) G_t - gamma(t) G read coefficient by coefficient gives
+    x P_n = sum_j sigma_j n^(j) P_(n+1-j) - sum_j gamma_j n^(j) P_(n-j) with
+    the falling factorial n^(j) = n!/(n-j)!, so
+    alpha_k(n) = sigma_(d+1-k) n^(d+1-k) - gamma_(d-k) n^(d-k) and
+    alpha_(d+1)(n) = sigma_0.  n^(j) vanishes for j > n, which is the 0 that
+    row n holds on the indices below zero.  No row is checked for regularity.
+    """
+    couple.validate()
+    d = couple.d
+    rows = []
+    for n in range(top):
+        falling = [1]                       # falling[j] = n^(j)
+        for j in range(d + 1):
+            falling.append(falling[-1] * (n - j))
+        rows.append(tuple(
+            couple.sigma[d + 1 - k] * falling[d + 1 - k]
+            - (couple.gamma[d - k] * falling[d - k] if k <= d else 0)
+            for k in range(d + 2)
+        ))
+    return tuple(rows)
+
+
+def expand_from_couple(couple: CoupleSpec, N: int) -> PolySequence:
+    """P_0..P_N generated by the couple's recurrence, equal to expand_polynomials.
+
+    Row n solved for its last term, alpha_(d+1)(n) P_(n+1) with
+    alpha_(d+1)(n) = sigma_0, gives
+    P_(n+1) = (x P_n - sum_(k<=d) alpha_k(n) P_(n-d+k)) / sigma_0:
+    O(N^2 d) exact operations and no series product.
+    """
+    rows = recurrence_rows(couple, N)
+    d = couple.d
+    inv = 1 / couple.alpha_0
+    polys = [[Fraction(1)]]
+    for n, row in enumerate(rows):
+        nxt = [Fraction(0)] + polys[n]     # x P_n
+        for k in range(max(d - n, 0), d + 1):
+            if a := row[k]:
+                for i, c in enumerate(polys[n - d + k]):
+                    nxt[i] -= a * c
+        polys.append([c * inv for c in nxt])
+    return PolySequence(tuple(map(Poly, polys)))
 
 
 def couple_from_pair(pair: ShefferPair, d: int) -> CoupleSpec:

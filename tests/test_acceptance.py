@@ -374,6 +374,35 @@ FUNCTIONALS_DIGESTS = {
     ("meixner-eq21", 3): "2e185e4405fa2a4c6cabcf3fde79861629613d57300e25819f74b8a0fa1fc1f1",
 }
 
+# sha256 of the expand and recurrence outputs of every default sample: the
+# JSON reports at --order 40, then the CSV and LaTeX tables at --order 12, of
+# expand and then of recurrence, hashed as one stream.  Computed when both
+# commands still expanded the generating function (and back-substituted),
+# so the couple's recurrence must reproduce those bytes exactly.
+EXPAND_RECURRENCE_DIGESTS = {
+    ("laguerre-eq9", 1): "3b5a46c137052396c0f906aedc83a4eb9714a17fd9d66b2392a43fed3b1c573f",
+    ("laguerre-eq9", 2): "1833170e198440ae1408f7e4ec94b68173bbf88f7b119afd843cd6ace7081654",
+    ("laguerre-eq9", 3): "517b17e242c820dd1cc87f889570b3f444cd269266f292464c139ab7a5a8a104",
+    ("laguerre-eq10", 1): "96dfaacdb4dcd8b0d9ac00ecb89d98e2ab8132f699bcad31340866d66e55fe7f",
+    ("laguerre-eq10", 2): "4ae9621b98be9175a251653b1af5069d7dac12bf556f803661339e9d8ab3b5b7",
+    ("laguerre-eq10", 3): "e13545ab16c472a8108efacfae215b543f5abfe2a390394b340b9fd8e5af6d8a",
+    ("laguerre-eq11", 2): "753f254161ee15e67db33d836630f7ba58c0ed522cae8a24d6545dc71b5626bb",
+    ("hermite-eq12", 1): "16a40dec01e0c075ddd0f44629e648dd51d3553501e6019d7250aa370d6cd08d",
+    ("hermite-eq12", 2): "14bc8bf33d4102e6649701af4513bc92f678c05f70d5beefefa931e4c5efe060",
+    ("hermite-eq12", 3): "5d7ff1e5cc37ea4d669e60d1092a067fb845e6c27fceb7f9039fb6b534c4a41a",
+    ("charlier-eq13", 1): "30203658dbe92ea95f0e0d7e6e964ceeb11ae496f50c9528cf77da743873c8ab",
+    ("charlier-eq13", 2): "e523258c3e8fe4b7b31e39268887e8ce528ddaee184be4ffa952b78f1787dc8c",
+    ("charlier-eq13", 3): "a0b2c1cba11f167925fc795ce8dac3c4bb66431b17b18ecf9c29c941febcdf67",
+    ("meixner-eq14", 1): "20cc47db6e555b75787b2e9a3b509ee0a153b439c6d52b9f5c3ac139534debd8",
+    ("meixner-eq14", 2): "3c5b41d74b8b49b2c503f2001515bfcd496d1638a565c8f810c915cedd218fd1",
+    ("meixner-eq14", 3): "40d037f52ebd455e61481bb4c89f800d43e2cd0cf478b64c8ede64fcc0c31502",
+    ("meixner-eq16", 1): "3d7d943f71f8dd28a005faed9872f77bafcde942025c8735173a064645cf93bf",
+    ("meixner-eq16", 2): "9930d188a80d3c9cb5e58158abf4deb94ff1aa2a165af1ed79a952da07ad4e15",
+    ("meixner-eq16", 3): "f274bf76987b39939e2f92940d6b585600b607cbecd1f4576ec0d517336ec99b",
+    ("meixner-eq21", 2): "8651ee74e07437eaf615f2a7cb4022d1654198eee9be6decbdf30daad50cff94",
+    ("meixner-eq21", 3): "be313327e524e1c9641cb071347eba0580f58a0d024458173b646608a84207fa",
+}
+
 
 def family_argv(spec) -> list[str]:
     argv = ["--family", spec.family, "--d", str(spec.d)]
@@ -427,3 +456,21 @@ def test_functionals_reports_match_their_digests(tmp_path):
             failures.append((spec.family, spec.d, code))
     report("functionals --order 8 reports of all samples match their pinned digests",
            failures)
+
+
+def test_expand_and_recurrence_outputs_match_their_digests(tmp_path):
+    failures = []
+    for spec in catalog.default_sample_specs():
+        stream = hashlib.sha256()
+        for command in ("expand", "recurrence"):
+            for fmt, order in (("json", 40), ("csv", 12), ("latex", 12)):
+                path = tmp_path / f"{command}.{fmt}"
+                code = main([command, *family_argv(spec), "--order", str(order),
+                             "--format", fmt, "--out", str(path)])
+                if code != 0:
+                    failures.append((spec.family, spec.d, command, fmt, code))
+                stream.update(path.read_bytes())
+        if stream.hexdigest() != EXPAND_RECURRENCE_DIGESTS[(spec.family, spec.d)]:
+            failures.append((spec.family, spec.d, "outputs differ from their pinned digest"))
+    report("expand and recurrence outputs of all samples (JSON at N=40, CSV and LaTeX "
+           "at N=12) match their pinned digests", failures)

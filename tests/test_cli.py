@@ -251,6 +251,23 @@ def test_recurrence_violation_exits_1(tmp_path, capsys):
     assert "regularity" in err
 
 
+@pytest.mark.parametrize("command", ["expand", "recurrence"])
+@pytest.mark.parametrize("doc, message", [
+    ('{"d": 1, "gamma": [1, 1], "sigma": [0, 1, 1]}',
+     "sigma must have a nonzero constant term"),
+    # gamma at full length, so that only the couple's own check can catch it
+    ('{"d": 2, "gamma": [1, 2, 0], "sigma": [3, 0, 0, 1]}',
+     "gamma must have degree exactly d=2 (leading coefficient is 0)"),
+])
+def test_couples_without_the_recurrence_exit_2(command, doc, message, tmp_path, capsys):
+    # sigma_0 divides every step of the recurrence and beta_d = 0 breaks
+    # regularity, so both are refused before any row is built
+    path = tmp_path / "c.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, command, "--couple-file", str(path), "--order", "8")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_recurrence_latex_header(capsys):
     code, out, _ = run(capsys, "recurrence", "--family", "laguerre-eq9", "--d", "2",
                        "--param", "alpha=0", "--order", "4", "--format", "latex")
@@ -384,7 +401,7 @@ def test_internal_errors_are_not_read_as_bad_input(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("a bug, not a bad parameter")
 
-    monkeypatch.setattr(cli, "expand_polynomials", broken)
+    monkeypatch.setattr(cli, "expand_from_couple", broken)
     with pytest.raises(ValueError, match="a bug"):
         main(["expand", "--order", "3", *LAGUERRE_D1])
 
@@ -392,6 +409,7 @@ def test_internal_errors_are_not_read_as_bad_input(monkeypatch, capsys):
         raise BackSubstitutionError(n=1, remainder=cli.Poly.x())
 
     monkeypatch.undo()
+    # only verify back-substitutes; recurrence reads its rows off the couple
     monkeypatch.setattr(cli, "extract_recurrence", remainder)
     with pytest.raises(BackSubstitutionError):
-        main(["recurrence", "--order", "3", *LAGUERRE_D1])
+        main(["verify", "--order", "3", *LAGUERRE_D1])

@@ -5,14 +5,16 @@ once, and `CoupleSpec.violations` adds alpha_0 != 0 and beta_d != 0.  The
 n <= N scan and the catalog's per-family restatements (kept in
 `legacy_rules`) must agree with it wherever they could see the answer.  The
 paper's closed-form recurrence ties the same decision to the recurrence
-table: its alpha_0(n) vanishes exactly at n = d + irregular_n().
+table: its alpha_0(n) vanishes exactly at n = d + irregular_n().  That table
+(`recurrence_rows`) and the sequence it generates (`expand_from_couple`) are
+checked against back-substitution and the generating-function expansion.
 """
 
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
-from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,11 +23,15 @@ from legacy_rules import per_family_violations, scan_conditions
 
 from dsheffer import (
     CoupleSpec,
+    InvalidCoupleError,
     RegularityViolationError,
     check_conditions,
+    expand_from_couple,
     expand_polynomials,
     extract_recurrence,
     pair_from_couple,
+    recurrence_from_couple,
+    recurrence_rows,
 )
 from dsheffer import catalog
 from dsheffer.catalog import FAMILIES, FamilySpec
@@ -163,41 +169,52 @@ def test_rules_outside_the_couple_come_first():
 
 # ---------------------------------------------------------------- the recurrence
 
-def falling(n: int, j: int) -> int:
-    """n^(j) = n!/(n-j)!, which is 0 for j > n."""
-    return prod(range(n - j + 1, n + 1))
-
-
-def closed_form_rows(couple: CoupleSpec, top: int) -> list[tuple[Fraction, ...]]:
-    """Rows n < top of x P_n = sum_j sigma_j n^(j) P_(n+1-j) - sum_j gamma_j n^(j) P_(n-j).
-
-    From x G = sigma(t) G_t - gamma(t) G; row n holds the coefficients on
-    P_(n-d)..P_(n+1), as in extract_recurrence.
-    """
-    d = couple.d
-    rows = []
-    for n in range(top):
-        row = [F(0)] * (d + 2)
-        for j, s in enumerate(couple.sigma):
-            row[d + 1 - j] += s * falling(n, j)
-        for j, g in enumerate(couple.gamma):
-            row[d - j] -= g * falling(n, j)
-        rows.append(tuple(row))
-    return rows
-
-
 SAMPLES = catalog.default_sample_specs()
 
 
 @pytest.mark.parametrize("spec", SAMPLES, ids=[f"{s.family}-d{s.d}" for s in SAMPLES])
 def test_closed_form_recurrence_equals_back_substitution(spec):
     seq = expand_polynomials(catalog.family_generating(spec, 24), 24)
+    couple = catalog.family_couple(spec)
     table = extract_recurrence(seq, spec.d)
-    assert list(table.rows) == closed_form_rows(catalog.family_couple(spec), 24)
+    assert recurrence_from_couple(couple, 24) == table
+    assert expand_from_couple(couple, 24) == seq
+
+
+@st.composite
+def couples_and_orders(draw):
+    """Valid couples with an order N, half of them with an integer root n0 <= N."""
+    d = draw(st.integers(1, 3))
+    N = draw(st.integers(d + 2, 14))
+    gamma = draw(st.lists(rationals, min_size=d + 1, max_size=d + 1))
+    sigma = draw(st.lists(rationals, min_size=d + 2, max_size=d + 2))
+    sigma[0] = draw(rationals.filter(bool))
+    gamma[d] = draw(rationals.filter(bool))
+    if draw(st.booleans()):
+        # alpha_0(n) vanishes at row d + n0, inside the table when d + n0 < N
+        sigma[d + 1] = draw(rationals.filter(bool))
+        gamma[d] = draw(st.integers(1, N)) * sigma[d + 1]
+    return CoupleSpec(d=d, gamma=tuple(gamma), sigma=tuple(sigma)), N
+
+
+@settings(max_examples=100, deadline=None)
+@given(couples_and_orders())
+def test_the_couple_recurrence_equals_expansion_and_back_substitution(case):
+    couple, N = case
+    seq = expand_polynomials(pair_from_couple(couple, N), N)
+    assert expand_from_couple(couple, N) == seq
+    try:
+        table = extract_recurrence(seq, couple.d)
+    except RegularityViolationError as exc:
+        with pytest.raises(RegularityViolationError) as info:
+            recurrence_from_couple(couple, N)
+        assert info.value.rows == exc.rows
+    else:
+        assert recurrence_from_couple(couple, N) == table
 
 
 def alpha_0_zeros(couple: CoupleSpec, top: int) -> list[int]:
-    return [n for n, row in enumerate(closed_form_rows(couple, top))
+    return [n for n, row in enumerate(recurrence_rows(couple, top))
             if n >= couple.d and row[0] == 0]
 
 
@@ -213,6 +230,11 @@ def test_alpha_0_of_the_samples_never_vanishes():
 def test_alpha_0_vanishes_exactly_at_d_plus_the_root(couple):
     # alpha_0(n) = n^(d) ((n - d) alpha_(d+1) - beta_d); planted roots reach 40
     assume(couple.beta_d != 0)
+    if couple.alpha_0 == 0:
+        with pytest.raises(InvalidCoupleError):
+            recurrence_rows(couple, 1)
+        # refused as a whole, but alpha_0(n) does not read sigma_0
+        couple = replace(couple, sigma=(F(1),) + couple.sigma[1:])
     root = couple.irregular_n()
     assert alpha_0_zeros(couple, couple.d + 45) == ([] if root is None else [couple.d + root])
 
@@ -222,15 +244,48 @@ def test_back_substitution_breaks_at_the_same_row():
     with pytest.raises(RegularityViolationError) as info:
         extract_recurrence(seq, 1)
     assert info.value.rows == (1 + OVER_N.irregular_n(),)
+    with pytest.raises(RegularityViolationError) as info:
+        recurrence_from_couple(OVER_N, 24)
+    assert info.value.rows == (1 + OVER_N.irregular_n(),)
+    assert expand_from_couple(OVER_N, 24) == seq
+
+
+def run_over_n(tmp_path, capsys, *argv):
+    path = tmp_path / "couple.json"
+    path.write_text(json.dumps({"d": 1, "gamma": [0, 20], "sigma": [1, 0, 1]}))
+    code = main([*argv, "--couple-file", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_recurrence_fails_at_the_row_of_the_root(tmp_path, capsys):
+    assert run_over_n(tmp_path, capsys, "recurrence", "--order", "24") == (
+        1, "", "verification failure: regularity violation for d=1 at n in [21]: "
+               "alpha_0(n) * alpha_(d+1)(n) must stay nonzero\n")
+
+
+def test_recurrence_below_the_row_of_the_root_prints_its_rows(tmp_path, capsys):
+    code, out, err = run_over_n(tmp_path, capsys, "recurrence", "--order", "12")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["table"]["rows"]
+    assert len(rows) == 12
+    # alpha_0(n) = n ((n - 1) - 20), alpha_1(n) = 0, alpha_2(n) = 1
+    assert rows[11] == ["-110", "0", "1"]
+
+
+def test_expand_runs_past_the_row_of_the_root(tmp_path, capsys):
+    code, out, err = run_over_n(tmp_path, capsys, "expand", "--order", "24")
+    assert (code, err) == (0, "")
+    got = [[F(c) for c in p["coeffs"]] for p in json.loads(out)["polynomials"]]
+    want = expand_polynomials(pair_from_couple(OVER_N, 24), 24)
+    assert got == [list(p.coeffs) for p in want]
 
 
 # ---------------------------------------------------------------- verify
 
 def verify_over_n(tmp_path, capsys, order):
-    path = tmp_path / "couple.json"
-    path.write_text(json.dumps({"d": 1, "gamma": [0, 20], "sigma": [1, 0, 1]}))
-    code = main(["verify", "--couple-file", str(path), "--order", str(order)])
-    return code, json.loads(capsys.readouterr().out)
+    code, out, _ = run_over_n(tmp_path, capsys, "verify", "--order", str(order))
+    return code, json.loads(out)
 
 
 def test_verify_fails_a_root_beyond_the_order(tmp_path, capsys):
