@@ -11,15 +11,33 @@ Two independent routes are verified and never conflated:
   mu_k(j) = <u_k, x^j> as the Hankel form sum_(a,b) P_n[a] mu_k(a+b) P_m[b];
   duality <u_i, P_k> = delta_ik is the same form with P_m = 1.
 
+The lowering check sigma P_n = n P_(n-1) works in the basis
+b_l = (x)_(l,omega) / l! of falling factorials of step omega (x^l / l! for
+the derivative kind), where the base operator B maps b_l to b_(l-1).  Each
+P_n is converted once, c_l = l! sum_j p_j S(j, l) omega^(j-l) (the moment
+table's operators.newton_table), and sigma = H*(B) then acts as the
+convolution [sigma P]_l = sum_(k>=1) y_k c_(l+k) with y = H*.  The change
+of basis is invertible, so a row fails exactly when the polynomials differ,
+and no base operator is ever applied (operators.apply_lowering is the
+tests' oracle for this).
+
 All values are exact rationals; failing cells carry the offending value.
+The three loops over P_n (Hankel form, duality, lowering) run on integer
+numerators over one common denominator (exactnum.scaled) per vector, and a
+value becomes a Fraction once, when it is reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from dsheffer.operators import FunctionalVector, LoweringOp, apply_lowering, functional_eval
+from dsheffer.exactnum import scaled
+from dsheffer.operators import FunctionalVector, LoweringOp, newton_table
+# no longer called here; still importable as dorth.functional_eval, which
+# perfbench/test_perfbench.py reads
+from dsheffer.operators import functional_eval  # noqa: F401
 from dsheffer.series import Poly
 from dsheffer.sheffer import CoupleSpec, PolySequence, recurrence_rows
 
@@ -194,20 +212,22 @@ def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> Orthogonal
         raise ValueError(
             f"functional order {v.order} too small: products reach degree {max_deg}"
         )
+    polys, moments = _scaled_forms(seq, v)
     cells = []
     unchecked = []
     for k in range(v.d):
-        mu = v.moments[k]
+        mu, dmu = moments[k]
         for n in range(top + 1):
             boundary = n * v.d + k
             if boundary > top:
                 unchecked.append((k, n, boundary))
                 continue
-            # row[b] = <u_k, P_n x^b>, shared by every m of this (k, n)
-            row = [sum(c * mu[a + b] for a, c in enumerate(seq[n].coeffs))
-                   for b in range(top + 1)]
+            # row[b] = <u_k, P_n x^b> * dn * dmu, shared by every m of this (k, n)
+            pn, dn = polys[n]
+            row = [sum(map(mul, pn, mu[b:])) for b in range(top + 1)]
             for m in range(boundary, top + 1):
-                value = sum(r * c for r, c in zip(row, seq[m].coeffs))
+                pm, dm = polys[m]
+                value = Fraction(sum(map(mul, row, pm)), dn * dmu * dm)
                 req = "nonzero" if m == boundary else "zero"
                 ok = (value == 0) if req == "zero" else (value != 0)
                 cells.append(OrthCell(k=k, n=n, m=m, value=value, requirement=req, ok=ok))
@@ -218,6 +238,11 @@ def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> Orthogonal
         unchecked=tuple(unchecked),
         passed=all(c.ok for c in cells),
     )
+
+
+def _scaled_forms(seq: PolySequence, v: FunctionalVector):
+    """Each P_n and each moment row mu_k as (integer numerators, denominator)."""
+    return [scaled(p.coeffs) for p in seq], [scaled(mu) for mu in v.moments]
 
 
 @dataclass(frozen=True)
@@ -240,13 +265,24 @@ class DualityReport:
 
 
 def verify_duality(seq: PolySequence, v: FunctionalVector) -> DualityReport:
-    """Check <u_i, P_k> = delta_{i,k} for i < d and every available k."""
+    """Check <u_i, P_k> = delta_{i,k} for i < d and every available k.
+
+    <u_i, P_k> is the Hankel form of orthogonality with P_m = 1, read off the
+    same scaled P_k and mu_i.
+    """
     top = seq.max_index
+    if top > v.order:                   # deg P_k = k, as functional_eval requires
+        raise ValueError(
+            f"functional order {v.order} too small for polynomial degree {v.order + 1}"
+        )
+    polys, moments = _scaled_forms(seq, v)
     failures = []
     checked = 0
     for i in range(v.d):
+        mu, dmu = moments[i]
         for k in range(top + 1):
-            value = functional_eval(v, i, seq[k])
+            pk, dk = polys[k]
+            value = Fraction(sum(map(mul, pk, mu)), dk * dmu)
             checked += 1
             expected = Fraction(1) if i == k else Fraction(0)
             if value != expected:
@@ -275,16 +311,28 @@ class LoweringReport:
 
 
 def verify_lowering(seq: PolySequence, op: LoweringOp) -> LoweringReport:
-    """Check sigma P_n = n P_{n-1} for every n (and sigma P_0 = 0)."""
+    """Check sigma P_n = n P_{n-1} for every n (and sigma P_0 = 0).
+
+    Both sides are compared in the falling-factorial basis b_l (see the
+    module docstring), in integers: with P_n's coefficients c over dn and y
+    over dy, row l holds when sum_k y_k c_(l+k) * d(n-1) = n c'_l * dn * dy,
+    c' being P_(n-1)'s.  The table's own denominator cancels.
+    """
     top = seq.max_index
     if op.hstar.order < top:
         raise ValueError(
             f"operator order {op.hstar.order} too small for sequence up to P_{top}"
         )
+    table, _ = newton_table(op.omega or Fraction(0), top)
+    columns = [[table[j][l] for j in range(l, top + 1)] for l in range(top + 1)]
+    y, dy = scaled(op.hstar.coeffs[1:top + 1])          # y_1 .. y_top
     failures = []
-    for n in range(top + 1):
-        got = apply_lowering(op, seq[n])
-        want = seq[n - 1] * n if n else Poly.zero()
-        if got != want:
+    prev, dprev = [], 1
+    for n, p in enumerate(seq):
+        ints, dn = scaled(p.coeffs)
+        c = [sum(map(mul, ints[l:], columns[l])) for l in range(len(ints))]
+        if any(sum(map(mul, y, c[l + 1:])) * dprev != n * prev[l] * dn * dy
+               for l in range(n)):
             failures.append(n)
+        prev, dprev = c, dn
     return LoweringReport(max_index=top, failures=tuple(failures), passed=not failures)

@@ -3,7 +3,10 @@
 Everything downstream computes over `fractions.Fraction`, so equality tests
 (the heart of every verification here) are exact.  Rationals serialize as
 "p/q" strings ("p" when the denominator is 1); decimal notation is rejected
-on input so no value ever passes through floating point.
+on input so no value ever passes through floating point.  The inner loops
+(series products, the Hankel form, the lowering check) run on `scaled`
+vectors instead: integer numerators over one common denominator, so a
+multiply-add costs no gcd and each result is normalized once.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 Rat = Fraction
 
@@ -34,6 +38,16 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     # Fraction.__str__ already prints the reduced p/q (or p) form.
     return str(Fraction(value))
+
+
+def scaled(values: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of rationals over their least common denominator D.
+
+    values[i] == ints[i] / D for every i, and D = 1 for integers or no values.
+    """
+    dens = [v.denominator for v in values]
+    D = math.lcm(*dens)
+    return [v.numerator * (D // q) for v, q in zip(values, dens)], D
 
 
 def binomial(n: int, k: int) -> int:

@@ -20,26 +20,47 @@ dual to the sequence is
 and along y the same couple gives log A(y) = integral gamma(y)/(1 + omega s),
 so each operator series w = y^i / A(y) needs only products, an integral and
 exp.  A functional is fixed by its moments, and [B^l x^j]_{x=0} is
-l! S(j, l) omega^(j-l) (S the Stirling numbers of the second kind), so
+T[j][l] = l! S(j, l) omega^(j-l) (S the Stirling numbers of the second
+kind), so
 
-    mu_i(j) = <u_i, x^j> = (1/i!) sum_l w_l l! S(j, l) omega^(j-l)
+    mu_i(j) = <u_i, x^j> = (1/i!) sum_l w_l T[j][l]
 
 for both kinds; at omega = 0 only l = j survives.  Every functional value
-is a dot product with this table.  `lowering_from_H` reverts a given H
-instead; it is the independent route the tests compare against.
+is a dot product with this table.  The same table (newton_table) writes x^j
+in the basis b_l = (x)_(l,omega) / l! of falling factorials of step omega
+(x^l / l! for the derivative kind), where B b_l = b_(l-1); there sigma acts
+as a convolution with H*, which is how dorth.verify_lowering checks it.
+
+`lowering_from_H` reverts a given H, and `apply_lowering` applies sigma by
+repeated base operators; neither is on the verify path any more.  They are
+the independent routes the tests compare against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
-from dsheffer.exactnum import stirling2
+from dsheffer.exactnum import scaled, stirling2
 from dsheffer.series import Poly, Series
 from dsheffer.sheffer import CoupleSpec
 
 DERIVATIVE = "derivative"
 DIFFERENCE = "difference"
+
+
+def newton_table(step: Fraction, order: int) -> tuple[list[list[int]], int]:
+    """Integer rows T[j][0..j] over one denominator D, for j <= order.
+
+    T[j][l] / D = l! S(j, l) step^(j-l): the coefficient of b_l in x^j for the
+    basis b_l = (x)_(l,step) / l!, and [B^l x^j]_(x=0) for the base operator
+    of that step (step 0 is the derivative kind, where only l = j is nonzero).
+    """
+    p, q = step.numerator, step.denominator
+    return [[factorial(l) * stirling2(j, l) * p ** (j - l) * q ** (order - j + l)
+             for l in range(j + 1)]
+            for j in range(order + 1)], q ** order
 
 
 def apply_base(kind: str, f: Poly, omega: Fraction | None = None) -> Poly:
@@ -163,19 +184,14 @@ class FunctionalVector:
         if lop.omega is not None:                 # divide by 1 + omega s
             gamma_y = gamma_y * Series([(-lop.omega) ** k for k in range(order + 1)])
         w = (-gamma_y.integrate()).exp()           # 1 / A(y), then y^i / A(y)
-        step = lop.omega or Fraction(0)
-        powers = [step ** e for e in range(order + 1)]
+        table, dt = newton_table(lop.omega or Fraction(0), order)
         moments = []
         for i in range(d):
             if i:
                 w = w * y
-            scaled = [c * factorial(l) for l, c in enumerate(w.coeffs)]
-            # at omega = 0 every term below l = j carries a factor 0^(j-l)
-            moments.append(tuple(
-                sum(scaled[l] * stirling2(j, l) * powers[j - l]
-                    for l in range(0 if step else j, j + 1)) / factorial(i)
-                for j in range(order + 1)
-            ))
+            ws, dw = scaled(w.coeffs)
+            den = dw * dt * factorial(i)
+            moments.append(tuple(Fraction(sum(map(mul, ws, row)), den) for row in table))
         object.__setattr__(self, "lop", lop)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "moments", tuple(moments))

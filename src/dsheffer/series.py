@@ -5,15 +5,29 @@ trailing zeros trimmed (the zero polynomial has no coefficients and degree
 None).  `Series` is a formal power series over Fraction, truncated at a
 fixed inclusive order N; every operation is exact modulo t^(N+1), and
 operations that would need unknown coefficients beyond the truncation shrink
-the order instead of guessing.  Composition and reversion are the tests' independent reference
-route; the verifier builds H* and the functionals from the couple instead
-(see `operators`).
+the order instead of guessing.
+
+A series product runs over one common denominator: each factor is written
+as integer numerators over the least common denominator of its
+coefficients (`exactnum.scaled`), the Cauchy product is an integer
+convolution, and each output coefficient is normalized to a Fraction once,
+with one gcd, instead of once per multiply-add.  The generating-function
+expansion, `pair_from_couple`, the catalog's closed forms and the
+functionals' series all go through it.  The recursions of `invert_mul`,
+`exp` and `log` still work term by term in Fraction.
+
+Composition and reversion are the tests' independent reference route; the
+verifier builds H* and the functionals from the couple instead (see
+`operators`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
+
+from dsheffer.exactnum import scaled
 
 
 def _coerce(value) -> Fraction:
@@ -307,15 +321,12 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._check_order(other)
-        n = self.order
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n + 1):
-            acc = a[0] * b[k]
-            for i in range(1, k + 1):
-                acc = acc + a[i] * b[k - i]
-            out.append(acc)
-        return Series(out)
+        a, da = scaled(self.coeffs)
+        b, db = scaled(other.coeffs)
+        rb = b[::-1]                            # rb[n - k:] = b_k, ..., b_0
+        n, D = self.order, da * db
+        return Series([Fraction(sum(map(mul, a[:k + 1], rb[n - k:])), D)
+                       for k in range(n + 1)])
 
     __rmul__ = __mul__
 

@@ -404,6 +404,31 @@ EXPAND_RECURRENCE_DIGESTS = {
 }
 
 
+# sha256 of verify --order 24 for one sample per family (both operator kinds)
+# and one couple file per d = 1, 2, 3.  Computed while orthogonality, duality,
+# the lowering check and series products were still per-term Fraction loops,
+# so the integer kernels must reproduce those reports byte for byte.
+VERIFY_24_DIGESTS = {
+    ("laguerre-eq9", 3): "c444b990c327a021ac4cd82f0213c353512bdf3e40200b60eb0beebfabb8412d",
+    ("laguerre-eq10", 2): "29ad8900e73741d46cbb5c641d761ec4e2c568c9bdc4b7a45551443c39c96cc0",
+    ("laguerre-eq11", 2): "05484da7b1cc8bdde9c0d084cdb3f1899b371248544faba8238592e29341da13",
+    ("hermite-eq12", 1): "4cc55d84c50463b1d997e0e9359a298a9ad0f6f4572e79e5c747091dbb4ffaaa",
+    ("charlier-eq13", 3): "56d4e1c14f98b216025797d8cadde9eafd60579fe123bab333d90381b0a0084d",
+    ("meixner-eq14", 1): "5b0ad36a2c0ae27cf611b5dd0ba809968184777c37db44d97bd2e72bb2ed3b11",
+    ("meixner-eq16", 2): "93c0dc1658bd8f6ea14398d00fcecad1a65b6f363e582f35ef6f1b63ed8dd9cb",
+    ("meixner-eq21", 3): "25e6d44338837dd45238045cbf6cacf47cfff1358bfac8295ad7798f4c350273",
+}
+
+VERIFY_24_COUPLE_DIGESTS = [
+    ({"d": 1, "gamma": ["1/2", "-3"], "sigma": ["2", "-1/3", "1"]},
+     "04190efd08b72af2a9e77997fd2cb00738eb7ea93f5d82697a1d62215e29177f"),
+    ({"d": 2, "gamma": ["1", "-1/2", "2"], "sigma": ["-3/2", "1", "0", "-1/3"]},
+     "359afaa60cac6b13fbd461ea23acdc47f49a2e28f5d3fd092ef2654155c1aaa5"),
+    ({"d": 3, "gamma": ["0", "1", "-2/3", "5/4"], "sigma": ["1", "1/2", "-1", "0", "2"]},
+     "3f8a2a7c07917c7e4da018c7a995b30c12f09cb40e820ff86f667e0a99d0123d"),
+]
+
+
 def family_argv(spec) -> list[str]:
     argv = ["--family", spec.family, "--d", str(spec.d)]
     for key, value in spec.params.items():
@@ -474,3 +499,21 @@ def test_expand_and_recurrence_outputs_match_their_digests(tmp_path):
             failures.append((spec.family, spec.d, "outputs differ from their pinned digest"))
     report("expand and recurrence outputs of all samples (JSON at N=40, CSV and LaTeX "
            "at N=12) match their pinned digests", failures)
+
+
+def test_verify_order_24_reports_match_their_digests(tmp_path):
+    failures = []
+    specs = {(spec.family, spec.d): spec for spec in catalog.default_sample_specs()}
+    runs = [(key, family_argv(specs[key]), digest_)
+            for key, digest_ in VERIFY_24_DIGESTS.items()]
+    for doc, digest_ in VERIFY_24_COUPLE_DIGESTS:
+        path = tmp_path / f"couple-{doc['d']}.json"
+        path.write_text(json.dumps(doc))
+        runs.append((("couple", doc["d"]), ["--couple-file", str(path)], digest_))
+    for key, argv, digest_ in runs:
+        out = tmp_path / "report.json"
+        code = main(["verify", *argv, "--order", "24", "--out", str(out)])
+        if code != 0 or digest(out) != digest_:
+            failures.append((key, code))
+    report("verify --order 24 reports of one sample per family and one couple per "
+           "d = 1, 2, 3 match their pinned digests", failures)

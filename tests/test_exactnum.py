@@ -1,4 +1,4 @@
-"""Exact helpers: rational parsing, binomials, Pochhammer, Stirling numbers."""
+"""Exact helpers: rational parsing, binomials, Pochhammer, Stirling numbers, scaling."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dsheffer import binomial, format_rational, parse_rational, pochhammer, stirling2
+from dsheffer.exactnum import scaled
 
 
 # ---------------------------------------------------------------- parsing
@@ -127,3 +128,46 @@ def test_stirling2_matches_partition_count():
 @given(st.integers(1, 30), st.integers(1, 30))
 def test_stirling2_recurrence(m, k):
     assert stirling2(m, k) == k * stirling2(m - 1, k) + stirling2(m - 1, k - 1)
+
+
+# ---------------------------------------------------------------- scaled
+
+def test_scaled_empty():
+    assert scaled([]) == ([], 1)
+
+
+def test_scaled_integers_keep_denominator_one():
+    assert scaled([3, -7, 0]) == ([3, -7, 0], 1)
+    assert scaled((Fraction(4), Fraction(-2))) == ([4, -2], 1)
+
+
+def test_scaled_negatives_and_zeros():
+    assert scaled([Fraction(-1, 2), 0, Fraction(2, 3), Fraction(0)]) == ([-3, 0, 4, 0], 6)
+    assert scaled([Fraction(0), Fraction(0)]) == ([0, 0], 1)
+
+
+def test_scaled_common_denominator_is_least():
+    # 1/4 and 1/6 share 24 too, but 12 is the least
+    assert scaled([Fraction(1, 4), Fraction(-5, 6)]) == ([3, -10], 12)
+
+
+def prime_factors(n: int) -> set[int]:
+    out, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
+@given(st.lists(st.fractions(max_denominator=60), max_size=8))
+def test_scaled_is_exact_and_least(values):
+    ints, D = scaled(values)
+    assert [Fraction(i, D) for i in ints] == values
+    assert all(isinstance(i, int) for i in ints)
+    # no proper divisor of D is a common denominator
+    for p in prime_factors(D):
+        assert any((v * (D // p)).denominator != 1 for v in values)
