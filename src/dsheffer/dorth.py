@@ -22,15 +22,20 @@ and no base operator is ever applied (operators.apply_lowering is the
 tests' oracle for this).
 
 All values are exact rationals; failing cells carry the offending value.
-The three loops over P_n (Hankel form, duality, lowering) run on integer
-numerators over one common denominator (exactnum.scaled) per vector, and a
-value becomes a Fraction once, when it is reported.
+The loops over P_n (back-substitution, Hankel form, duality, lowering) run
+on integer numerators over one common denominator (exactnum.scaled) per
+vector, and a value becomes a Fraction once, when it is reported.
+Back-substitution holds the coordinates of x P_n found so far over one
+running denominator, so a zero coordinate (every one below n - d in a
+d-orthogonal sequence) costs an integer dot product of at most d + 2 terms
+and no gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from dsheffer.exactnum import scaled
@@ -112,18 +117,44 @@ def extract_recurrence(seq: PolySequence, d: int) -> RecurrenceTable:
     top = seq.max_index
     if top < d + 2:
         raise ValueError(f"need the sequence up to P_{d + 2} at least, got P_{top}")
-    x = Poly.x()
+    polys = [seq[j] for j in range(top + 1)]
+    # P_j = ints_j / D_j, padded so that column j < top + 2 of every P_i
+    # exists, and the numerator of its leading coefficient (ints_j[j] when
+    # deg P_j = j, as in a PolySequence)
+    forms, leads = [], []
+    for p in polys:
+        ints, D = scaled(p.coeffs)
+        lead = p.leading
+        leads.append(lead.numerator * (D // lead.denominator))
+        forms.append((ints + [0] * (top + 2 - len(ints)), D))
+    # Each coordinate clears its own power of x, so only a row whose basis
+    # P_0..P_(n+1) holds a P_j of degree != j can leave a remainder; from the
+    # first such row on the remainder is computed in full
+    inexact = next((j - 1 for j, p in enumerate(polys) if p.degree() != j), top)
     rows = []
     for n in range(top):
-        q = seq[n] * x
-        coeffs = {}
+        pn, dn = forms[n]
+        coeffs = [Fraction(0)] * (n + 2)
+        # the coordinates found so far as e_i = c_i / D_i = E_i / R
+        found, R = [], 1
         for j in range(n + 1, -1, -1):
-            cj = q.coeff(j) / seq[j].leading
-            if cj:
-                q = q - seq[j] * cj
-            coeffs[j] = cj
-        if not q.is_zero():
-            raise BackSubstitutionError(n=n, remainder=q)
+            # [x^j] of x P_n minus sum_(i>j) c_i P_i[j], times D_n R
+            num = (pn[j - 1] * R if j else 0) - sum(e * ints[j] for ints, e in found) * dn
+            if not num:
+                continue
+            ints, dj = forms[j]
+            c = coeffs[j] = Fraction(num * dj, dn * R * leads[j])
+            q = c.denominator * dj
+            if R % q:
+                grow = q // gcd(R, q)
+                R *= grow
+                found = [(f, e * grow) for f, e in found]
+            found.append((ints, c.numerator * (R // q)))
+        if n >= inexact:
+            rest = polys[n] * Poly.x() - sum((polys[j] * c for j, c in enumerate(coeffs)),
+                                             Poly.zero())
+            if not rest.is_zero():
+                raise BackSubstitutionError(n=n, remainder=rest)
         for j in range(0, n - d):
             if coeffs[j]:
                 raise WindowViolationError(d=d, n=n, index=j, value=coeffs[j])

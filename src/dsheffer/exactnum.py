@@ -4,9 +4,11 @@ Everything downstream computes over `fractions.Fraction`, so equality tests
 (the heart of every verification here) are exact.  Rationals serialize as
 "p/q" strings ("p" when the denominator is 1); decimal notation is rejected
 on input so no value ever passes through floating point.  The inner loops
-(series products, the Hankel form, the lowering check) run on `scaled`
-vectors instead: integer numerators over one common denominator, so a
-multiply-add costs no gcd and each result is normalized once.
+run on `scaled` vectors instead: integer numerators over one common
+denominator, so a multiply-add costs no gcd and each result is normalized
+once.  That covers series products and the exp/log/inverse recursions,
+the lowering ODE, the couple's recurrence, back-substitution, the Hankel
+form, duality and the lowering check.
 """
 
 from __future__ import annotations
@@ -66,17 +68,30 @@ def pochhammer(a: Fraction | int, n: int) -> Fraction:
     return out
 
 
+def stirling2_rows(m: int, width: int):
+    """Yield the rows S(r, 0..min(r, width)) for r = 0..m, each from the one before.
+
+    S(r, j) = j S(r-1, j) + S(r-1, j-1), the standard recurrence.
+    """
+    row = [1]
+    yield row
+    for r in range(1, m + 1):
+        row = ([0] + [j * row[j] + row[j - 1] for j in range(1, min(r - 1, width) + 1)]
+               + ([1] if r <= width else []))
+        yield row
+
+
 @lru_cache(maxsize=None)
 def stirling2(m: int, k: int) -> int:
     """Stirling numbers of the second kind S(m, k).
 
-    Counts partitions of an m-set into k nonempty blocks; computed by the
-    standard recurrence S(m, k) = k S(m-1, k) + S(m-1, k-1).
+    Counts partitions of an m-set into k nonempty blocks.  Computed row by
+    row, each row cut at column k, so S(2000, 3) costs 2000 short rows and
+    no recursion.
     """
     if m < 0 or k < 0:
         raise ValueError("stirling2 needs m, k >= 0")
-    if m == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > m:
+    if k > m:
         return 0
-    return k * stirling2(m - 1, k) + stirling2(m - 1, k - 1)
+    *_, row = stirling2_rows(m, k)
+    return row[k]

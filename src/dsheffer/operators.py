@@ -12,8 +12,10 @@ and A'/A = gamma/sigma.  The inverse y = H* solves the polynomial ODE
     (1 + omega s) y' = sigma(y),    y(0) = 0
 
 (omega = 0 for the derivative kind), since the exponential form of a Newton
-pair is log(1 + omega h)/omega.  The functional vector (u_0, ..., u_{d-1})
-dual to the sequence is
+pair is log(1 + omega h)/omega.  The ODE is solved on integers: with
+R = lcm(den sigma, den omega), y_k = Y_k / (k! R^k) makes every Y_k an
+integer and [s^k] y^j a binomial-weighted integer convolution.  The
+functional vector (u_0, ..., u_{d-1}) dual to the sequence is
 
     <u_i, f> = (1/i!) [ sigma^i / A(sigma) f(x) ]_{x=0}
 
@@ -39,10 +41,10 @@ the independent routes the tests compare against.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 from operator import mul
 
-from dsheffer.exactnum import scaled, stirling2
+from dsheffer.exactnum import scaled, stirling2_rows
 from dsheffer.series import Poly, Series
 from dsheffer.sheffer import CoupleSpec
 
@@ -58,9 +60,8 @@ def newton_table(step: Fraction, order: int) -> tuple[list[list[int]], int]:
     of that step (step 0 is the derivative kind, where only l = j is nonzero).
     """
     p, q = step.numerator, step.denominator
-    return [[factorial(l) * stirling2(j, l) * p ** (j - l) * q ** (order - j + l)
-             for l in range(j + 1)]
-            for j in range(order + 1)], q ** order
+    return [[factorial(l) * s * p ** (j - l) * q ** (order - j + l) for l, s in enumerate(row)]
+            for j, row in enumerate(stirling2_rows(order, order))], q ** order
 
 
 def apply_base(kind: str, f: Poly, omega: Fraction | None = None) -> Poly:
@@ -112,25 +113,36 @@ def lowering_from_couple(couple: CoupleSpec, N: int,
     y = H* solves (1 + omega s) y' = sigma(y) with y(0) = 0.  Comparing the
     coefficients of s^k gives (k+1) y_(k+1) = [s^k] sigma(y) - omega k y_k,
     and [s^k] y^j only involves y_1..y_k, so each coefficient follows from
-    the ones before it.  omega None is the derivative kind; a step omega
+    the ones before it.  The recursion runs on integers, with one Fraction
+    made per coefficient.  omega None is the derivative kind; a step omega
     gives the forward-difference kind of a family in Newton form.
     """
     if N < 1:
         raise ValueError("order must be at least 1")
     couple.validate()
     step = Fraction(0) if omega is None else Fraction(omega)
-    sigma = Poly(couple.sigma).coeffs
-    y = [Fraction(0)] * (N + 1)
-    # rows[j][k] = [s^k] y^j, filled one column k at a time; row 1 is y itself
-    rows = [None, y] + [[Fraction(0)] * N for _ in range(len(sigma) - 2)]
+    sig = Poly(couple.sigma).coeffs
+    # With R = lcm(den sigma, den omega) and y_k = Y_k / (k! R^k), the numbers
+    # Z_j[k] = k! R^k [s^k] y^j are integers with the binomial convolution
+    # Z_j[k] = sum_i C(k, i) Y_i Z_(j-1)[k-i] (Z_1 = Y), and the ODE reads
+    # Y_(k+1) = sum_j R sigma_j Z_j[k] - R omega k Y_k (Z_0[k] = [k = 0]).
+    R = lcm(step.denominator, *(c.denominator for c in sig))
+    s = [int(c * R) for c in sig]
+    w = int(step * R)
+    Y = [0] * (N + 1)
+    # Z[j][k], filled one column k at a time; Z[1] is Y itself
+    Z = [None, Y] + [[0] * N for _ in range(len(s) - 2)]
     for k in range(N):
-        for j in range(2, len(sigma)):
-            prev = rows[j - 1]
-            rows[j][k] = sum(y[i] * prev[k - i] for i in range(1, k - j + 2))
-        rhs = sum(sigma[j] * rows[j][k] for j in range(1, len(sigma)))
-        if k == 0:
-            rhs += sigma[0]
-        y[k + 1] = (rhs - step * k * y[k]) / (k + 1)
+        by = [comb(k, i) * Y[i] for i in range(1, k + 1)]      # C(k, i) Y_i, i >= 1
+        for j in range(2, len(s)):
+            Z[j][k] = sum(map(mul, by, reversed(Z[j - 1][:k])))
+        Y[k + 1] = (sum(s[j] * Z[j][k] for j in range(1, len(s)))
+                    + (s[0] if k == 0 else 0) - w * k * Y[k])
+    scale = 1
+    y = [Fraction(0)]
+    for k in range(1, N + 1):
+        scale *= k * R
+        y.append(Fraction(Y[k], scale))
     kind = DERIVATIVE if omega is None else DIFFERENCE
     return LoweringOp(kind=kind, hstar=Series(y), omega=omega)
 

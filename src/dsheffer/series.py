@@ -13,8 +13,12 @@ coefficients (`exactnum.scaled`), the Cauchy product is an integer
 convolution, and each output coefficient is normalized to a Fraction once,
 with one gcd, instead of once per multiply-add.  The generating-function
 expansion, `pair_from_couple`, the catalog's closed forms and the
-functionals' series all go through it.  The recursions of `invert_mul`,
-`exp` and `log` still work term by term in Fraction.
+functionals' series all go through it.  The recursions of `invert_mul`
+(s (1/s) = 1), `exp` (E' = s'E) and `log` (s' = L's) run the same way,
+except that their outputs feed the next convolution: they are held as
+integer numerators over a running common denominator, extended by lcm as
+each coefficient lands, so only the denominators the result needs ever
+appear (`_recursion`).  `pow_rat` is log, a scalar product and exp.
 
 Composition and reversion are the tests' independent reference route; the
 verifier builds H* and the functionals from the couple instead (see
@@ -24,6 +28,7 @@ verifier builds H* and the functionals from the couple instead (see
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -31,6 +36,8 @@ from dsheffer.exactnum import scaled
 
 
 def _coerce(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError("float coefficients are not exact; use Fraction")
     return Fraction(value)
@@ -42,11 +49,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, float):
-                raise TypeError("float coefficients are not exact; use Fraction")
-            cs.append(c if isinstance(c, Fraction) else Fraction(c))
+        cs = [_coerce(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -348,38 +351,28 @@ class Series:
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ValueError("series with zero constant term has no multiplicative inverse")
-        inv0 = Fraction(1) / c0
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = self.coeffs[1] * out[n - 1]
-            for k in range(2, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
-            out.append(-inv0 * acc)
-        return Series(out)
+        # s (1/s) = 1: b_n = -(1/a_0) sum_(k>=1) a_k b_(n-k); the scale of a cancels
+        a, _ = scaled(self.coeffs)
+        return Series(_recursion(1 / c0, a, lambda n, acc, R: (-acc, a[0] * R)))
 
     def exp(self) -> "Series":
         """exp of a series with zero constant term, via E' = s' E."""
         if self.coeffs[0] != 0:
             raise ValueError("exp needs a zero constant term")
-        out = [Fraction(1)]
-        for n in range(1, self.order + 1):
-            acc = self.coeffs[1] * out[n - 1]
-            for k in range(2, n + 1):
-                acc = acc + (k * self.coeffs[k]) * out[n - k]
-            out.append(acc * Fraction(1, n))
-        return Series(out)
+        # n E_n = sum_(k>=1) k s_k E_(n-k)
+        a, da = scaled(self.coeffs)
+        ka = [k * c for k, c in enumerate(a)]
+        return Series(_recursion(Fraction(1), ka, lambda n, acc, R: (acc, n * da * R)))
 
     def log(self) -> "Series":
         """log of a series with constant term 1, via s' = L' s."""
         if self.coeffs[0] != 1:
             raise ValueError("log needs constant term 1")
-        out = [Fraction(0)]
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n):
-                acc = acc + (k * out[k]) * self.coeffs[n - k]
-            out.append(self.coeffs[n] - acc * Fraction(1, n))
-        return Series(out)
+        # n L_n = n s_n - sum_(1<=k<n) k L_k s_(n-k), where s_0 = a_0 / da = 1
+        a, da = scaled(self.coeffs)
+        return Series(_recursion(Fraction(0), a,
+                                 lambda n, acc, R: (n * R * a[n] - acc, n * R * da),
+                                 index_weighted=True))
 
     def pow_rat(self, r) -> "Series":
         """Raise a series with constant term 1 to a rational power."""
@@ -427,3 +420,27 @@ class Series:
             g = g - err * deriv.compose(g).invert_mul()
             prec *= 2
         return g
+
+
+def _recursion(first: Fraction, w: list[int], coefficient, index_weighted=False) -> list[Fraction]:
+    """c_0 = first, then c_n = num / den for n = 1 .. len(w) - 1.
+
+    The c_i are held as integer numerators X_i over a running common
+    denominator R, extended by lcm as each coefficient lands, and
+    (num, den) = coefficient(n, acc, R) with the integer convolution
+    acc = sum_(i<n) X_i w_(n-i) (i X_i in place of X_i when index_weighted).
+    Each c_n is normalized once, as it lands.
+    """
+    out, xs, R = [first], [first.numerator], first.denominator
+    rw = w[::-1]                            # rw[top - n:] = w_n, ..., w_0
+    top = len(w) - 1
+    for n in range(1, top + 1):
+        c = Fraction(*coefficient(n, sum(map(mul, xs, rw[top - n:])), R))
+        out.append(c)
+        q = c.denominator
+        if R % q:
+            grow = q // gcd(R, q)
+            R *= grow
+            xs = [x * grow for x in xs]
+        xs.append(c.numerator * (R // q) * (n if index_weighted else 1))
+    return out

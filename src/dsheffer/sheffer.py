@@ -15,7 +15,8 @@ positive integer (CoupleSpec.irregular_n), and CoupleSpec.violations is the
 one regularity decision that both check_conditions and the catalog's
 parameter validation read.  The same couple gives the (d+2)-term recurrence
 in closed form (recurrence_rows), which generates the sequence without any
-series (expand_from_couple).  Everything else works over a fixed truncation
+series and on integer numerators over one denominator per polynomial
+(expand_from_couple).  Everything else works over a fixed truncation
 order with exact rationals, so the inverse direction (recovering the couple
 from a pair) can certify "polynomial of the right degree" by checking that
 every higher series coefficient vanishes exactly.
@@ -25,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
-from dsheffer.exactnum import parse_rational
+from dsheffer.exactnum import parse_rational, scaled
 from dsheffer.series import Poly, Series
 
 
@@ -333,20 +334,40 @@ def expand_from_couple(couple: CoupleSpec, N: int) -> PolySequence:
     Row n solved for its last term, alpha_(d+1)(n) P_(n+1) with
     alpha_(d+1)(n) = sigma_0, gives
     P_(n+1) = (x P_n - sum_(k<=d) alpha_k(n) P_(n-d+k)) / sigma_0:
-    O(N^2 d) exact operations and no series product.
+    O(N^2 d) exact operations and no series product.  The work is done on
+    integer numerators (couple_numerators); each coefficient becomes a
+    Fraction once.
+    """
+    return PolySequence(tuple(Poly([Fraction(c, D) for c in ints])
+                              for ints, D in couple_numerators(couple, N)))
+
+
+def couple_numerators(couple: CoupleSpec, N: int) -> list[tuple[list[int], int]]:
+    """P_0..P_N of expand_from_couple as integer numerators over their least denominator.
+
+    Entry n is exactnum.scaled(P_n's coefficients).  x P_n and the d + 1
+    lower terms are combined over one common denominator L, the division by
+    sigma_0 = p/q multiplies the numerators by q and L by p, and one content
+    gcd brings the denominator back to the least one.
     """
     rows = recurrence_rows(couple, N)
     d = couple.d
-    inv = 1 / couple.alpha_0
-    polys = [[Fraction(1)]]
+    p, q = couple.alpha_0.numerator, couple.alpha_0.denominator
+    polys = [([1], 1)]
     for n, row in enumerate(rows):
-        nxt = [Fraction(0)] + polys[n]     # x P_n
-        for k in range(max(d - n, 0), d + 1):
-            if a := row[k]:
-                for i, c in enumerate(polys[n - d + k]):
-                    nxt[i] -= a * c
-        polys.append([c * inv for c in nxt])
-    return PolySequence(tuple(map(Poly, polys)))
+        alpha, da = scaled(row)                 # alpha_k(n) = alpha[k] / da
+        terms = [(alpha[k], *polys[n - d + k])
+                 for k in range(max(d - n, 0), d + 1) if alpha[k]]
+        pn, dn = polys[n]
+        L = lcm(dn, *(da * dm for _, _, dm in terms))
+        nxt = [0] + [c * (L // dn) for c in pn]            # x P_n
+        for a, pm, dm in terms:
+            f = a * (L // (da * dm))
+            nxt[:len(pm)] = [v - f * c for v, c in zip(nxt, pm)]
+        nxt, den = [v * q for v in nxt], L * p
+        g = gcd(*nxt, den) * (1 if den > 0 else -1)
+        polys.append(([v // g for v in nxt], den // g))
+    return polys
 
 
 def couple_from_pair(pair: ShefferPair, d: int) -> CoupleSpec:

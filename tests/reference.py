@@ -5,12 +5,28 @@ duality and the lowering check on integer numerators over one common
 denominator (`exactnum.scaled`), and the lowering check in the falling-
 factorial basis.  These are the straightforward versions, one `Fraction`
 operation per term and the base operator applied repeatedly, kept as the
-oracles those kernels must match exactly.
+oracles those kernels must match exactly.  The same holds for the
+back-substitution of `extract_recurrence`, the `exp`/`log`/`invert_mul`
+recursions, the lowering ODE and `expand_from_couple`, which now run on
+integers with one running or common denominator.
 """
 
 from fractions import Fraction
 
 from dsheffer import Poly, apply_lowering, functional_eval
+from dsheffer.dorth import BackSubstitutionError, WindowViolationError
+from dsheffer.sheffer import recurrence_rows
+
+
+class UncheckedSequence:
+    """P_0..P_N without PolySequence's degree check, to reach the remainder guard."""
+
+    def __init__(self, polys):
+        self.polys = polys
+        self.max_index = len(polys) - 1
+
+    def __getitem__(self, n):
+        return self.polys[n]
 
 
 def fraction_product(a, b) -> list[Fraction]:
@@ -56,3 +72,103 @@ def lowering_failures(seq, op) -> list[int]:
     """Every n with sigma P_n != n P_(n-1), sigma applied by repeated base operators."""
     return [n for n in range(seq.max_index + 1)
             if apply_lowering(op, seq[n]) != (seq[n - 1] * n if n else Poly.zero())]
+
+
+def fraction_invert_mul(s) -> list[Fraction]:
+    """1/s for a coefficient sequence with s_0 != 0, term by term."""
+    inv0 = Fraction(1) / s[0]
+    out = [inv0]
+    for n in range(1, len(s)):
+        acc = s[1] * out[n - 1]
+        for k in range(2, n + 1):
+            acc = acc + s[k] * out[n - k]
+        out.append(-inv0 * acc)
+    return out
+
+
+def fraction_exp(s) -> list[Fraction]:
+    """exp(s) for s_0 = 0 through n E_n = sum_k k s_k E_(n-k), term by term."""
+    out = [Fraction(1)]
+    for n in range(1, len(s)):
+        acc = s[1] * out[n - 1]
+        for k in range(2, n + 1):
+            acc = acc + (k * s[k]) * out[n - k]
+        out.append(acc * Fraction(1, n))
+    return out
+
+
+def fraction_log(s) -> list[Fraction]:
+    """log(s) for s_0 = 1 through n L_n = n s_n - sum_k k L_k s_(n-k), term by term."""
+    out = [Fraction(0)]
+    for n in range(1, len(s)):
+        acc = Fraction(0)
+        for k in range(1, n):
+            acc = acc + (k * out[k]) * s[n - k]
+        out.append(s[n] - acc * Fraction(1, n))
+    return out
+
+
+def fraction_hstar(couple, N, omega=None) -> list[Fraction]:
+    """y = H* from (1 + omega s) y' = sigma(y), y(0) = 0, term by term in Fraction.
+
+    (k+1) y_(k+1) = [s^k] sigma(y) - omega k y_k, with rows[j][k] = [s^k] y^j
+    filled one column k at a time.
+    """
+    step = Fraction(0) if omega is None else Fraction(omega)
+    sigma = Poly(couple.sigma).coeffs
+    y = [Fraction(0)] * (N + 1)
+    rows = [None, y] + [[Fraction(0)] * N for _ in range(len(sigma) - 2)]
+    for k in range(N):
+        for j in range(2, len(sigma)):
+            prev = rows[j - 1]
+            rows[j][k] = sum(y[i] * prev[k - i] for i in range(1, k - j + 2))
+        rhs = sum(sigma[j] * rows[j][k] for j in range(1, len(sigma)))
+        if k == 0:
+            rhs += sigma[0]
+        y[k + 1] = (rhs - step * k * y[k]) / (k + 1)
+    return y
+
+
+def fraction_expand_from_couple(couple, N) -> list[Poly]:
+    """P_0..P_N from P_(n+1) = (x P_n - sum_(k<=d) alpha_k(n) P_(n-d+k)) / sigma_0, per term."""
+    rows = recurrence_rows(couple, N)
+    d = couple.d
+    inv = 1 / couple.alpha_0
+    polys = [[Fraction(1)]]
+    for n, row in enumerate(rows):
+        nxt = [Fraction(0)] + polys[n]     # x P_n
+        for k in range(max(d - n, 0), d + 1):
+            if a := row[k]:
+                for i, c in enumerate(polys[n - d + k]):
+                    nxt[i] -= a * c
+        polys.append([c * inv for c in nxt])
+    return [Poly(p) for p in polys]
+
+
+def fraction_recurrence_rows(seq, d) -> list[tuple[Fraction, ...]]:
+    """Rows alpha_(0..d+1)(n) of x P_n over P_0..P_(n+1), by per-term back-substitution.
+
+    Raises the same BackSubstitutionError and WindowViolationError as
+    dorth.extract_recurrence; the regularity decision on the rows is left
+    to the caller.
+    """
+    x = Poly.x()
+    rows = []
+    for n in range(seq.max_index):
+        q = seq[n] * x
+        coeffs = {}
+        for j in range(n + 1, -1, -1):
+            cj = q.coeff(j) / seq[j].leading
+            if cj:
+                q = q - seq[j] * cj
+            coeffs[j] = cj
+        if not q.is_zero():
+            raise BackSubstitutionError(n=n, remainder=q)
+        for j in range(0, n - d):
+            if coeffs[j]:
+                raise WindowViolationError(d=d, n=n, index=j, value=coeffs[j])
+        rows.append(tuple(
+            coeffs[n - d + k] if n - d + k >= 0 else Fraction(0)
+            for k in range(d + 2)
+        ))
+    return rows

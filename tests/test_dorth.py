@@ -21,6 +21,7 @@ from dsheffer import (
 )
 from dsheffer import catalog
 from dsheffer.sheffer import CoupleSpec
+from reference import UncheckedSequence
 
 F = Fraction
 
@@ -102,20 +103,9 @@ def test_recurrence_needs_enough_polynomials():
         extract_recurrence(seq, 1)
 
 
-class _UncheckedSequence:
-    """P_0..P_N without PolySequence's degree check, to reach the guard."""
-
-    def __init__(self, polys):
-        self.polys = polys
-        self.max_index = len(polys) - 1
-
-    def __getitem__(self, n):
-        return self.polys[n]
-
-
 def test_back_substitution_remainder_raises_typed_error():
     # P_2 has degree 1, so x P_1 = x^2 cannot be written in P_0..P_2
-    seq = _UncheckedSequence([Poly.one(), Poly.x(), Poly((1, 1)), Poly.monomial(3)])
+    seq = UncheckedSequence([Poly.one(), Poly.x(), Poly((1, 1)), Poly.monomial(3)])
     with pytest.raises(BackSubstitutionError) as info:
         extract_recurrence(seq, 1)
     assert info.value.n == 1

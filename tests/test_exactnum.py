@@ -1,12 +1,18 @@
 """Exact helpers: rational parsing, binomials, Pochhammer, Stirling numbers, scaling."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dsheffer
 from dsheffer import binomial, format_rational, parse_rational, pochhammer, stirling2
 from dsheffer.exactnum import scaled
 
@@ -128,6 +134,30 @@ def test_stirling2_matches_partition_count():
 @given(st.integers(1, 30), st.integers(1, 30))
 def test_stirling2_recurrence(m, k):
     assert stirling2(m, k) == k * stirling2(m - 1, k) + stirling2(m - 1, k - 1)
+
+
+def test_stirling2_rejects_negative_arguments():
+    for m, k in ((-1, 0), (0, -1), (-3, -2)):
+        with pytest.raises(ValueError):
+            stirling2(m, k)
+
+
+@given(st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)), max_size=12))
+def test_stirling2_matches_the_explicit_sum_in_any_query_order(queries):
+    # S(m, k) = (1/k!) sum_i (-1)^i C(k, i) (k - i)^m; narrow and wide k interleave
+    for m, k in queries:
+        explicit = sum((-1) ** i * comb(k, i) * (k - i) ** m for i in range(k + 1))
+        assert stirling2(m, k) == explicit // factorial(k), (m, k)
+
+
+def test_stirling2_on_a_cold_cache_at_m_2000():
+    # a fresh interpreter, so no smaller row is cached; S(m, 3) = (3^m - 3 2^m + 3) / 6
+    env = {**os.environ, "PYTHONPATH": str(Path(dsheffer.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", "from dsheffer import stirling2; print(stirling2(2000, 3))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert int(out.stdout) == (3 ** 2000 - 3 * 2 ** 2000 + 3) // 6
 
 
 # ---------------------------------------------------------------- scaled

@@ -1,10 +1,12 @@
-"""The integer kernels of verify against the Fraction loops they replaced.
+"""The integer kernels against the Fraction loops they replaced.
 
-Series products, the Hankel form of orthogonality, duality and the lowering
-check run on integer numerators over one common denominator, and the
-lowering check works in the falling-factorial basis instead of applying the
-base operator.  Every result must equal the per-term Fraction oracle of
-tests/reference.py exactly, on valid sequences and on perturbed ones.
+Series products and the exp/log/invert_mul recursions, the lowering ODE,
+the couple's recurrence, back-substitution, the Hankel form of
+orthogonality, duality and the lowering check run on integer numerators
+over one common (or running) denominator, and the lowering check works in
+the falling-factorial basis instead of applying the base operator.  Every
+result must equal the per-term Fraction oracle of tests/reference.py
+exactly, on valid sequences and on perturbed ones, errors included.
 """
 
 from fractions import Fraction
@@ -18,7 +20,9 @@ from dsheffer import (
     Poly,
     PolySequence,
     Series,
+    expand_from_couple,
     expand_polynomials,
+    extract_recurrence,
     lowering_from_couple,
     pair_from_couple,
     verify_d_orthogonality,
@@ -26,9 +30,28 @@ from dsheffer import (
     verify_lowering,
 )
 from dsheffer import catalog
+from dsheffer.dorth import (
+    BackSubstitutionError,
+    RegularityViolationError,
+    WindowViolationError,
+    _regular_table,
+)
+from dsheffer.exactnum import scaled
 from dsheffer.operators import newton_table
-from dsheffer.sheffer import CoupleSpec
-from reference import duality_failures, fraction_product, hankel_cells, lowering_failures
+from dsheffer.sheffer import CoupleSpec, couple_numerators
+from reference import (
+    UncheckedSequence,
+    duality_failures,
+    fraction_exp,
+    fraction_expand_from_couple,
+    fraction_hstar,
+    fraction_invert_mul,
+    fraction_log,
+    fraction_product,
+    fraction_recurrence_rows,
+    hankel_cells,
+    lowering_failures,
+)
 
 F = Fraction
 
@@ -48,6 +71,31 @@ def tall_fractions(draw):
 def test_series_product_equals_the_fraction_convolution(pair):
     a, b = pair
     assert (Series(a) * Series(b)).coeffs == tuple(fraction_product(a, b))
+
+
+tall_series = st.integers(0, 40).flatmap(
+    lambda n: st.lists(tall_fractions(), min_size=n + 1, max_size=n + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_series)
+def test_invert_mul_equals_the_fraction_recursion(s):
+    assume(s[0] != 0)
+    assert Series(s).invert_mul().coeffs == tuple(fraction_invert_mul(s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_series)
+def test_exp_equals_the_fraction_recursion(s):
+    s = [F(0)] + s[1:]
+    assert Series(s).exp().coeffs == tuple(fraction_exp(s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_series)
+def test_log_equals_the_fraction_recursion(s):
+    s = [F(1)] + s[1:]
+    assert Series(s).log().coeffs == tuple(fraction_log(s))
 
 
 # ---------------------------------------------------------------- falling-factorial basis
@@ -133,3 +181,78 @@ def test_a_perturbed_p7_is_flagged_like_the_oracle_on_every_sample():
         seq = perturbed(seq, 7, 3, F(1, 3))
         low = assert_sections_match_the_oracles(seq, lop, v)
         assert low.failures == (7, 8), (spec.family, spec.d)
+
+
+# ---------------------------------------------------------------- the couple's kernels
+
+@settings(max_examples=60, deadline=None)
+@given(regular_couples(), st.integers(1, 30), st.none() | nonzero)
+def test_lowering_ode_equals_the_fraction_recursion(couple, N, omega):
+    lop = lowering_from_couple(couple, N, omega)
+    assert lop.hstar.coeffs == tuple(fraction_hstar(couple, N, omega))
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_couples(), st.integers(0, 30))
+def test_expand_from_couple_equals_the_fraction_recurrence(couple, N):
+    seq = expand_from_couple(couple, N)
+    oracle = fraction_expand_from_couple(couple, N)
+    assert list(seq) == oracle
+    # the content gcd keeps every integer row over its least denominator
+    assert couple_numerators(couple, N) == [scaled(p.coeffs) for p in oracle]
+
+
+# ---------------------------------------------------------------- back-substitution
+
+def recurrence_outcome(compute):
+    """The table's rows, or the error's identifying fields."""
+    try:
+        return "rows", compute().rows
+    except WindowViolationError as exc:
+        return "window", exc.n, exc.index, exc.value
+    except BackSubstitutionError as exc:
+        return "remainder", exc.n, exc.remainder
+    except RegularityViolationError as exc:
+        return "regularity", exc.rows
+
+
+def assert_back_substitution_matches_the_oracle(seq, d):
+    got = recurrence_outcome(lambda: extract_recurrence(seq, d))
+    assert got == recurrence_outcome(lambda: _regular_table(d, fraction_recurrence_rows(seq, d)))
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(regular_couples(), st.data())
+def test_back_substitution_equals_the_oracle_on_perturbed_sequences(couple, data):
+    top = data.draw(st.integers(couple.d + 2, 12))
+    seq = expand_from_couple(couple, top)
+    assert assert_back_substitution_matches_the_oracle(seq, couple.d)[0] == "rows"
+    for _ in range(data.draw(st.integers(1, 3))):
+        n = data.draw(st.integers(1, top))
+        j = data.draw(st.integers(0, n))
+        delta = data.draw(nonzero)
+        assume(j < n or seq[n].coeffs[n] + delta != 0)   # keep deg P_n = n
+        seq = perturbed(seq, n, j, delta)
+    # a perturbation below P_n's window usually raises WindowViolationError
+    # with the first offending (n, index, value); both routes must agree
+    assert_back_substitution_matches_the_oracle(seq, couple.d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(regular_couples(), st.data())
+def test_back_substitution_remainder_equals_the_oracle_off_exact_degree(couple, data):
+    top = data.draw(st.integers(couple.d + 2, 12))
+    polys = list(expand_from_couple(couple, top))
+    changed = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=2, unique=True))
+    for n in changed:
+        coeffs = list(polys[n].coeffs)
+        if data.draw(st.booleans()):
+            coeffs.pop()                                   # deg P_n < n
+        else:
+            coeffs += data.draw(st.lists(nonzero, min_size=1, max_size=2))  # deg P_n > n
+        assume(any(coeffs))
+        polys[n] = Poly(coeffs)
+    # x P_(n-1) is the first product that P_n's degree leaves unexplained
+    got = assert_back_substitution_matches_the_oracle(UncheckedSequence(polys), couple.d)
+    assert got[:2] == ("remainder", min(changed) - 1)

@@ -128,6 +128,15 @@ def test_series_rejects_empty_and_floats():
         Series((0.5, 1))
 
 
+def test_series_keeps_fraction_coefficients_as_given():
+    third = F(1, 3)
+    s = Series((third, 2))
+    assert s.coeffs[0] is third
+    assert type(s.coeffs[1]) is Fraction and s.coeffs[1] == 2
+    with pytest.raises(TypeError):
+        Series((third, 0.5))
+
+
 def test_series_is_immutable():
     s = Series((1, 2))
     with pytest.raises(AttributeError):
