@@ -24,7 +24,10 @@ tests' oracle for this).
 All values are exact rationals; failing cells carry the offending value.
 The loops over P_n (back-substitution, Hankel form, duality, lowering) run
 on integer numerators over one common denominator (exactnum.scaled) per
-vector, and a value becomes a Fraction once, when it is reported.
+vector, and a value becomes a Fraction once, when it is reported.  A
+PolySequence scales each P_n once (PolySequence.forms) and a
+FunctionalVector each moment row once (moment_forms), so the four checks of
+one verify share them.
 Back-substitution holds the coordinates of x P_n found so far over one
 running denominator, so a zero coordinate (every one below n - d in a
 d-orthogonal sequence) costs an integer dot product of at most d + 2 terms
@@ -122,11 +125,10 @@ def extract_recurrence(seq: PolySequence, d: int) -> RecurrenceTable:
     # exists, and the numerator of its leading coefficient (ints_j[j] when
     # deg P_j = j, as in a PolySequence)
     forms, leads = [], []
-    for p in polys:
-        ints, D = scaled(p.coeffs)
+    for p, (ints, D) in zip(polys, _forms(seq)):
         lead = p.leading
         leads.append(lead.numerator * (D // lead.denominator))
-        forms.append((ints + [0] * (top + 2 - len(ints)), D))
+        forms.append(((*ints, *[0] * (top + 2 - len(ints))), D))
     # Each coordinate clears its own power of x, so only a row whose basis
     # P_0..P_(n+1) holds a P_j of degree != j can leave a remainder; from the
     # first such row on the remainder is computed in full
@@ -243,7 +245,7 @@ def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> Orthogonal
         raise ValueError(
             f"functional order {v.order} too small: products reach degree {max_deg}"
         )
-    polys, moments = _scaled_forms(seq, v)
+    polys, moments = _forms(seq), v.moment_forms
     cells = []
     unchecked = []
     for k in range(v.d):
@@ -271,9 +273,15 @@ def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> Orthogonal
     )
 
 
-def _scaled_forms(seq: PolySequence, v: FunctionalVector):
-    """Each P_n and each moment row mu_k as (integer numerators, denominator)."""
-    return [scaled(p.coeffs) for p in seq], [scaled(mu) for mu in v.moments]
+def _forms(seq):
+    """Each P_n as (integer numerators, denominator).
+
+    A PolySequence computes them once (PolySequence.forms), so every check of
+    one sequence shares them; any other indexable P_0..P_N is scaled here.
+    """
+    if isinstance(seq, PolySequence):
+        return seq.forms
+    return [scaled(seq[n].coeffs) for n in range(seq.max_index + 1)]
 
 
 @dataclass(frozen=True)
@@ -306,7 +314,7 @@ def verify_duality(seq: PolySequence, v: FunctionalVector) -> DualityReport:
         raise ValueError(
             f"functional order {v.order} too small for polynomial degree {v.order + 1}"
         )
-    polys, moments = _scaled_forms(seq, v)
+    polys, moments = _forms(seq), v.moment_forms
     failures = []
     checked = 0
     for i in range(v.d):
@@ -359,8 +367,7 @@ def verify_lowering(seq: PolySequence, op: LoweringOp) -> LoweringReport:
     y, dy = scaled(op.hstar.coeffs[1:top + 1])          # y_1 .. y_top
     failures = []
     prev, dprev = [], 1
-    for n, p in enumerate(seq):
-        ints, dn = scaled(p.coeffs)
+    for n, (ints, dn) in enumerate(_forms(seq)):
         c = [sum(map(mul, ints[l:], columns[l])) for l in range(len(ints))]
         if any(sum(map(mul, y, c[l + 1:])) * dprev != n * prev[l] * dn * dy
                for l in range(n)):

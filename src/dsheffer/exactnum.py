@@ -7,8 +7,10 @@ on input so no value ever passes through floating point.  The inner loops
 run on `scaled` vectors instead: integer numerators over one common
 denominator, so a multiply-add costs no gcd and each result is normalized
 once.  That covers series products and the exp/log/inverse recursions,
-the lowering ODE, the couple's recurrence, back-substitution, the Hankel
-form, duality and the lowering check.
+the lowering ODE, the couple's recurrence and its rows, the
+generating-function expansion, back-substitution, the Hankel form, duality
+and the lowering check.  `exact` is the one conversion of outside values to
+Fraction, and it rejects floats.
 """
 
 from __future__ import annotations
@@ -37,9 +39,18 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num))
 
 
+def exact(value) -> Fraction:
+    """value as a Fraction; a float is rejected, since it is not exact."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise TypeError("float values are not exact; use Fraction")
+    return Fraction(value)
+
+
 def format_rational(value: Fraction) -> str:
     # Fraction.__str__ already prints the reduced p/q (or p) form.
-    return str(Fraction(value))
+    return str(exact(value))
 
 
 def scaled(values: Sequence) -> tuple[list[int], int]:
@@ -61,7 +72,7 @@ def pochhammer(a: Fraction | int, n: int) -> Fraction:
     """Rising factorial a (a+1) ... (a+n-1), with the empty product = 1."""
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
-    a = Fraction(a)
+    a = exact(a)
     out = Fraction(1)
     for k in range(n):
         out *= a + k

@@ -41,7 +41,7 @@ the independent routes the tests compare against.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 
 from dsheffer.exactnum import scaled, stirling2_rows
@@ -178,10 +178,12 @@ class FunctionalVector:
     """The d moment functionals of a couple, as their table of moments.
 
     moments[i][j] = <u_i, x^j> for j up to the order of the lowering
-    operator; the functionals read nothing else.
+    operator; the functionals read nothing else.  moment_forms[i] is row i
+    as integer numerators over its least denominator (exactnum.scaled), the
+    form that dorth's checks read.
     """
 
-    __slots__ = ("lop", "d", "moments")
+    __slots__ = ("lop", "d", "moments", "moment_forms")
 
     def __init__(self, couple: CoupleSpec, lop: LoweringOp, d: int):
         if d < 1:
@@ -197,16 +199,20 @@ class FunctionalVector:
             gamma_y = gamma_y * Series([(-lop.omega) ** k for k in range(order + 1)])
         w = (-gamma_y.integrate()).exp()           # 1 / A(y), then y^i / A(y)
         table, dt = newton_table(lop.omega or Fraction(0), order)
-        moments = []
+        moments, forms = [], []
         for i in range(d):
             if i:
                 w = w * y
             ws, dw = scaled(w.coeffs)
             den = dw * dt * factorial(i)
-            moments.append(tuple(Fraction(sum(map(mul, ws, row)), den) for row in table))
+            nums = [sum(map(mul, ws, row)) for row in table]
+            moments.append(tuple(Fraction(v, den) for v in nums))
+            g = gcd(den, *nums)
+            forms.append((tuple(v // g for v in nums), den // g))
         object.__setattr__(self, "lop", lop)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "moments", tuple(moments))
+        object.__setattr__(self, "moment_forms", tuple(forms))
 
     def __setattr__(self, name, value):
         raise AttributeError("FunctionalVector is immutable")

@@ -11,14 +11,19 @@ A series product runs over one common denominator: each factor is written
 as integer numerators over the least common denominator of its
 coefficients (`exactnum.scaled`), the Cauchy product is an integer
 convolution, and each output coefficient is normalized to a Fraction once,
-with one gcd, instead of once per multiply-add.  The generating-function
-expansion, `pair_from_couple`, the catalog's closed forms and the
-functionals' series all go through it.  The recursions of `invert_mul`
+with one gcd, instead of once per multiply-add.  `pair_from_couple`, the
+catalog's closed forms and the functionals' series all go through it; the
+generating-function expansion needs none of it, since
+`sheffer.expand_polynomials` convolves its integer columns A H^k itself.
+The recursions of `invert_mul`
 (s (1/s) = 1), `exp` (E' = s'E) and `log` (s' = L's) run the same way,
 except that their outputs feed the next convolution: they are held as
 integer numerators over a running common denominator, extended by lcm as
 each coefficient lands, so only the denominators the result needs ever
 appear (`_recursion`).  `pow_rat` is log, a scalar product and exp.
+
+`Poly.pretty` and `Poly.latex` print each coefficient from its integer
+numerator and denominator; no Fraction is compared or negated.
 
 Composition and reversion are the tests' independent reference route; the
 verifier builds H* and the functionals from the couple instead (see
@@ -32,15 +37,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from dsheffer.exactnum import scaled
-
-
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not exact; use Fraction")
-    return Fraction(value)
+from dsheffer.exactnum import exact, scaled
 
 
 class Poly:
@@ -49,7 +46,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_coerce(c) for c in coeffs]
+        cs = [exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -182,49 +179,41 @@ class Poly:
             out = out * base + Poly((c,))
         return out
 
-    def pretty(self, var: str = "x") -> str:
-        if not self.coeffs:
-            return "0"
+    def _text(self, term) -> str:
+        """The nonzero terms, top degree first, as term(k, |p|, q) with their signs.
+
+        Each coefficient p/q is read as its integer numerator and
+        denominator, so printing makes no Fraction operation.
+        """
         parts = []
         for k in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = -c if c < 0 else c
+            p = c.numerator
+            if p:
+                body = term(k, -p if p < 0 else p, c.denominator)
+                if parts:
+                    parts.append(f"- {body}" if p < 0 else f"+ {body}")
+                else:
+                    parts.append(f"-{body}" if p < 0 else body)
+        return " ".join(parts) if parts else "0"
+
+    def pretty(self, var: str = "x") -> str:
+        def term(k, mag, den):
+            mag_s = str(mag) if den == 1 else f"{mag}/{den}"
             if k == 0:
-                body = str(mag)
-            else:
-                xk = var if k == 1 else f"{var}^{k}"
-                body = xk if mag == 1 else f"{mag}*{xk}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+                return mag_s
+            xk = var if k == 1 else f"{var}^{k}"
+            return xk if mag == den == 1 else f"{mag_s}*{xk}"
+        return self._text(term)
 
     def latex(self, var: str = "x") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = -c if c < 0 else c
-            if mag.denominator == 1:
-                mag_s = str(mag.numerator)
-            else:
-                mag_s = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        def term(k, mag, den):
+            mag_s = str(mag) if den == 1 else f"\\frac{{{mag}}}{{{den}}}"
             if k == 0:
-                body = mag_s
-            else:
-                xk = var if k == 1 else f"{var}^{{{k}}}"
-                body = xk if mag == 1 else f"{mag_s} {xk}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+                return mag_s
+            xk = var if k == 1 else f"{var}^{{{k}}}"
+            return xk if mag == den == 1 else f"{mag_s} {xk}"
+        return self._text(term)
 
     def __repr__(self) -> str:
         return f"Poly({self.pretty()})"
@@ -236,7 +225,7 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        cs = tuple(_coerce(c) for c in coeffs)
+        cs = tuple(exact(c) for c in coeffs)
         if not cs:
             raise ValueError("a series needs at least its constant term")
         object.__setattr__(self, "coeffs", cs)
@@ -250,7 +239,7 @@ class Series:
 
     @classmethod
     def constant(cls, c, order: int) -> "Series":
-        return cls((_coerce(c),) + (Fraction(0),) * order)
+        return cls((exact(c),) + (Fraction(0),) * order)
 
     @classmethod
     def identity(cls, order: int) -> "Series":

@@ -14,19 +14,24 @@ is decided for all n at once: it fails exactly when beta_d / alpha_{d+1} is a
 positive integer (CoupleSpec.irregular_n), and CoupleSpec.violations is the
 one regularity decision that both check_conditions and the catalog's
 parameter validation read.  The same couple gives the (d+2)-term recurrence
-in closed form (recurrence_rows), which generates the sequence without any
-series and on integer numerators over one denominator per polynomial
-(expand_from_couple).  Everything else works over a fixed truncation
-order with exact rationals, so the inverse direction (recovering the couple
-from a pair) can certify "polynomial of the right degree" by checking that
-every higher series coefficient vanishes exactly.
+in closed form (recurrence_rows, integer numerators over one denominator
+in recurrence_numerators), which generates the sequence without any series
+and on integer numerators over one denominator per polynomial
+(expand_from_couple).  The generating-function route (expand_polynomials)
+runs on integers too, one column A H^k at a time.  Everything else works
+over a fixed truncation order with exact rationals, so the inverse
+direction (recovering the couple from a pair) can certify "polynomial of
+the right degree" by checking that every higher series coefficient
+vanishes exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 
 from dsheffer.exactnum import parse_rational, scaled
 from dsheffer.series import Poly, Series
@@ -228,6 +233,15 @@ class PolySequence:
     def __iter__(self):
         return iter(self.polys)
 
+    @cached_property
+    def forms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each P_n as exactnum.scaled of its coefficients, computed once per sequence.
+
+        The checks of dorth all read P_n this way, so one verify scales each
+        P_n once.
+        """
+        return tuple((tuple(ints), D) for ints, D in (scaled(p.coeffs) for p in self.polys))
+
 
 def check_conditions(couple: CoupleSpec, N: int):
     """Decide the regularity conditions for every n >= 1 without raising.
@@ -288,19 +302,32 @@ def pair_from_couple(couple: CoupleSpec, N: int) -> ShefferPair:
 def expand_polynomials(pair: ShefferPair, N: int) -> PolySequence:
     """Expand A(t) exp(x H(t)) into P_0..P_N (with the n! normalization).
 
-    exp(x H) = sum_k x^k H^k / k!, so [x^k] P_n = n!/k! [t^n] (A H^k), and
-    each A H^k is one Fraction series product away from the one before.
+    exp(x H) = sum_k x^k H^k / k!, so [x^k] P_n = n!/k! [t^n] (A H^k).  The
+    columns A H^k are integer numerators over one denominator D_k each: A and
+    H are scaled once, and since H(0) = 0 column k + 1 is the convolution of
+    column k with H over n >= k + 1 only.  One content gcd per column keeps
+    D_k least, only the current column is held, and each coefficient
+    n!/k! col_k[n] / D_k becomes a Fraction once.
     """
     if pair.order < N:
         raise ValueError(f"pair order {pair.order} too small for expansion order {N}")
-    hx = pair.Hx.truncate(N)
-    columns = [pair.A.truncate(N)]             # columns[k] = A H^k
-    for _ in range(N):
-        columns.append(columns[-1] * hx)
-    return PolySequence(tuple(
-        Poly(columns[k].coeffs[n] * (factorial(n) // factorial(k)) for k in range(n + 1))
-        for n in range(N + 1)
-    ))
+    col, D = scaled(pair.A.coeffs[:N + 1])     # col[n] / D = [t^n] A H^k, from k = 0
+    h, dh = scaled(pair.Hx.coeffs[:N + 1])     # h[0] = 0
+    coeffs = [[] for _ in range(N + 1)]        # coeffs[n][k] = [x^k] P_n
+    for k in range(N + 1):
+        fac = 1                                 # n!/k!
+        for n in range(k, N + 1):
+            if n > k:
+                fac *= n
+            coeffs[n].append(Fraction(col[n] * fac, D))
+        if k < N:
+            # [t^n] A H^(k+1) = sum_(1<=i<=n-k) h_i [t^(n-i)] A H^k, rc[N - m] = col[m]
+            rc = col[::-1]
+            col = [0] * (k + 1) + [sum(map(mul, h[1:n - k + 1], rc[N - n + 1:N - k + 1]))
+                                   for n in range(k + 1, N + 1)]
+            g = gcd(D * dh, *col)
+            col, D = [c // g for c in col], D * dh // g
+    return PolySequence(tuple(Poly(c) for c in coeffs))
 
 
 def recurrence_rows(couple: CoupleSpec, top: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -311,21 +338,36 @@ def recurrence_rows(couple: CoupleSpec, top: int) -> tuple[tuple[Fraction, ...],
     the falling factorial n^(j) = n!/(n-j)!, so
     alpha_k(n) = sigma_(d+1-k) n^(d+1-k) - gamma_(d-k) n^(d-k) and
     alpha_(d+1)(n) = sigma_0.  n^(j) vanishes for j > n, which is the 0 that
-    row n holds on the indices below zero.  No row is checked for regularity.
+    row n holds on the indices below zero.  No row is checked for
+    regularity.  The entries are recurrence_numerators' integers, each made
+    a Fraction once.
+    """
+    rows, R = recurrence_numerators(couple, top)
+    return tuple(tuple(Fraction(v, R) for v in row) for row in rows)
+
+
+def recurrence_numerators(couple: CoupleSpec, top: int) -> tuple[list[list[int]], int]:
+    """Rows n < top of recurrence_rows as integer numerators over one denominator R.
+
+    gamma and sigma are scaled once over R = lcm of their denominators, so
+    alpha_k(n) R = (R sigma_(d+1-k)) n^(d+1-k) - (R gamma_(d-k)) n^(d-k) is
+    an integer.
     """
     couple.validate()
     d = couple.d
+    ints, R = scaled(couple.gamma + couple.sigma)
+    gamma, sigma = ints[:d + 1], ints[d + 1:]
     rows = []
     for n in range(top):
         falling = [1]                       # falling[j] = n^(j)
         for j in range(d + 1):
             falling.append(falling[-1] * (n - j))
-        rows.append(tuple(
-            couple.sigma[d + 1 - k] * falling[d + 1 - k]
-            - (couple.gamma[d - k] * falling[d - k] if k <= d else 0)
+        rows.append([
+            sigma[d + 1 - k] * falling[d + 1 - k]
+            - (gamma[d - k] * falling[d - k] if k <= d else 0)
             for k in range(d + 2)
-        ))
-    return tuple(rows)
+        ])
+    return rows, R
 
 
 def expand_from_couple(couple: CoupleSpec, N: int) -> PolySequence:
@@ -346,16 +388,17 @@ def couple_numerators(couple: CoupleSpec, N: int) -> list[tuple[list[int], int]]
     """P_0..P_N of expand_from_couple as integer numerators over their least denominator.
 
     Entry n is exactnum.scaled(P_n's coefficients).  x P_n and the d + 1
-    lower terms are combined over one common denominator L, the division by
-    sigma_0 = p/q multiplies the numerators by q and L by p, and one content
-    gcd brings the denominator back to the least one.
+    lower terms are combined over one common denominator L, with the rows'
+    integer numerators over their one denominator da
+    (recurrence_numerators); the division by sigma_0 = p/q multiplies the
+    numerators by q and L by p, and one content gcd brings the denominator
+    back to the least one.
     """
-    rows = recurrence_rows(couple, N)
+    rows, da = recurrence_numerators(couple, N)   # alpha_k(n) = rows[n][k] / da
     d = couple.d
     p, q = couple.alpha_0.numerator, couple.alpha_0.denominator
     polys = [([1], 1)]
-    for n, row in enumerate(rows):
-        alpha, da = scaled(row)                 # alpha_k(n) = alpha[k] / da
+    for n, alpha in enumerate(rows):
         terms = [(alpha[k], *polys[n - d + k])
                  for k in range(max(d - n, 0), d + 1) if alpha[k]]
         pn, dn = polys[n]

@@ -7,15 +7,18 @@ factorial basis.  These are the straightforward versions, one `Fraction`
 operation per term and the base operator applied repeatedly, kept as the
 oracles those kernels must match exactly.  The same holds for the
 back-substitution of `extract_recurrence`, the `exp`/`log`/`invert_mul`
-recursions, the lowering ODE and `expand_from_couple`, which now run on
-integers with one running or common denominator.
+recursions, the lowering ODE, `expand_from_couple`, the couple's
+recurrence rows and the generating-function expansion, which now run on
+integers with one running or common denominator, and for `Poly.pretty` and
+`Poly.latex`, which now read each coefficient's numerator and denominator
+instead of comparing and negating Fractions.
 """
 
 from fractions import Fraction
+from math import factorial
 
-from dsheffer import Poly, apply_lowering, functional_eval
+from dsheffer import Poly, PolySequence, apply_lowering, functional_eval
 from dsheffer.dorth import BackSubstitutionError, WindowViolationError
-from dsheffer.sheffer import recurrence_rows
 
 
 class UncheckedSequence:
@@ -129,9 +132,90 @@ def fraction_hstar(couple, N, omega=None) -> list[Fraction]:
     return y
 
 
+def fraction_couple_rows(couple, top) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows alpha_(0..d+1)(n), n < top, of the couple's recurrence, in Fraction.
+
+    alpha_k(n) = sigma_(d+1-k) n^(d+1-k) - gamma_(d-k) n^(d-k) with the
+    falling factorial n^(j); two Fraction products and a subtraction per entry.
+    """
+    couple.validate()
+    d = couple.d
+    rows = []
+    for n in range(top):
+        falling = [1]                       # falling[j] = n^(j)
+        for j in range(d + 1):
+            falling.append(falling[-1] * (n - j))
+        rows.append(tuple(
+            couple.sigma[d + 1 - k] * falling[d + 1 - k]
+            - (couple.gamma[d - k] * falling[d - k] if k <= d else 0)
+            for k in range(d + 2)
+        ))
+    return tuple(rows)
+
+
+def series_expand_polynomials(pair, N) -> PolySequence:
+    """P_0..P_N with [x^k] P_n = n!/k! [t^n] (A H^k), each A H^k a Series product."""
+    hx = pair.Hx.truncate(N)
+    columns = [pair.A.truncate(N)]             # columns[k] = A H^k
+    for _ in range(N):
+        columns.append(columns[-1] * hx)
+    return PolySequence(tuple(
+        Poly(columns[k].coeffs[n] * (factorial(n) // factorial(k)) for k in range(n + 1))
+        for n in range(N + 1)
+    ))
+
+
+def fraction_pretty(poly, var: str = "x") -> str:
+    """Poly.pretty by Fraction comparisons, negation and str."""
+    if not poly.coeffs:
+        return "0"
+    parts = []
+    for k in range(len(poly.coeffs) - 1, -1, -1):
+        c = poly.coeffs[k]
+        if c == 0:
+            continue
+        mag = -c if c < 0 else c
+        if k == 0:
+            body = str(mag)
+        else:
+            xk = var if k == 1 else f"{var}^{k}"
+            body = xk if mag == 1 else f"{mag}*{xk}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def fraction_latex(poly, var: str = "x") -> str:
+    """Poly.latex by Fraction comparisons and negation."""
+    if not poly.coeffs:
+        return "0"
+    parts = []
+    for k in range(len(poly.coeffs) - 1, -1, -1):
+        c = poly.coeffs[k]
+        if c == 0:
+            continue
+        mag = -c if c < 0 else c
+        if mag.denominator == 1:
+            mag_s = str(mag.numerator)
+        else:
+            mag_s = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        if k == 0:
+            body = mag_s
+        else:
+            xk = var if k == 1 else f"{var}^{{{k}}}"
+            body = xk if mag == 1 else f"{mag_s} {xk}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
 def fraction_expand_from_couple(couple, N) -> list[Poly]:
     """P_0..P_N from P_(n+1) = (x P_n - sum_(k<=d) alpha_k(n) P_(n-d+k)) / sigma_0, per term."""
-    rows = recurrence_rows(couple, N)
+    rows = fraction_couple_rows(couple, N)
     d = couple.d
     inv = 1 / couple.alpha_0
     polys = [[Fraction(1)]]

@@ -429,6 +429,18 @@ VERIFY_24_COUPLE_DIGESTS = [
 ]
 
 
+# sha256 of the expand and recurrence outputs, hashed as EXPAND_RECURRENCE_DIGESTS
+# are, of the couple files of VERIFY_24_COUPLE_DIGESTS (keyed by d), whose
+# negative and fractional coefficients reach every sign and fraction case of
+# the printed text.  Computed while the recurrence rows and Poly.pretty/latex
+# still ran on Fraction operations.
+EXPAND_RECURRENCE_COUPLE_DIGESTS = {
+    1: "39c107eced6a040be5cc21e039ea744269eff21e1e474333e9d427cca3b02cc1",
+    2: "fb8773485344eb5275e57f0c20a97acca550a1cb54846d025c8b88e9ddb184a9",
+    3: "7070f5ec5baea190812880787427d9e9ced8b3c3dfa0d4cc883150441d9c79d7",
+}
+
+
 def family_argv(spec) -> list[str]:
     argv = ["--family", spec.family, "--d", str(spec.d)]
     for key, value in spec.params.items():
@@ -483,22 +495,42 @@ def test_functionals_reports_match_their_digests(tmp_path):
            failures)
 
 
+def expand_recurrence_digest(argv, tmp_path, failures, key) -> str:
+    """sha256 of the expand and recurrence outputs, JSON at N = 40, CSV and LaTeX at 12."""
+    stream = hashlib.sha256()
+    for command in ("expand", "recurrence"):
+        for fmt, order in (("json", 40), ("csv", 12), ("latex", 12)):
+            path = tmp_path / f"{command}.{fmt}"
+            code = main([command, *argv, "--order", str(order),
+                         "--format", fmt, "--out", str(path)])
+            if code != 0:
+                failures.append((*key, command, fmt, code))
+            stream.update(path.read_bytes())
+    return stream.hexdigest()
+
+
 def test_expand_and_recurrence_outputs_match_their_digests(tmp_path):
     failures = []
     for spec in catalog.default_sample_specs():
-        stream = hashlib.sha256()
-        for command in ("expand", "recurrence"):
-            for fmt, order in (("json", 40), ("csv", 12), ("latex", 12)):
-                path = tmp_path / f"{command}.{fmt}"
-                code = main([command, *family_argv(spec), "--order", str(order),
-                             "--format", fmt, "--out", str(path)])
-                if code != 0:
-                    failures.append((spec.family, spec.d, command, fmt, code))
-                stream.update(path.read_bytes())
-        if stream.hexdigest() != EXPAND_RECURRENCE_DIGESTS[(spec.family, spec.d)]:
-            failures.append((spec.family, spec.d, "outputs differ from their pinned digest"))
+        key = (spec.family, spec.d)
+        if expand_recurrence_digest(family_argv(spec), tmp_path, failures, key) \
+                != EXPAND_RECURRENCE_DIGESTS[key]:
+            failures.append((*key, "outputs differ from their pinned digest"))
     report("expand and recurrence outputs of all samples (JSON at N=40, CSV and LaTeX "
            "at N=12) match their pinned digests", failures)
+
+
+def test_expand_and_recurrence_outputs_of_couple_files_match_their_digests(tmp_path):
+    failures = []
+    for doc, _ in VERIFY_24_COUPLE_DIGESTS:
+        path = tmp_path / f"couple-{doc['d']}.json"
+        path.write_text(json.dumps(doc))
+        key = ("couple", doc["d"])
+        if expand_recurrence_digest(["--couple-file", str(path)], tmp_path, failures, key) \
+                != EXPAND_RECURRENCE_COUPLE_DIGESTS[doc["d"]]:
+            failures.append((*key, "outputs differ from their pinned digest"))
+    report("expand and recurrence outputs of one couple file per d = 1, 2, 3 (JSON at "
+           "N=40, CSV and LaTeX at N=12) match their pinned digests", failures)
 
 
 def test_verify_order_24_reports_match_their_digests(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dsheffer
-from dsheffer import binomial, format_rational, parse_rational, pochhammer, stirling2
+from dsheffer import Poly, Series, binomial, format_rational, parse_rational, pochhammer, stirling2
 from dsheffer.exactnum import scaled
 
 
@@ -51,6 +51,17 @@ def test_format_parse_roundtrip(q):
     assert parse_rational(format_rational(q)) == q
 
 
+def test_format_takes_integers():
+    assert format_rational(-7) == "-7"
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 2.0, -0.0])
+def test_format_rejects_floats(value):
+    # 0.1 would otherwise print its binary expansion, 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="not exact"):
+        format_rational(value)
+
+
 # ---------------------------------------------------------------- binomial
 
 def test_binomial_row():
@@ -71,6 +82,19 @@ def test_pochhammer_frozen_values():
 
 def test_pochhammer_empty_product():
     assert pochhammer(Fraction(7, 3), 0) == 1
+
+
+@pytest.mark.parametrize("a, n", [(0.5, 2), (3.0, 1), (0.25, 0)])
+def test_pochhammer_rejects_floats(a, n):
+    with pytest.raises(TypeError, match="not exact"):
+        pochhammer(a, n)
+
+
+def test_exact_values_share_one_float_error():
+    for build in (format_rational, lambda v: pochhammer(v, 1), lambda v: Poly((v,)),
+                  lambda v: Series((v,))):
+        with pytest.raises(TypeError, match="float values are not exact"):
+            build(0.5)
 
 
 def test_pochhammer_hits_zero_at_nonpositive_integers():

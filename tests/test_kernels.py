@@ -1,12 +1,14 @@
 """The integer kernels against the Fraction loops they replaced.
 
 Series products and the exp/log/invert_mul recursions, the lowering ODE,
-the couple's recurrence, back-substitution, the Hankel form of
-orthogonality, duality and the lowering check run on integer numerators
-over one common (or running) denominator, and the lowering check works in
-the falling-factorial basis instead of applying the base operator.  Every
-result must equal the per-term Fraction oracle of tests/reference.py
-exactly, on valid sequences and on perturbed ones, errors included.
+the couple's recurrence and its rows, the generating-function expansion,
+back-substitution, the Hankel form of orthogonality, duality and the
+lowering check run on integer numerators over one common (or running)
+denominator, and the lowering check works in the falling-factorial basis
+instead of applying the base operator.  Poly.pretty and Poly.latex read
+each coefficient's integer numerator and denominator.  Every result must
+equal the per-term Fraction oracle of tests/reference.py exactly, on valid
+sequences and on perturbed ones, errors included.
 """
 
 from fractions import Fraction
@@ -29,7 +31,7 @@ from dsheffer import (
     verify_duality,
     verify_lowering,
 )
-from dsheffer import catalog
+from dsheffer import catalog, dorth, sheffer
 from dsheffer.dorth import (
     BackSubstitutionError,
     RegularityViolationError,
@@ -38,19 +40,23 @@ from dsheffer.dorth import (
 )
 from dsheffer.exactnum import scaled
 from dsheffer.operators import newton_table
-from dsheffer.sheffer import CoupleSpec, couple_numerators
+from dsheffer.sheffer import CoupleSpec, couple_numerators, recurrence_rows
 from reference import (
     UncheckedSequence,
     duality_failures,
+    fraction_couple_rows,
     fraction_exp,
     fraction_expand_from_couple,
     fraction_hstar,
     fraction_invert_mul,
+    fraction_latex,
     fraction_log,
+    fraction_pretty,
     fraction_product,
     fraction_recurrence_rows,
     hankel_cells,
     lowering_failures,
+    series_expand_polynomials,
 )
 
 F = Fraction
@@ -96,6 +102,29 @@ def test_exp_equals_the_fraction_recursion(s):
 def test_log_equals_the_fraction_recursion(s):
     s = [F(1)] + s[1:]
     assert Series(s).log().coeffs == tuple(fraction_log(s))
+
+
+# ---------------------------------------------------------------- printed text
+
+printed_coefficients = (st.sampled_from([F(0), F(1), F(-1)]) | st.integers(-40, 40).map(F)
+                        | st.fractions(min_value=-9, max_value=9, max_denominator=12)
+                        | st.builds(F, tall_fractions()))
+
+
+@given(st.lists(printed_coefficients, max_size=12), st.sampled_from(["x", "t", "y_1"]))
+def test_pretty_and_latex_equal_the_fraction_text(coeffs, var):
+    p = Poly(coeffs)                # the zero polynomial too, once trailing zeros go
+    assert p.pretty(var) == fraction_pretty(p, var)
+    assert p.latex(var) == fraction_latex(p, var)
+    assert repr(p) == f"Poly({fraction_pretty(p)})"
+
+
+def test_pretty_and_latex_text_of_fixed_polynomials():
+    p = Poly((F(-3, 4), -1, 0, 1, F(5, 2), -2))
+    assert p.pretty() == "-2*x^5 + 5/2*x^4 + x^3 - x - 3/4"
+    assert p.latex() == "-2 x^{5} + \\frac{5}{2} x^{4} + x^{3} - x - \\frac{3}{4}"
+    assert Poly().pretty() == Poly().latex() == "0"
+    assert Poly((-1,)).pretty() == "-1"
 
 
 # ---------------------------------------------------------------- falling-factorial basis
@@ -185,6 +214,36 @@ def test_a_perturbed_p7_is_flagged_like_the_oracle_on_every_sample():
 
 # ---------------------------------------------------------------- the couple's kernels
 
+@st.composite
+def couples(draw):
+    """Couples that pass validate(), regular or not, with tall or small coefficients."""
+    d = draw(st.integers(1, 3))
+    coeff = small | st.builds(F, tall_fractions())
+    top = coeff.filter(bool)
+    return CoupleSpec(d=d,
+                      gamma=tuple(draw(coeff) for _ in range(d)) + (draw(top),),
+                      sigma=(draw(top),) + tuple(draw(coeff) for _ in range(d + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(couples(), st.integers(0, 30))
+def test_recurrence_rows_equal_the_fraction_rows(couple, top):
+    assert recurrence_rows(couple, top) == fraction_couple_rows(couple, top)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda order: st.tuples(st.just(order), st.integers(0, order))),
+       st.data())
+def test_expand_polynomials_equals_the_series_products(orders, data):
+    order, N = orders
+    if data.draw(st.booleans()):
+        pair = pair_from_couple(data.draw(couples()), order)
+    else:
+        pair = catalog.family_generating(
+            data.draw(st.sampled_from(catalog.default_sample_specs())), order)
+    assert expand_polynomials(pair, N) == series_expand_polynomials(pair, N)
+
+
 @settings(max_examples=60, deadline=None)
 @given(regular_couples(), st.integers(1, 30), st.none() | nonzero)
 def test_lowering_ode_equals_the_fraction_recursion(couple, N, omega):
@@ -200,6 +259,36 @@ def test_expand_from_couple_equals_the_fraction_recurrence(couple, N):
     assert list(seq) == oracle
     # the content gcd keeps every integer row over its least denominator
     assert couple_numerators(couple, N) == [scaled(p.coeffs) for p in oracle]
+
+
+def test_one_verify_scales_each_polynomial_once(monkeypatch):
+    calls = []
+
+    def counted(values):
+        calls.append(tuple(values))
+        return scaled(values)
+
+    monkeypatch.setattr(sheffer, "scaled", counted)
+    monkeypatch.setattr(dorth, "scaled", counted)
+    couple = CoupleSpec(d=2, gamma=(1, F(-1, 2), 2), sigma=(F(-3, 2), 1, 0, F(-1, 3)))
+    top = 9
+    seq = expand_polynomials(pair_from_couple(couple, top), top)
+    lop = lowering_from_couple(couple, top + top // 2)
+    v = FunctionalVector(couple, lop, 2)
+    calls.clear()
+    extract_recurrence(seq, 2)
+    verify_duality(seq, v)
+    verify_d_orthogonality(seq, v)
+    verify_lowering(seq, lop)
+    assert [calls.count(p.coeffs) for p in seq] == [1] * (top + 1)
+    assert list(seq.forms) == [(tuple(ints), D) for ints, D in (scaled(p.coeffs) for p in seq)]
+    assert list(v.moment_forms) == [(tuple(ints), D) for ints, D in map(scaled, v.moments)]
+    # an indexable sequence that is no PolySequence is scaled on the spot, with the same results
+    plain = UncheckedSequence(list(seq))
+    assert extract_recurrence(plain, 2) == extract_recurrence(seq, 2)
+    assert verify_duality(plain, v) == verify_duality(seq, v)
+    assert verify_d_orthogonality(plain, v) == verify_d_orthogonality(seq, v)
+    assert verify_lowering(plain, lop) == verify_lowering(seq, lop)
 
 
 # ---------------------------------------------------------------- back-substitution
