@@ -1,18 +1,36 @@
 """The built-in families of d-orthogonal Sheffer sets.
 
-Each family is stored twice over: as a couple (gamma, sigma) and as closed
-generating functions, so the construction can be verified along two
-independent routes.  Families whose generating function carries exp(pi(t))
-for an auxiliary polynomial pi are normalized to exp(pi(t) - pi(0)): the
-couple only ever sees pi', and exact rational arithmetic cannot represent
-the constant factor e^(pi(0)) anyway.
+Each family is stored twice over: as a couple (gamma, sigma) and as a closed
+generating function, so the construction can be verified along two
+independent routes.  Every family has the same closed form,
 
-Discrete families are stated in the Newton form A(t) (1 + omega*h(t))^(x/omega);
-expansion goes through the equivalent exponential form with
-H = log(1 + omega*h)/omega.  The lowering operator and the functionals come
-from the couple alone, through the forward difference of the family's step
-omega (see `family_step`), so a family is realized in closed form only for
-the generating pair.
+    A(t) = exp(pi(t) - pi(0)) (1 - t)^e,    h(t) = s ((1 - t)^(-k) - 1),
+    H(t) = h(t)                   (derivative kind),
+    H(t) = log(1 + omega h(t))/omega   (difference kind, step omega),
+
+and differs only in three numbers (e, k, s), `FamilyInfo.factors`, and its
+step omega (`family_step`):
+
+    family          e              k    s              omega
+    laguerre-eq9    -(alpha+1)d    d    -1             -
+    laguerre-eq10   -(alpha+1)     1    -1             -
+    laguerre-eq11   -(alpha+1)     2    -1/2           -
+    hermite-eq12    0              -1   -1             -
+    charlier-eq13   0              -1   -1             omega
+    meixner-eq14    -beta          1    (c-1)/c        1
+    meixner-eq16    -beta d        d    (c-1)/(dc)     1
+    meixner-eq21    -beta          2    -(c-1)/(2c)    1
+
+Families whose generating function carries exp(pi(t)) for an auxiliary
+polynomial pi are normalized to exp(pi(t) - pi(0)): the couple only ever
+sees pi', and exact rational arithmetic cannot represent the constant factor
+e^(pi(0)) anyway.  Discrete families are stated in the Newton form
+A(t) (1 + omega*h(t))^(x/omega); expansion goes through the equivalent
+exponential form above.  The lowering operator and the functionals come
+from the couple alone, through the forward difference of the same step
+omega, so a family is realized in closed form only for the generating pair.
+The couples (`_couple_of`) stay written out by hand: they are the
+independent route the closed form is compared against.
 
 The Laguerre-type 2-orthogonal family and the Meixner-type family also carry
 explicit moment functionals (series in derivatives of f, respectively sums
@@ -27,7 +45,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Mapping, Optional
 
-from dsheffer.exactnum import binomial, pochhammer, stirling2
+from dsheffer.exactnum import binomial, exact, pochhammer, stirling2
 from dsheffer.operators import DERIVATIVE, DIFFERENCE, LoweringOp, lowering_from_couple
 from dsheffer.series import Poly, Series
 from dsheffer.sheffer import CoupleSpec, ShefferPair
@@ -63,10 +81,10 @@ class FamilySpec:
         if self.family not in FAMILIES:
             raise InvalidParameterError(f"unknown family: {self.family!r}")
         object.__setattr__(
-            self, "params", {str(k): Fraction(v) for k, v in dict(self.params).items()}
+            self, "params", {str(k): exact(v) for k, v in dict(self.params).items()}
         )
         if self.aux is not None:
-            object.__setattr__(self, "aux", tuple(Fraction(a) for a in self.aux))
+            object.__setattr__(self, "aux", tuple(exact(a) for a in self.aux))
 
     def param(self, name: str) -> Fraction:
         return self.params[name]
@@ -84,6 +102,8 @@ class FamilyInfo:
     d_fixed: Optional[int]
     restrictions: str
     generating_text: str
+    # (d, params) -> (e, k, s) of the closed form in the module docstring
+    factors: Callable[[int, Mapping[str, Fraction]], tuple[Fraction, int, Fraction]]
 
 
 FAMILIES: dict[str, FamilyInfo] = {}
@@ -104,6 +124,7 @@ _register(FamilyInfo(
     d_fixed=None,
     restrictions="n/d + alpha + 1 != 0 for all n >= 0",
     generating_text="(1-t)^(-(alpha+1)d) * exp(-x[(1-t)^(-d) - 1])",
+    factors=lambda d, p: (-(p["alpha"] + 1) * d, d, Fraction(-1)),
 ))
 _register(FamilyInfo(
     family=LAGUERRE_EQ10,
@@ -116,6 +137,7 @@ _register(FamilyInfo(
     d_fixed=None,
     restrictions="a_(d-1) != 0 for d >= 2; alpha + n + 1 != 0 for d = 1",
     generating_text="exp(pi(t)-pi(0)) * (1-t)^(-alpha-1) * exp(-x t/(1-t))",
+    factors=lambda d, p: (-(p["alpha"] + 1), 1, Fraction(-1)),
 ))
 _register(FamilyInfo(
     family=LAGUERRE_EQ11,
@@ -128,6 +150,7 @@ _register(FamilyInfo(
     d_fixed=2,
     restrictions="alpha + n + 1 != 0 for all n >= 0",
     generating_text="(1-t)^(-alpha-1) * exp(x (t^2 - 2t) / (2 (1-t)^2))",
+    factors=lambda d, p: (-(p["alpha"] + 1), 2, Fraction(-1, 2)),
 ))
 _register(FamilyInfo(
     family=HERMITE_EQ12,
@@ -140,6 +163,7 @@ _register(FamilyInfo(
     d_fixed=None,
     restrictions="a_(d+1) != 0",
     generating_text="exp(pi(t)-pi(0)) * exp(x t)",
+    factors=lambda d, p: (Fraction(0), -1, Fraction(-1)),
 ))
 _register(FamilyInfo(
     family=CHARLIER_EQ13,
@@ -152,6 +176,7 @@ _register(FamilyInfo(
     d_fixed=None,
     restrictions="a_d != 0; omega != 0",
     generating_text="exp(pi(t)-pi(0)) * (1 + omega t)^(x/omega)",
+    factors=lambda d, p: (Fraction(0), -1, Fraction(-1)),
 ))
 _register(FamilyInfo(
     family=MEIXNER_EQ14,
@@ -165,6 +190,7 @@ _register(FamilyInfo(
     restrictions="c not in {0, 1}; a_(d-1) != 0 for d >= 2; "
                  "beta not a nonpositive integer for d = 1",
     generating_text="exp(pi(t)-pi(0)) * (1-t)^(-beta) * (1 + ((c-1)/c) t/(1-t))^x",
+    factors=lambda d, p: (-p["beta"], 1, (p["c"] - 1) / p["c"]),
 ))
 _register(FamilyInfo(
     family=MEIXNER_EQ16,
@@ -177,6 +203,7 @@ _register(FamilyInfo(
     d_fixed=None,
     restrictions="c not in {0, 1/(1-d), 1}; beta != -n/d for all n >= 0",
     generating_text="(1-t)^(-beta d) * (1 + ((c-1)/(dc)) [(1-t)^(-d) - 1])^x",
+    factors=lambda d, p: (-p["beta"] * d, d, (p["c"] - 1) / (d * p["c"])),
 ))
 _register(FamilyInfo(
     family=MEIXNER_EQ21,
@@ -191,6 +218,7 @@ _register(FamilyInfo(
                  "beta not a nonpositive integer for d = 2",
     generating_text="exp(pi(t)-pi(0)) * (1-t)^(-beta) * "
                     "(1 + ((c-1)/(2c)) (t^2 - 2t)/(1-t)^2)^x",
+    factors=lambda d, p: (-p["beta"], 2, -(p["c"] - 1) / (2 * p["c"])),
 ))
 
 
@@ -336,51 +364,23 @@ def family_generating(spec: FamilySpec, N: int) -> ShefferPair:
     require_valid(spec)
     if N < 1:
         raise ValueError("order must be at least 1")
-    d = spec.d
-    p = spec.params
-    fam = spec.family
-    one_minus_t = Series.from_poly(_ONE_MINUS_T, N)
-    if fam == LAGUERRE_EQ9:
-        a = p["alpha"]
-        A = one_minus_t.pow_rat(-(a + 1) * d)
-        Hx = 1 - one_minus_t.pow_rat(-d)
-        return ShefferPair(A=A, Hx=Hx)
-    if fam == LAGUERRE_EQ10:
-        a = p["alpha"]
-        A = Series.from_poly(_aux_tilde(spec), N).exp() * one_minus_t.pow_rat(-(a + 1))
-        Hx = Series.from_poly(Poly((0, -1)), N) * one_minus_t.invert_mul()
-        return ShefferPair(A=A, Hx=Hx)
-    if fam == LAGUERRE_EQ11:
-        a = p["alpha"]
-        A = one_minus_t.pow_rat(-(a + 1))
-        Hx = (Series.from_poly(Poly((0, -2, 1)), N) * Fraction(1, 2)
-              * Series.from_poly(Poly((1, -2, 1)), N).invert_mul())
-        return ShefferPair(A=A, Hx=Hx)
-    if fam == HERMITE_EQ12:
-        A = Series.from_poly(_aux_tilde(spec), N).exp()
-        return ShefferPair(A=A, Hx=Series.identity(N))
-    if fam == CHARLIER_EQ13:
-        omega = p["omega"]
-        A = Series.from_poly(_aux_tilde(spec), N).exp()
-        Hx = Series.from_poly(Poly((1, omega)), N).log() * (1 / omega)
-        return ShefferPair(A=A, Hx=Hx)
-    if fam == MEIXNER_EQ14:
-        c, beta = p["c"], p["beta"]
-        A = Series.from_poly(_aux_tilde(spec), N).exp() * one_minus_t.pow_rat(-beta)
-        newton = Series.from_poly(Poly((0, (c - 1) / c)), N) * one_minus_t.invert_mul()
-        return ShefferPair(A=A, Hx=(1 + newton).log())
-    if fam == MEIXNER_EQ16:
-        c, beta = p["c"], p["beta"]
-        A = one_minus_t.pow_rat(-beta * d)
-        newton = (one_minus_t.pow_rat(-d) - 1) * ((c - 1) / (d * c))
-        return ShefferPair(A=A, Hx=(1 + newton).log())
-    if fam == MEIXNER_EQ21:
-        c, beta = p["c"], p["beta"]
-        A = Series.from_poly(_aux_tilde(spec), N).exp() * one_minus_t.pow_rat(-beta)
-        newton = (Series.from_poly(Poly((0, -2, 1)), N) * ((c - 1) / (2 * c))
-                  * Series.from_poly(Poly((1, -2, 1)), N).invert_mul())
-        return ShefferPair(A=A, Hx=(1 + newton).log())
-    raise InvalidParameterError(f"unknown family: {fam!r}")  # pragma: no cover
+    e, k, s = FAMILIES[spec.family].factors(spec.d, spec.params)
+    omega = family_step(spec)
+    A = _one_minus_t_power(e, N)
+    pi = _aux_tilde(spec)
+    if pi:
+        A = Series.from_poly(pi, N).exp() * A
+    h = (_one_minus_t_power(-k, N) - 1) * s
+    Hx = h if omega is None else (1 + h * omega).log() * (1 / omega)
+    return ShefferPair(A=A, Hx=Hx)
+
+
+def _one_minus_t_power(r: Fraction, N: int) -> Series:
+    # (1 - t)^r from its binomial coefficients c_n = c_(n-1) (n - 1 - r) / n
+    out = [Fraction(1)]
+    for n in range(1, N + 1):
+        out.append(out[-1] * (n - 1 - r) / n)
+    return Series(out)
 
 
 def family_step(spec: FamilySpec) -> Optional[Fraction]:
@@ -493,28 +493,13 @@ def meixner_functional_exact(d: int, c: Fraction, beta: Fraction,
 def meixner_classical_functional(c: Fraction, beta: Fraction, f: Poly) -> Fraction:
     """Exact classical Meixner functional (1-c)^beta sum_j (beta)_j c^j f(j)/j!.
 
-    Evaluated through the same falling-factorial collapse, which for d = 1
-    leaves sum_k S(m,k) (beta)_k (c/(1-c))^k.  Requires 0 < c < 1.
+    This is `meixner_functional_exact` at d = 1, r = 0, where w = c and the
+    collapse leaves sum_k S(m,k) (beta)_k (c/(1-c))^k.  Requires 0 < c < 1.
     """
     c = Fraction(c)
-    beta = Fraction(beta)
     if not 0 < c < 1:
         raise InvalidParameterError(f"c = {c} must lie strictly between 0 and 1")
-    deg = f.degree()
-    if deg is None:
-        return Fraction(0)
-    z = c / (1 - c)
-    total = Fraction(0)
-    for m, fm in enumerate(f.coeffs):
-        if fm == 0:
-            continue
-        s = Fraction(0)
-        for k in range(m + 1):
-            s2 = stirling2(m, k)
-            if s2:
-                s += s2 * pochhammer(beta, k) * z ** k
-        total += fm * s
-    return total
+    return meixner_functional_exact(1, c, beta, 0, f)
 
 
 def explicit_functional(spec: FamilySpec):

@@ -10,7 +10,7 @@ once.  That covers series products and the exp/log/inverse recursions,
 the lowering ODE, the couple's recurrence and its rows, the
 generating-function expansion, back-substitution, the Hankel form, duality
 and the lowering check.  `exact` is the one conversion of outside values to
-Fraction, and it rejects floats.
+Fraction: it rejects floats and reads strings as "p/q" only.
 """
 
 from __future__ import annotations
@@ -40,11 +40,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def exact(value) -> Fraction:
-    """value as a Fraction; a float is rejected, since it is not exact."""
+    """value as a Fraction; a float is rejected, since it is not exact.
+
+    A str is read by `parse_rational`, so "0.5" is rejected like 0.5.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError("float values are not exact; use Fraction")
+    if isinstance(value, str):
+        return parse_rational(value)
     return Fraction(value)
 
 

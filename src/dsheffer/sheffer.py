@@ -33,7 +33,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from dsheffer.exactnum import parse_rational, scaled
+from dsheffer.exactnum import exact, parse_rational, scaled
 from dsheffer.series import Poly, Series
 
 
@@ -50,7 +50,7 @@ class CoupleFileError(ValueError):
 
 
 def _coerce_coeffs(values, name: str, length: int) -> tuple[Fraction, ...]:
-    out = [Fraction(v) for v in values]
+    out = [exact(v) for v in values]
     if len(out) > length:
         extra = out[length:]
         if any(extra):

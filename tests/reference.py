@@ -12,12 +12,18 @@ recurrence rows and the generating-function expansion, which now run on
 integers with one running or common denominator, and for `Poly.pretty` and
 `Poly.latex`, which now read each coefficient's numerator and denominator
 instead of comparing and negating Fractions.
+
+`branch_family_generating` is the catalog's closed generating pair written
+out once per family, each with its own series operations, from before
+`catalog.family_generating` read every family from three numbers and its
+Newton step.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from dsheffer import Poly, PolySequence, apply_lowering, functional_eval
+from dsheffer import Poly, PolySequence, Series, ShefferPair, apply_lowering, functional_eval
+from dsheffer import catalog
 from dsheffer.dorth import BackSubstitutionError, WindowViolationError
 
 
@@ -256,3 +262,53 @@ def fraction_recurrence_rows(seq, d) -> list[tuple[Fraction, ...]]:
             for k in range(d + 2)
         ))
     return rows
+
+
+def branch_family_generating(spec, N) -> ShefferPair:
+    """The closed-form generating pair of a valid family instance, one branch per family."""
+    catalog.require_valid(spec)
+    d = spec.d
+    p = spec.params
+    fam = spec.family
+    one_minus_t = Series.from_poly(Poly((1, -1)), N)
+    aux = spec.aux or ()
+    exp_pi = Series.from_poly(Poly((0,) + tuple(aux[1:])), N).exp()   # exp(pi(t) - pi(0))
+    if fam == catalog.LAGUERRE_EQ9:
+        a = p["alpha"]
+        A = one_minus_t.pow_rat(-(a + 1) * d)
+        Hx = 1 - one_minus_t.pow_rat(-d)
+        return ShefferPair(A=A, Hx=Hx)
+    if fam == catalog.LAGUERRE_EQ10:
+        a = p["alpha"]
+        A = exp_pi * one_minus_t.pow_rat(-(a + 1))
+        Hx = Series.from_poly(Poly((0, -1)), N) * one_minus_t.invert_mul()
+        return ShefferPair(A=A, Hx=Hx)
+    if fam == catalog.LAGUERRE_EQ11:
+        a = p["alpha"]
+        A = one_minus_t.pow_rat(-(a + 1))
+        Hx = (Series.from_poly(Poly((0, -2, 1)), N) * Fraction(1, 2)
+              * Series.from_poly(Poly((1, -2, 1)), N).invert_mul())
+        return ShefferPair(A=A, Hx=Hx)
+    if fam == catalog.HERMITE_EQ12:
+        return ShefferPair(A=exp_pi, Hx=Series.identity(N))
+    if fam == catalog.CHARLIER_EQ13:
+        omega = p["omega"]
+        Hx = Series.from_poly(Poly((1, omega)), N).log() * (1 / omega)
+        return ShefferPair(A=exp_pi, Hx=Hx)
+    if fam == catalog.MEIXNER_EQ14:
+        c, beta = p["c"], p["beta"]
+        A = exp_pi * one_minus_t.pow_rat(-beta)
+        newton = Series.from_poly(Poly((0, (c - 1) / c)), N) * one_minus_t.invert_mul()
+        return ShefferPair(A=A, Hx=(1 + newton).log())
+    if fam == catalog.MEIXNER_EQ16:
+        c, beta = p["c"], p["beta"]
+        A = one_minus_t.pow_rat(-beta * d)
+        newton = (one_minus_t.pow_rat(-d) - 1) * ((c - 1) / (d * c))
+        return ShefferPair(A=A, Hx=(1 + newton).log())
+    if fam == catalog.MEIXNER_EQ21:
+        c, beta = p["c"], p["beta"]
+        A = exp_pi * one_minus_t.pow_rat(-beta)
+        newton = (Series.from_poly(Poly((0, -2, 1)), N) * ((c - 1) / (2 * c))
+                  * Series.from_poly(Poly((1, -2, 1)), N).invert_mul())
+        return ShefferPair(A=A, Hx=(1 + newton).log())
+    raise ValueError(f"unknown family: {fam!r}")

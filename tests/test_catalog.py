@@ -1,9 +1,13 @@
 """The eight built-in families: restrictions, couples, functionals, evaluators."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from meixner_numeric import meixner_functional_numeric
+from reference import branch_family_generating
 
 from dsheffer import (
     DERIVATIVE,
@@ -190,6 +194,71 @@ def test_two_path_equality_small():
             pair_from_couple(catalog.family_couple(spec), 8), 8)
         for n in range(9):
             assert direct[n] == via_couple[n], (spec.family, spec.d, n)
+
+
+GRID_VALUES = (F(1, 2), F(-3, 7), F(5, 3), F(2), F(-5, 2))
+
+
+def grid_specs() -> list[FamilySpec]:
+    """Every valid spec at d = 1..4 with parameters from GRID_VALUES, aux omitted or given."""
+    specs = []
+    for family, info in FAMILIES.items():
+        for d, values in product(range(1, 5), product(GRID_VALUES, repeat=len(info.params))):
+            auxes = [None]
+            if info.aux_len is not None:
+                auxes.append(tuple(GRID_VALUES[(d + i) % 5] for i in range(max(info.aux_len(d), 0))))
+            for aux in auxes:
+                spec = FamilySpec(family=family, d=d, params=dict(zip(info.params, values)), aux=aux)
+                if catalog.validate_params(spec) == ():
+                    specs.append(spec)
+    return specs
+
+
+def test_closed_form_factors_satisfy_the_couple_identities():
+    # With H = h or log(1 + omega h)/omega, h = s((1-t)^(-k) - 1), and
+    # A = exp(pi - pi(0)) (1-t)^e, the identities below are sigma H' = 1 and
+    # sigma A' = gamma A with denominators cleared.  Since A(0) = 1 and
+    # H(0) = 0, the closed form is the couple's pair at every order.
+    one_minus_t = Poly((1, -1))
+    specs = grid_specs()
+    assert len(specs) == 362
+    for spec in specs:
+        e, k, s = FAMILIES[spec.family].factors(spec.d, spec.params)
+        step = catalog.family_step(spec)
+        omega = 0 if step is None else step
+        couple = catalog.family_couple(spec)
+        gamma, sigma = Poly(couple.gamma), Poly(couple.sigma)
+        dpi = Poly(spec.aux or ()).derivative()
+        assert sigma * (s * k) == (one_minus_t ** (k + 1) * (1 - omega * s)
+                                   + one_minus_t * (omega * s)), spec
+        assert gamma * one_minus_t == sigma * (dpi * one_minus_t - e), spec
+        pair = catalog.family_generating(spec, 1)
+        assert pair.A.coeffs[0] == 1 and pair.Hx.coeffs[0] == 0, spec
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+
+
+@st.composite
+def family_specs(draw) -> FamilySpec:
+    family = draw(st.sampled_from(list(FAMILIES)))
+    info = FAMILIES[family]
+    d = info.d_fixed or draw(st.integers(info.d_min, 4))
+    params = {name: draw(small_rationals) for name in info.params}
+    aux = None
+    if info.aux_len is not None and draw(st.booleans()):
+        length = info.aux_len(d)
+        aux = tuple(draw(st.lists(small_rationals, min_size=length, max_size=length)))
+    return FamilySpec(family=family, d=d, params=params, aux=aux)
+
+
+@given(family_specs(), st.integers(1, 24))
+@settings(max_examples=120, deadline=None)
+def test_family_generating_equals_the_branch_oracle(spec, N):
+    assume(catalog.validate_params(spec) == ())
+    pair = catalog.family_generating(spec, N)
+    oracle = branch_family_generating(spec, N)
+    assert pair.A == oracle.A and pair.Hx == oracle.Hx
 
 
 def test_meixner_eq16_first_polynomials():

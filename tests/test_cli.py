@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, report shapes, determinism, formats."""
 
+import hashlib
 import json
 import os
 import resource
@@ -338,6 +339,14 @@ def test_catalog_list(capsys):
     by_id = {f["family"]: f for f in doc["families"]}
     assert by_id["laguerre-eq11"]["d_fixed"] == 2
     assert by_id["charlier-eq13"]["operator_kind"] == "difference"
+
+
+def test_catalog_list_bytes_are_pinned(capsys):
+    # the listing reads fields of catalog.FAMILIES: a field added there must not leak
+    code, out, _ = run(capsys, "catalog-list")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "af318b0ef43321002fa0ddadf634115fa4233aae1894a9c360b246371a1a0c56"
 
 
 # ---------------------------------------------------------------- misc plumbing

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 import dsheffer
 from dsheffer import Poly, Series, binomial, format_rational, parse_rational, pochhammer, stirling2
-from dsheffer.exactnum import scaled
+from dsheffer.catalog import FamilySpec
+from dsheffer.exactnum import exact, scaled
+from dsheffer.sheffer import CoupleSpec
 
 
 # ---------------------------------------------------------------- parsing
@@ -90,11 +92,32 @@ def test_pochhammer_rejects_floats(a, n):
         pochhammer(a, n)
 
 
+EXACT_BUILDERS = (
+    format_rational,
+    lambda v: pochhammer(v, 1),
+    lambda v: Poly((v,)),
+    lambda v: Series((v,)),
+    lambda v: CoupleSpec(d=1, gamma=(v, 1), sigma=(1, 0, 1)),
+    lambda v: FamilySpec(family="laguerre-eq9", d=1, params={"alpha": v}),
+    lambda v: FamilySpec(family="hermite-eq12", d=1, aux=(0, 0, v)),
+)
+
+
 def test_exact_values_share_one_float_error():
-    for build in (format_rational, lambda v: pochhammer(v, 1), lambda v: Poly((v,)),
-                  lambda v: Series((v,))):
+    for build in EXACT_BUILDERS:
         with pytest.raises(TypeError, match="float values are not exact"):
             build(0.5)
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e-1"])
+def test_exact_reads_strings_as_rationals_only(text):
+    # Fraction("0.5") would be 1/2: a decimal string is as inexact an input as 0.5
+    assert exact("-4/6") == Fraction(-2, 3)
+    with pytest.raises(ValueError, match="not an exact rational"):
+        exact(text)
+    for build in EXACT_BUILDERS:
+        with pytest.raises(ValueError, match="not an exact rational"):
+            build(text)
 
 
 def test_pochhammer_hits_zero_at_nonpositive_integers():
