@@ -8,18 +8,9 @@ independent routes.  Every family has the same closed form,
     H(t) = h(t)                   (derivative kind),
     H(t) = log(1 + omega h(t))/omega   (difference kind, step omega),
 
-and differs only in three numbers (e, k, s), `FamilyInfo.factors`, and its
-step omega (`family_step`):
-
-    family          e              k    s              omega
-    laguerre-eq9    -(alpha+1)d    d    -1             -
-    laguerre-eq10   -(alpha+1)     1    -1             -
-    laguerre-eq11   -(alpha+1)     2    -1/2           -
-    hermite-eq12    0              -1   -1             -
-    charlier-eq13   0              -1   -1             omega
-    meixner-eq14    -beta          1    (c-1)/c        1
-    meixner-eq16    -beta d        d    (c-1)/(dc)     1
-    meixner-eq21    -beta          2    -(c-1)/(2c)    1
+and differs only in three numbers (e, k, s), given per family by
+`FamilyInfo.factors` (tabulated in README, "Built-in families"), and its step
+omega (`family_step`).
 
 Families whose generating function carries exp(pi(t)) for an auxiliary
 polynomial pi are normalized to exp(pi(t) - pi(0)): the couple only ever
@@ -366,21 +357,14 @@ def family_generating(spec: FamilySpec, N: int) -> ShefferPair:
         raise ValueError("order must be at least 1")
     e, k, s = FAMILIES[spec.family].factors(spec.d, spec.params)
     omega = family_step(spec)
-    A = _one_minus_t_power(e, N)
+    one_minus_t = Series.from_poly(_ONE_MINUS_T, N)
+    A = one_minus_t.pow_rat(e)
     pi = _aux_tilde(spec)
     if pi:
         A = Series.from_poly(pi, N).exp() * A
-    h = (_one_minus_t_power(-k, N) - 1) * s
+    h = (one_minus_t.pow_rat(-k) - 1) * s
     Hx = h if omega is None else (1 + h * omega).log() * (1 / omega)
     return ShefferPair(A=A, Hx=Hx)
-
-
-def _one_minus_t_power(r: Fraction, N: int) -> Series:
-    # (1 - t)^r from its binomial coefficients c_n = c_(n-1) (n - 1 - r) / n
-    out = [Fraction(1)]
-    for n in range(1, N + 1):
-        out.append(out[-1] * (n - 1 - r) / n)
-    return Series(out)
 
 
 def family_step(spec: FamilySpec) -> Optional[Fraction]:
@@ -409,7 +393,7 @@ def laguerre2_functionals(alpha: Fraction, i: int, f: Poly) -> Fraction:
     rewriting behind it is certified in the tests by the duplication identity
     (alpha+1)_{2k} = 4^k ((alpha+1)/2)_k ((alpha+2)/2)_k.
     """
-    alpha = Fraction(alpha)
+    alpha = exact(alpha)
     if alpha == -1:
         raise InvalidParameterError("alpha = -1 is excluded")
     if not 0 <= i <= 1:
@@ -466,8 +450,8 @@ def meixner_functional_exact(d: int, c: Fraction, beta: Fraction,
     with w = dc/(1 + c(d-1)), using (1 - dc/(c-1)) (1 - w) = 1.  Demands
     |w| < 1, where the node series converges.
     """
-    c = Fraction(c)
-    beta = Fraction(beta)
+    c = exact(c)
+    beta = exact(beta)
     w = _meixner_gates(d, c, beta, r)
     z = w / (1 - w)
     deg = f.degree()
@@ -496,7 +480,7 @@ def meixner_classical_functional(c: Fraction, beta: Fraction, f: Poly) -> Fracti
     This is `meixner_functional_exact` at d = 1, r = 0, where w = c and the
     collapse leaves sum_k S(m,k) (beta)_k (c/(1-c))^k.  Requires 0 < c < 1.
     """
-    c = Fraction(c)
+    c = exact(c)
     if not 0 < c < 1:
         raise InvalidParameterError(f"c = {c} must lie strictly between 0 and 1")
     return meixner_functional_exact(1, c, beta, 0, f)

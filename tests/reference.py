@@ -16,7 +16,10 @@ instead of comparing and negating Fractions.
 `branch_family_generating` is the catalog's closed generating pair written
 out once per family, each with its own series operations, from before
 `catalog.family_generating` read every family from three numbers and its
-Newton step.
+Newton step.  `stirling_classical_meixner` is the classical (d = 1) Meixner
+functional's own Stirling-number collapse, from before
+`catalog.meixner_classical_functional` delegated to the d-dimensional
+evaluator.
 """
 
 from fractions import Fraction
@@ -25,6 +28,7 @@ from math import factorial
 from dsheffer import Poly, PolySequence, Series, ShefferPair, apply_lowering, functional_eval
 from dsheffer import catalog
 from dsheffer.dorth import BackSubstitutionError, WindowViolationError
+from dsheffer.exactnum import pochhammer, stirling2
 
 
 class UncheckedSequence:
@@ -312,3 +316,20 @@ def branch_family_generating(spec, N) -> ShefferPair:
                   * Series.from_poly(Poly((1, -2, 1)), N).invert_mul())
         return ShefferPair(A=A, Hx=(1 + newton).log())
     raise ValueError(f"unknown family: {fam!r}")
+
+
+def stirling_classical_meixner(c, beta, f) -> Fraction:
+    """(1-c)^beta sum_j (beta)_j c^j f(j)/j! as sum_k S(m,k) (beta)_k (c/(1-c))^k, 0 < c < 1."""
+    c, beta = Fraction(c), Fraction(beta)
+    z = c / (1 - c)
+    total = Fraction(0)
+    for m, fm in enumerate(f.coeffs):
+        if fm == 0:
+            continue
+        s = Fraction(0)
+        for k in range(m + 1):
+            s2 = stirling2(m, k)
+            if s2:
+                s += s2 * pochhammer(beta, k) * z ** k
+        total += fm * s
+    return total

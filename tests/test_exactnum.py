@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 import dsheffer
 from dsheffer import Poly, Series, binomial, format_rational, parse_rational, pochhammer, stirling2
-from dsheffer.catalog import FamilySpec
+from dsheffer.catalog import (
+    FamilySpec,
+    laguerre2_functionals,
+    meixner_classical_functional,
+    meixner_functional_exact,
+)
 from dsheffer.exactnum import exact, scaled
 from dsheffer.sheffer import CoupleSpec
 
@@ -100,6 +105,10 @@ EXACT_BUILDERS = (
     lambda v: CoupleSpec(d=1, gamma=(v, 1), sigma=(1, 0, 1)),
     lambda v: FamilySpec(family="laguerre-eq9", d=1, params={"alpha": v}),
     lambda v: FamilySpec(family="hermite-eq12", d=1, aux=(0, 0, v)),
+    lambda v: laguerre2_functionals(v, 0, Poly.one()),
+    lambda v: meixner_functional_exact(1, v, 1, 0, Poly.one()),
+    lambda v: meixner_functional_exact(1, Fraction(1, 2), v, 0, Poly.one()),
+    lambda v: meixner_classical_functional(v, 1, Poly.one()),
 )
 
 
