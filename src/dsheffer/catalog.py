@@ -221,6 +221,12 @@ def validate_params(spec: FamilySpec) -> tuple[str, ...]:
     other restriction in a family's text is that decision written out for
     the family's parameters.
     """
+    return _screen(spec)[0]
+
+
+def _screen(spec: FamilySpec) -> tuple[tuple[str, ...], Optional[CoupleSpec]]:
+    # validate_params' verdict and the couple its regularity decision built
+    # (None when a structural or value rule failed first)
     info = FAMILIES[spec.family]
     violations = []
 
@@ -250,7 +256,7 @@ def validate_params(spec: FamilySpec) -> tuple[str, ...]:
 
     if violations:
         # structural problems first; value restrictions need the right shape
-        return tuple(violations)
+        return tuple(violations), None
 
     p = spec.params
     fam = spec.family
@@ -263,9 +269,10 @@ def validate_params(spec: FamilySpec) -> tuple[str, ...]:
     if fam == MEIXNER_EQ21 and _aux_poly(spec).coeff(spec.d - 2) == 0:
         violations.append("leading auxiliary coefficient a_(d-2) must be nonzero")
     if violations:
-        return tuple(violations)
+        return tuple(violations), None
 
-    broken = _couple_of(spec).violations()
+    couple = _couple_of(spec)
+    broken = couple.violations()
     if broken:
         values = [f"d = {spec.d}"] + [f"{k} = {v}" for k, v in p.items()]
         if spec.aux is not None:
@@ -274,13 +281,11 @@ def validate_params(spec: FamilySpec) -> tuple[str, ...]:
             f"{fam} at {', '.join(values)} violates {info.restrictions!r}: "
             f"its couple has {'; '.join(broken)}"
         )
-    return tuple(violations)
+    return tuple(violations), couple
 
 
 def require_valid(spec: FamilySpec):
-    violations = validate_params(spec)
-    if violations:
-        raise InvalidParameterError("; ".join(violations))
+    family_couple(spec)
 
 
 _ONE_MINUS_T = Poly((1, -1))
@@ -298,9 +303,14 @@ def _aux_tilde(spec: FamilySpec) -> Poly:
 
 
 def family_couple(spec: FamilySpec) -> CoupleSpec:
-    """The couple (gamma, sigma) of a valid family instance."""
-    require_valid(spec)
-    return _couple_of(spec)
+    """The couple (gamma, sigma) of a valid family instance.
+
+    It is the couple that validation built, so it is built once.
+    """
+    violations, couple = _screen(spec)
+    if violations:
+        raise InvalidParameterError("; ".join(violations))
+    return couple
 
 
 def _couple_of(spec: FamilySpec) -> CoupleSpec:

@@ -6,6 +6,10 @@ construction source is either a built-in family (--family with --d, --param,
 checks pass, 1 verification failure, 2 invalid parameters or contract
 violation, 3 I/O or parse error.
 
+`main(argv)` may be called any number of times in one process: the parser is
+built on the first call and reused, and each call parses into a fresh
+namespace, so no option value carries over from one call to the next.
+
 Rationals on the command line and in files are exact "p/q" strings; decimal
 notation is rejected.  Reports are deterministic: identical inputs produce
 byte-identical output.
@@ -14,6 +18,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -409,6 +414,7 @@ def _add_common_args(sub, formats=True):
         sub.add_argument("--format", choices=render.FORMATS, default=render.JSON)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dsheffer",

@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from operator import mul
 
-from dsheffer.exactnum import scaled, stirling2_rows
+from dsheffer.exactnum import exact, scaled, stirling2_rows
 from dsheffer.series import Poly, Series
 from dsheffer.sheffer import CoupleSpec
 
@@ -69,9 +69,10 @@ def apply_base(kind: str, f: Poly, omega: Fraction | None = None) -> Poly:
     if kind == DERIVATIVE:
         return f.derivative()
     if kind == DIFFERENCE:
-        if omega is None or omega == 0:
+        step = None if omega is None else exact(omega)
+        if not step:
             raise ValueError("difference operator needs a nonzero step omega")
-        return (f.shift(omega) - f) * (Fraction(1) / Fraction(omega))
+        return (f.shift(step) - f) * (1 / step)
     raise ValueError(f"unknown base operator kind: {kind!r}")
 
 
@@ -84,9 +85,9 @@ class LoweringOp:
         if kind not in (DERIVATIVE, DIFFERENCE):
             raise ValueError(f"unknown base operator kind: {kind!r}")
         if kind == DIFFERENCE:
-            if omega is None or Fraction(omega) == 0:
+            omega = None if omega is None else exact(omega)
+            if not omega:
                 raise ValueError("difference kind needs a nonzero step omega")
-            omega = Fraction(omega)
         else:
             if omega is not None:
                 raise ValueError("derivative kind takes no step")
@@ -120,7 +121,7 @@ def lowering_from_couple(couple: CoupleSpec, N: int,
     if N < 1:
         raise ValueError("order must be at least 1")
     couple.validate()
-    step = Fraction(0) if omega is None else Fraction(omega)
+    step = Fraction(0) if omega is None else exact(omega)
     sig = Poly(couple.sigma).coeffs
     # With R = lcm(den sigma, den omega) and y_k = Y_k / (k! R^k), the numbers
     # Z_j[k] = k! R^k [s^k] y^j are integers with the binomial convolution

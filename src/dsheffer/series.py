@@ -365,8 +365,7 @@ class Series:
 
     def pow_rat(self, r) -> "Series":
         """Raise a series with constant term 1 to a rational power."""
-        r = Fraction(r)
-        return (self.log() * r).exp()
+        return (self.log() * exact(r)).exp()
 
     def compose(self, inner: "Series") -> "Series":
         """self(inner(t)); inner must have zero constant term (exactness)."""

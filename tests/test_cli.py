@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: exit codes, report shapes, determinism, formats."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import resource
@@ -11,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import dsheffer
-from dsheffer import cli
+from dsheffer import catalog, cli
 from dsheffer.cli import main
 from dsheffer.dorth import BackSubstitutionError
 
@@ -422,3 +425,118 @@ def test_internal_errors_are_not_read_as_bad_input(monkeypatch, capsys):
     monkeypatch.setattr(cli, "extract_recurrence", remainder)
     with pytest.raises(BackSubstitutionError):
         main(["verify", "--order", "3", *LAGUERRE_D1])
+
+
+# ---------------------------------------------------------------- repeated calls in one process
+
+LAGUERRE_EQ9_HALF = ("--family", "laguerre-eq9", "--param", "alpha=1/2")
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    main(["catalog-list"])
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    misses = cli.build_parser.cache_info().misses
+    for argv in (["catalog-list"], ["expand", "--order", "3", *LAGUERRE_D1],
+                 ["verify", "--order", "3", *LAGUERRE_D1], ["expand", "--order", "x"],
+                 ["recurrence", "--help"], ["--help"], []):
+        main(argv)
+    assert built == []
+    assert cli.build_parser.cache_info().misses == misses
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_param_lists_do_not_leak_between_calls(capsys):
+    first = run(capsys, "expand", "--order", "3", *LAGUERRE_EQ9_HALF)
+    assert first[0] == 0
+    code, out, err = run(capsys, "expand", "--order", "3", "--family", "laguerre-eq9")
+    assert (code, out, err) == (2, "", "error: missing parameter(s): alpha\n")
+    assert run(capsys, "expand", "--order", "3", *LAGUERRE_EQ9_HALF) == first
+
+
+def test_parser_errors_and_help_leave_the_next_call_unchanged(capsys):
+    argv = ["recurrence", "--order", "5", "--format", "csv", *LAGUERRE_EQ9_HALF]
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    code, out, err = run(capsys, "expand", "--order", "x", *LAGUERRE_EQ9_HALF)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: dsheffer expand") and "invalid int value: 'x'" in err
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: dsheffer")
+    assert run(capsys, "expand", "--help")[0] == 0
+    assert run(capsys, *argv) == first
+
+
+def test_redirected_streams_still_capture_parser_output(capsys):
+    # argparse looks up sys.stdout and sys.stderr when it prints, not when it is built
+    main(["catalog-list"])
+    capsys.readouterr()
+    for argv, code, stream in ((["--help"], 0, "out"), (["expand", "--order", "x"], 2, "err"),
+                               (["expand", "--family", "laguerre-eq9"], 2, "err")):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == code
+        assert capsys.readouterr() == ("", "")
+        written = {"out": out.getvalue(), "err": err.getvalue()}
+        assert written[stream] and not written["err" if stream == "out" else "out"]
+
+
+MEIXNER_EQ14_D1 = ("--family", "meixner-eq14", "--d", "1",
+                   "--param", "beta=1", "--param", "c=1/2")
+
+
+def count_couples(monkeypatch) -> list[str]:
+    """The families of the couples catalog builds from here on, in order."""
+    built = []
+    original = catalog._couple_of
+    monkeypatch.setattr(catalog, "_couple_of",
+                        lambda spec: built.append(spec.family) or original(spec))
+    return built
+
+
+@pytest.mark.parametrize("command, couples", [
+    ("expand", 1), ("recurrence", 1), ("functionals", 1),
+    # family_generating, a public entry point, validates the spec again
+    ("verify", 2),
+])
+def test_one_couple_per_family_command(command, couples, monkeypatch, capsys):
+    built = count_couples(monkeypatch)
+    assert run(capsys, command, "--order", "6", *MEIXNER_EQ14_D1)[0] == 0
+    assert built == ["meixner-eq14"] * couples
+
+
+@pytest.mark.parametrize("spec, couples, message", [
+    (("--family", "laguerre-eq9", "--d", "1"), 0, "missing parameter(s): alpha"),
+    (("--family", "laguerre-eq9", "--d", "1", "--param", "alpha=0", "--aux", "1"), 0,
+     "laguerre-eq9 takes no auxiliary polynomial"),
+    (("--family", "laguerre-eq11", "--d", "1", "--param", "alpha=1/2"), 0,
+     "laguerre-eq11 requires d = 2, got d = 1"),
+    (("--family", "hermite-eq12", "--d", "1", "--aux", "0,0"), 0,
+     "auxiliary polynomial needs 3 coefficient(s) (a_0..a_(d+1), degree d+1), got 2"),
+    (("--family", "charlier-eq13", "--d", "1", "--param", "omega=0", "--aux", "0,1"), 0,
+     "omega must be nonzero"),
+    (("--family", "meixner-eq14", "--d", "1", "--param", "beta=1", "--param", "c=1"), 0,
+     "c = 1 must avoid 0 and 1"),
+    (("--family", "laguerre-eq9", "--d", "2", "--param", "alpha=-3/2"), 1,
+     "laguerre-eq9 at d = 2, alpha = -3/2 violates 'n/d + alpha + 1 != 0 for all n >= 0': "
+     "its couple has n*alpha_(d+1) = beta_d at n = 1"),
+    (("--family", "meixner-eq16", "--d", "2", "--param", "beta=1", "--param", "c=-1"), 1,
+     "meixner-eq16 at d = 2, beta = 1, c = -1 violates "
+     "'c not in {0, 1/(1-d), 1}; beta != -n/d for all n >= 0': its couple has beta_d = 0"),
+    (("--family", "hermite-eq12", "--d", "1"), 1,
+     "hermite-eq12 at d = 1 violates 'a_(d+1) != 0': its couple has beta_d = 0"),
+])
+@pytest.mark.parametrize("command", ["expand", "verify"])
+def test_rejected_specs_keep_their_messages(command, spec, couples, message,
+                                            monkeypatch, capsys):
+    # the couple is built only once the structural and value rules pass
+    built = count_couples(monkeypatch)
+    assert run(capsys, command, *spec) == (2, "", f"error: {message}\n")
+    assert len(built) == couples
