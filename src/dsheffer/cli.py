@@ -186,7 +186,7 @@ def cmd_expand(args) -> int:
         headers = ["n", "text"] + [f"c{k}" for k in range(N + 1)]
         rows = []
         for n, p in enumerate(seq):
-            cells = [str(p.coeff(k)) for k in range(N + 1)]
+            cells = [str(c) for c in p.coeffs] + ["0"] * (N + 1 - len(p.nums))
             rows.append([n, p.pretty()] + cells)
         _emit(args, render.dump_csv(headers, rows))
     else:

@@ -22,12 +22,10 @@ and no base operator is ever applied (operators.apply_lowering is the
 tests' oracle for this).
 
 All values are exact rationals; failing cells carry the offending value.
-The loops over P_n (back-substitution, Hankel form, duality, lowering) run
-on integer numerators over one common denominator (exactnum.scaled) per
-vector, and a value becomes a Fraction once, when it is reported.  A
-PolySequence scales each P_n once (PolySequence.forms) and a
-FunctionalVector each moment row once (moment_forms), so the four checks of
-one verify share them.
+The loops over P_n (back-substitution, Hankel form, duality, lowering) read
+the integer form that each P_n and each moment row stores (`nums` over
+`den`, see `series`), and a value becomes a Fraction once, when it is
+reported; no check converts a coefficient.
 Back-substitution holds the coordinates of x P_n found so far over one
 running denominator, so a zero coordinate (every one below n - d in a
 d-orthogonal sequence) costs an integer dot product of at most d + 2 terms
@@ -41,7 +39,6 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from dsheffer.exactnum import scaled
 from dsheffer.operators import FunctionalVector, LoweringOp, newton_table
 # no longer called here; still importable as dorth.functional_eval, which
 # perfbench/test_perfbench.py reads
@@ -121,21 +118,17 @@ def extract_recurrence(seq: PolySequence, d: int) -> RecurrenceTable:
     if top < d + 2:
         raise ValueError(f"need the sequence up to P_{d + 2} at least, got P_{top}")
     polys = [seq[j] for j in range(top + 1)]
-    # P_j = ints_j / D_j, padded so that column j < top + 2 of every P_i
-    # exists, and the numerator of its leading coefficient (ints_j[j] when
-    # deg P_j = j, as in a PolySequence)
-    forms, leads = [], []
-    for p, (ints, D) in zip(polys, _forms(seq)):
-        lead = p.leading
-        leads.append(lead.numerator * (D // lead.denominator))
-        forms.append(((*ints, *[0] * (top + 2 - len(ints))), D))
+    # P_j = nums_j / den_j, padded so that column j < top + 2 of every P_i
+    # exists; nums_j[-1] is the numerator of its leading coefficient over den_j
+    padded = [((*p.nums, *[0] * (top + 2 - len(p.nums))), p.den) for p in polys]
+    leads = [p.nums[-1] for p in polys]
     # Each coordinate clears its own power of x, so only a row whose basis
     # P_0..P_(n+1) holds a P_j of degree != j can leave a remainder; from the
     # first such row on the remainder is computed in full
     inexact = next((j - 1 for j, p in enumerate(polys) if p.degree() != j), top)
     rows = []
     for n in range(top):
-        pn, dn = forms[n]
+        pn, dn = padded[n]
         coeffs = [Fraction(0)] * (n + 2)
         # the coordinates found so far as e_i = c_i / D_i = E_i / R
         found, R = [], 1
@@ -144,7 +137,7 @@ def extract_recurrence(seq: PolySequence, d: int) -> RecurrenceTable:
             num = (pn[j - 1] * R if j else 0) - sum(e * ints[j] for ints, e in found) * dn
             if not num:
                 continue
-            ints, dj = forms[j]
+            ints, dj = padded[j]
             c = coeffs[j] = Fraction(num * dj, dn * R * leads[j])
             q = c.denominator * dj
             if R % q:
@@ -245,22 +238,22 @@ def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> Orthogonal
         raise ValueError(
             f"functional order {v.order} too small: products reach degree {max_deg}"
         )
-    polys, moments = _forms(seq), v.moment_forms
+    polys = [seq[n] for n in range(top + 1)]
     cells = []
     unchecked = []
     for k in range(v.d):
-        mu, dmu = moments[k]
+        mu, dmu = v.rows[k].nums, v.rows[k].den
         for n in range(top + 1):
             boundary = n * v.d + k
             if boundary > top:
                 unchecked.append((k, n, boundary))
                 continue
             # row[b] = <u_k, P_n x^b> * dn * dmu, shared by every m of this (k, n)
-            pn, dn = polys[n]
+            pn, dn = polys[n].nums, polys[n].den
             row = [sum(map(mul, pn, mu[b:])) for b in range(top + 1)]
             for m in range(boundary, top + 1):
-                pm, dm = polys[m]
-                value = Fraction(sum(map(mul, row, pm)), dn * dmu * dm)
+                pm = polys[m]
+                value = Fraction(sum(map(mul, row, pm.nums)), dn * dmu * pm.den)
                 req = "nonzero" if m == boundary else "zero"
                 ok = (value == 0) if req == "zero" else (value != 0)
                 cells.append(OrthCell(k=k, n=n, m=m, value=value, requirement=req, ok=ok))
@@ -271,17 +264,6 @@ def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> Orthogonal
         unchecked=tuple(unchecked),
         passed=all(c.ok for c in cells),
     )
-
-
-def _forms(seq):
-    """Each P_n as (integer numerators, denominator).
-
-    A PolySequence computes them once (PolySequence.forms), so every check of
-    one sequence shares them; any other indexable P_0..P_N is scaled here.
-    """
-    if isinstance(seq, PolySequence):
-        return seq.forms
-    return [scaled(seq[n].coeffs) for n in range(seq.max_index + 1)]
 
 
 @dataclass(frozen=True)
@@ -307,21 +289,20 @@ def verify_duality(seq: PolySequence, v: FunctionalVector) -> DualityReport:
     """Check <u_i, P_k> = delta_{i,k} for i < d and every available k.
 
     <u_i, P_k> is the Hankel form of orthogonality with P_m = 1, read off the
-    same scaled P_k and mu_i.
+    same integer numerators and denominators of P_k and mu_i.
     """
     top = seq.max_index
     if top > v.order:                   # deg P_k = k, as functional_eval requires
         raise ValueError(
             f"functional order {v.order} too small for polynomial degree {v.order + 1}"
         )
-    polys, moments = _forms(seq), v.moment_forms
     failures = []
     checked = 0
     for i in range(v.d):
-        mu, dmu = moments[i]
+        mu, dmu = v.rows[i].nums, v.rows[i].den
         for k in range(top + 1):
-            pk, dk = polys[k]
-            value = Fraction(sum(map(mul, pk, mu)), dk * dmu)
+            pk = seq[k]
+            value = Fraction(sum(map(mul, pk.nums, mu)), pk.den * dmu)
             checked += 1
             expected = Fraction(1) if i == k else Fraction(0)
             if value != expected:
@@ -364,10 +345,12 @@ def verify_lowering(seq: PolySequence, op: LoweringOp) -> LoweringReport:
         )
     table, _ = newton_table(op.omega or Fraction(0), top)
     columns = [[table[j][l] for j in range(l, top + 1)] for l in range(top + 1)]
-    y, dy = scaled(op.hstar.coeffs[1:top + 1])          # y_1 .. y_top
+    hstar = op.hstar.truncate(top)
+    y, dy = hstar.nums[1:], hstar.den                   # y_1 .. y_top
     failures = []
     prev, dprev = [], 1
-    for n, (ints, dn) in enumerate(_forms(seq)):
+    for n in range(top + 1):
+        ints, dn = seq[n].nums, seq[n].den
         c = [sum(map(mul, ints[l:], columns[l])) for l in range(len(ints))]
         if any(sum(map(mul, y, c[l + 1:])) * dprev != n * prev[l] * dn * dy
                for l in range(n)):

@@ -1,17 +1,15 @@
 """Exact rational scalars and the combinatorial primitives built on them.
 
-Everything downstream computes over `fractions.Fraction`, so equality tests
-(the heart of every verification here) are exact.  Rationals serialize as
-"p/q" strings ("p" when the denominator is 1); decimal notation is rejected
-on input so no value ever passes through floating point.  The inner loops
-run on `scaled` vectors instead: integer numerators over one common
-denominator, so a multiply-add costs no gcd and each result is normalized
-once.  That covers series products and the exp/log/inverse recursions,
-the lowering ODE, the couple's recurrence and its rows, the
-generating-function expansion, back-substitution, the Hankel form, duality
-and the lowering check.  `exact` is the one conversion of outside values to
-Fraction: it rejects floats and reads strings as "p/q" only.
-"""
+Every value is an exact rational, so equality tests (the heart of every
+verification here) are exact.  Rationals serialize as "p/q" strings ("p"
+when the denominator is 1); decimal notation is rejected on input so no
+value ever passes through floating point.  `exact` is the one conversion of
+outside values to Fraction: it rejects floats and reads strings as "p/q"
+only.  `scaled` writes rationals as integer numerators over their least
+common denominator, the form `Poly` and `Series` store (see `series`): the
+public constructors and the couple's recurrence rows are its only callers,
+and every kernel after them reads that form directly, so a multiply-add
+costs no gcd and each result is reduced once."""
 
 from __future__ import annotations
 

@@ -14,7 +14,8 @@ and A'/A = gamma/sigma.  The inverse y = H* solves the polynomial ODE
 (omega = 0 for the derivative kind), since the exponential form of a Newton
 pair is log(1 + omega h)/omega.  The ODE is solved on integers: with
 R = lcm(den sigma, den omega), y_k = Y_k / (k! R^k) makes every Y_k an
-integer and [s^k] y^j a binomial-weighted integer convolution.  The
+integer and [s^k] y^j a binomial-weighted integer convolution, and y is
+handed over as numerators over the one denominator N! R^N.  The
 functional vector (u_0, ..., u_{d-1}) dual to the sequence is
 
     <u_i, f> = (1/i!) [ sigma^i / A(sigma) f(x) ]_{x=0}
@@ -27,11 +28,13 @@ kind), so
 
     mu_i(j) = <u_i, x^j> = (1/i!) sum_l w_l T[j][l]
 
-for both kinds; at omega = 0 only l = j survives.  Every functional value
-is a dot product with this table.  The same table (newton_table) writes x^j
-in the basis b_l = (x)_(l,omega) / l! of falling factorials of step omega
-(x^l / l! for the derivative kind), where B b_l = b_(l-1); there sigma acts
-as a convolution with H*, which is how dorth.verify_lowering checks it.
+for both kinds; at omega = 0 only l = j survives.  Each row mu_i is kept as
+a Series (FunctionalVector.rows), integer numerators over one denominator,
+and every functional value is a dot product with one row.  The same table
+(newton_table) writes x^j in the basis b_l = (x)_(l,omega) / l! of falling
+factorials of step omega (x^l / l! for the derivative kind), where B b_l =
+b_(l-1); there sigma acts as a convolution with H*, which is how
+dorth.verify_lowering checks it.
 
 `lowering_from_H` reverts a given H, and `apply_lowering` applies sigma by
 repeated base operators; neither is on the verify path any more.  They are
@@ -41,10 +44,10 @@ the independent routes the tests compare against.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 from operator import mul
 
-from dsheffer.exactnum import exact, scaled, stirling2_rows
+from dsheffer.exactnum import exact, stirling2_rows
 from dsheffer.series import Poly, Series
 from dsheffer.sheffer import CoupleSpec
 
@@ -91,9 +94,9 @@ class LoweringOp:
         else:
             if omega is not None:
                 raise ValueError("derivative kind takes no step")
-        if hstar.coeffs[0] != 0:
+        if hstar.nums[0]:
             raise ValueError("hstar must have zero constant term")
-        if hstar.order < 1 or hstar.coeffs[1] == 0:
+        if hstar.order < 1 or not hstar.nums[1]:
             raise ValueError("hstar must have a nonzero linear coefficient")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "hstar", hstar)
@@ -114,22 +117,23 @@ def lowering_from_couple(couple: CoupleSpec, N: int,
     y = H* solves (1 + omega s) y' = sigma(y) with y(0) = 0.  Comparing the
     coefficients of s^k gives (k+1) y_(k+1) = [s^k] sigma(y) - omega k y_k,
     and [s^k] y^j only involves y_1..y_k, so each coefficient follows from
-    the ones before it.  The recursion runs on integers, with one Fraction
-    made per coefficient.  omega None is the derivative kind; a step omega
-    gives the forward-difference kind of a family in Newton form.
+    the ones before it.  The recursion runs on integers, and y is handed
+    over as integer numerators over one denominator (Series.of).  omega
+    None is the derivative kind; a step omega gives the forward-difference
+    kind of a family in Newton form.
     """
     if N < 1:
         raise ValueError("order must be at least 1")
     couple.validate()
     step = Fraction(0) if omega is None else exact(omega)
-    sig = Poly(couple.sigma).coeffs
+    sig = Poly(couple.sigma)
     # With R = lcm(den sigma, den omega) and y_k = Y_k / (k! R^k), the numbers
     # Z_j[k] = k! R^k [s^k] y^j are integers with the binomial convolution
     # Z_j[k] = sum_i C(k, i) Y_i Z_(j-1)[k-i] (Z_1 = Y), and the ODE reads
     # Y_(k+1) = sum_j R sigma_j Z_j[k] - R omega k Y_k (Z_0[k] = [k = 0]).
-    R = lcm(step.denominator, *(c.denominator for c in sig))
-    s = [int(c * R) for c in sig]
-    w = int(step * R)
+    R = lcm(step.denominator, sig.den)
+    s = [c * (R // sig.den) for c in sig.nums]
+    w = step.numerator * (R // step.denominator)
     Y = [0] * (N + 1)
     # Z[j][k], filled one column k at a time; Z[1] is Y itself
     Z = [None, Y] + [[0] * N for _ in range(len(s) - 2)]
@@ -139,13 +143,13 @@ def lowering_from_couple(couple: CoupleSpec, N: int,
             Z[j][k] = sum(map(mul, by, reversed(Z[j - 1][:k])))
         Y[k + 1] = (sum(s[j] * Z[j][k] for j in range(1, len(s)))
                     + (s[0] if k == 0 else 0) - w * k * Y[k])
+    # y_k = Y_k (N!/k!) R^(N-k) / (N! R^N)
     scale = 1
-    y = [Fraction(0)]
-    for k in range(1, N + 1):
+    for k in range(N, 0, -1):
+        Y[k] *= scale
         scale *= k * R
-        y.append(Fraction(Y[k], scale))
     kind = DERIVATIVE if omega is None else DIFFERENCE
-    return LoweringOp(kind=kind, hstar=Series(y), omega=omega)
+    return LoweringOp(kind=kind, hstar=Series.of(Y, scale), omega=omega)
 
 
 def lowering_from_H(H: Series, kind: str, N: int | None = None,
@@ -166,25 +170,25 @@ def apply_lowering(op: LoweringOp, f: Poly) -> Poly:
             f"operator order {op.hstar.order} too small for degree {deg}"
         )
     out = Poly.zero()
-    g = f
+    g, ys = f, op.hstar.coeffs
     for k in range(1, deg + 1):
         g = apply_base(op.kind, g, op.omega)
         if g.is_zero():
             break
-        out = out + g * op.hstar.coeffs[k]
+        out = out + g * ys[k]
     return out
 
 
 class FunctionalVector:
     """The d moment functionals of a couple, as their table of moments.
 
-    moments[i][j] = <u_i, x^j> for j up to the order of the lowering
-    operator; the functionals read nothing else.  moment_forms[i] is row i
-    as integer numerators over its least denominator (exactnum.scaled), the
-    form that dorth's checks read.
+    rows[i] is the Series of moments <u_i, x^j> for j up to the order of the
+    lowering operator, as integer numerators over one denominator, the form
+    that dorth's checks read; the functionals read nothing else.
+    moments[i][j] is the same table as Fractions.
     """
 
-    __slots__ = ("lop", "d", "moments", "moment_forms")
+    __slots__ = ("lop", "d", "rows")
 
     def __init__(self, couple: CoupleSpec, lop: LoweringOp, d: int):
         if d < 1:
@@ -200,23 +204,23 @@ class FunctionalVector:
             gamma_y = gamma_y * Series([(-lop.omega) ** k for k in range(order + 1)])
         w = (-gamma_y.integrate()).exp()           # 1 / A(y), then y^i / A(y)
         table, dt = newton_table(lop.omega or Fraction(0), order)
-        moments, forms = [], []
+        rows = []
         for i in range(d):
             if i:
                 w = w * y
-            ws, dw = scaled(w.coeffs)
-            den = dw * dt * factorial(i)
-            nums = [sum(map(mul, ws, row)) for row in table]
-            moments.append(tuple(Fraction(v, den) for v in nums))
-            g = gcd(den, *nums)
-            forms.append((tuple(v // g for v in nums), den // g))
+            ws = w.nums
+            rows.append(Series.of([sum(map(mul, ws, row)) for row in table],
+                                  w.den * dt * factorial(i)))
         object.__setattr__(self, "lop", lop)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "moments", tuple(moments))
-        object.__setattr__(self, "moment_forms", tuple(forms))
+        object.__setattr__(self, "rows", tuple(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("FunctionalVector is immutable")
+
+    @property
+    def moments(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(row.coeffs for row in self.rows)
 
     @property
     def order(self) -> int:
@@ -231,10 +235,9 @@ def functional_eval(v: FunctionalVector, i: int, f: Poly) -> Fraction:
     if not 0 <= i < v.d:
         raise IndexError(f"functional index {i} out of range for d={v.d}")
     deg = f.degree()
-    if deg is None:
-        return Fraction(0)
-    if deg > v.order:
+    if deg is not None and deg > v.order:
         raise ValueError(
             f"functional order {v.order} too small for polynomial degree {deg}"
         )
-    return sum((c * mu for c, mu in zip(f.coeffs, v.moments[i])), Fraction(0))
+    row = v.rows[i]
+    return Fraction(sum(map(mul, f.nums, row.nums)), f.den * row.den)

@@ -1,26 +1,30 @@
 """Dense rational polynomials and truncated formal power series.
 
-`Poly` is a dense univariate polynomial over Fraction, lowest degree first,
-trailing zeros trimmed (the zero polynomial has no coefficients and degree
-None).  `Series` is a formal power series over Fraction, truncated at a
-fixed inclusive order N; every operation is exact modulo t^(N+1), and
-operations that would need unknown coefficients beyond the truncation shrink
-the order instead of guessing.
+`Poly` is a dense univariate polynomial over the rationals, lowest degree
+first, trailing zeros trimmed (the zero polynomial has no coefficients and
+degree None).  `Series` is a formal power series, truncated at a fixed
+inclusive order N; every operation is exact modulo t^(N+1), and operations
+that would need unknown coefficients beyond the truncation shrink the order
+instead of guessing.
 
-A series product runs over one common denominator: each factor is written
-as integer numerators over the least common denominator of its
-coefficients (`exactnum.scaled`), the Cauchy product is an integer
-convolution, and each output coefficient is normalized to a Fraction once,
-with one gcd, instead of once per multiply-add.  `pair_from_couple`, the
-catalog's closed forms and the functionals' series all go through it; the
-generating-function expansion needs none of it, since
-`sheffer.expand_polynomials` convolves its integer columns A H^k itself.
-The recursions of `invert_mul`
-(s (1/s) = 1), `exp` (E' = s'E) and `log` (s' = L's) run the same way,
-except that their outputs feed the next convolution: they are held as
-integer numerators over a running common denominator, extended by lcm as
-each coefficient lands, so only the denominators the result needs ever
-appear (`_recursion`).  `pow_rat` is log, a scalar product and exp.
+Both store one exact vector form: integer numerators `nums` over one
+denominator `den` > 0 with gcd(den, *nums) = 1, the content/primitive-part
+form of a polynomial over Q, so equal values are stored alike and
+comparison is integer comparison.  The public constructors `Poly(coeffs)`
+and `Series(coeffs)` read their values through `exactnum.exact` and scale
+them once (`exactnum.scaled`); the kernels hand their integer results over
+with `of(nums, den)`, which reduces by one content gcd and converts
+nothing.  `.coeffs`, the tuple of `Fraction`s, is built on its first read
+and kept, so a value that is only compared, multiplied or checked never
+makes a `Fraction` per coefficient.
+
+A series product is an integer convolution of the two numerator vectors
+over the product of their denominators.  The recursions of `invert_mul`
+(s (1/s) = 1), `exp` (E' = s'E) and `log` (t L' = t s'/s, then an integral)
+hold their outputs as integer numerators over a running common
+denominator, extended by lcm as each coefficient lands, so only the
+denominators the result needs ever appear (`_recursion`).  `pow_rat` is
+log, a scalar product and exp.
 
 `Poly.pretty` and `Poly.latex` print each coefficient from its integer
 numerator and denominator; no Fraction is compared or negated.
@@ -33,38 +37,116 @@ verifier builds H* and the functionals from the couple instead (see
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from dsheffer.exactnum import exact, scaled
 
+_set = object.__setattr__
 
-class Poly:
-    """Univariate polynomial over Fraction, dense, immutable."""
 
-    __slots__ = ("coeffs",)
+class _Vector:
+    """The stored form of Poly and Series: coefficient i is nums[i] / den.
+
+    nums is a tuple of ints and den an int > 0 with gcd(den, *nums) = 1, so
+    the form is canonical and equality is equality of (nums, den).
+    """
+
+    __slots__ = ("nums", "den", "_coeffs")
+    _trims = False
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [exact(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        if self._trims:
+            while cs and cs[-1] == 0:
+                cs.pop()
+        nums, den = scaled(cs)
+        _set(self, "nums", tuple(nums))
+        _set(self, "den", den)
+        _set(self, "_coeffs", tuple(cs))
+
+    @classmethod
+    def of(cls, nums: Iterable[int], den: int):
+        """Coefficients nums[i] / den for any nonzero int den, the kernels' constructor.
+
+        One content gcd reduces the form (a negative den moves its sign to
+        the numerators, and a Poly drops its trailing zeros); no value goes
+        through exact() and no Fraction is made.
+        """
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        nums = list(nums)
+        if cls._trims:
+            while nums and not nums[-1]:
+                nums.pop()
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        out = object.__new__(cls)
+        _set(out, "nums", tuple(v // g for v in nums) if g != 1 else tuple(nums))
+        _set(out, "den", den // g)
+        _set(out, "_coeffs", None)
+        return out
 
     def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on the first read and kept."""
+        cs = self._coeffs
+        if cs is None:
+            den = self.den
+            cs = tuple(Fraction(v, den) for v in self.nums)
+            _set(self, "_coeffs", cs)
+        return cs
+
+    def _same_form(self, other) -> bool:
+        return self.den == other.den and self.nums == other.nums
+
+    def _plus(self, other):
+        # self + other over lcm(den, other.den); the shorter vector is padded
+        L = lcm(self.den, other.den)
+        a = [v * (L // self.den) for v in self.nums]
+        b = [v * (L // other.den) for v in other.nums]
+        if len(a) < len(b):
+            a, b = b, a
+        a[:len(b)] = map(add, a, b)
+        return type(self).of(a, L)
+
+    def _scaled_by(self, c):
+        return type(self).of([v * c.numerator for v in self.nums], self.den * c.denominator)
+
+    def __neg__(self):
+        return type(self).of([-v for v in self.nums], self.den)
+
+    def __sub__(self, other):
+        if not isinstance(other, (type(self), int, Fraction)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+
+class Poly(_Vector):
+    """Univariate polynomial over the rationals, dense, immutable."""
+
+    __slots__ = ()
+    _trims = True
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls()
+        return cls.of((), 1)
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return cls.of((1,), 1)
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((0, 1))
+        return cls.of((0, 1), 1)
 
     @classmethod
     def constant(cls, c) -> "Poly":
@@ -76,76 +158,56 @@ class Poly:
 
     def degree(self) -> int | None:
         # degree of the zero polynomial is None, not -1 or -inf
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.nums) - 1 if self.nums else None
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if 0 <= k < len(self.nums) else Fraction(0)
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == Poly((other,)).coeffs
-        return NotImplemented
+            other = Poly((other,))
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self._same_form(other)
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return hash(("Poly", self.nums, self.den))
 
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return self._plus(other)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
-
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly()
-            return Poly(tuple(c * other for c in self.coeffs))
+            return self._scaled_by(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        a, b = self.nums, other.nums
+        if not a or not b:
+            return Poly.zero()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            if u:
+                for j, v in enumerate(b):
+                    out[i + j] += u * v
+        return Poly.of(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -169,7 +231,7 @@ class Poly:
         return out
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
+        return Poly.of([k * v for k, v in enumerate(self.nums) if k], self.den)
 
     def shift(self, omega) -> "Poly":
         """Return the polynomial x -> self(x + omega)."""
@@ -186,8 +248,9 @@ class Poly:
         denominator, so printing makes no Fraction operation.
         """
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        cs = self.coeffs
+        for k in range(len(cs) - 1, -1, -1):
+            c = cs[k]
             p = c.numerator
             if p:
                 body = term(k, -p if p < 0 else p, c.denominator)
@@ -219,23 +282,19 @@ class Poly:
         return f"Poly({self.pretty()})"
 
 
-class Series:
+class Series(_Vector):
     """Power series truncated at an inclusive order (length = order + 1)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence):
-        cs = tuple(exact(c) for c in coeffs)
-        if not cs:
+        super().__init__(coeffs)
+        if not self.nums:
             raise ValueError("a series needs at least its constant term")
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @classmethod
     def constant(cls, c, order: int) -> "Series":
@@ -257,22 +316,20 @@ class Series:
     @classmethod
     def from_poly(cls, p: Poly, order: int) -> "Series":
         """Inject a polynomial in t, truncating or zero-padding to `order`."""
-        out = list(p.coeffs[: order + 1])
-        out.extend([Fraction(0)] * (order + 1 - len(out)))
-        return cls(out)
+        return cls.of((p.nums + (0,) * (order + 1))[:order + 1], p.den)
 
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise ValueError(f"cannot truncate order {self.order} up to {order}")
-        return Series(self.coeffs[: order + 1])
+        return Series.of(self.nums[:order + 1], self.den)
 
     def constant_term(self) -> Fraction:
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._same_form(other)
 
     def __repr__(self) -> str:
         return f"Series({list(self.coeffs)!r})"
@@ -281,87 +338,65 @@ class Series:
         if self.order != other.order:
             raise ValueError(f"series order mismatch: {self.order} != {other.order}")
 
-    def __neg__(self) -> "Series":
-        return Series(tuple(-c for c in self.coeffs))
-
     def __add__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
-            out = list(self.coeffs)
-            out[0] = out[0] + other
-            return Series(out)
+            other = Series.constant(other, self.order)
         if not isinstance(other, Series):
             return NotImplemented
         self._check_order(other)
-        return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._plus(other)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Series":
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
-        if not isinstance(other, Series):
-            return NotImplemented
-        self._check_order(other)
-        return Series(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other) -> "Series":
-        return (-self) + other
-
     def __mul__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
-            return Series(tuple(c * other for c in self.coeffs))
+            return self._scaled_by(other)
         if not isinstance(other, Series):
             return NotImplemented
         self._check_order(other)
-        a, da = scaled(self.coeffs)
-        b, db = scaled(other.coeffs)
-        rb = b[::-1]                            # rb[n - k:] = b_k, ..., b_0
-        n, D = self.order, da * db
-        return Series([Fraction(sum(map(mul, a[:k + 1], rb[n - k:])), D)
-                       for k in range(n + 1)])
+        a, rb = self.nums, other.nums[::-1]     # rb[n - k:] = b_k, ..., b_0
+        n = self.order
+        return Series.of([sum(map(mul, a[:k + 1], rb[n - k:])) for k in range(n + 1)],
+                         self.den * other.den)
 
     __rmul__ = __mul__
 
     def differentiate(self) -> "Series":
         """Formal d/dt; the result order drops by one (top coeff unknown)."""
-        if self.order == 0:
-            return Series((Fraction(0),))
-        return Series(tuple((k + 1) * self.coeffs[k + 1] for k in range(self.order)))
+        return Series.of([k * v for k, v in enumerate(self.nums) if k] or [0], self.den)
 
     def integrate(self) -> "Series":
         """Formal integral from 0; same order, the top input coefficient drops."""
-        out = [Fraction(0)]
-        for k in range(self.order):
-            out.append(self.coeffs[k] * Fraction(1, k + 1))
-        return Series(out)
+        L = lcm(*range(1, self.order + 1))
+        return Series.of([0] + [v * (L // k) for k, v in enumerate(self.nums[:-1], 1)],
+                         self.den * L)
 
     def invert_mul(self) -> "Series":
         """Multiplicative inverse; requires an invertible constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
+        a = self.nums
+        if not a[0]:
             raise ValueError("series with zero constant term has no multiplicative inverse")
         # s (1/s) = 1: b_n = -(1/a_0) sum_(k>=1) a_k b_(n-k); the scale of a cancels
-        a, _ = scaled(self.coeffs)
-        return Series(_recursion(1 / c0, a, lambda n, acc, R: (-acc, a[0] * R)))
+        return _recursion(Fraction(self.den, a[0]), a, lambda n, acc, R: (-acc, a[0] * R))
 
     def exp(self) -> "Series":
         """exp of a series with zero constant term, via E' = s' E."""
-        if self.coeffs[0] != 0:
+        if self.nums[0]:
             raise ValueError("exp needs a zero constant term")
         # n E_n = sum_(k>=1) k s_k E_(n-k)
-        a, da = scaled(self.coeffs)
-        ka = [k * c for k, c in enumerate(a)]
-        return Series(_recursion(Fraction(1), ka, lambda n, acc, R: (acc, n * da * R)))
+        da = self.den
+        ka = [k * c for k, c in enumerate(self.nums)]
+        return _recursion(Fraction(1), ka, lambda n, acc, R: (acc, n * da * R))
 
     def log(self) -> "Series":
         """log of a series with constant term 1, via s' = L' s."""
-        if self.coeffs[0] != 1:
+        a, da = self.nums, self.den
+        if a[0] != da:
             raise ValueError("log needs constant term 1")
-        # n L_n = n s_n - sum_(1<=k<n) k L_k s_(n-k), where s_0 = a_0 / da = 1
-        a, da = scaled(self.coeffs)
-        return Series(_recursion(Fraction(0), a,
-                                 lambda n, acc, R: (n * R * a[n] - acc, n * R * da),
-                                 index_weighted=True))
+        # M = t L' has M_n = n s_n - sum_(1<=k<n) M_k s_(n-k), as s_0 = a_0 / da = 1;
+        # L is the integral of M / t
+        m = _recursion(Fraction(0), a, lambda n, acc, R: (n * R * a[n] - acc, R * da))
+        return Series.of(m.nums[1:] + (0,), m.den).integrate()
 
     def pow_rat(self, r) -> "Series":
         """Raise a series with constant term 1 to a rational power."""
@@ -375,8 +410,7 @@ class Series:
         n = self.order
         out = Series.constant(self.coeffs[n], n)
         for k in range(n - 1, -1, -1):
-            out = out * inner
-            out = Series((out.coeffs[0] + self.coeffs[k],) + out.coeffs[1:])
+            out = out * inner + self.coeffs[k]
         return out
 
     def _differentiate_padded(self) -> "Series":
@@ -410,25 +444,25 @@ class Series:
         return g
 
 
-def _recursion(first: Fraction, w: list[int], coefficient, index_weighted=False) -> list[Fraction]:
-    """c_0 = first, then c_n = num / den for n = 1 .. len(w) - 1.
+def _recursion(first: Fraction, w: Sequence[int], coefficient) -> Series:
+    """The series c_0 = first, then c_n = num / den for n = 1 .. len(w) - 1.
 
     The c_i are held as integer numerators X_i over a running common
     denominator R, extended by lcm as each coefficient lands, and
     (num, den) = coefficient(n, acc, R) with the integer convolution
-    acc = sum_(i<n) X_i w_(n-i) (i X_i in place of X_i when index_weighted).
-    Each c_n is normalized once, as it lands.
+    acc = sum_(i<n) X_i w_(n-i).  Each c_n is reduced once, with one gcd,
+    as it lands.
     """
-    out, xs, R = [first], [first.numerator], first.denominator
+    xs, R = [first.numerator], first.denominator
     rw = w[::-1]                            # rw[top - n:] = w_n, ..., w_0
     top = len(w) - 1
     for n in range(1, top + 1):
-        c = Fraction(*coefficient(n, sum(map(mul, xs, rw[top - n:])), R))
-        out.append(c)
-        q = c.denominator
+        num, den = coefficient(n, sum(map(mul, xs, rw[top - n:])), R)
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        q = den // g
         if R % q:
             grow = q // gcd(R, q)
             R *= grow
             xs = [x * grow for x in xs]
-        xs.append(c.numerator * (R // q) * (n if index_weighted else 1))
-    return out
+        xs.append(num // g * (R // q))
+    return Series.of(xs, R)

@@ -14,22 +14,23 @@ is decided for all n at once: it fails exactly when beta_d / alpha_{d+1} is a
 positive integer (CoupleSpec.irregular_n), and CoupleSpec.violations is the
 one regularity decision that both check_conditions and the catalog's
 parameter validation read.  The same couple gives the (d+2)-term recurrence
-in closed form (recurrence_rows, integer numerators over one denominator
-in recurrence_numerators), which generates the sequence without any series
-and on integer numerators over one denominator per polynomial
-(expand_from_couple).  The generating-function route (expand_polynomials)
-runs on integers too, one column A H^k at a time.  Everything else works
-over a fixed truncation order with exact rationals, so the inverse
-direction (recovering the couple from a pair) can certify "polynomial of
-the right degree" by checking that every higher series coefficient
-vanishes exactly.
+in closed form (recurrence_rows, integer numerators over one denominator in
+recurrence_numerators), which generates the sequence without any series
+(expand_from_couple).  Both expansions work on the integer form that Poly
+and Series store (numerators over one denominator, see `series`) and hand
+each P_n over with Poly.of, so no Fraction is made: expand_from_couple
+combines the rows with the P_n before it, and the generating-function route
+(expand_polynomials) reads A's and H's numerators, one column A H^k at a
+time.  Everything else works over a fixed truncation order with exact
+rationals, so the inverse direction (recovering the couple from a pair) can
+certify "polynomial of the right degree" by checking that every higher
+series coefficient vanishes exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -193,11 +194,11 @@ class ShefferPair:
             raise ValueError("A and H must share a truncation order")
         if self.Hx.order < 1:
             raise ValueError("pair order must be at least 1")
-        if self.A.coeffs[0] != 1:
+        if self.A.nums[0] != self.A.den:
             raise ValueError("A(0) must be 1")
-        if self.Hx.coeffs[0] != 0:
+        if self.Hx.nums[0]:
             raise ValueError("H(0) must be 0")
-        if self.Hx.coeffs[1] == 0:
+        if not self.Hx.nums[1]:
             raise ValueError("H'(0) must be nonzero")
 
     @property
@@ -232,15 +233,6 @@ class PolySequence:
 
     def __iter__(self):
         return iter(self.polys)
-
-    @cached_property
-    def forms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each P_n as exactnum.scaled of its coefficients, computed once per sequence.
-
-        The checks of dorth all read P_n this way, so one verify scales each
-        P_n once.
-        """
-        return tuple((tuple(ints), D) for ints, D in (scaled(p.coeffs) for p in self.polys))
 
 
 def check_conditions(couple: CoupleSpec, N: int):
@@ -303,23 +295,24 @@ def expand_polynomials(pair: ShefferPair, N: int) -> PolySequence:
     """Expand A(t) exp(x H(t)) into P_0..P_N (with the n! normalization).
 
     exp(x H) = sum_k x^k H^k / k!, so [x^k] P_n = n!/k! [t^n] (A H^k).  The
-    columns A H^k are integer numerators over one denominator D_k each: A and
-    H are scaled once, and since H(0) = 0 column k + 1 is the convolution of
-    column k with H over n >= k + 1 only.  One content gcd per column keeps
-    D_k least, only the current column is held, and each coefficient
-    n!/k! col_k[n] / D_k becomes a Fraction once.
+    columns A H^k are integer numerators over one denominator D_k each,
+    starting from A's own form, and since H(0) = 0 column k + 1 is the
+    convolution of column k with H's numerators over n >= k + 1 only.  One
+    content gcd per column keeps D_k least, and only the current column is
+    held.  P_n collects n!/k! col_k[n] / D_k over the lcm of its D_k and is
+    handed over as integers (Poly.of); no Fraction is made.
     """
     if pair.order < N:
         raise ValueError(f"pair order {pair.order} too small for expansion order {N}")
-    col, D = scaled(pair.A.coeffs[:N + 1])     # col[n] / D = [t^n] A H^k, from k = 0
-    h, dh = scaled(pair.Hx.coeffs[:N + 1])     # h[0] = 0
-    coeffs = [[] for _ in range(N + 1)]        # coeffs[n][k] = [x^k] P_n
+    col, D = pair.A.nums[:N + 1], pair.A.den   # col[n] / D = [t^n] A H^k, from k = 0
+    h, dh = pair.Hx.nums, pair.Hx.den           # h[0] = 0
+    terms = [[] for _ in range(N + 1)]          # terms[n][k] = ([x^k] P_n numerator, D_k)
     for k in range(N + 1):
         fac = 1                                 # n!/k!
         for n in range(k, N + 1):
             if n > k:
                 fac *= n
-            coeffs[n].append(Fraction(col[n] * fac, D))
+            terms[n].append((col[n] * fac, D))
         if k < N:
             # [t^n] A H^(k+1) = sum_(1<=i<=n-k) h_i [t^(n-i)] A H^k, rc[N - m] = col[m]
             rc = col[::-1]
@@ -327,7 +320,11 @@ def expand_polynomials(pair: ShefferPair, N: int) -> PolySequence:
                                    for n in range(k + 1, N + 1)]
             g = gcd(D * dh, *col)
             col, D = [c // g for c in col], D * dh // g
-    return PolySequence(tuple(Poly(c) for c in coeffs))
+    polys = []
+    for row in terms:
+        L = lcm(*(Dk for _, Dk in row))
+        polys.append(Poly.of([v * (L // Dk) for v, Dk in row], L))
+    return PolySequence(tuple(polys))
 
 
 def recurrence_rows(couple: CoupleSpec, top: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -376,41 +373,28 @@ def expand_from_couple(couple: CoupleSpec, N: int) -> PolySequence:
     Row n solved for its last term, alpha_(d+1)(n) P_(n+1) with
     alpha_(d+1)(n) = sigma_0, gives
     P_(n+1) = (x P_n - sum_(k<=d) alpha_k(n) P_(n-d+k)) / sigma_0:
-    O(N^2 d) exact operations and no series product.  The work is done on
-    integer numerators (couple_numerators); each coefficient becomes a
-    Fraction once.
-    """
-    return PolySequence(tuple(Poly([Fraction(c, D) for c in ints])
-                              for ints, D in couple_numerators(couple, N)))
-
-
-def couple_numerators(couple: CoupleSpec, N: int) -> list[tuple[list[int], int]]:
-    """P_0..P_N of expand_from_couple as integer numerators over their least denominator.
-
-    Entry n is exactnum.scaled(P_n's coefficients).  x P_n and the d + 1
-    lower terms are combined over one common denominator L, with the rows'
-    integer numerators over their one denominator da
+    O(N^2 d) exact operations and no series product.  x P_n and the d + 1
+    lower terms are combined on integer numerators over one common
+    denominator L, with the rows' numerators over their one denominator da
     (recurrence_numerators); the division by sigma_0 = p/q multiplies the
-    numerators by q and L by p, and one content gcd brings the denominator
-    back to the least one.
+    numerators by q and L by p, and Poly.of's content gcd brings the
+    denominator back to the least one.  No Fraction is made.
     """
     rows, da = recurrence_numerators(couple, N)   # alpha_k(n) = rows[n][k] / da
     d = couple.d
     p, q = couple.alpha_0.numerator, couple.alpha_0.denominator
-    polys = [([1], 1)]
+    polys = [Poly.one()]
     for n, alpha in enumerate(rows):
-        terms = [(alpha[k], *polys[n - d + k])
+        terms = [(alpha[k], polys[n - d + k])
                  for k in range(max(d - n, 0), d + 1) if alpha[k]]
-        pn, dn = polys[n]
-        L = lcm(dn, *(da * dm for _, _, dm in terms))
-        nxt = [0] + [c * (L // dn) for c in pn]            # x P_n
-        for a, pm, dm in terms:
-            f = a * (L // (da * dm))
-            nxt[:len(pm)] = [v - f * c for v, c in zip(nxt, pm)]
-        nxt, den = [v * q for v in nxt], L * p
-        g = gcd(*nxt, den) * (1 if den > 0 else -1)
-        polys.append(([v // g for v in nxt], den // g))
-    return polys
+        pn = polys[n]
+        L = lcm(pn.den, *(da * pm.den for _, pm in terms))
+        nxt = [0] + [c * (L // pn.den) for c in pn.nums]     # x P_n
+        for a, pm in terms:
+            f = a * (L // (da * pm.den))
+            nxt[:len(pm.nums)] = [v - f * c for v, c in zip(nxt, pm.nums)]
+        polys.append(Poly.of([v * q for v in nxt], L * p))
+    return PolySequence(tuple(polys))
 
 
 def couple_from_pair(pair: ShefferPair, d: int) -> CoupleSpec:
@@ -432,7 +416,7 @@ def couple_from_pair(pair: ShefferPair, d: int) -> CoupleSpec:
     hp = pair.Hx.differentiate()           # order N-1, exact
     sigma = hp.invert_mul()
     for k in range(d + 2, sigma.order + 1):
-        if sigma.coeffs[k] != 0:
+        if sigma.nums[k]:
             raise NotDOrthogonalShefferError(
                 f"1/H' has a nonzero t^{k} coefficient ({sigma.coeffs[k]}); "
                 f"not a polynomial of degree <= {d + 1}"
@@ -440,12 +424,12 @@ def couple_from_pair(pair: ShefferPair, d: int) -> CoupleSpec:
     inv_a = pair.A.truncate(N - 1).invert_mul()
     gamma = pair.A.differentiate() * inv_a * sigma
     for k in range(d + 1, gamma.order + 1):
-        if gamma.coeffs[k] != 0:
+        if gamma.nums[k]:
             raise NotDOrthogonalShefferError(
                 f"A'/(A H') has a nonzero t^{k} coefficient ({gamma.coeffs[k]}); "
                 f"not a polynomial of degree <= {d}"
             )
-    if gamma.coeffs[d] == 0:
+    if not gamma.nums[d]:
         raise NotDOrthogonalShefferError(
             f"A'/(A H') has degree < {d}; the set is not exactly d-orthogonal for d={d}"
         )

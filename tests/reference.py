@@ -2,16 +2,17 @@
 
 The package runs its series products, the Hankel form of orthogonality,
 duality and the lowering check on integer numerators over one common
-denominator (`exactnum.scaled`), and the lowering check in the falling-
-factorial basis.  These are the straightforward versions, one `Fraction`
-operation per term and the base operator applied repeatedly, kept as the
-oracles those kernels must match exactly.  The same holds for the
-back-substitution of `extract_recurrence`, the `exp`/`log`/`invert_mul`
-recursions, the lowering ODE, `expand_from_couple`, the couple's
-recurrence rows and the generating-function expansion, which now run on
-integers with one running or common denominator, and for `Poly.pretty` and
-`Poly.latex`, which now read each coefficient's numerator and denominator
-instead of comparing and negating Fractions.
+denominator (the `nums` over `den` that `Poly` and `Series` store), and the
+lowering check in the falling-factorial basis.  These are the
+straightforward versions, one `Fraction` operation per term and the base
+operator applied repeatedly, kept as the oracles those kernels must match
+exactly.  The same holds for the back-substitution of `extract_recurrence`,
+the `exp`/`log`/`invert_mul` recursions, the lowering ODE,
+`expand_from_couple`, the couple's recurrence rows and the generating-
+function expansion, which now run on integers with one running or common
+denominator, and for `Poly.pretty` and `Poly.latex`, which now read each
+coefficient's numerator and denominator instead of comparing and negating
+Fractions.
 
 `branch_family_generating` is the catalog's closed generating pair written
 out once per family, each with its own series operations, from before

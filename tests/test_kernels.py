@@ -31,7 +31,7 @@ from dsheffer import (
     verify_duality,
     verify_lowering,
 )
-from dsheffer import catalog, dorth, sheffer
+from dsheffer import catalog, series, sheffer
 from dsheffer.dorth import (
     BackSubstitutionError,
     RegularityViolationError,
@@ -40,7 +40,7 @@ from dsheffer.dorth import (
 )
 from dsheffer.exactnum import scaled
 from dsheffer.operators import newton_table
-from dsheffer.sheffer import CoupleSpec, couple_numerators, recurrence_rows
+from dsheffer.sheffer import CoupleSpec, recurrence_rows
 from reference import (
     UncheckedSequence,
     duality_failures,
@@ -258,18 +258,31 @@ def test_expand_from_couple_equals_the_fraction_recurrence(couple, N):
     oracle = fraction_expand_from_couple(couple, N)
     assert list(seq) == oracle
     # the content gcd keeps every integer row over its least denominator
-    assert couple_numerators(couple, N) == [scaled(p.coeffs) for p in oracle]
+    assert [(list(p.nums), p.den) for p in seq] == [scaled(p.coeffs) for p in oracle]
 
 
-def test_one_verify_scales_each_polynomial_once(monkeypatch):
+def counting(monkeypatch, name, *modules):
+    """Record the calls of `name` in each module from now on, in one list."""
     calls = []
+    for module in modules:
+        def counted(*args, original=getattr(module, name)):
+            calls.append(args)
+            return original(*args)
 
-    def counted(values):
-        calls.append(tuple(values))
-        return scaled(values)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
-    monkeypatch.setattr(sheffer, "scaled", counted)
-    monkeypatch.setattr(dorth, "scaled", counted)
+
+def test_expand_from_couple_converts_no_value(monkeypatch):
+    couple = CoupleSpec(d=2, gamma=(1, F(-1, 2), 2), sigma=(F(-3, 2), 1, 0, F(-1, 3)))
+    calls = counting(monkeypatch, "exact", series)
+    seq = expand_from_couple(couple, 40)
+    assert calls == []
+    assert seq[40].degree() == 40
+
+
+def test_one_verify_reads_the_integer_forms_only(monkeypatch):
+    calls = counting(monkeypatch, "scaled", series, sheffer)
     couple = CoupleSpec(d=2, gamma=(1, F(-1, 2), 2), sigma=(F(-3, 2), 1, 0, F(-1, 3)))
     top = 9
     seq = expand_polynomials(pair_from_couple(couple, top), top)
@@ -280,10 +293,11 @@ def test_one_verify_scales_each_polynomial_once(monkeypatch):
     verify_duality(seq, v)
     verify_d_orthogonality(seq, v)
     verify_lowering(seq, lop)
-    assert [calls.count(p.coeffs) for p in seq] == [1] * (top + 1)
-    assert list(seq.forms) == [(tuple(ints), D) for ints, D in (scaled(p.coeffs) for p in seq)]
-    assert list(v.moment_forms) == [(tuple(ints), D) for ints, D in map(scaled, v.moments)]
-    # an indexable sequence that is no PolySequence is scaled on the spot, with the same results
+    assert calls == []
+    # no P_n and no moment row has built its Fraction coefficients
+    assert [p._coeffs for p in seq] == [None] * (top + 1)
+    assert [row._coeffs for row in v.rows] == [None] * 2
+    # an indexable sequence that is no PolySequence gives the same results
     plain = UncheckedSequence(list(seq))
     assert extract_recurrence(plain, 2) == extract_recurrence(seq, 2)
     assert verify_duality(plain, v) == verify_duality(seq, v)

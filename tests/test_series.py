@@ -1,12 +1,14 @@
 """Polynomials and truncated power series: exactness is the whole point here."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsheffer import Poly, Series
+from dsheffer.exactnum import scaled
 
 F = Fraction
 
@@ -135,6 +137,46 @@ def test_series_keeps_fraction_coefficients_as_given():
     assert type(s.coeffs[1]) is Fraction and s.coeffs[1] == 2
     with pytest.raises(TypeError):
         Series((third, 0.5))
+
+
+# ================================================================ the stored form
+
+form_coeffs = st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=60), max_size=8)
+multipliers = st.integers(-60, 60).filter(bool)
+
+
+def assert_canonical(v):
+    assert v.den > 0 and gcd(v.den, *v.nums) == 1
+
+
+@given(form_coeffs, multipliers)
+def test_of_any_multiple_of_the_form_equals_the_public_constructor(coeffs, m):
+    nums, den = scaled(coeffs)
+    trimmed = list(coeffs)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    p, q = Poly.of([m * v for v in nums], m * den), Poly(coeffs)
+    assert_canonical(p)
+    assert p == q and hash(p) == hash(q)
+    assert p.coeffs == q.coeffs and p.degree() == q.degree()
+    assert (list(p.nums), p.den) == (list(q.nums), q.den) == scaled(trimmed)
+    if coeffs:
+        s, t = Series.of([m * v for v in nums], m * den), Series(coeffs)
+        assert_canonical(s)
+        assert s == t and s.coeffs == t.coeffs and s.order == t.order
+        assert (list(s.nums), s.den) == (list(t.nums), t.den) == scaled(coeffs)
+
+
+def test_of_reduces_the_zero_polynomial_to_denominator_one():
+    z = Poly.of((0, 0), 5)
+    assert z == Poly.zero() and z.is_zero() and z.degree() is None
+    assert z.nums == () and z.den == 1
+    assert Series.of((0, 0), -5).nums == (0, 0) and Series.of((0, 0), -5).den == 1
+
+
+def test_of_rejects_a_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        Poly.of((1,), 0)
 
 
 def test_series_is_immutable():
