@@ -177,7 +177,7 @@ def cmd_expand(args) -> int:
             "order": N,
             "source": source.to_jsonable(),
             "polynomials": [
-                {"n": n, "coeffs": [str(c) for c in p.coeffs], "text": p.pretty()}
+                {"n": n, "coeffs": p.coeff_strings(), "text": p.pretty()}
                 for n, p in enumerate(seq)
             ],
         }
@@ -186,7 +186,7 @@ def cmd_expand(args) -> int:
         headers = ["n", "text"] + [f"c{k}" for k in range(N + 1)]
         rows = []
         for n, p in enumerate(seq):
-            cells = [str(c) for c in p.coeffs] + ["0"] * (N + 1 - len(p.nums))
+            cells = p.coeff_strings() + ["0"] * (N + 1 - len(p.nums))
             rows.append([n, p.pretty()] + cells)
         _emit(args, render.dump_csv(headers, rows))
     else:

@@ -24,10 +24,13 @@ over the product of their denominators.  The recursions of `invert_mul`
 hold their outputs as integer numerators over a running common
 denominator, extended by lcm as each coefficient lands, so only the
 denominators the result needs ever appear (`_recursion`).  `pow_rat` is
-log, a scalar product and exp.
+log, a scalar product and exp, except at the exponents 0, 1 and -1, which
+give the constant 1, the series itself and `invert_mul()`.
 
-`Poly.pretty` and `Poly.latex` print each coefficient from its integer
-numerator and denominator; no Fraction is compared or negated.
+`Poly.pretty`, `Poly.latex` and `Poly.coeff_strings` print each
+coefficient from its integer numerator and denominator: one gcd per
+coefficient puts nums[i] / den in lowest terms, so printing makes no
+Fraction and leaves `.coeffs` unbuilt.
 
 Composition and reversion are the tests' independent reference route; the
 verifier builds H* and the functionals from the couple instead (see
@@ -241,19 +244,29 @@ class Poly(_Vector):
             out = out * base + Poly((c,))
         return out
 
+    def _lowest_terms(self) -> list[tuple[int, int]]:
+        """Each coefficient nums[i] / den in lowest terms, as (p, q) with q > 0."""
+        den = self.den
+        if den == 1:
+            return [(v, 1) for v in self.nums]
+        return [(v // (g := gcd(v, den)), den // g) for v in self.nums]
+
+    def coeff_strings(self) -> list[str]:
+        """Each coefficient as str(Fraction) prints it: "p" or "p/q", in lowest terms."""
+        return [str(p) if q == 1 else f"{p}/{q}" for p, q in self._lowest_terms()]
+
     def _text(self, term) -> str:
         """The nonzero terms, top degree first, as term(k, |p|, q) with their signs.
 
-        Each coefficient p/q is read as its integer numerator and
-        denominator, so printing makes no Fraction operation.
+        Each coefficient is read as its lowest-terms pair (p, q), so printing
+        makes no Fraction and leaves `.coeffs` unbuilt.
         """
         parts = []
-        cs = self.coeffs
-        for k in range(len(cs) - 1, -1, -1):
-            c = cs[k]
-            p = c.numerator
+        pairs = self._lowest_terms()
+        for k in range(len(pairs) - 1, -1, -1):
+            p, q = pairs[k]
             if p:
-                body = term(k, -p if p < 0 else p, c.denominator)
+                body = term(k, -p if p < 0 else p, q)
                 if parts:
                     parts.append(f"- {body}" if p < 0 else f"+ {body}")
                 else:
@@ -399,8 +412,22 @@ class Series(_Vector):
         return Series.of(m.nums[1:] + (0,), m.den).integrate()
 
     def pow_rat(self, r) -> "Series":
-        """Raise a series with constant term 1 to a rational power."""
-        return (self.log() * exact(r)).exp()
+        """Raise a series with constant term 1 to a rational power.
+
+        exp(r log s) in general; the exponents 0, 1 and -1 take the values
+        that route gives directly: the constant 1, the series itself and
+        its multiplicative inverse.
+        """
+        r = exact(r)
+        if self.nums[0] != self.den:
+            raise ValueError("pow_rat needs constant term 1")
+        if r == 0:
+            return Series.of((1,) + (0,) * self.order, 1)
+        if r == 1:
+            return self
+        if r == -1:
+            return self.invert_mul()
+        return (self.log() * r).exp()
 
     def compose(self, inner: "Series") -> "Series":
         """self(inner(t)); inner must have zero constant term (exactness)."""

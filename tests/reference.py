@@ -10,9 +10,11 @@ exactly.  The same holds for the back-substitution of `extract_recurrence`,
 the `exp`/`log`/`invert_mul` recursions, the lowering ODE,
 `expand_from_couple`, the couple's recurrence rows and the generating-
 function expansion, which now run on integers with one running or common
-denominator, and for `Poly.pretty` and `Poly.latex`, which now read each
-coefficient's numerator and denominator instead of comparing and negating
-Fractions.
+denominator, and for `Poly.pretty`, `Poly.latex` and `Poly.coeff_strings`,
+which now read each coefficient's lowest-terms numerator and denominator
+from the stored integer form instead of building, comparing and negating
+Fractions (`fraction_text` is the Fraction-reading `Poly._text` they
+replaced).
 
 `branch_family_generating` is the catalog's closed generating pair written
 out once per family, each with its own series operations, from before
@@ -196,6 +198,22 @@ def fraction_pretty(poly, var: str = "x") -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
+
+
+def fraction_text(poly, term) -> str:
+    """Poly._text read from poly.coeffs: term(k, |p|, q) of each nonzero p/q, with signs."""
+    parts = []
+    cs = poly.coeffs
+    for k in range(len(cs) - 1, -1, -1):
+        c = cs[k]
+        p = c.numerator
+        if p:
+            body = term(k, -p if p < 0 else p, c.denominator)
+            if parts:
+                parts.append(f"- {body}" if p < 0 else f"+ {body}")
+            else:
+                parts.append(f"-{body}" if p < 0 else body)
+    return " ".join(parts) if parts else "0"
 
 
 def fraction_latex(poly, var: str = "x") -> str:

@@ -5,8 +5,9 @@ the couple's recurrence and its rows, the generating-function expansion,
 back-substitution, the Hankel form of orthogonality, duality and the
 lowering check run on integer numerators over one common (or running)
 denominator, and the lowering check works in the falling-factorial basis
-instead of applying the base operator.  Poly.pretty and Poly.latex read
-each coefficient's integer numerator and denominator.  Every result must
+instead of applying the base operator.  Poly.pretty, Poly.latex and
+Poly.coeff_strings read each coefficient's lowest-terms numerator and
+denominator off the stored integer form.  Every result must
 equal the per-term Fraction oracle of tests/reference.py exactly, on valid
 sequences and on perturbed ones, errors included.
 """
@@ -54,6 +55,7 @@ from reference import (
     fraction_pretty,
     fraction_product,
     fraction_recurrence_rows,
+    fraction_text,
     hankel_cells,
     lowering_failures,
     series_expand_polynomials,
@@ -117,6 +119,23 @@ def test_pretty_and_latex_equal_the_fraction_text(coeffs, var):
     assert p.pretty(var) == fraction_pretty(p, var)
     assert p.latex(var) == fraction_latex(p, var)
     assert repr(p) == f"Poly({fraction_pretty(p)})"
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12),
+       st.integers(-60, 60).filter(bool), st.integers(1, 40), st.sampled_from(["x", "t"]))
+def test_printing_reads_the_integer_form_and_makes_no_fraction(nums, scale, den, var):
+    # non-reduced forms: every numerator times scale, over scale * den
+    p = Poly.of([v * scale for v in nums], scale * den)
+    oracle = Poly([F(v, den) for v in nums])
+
+    def term(k, mag, q):
+        return f"{k}:{mag}/{q}"
+
+    assert p._text(term) == fraction_text(oracle, term)
+    assert p.pretty(var) == fraction_pretty(oracle, var)
+    assert p.latex(var) == fraction_latex(oracle, var)
+    assert p.coeff_strings() == [str(c) for c in oracle.coeffs]
+    assert p._coeffs is None
 
 
 def test_pretty_and_latex_text_of_fixed_polynomials():

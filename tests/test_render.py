@@ -1,0 +1,66 @@
+"""render.dump_json against json.dumps(sort_keys=True, indent=2).
+
+dump_json writes the report bytes itself, with the C string encoder, instead
+of through json.dumps, whose indented output runs the pure-Python encoder.
+Its bytes must equal json.dumps's exactly on any document a report can be.
+"""
+
+import json
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dsheffer import cli
+from dsheffer.render import dump_json
+
+# non-ASCII text, quotes, backslashes and control characters among the rest
+text = st.text(alphabet=st.sampled_from('ab"\\/\n\t\r\x00\x1f\x7f é€😀') | st.characters(),
+               max_size=8)
+leaves = (text | st.integers() | st.integers(-(2 ** 200), 2 ** 200) | st.booleans()
+          | st.none())
+documents = st.recursive(
+    leaves,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(text, inner, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(deadline=None)
+@given(documents)
+@example({"": [], "b": {}, "a": [(), {}, [[]]], "t": True, "f": False, "z": None,
+          "big": -(10 ** 40), "s": 'q"\\ \u00e9'})
+@example([])
+@example({})
+@example(())
+@example("x")
+@example(None)
+def test_dump_json_equals_indented_json_dumps(doc):
+    assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("key", [1, None, True, (1, 2)])
+def test_dump_json_rejects_a_key_that_is_not_a_str(key):
+    with pytest.raises(TypeError):
+        dump_json({"a": [{key: 1}]})
+
+
+@pytest.mark.parametrize("leaf", [1.5, object(), {1, 2}])
+def test_dump_json_rejects_a_leaf_json_cannot_write(leaf):
+    with pytest.raises(TypeError):
+        dump_json({"a": [leaf]})
+
+
+def test_reports_never_run_the_pure_python_encoder(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("json.encoder._make_iterencode called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", forbidden)
+    with pytest.raises(AssertionError):
+        json.dumps({"a": 1}, indent=2)              # the patch is in force
+    source = ["--family", "laguerre-eq9", "--d", "2", "--param", "alpha=1/2", "--order", "6"]
+    for command in ("expand", "recurrence", "verify"):
+        assert cli.main([command, *source]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["command"] == command

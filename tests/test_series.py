@@ -282,6 +282,22 @@ def test_pow_rat_integer_exponent_agrees_with_multiplication():
     assert s.pow_rat(F(3)).coeffs == (s * s * s).coeffs
 
 
+def test_pow_rat_needs_unit_constant():
+    for r in (0, 1, -1, F(1, 2)):
+        with pytest.raises(ValueError):
+            Series((2, 1)).pow_rat(r)
+
+
+@given(st.lists(st.fractions(max_denominator=9, min_value=-7, max_value=7), max_size=10),
+       st.sampled_from([0, 1, -1, F(0), F(1), F(-1), "-1"]))
+def test_pow_rat_unit_exponents_equal_the_log_exp_route(tail, r):
+    # orders 0 .. 10; 0, 1 and -1 skip log and exp, the values must not change
+    s = Series([F(1)] + tail)
+    direct = s.pow_rat(r)
+    route = (s.log() * F(r)).exp()
+    assert (direct.nums, direct.den, direct.order) == (route.nums, route.den, route.order)
+
+
 unit_series = st.lists(st.fractions(max_denominator=6, min_value=-5, max_value=5),
                        min_size=1, max_size=6).map(lambda tail: Series([F(1)] + tail))
 
