@@ -18,8 +18,10 @@ sees pi', and exact rational arithmetic cannot represent the constant factor
 e^(pi(0)) anyway.  Discrete families are stated in the Newton form
 A(t) (1 + omega*h(t))^(x/omega); expansion goes through the equivalent
 exponential form above.  The lowering operator and the functionals come
-from the couple alone, through the forward difference of the same step
-omega, so a family is realized in closed form only for the generating pair.
+from the couple alone (`verify` builds H*(D); `family_lowering` gives the
+forward difference of the same step omega, the same operator on
+polynomials), so a family is realized in closed form only for the
+generating pair.
 The couples (`_couple_of`) stay written out by hand: they are the
 independent route the closed form is compared against.
 

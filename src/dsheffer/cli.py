@@ -63,15 +63,14 @@ class CliError(Exception):
 class _Source:
     """Resolved construction source: a family spec or a raw couple.
 
-    Both kinds resolve to a couple and the step omega of the lowering
-    operator's forward difference (None for the derivative), which is all the
-    operator and the functionals need.
+    Both kinds resolve to a couple, which is all the lowering operator H*(D)
+    and the functionals need: a difference-kind family's h*(Delta_omega) is
+    the same operator on polynomials (see `operators`).
     """
 
     def __init__(self, couple: CoupleSpec, spec=None):
         self.spec = spec
         self.couple = couple
-        self.omega = None if spec is None else catalog.family_step(spec)
 
     @property
     def is_family(self) -> bool:
@@ -257,7 +256,7 @@ def cmd_verify(args) -> int:
 
     # orthogonality reads moments up to degree N + N // check_d (the cell
     # n = N // check_d, m = N); duality and the lowering check need only N
-    lop = lowering_from_couple(couple, N + N // check_d, source.omega)
+    lop = lowering_from_couple(couple, N + N // check_d)
     fv = FunctionalVector(couple, lop, check_d)
     dual = verify_duality(seq, fv)
     sections["duality"] = {
@@ -323,7 +322,7 @@ def cmd_functionals(args) -> int:
     indices = range(d) if args.index is None else (args.index,)
     _require_order(N, max(1, d - 1), f" for {d} functionals")
 
-    fv = FunctionalVector(source.couple, lowering_from_couple(source.couple, N, source.omega), d)
+    fv = FunctionalVector(source.couple, lowering_from_couple(source.couple, N), d)
     explicit = catalog.explicit_functional(source.spec) if source.is_family else None
 
     rows = []

@@ -12,20 +12,27 @@ Two independent routes are verified and never conflated:
   duality <u_i, P_k> = delta_ik is the same form with P_m = 1.
 
 The lowering check sigma P_n = n P_(n-1) works in the basis
-b_l = (x)_(l,omega) / l! of falling factorials of step omega (x^l / l! for
-the derivative kind), where the base operator B maps b_l to b_(l-1).  Each
-P_n is converted once, c_l = l! sum_j p_j S(j, l) omega^(j-l) (the moment
-table's operators.newton_table), and sigma = H*(B) then acts as the
+b_l = (x)_(l,omega) / l! of falling factorials of the operator's step omega
+(x^l / l! for the derivative kind), where the base operator B maps b_l to
+b_(l-1).  Each P_n is converted once, c_l = sum_j p_j T[j][l] with the
+moment table's operators.newton_table, and sigma = H*(B) then acts as the
 convolution [sigma P]_l = sum_(k>=1) y_k c_(l+k) with y = H*.  The change
 of basis is invertible, so a row fails exactly when the polynomials differ,
 and no base operator is ever applied (operators.apply_lowering is the
-tests' oracle for this).
+tests' oracle for this).  `verify` hands every source the derivative kind's
+H*(D), where T is the diagonal j! and c_l = l! p_l; a difference-kind
+operator h*(Delta_omega) gives the same failures, since it is the same
+operator on polynomials.
 
 All values are exact rationals; failing cells carry the offending value.
 The loops over P_n (back-substitution, Hankel form, duality, lowering) read
 the integer form that each P_n and each moment row stores (`nums` over
 `den`, see `series`), and a value becomes a Fraction once, when it is
-reported; no check converts a coefficient.
+reported; no check converts a coefficient.  An orthogonality cell is kept
+as the integers (k, n, m, num, den) and holds or fails by num alone, and a
+duality value is compared as num = den [i = k]; the OrthCell objects and
+the Fractions are built only for the cells a report prints or a caller
+reads.
 Back-substitution holds the coordinates of x P_n found so far over one
 running denominator, so a zero coordinate (every one below n - d in a
 d-orthogonal sequence) costs an integer dot product of at most d + 2 terms
@@ -45,6 +52,8 @@ from dsheffer.operators import FunctionalVector, LoweringOp, newton_table
 from dsheffer.operators import functional_eval  # noqa: F401
 from dsheffer.series import Poly
 from dsheffer.sheffer import CoupleSpec, PolySequence, recurrence_rows
+
+_set = object.__setattr__
 
 
 class WindowViolationError(Exception):
@@ -200,23 +209,77 @@ class OrthCell:
         }
 
 
-@dataclass(frozen=True)
 class OrthogonalityReport:
-    d: int
-    max_index: int
-    cells: tuple[OrthCell, ...]
-    unchecked: tuple[tuple[int, int, int], ...]
-    passed: bool
+    """The cells <u_k, P_n P_m> of verify_d_orthogonality, as integers.
+
+    integer_cells[i] = (k, n, m, num, den) is the cell of value num / den,
+    den > 0, so whether it holds is read off num alone: the boundary
+    m = n d + k needs num != 0 and every other cell num = 0.  `checked` and
+    `passed` come from these integers.  The OrthCell objects, each with its
+    Fraction value, are built on the first read of `cells` and kept, and
+    `failures` builds only the failing ones.
+    """
+
+    __slots__ = ("d", "max_index", "integer_cells", "unchecked", "_failing", "_cells")
+
+    def __init__(self, d: int, max_index: int,
+                 integer_cells: tuple[tuple[int, int, int, int, int], ...],
+                 unchecked: tuple[tuple[int, int, int], ...]):
+        _set(self, "d", d)
+        _set(self, "max_index", max_index)
+        _set(self, "integer_cells", integer_cells)
+        _set(self, "unchecked", unchecked)
+        # a cell holds when num != 0 exactly at its boundary m = n d + k
+        _set(self, "_failing", tuple(c for c in integer_cells
+                                     if bool(c[3]) != (c[2] == c[1] * d + c[0])))
+        _set(self, "_cells", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OrthogonalityReport is immutable")
+
+    def _cell(self, k: int, n: int, m: int, num: int, den: int) -> OrthCell:
+        boundary = m == n * self.d + k
+        return OrthCell(k=k, n=n, m=m, value=Fraction(num, den),
+                        requirement="nonzero" if boundary else "zero",
+                        ok=bool(num) == boundary)
+
+    @property
+    def cells(self) -> tuple[OrthCell, ...]:
+        """Every checked cell as an OrthCell, built on the first read and kept."""
+        cells = self._cells
+        if cells is None:
+            cells = tuple(self._cell(*c) for c in self.integer_cells)
+            _set(self, "_cells", cells)
+        return cells
+
+    @property
+    def checked(self) -> int:
+        return len(self.integer_cells)
+
+    @property
+    def passed(self) -> bool:
+        return not self._failing
 
     @property
     def failures(self) -> tuple[OrthCell, ...]:
-        return tuple(c for c in self.cells if not c.ok)
+        return tuple(self._cell(*c) for c in self._failing)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OrthogonalityReport):
+            return NotImplemented
+        return ((self.d, self.max_index, self.unchecked, self.cells)
+                == (other.d, other.max_index, other.unchecked, other.cells))
+
+
+    def __repr__(self) -> str:
+        return (f"OrthogonalityReport(d={self.d}, max_index={self.max_index}, "
+                f"checked={self.checked}, failures={len(self._failing)})")
 
     def to_jsonable(self) -> dict:
         return {
             "d": self.d,
             "max_index": self.max_index,
-            "checked": len(self.cells),
+            "checked": self.checked,
             "failures": [c.to_jsonable() for c in self.failures],
             "unchecked_boundaries": [
                 {"k": k, "n": n, "m": m} for k, n, m in self.unchecked
@@ -230,7 +293,8 @@ def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> Orthogonal
     For each k < d and n, the values with m > n d + k must vanish and the
     boundary m = n d + k must not; boundaries beyond the sequence are
     recorded as unchecked rather than silently skipped.  Each value is the
-    Hankel form of the moment table, so no product P_n P_m is built.
+    Hankel form of the moment table, so no product P_n P_m is built, and it
+    is kept as its integer numerator and denominator.
     """
     top = seq.max_index
     max_deg = top + top // v.d        # n = top // d at k = 0, with m = top
@@ -238,7 +302,7 @@ def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> Orthogonal
         raise ValueError(
             f"functional order {v.order} too small: products reach degree {max_deg}"
         )
-    polys = [seq[n] for n in range(top + 1)]
+    forms = [(seq[n].nums, seq[n].den) for n in range(top + 1)]
     cells = []
     unchecked = []
     for k in range(v.d):
@@ -249,21 +313,13 @@ def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> Orthogonal
                 unchecked.append((k, n, boundary))
                 continue
             # row[b] = <u_k, P_n x^b> * dn * dmu, shared by every m of this (k, n)
-            pn, dn = polys[n].nums, polys[n].den
+            pn, dn = forms[n]
             row = [sum(map(mul, pn, mu[b:])) for b in range(top + 1)]
-            for m in range(boundary, top + 1):
-                pm = polys[m]
-                value = Fraction(sum(map(mul, row, pm.nums)), dn * dmu * pm.den)
-                req = "nonzero" if m == boundary else "zero"
-                ok = (value == 0) if req == "zero" else (value != 0)
-                cells.append(OrthCell(k=k, n=n, m=m, value=value, requirement=req, ok=ok))
-    return OrthogonalityReport(
-        d=v.d,
-        max_index=top,
-        cells=tuple(cells),
-        unchecked=tuple(unchecked),
-        passed=all(c.ok for c in cells),
-    )
+            scale = dn * dmu
+            cells += [(k, n, m, sum(map(mul, row, pm)), scale * dm)
+                      for m, (pm, dm) in enumerate(forms[boundary:], boundary)]
+    return OrthogonalityReport(d=v.d, max_index=top, integer_cells=tuple(cells),
+                               unchecked=tuple(unchecked))
 
 
 @dataclass(frozen=True)
@@ -289,29 +345,28 @@ def verify_duality(seq: PolySequence, v: FunctionalVector) -> DualityReport:
     """Check <u_i, P_k> = delta_{i,k} for i < d and every available k.
 
     <u_i, P_k> is the Hankel form of orthogonality with P_m = 1, read off the
-    same integer numerators and denominators of P_k and mu_i.
+    same integer numerators and denominators of P_k and mu_i; its numerator
+    is compared with den [i = k], and a value becomes a Fraction only when it
+    fails.
     """
     top = seq.max_index
     if top > v.order:                   # deg P_k = k, as functional_eval requires
         raise ValueError(
             f"functional order {v.order} too small for polynomial degree {v.order + 1}"
         )
+    polys = [seq[k] for k in range(top + 1)]
     failures = []
-    checked = 0
     for i in range(v.d):
         mu, dmu = v.rows[i].nums, v.rows[i].den
-        for k in range(top + 1):
-            pk = seq[k]
-            value = Fraction(sum(map(mul, pk.nums, mu)), pk.den * dmu)
-            checked += 1
-            expected = Fraction(1) if i == k else Fraction(0)
-            if value != expected:
-                failures.append((i, k, value))
+        for k, pk in enumerate(polys):
+            num, den = sum(map(mul, pk.nums, mu)), pk.den * dmu
+            if num != (den if i == k else 0):
+                failures.append((i, k, Fraction(num, den)))
     return DualityReport(
         d=v.d,
         max_index=top,
         failures=tuple(failures),
-        checked=checked,
+        checked=v.d * len(polys),
         passed=not failures,
     )
 

@@ -28,13 +28,23 @@ kind), so
 
     mu_i(j) = <u_i, x^j> = (1/i!) sum_l w_l T[j][l]
 
-for both kinds; at omega = 0 only l = j survives.  Each row mu_i is kept as
-a Series (FunctionalVector.rows), integer numerators over one denominator,
-and every functional value is a dot product with one row.  The same table
-(newton_table) writes x^j in the basis b_l = (x)_(l,omega) / l! of falling
-factorials of step omega (x^l / l! for the derivative kind), where B b_l =
-b_(l-1); there sigma acts as a convolution with H*, which is how
-dorth.verify_lowering checks it.
+for both kinds; at omega = 0 only l = j survives, and newton_table writes
+that diagonal j! in closed form, with no Stirling row.  Each row mu_i is
+kept as a Series (FunctionalVector.rows), integer numerators over one
+denominator, and every functional value is a dot product with one row.  The
+same table (newton_table) writes x^j in the basis b_l = (x)_(l,omega) / l!
+of falling factorials of step omega (x^l / l! for the derivative kind),
+where B b_l = b_(l-1); there sigma acts as a convolution with H*, which is
+how dorth.verify_lowering checks it.
+
+The functionals are the dual sequence of {P_n} and sigma P_n = n P_(n-1)
+fixes sigma, so both are unique: on polynomials the difference kind's
+h*(Delta_omega) is the derivative kind's H*(D), with Delta_omega =
+(e^(omega D) - 1)/omega and H = log(1 + omega h)/omega.  `verify` and
+`functionals` therefore build H*(D) for every source (lowering_from_couple
+with no step): the moment table comes out as the same integers as along
+h*(Delta_omega), and the lowering check flags the same P_n.  A step omega
+stays accepted throughout: it is the tests' second route to both.
 
 `lowering_from_H` reverts a given H, and `apply_lowering` applies sigma by
 repeated base operators; neither is on the verify path any more.  They are
@@ -60,8 +70,11 @@ def newton_table(step: Fraction, order: int) -> tuple[list[list[int]], int]:
 
     T[j][l] / D = l! S(j, l) step^(j-l): the coefficient of b_l in x^j for the
     basis b_l = (x)_(l,step) / l!, and [B^l x^j]_(x=0) for the base operator
-    of that step (step 0 is the derivative kind, where only l = j is nonzero).
+    of that step.  Step 0 is the derivative kind, where only l = j is nonzero:
+    row j is j! on the diagonal, over 1, read off no Stirling row.
     """
+    if not step:
+        return [[0] * j + [factorial(j)] for j in range(order + 1)], 1
     p, q = step.numerator, step.denominator
     return [[factorial(l) * s * p ** (j - l) * q ** (order - j + l) for l, s in enumerate(row)]
             for j, row in enumerate(stirling2_rows(order, order))], q ** order

@@ -30,7 +30,9 @@ give the constant 1, the series itself and `invert_mul()`.
 `Poly.pretty`, `Poly.latex` and `Poly.coeff_strings` print each
 coefficient from its integer numerator and denominator: one gcd per
 coefficient puts nums[i] / den in lowest terms, so printing makes no
-Fraction and leaves `.coeffs` unbuilt.
+Fraction and leaves `.coeffs` unbuilt.  The strings are kept on their first
+build, and `pretty` reads its magnitudes off them, so a polynomial printed
+both ways is reduced once.
 
 Composition and reversion are the tests' independent reference route; the
 verifier builds H* and the functionals from the couple instead (see
@@ -136,7 +138,7 @@ class _Vector:
 class Poly(_Vector):
     """Univariate polynomial over the rationals, dense, immutable."""
 
-    __slots__ = ()
+    __slots__ = ("_coeff_strings",)
     _trims = True
 
     @classmethod
@@ -251,9 +253,45 @@ class Poly(_Vector):
             return [(v, 1) for v in self.nums]
         return [(v // (g := gcd(v, den)), den // g) for v in self.nums]
 
+    def _strings(self) -> tuple[str, ...]:
+        """coeff_strings, computed on the first call and kept."""
+        strings = getattr(self, "_coeff_strings", None)
+        if strings is None:
+            strings = tuple(str(p) if q == 1 else f"{p}/{q}" for p, q in self._lowest_terms())
+            _set(self, "_coeff_strings", strings)
+        return strings
+
     def coeff_strings(self) -> list[str]:
         """Each coefficient as str(Fraction) prints it: "p" or "p/q", in lowest terms."""
-        return [str(p) if q == 1 else f"{p}/{q}" for p, q in self._lowest_terms()]
+        return list(self._strings())
+
+    @staticmethod
+    def _join(terms) -> str:
+        """The signed terms (negative, body), top degree first, as one sum."""
+        parts = []
+        for negative, body in terms:
+            if parts:
+                parts.append(f"- {body}" if negative else f"+ {body}")
+            else:
+                parts.append(f"-{body}" if negative else body)
+        return " ".join(parts) if parts else "0"
+
+    def pretty(self, var: str = "x") -> str:
+        """The nonzero terms, top degree first, each magnitude read off coeff_strings.
+
+        A magnitude is its coefficient's string without the sign, so printing
+        shares coeff_strings' one lowest-terms pass and leaves `.coeffs` unbuilt.
+        """
+        def terms(strings):
+            for k in range(len(strings) - 1, -1, -1):
+                text = strings[k]
+                if text != "0":
+                    mag = text.lstrip("-")
+                    if k:
+                        xk = var if k == 1 else f"{var}^{k}"
+                        mag = xk if mag == "1" else f"{mag}*{xk}"
+                    yield text[0] == "-", mag
+        return self._join(terms(self._strings()))
 
     def _text(self, term) -> str:
         """The nonzero terms, top degree first, as term(k, |p|, q) with their signs.
@@ -261,26 +299,9 @@ class Poly(_Vector):
         Each coefficient is read as its lowest-terms pair (p, q), so printing
         makes no Fraction and leaves `.coeffs` unbuilt.
         """
-        parts = []
         pairs = self._lowest_terms()
-        for k in range(len(pairs) - 1, -1, -1):
-            p, q = pairs[k]
-            if p:
-                body = term(k, -p if p < 0 else p, q)
-                if parts:
-                    parts.append(f"- {body}" if p < 0 else f"+ {body}")
-                else:
-                    parts.append(f"-{body}" if p < 0 else body)
-        return " ".join(parts) if parts else "0"
-
-    def pretty(self, var: str = "x") -> str:
-        def term(k, mag, den):
-            mag_s = str(mag) if den == 1 else f"{mag}/{den}"
-            if k == 0:
-                return mag_s
-            xk = var if k == 1 else f"{var}^{k}"
-            return xk if mag == den == 1 else f"{mag_s}*{xk}"
-        return self._text(term)
+        return self._join((p < 0, term(k, abs(p), q))
+                          for k, (p, q) in reversed(list(enumerate(pairs))) if p)
 
     def latex(self, var: str = "x") -> str:
         def term(k, mag, den):

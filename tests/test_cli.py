@@ -9,12 +9,13 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import dsheffer
-from dsheffer import catalog, cli
+from dsheffer import catalog, cli, exactnum, operators
 from dsheffer.cli import main
 from dsheffer.dorth import BackSubstitutionError
 
@@ -219,6 +220,37 @@ def test_verify_check_d_window_violation(tmp_path, capsys):
     assert doc["check_d"] == 1
     assert doc["recurrence"]["status"] == "fail"
     assert doc["recurrence"]["details"]["error"] == "window-violation"
+
+
+def test_verify_and_functionals_read_no_stirling_row(tmp_path, capsys, monkeypatch):
+    # every source gets the derivative kind's H*(D), whose table is the
+    # diagonal j!, so the difference families no longer need Stirling numbers
+    def refuse(*args):
+        raise AssertionError("a Stirling row was read")
+
+    for module in (exactnum, operators):
+        monkeypatch.setattr(module, "stirling2_rows", refuse)
+    with pytest.raises(AssertionError):
+        operators.newton_table(Fraction(1), 3)         # the guard does bite
+    path = tmp_path / "c.json"
+    path.write_text(APP1)
+    # (argv, run functionals too): the classical Meixner cross-check that
+    # functionals adds for meixner-eq14 at d = 1 is itself a sum of Stirling
+    # numbers (catalog.meixner_classical_functional), an independent route
+    sources = [(["--couple-file", str(path)], True)]
+    for spec in catalog.default_sample_specs():
+        if spec.family in (catalog.CHARLIER_EQ13, catalog.MEIXNER_EQ14):
+            argv = (["--family", spec.family, "--d", str(spec.d),
+                     "--aux", ",".join(str(a) for a in spec.aux)]
+                    + [f"--param={k}={v}" for k, v in spec.params.items()])
+            sources.append((argv, (spec.family, spec.d) != (catalog.MEIXNER_EQ14, 1)))
+    assert len(sources) == 7
+    for argv, functionals in sources:
+        code, out, _ = run(capsys, "verify", *argv, "--order", "12")
+        assert (code, json.loads(out)["overall"]) == (0, "pass"), argv
+        if functionals:
+            code, out, _ = run(capsys, "functionals", *argv, "--order", "8")
+            assert code == 0 and json.loads(out)["rows"], argv
 
 
 def test_verify_reports_are_byte_identical(tmp_path, capsys):

@@ -6,8 +6,11 @@ sigma(y).  The reference route reverts the closed-form H (the Newton form h
 for difference families) and composes t^i / A(t) with the result.  The two
 share no code past the family's couple and generating pair, and must agree
 coefficient for coefficient.  The verifier keeps only the moment table
-<u_i, x^j>, built by one Stirling-number formula for both operator kinds;
-the reference moments apply the base operator to x^j instead.
+<u_i, x^j>, built by one formula for both operator kinds (Stirling numbers
+for a step, the diagonal j! without one); the reference moments apply the
+base operator to x^j instead.  verify and functionals build H*(D) for every
+source, and a difference family's own h*(Delta_omega) must give the same
+moment integers and the same lowering verdicts.
 """
 
 import contextlib
@@ -27,13 +30,16 @@ from dsheffer import (
     FunctionalVector,
     LoweringOp,
     Poly,
+    PolySequence,
     Series,
     apply_base,
     check_conditions,
+    expand_polynomials,
     functional_eval,
     lowering_from_couple,
     lowering_from_H,
     pair_from_couple,
+    verify_lowering,
 )
 from dsheffer import catalog
 from dsheffer.catalog import FAMILIES, FamilySpec
@@ -117,6 +123,31 @@ def test_default_samples_agree_at_order_24():
     assert {FAMILIES[s.family].kind for s in specs} == {DERIVATIVE, DIFFERENCE}
     for spec in specs:
         assert_family_routes_agree(spec, 24)
+
+
+def moment_rows(couple: CoupleSpec, lop, d: int):
+    """The functionals' moment rows as their stored integers (nums, den)."""
+    return [(row.nums, row.den) for row in FunctionalVector(couple, lop, d).rows]
+
+
+def test_h_star_of_d_and_the_newton_step_agree_on_every_sample():
+    # verify and functionals build H*(D) with no step; a difference family's
+    # h*(Delta_omega) is the same operator on polynomials, so it must give the
+    # same moment integers and flag the same P_n
+    for spec in catalog.default_sample_specs():
+        couple = catalog.family_couple(spec)
+        for N in (12, 24):
+            order = N + N // spec.d
+            plain = lowering_from_couple(couple, order)
+            newton = lowering_from_couple(couple, order, catalog.family_step(spec))
+            assert moment_rows(couple, plain, spec.d) == moment_rows(couple, newton, spec.d), \
+                (spec, N)
+            polys = list(expand_polynomials(catalog.family_generating(spec, N), N))
+            for p7, expected in ((polys[7], ()), (polys[7] * 2, (7, 8)),
+                                 (polys[7] + polys[3], (7, 8))):
+                seq = PolySequence(tuple(polys[:7] + [p7] + polys[8:]))
+                verdicts = [verify_lowering(seq, lop).failures for lop in (plain, newton)]
+                assert verdicts == [expected] * 2, (spec, N, expected)
 
 
 def charlier_with_step(d: int, omega: Fraction) -> FamilySpec:

@@ -19,7 +19,7 @@ from dsheffer import (
     verify_duality,
     verify_lowering,
 )
-from dsheffer import catalog
+from dsheffer import catalog, dorth
 from dsheffer.sheffer import CoupleSpec
 from reference import UncheckedSequence
 
@@ -129,6 +129,31 @@ def test_orthogonality_boundary_cells_are_nonzero():
     boundary = [c for c in rep.cells if c.requirement == "nonzero"]
     assert boundary
     assert all(c.m == c.n * 1 + c.k for c in boundary)
+
+
+def test_a_passing_report_builds_no_orth_cell_until_its_cells_are_read(monkeypatch):
+    built = []
+
+    def counted(**fields):
+        built.append(fields)
+        return original(**fields)
+
+    original = dorth.OrthCell
+    monkeypatch.setattr(dorth, "OrthCell", counted)
+    spec = catalog.default_spec(catalog.MEIXNER_EQ16, 2)
+    seq = expand_polynomials(catalog.family_generating(spec, 12), 12)
+    couple = catalog.family_couple(spec)
+    v = FunctionalVector(couple, lowering_from_couple(couple, 18), d=2)
+    rep = verify_d_orthogonality(seq, v)
+    doc = rep.to_jsonable()
+    assert rep.passed and doc["failures"] == [] and doc["checked"] == rep.checked > 0
+    assert built == []
+    # the cells are built on the first read, one per checked cell, and kept
+    cells = rep.cells
+    assert len(built) == len(cells) == rep.checked
+    assert rep.cells is cells
+    assert all(c.ok and c.value == F(num, den)
+               for c, (_, _, _, num, den) in zip(cells, rep.integer_cells))
 
 
 def test_orthogonality_d2_has_unchecked_boundaries():

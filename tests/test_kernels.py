@@ -178,8 +178,11 @@ def assert_sections_match_the_oracles(seq, lop, v):
     low = verify_lowering(seq, lop)
     assert low.failures == tuple(lowering_failures(seq, lop))
     orth = verify_d_orthogonality(seq, v)
+    failures = orth.failures                    # built before the cells are
     cells, unchecked = hankel_cells(seq, v)
     assert [(c.k, c.n, c.m, c.value) for c in orth.cells] == cells
+    assert failures == tuple(c for c in orth.cells if not c.ok)
+    assert orth.passed == (not failures) and orth.checked == len(cells)
     assert list(orth.unchecked) == unchecked
     assert list(verify_duality(seq, v).failures) == duality_failures(seq, v)
     return low
