@@ -303,7 +303,7 @@ def cmd_recurrence(args) -> int:
         _emit(args, render.dump_json(doc))
         return EXIT_OK
     headers_plain = ["n"] + [f"alpha_{k}" for k in range(d + 2)]
-    rows = [[n] + [str(c) for c in row] for n, row in enumerate(table.rows)]
+    rows = [[n] + row for n, row in enumerate(table.row_strings())]
     if args.format == render.CSV:
         _emit(args, render.dump_csv(headers_plain, rows))
     else:

@@ -6,16 +6,28 @@ Two independent routes are verified and never conflated:
   exact back-substitution in the triangular basis P_0..P_{n+1} (the
   `recurrence` command reads the same table off the couple instead, through
   recurrence_from_couple, and both enforce regularity in one place);
-* the moment conditions <u_k, P_n P_m> = 0 for m > n d + k and != 0 at the
-  boundary m = n d + k, read off the functionals' moment table
-  mu_k(j) = <u_k, x^j> as the Hankel form sum_(a,b) P_n[a] mu_k(a+b) P_m[b];
-  duality <u_i, P_k> = delta_ik is the same form with P_m = 1.
+* d-orthogonality in the definition's own form (Van Iseghem, J. Comput.
+  Appl. Math. 1987; Maroni, Ann. Fac. Sci. Toulouse 1989):
+  X_k[j][m] = <u_k, x^j P_m> = 0 for m > j d + k and != 0 at the boundary
+  m = j d + k, read off the functionals' moment table mu_k(i) = <u_k, x^i>
+  as X_k[j][m] = sum_b P_m[b] mu_k(j+b), one dot product per entry;
+  duality <u_i, P_k> = delta_ik is the row j = 0 with every m.
+
+The cells <u_k, P_n P_m> of the equivalent form are X_k[0..n][m] times the
+coefficients P_n[0..n], so for fixed m those with n d + k < m are a
+lower-triangular matrix with the nonzero leading coefficients on its
+diagonal applied to the X_k[j][m] with j d + k < m: they all vanish exactly
+when those X entries do, and then each boundary cell is lead(P_n)
+X_k[n][n d + k].  The verdict is therefore decided on X alone, and the
+report derives the cells (k, n, m, num, den) from X and the P_n only when
+they are read.
 
 The lowering check sigma P_n = n P_(n-1) works in the basis
 b_l = (x)_(l,omega) / l! of falling factorials of the operator's step omega
 (x^l / l! for the derivative kind), where the base operator B maps b_l to
 b_(l-1).  Each P_n is converted once, c_l = sum_j p_j T[j][l] with the
-moment table's operators.newton_table, and sigma = H*(B) then acts as the
+moment table's operators.newton_table, walked along its nonzero diagonals
+(operators.newton_diagonals), and sigma = H*(B) then acts as the
 convolution [sigma P]_l = sum_(k>=1) y_k c_(l+k) with y = H*.  The change
 of basis is invertible, so a row fails exactly when the polynomials differ,
 and no base operator is ever applied (operators.apply_lowering is the
@@ -25,33 +37,37 @@ operator h*(Delta_omega) gives the same failures, since it is the same
 operator on polynomials.
 
 All values are exact rationals; failing cells carry the offending value.
-The loops over P_n (back-substitution, Hankel form, duality, lowering) read
-the integer form that each P_n and each moment row stores (`nums` over
-`den`, see `series`), and a value becomes a Fraction once, when it is
-reported; no check converts a coefficient.  An orthogonality cell is kept
-as the integers (k, n, m, num, den) and holds or fails by num alone, and a
-duality value is compared as num = den [i = k]; the OrthCell objects and
-the Fractions are built only for the cells a report prints or a caller
-reads.
+The loops over P_n (back-substitution, the X table, duality, lowering)
+read the integer form that each P_n and each moment row stores (`nums`
+over `den`, see `series`), and a value becomes a Fraction once, when it is
+reported; no check converts a coefficient.  An X entry holds or fails by
+its integer numerator alone, and a duality value is compared as
+num = den [i = k]; the integer cells, the OrthCell objects and their
+Fractions are built only for the cells a report prints or a caller reads,
+so a passing report builds none.  The recurrence table is held the same
+way, as integer numerators over one denominator, and prints from them.
 Back-substitution holds the coordinates of x P_n found so far over one
 running denominator, so a zero coordinate (every one below n - d in a
 d-orthogonal sequence) costs an integer dot product of at most d + 2 terms
-and no gcd.
+and no gcd; each nonzero coordinate is reduced by one gcd, and the rows are
+handed over as integers over their common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from operator import mul
+from itertools import islice
+from math import gcd, lcm
+from operator import add, mul
 
-from dsheffer.operators import FunctionalVector, LoweringOp, newton_table
+from dsheffer.exactnum import exact, ratio_strings, scaled
+from dsheffer.operators import FunctionalVector, LoweringOp, newton_diagonals
 # no longer called here; still importable as dorth.functional_eval, which
 # perfbench/test_perfbench.py reads
 from dsheffer.operators import functional_eval  # noqa: F401
 from dsheffer.series import Poly
-from dsheffer.sheffer import CoupleSpec, PolySequence, recurrence_rows
+from dsheffer.sheffer import CoupleSpec, PolySequence, recurrence_numerators
 
 _set = object.__setattr__
 
@@ -98,21 +114,78 @@ class BackSubstitutionError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
 class RecurrenceTable:
-    """Row n holds alpha_{0..d+1}(n); indices below zero are stored as 0."""
+    """Row n holds alpha_{0..d+1}(n); indices below zero are stored as 0.
 
-    d: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    Stored as integer numerators nums[n][k] over one denominator den > 0,
+    with gcd(den, *every numerator) = 1, so the form is canonical and
+    equality compares integers.  RecurrenceTable(d, rows) reads rationals
+    and keeps them; the couple's rows are handed over as integers with
+    `of(d, nums, den)`, which converts nothing.  `rows` and `row(n)` give
+    Fractions, built on the first read and kept, and `row_strings` and
+    `to_jsonable` print lowest-terms integer pairs with no Fraction.
+    """
+
+    __slots__ = ("d", "nums", "den", "_rows")
+
+    def __init__(self, d: int, rows):
+        rows = tuple(tuple(exact(c) for c in row) for row in rows)
+        flat, den = scaled([c for row in rows for c in row])
+        ints = iter(flat)
+        _set(self, "d", d)
+        _set(self, "nums", tuple(tuple(islice(ints, len(row))) for row in rows))
+        _set(self, "den", den)
+        _set(self, "_rows", rows)
+
+    @classmethod
+    def of(cls, d: int, nums, den: int) -> "RecurrenceTable":
+        """Rows nums[n][k] / den for any nonzero int den, reduced by one content gcd."""
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        g = gcd(den, *(v for row in nums for v in row))
+        if den < 0:
+            g = -g
+        out = object.__new__(cls)
+        _set(out, "d", d)
+        _set(out, "nums", tuple(tuple(v // g for v in row) if g != 1 else tuple(row)
+                                for row in nums))
+        _set(out, "den", den // g)
+        _set(out, "_rows", None)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RecurrenceTable is immutable")
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows as Fractions, built on the first read and kept."""
+        rows = self._rows
+        if rows is None:
+            den = self.den
+            rows = tuple(tuple(Fraction(v, den) for v in row) for row in self.nums)
+            _set(self, "_rows", rows)
+        return rows
 
     def row(self, n: int) -> tuple[Fraction, ...]:
         return self.rows[n]
 
+    def row_strings(self) -> list[list[str]]:
+        """Each entry as str(Fraction) prints it, read off the integers."""
+        return [ratio_strings(row, self.den) for row in self.nums]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RecurrenceTable):
+            return NotImplemented
+        return (self.d, self.den, self.nums) == (other.d, other.den, other.nums)
+
+    def __hash__(self):
+        return hash(("RecurrenceTable", self.d, self.den, self.nums))
+
+    def __repr__(self) -> str:
+        return f"RecurrenceTable(d={self.d}, rows={self.row_strings()!r})"
+
     def to_jsonable(self) -> dict:
-        return {
-            "d": self.d,
-            "rows": [[str(c) for c in row] for row in self.rows],
-        }
+        return {"d": self.d, "rows": self.row_strings()}
 
 
 def extract_recurrence(seq: PolySequence, d: int) -> RecurrenceTable:
@@ -138,7 +211,7 @@ def extract_recurrence(seq: PolySequence, d: int) -> RecurrenceTable:
     rows = []
     for n in range(top):
         pn, dn = padded[n]
-        coeffs = [Fraction(0)] * (n + 2)
+        coeffs = [(0, 1)] * (n + 2)         # c_j in lowest terms, as (p, q) with q > 0
         # the coordinates found so far as e_i = c_i / D_i = E_i / R
         found, R = [], 1
         for j in range(n + 1, -1, -1):
@@ -147,46 +220,50 @@ def extract_recurrence(seq: PolySequence, d: int) -> RecurrenceTable:
             if not num:
                 continue
             ints, dj = padded[j]
-            c = coeffs[j] = Fraction(num * dj, dn * R * leads[j])
-            q = c.denominator * dj
+            a, b = num * dj, dn * R * leads[j]
+            g = gcd(a, b) if b > 0 else -gcd(a, b)
+            p, qc = coeffs[j] = a // g, b // g
+            q = qc * dj
             if R % q:
                 grow = q // gcd(R, q)
                 R *= grow
                 found = [(f, e * grow) for f, e in found]
-            found.append((ints, c.numerator * (R // q)))
+            found.append((ints, p * (R // q)))
         if n >= inexact:
-            rest = polys[n] * Poly.x() - sum((polys[j] * c for j, c in enumerate(coeffs)),
-                                             Poly.zero())
+            rest = polys[n] * Poly.x() - sum(
+                (polys[j] * Fraction(*c) for j, c in enumerate(coeffs)), Poly.zero())
             if not rest.is_zero():
                 raise BackSubstitutionError(n=n, remainder=rest)
         for j in range(0, n - d):
-            if coeffs[j]:
-                raise WindowViolationError(d=d, n=n, index=j, value=coeffs[j])
-        rows.append(tuple(
-            coeffs[n - d + k] if n - d + k >= 0 else Fraction(0)
-            for k in range(d + 2)
-        ))
-    return _regular_table(d, rows)
+            if coeffs[j][0]:
+                raise WindowViolationError(d=d, n=n, index=j, value=Fraction(*coeffs[j]))
+        rows.append([coeffs[n - d + k] if n - d + k >= 0 else (0, 1) for k in range(d + 2)])
+    # every row over the one denominator L, handed over as integers
+    L = lcm(*(q for row in rows for _, q in row))
+    return _regular(RecurrenceTable.of(d, [[p * (L // q) for p, q in row] for row in rows], L))
 
 
 def recurrence_from_couple(couple: CoupleSpec, top: int) -> RecurrenceTable:
-    """The rows n < top read off the couple (sheffer.recurrence_rows), no expansion.
+    """The rows n < top read off the couple (sheffer.recurrence_numerators), no expansion.
 
     Equal to extract_recurrence on the couple's sequence P_0..P_top, and
     raises the same RegularityViolationError; the window holds by
-    construction.
+    construction.  The rows are handed over as their integers, so no
+    Fraction is made.
     """
-    return _regular_table(couple.d, recurrence_rows(couple, top))
+    nums, den = recurrence_numerators(couple, top)
+    return _regular(RecurrenceTable.of(couple.d, nums, den))
 
 
-def _regular_table(d: int, rows) -> RecurrenceTable:
+def _regular(table: RecurrenceTable) -> RecurrenceTable:
+    d = table.d
     bad = tuple(
-        n for n in range(d, len(rows))
-        if rows[n][0] == 0 or rows[n][d + 1] == 0
+        n for n, row in enumerate(table.nums)
+        if n >= d and (not row[0] or not row[d + 1])
     )
     if bad:
         raise RegularityViolationError(d=d, rows=bad)
-    return RecurrenceTable(d=d, rows=tuple(rows))
+    return table
 
 
 @dataclass(frozen=True)
@@ -210,32 +287,62 @@ class OrthCell:
 
 
 class OrthogonalityReport:
-    """The cells <u_k, P_n P_m> of verify_d_orthogonality, as integers.
+    """The moment conditions of verify_d_orthogonality, as integers.
 
-    integer_cells[i] = (k, n, m, num, den) is the cell of value num / den,
-    den > 0, so whether it holds is read off num alone: the boundary
-    m = n d + k needs num != 0 and every other cell num = 0.  `checked` and
-    `passed` come from these integers.  The OrthCell objects, each with its
-    Fraction value, are built on the first read of `cells` and kept, and
-    `failures` builds only the failing ones.
+    hankel[k][j] holds X_k[j][m] = <u_k, x^j P_m> for m = j d + k .. max_index,
+    each as the numerator of its value over moment_dens[k] * forms[m][1],
+    where forms[m] = (nums, den) is P_m and moment_dens[k] the denominator
+    of mu_k.  The report holds when every row starts nonzero (the boundary
+    m = j d + k) and is zero after it; `passed`, `checked` and `unchecked`
+    need no cell.
+
+    integer_cells[i] = (k, n, m, num, den) is the cell <u_k, P_n P_m> =
+    num / den, num = sum_(j<=n) P_n[j] X_k[j][m] and den = dn dmu dm: the
+    integers of the Hankel form sum_(a,b) P_n[a] mu_k(a+b) P_m[b], derived
+    from hankel and forms on the first read and kept.  The OrthCells, each
+    with its Fraction value, are built from integer_cells on the first read
+    of `cells`, and `failures` builds only the failing ones; a passing
+    report has none and derives no cell for them.
     """
 
-    __slots__ = ("d", "max_index", "integer_cells", "unchecked", "_failing", "_cells")
+    __slots__ = ("d", "max_index", "forms", "hankel", "moment_dens", "unchecked", "passed",
+                 "_integer_cells", "_cells")
 
     def __init__(self, d: int, max_index: int,
-                 integer_cells: tuple[tuple[int, int, int, int, int], ...],
+                 forms: tuple[tuple[tuple[int, ...], int], ...],
+                 hankel: tuple[tuple[tuple[int, ...], ...], ...],
+                 moment_dens: tuple[int, ...],
                  unchecked: tuple[tuple[int, int, int], ...]):
         _set(self, "d", d)
         _set(self, "max_index", max_index)
-        _set(self, "integer_cells", integer_cells)
+        _set(self, "forms", forms)
+        _set(self, "hankel", hankel)
+        _set(self, "moment_dens", moment_dens)
         _set(self, "unchecked", unchecked)
-        # a cell holds when num != 0 exactly at its boundary m = n d + k
-        _set(self, "_failing", tuple(c for c in integer_cells
-                                     if bool(c[3]) != (c[2] == c[1] * d + c[0])))
+        _set(self, "passed", all(row[0] and not any(row[1:]) for rows in hankel for row in rows))
+        _set(self, "_integer_cells", None)
         _set(self, "_cells", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrthogonalityReport is immutable")
+
+    @property
+    def integer_cells(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Every checked cell (k, n, m, num, den), derived on the first read and kept."""
+        cells = self._integer_cells
+        if cells is None:
+            d, top, forms = self.d, self.max_index, self.forms
+            cells = []
+            for k, rows in enumerate(self.hankel):
+                dmu = self.moment_dens[k]
+                for n, (pn, dn) in enumerate(forms[:len(rows)]):
+                    # X_k[j][m] sits at index m - j d - k of row j
+                    cells += [(k, n, m, sum(pn[j] * rows[j][m - j * d - k] for j in range(n + 1)),
+                               dn * dmu * forms[m][1])
+                              for m in range(n * d + k, top + 1)]
+            cells = tuple(cells)
+            _set(self, "_integer_cells", cells)
+        return cells
 
     def _cell(self, k: int, n: int, m: int, num: int, den: int) -> OrthCell:
         boundary = m == n * self.d + k
@@ -254,15 +361,16 @@ class OrthogonalityReport:
 
     @property
     def checked(self) -> int:
-        return len(self.integer_cells)
-
-    @property
-    def passed(self) -> bool:
-        return not self._failing
+        return sum(len(row) for rows in self.hankel for row in rows)
 
     @property
     def failures(self) -> tuple[OrthCell, ...]:
-        return tuple(self._cell(*c) for c in self._failing)
+        if self.passed:
+            return ()
+        d = self.d
+        # a cell holds when num != 0 exactly at its boundary m = n d + k
+        return tuple(self._cell(*c) for c in self.integer_cells
+                     if bool(c[3]) != (c[2] == c[1] * d + c[0]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrthogonalityReport):
@@ -270,10 +378,9 @@ class OrthogonalityReport:
         return ((self.d, self.max_index, self.unchecked, self.cells)
                 == (other.d, other.max_index, other.unchecked, other.cells))
 
-
     def __repr__(self) -> str:
         return (f"OrthogonalityReport(d={self.d}, max_index={self.max_index}, "
-                f"checked={self.checked}, failures={len(self._failing)})")
+                f"checked={self.checked}, passed={self.passed})")
 
     def to_jsonable(self) -> dict:
         return {
@@ -288,38 +395,41 @@ class OrthogonalityReport:
 
 
 def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> OrthogonalityReport:
-    """Check <u_k, P_n P_m> against the d-orthogonality pattern.
+    """Check <u_k, x^j P_m> against the d-orthogonality pattern.
 
-    For each k < d and n, the values with m > n d + k must vanish and the
-    boundary m = n d + k must not; boundaries beyond the sequence are
-    recorded as unchecked rather than silently skipped.  Each value is the
-    Hankel form of the moment table, so no product P_n P_m is built, and it
-    is kept as its integer numerator and denominator.
+    For each k < d and j, the values X_k[j][m] = <u_k, x^j P_m> with
+    m > j d + k must vanish and the boundary m = j d + k must not;
+    boundaries beyond the sequence are recorded as unchecked rather than
+    silently skipped.  Each X_k[j][m] is one integer dot product of P_m's
+    numerators with the moment row mu_k shifted by j.  The verdict is that
+    of the cells <u_k, P_n P_m>, which the report derives from X on demand
+    (see the module docstring); that needs deg P_n = n, which is checked.
     """
     top = seq.max_index
-    max_deg = top + top // v.d        # n = top // d at k = 0, with m = top
+    d = v.d
+    max_deg = top + top // d          # j = top // d at k = 0, with m = top
     if v.order < max_deg:
         raise ValueError(
             f"functional order {v.order} too small: products reach degree {max_deg}"
         )
-    forms = [(seq[n].nums, seq[n].den) for n in range(top + 1)]
-    cells = []
-    unchecked = []
-    for k in range(v.d):
-        mu, dmu = v.rows[k].nums, v.rows[k].den
-        for n in range(top + 1):
-            boundary = n * v.d + k
-            if boundary > top:
-                unchecked.append((k, n, boundary))
-                continue
-            # row[b] = <u_k, P_n x^b> * dn * dmu, shared by every m of this (k, n)
-            pn, dn = forms[n]
-            row = [sum(map(mul, pn, mu[b:])) for b in range(top + 1)]
-            scale = dn * dmu
-            cells += [(k, n, m, sum(map(mul, row, pm)), scale * dm)
-                      for m, (pm, dm) in enumerate(forms[boundary:], boundary)]
-    return OrthogonalityReport(d=v.d, max_index=top, integer_cells=tuple(cells),
-                               unchecked=tuple(unchecked))
+    forms = tuple((seq[n].nums, seq[n].den) for n in range(top + 1))
+    nums = [pn for pn, _ in forms]
+    for n, pn in enumerate(nums):
+        if len(pn) != n + 1:
+            raise ValueError(f"P_{n} must have degree exactly {n}")
+    hankel = []
+    for k in range(d):
+        mu = v.rows[k].nums
+        rows = []
+        for j in range((top - k) // d + 1):
+            shifted = mu[j:]                # mu_k(j + b), b = 0, 1, ...
+            rows.append(tuple([sum(map(mul, pm, shifted)) for pm in nums[j * d + k:]]))
+        hankel.append(tuple(rows))
+    unchecked = tuple((k, n, n * d + k) for k in range(d) for n in range(top + 1)
+                      if n * d + k > top)
+    return OrthogonalityReport(d=d, max_index=top, forms=forms, hankel=tuple(hankel),
+                               moment_dens=tuple(row.den for row in v.rows),
+                               unchecked=unchecked)
 
 
 @dataclass(frozen=True)
@@ -344,10 +454,10 @@ class DualityReport:
 def verify_duality(seq: PolySequence, v: FunctionalVector) -> DualityReport:
     """Check <u_i, P_k> = delta_{i,k} for i < d and every available k.
 
-    <u_i, P_k> is the Hankel form of orthogonality with P_m = 1, read off the
-    same integer numerators and denominators of P_k and mu_i; its numerator
-    is compared with den [i = k], and a value becomes a Fraction only when it
-    fails.
+    <u_i, P_k> is the entry X_i[0][k] of orthogonality's table, taken here
+    for every k and read off the same integer numerators and denominators
+    of P_k and mu_i; its numerator is compared with den [i = k], and a value
+    becomes a Fraction only when it fails.
     """
     top = seq.max_index
     if top > v.order:                   # deg P_k = k, as functional_eval requires
@@ -398,17 +508,21 @@ def verify_lowering(seq: PolySequence, op: LoweringOp) -> LoweringReport:
         raise ValueError(
             f"operator order {op.hstar.order} too small for sequence up to P_{top}"
         )
-    table, _ = newton_table(op.omega or Fraction(0), top)
-    columns = [[table[j][l] for j in range(l, top + 1)] for l in range(top + 1)]
+    # c_l = sum_t p_(l+t) T[l+t][l] along the table's nonzero diagonals t:
+    # at step 0 only t = 0 is left, and c_l = l! p_l is one elementwise product
+    diag0, rest, _ = newton_diagonals(op.omega or Fraction(0), top)
     hstar = op.hstar.truncate(top)
     y, dy = hstar.nums[1:], hstar.den                   # y_1 .. y_top
     failures = []
     prev, dprev = [], 1
     for n in range(top + 1):
         ints, dn = seq[n].nums, seq[n].den
-        c = [sum(map(mul, ints[l:], columns[l])) for l in range(len(ints))]
-        if any(sum(map(mul, y, c[l + 1:])) * dprev != n * prev[l] * dn * dy
-               for l in range(n)):
+        c = list(map(mul, ints, diag0))
+        for t, diag in rest:
+            if t < len(ints):
+                c[:len(ints) - t] = map(add, c, map(mul, ints[t:], diag))
+        scale = n * dn * dy
+        if any(sum(map(mul, y, c[l + 1:])) * dprev != prev[l] * scale for l in range(n)):
             failures.append(n)
         prev, dprev = c, dn
     return LoweringReport(max_index=top, failures=tuple(failures), passed=not failures)

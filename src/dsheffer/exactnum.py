@@ -9,7 +9,8 @@ only.  `scaled` writes rationals as integer numerators over their least
 common denominator, the form `Poly` and `Series` store (see `series`): the
 public constructors and the couple's recurrence rows are its only callers,
 and every kernel after them reads that form directly, so a multiply-add
-costs no gcd and each result is reduced once."""
+costs no gcd and each result is reduced once.  `lowest_terms` and
+`ratio_strings` print that form back, one gcd per value and no Fraction."""
 
 from __future__ import annotations
 
@@ -64,6 +65,21 @@ def scaled(values: Sequence) -> tuple[list[int], int]:
     dens = [v.denominator for v in values]
     D = math.lcm(*dens)
     return [v.numerator * (D // q) for v, q in zip(values, dens)], D
+
+
+def lowest_terms(nums: Sequence[int], den: int) -> list[tuple[int, int]]:
+    """Each nums[i] / den (den > 0) in lowest terms, as (p, q) with q > 0.
+
+    One gcd per value and no Fraction: the form every printer reads.
+    """
+    if den == 1:
+        return [(v, 1) for v in nums]
+    return [(v // (g := math.gcd(v, den)), den // g) for v in nums]
+
+
+def ratio_strings(nums: Sequence[int], den: int) -> list[str]:
+    """Each nums[i] / den as str(Fraction) prints it: "p" or "p/q", in lowest terms."""
+    return [str(p) if q == 1 else f"{p}/{q}" for p, q in lowest_terms(nums, den)]
 
 
 def binomial(n: int, k: int) -> int:

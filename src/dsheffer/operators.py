@@ -22,20 +22,28 @@ functional vector (u_0, ..., u_{d-1}) dual to the sequence is
 
 and along y the same couple gives log A(y) = integral gamma(y)/(1 + omega s),
 so each operator series w = y^i / A(y) needs only products, an integral and
-exp.  A functional is fixed by its moments, and [B^l x^j]_{x=0} is
-T[j][l] = l! S(j, l) omega^(j-l) (S the Stirling numbers of the second
-kind), so
+exp.  gamma(y) itself costs no series product: the ODE's integer table of
+[s^k] y^j, taken up to j = deg gamma, gives it as one dot product per
+coefficient (lowering_from_couple hands it over as LoweringOp.gamma_y, and
+the Horner evaluation it replaced is the tests' oracle).  A functional is
+fixed by its moments, and [B^l x^j]_{x=0} is T[j][l] = l! S(j, l)
+omega^(j-l) (S the Stirling numbers of the second kind), so
 
     mu_i(j) = <u_i, x^j> = (1/i!) sum_l w_l T[j][l]
 
-for both kinds; at omega = 0 only l = j survives, and newton_table writes
-that diagonal j! in closed form, with no Stirling row.  Each row mu_i is
-kept as a Series (FunctionalVector.rows), integer numerators over one
-denominator, and every functional value is a dot product with one row.  The
-same table (newton_table) writes x^j in the basis b_l = (x)_(l,omega) / l!
-of falling factorials of step omega (x^l / l! for the derivative kind),
-where B b_l = b_(l-1); there sigma acts as a convolution with H*, which is
-how dorth.verify_lowering checks it.
+for both kinds; at omega = 0 only l = j survives.  The table's readers skip
+its zeros: the moment table and dorth.verify_lowering's change of basis
+both walk its nonzero diagonals T[l + t][l] (newton_diagonals), which at
+omega = 0 are the one diagonal j!, written in closed form with no Stirling
+row.  So the moment row is the one elementwise product
+mu_i(j) = w_j j!/i!, and each P_n's conversion c_l = l! p_l is another.
+Each row mu_i is kept as a Series (FunctionalVector.rows), integer
+numerators over one denominator, and every functional value is a dot
+product with one row.  The same table (newton_table) writes x^j in the
+basis b_l = (x)_(l,omega) / l! of falling factorials of step omega
+(x^l / l! for the derivative kind), where B b_l = b_(l-1); there sigma
+acts as a convolution with H*, which is how dorth.verify_lowering checks
+it.
 
 The functionals are the dual sequence of {P_n} and sigma P_n = n P_(n-1)
 fixes sigma, so both are unique: on polynomials the difference kind's
@@ -48,14 +56,15 @@ stays accepted throughout: it is the tests' second route to both.
 
 `lowering_from_H` reverts a given H, and `apply_lowering` applies sigma by
 repeated base operators; neither is on the verify path any more.  They are
-the independent routes the tests compare against.
+the independent routes the tests compare against.  An operator from
+`lowering_from_H` carries no couple, so no FunctionalVector is built on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
-from operator import mul
+from operator import add, mul
 
 from dsheffer.exactnum import exact, stirling2_rows
 from dsheffer.series import Poly, Series
@@ -70,14 +79,28 @@ def newton_table(step: Fraction, order: int) -> tuple[list[list[int]], int]:
 
     T[j][l] / D = l! S(j, l) step^(j-l): the coefficient of b_l in x^j for the
     basis b_l = (x)_(l,step) / l!, and [B^l x^j]_(x=0) for the base operator
-    of that step.  Step 0 is the derivative kind, where only l = j is nonzero:
-    row j is j! on the diagonal, over 1, read off no Stirling row.
+    of that step.  At step 0, the derivative kind, only l = j is nonzero.
     """
-    if not step:
-        return [[0] * j + [factorial(j)] for j in range(order + 1)], 1
     p, q = step.numerator, step.denominator
     return [[factorial(l) * s * p ** (j - l) * q ** (order - j + l) for l, s in enumerate(row)]
             for j, row in enumerate(stirling2_rows(order, order))], q ** order
+
+
+def newton_diagonals(step: Fraction, order: int) -> tuple[list[int], list, int]:
+    """The nonzero diagonals of newton_table(step, order), over its denominator D.
+
+    Returns (diag_0, rest, D): diag_0[l] = T[l][l] = l! D, never zero, and
+    rest the pairs (t, diag_t), diag_t[l] = T[l + t][l] for l <= order - t,
+    of the diagonals t >= 1 that hold a nonzero entry.  At a nonzero step
+    that is every t; at step 0 none, and diag_0 is the j! in closed form,
+    read off no Stirling row, so a reader walking the diagonals makes one
+    elementwise product and no product with a zero of the table.
+    """
+    if not step:
+        return [factorial(j) for j in range(order + 1)], [], 1
+    table, den = newton_table(step, order)
+    rest = [(t, [table[l + t][l] for l in range(order + 1 - t)]) for t in range(1, order + 1)]
+    return [row[-1] for row in table], rest, den
 
 
 def apply_base(kind: str, f: Poly, omega: Fraction | None = None) -> Poly:
@@ -93,11 +116,17 @@ def apply_base(kind: str, f: Poly, omega: Fraction | None = None) -> Poly:
 
 
 class LoweringOp:
-    """Operator series H*(B) with H*(0) = 0 and a nonzero linear term."""
+    """Operator series H*(B) with H*(0) = 0 and a nonzero linear term.
 
-    __slots__ = ("kind", "hstar", "omega")
+    An operator solved from a couple (lowering_from_couple) also carries
+    that couple and gamma(y), y = H*, at the same order: the series the
+    couple's FunctionalVector starts from.  Both are None otherwise.
+    """
 
-    def __init__(self, kind: str, hstar: Series, omega: Fraction | None = None):
+    __slots__ = ("kind", "hstar", "omega", "couple", "gamma_y")
+
+    def __init__(self, kind: str, hstar: Series, omega: Fraction | None = None, *,
+                 couple: CoupleSpec | None = None, gamma_y: Series | None = None):
         if kind not in (DERIVATIVE, DIFFERENCE):
             raise ValueError(f"unknown base operator kind: {kind!r}")
         if kind == DIFFERENCE:
@@ -111,9 +140,15 @@ class LoweringOp:
             raise ValueError("hstar must have zero constant term")
         if hstar.order < 1 or not hstar.nums[1]:
             raise ValueError("hstar must have a nonzero linear coefficient")
+        if (couple is None) != (gamma_y is None):
+            raise ValueError("couple and gamma_y come together")
+        if gamma_y is not None and gamma_y.order != hstar.order:
+            raise ValueError(f"gamma_y order {gamma_y.order} != hstar order {hstar.order}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "hstar", hstar)
         object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "couple", couple)
+        object.__setattr__(self, "gamma_y", gamma_y)
 
     def __setattr__(self, name, value):
         raise AttributeError("LoweringOp is immutable")
@@ -131,38 +166,46 @@ def lowering_from_couple(couple: CoupleSpec, N: int,
     coefficients of s^k gives (k+1) y_(k+1) = [s^k] sigma(y) - omega k y_k,
     and [s^k] y^j only involves y_1..y_k, so each coefficient follows from
     the ones before it.  The recursion runs on integers, and y is handed
-    over as integer numerators over one denominator (Series.of).  omega
-    None is the derivative kind; a step omega gives the forward-difference
-    kind of a family in Newton form.
+    over as integer numerators over one denominator (Series.of).  The same
+    table of [s^k] y^j, taken up to j = deg gamma, gives gamma(y) as one
+    integer dot product per coefficient, handed over on the operator
+    (LoweringOp.gamma_y).  omega None is the derivative kind; a step omega
+    gives the forward-difference kind of a family in Newton form.
     """
     if N < 1:
         raise ValueError("order must be at least 1")
     couple.validate()
     step = Fraction(0) if omega is None else exact(omega)
-    sig = Poly(couple.sigma)
+    sig, gam = Poly(couple.sigma), Poly(couple.gamma)
     # With R = lcm(den sigma, den omega) and y_k = Y_k / (k! R^k), the numbers
     # Z_j[k] = k! R^k [s^k] y^j are integers with the binomial convolution
-    # Z_j[k] = sum_i C(k, i) Y_i Z_(j-1)[k-i] (Z_1 = Y), and the ODE reads
-    # Y_(k+1) = sum_j R sigma_j Z_j[k] - R omega k Y_k (Z_0[k] = [k = 0]).
+    # Z_j[k] = sum_i C(k, i) Y_i Z_(j-1)[k-i] (Z_1 = Y, Z_0[k] = [k = 0]), and
+    # the ODE reads Y_(k+1) = sum_j R sigma_j Z_j[k] - R omega k Y_k.
     R = lcm(step.denominator, sig.den)
     s = [c * (R // sig.den) for c in sig.nums]
     w = step.numerator * (R // step.denominator)
     Y = [0] * (N + 1)
-    # Z[j][k], filled one column k at a time; Z[1] is Y itself
-    Z = [None, Y] + [[0] * N for _ in range(len(s) - 2)]
-    for k in range(N):
+    # Z[j][k] for j <= max(deg sigma, deg gamma), filled one column k at a time
+    Z = [[1] + [0] * N, Y] + [[0] * (N + 1) for _ in range(max(len(s), len(gam.nums)) - 2)]
+    for k in range(N + 1):
         by = [comb(k, i) * Y[i] for i in range(1, k + 1)]      # C(k, i) Y_i, i >= 1
-        for j in range(2, len(s)):
+        for j in range(2, len(Z)):
             Z[j][k] = sum(map(mul, by, reversed(Z[j - 1][:k])))
-        Y[k + 1] = (sum(s[j] * Z[j][k] for j in range(1, len(s)))
-                    + (s[0] if k == 0 else 0) - w * k * Y[k])
-    # y_k = Y_k (N!/k!) R^(N-k) / (N! R^N)
+        if k < N:
+            Y[k + 1] = (sum(s[j] * Z[j][k] for j in range(1, len(s)))
+                        + (s[0] if k == 0 else 0) - w * k * Y[k])
+    # k! R^k [s^k] gamma(y) = sum_j gamma_j Z_j[k], over den gamma
+    G = [sum(map(mul, gam.nums, col)) for col in zip(*Z[:len(gam.nums)])]
+    # y_k = Y_k (N!/k!) R^(N-k) / (N! R^N), and gamma(y)_k alike
     scale = 1
     for k in range(N, 0, -1):
         Y[k] *= scale
+        G[k] *= scale
         scale *= k * R
+    G[0] *= scale
     kind = DERIVATIVE if omega is None else DIFFERENCE
-    return LoweringOp(kind=kind, hstar=Series.of(Y, scale), omega=omega)
+    return LoweringOp(kind=kind, hstar=Series.of(Y, scale), omega=omega,
+                      couple=couple, gamma_y=Series.of(G, scale * gam.den))
 
 
 def lowering_from_H(H: Series, kind: str, N: int | None = None,
@@ -198,7 +241,8 @@ class FunctionalVector:
     rows[i] is the Series of moments <u_i, x^j> for j up to the order of the
     lowering operator, as integer numerators over one denominator, the form
     that dorth's checks read; the functionals read nothing else.
-    moments[i][j] is the same table as Fractions.
+    moments[i][j] is the same table as Fractions.  The operator must be the
+    couple's own (lowering_from_couple), since gamma(y) is read off it.
     """
 
     __slots__ = ("lop", "d", "rows")
@@ -206,24 +250,29 @@ class FunctionalVector:
     def __init__(self, couple: CoupleSpec, lop: LoweringOp, d: int):
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
+        if lop.couple is None or lop.couple != couple:
+            raise ValueError("the operator was not solved from this couple "
+                             "(build it with lowering_from_couple)")
         y = lop.hstar
         order = y.order
         if d - 1 > order:
             raise ValueError(f"order {order} too small for d={d}")
-        gamma_y = Series.constant(couple.gamma[-1], order)
-        for c in reversed(couple.gamma[:-1]):
-            gamma_y = gamma_y * y + c
+        gamma_y = lop.gamma_y
         if lop.omega is not None:                 # divide by 1 + omega s
             gamma_y = gamma_y * Series([(-lop.omega) ** k for k in range(order + 1)])
         w = (-gamma_y.integrate()).exp()           # 1 / A(y), then y^i / A(y)
-        table, dt = newton_table(lop.omega or Fraction(0), order)
+        # mu_i(j) i! D = sum_t w_(j-t) T[j][j-t], walked along the nonzero
+        # diagonals t of the table: at step 0 only t = 0, mu_i(j) = w_j j!/i!
+        diag0, rest, dt = newton_diagonals(lop.omega or Fraction(0), order)
         rows = []
         for i in range(d):
             if i:
                 w = w * y
             ws = w.nums
-            rows.append(Series.of([sum(map(mul, ws, row)) for row in table],
-                                  w.den * dt * factorial(i)))
+            mu = list(map(mul, ws, diag0))
+            for t, diag in rest:
+                mu[t:] = map(add, mu[t:], map(mul, ws, diag))
+            rows.append(Series.of(mu, w.den * dt * factorial(i)))
         object.__setattr__(self, "lop", lop)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "rows", tuple(rows))

@@ -46,7 +46,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from dsheffer.exactnum import exact, scaled
+from dsheffer.exactnum import exact, lowest_terms, ratio_strings, scaled
 
 _set = object.__setattr__
 
@@ -246,18 +246,11 @@ class Poly(_Vector):
             out = out * base + Poly((c,))
         return out
 
-    def _lowest_terms(self) -> list[tuple[int, int]]:
-        """Each coefficient nums[i] / den in lowest terms, as (p, q) with q > 0."""
-        den = self.den
-        if den == 1:
-            return [(v, 1) for v in self.nums]
-        return [(v // (g := gcd(v, den)), den // g) for v in self.nums]
-
     def _strings(self) -> tuple[str, ...]:
         """coeff_strings, computed on the first call and kept."""
         strings = getattr(self, "_coeff_strings", None)
         if strings is None:
-            strings = tuple(str(p) if q == 1 else f"{p}/{q}" for p, q in self._lowest_terms())
+            strings = tuple(ratio_strings(self.nums, self.den))
             _set(self, "_coeff_strings", strings)
         return strings
 
@@ -299,7 +292,7 @@ class Poly(_Vector):
         Each coefficient is read as its lowest-terms pair (p, q), so printing
         makes no Fraction and leaves `.coeffs` unbuilt.
         """
-        pairs = self._lowest_terms()
+        pairs = lowest_terms(self.nums, self.den)
         return self._join((p < 0, term(k, abs(p), q))
                           for k, (p, q) in reversed(list(enumerate(pairs))) if p)
 

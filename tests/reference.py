@@ -1,9 +1,9 @@
 """Per-term Fraction loops that the package's integer kernels replaced.
 
-The package runs its series products, the Hankel form of orthogonality,
-duality and the lowering check on integer numerators over one common
-denominator (the `nums` over `den` that `Poly` and `Series` store), and the
-lowering check in the falling-factorial basis.  These are the
+The package runs its series products, orthogonality (whose oracle is the
+Hankel form below), duality and the lowering check on integer numerators
+over one common denominator (the `nums` over `den` that `Poly` and
+`Series` store), and the lowering check in the falling-factorial basis.  These are the
 straightforward versions, one `Fraction` operation per term and the base
 operator applied repeatedly, kept as the oracles those kernels must match
 exactly.  The same holds for the back-substitution of `extract_recurrence`,
@@ -15,6 +15,10 @@ which now read each coefficient's lowest-terms numerator and denominator
 from the stored integer form instead of building, comparing and negating
 Fractions (`fraction_text` is the Fraction-reading `Poly._text` they
 replaced).
+
+`horner_gamma_y` is gamma(y) by Horner's rule on series products, from
+before `operators.lowering_from_couple` read it off its own table of
+[s^k] y^j.
 
 `branch_family_generating` is the catalog's closed generating pair written
 out once per family, each with its own series operations, from before
@@ -71,6 +75,14 @@ def hankel_cells(seq, v) -> tuple[list, list]:
                              for b, b_c in enumerate(seq[m].coeffs)), Fraction(0))
                 cells.append((k, n, m, value))
     return cells, unchecked
+
+
+def horner_gamma_y(couple, y) -> Series:
+    """gamma(y) at the order of y, by Horner's rule: deg gamma series products."""
+    out = Series.constant(couple.gamma[-1], y.order)
+    for c in reversed(couple.gamma[:-1]):
+        out = out * y + c
+    return out
 
 
 def duality_failures(seq, v) -> list[tuple[int, int, Fraction]]:

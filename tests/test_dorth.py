@@ -147,13 +147,49 @@ def test_a_passing_report_builds_no_orth_cell_until_its_cells_are_read(monkeypat
     rep = verify_d_orthogonality(seq, v)
     doc = rep.to_jsonable()
     assert rep.passed and doc["failures"] == [] and doc["checked"] == rep.checked > 0
+    assert rep.failures == () and repr(rep)
     assert built == []
+    # nor the integer cells <u_k, P_n P_m>: the verdict is read off X_k[j][m]
+    assert rep._integer_cells is None
     # the cells are built on the first read, one per checked cell, and kept
     cells = rep.cells
+    assert rep._integer_cells is rep.integer_cells
     assert len(built) == len(cells) == rep.checked
     assert rep.cells is cells
     assert all(c.ok and c.value == F(num, den)
                for c, (_, _, _, num, den) in zip(cells, rep.integer_cells))
+
+
+def test_orthogonality_costs_one_dot_product_per_cell(monkeypatch):
+    # X_k[j][m] = <u_k, x^j P_m> is one dot product of P_m's m + 1 numerators
+    # with a shifted moment row, for the (floor((m - k)/d) + 1) rows j of each
+    # m; a Hankel row per (k, n), or any other extra product, breaks the count
+    products = []
+
+    def counted(a, b):
+        products.append(None)
+        return a * b
+
+    spec = catalog.default_spec(catalog.MEIXNER_EQ16, 2)
+    top, d = 12, 2
+    seq = expand_polynomials(catalog.family_generating(spec, top), top)
+    couple = catalog.family_couple(spec)
+    v = FunctionalVector(couple, lowering_from_couple(couple, top + top // d), d=d)
+    monkeypatch.setattr(dorth, "mul", counted)
+    rep = verify_d_orthogonality(seq, v)
+    assert rep.passed
+    bound = sum(((m - k) // d + 1) * (m + 1) for k in range(d) for m in range(k, top + 1))
+    assert len(products) == bound == 819
+    assert rep.checked == sum((m - k) // d + 1 for k in range(d) for m in range(k, top + 1))
+
+
+def test_orthogonality_refuses_a_sequence_off_exact_degree():
+    # the triangular basis argument needs deg P_n = n
+    seq, v, _ = build(LAGUERRE, 6)
+    polys = list(seq)
+    polys[4] = polys[4] + Poly.monomial(5)
+    with pytest.raises(ValueError):
+        verify_d_orthogonality(UncheckedSequence(polys), v)
 
 
 def test_orthogonality_d2_has_unchecked_boundaries():

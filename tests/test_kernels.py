@@ -1,11 +1,13 @@
 """The integer kernels against the Fraction loops they replaced.
 
-Series products and the exp/log/invert_mul recursions, the lowering ODE,
-the couple's recurrence and its rows, the generating-function expansion,
-back-substitution, the Hankel form of orthogonality, duality and the
-lowering check run on integer numerators over one common (or running)
-denominator, and the lowering check works in the falling-factorial basis
-instead of applying the base operator.  Poly.pretty, Poly.latex and
+Series products and the exp/log/invert_mul recursions, the lowering ODE
+and the gamma(y) read off its table, the couple's recurrence and its rows,
+the generating-function expansion, back-substitution, orthogonality,
+duality and the lowering check run on integer numerators over one common
+(or running) denominator, and the lowering check works in the
+falling-factorial basis instead of applying the base operator.
+Orthogonality is decided on <u_k, x^j P_m> and must give the verdict and
+the cells of the Hankel form <u_k, P_n P_m>.  Poly.pretty, Poly.latex and
 Poly.coeff_strings read each coefficient's lowest-terms numerator and
 denominator off the stored integer form.  Every result must
 equal the per-term Fraction oracle of tests/reference.py exactly, on valid
@@ -35,13 +37,15 @@ from dsheffer import (
 from dsheffer import catalog, series, sheffer
 from dsheffer.dorth import (
     BackSubstitutionError,
+    RecurrenceTable,
     RegularityViolationError,
     WindowViolationError,
-    _regular_table,
+    _regular,
+    recurrence_from_couple,
 )
 from dsheffer.exactnum import scaled
 from dsheffer.operators import newton_table
-from dsheffer.sheffer import CoupleSpec, recurrence_rows
+from dsheffer.sheffer import CoupleSpec, recurrence_numerators, recurrence_rows
 from reference import (
     UncheckedSequence,
     duality_failures,
@@ -57,6 +61,7 @@ from reference import (
     fraction_recurrence_rows,
     fraction_text,
     hankel_cells,
+    horner_gamma_y,
     lowering_failures,
     series_expand_polynomials,
 )
@@ -222,6 +227,52 @@ def test_verify_sections_match_the_oracles_on_perturbed_sequences(couple, data):
     assert_sections_match_the_oracles(seq, lop, v)
 
 
+def assert_orthogonality_matches_the_hankel_cells(seq, v) -> bool:
+    """The report's verdict, counts and cells against the term-by-term cells."""
+    orth = verify_d_orthogonality(seq, v)
+    failures = orth.failures                    # derived before the cells are
+    cells, unchecked = hankel_cells(seq, v)
+    d = v.d
+    failing = [c for c in cells if bool(c[3]) != (c[2] == c[1] * d + c[0])]
+    assert [(c.k, c.n, c.m, c.value) for c in failures] == failing
+    assert orth.passed == (not failing)
+    assert orth.checked == len(cells)
+    assert list(orth.unchecked) == unchecked
+    assert [(c.k, c.n, c.m, c.value) for c in orth.cells] == cells
+    return orth.passed
+
+
+@settings(max_examples=25, deadline=None)
+@given(regular_couples(), st.data())
+def test_orthogonality_verdicts_equal_the_hankel_cells_at_every_claimed_d(couple, data):
+    # the report decides from <u_k, x^j P_m>; the oracle computes every
+    # <u_k, P_n P_m> term by term, so both forms must give the same verdict
+    # and the cells derived on demand must be the oracle's, at the true d and
+    # at the d - 1 and d + 1 a user may claim, before and after a mutation
+    d = couple.d
+    top = data.draw(st.integers(7, 8))
+    check_d = data.draw(st.sampled_from([c for c in (d - 1, d, d + 1) if c >= 1]))
+    seq = expand_polynomials(pair_from_couple(couple, top), top)
+    v = FunctionalVector(couple, lowering_from_couple(couple, top + top // check_d), check_d)
+    polys = list(seq)
+    n = data.draw(st.integers(1, top))
+    j = data.draw(st.integers(0, n))
+    delta = data.draw(nonzero)
+    assume(j < n or seq[n].coeffs[n] + delta != 0)      # keep deg P_n = n
+    mutations = {
+        "none": seq,
+        "P_7 doubled": PolySequence(tuple(polys[:7] + [polys[7] * 2] + polys[8:])),
+        "P_7 += P_3": PolySequence(tuple(polys[:7] + [polys[7] + polys[3]] + polys[8:])),
+        "coefficient": perturbed(seq, n, j, delta),
+    }
+    verdicts = {name: assert_orthogonality_matches_the_hankel_cells(s, v)
+                for name, s in mutations.items()}
+    if check_d == d:
+        # a doubled P_n is still d-orthogonal; P_3 breaks the zeros of P_7
+        assert (verdicts["none"], verdicts["P_7 doubled"], verdicts["P_7 += P_3"]) \
+            == (True, True, False)
+
+
 def test_a_perturbed_p7_is_flagged_like_the_oracle_on_every_sample():
     top = 10
     for spec in catalog.default_sample_specs():
@@ -251,6 +302,43 @@ def couples(draw):
 @given(couples(), st.integers(0, 30))
 def test_recurrence_rows_equal_the_fraction_rows(couple, top):
     assert recurrence_rows(couple, top) == fraction_couple_rows(couple, top)
+
+
+@settings(max_examples=60, deadline=None)
+@given(couples(), st.integers(0, 30))
+def test_couple_recurrence_table_prints_the_fraction_rows(couple, top):
+    # recurrence_from_couple hands the integers over: the table prints and
+    # compares like the Fraction rows it replaced, and builds them only on read
+    try:
+        table = recurrence_from_couple(couple, top)
+    except RegularityViolationError as exc:
+        assert exc.rows == tuple(n for n, row in enumerate(recurrence_rows(couple, top))
+                                 if n >= couple.d and not (row[0] and row[couple.d + 1]))
+        return
+    rows = recurrence_rows(couple, top)
+    assert table.to_jsonable() == {"d": couple.d, "rows": [[str(c) for c in row] for row in rows]}
+    assert table._rows is None
+    assert table == RecurrenceTable(couple.d, rows)
+    assert hash(table) == hash(RecurrenceTable(couple.d, rows))
+    assert table.rows == rows and table.rows is table.rows
+    nums, den = recurrence_numerators(couple, top)
+    assert RecurrenceTable.of(couple.d, [[-v for v in row] for row in nums], -den) == table
+
+
+@settings(max_examples=40, deadline=None)
+@given(couples(), st.sampled_from((12, 30)), st.none() | nonzero)
+def test_gamma_of_y_off_the_table_equals_horner_on_drawn_couples(couple, N, omega):
+    lop = lowering_from_couple(couple, N, omega)
+    assert lop.gamma_y == horner_gamma_y(couple, lop.hstar)
+
+
+def test_gamma_of_y_off_the_table_equals_horner_on_every_sample():
+    for spec in catalog.default_sample_specs():
+        couple = catalog.family_couple(spec)
+        for N in (12, 30):
+            for omega in {None, catalog.family_step(spec)}:
+                lop = lowering_from_couple(couple, N, omega)
+                assert lop.gamma_y == horner_gamma_y(couple, lop.hstar), (spec, N, omega)
 
 
 @settings(max_examples=40, deadline=None)
@@ -343,7 +431,8 @@ def recurrence_outcome(compute):
 
 def assert_back_substitution_matches_the_oracle(seq, d):
     got = recurrence_outcome(lambda: extract_recurrence(seq, d))
-    assert got == recurrence_outcome(lambda: _regular_table(d, fraction_recurrence_rows(seq, d)))
+    assert got == recurrence_outcome(
+        lambda: _regular(RecurrenceTable(d, fraction_recurrence_rows(seq, d))))
     return got
 
 

@@ -185,11 +185,22 @@ def test_functional_degree_guard():
 
 
 def test_functional_vector_truncates_to_common_order():
-    # the functionals are built at the order of the operator they are given
+    # the functionals are built at the order of the operator they are given,
+    # whatever the order of the pair
     pair = pair_from_couple(LAGUERRE, 10)
-    lop = lowering_from_H(pair.Hx, DERIVATIVE, N=6)
+    lop = lowering_from_couple(LAGUERRE, 6)
+    assert pair.order == 10
     v = FunctionalVector(LAGUERRE, lop, d=1)
     assert v.order == 6
+
+
+def test_functional_vector_needs_the_couples_own_operator():
+    # gamma(y) is read off the operator, so it must come from this couple
+    pair = pair_from_couple(LAGUERRE, 10)
+    with pytest.raises(ValueError):
+        FunctionalVector(LAGUERRE, lowering_from_H(pair.Hx, DERIVATIVE, N=6), d=1)
+    with pytest.raises(ValueError):
+        FunctionalVector(LAGUERRE, lowering_from_couple(HERMITE, 6), d=1)
 
 
 def test_functional_vector_needs_room_for_d():
