@@ -25,11 +25,8 @@ from dsheffer.sheffer import (
     recurrence_rows,
 )
 from dsheffer.operators import (
-    DERIVATIVE,
-    DIFFERENCE,
     FunctionalVector,
     LoweringOp,
-    apply_base,
     apply_lowering,
     functional_eval,
     lowering_from_couple,
@@ -59,8 +56,8 @@ __all__ = [
     "PolySequence", "ShefferPair", "check_conditions", "couple_from_json_dict",
     "couple_from_pair", "expand_from_couple", "expand_polynomials", "pair_from_couple",
     "recurrence_rows",
-    "DERIVATIVE", "DIFFERENCE", "FunctionalVector", "LoweringOp", "apply_base",
-    "apply_lowering", "functional_eval", "lowering_from_couple", "lowering_from_H",
+    "FunctionalVector", "LoweringOp", "apply_lowering", "functional_eval",
+    "lowering_from_couple", "lowering_from_H",
     "BackSubstitutionError", "DualityReport", "LoweringReport", "OrthogonalityReport",
     "RecurrenceTable", "RegularityViolationError", "WindowViolationError",
     "extract_recurrence", "recurrence_from_couple", "verify_d_orthogonality",

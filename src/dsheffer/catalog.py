@@ -17,11 +17,13 @@ polynomial pi are normalized to exp(pi(t) - pi(0)): the couple only ever
 sees pi', and exact rational arithmetic cannot represent the constant factor
 e^(pi(0)) anyway.  Discrete families are stated in the Newton form
 A(t) (1 + omega*h(t))^(x/omega); expansion goes through the equivalent
-exponential form above.  The lowering operator and the functionals come
-from the couple alone (`verify` builds H*(D); `family_lowering` gives the
-forward difference of the same step omega, the same operator on
-polynomials), so a family is realized in closed form only for the
-generating pair.
+exponential form above.  The lowering operator H*(D) and the functionals
+come from the couple alone (`family_lowering`; a difference family's
+h*(Delta_omega) is the same operator on polynomials), so a family is
+realized in closed form only for the generating pair, and its step omega
+(`family_step`) is read by that closed form alone.  The labels DERIVATIVE
+and DIFFERENCE (`FamilyInfo.kind`) say in which form the paper states a
+family.
 The couples (`_couple_of`) stay written out by hand: they are the
 independent route the closed form is compared against.
 
@@ -35,11 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Callable, Mapping, Optional
 
 from dsheffer.exactnum import binomial, exact, pochhammer, stirling2
-from dsheffer.operators import DERIVATIVE, DIFFERENCE, LoweringOp, lowering_from_couple
+from dsheffer.operators import LoweringOp, lowering_from_couple
 from dsheffer.series import Poly, Series
 from dsheffer.sheffer import CoupleSpec, ShefferPair
 
@@ -52,6 +55,9 @@ MEIXNER_EQ14 = "meixner-eq14"
 MEIXNER_EQ16 = "meixner-eq16"
 MEIXNER_EQ21 = "meixner-eq21"
 
+DERIVATIVE = "derivative"
+DIFFERENCE = "difference"
+
 
 class InvalidParameterError(ValueError):
     """Family parameters violate a named restriction."""
@@ -63,7 +69,11 @@ class DivergentParameterError(InvalidParameterError):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family id with a concrete d, parameter values, and aux polynomial."""
+    """A family id with a concrete d, parameter values, and aux polynomial.
+
+    Do not change params after construction: the spec is screened once and
+    the result is kept on it (`_screened`).
+    """
 
     family: str
     d: int
@@ -81,6 +91,10 @@ class FamilySpec:
 
     def param(self, name: str) -> Fraction:
         return self.params[name]
+
+    @cached_property
+    def _screened(self) -> tuple[tuple[str, ...], Optional[CoupleSpec]]:
+        return _screen(self)
 
 
 @dataclass(frozen=True)
@@ -223,7 +237,7 @@ def validate_params(spec: FamilySpec) -> tuple[str, ...]:
     other restriction in a family's text is that decision written out for
     the family's parameters.
     """
-    return _screen(spec)[0]
+    return spec._screened[0]
 
 
 def _screen(spec: FamilySpec) -> tuple[tuple[str, ...], Optional[CoupleSpec]]:
@@ -286,10 +300,6 @@ def _screen(spec: FamilySpec) -> tuple[tuple[str, ...], Optional[CoupleSpec]]:
     return tuple(violations), couple
 
 
-def require_valid(spec: FamilySpec):
-    family_couple(spec)
-
-
 _ONE_MINUS_T = Poly((1, -1))
 
 
@@ -307,9 +317,10 @@ def _aux_tilde(spec: FamilySpec) -> Poly:
 def family_couple(spec: FamilySpec) -> CoupleSpec:
     """The couple (gamma, sigma) of a valid family instance.
 
-    It is the couple that validation built, so it is built once.
+    It is the couple that validation built, kept on the spec, so it is
+    built once per spec.
     """
-    violations, couple = _screen(spec)
+    violations, couple = spec._screened
     if violations:
         raise InvalidParameterError("; ".join(violations))
     return couple
@@ -364,7 +375,7 @@ def _couple_of(spec: FamilySpec) -> CoupleSpec:
 
 def family_generating(spec: FamilySpec, N: int) -> ShefferPair:
     """The closed-form generating pair, truncated at order N."""
-    require_valid(spec)
+    family_couple(spec)
     if N < 1:
         raise ValueError("order must be at least 1")
     e, k, s = FAMILIES[spec.family].factors(spec.d, spec.params)
@@ -380,7 +391,7 @@ def family_generating(spec: FamilySpec, N: int) -> ShefferPair:
 
 
 def family_step(spec: FamilySpec) -> Optional[Fraction]:
-    """Step omega of the family's forward difference; None for the derivative kind.
+    """Step omega of the family's Newton form; None for the derivative kind.
 
     The Meixner families are stated in Newton form with step 1.
     """
@@ -392,8 +403,8 @@ def family_step(spec: FamilySpec) -> Optional[Fraction]:
 
 
 def family_lowering(spec: FamilySpec, N: int) -> LoweringOp:
-    """The family's native lowering operator at truncation order N."""
-    return lowering_from_couple(family_couple(spec), N, family_step(spec))
+    """The family's lowering operator H*(D) at truncation order N."""
+    return lowering_from_couple(family_couple(spec), N)
 
 
 def laguerre2_functionals(alpha: Fraction, i: int, f: Poly) -> Fraction:

@@ -63,9 +63,8 @@ class CliError(Exception):
 class _Source:
     """Resolved construction source: a family spec or a raw couple.
 
-    Both kinds resolve to a couple, which is all the lowering operator H*(D)
-    and the functionals need: a difference-kind family's h*(Delta_omega) is
-    the same operator on polynomials (see `operators`).
+    Both resolve to a couple, which is all the lowering operator H*(D) and
+    the functionals need.
     """
 
     def __init__(self, couple: CoupleSpec, spec=None):

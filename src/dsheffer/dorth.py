@@ -22,19 +22,12 @@ X_k[n][n d + k].  The verdict is therefore decided on X alone, and the
 report derives the cells (k, n, m, num, den) from X and the P_n only when
 they are read.
 
-The lowering check sigma P_n = n P_(n-1) works in the basis
-b_l = (x)_(l,omega) / l! of falling factorials of the operator's step omega
-(x^l / l! for the derivative kind), where the base operator B maps b_l to
-b_(l-1).  Each P_n is converted once, c_l = sum_j p_j T[j][l] with the
-moment table's operators.newton_table, walked along its nonzero diagonals
-(operators.newton_diagonals), and sigma = H*(B) then acts as the
-convolution [sigma P]_l = sum_(k>=1) y_k c_(l+k) with y = H*.  The change
-of basis is invertible, so a row fails exactly when the polynomials differ,
-and no base operator is ever applied (operators.apply_lowering is the
-tests' oracle for this).  `verify` hands every source the derivative kind's
-H*(D), where T is the diagonal j! and c_l = l! p_l; a difference-kind
-operator h*(Delta_omega) gives the same failures, since it is the same
-operator on polynomials.
+The lowering check sigma P_n = n P_(n-1) works in the basis b_l = x^l / l!,
+where D b_l = b_(l-1): each P_n is converted once, c_l = l! p_l, and
+sigma = H*(D) then acts as the convolution [sigma P]_l = sum_(k>=1) y_k
+c_(l+k) with y = H*.  The change of basis is invertible, so a row fails
+exactly when the polynomials differ, and no derivative is ever taken (the
+tests' oracle applies sigma by repeated derivatives).
 
 All values are exact rationals; failing cells carry the offending value.
 The loops over P_n (back-substitution, the X table, duality, lowering)
@@ -58,11 +51,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
-from operator import add, mul
+from math import factorial, gcd, lcm
+from operator import mul
 
 from dsheffer.exactnum import exact, ratio_strings, scaled
-from dsheffer.operators import FunctionalVector, LoweringOp, newton_diagonals
+from dsheffer.operators import FunctionalVector, LoweringOp
 # no longer called here; still importable as dorth.functional_eval, which
 # perfbench/test_perfbench.py reads
 from dsheffer.operators import functional_eval  # noqa: F401
@@ -462,7 +455,7 @@ def verify_duality(seq: PolySequence, v: FunctionalVector) -> DualityReport:
     top = seq.max_index
     if top > v.order:                   # deg P_k = k, as functional_eval requires
         raise ValueError(
-            f"functional order {v.order} too small for polynomial degree {v.order + 1}"
+            f"functional order {v.order} too small for polynomial degree {top}"
         )
     polys = [seq[k] for k in range(top + 1)]
     failures = []
@@ -498,29 +491,24 @@ class LoweringReport:
 def verify_lowering(seq: PolySequence, op: LoweringOp) -> LoweringReport:
     """Check sigma P_n = n P_{n-1} for every n (and sigma P_0 = 0).
 
-    Both sides are compared in the falling-factorial basis b_l (see the
-    module docstring), in integers: with P_n's coefficients c over dn and y
-    over dy, row l holds when sum_k y_k c_(l+k) * d(n-1) = n c'_l * dn * dy,
-    c' being P_(n-1)'s.  The table's own denominator cancels.
+    Both sides are compared in the basis b_l = x^l / l! (see the module
+    docstring), in integers: with P_n's coefficients c over dn and y over
+    dy, row l holds when sum_k y_k c_(l+k) * d(n-1) = n c'_l * dn * dy,
+    c' being P_(n-1)'s.
     """
     top = seq.max_index
     if op.hstar.order < top:
         raise ValueError(
             f"operator order {op.hstar.order} too small for sequence up to P_{top}"
         )
-    # c_l = sum_t p_(l+t) T[l+t][l] along the table's nonzero diagonals t:
-    # at step 0 only t = 0 is left, and c_l = l! p_l is one elementwise product
-    diag0, rest, _ = newton_diagonals(op.omega or Fraction(0), top)
+    facts = [factorial(l) for l in range(top + 1)]
     hstar = op.hstar.truncate(top)
     y, dy = hstar.nums[1:], hstar.den                   # y_1 .. y_top
     failures = []
     prev, dprev = [], 1
     for n in range(top + 1):
         ints, dn = seq[n].nums, seq[n].den
-        c = list(map(mul, ints, diag0))
-        for t, diag in rest:
-            if t < len(ints):
-                c[:len(ints) - t] = map(add, c, map(mul, ints[t:], diag))
+        c = list(map(mul, ints, facts))                 # c_l = l! p_l
         scale = n * dn * dy
         if any(sum(map(mul, y, c[l + 1:])) * dprev != prev[l] * scale for l in range(n)):
             failures.append(n)

@@ -40,8 +40,9 @@ def dump_json(obj) -> str:
 
 
 def _write_json(obj, pad: str, out: list):
-    # pad is the newline and indent of the line obj starts on; str items are
-    # encoded in the container's loop, without a recursive call per string
+    # pad is the newline and indent of the line obj starts on; str and int
+    # items are written in the container's loop, without a recursive call
+    # per leaf (type(v) is int leaves bool, whose repr is not JSON, to the call)
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -55,6 +56,8 @@ def _write_json(obj, pad: str, out: list):
             out.append(sep + _encode_str(key) + ": ")
             if isinstance(value, str):
                 out.append(_encode_str(value))
+            elif type(value) is int:
+                out.append(int.__repr__(value))
             else:
                 _write_json(value, inner, out)
             sep = "," + inner
@@ -69,6 +72,8 @@ def _write_json(obj, pad: str, out: list):
             out.append(sep)
             if isinstance(value, str):
                 out.append(_encode_str(value))
+            elif type(value) is int:
+                out.append(int.__repr__(value))
             else:
                 _write_json(value, inner, out)
             sep = "," + inner

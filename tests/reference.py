@@ -3,7 +3,7 @@
 The package runs its series products, orthogonality (whose oracle is the
 Hankel form below), duality and the lowering check on integer numerators
 over one common denominator (the `nums` over `den` that `Poly` and
-`Series` store), and the lowering check in the falling-factorial basis.  These are the
+`Series` store), and the lowering check in the basis x^l / l!.  These are the
 straightforward versions, one `Fraction` operation per term and the base
 operator applied repeatedly, kept as the oracles those kernels must match
 exactly.  The same holds for the back-substitution of `extract_recurrence`,
@@ -20,6 +20,16 @@ replaced).
 before `operators.lowering_from_couple` read it off its own table of
 [s^k] y^j.
 
+The Newton step omega lives here alone.  A difference family, stated as
+A(t) (1 + omega h(t))^(x/omega), has the lowering operator h*(Delta_omega),
+Delta_omega f = (f(x + omega) - f(x))/omega; the package builds H*(D) for
+every source, the same operator on polynomials.  `delta` is that forward
+difference, `newton_hstar` reverts the closed form's Newton h,
+`fraction_hstar` solves (1 + omega s) y' = sigma(y) term by term, and
+`base_values`, `stepped_moments` and `lowering_failures` apply D or
+Delta_omega repeatedly, so the tests can hold H*(D) against h*(Delta_omega)
+on the moment table and on the lowering check.
+
 `branch_family_generating` is the catalog's closed generating pair written
 out once per family, each with its own series operations, from before
 `catalog.family_generating` read every family from three numbers and its
@@ -30,9 +40,10 @@ evaluator.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
-from dsheffer import Poly, PolySequence, Series, ShefferPair, apply_lowering, functional_eval
+from dsheffer import Poly, PolySequence, Series, ShefferPair, functional_eval
 from dsheffer import catalog
 from dsheffer.dorth import BackSubstitutionError, WindowViolationError
 from dsheffer.exactnum import pochhammer, stirling2
@@ -96,10 +107,66 @@ def duality_failures(seq, v) -> list[tuple[int, int, Fraction]]:
     return failures
 
 
-def lowering_failures(seq, op) -> list[int]:
-    """Every n with sigma P_n != n P_(n-1), sigma applied by repeated base operators."""
+def delta(f: Poly, omega) -> Poly:
+    """Delta_omega f = (f(x + omega) - f(x)) / omega, the forward difference of step omega."""
+    omega = Fraction(omega)
+    if not omega:
+        raise ValueError("the forward difference needs a nonzero step omega")
+    return (f.shift(omega) - f) * (1 / omega)
+
+
+def base(f: Poly, omega=None) -> Poly:
+    """The base operator: D f, or Delta_omega f for a step omega."""
+    return f.derivative() if omega is None else delta(f, omega)
+
+
+def base_values(f: Poly, omega=None) -> list[Fraction]:
+    """[B^k f]_(x=0) for k <= deg f, applying the base operator B k times."""
+    values = []
+    g = f
+    for _ in f.coeffs:                         # B lowers the degree of f each time
+        values.append(g(Fraction(0)))
+        g = base(g, omega)
+    return values
+
+
+@lru_cache(maxsize=None)
+def monomial_base_values(omega, order: int) -> tuple[list[Fraction], ...]:
+    """base_values of x^0..x^order; they depend on the base operator only."""
+    return tuple(base_values(Poly.monomial(j), omega) for j in range(order + 1))
+
+
+def stepped_moments(ws, omega, order) -> tuple[tuple[Fraction, ...], ...]:
+    """<u_i, x^j> = (1/i!) sum_l w_l [B^l x^j]_(x=0) for j <= order, w = ws[i], term by term."""
+    values = monomial_base_values(omega, order)
+    return tuple(tuple(sum((c * b for c, b in zip(w.coeffs, v)), Fraction(0)) / factorial(i)
+                       for v in values)
+                 for i, w in enumerate(ws))
+
+
+def newton_hstar(spec, N) -> Series:
+    """h* of a difference family: its closed form's Newton h = (e^(omega H) - 1)/omega, reverted."""
+    omega = catalog.family_step(spec)
+    Hx = catalog.family_generating(spec, N).Hx
+    return (((Hx * omega).exp() - 1) * (1 / omega)).reversion()
+
+
+def lowering_failures(seq, hstar, omega=None) -> list[int]:
+    """Every n with sigma P_n != n P_(n-1), sigma = sum_k y_k B^k by repeated base operators.
+
+    hstar holds y_0, y_1, ... as Fractions; B is D, or Delta_omega for a step omega.
+    """
+    def lower(f):
+        if len(hstar) < len(f.coeffs):
+            raise ValueError(f"operator order {len(hstar) - 1} too small for degree {f.degree()}")
+        out, g = Poly.zero(), f
+        for y in hstar[1:len(f.coeffs)]:
+            g = base(g, omega)
+            out = out + g * y
+        return out
+
     return [n for n in range(seq.max_index + 1)
-            if apply_lowering(op, seq[n]) != (seq[n - 1] * n if n else Poly.zero())]
+            if lower(seq[n]) != (seq[n - 1] * n if n else Poly.zero())]
 
 
 def fraction_invert_mul(s) -> list[Fraction]:
@@ -301,7 +368,7 @@ def fraction_recurrence_rows(seq, d) -> list[tuple[Fraction, ...]]:
 
 def branch_family_generating(spec, N) -> ShefferPair:
     """The closed-form generating pair of a valid family instance, one branch per family."""
-    catalog.require_valid(spec)
+    catalog.family_couple(spec)
     d = spec.d
     p = spec.params
     fam = spec.family

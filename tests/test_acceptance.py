@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 from meixner_numeric import meixner_functional_numeric
-from reference import stirling_classical_meixner
+from reference import fraction_hstar, lowering_failures, stirling_classical_meixner
 
 from dsheffer import (
     FunctionalVector,
@@ -260,14 +260,22 @@ def test_criterion_6_meixner_functionals():
 
 
 def test_criterion_7_lowering_operators(suite):
+    # every sample's H*(D) with verify_lowering, and every difference
+    # sample's own h*(Delta_omega) with the tests' stepped oracle
     built, _ = suite
     failures = []
     kinds = set()
     for spec, _, seq, lop, _ in built:
-        kinds.add(lop.kind)
+        kinds.add(catalog.FAMILIES[spec.family].kind)
         rep = verify_lowering(seq, lop)
         if not rep.passed:
             failures.append((spec.family, spec.d, rep.failures))
+        step = catalog.family_step(spec)
+        if step is not None:
+            newton = fraction_hstar(catalog.family_couple(spec), N, step)
+            stepped = lowering_failures(seq, newton, step)
+            if stepped:
+                failures.append((spec.family, spec.d, "h*(Delta_omega)", stepped))
     if kinds != {"derivative", "difference"}:
         failures.append(f"kinds covered: {kinds}")
 

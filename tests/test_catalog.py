@@ -7,21 +7,27 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from meixner_numeric import meixner_functional_numeric
-from reference import branch_family_generating, stirling_classical_meixner
+from reference import (
+    branch_family_generating,
+    fraction_hstar,
+    lowering_failures,
+    stirling_classical_meixner,
+)
 
 from dsheffer import (
-    DERIVATIVE,
-    DIFFERENCE,
     FunctionalVector,
     Poly,
     apply_lowering,
     expand_polynomials,
     functional_eval,
+    lowering_from_couple,
     pair_from_couple,
 )
 from dsheffer import catalog
 from dsheffer.catalog import (
     CHARLIER_EQ13,
+    DERIVATIVE,
+    DIFFERENCE,
     DivergentParameterError,
     FAMILIES,
     FamilySpec,
@@ -123,7 +129,7 @@ def test_default_samples_are_valid():
 def test_restriction_violations(spec):
     assert catalog.validate_params(spec)
     with pytest.raises(InvalidParameterError):
-        catalog.require_valid(spec)
+        catalog.family_couple(spec)
 
 
 @pytest.mark.parametrize("spec", [
@@ -277,10 +283,13 @@ def test_charlier_classical_convention():
 # ---------------------------------------------------------------- lowering
 
 def test_lowering_kind_follows_family():
-    eq9 = catalog.family_lowering(catalog.default_spec(LAGUERRE_EQ9, 1), 6)
-    assert eq9.kind == DERIVATIVE and eq9.omega is None
-    eq13 = catalog.family_lowering(catalog.default_spec(CHARLIER_EQ13, 1), 6)
-    assert eq13.kind == DIFFERENCE and eq13.omega == 1
+    # the kind is the family's label; every family's operator is H*(D)
+    assert FAMILIES[LAGUERRE_EQ9].kind == DERIVATIVE
+    assert FAMILIES[CHARLIER_EQ13].kind == DIFFERENCE
+    for family in (LAGUERRE_EQ9, CHARLIER_EQ13):
+        spec = catalog.default_spec(family, 1)
+        assert catalog.family_lowering(spec, 6).hstar \
+            == lowering_from_couple(catalog.family_couple(spec), 6).hstar
 
 
 def test_lowering_drops_index_for_difference_families():
@@ -292,6 +301,10 @@ def test_lowering_drops_index_for_difference_families():
         op = catalog.family_lowering(spec, 12)
         for n in range(1, 6):
             assert apply_lowering(op, seq[n]) == seq[n - 1] * F(n), (family, n)
+        # and so does the family's own h*(Delta_omega), the tests' oracle
+        step = catalog.family_step(spec)
+        newton = fraction_hstar(catalog.family_couple(spec), 12, step)
+        assert lowering_failures(seq, newton, step) == [], family
 
 
 def test_eq11_lowering_matches_closed_form():

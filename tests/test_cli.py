@@ -9,13 +9,12 @@ import os
 import resource
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import dsheffer
-from dsheffer import catalog, cli, exactnum, operators
+from dsheffer import catalog, cli, exactnum
 from dsheffer.cli import main
 from dsheffer.dorth import BackSubstitutionError
 
@@ -223,15 +222,14 @@ def test_verify_check_d_window_violation(tmp_path, capsys):
 
 
 def test_verify_and_functionals_read_no_stirling_row(tmp_path, capsys, monkeypatch):
-    # every source gets the derivative kind's H*(D), whose table is the
-    # diagonal j!, so the difference families no longer need Stirling numbers
+    # every source gets H*(D), whose moments are w_j j!/i!, so the
+    # difference families need no Stirling numbers
     def refuse(*args):
         raise AssertionError("a Stirling row was read")
 
-    for module in (exactnum, operators):
-        monkeypatch.setattr(module, "stirling2_rows", refuse)
+    monkeypatch.setattr(exactnum, "stirling2_rows", refuse)
     with pytest.raises(AssertionError):
-        operators.newton_table(Fraction(1), 3)         # the guard does bite
+        exactnum.stirling2.__wrapped__(3, 1)           # the guard does bite (uncached)
     path = tmp_path / "c.json"
     path.write_text(APP1)
     # (argv, run functionals too): the classical Meixner cross-check that
@@ -534,9 +532,9 @@ def count_couples(monkeypatch) -> list[str]:
 
 
 @pytest.mark.parametrize("command, couples", [
-    ("expand", 1), ("recurrence", 1), ("functionals", 1),
-    # family_generating, a public entry point, validates the spec again
-    ("verify", 2),
+    # family_generating, a public entry point, validates the spec again, and
+    # reads the result the first validation kept on the spec
+    ("expand", 1), ("recurrence", 1), ("functionals", 1), ("verify", 1),
 ])
 def test_one_couple_per_family_command(command, couples, monkeypatch, capsys):
     built = count_couples(monkeypatch)

@@ -1,16 +1,15 @@
 """The couple route to H* and the functionals against the reference route.
 
 The verifier builds the lowering series y = H* and the functional operator
-series y^i / A(y) from the couple alone, by the ODE (1 + omega s) y' =
-sigma(y).  The reference route reverts the closed-form H (the Newton form h
-for difference families) and composes t^i / A(t) with the result.  The two
-share no code past the family's couple and generating pair, and must agree
-coefficient for coefficient.  The verifier keeps only the moment table
-<u_i, x^j>, built by one formula for both operator kinds (Stirling numbers
-for a step, the diagonal j! without one); the reference moments apply the
-base operator to x^j instead.  verify and functionals build H*(D) for every
-source, and a difference family's own h*(Delta_omega) must give the same
-moment integers and the same lowering verdicts.
+series y^i / A(y) from the couple alone, by the ODE y' = sigma(y), and
+keeps the moment table <u_i, x^j> = w_j j!/i!.  The reference route
+reverts the closed-form H and composes t^i / A(t) with the result, and its
+moments apply the base operator to x^j.  For a difference family the
+reference is the Newton step's Fraction oracle of tests/reference.py: it
+reverts the Newton form h and applies Delta_omega, so h*(Delta_omega) is
+held against the verifier's H*(D), the same operator on polynomials.  The
+two routes share no code past the family's couple and generating pair, and
+must give the same moments and flag the same P_n.
 """
 
 import contextlib
@@ -23,16 +22,14 @@ from math import factorial
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from reference import base_values, fraction_hstar, lowering_failures, newton_hstar, \
+    stepped_moments
 
 from dsheffer import (
-    DERIVATIVE,
-    DIFFERENCE,
     FunctionalVector,
-    LoweringOp,
     Poly,
     PolySequence,
     Series,
-    apply_base,
     check_conditions,
     expand_polynomials,
     functional_eval,
@@ -55,64 +52,35 @@ def reference_ops(A: Series, hstar: Series, d: int):
     return [(Series.monomial(i, hstar.order) * inv_a).compose(hstar) for i in range(d)]
 
 
-def base_values(lop, f: Poly) -> list[Fraction]:
-    """[B^k f]_(x=0) for k <= deg f, applying the base operator B k times."""
-    values = []
-    g = f
-    for _ in f.coeffs:                         # B lowers the degree of f each time
-        values.append(g(Fraction(0)))
-        g = apply_base(lop.kind, g, lop.omega)
-    return values
-
-
-def reference_value(w: Series, i: int, values) -> Fraction:
-    """(1/i!) sum_k w_k [B^k f]_(x=0), given the values of base_values."""
+def reference_eval(w: Series, i: int, omega, f: Poly) -> Fraction:
+    """(1/i!) sum_k w_k [B^k f]_(x=0), B = D, or Delta_omega for a step omega."""
+    values = base_values(f, omega)
     return sum((c * b for c, b in zip(w.coeffs, values)), Fraction(0)) / factorial(i)
 
 
-def reference_eval(w: Series, i: int, lop, f: Poly) -> Fraction:
-    return reference_value(w, i, base_values(lop, f))
-
-
-@lru_cache(maxsize=None)
-def monomial_base_values(kind: str, omega, order: int):
-    """base_values of x^0..x^order; they depend on the base operator only."""
-    lop = LoweringOp(kind, Series.identity(order), omega)
-    return [base_values(lop, Poly.monomial(j)) for j in range(order + 1)]
-
-
-def reference_moments(ops, lop):
-    """<u_i, x^j> for j up to the operator order, by the reference evaluator."""
-    values = monomial_base_values(lop.kind, lop.omega, lop.hstar.order)
-    return tuple(tuple(reference_value(w, i, v) for v in values) for i, w in enumerate(ops))
-
-
 def reference_family(spec: FamilySpec, N: int):
-    """H* and the functional series by Newton reversion of the closed form."""
+    """(y, omega, functional series): H* of the closed form, or h* of its Newton form."""
     pair = catalog.family_generating(spec, N)
-    if FAMILIES[spec.family].kind == DERIVATIVE:
-        lop = lowering_from_H(pair.Hx, DERIVATIVE, N)
-    else:
-        # exp(x H) = (1 + omega h)^(x/omega): the Newton form h has the
-        # family's stated step, omega for Charlier and 1 for Meixner
-        omega = spec.params.get("omega", F(1))
-        newton = ((pair.Hx * omega).exp() - 1) * (1 / omega)
-        lop = lowering_from_H(newton, DIFFERENCE, N, omega=omega)
-    return lop, reference_ops(pair.A, lop.hstar, spec.d)
+    omega = catalog.family_step(spec)
+    hstar = lowering_from_H(pair.Hx, N).hstar if omega is None else newton_hstar(spec, N)
+    return hstar, omega, reference_ops(pair.A, hstar, spec.d)
 
 
-def couple_route(couple: CoupleSpec, N: int, omega, d: int):
-    lop = lowering_from_couple(couple, N, omega)
+def couple_route(couple: CoupleSpec, N: int, d: int):
+    lop = lowering_from_couple(couple, N)
     return lop, FunctionalVector(couple, lop, d)
 
 
 def assert_family_routes_agree(spec: FamilySpec, N: int):
-    ref_lop, ref_ops = reference_family(spec, N)
-    lop, v = couple_route(catalog.family_couple(spec), N, catalog.family_step(spec), spec.d)
+    couple = catalog.family_couple(spec)
+    hstar, omega, ref_ops = reference_family(spec, N)
+    lop, v = couple_route(couple, N, spec.d)
     assert catalog.family_lowering(spec, N).hstar == lop.hstar
-    assert (lop.kind, lop.omega) == (ref_lop.kind, ref_lop.omega), spec
-    assert lop.hstar == ref_lop.hstar, spec
-    ref_moments = reference_moments(ref_ops, ref_lop)
+    # H*(D) from the couple, and the reference's operator from the couple's
+    # stepped ODE, (1 + omega s) y' = sigma(y)
+    assert lop.hstar.coeffs == tuple(fraction_hstar(couple, N)), spec
+    assert hstar.coeffs == tuple(fraction_hstar(couple, N, omega)), spec
+    ref_moments = stepped_moments(ref_ops, omega, N)
     for i in range(spec.d):
         assert v.moments[i] == ref_moments[i], (spec, i)
 
@@ -120,34 +88,34 @@ def assert_family_routes_agree(spec: FamilySpec, N: int):
 def test_default_samples_agree_at_order_24():
     specs = catalog.default_sample_specs()
     assert len(specs) == 21
-    assert {FAMILIES[s.family].kind for s in specs} == {DERIVATIVE, DIFFERENCE}
+    assert {FAMILIES[s.family].kind for s in specs} == {catalog.DERIVATIVE, catalog.DIFFERENCE}
     for spec in specs:
         assert_family_routes_agree(spec, 24)
 
 
-def moment_rows(couple: CoupleSpec, lop, d: int):
-    """The functionals' moment rows as their stored integers (nums, den)."""
-    return [(row.nums, row.den) for row in FunctionalVector(couple, lop, d).rows]
-
-
 def test_h_star_of_d_and_the_newton_step_agree_on_every_sample():
-    # verify and functionals build H*(D) with no step; a difference family's
-    # h*(Delta_omega) is the same operator on polynomials, so it must give the
-    # same moment integers and flag the same P_n
+    # verify and functionals build H*(D); a difference family's h*(Delta_omega)
+    # is the same operator on polynomials, so the stepped oracle must give the
+    # same moments and flag the same P_n.  The oracle applies its base
+    # operator n times per P_n and j times per x^j, so it runs at N = 12
+    # (order 24 is test_default_samples_agree_at_order_24's)
     for spec in catalog.default_sample_specs():
         couple = catalog.family_couple(spec)
+        omega = catalog.family_step(spec)
         for N in (12, 24):
             order = N + N // spec.d
             plain = lowering_from_couple(couple, order)
-            newton = lowering_from_couple(couple, order, catalog.family_step(spec))
-            assert moment_rows(couple, plain, spec.d) == moment_rows(couple, newton, spec.d), \
-                (spec, N)
+            if N == 12:
+                hstar, _, ref_ops = reference_family(spec, order)
+                assert FunctionalVector(couple, plain, spec.d).moments \
+                    == stepped_moments(ref_ops, omega, order), spec
             polys = list(expand_polynomials(catalog.family_generating(spec, N), N))
             for p7, expected in ((polys[7], ()), (polys[7] * 2, (7, 8)),
                                  (polys[7] + polys[3], (7, 8))):
                 seq = PolySequence(tuple(polys[:7] + [p7] + polys[8:]))
-                verdicts = [verify_lowering(seq, lop).failures for lop in (plain, newton)]
-                assert verdicts == [expected] * 2, (spec, N, expected)
+                assert verify_lowering(seq, plain).failures == expected, (spec, N)
+                if N == 12:
+                    assert tuple(lowering_failures(seq, hstar.coeffs, omega)) == expected, spec
 
 
 def charlier_with_step(d: int, omega: Fraction) -> FamilySpec:
@@ -182,11 +150,11 @@ def test_couple_sources_agree_at_order_24():
     ] + [random_regular_couple(rng) for _ in range(6)]
     for couple in couples:
         pair = pair_from_couple(couple, 24)
-        ref = lowering_from_H(pair.Hx, DERIVATIVE, 24)
-        lop, v = couple_route(couple, 24, None, couple.d)
+        ref = lowering_from_H(pair.Hx, 24)
+        lop, v = couple_route(couple, 24, couple.d)
         assert lop.hstar == ref.hstar, couple
         ref_ops = reference_ops(pair.A, ref.hstar, couple.d)
-        assert v.moments == reference_moments(ref_ops, ref), couple
+        assert v.moments == stepped_moments(ref_ops, None, 24), couple
 
 
 # ---------------------------------------------------------------- functional values
@@ -196,22 +164,22 @@ PROPERTY_SPECS = catalog.default_sample_specs() + (charlier_with_step(2, F(-2, 3
 
 @lru_cache(maxsize=None)
 def property_routes(index: int):
-    """Reference operator and series, and the verifier's table, at order 12."""
+    """Reference step and series, and the verifier's table, at order 12."""
     spec = PROPERTY_SPECS[index]
-    ref_lop, ref_ops = reference_family(spec, 12)
-    _, v = couple_route(catalog.family_couple(spec), 12, catalog.family_step(spec), spec.d)
-    return ref_lop, ref_ops, v
+    _, omega, ref_ops = reference_family(spec, 12)
+    _, v = couple_route(catalog.family_couple(spec), 12, spec.d)
+    return omega, ref_ops, v
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_functional_eval_matches_the_reference_evaluator(data):
-    ref_lop, ref_ops, v = property_routes(
+    omega, ref_ops, v = property_routes(
         data.draw(st.integers(min_value=0, max_value=len(PROPERTY_SPECS) - 1)))
     i = data.draw(st.integers(min_value=0, max_value=v.d - 1))
     f = Poly(data.draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
                                 max_size=v.order + 1)))
-    assert functional_eval(v, i, f) == reference_eval(ref_ops[i], i, ref_lop, f)
+    assert functional_eval(v, i, f) == reference_eval(ref_ops[i], i, omega, f)
 
 
 # ---------------------------------------------------------------- random family parameters

@@ -221,6 +221,14 @@ def test_orthogonality_order_guard():
 
 # ---------------------------------------------------------------- duality
 
+def test_duality_order_guard_names_the_sequence_degree():
+    seq, _, _ = build(LAGUERRE, 15)
+    _, small_v, _ = build(LAGUERRE, 6, order=10)
+    with pytest.raises(ValueError,
+                       match=r"^functional order 10 too small for polynomial degree 15$"):
+        verify_duality(seq, small_v)
+
+
 def test_duality_clean():
     seq, v, _ = build(LAGUERRE, 6)
     rep = verify_duality(seq, v)

@@ -21,7 +21,6 @@ from dsheffer.catalog import (
     meixner_functional_exact,
 )
 from dsheffer.exactnum import exact, scaled
-from dsheffer.operators import DIFFERENCE, LoweringOp, apply_base, lowering_from_couple
 from dsheffer.sheffer import CoupleSpec
 
 
@@ -111,9 +110,6 @@ EXACT_BUILDERS = (
     lambda v: meixner_functional_exact(1, Fraction(1, 2), v, 0, Poly.one()),
     lambda v: meixner_classical_functional(v, 1, Poly.one()),
     lambda v: Series((1, -1)).pow_rat(v),
-    lambda v: LoweringOp(DIFFERENCE, Series((0, 1)), v),
-    lambda v: lowering_from_couple(CoupleSpec(d=1, gamma=(1, 1), sigma=(1, 0, 1)), 4, v),
-    lambda v: apply_base(DIFFERENCE, Poly.monomial(2), v),
 )
 
 

@@ -4,8 +4,8 @@ Series products and the exp/log/invert_mul recursions, the lowering ODE
 and the gamma(y) read off its table, the couple's recurrence and its rows,
 the generating-function expansion, back-substitution, orthogonality,
 duality and the lowering check run on integer numerators over one common
-(or running) denominator, and the lowering check works in the
-falling-factorial basis instead of applying the base operator.
+(or running) denominator, and the lowering check works in the basis
+x^l / l! instead of applying the derivative.
 Orthogonality is decided on <u_k, x^j P_m> and must give the verdict and
 the cells of the Hankel form <u_k, P_n P_m>.  Poly.pretty, Poly.latex and
 Poly.coeff_strings read each coefficient's lowest-terms numerator and
@@ -15,7 +15,6 @@ sequences and on perturbed ones, errors included.
 """
 
 from fractions import Fraction
-from math import factorial
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -44,7 +43,6 @@ from dsheffer.dorth import (
     recurrence_from_couple,
 )
 from dsheffer.exactnum import scaled
-from dsheffer.operators import newton_table
 from dsheffer.sheffer import CoupleSpec, recurrence_numerators, recurrence_rows
 from reference import (
     UncheckedSequence,
@@ -151,26 +149,6 @@ def test_pretty_and_latex_text_of_fixed_polynomials():
     assert Poly((-1,)).pretty() == "-1"
 
 
-# ---------------------------------------------------------------- falling-factorial basis
-
-def falling(l: int, step: Fraction) -> Poly:
-    """(x)_(l,step) = x (x - step) ... (x - (l-1) step)."""
-    out = Poly.one()
-    for i in range(l):
-        out = out * Poly((-i * step, 1))
-    return out
-
-
-def test_newton_table_writes_monomials_in_the_falling_basis():
-    order = 7
-    for step in (F(0), F(1), F(-2, 3), F(5, 2)):
-        table, den = newton_table(step, order)
-        for j, row in enumerate(table):
-            back = sum((falling(l, step) * F(t, den * factorial(l))
-                        for l, t in enumerate(row)), Poly.zero())
-            assert back == Poly.monomial(j), (step, j)
-
-
 # ---------------------------------------------------------------- verify sections
 
 def perturbed(seq: PolySequence, n: int, j: int, delta: Fraction) -> PolySequence:
@@ -181,7 +159,7 @@ def perturbed(seq: PolySequence, n: int, j: int, delta: Fraction) -> PolySequenc
 
 def assert_sections_match_the_oracles(seq, lop, v):
     low = verify_lowering(seq, lop)
-    assert low.failures == tuple(lowering_failures(seq, lop))
+    assert low.failures == tuple(lowering_failures(seq, lop.hstar.coeffs))
     orth = verify_d_orthogonality(seq, v)
     failures = orth.failures                    # built before the cells are
     cells, unchecked = hankel_cells(seq, v)
@@ -210,12 +188,9 @@ def regular_couples(draw):
 @settings(max_examples=60, deadline=None)
 @given(regular_couples(), st.data())
 def test_verify_sections_match_the_oracles_on_perturbed_sequences(couple, data):
-    # the couple's sequence satisfies h*(B) P_n = n P_(n-1) for the Newton form
-    # of every step, so any omega gives a valid operator before the perturbation
     top = data.draw(st.integers(couple.d + 2, 8))
-    omega = data.draw(st.none() | nonzero)
     seq = expand_polynomials(pair_from_couple(couple, top), top)
-    lop = lowering_from_couple(couple, top + top // couple.d, omega)
+    lop = lowering_from_couple(couple, top + top // couple.d)
     v = FunctionalVector(couple, lop, couple.d)
     assert not assert_sections_match_the_oracles(seq, lop, v).failures
     for _ in range(data.draw(st.integers(1, 3))):
@@ -278,7 +253,7 @@ def test_a_perturbed_p7_is_flagged_like_the_oracle_on_every_sample():
     for spec in catalog.default_sample_specs():
         couple = catalog.family_couple(spec)
         seq = expand_polynomials(catalog.family_generating(spec, top), top)
-        lop = lowering_from_couple(couple, top + top // spec.d, catalog.family_step(spec))
+        lop = lowering_from_couple(couple, top + top // spec.d)
         v = FunctionalVector(couple, lop, spec.d)
         seq = perturbed(seq, 7, 3, F(1, 3))
         low = assert_sections_match_the_oracles(seq, lop, v)
@@ -326,9 +301,9 @@ def test_couple_recurrence_table_prints_the_fraction_rows(couple, top):
 
 
 @settings(max_examples=40, deadline=None)
-@given(couples(), st.sampled_from((12, 30)), st.none() | nonzero)
-def test_gamma_of_y_off_the_table_equals_horner_on_drawn_couples(couple, N, omega):
-    lop = lowering_from_couple(couple, N, omega)
+@given(couples(), st.sampled_from((12, 30)))
+def test_gamma_of_y_off_the_table_equals_horner_on_drawn_couples(couple, N):
+    lop = lowering_from_couple(couple, N)
     assert lop.gamma_y == horner_gamma_y(couple, lop.hstar)
 
 
@@ -336,9 +311,8 @@ def test_gamma_of_y_off_the_table_equals_horner_on_every_sample():
     for spec in catalog.default_sample_specs():
         couple = catalog.family_couple(spec)
         for N in (12, 30):
-            for omega in {None, catalog.family_step(spec)}:
-                lop = lowering_from_couple(couple, N, omega)
-                assert lop.gamma_y == horner_gamma_y(couple, lop.hstar), (spec, N, omega)
+            lop = lowering_from_couple(couple, N)
+            assert lop.gamma_y == horner_gamma_y(couple, lop.hstar), (spec, N)
 
 
 @settings(max_examples=40, deadline=None)
@@ -355,10 +329,10 @@ def test_expand_polynomials_equals_the_series_products(orders, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(regular_couples(), st.integers(1, 30), st.none() | nonzero)
-def test_lowering_ode_equals_the_fraction_recursion(couple, N, omega):
-    lop = lowering_from_couple(couple, N, omega)
-    assert lop.hstar.coeffs == tuple(fraction_hstar(couple, N, omega))
+@given(regular_couples(), st.integers(1, 30))
+def test_lowering_ode_equals_the_fraction_recursion(couple, N):
+    lop = lowering_from_couple(couple, N)
+    assert lop.hstar.coeffs == tuple(fraction_hstar(couple, N))
 
 
 @settings(max_examples=60, deadline=None)

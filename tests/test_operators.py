@@ -1,17 +1,19 @@
-"""Lowering operators sigma = H*(B) and the functional vector u_0..u_{d-1}."""
+"""Lowering operators sigma = H*(D) and the functional vector u_0..u_{d-1}.
+
+The forward difference Delta_omega of a family's Newton form is the tests'
+oracle (tests/reference.py); the package's operator is H*(D) alone.
+"""
 
 from fractions import Fraction
 
 import pytest
+from reference import UncheckedSequence, delta, fraction_hstar, lowering_failures
 
 from dsheffer import (
-    DERIVATIVE,
-    DIFFERENCE,
     FunctionalVector,
     LoweringOp,
     Poly,
     Series,
-    apply_base,
     apply_lowering,
     expand_polynomials,
     functional_eval,
@@ -30,23 +32,30 @@ HERMITE = CoupleSpec(d=1, gamma=(F(0), F(-1)), sigma=(F(1),))
 # ---------------------------------------------------------------- base operators
 
 def test_derivative_base():
-    assert apply_base(DERIVATIVE, Poly((0, 0, 0, 1))) == Poly((0, 0, 3))
+    # H* = t makes sigma the derivative itself
+    assert apply_lowering(LoweringOp(Series.identity(3)), Poly((0, 0, 0, 1))) == Poly((0, 0, 3))
 
 
 def test_forward_difference_base():
     x2 = Poly((0, 0, 1))
-    assert apply_base(DIFFERENCE, x2, F(1)) == Poly((1, 2))
-    assert apply_base(DIFFERENCE, x2, F(1, 2)) == Poly((F(1, 2), 2))
+    assert delta(x2, F(1)) == Poly((1, 2))
+    assert delta(x2, F(1, 2)) == Poly((F(1, 2), 2))
 
 
 def test_difference_requires_step():
     with pytest.raises(ValueError):
-        apply_base(DIFFERENCE, Poly((0, 1)))
+        delta(Poly((0, 1)), 0)
 
 
 def test_unknown_base_kind():
-    with pytest.raises(ValueError):
-        apply_base("integral", Poly((0, 1)))
+    # the operator is H*(D) for every source: no base kind or step is taken
+    t = Series.identity(4)
+    with pytest.raises(TypeError):
+        LoweringOp("difference", t)
+    with pytest.raises(TypeError):
+        LoweringOp(t, omega=F(1))
+    with pytest.raises(TypeError):
+        lowering_from_couple(LAGUERRE, 6, F(1))
 
 
 # ---------------------------------------------------------------- lowering operators
@@ -54,72 +63,76 @@ def test_unknown_base_kind():
 def test_lowering_op_invariants():
     t = Series.identity(4)
     with pytest.raises(ValueError):
-        LoweringOp(DERIVATIVE, Series((1, 1, 0, 0, 0)))       # hstar(0) != 0
+        LoweringOp(Series((1, 1, 0, 0, 0)))                   # hstar(0) != 0
     with pytest.raises(ValueError):
-        LoweringOp(DERIVATIVE, Series((0, 0, 1, 0, 0)))       # hstar'(0) = 0
+        LoweringOp(Series((0, 0, 1, 0, 0)))                   # hstar'(0) = 0
     with pytest.raises(ValueError):
-        LoweringOp(DIFFERENCE, t)                             # omega missing
-    with pytest.raises(ValueError):
-        LoweringOp(DERIVATIVE, t, omega=F(1))                 # omega meaningless
-    assert LoweringOp(DIFFERENCE, t, omega=F(1)).omega == 1
+        LoweringOp(t, couple=LAGUERRE)                        # gamma_y missing
+    assert LoweringOp(t).couple is None and LoweringOp(t).gamma_y is None
 
 
 def test_lowering_from_moebius_H_is_its_own_inverse():
     hx = Series([0] + [F(-1)] * 8)                            # -t/(1-t)
-    op = lowering_from_H(hx, DERIVATIVE)
+    op = lowering_from_H(hx)
     assert op.hstar.coeffs == hx.coeffs
-    assert op.kind == DERIVATIVE
 
 
 def test_identity_hstar_reduces_to_base_operator():
-    op = LoweringOp(DERIVATIVE, Series.identity(6))
+    op = LoweringOp(Series.identity(6))
     p = Poly((1, 2, 0, 5))
     assert apply_lowering(op, p) == p.derivative()
-    opd = LoweringOp(DIFFERENCE, Series.identity(6), omega=F(1))
-    assert apply_lowering(opd, Poly((0, 0, 1))) == Poly((1, 2))
+    # in the oracle, h* = t with a step is Delta_omega itself, which lowers the
+    # falling factorials (x)_(n,omega) and D does not
+    falling = [Poly.one()]
+    for n in range(5):
+        falling.append(falling[-1] * Poly((-n * F(1, 2), 1)))
+    seq, t = UncheckedSequence(falling), Series.identity(6).coeffs
+    assert lowering_failures(seq, t, F(1, 2)) == []
+    assert lowering_failures(seq, t) == [2, 3, 4, 5]
 
 
 def test_laguerre_lowering_on_monomial():
     pair = pair_from_couple(LAGUERRE, 8)
-    op = lowering_from_H(pair.Hx, DERIVATIVE)
+    op = lowering_from_H(pair.Hx)
     assert apply_lowering(op, Poly.x()) == Poly((-1,))
 
 
 def test_lowering_annihilates_constants():
     pair = pair_from_couple(LAGUERRE, 8)
-    op = lowering_from_H(pair.Hx, DERIVATIVE)
+    op = lowering_from_H(pair.Hx)
     assert apply_lowering(op, Poly.one()).is_zero
 
 
 def test_lowering_drops_sequence_index():
     pair = pair_from_couple(LAGUERRE, 16)
     seq = expand_polynomials(pair, 6)
-    op = lowering_from_H(pair.Hx, DERIVATIVE)
+    op = lowering_from_H(pair.Hx)
     for n in range(1, 7):
         assert apply_lowering(op, seq[n]) == seq[n - 1] * F(n)
     assert apply_lowering(op, seq[0]).is_zero
 
 
 def test_lowering_order_guard():
-    op = lowering_from_H(Series.identity(3), DERIVATIVE)
+    op = lowering_from_H(Series.identity(3))
     with pytest.raises(ValueError):
         apply_lowering(op, Poly.monomial(5))
 
 
 def test_lowering_from_H_can_re_truncate():
     hx = Series([0] + [F(-1)] * 10)
-    op = lowering_from_H(hx, DERIVATIVE, N=4)
+    op = lowering_from_H(hx, N=4)
     assert op.hstar.order == 4
 
 
 def test_lowering_from_couple_kind_follows_step():
     op = lowering_from_couple(LAGUERRE, 6)
-    assert op.kind == DERIVATIVE and op.omega is None
-    assert op.hstar.order == 6
+    assert op.couple == LAGUERRE and op.hstar.order == 6
+    # Charlier at step 1/2: the oracle's Newton h* solves (1 + s/2) y' = 1 + y/2,
+    # so it is t; the package's H* solves y' = 1 + y/2, so it is 2 (e^(s/2) - 1)
     charlier = CoupleSpec(d=1, gamma=(F(0), F(1)), sigma=(F(1), F(1, 2)))
-    opd = lowering_from_couple(charlier, 6, omega=F(1, 2))
-    assert opd.kind == DIFFERENCE and opd.omega == F(1, 2)
-    assert opd.hstar == Series.identity(6)          # (1 + s/2) y' = 1 + y/2
+    assert fraction_hstar(charlier, 6, F(1, 2)) == [0, 1, 0, 0, 0, 0, 0]
+    opd = lowering_from_couple(charlier, 6)
+    assert opd.hstar.coeffs == (0, 1, F(1, 4), F(1, 24), F(1, 192), F(1, 1920), F(1, 23040))
 
 
 def test_lowering_from_couple_contracts():
@@ -198,7 +211,7 @@ def test_functional_vector_needs_the_couples_own_operator():
     # gamma(y) is read off the operator, so it must come from this couple
     pair = pair_from_couple(LAGUERRE, 10)
     with pytest.raises(ValueError):
-        FunctionalVector(LAGUERRE, lowering_from_H(pair.Hx, DERIVATIVE, N=6), d=1)
+        FunctionalVector(LAGUERRE, lowering_from_H(pair.Hx, N=6), d=1)
     with pytest.raises(ValueError):
         FunctionalVector(LAGUERRE, lowering_from_couple(HERMITE, 6), d=1)
 

@@ -6,12 +6,13 @@ Its bytes must equal json.dumps's exactly on any document a report can be.
 """
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dsheffer import cli
+from dsheffer import cli, render
 from dsheffer.render import dump_json
 
 # non-ASCII text, quotes, backslashes and control characters among the rest
@@ -64,3 +65,36 @@ def test_reports_never_run_the_pure_python_encoder(monkeypatch, capsys):
     for command in ("expand", "recurrence", "verify"):
         assert cli.main([command, *source]) == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["command"] == command
+
+
+def tally(doc, counts: Counter) -> Counter:
+    """Count doc's dicts and lists, int leaves, and bool or None leaves."""
+    if isinstance(doc, (dict, list)):
+        counts["container"] += 1
+        for value in doc.values() if isinstance(doc, dict) else doc:
+            tally(value, counts)
+    elif type(doc) is int:
+        counts["int"] += 1
+    elif doc is None or isinstance(doc, bool):
+        counts["bool or None"] += 1
+    return counts
+
+
+@pytest.mark.parametrize("source", [
+    ["--family", "meixner-eq16", "--d", "2", "--param", "beta=1", "--param", "c=1/2"],
+    ["--family", "laguerre-eq11", "--param", "alpha=1/2", "--check-d", "1"],
+])
+def test_a_verify_report_takes_one_write_call_per_dict_and_list(source, monkeypatch, capsys):
+    # str and int leaves are written in their container's loop; bool and None
+    # leaves keep a call of their own
+    cli.main(["verify", "--order", "12", *source])
+    doc = json.loads(capsys.readouterr().out)
+    counts = tally(doc, Counter())
+    assert counts["int"] > 50                   # unchecked_boundaries, checked, orders ...
+    calls = []
+    original = render._write_json
+    monkeypatch.setattr(render, "_write_json",
+                        lambda obj, pad, out: calls.append(obj) or original(obj, pad, out))
+    assert render.dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert len(calls) == counts["container"] + counts["bool or None"]
+    assert sum(isinstance(c, (dict, list)) for c in calls) == counts["container"]
