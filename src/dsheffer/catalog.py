@@ -41,7 +41,7 @@ from functools import cached_property
 from math import factorial
 from typing import Callable, Mapping, Optional
 
-from dsheffer.exactnum import binomial, exact, pochhammer, stirling2
+from dsheffer.exactnum import binomial, exact, pochhammer, stirling2_rows
 from dsheffer.operators import LoweringOp, lowering_from_couple
 from dsheffer.series import Poly, Series
 from dsheffer.sheffer import CoupleSpec, ShefferPair
@@ -480,6 +480,7 @@ def meixner_functional_exact(d: int, c: Fraction, beta: Fraction,
     deg = f.degree()
     if deg is None:
         return Fraction(0)
+    S = list(stirling2_rows(deg, deg))     # S[m][k] = S(m, k) for k <= m
     total = Fraction(0)
     for i in range(r + 1):
         b = beta + Fraction(i, d)
@@ -488,8 +489,7 @@ def meixner_functional_exact(d: int, c: Fraction, beta: Fraction,
             if fm == 0:
                 continue
             s = Fraction(0)
-            for k in range(m + 1):
-                s2 = stirling2(m, k)
+            for k, s2 in enumerate(S[m]):
                 if s2:
                     s += s2 * pochhammer(b, k) * z ** k
             part += fm * s

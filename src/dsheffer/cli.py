@@ -194,25 +194,19 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _recurrence_section(seq, d):
+def _section(passed: bool, details: dict) -> dict:
+    return {"status": "pass" if passed else "fail", "details": details}
+
+
+def _recurrence_section(seq, d) -> dict:
     try:
         table = extract_recurrence(seq, d)
     except WindowViolationError as exc:
-        return None, {
-            "status": "fail",
-            "details": {
-                "error": "window-violation",
-                "n": exc.n,
-                "index": exc.index,
-                "value": str(exc.value),
-            },
-        }
+        return _section(False, {"error": "window-violation", "n": exc.n,
+                                "index": exc.index, "value": str(exc.value)})
     except RegularityViolationError as exc:
-        return None, {
-            "status": "fail",
-            "details": {"error": "regularity-violation", "rows": list(exc.rows)},
-        }
-    return table, {"status": "pass", "details": table.to_jsonable()}
+        return _section(False, {"error": "regularity-violation", "rows": list(exc.rows)})
+    return _section(True, table.to_jsonable())
 
 
 def cmd_verify(args) -> int:
@@ -226,13 +220,8 @@ def cmd_verify(args) -> int:
     couple = source.couple
     seq = expand_polynomials(source.pair(N), N)
 
-    sections = {}
-
     cond = check_conditions(couple, N)
-    sections["conditions"] = {
-        "status": "pass" if cond.passed else "fail",
-        "details": cond.to_jsonable(),
-    }
+    sections = {"conditions": _section(cond.passed, cond.to_jsonable())}
 
     if source.is_family:
         other = expand_from_couple(couple, N)
@@ -241,37 +230,24 @@ def cmd_verify(args) -> int:
             for n in range(N + 1)
             if seq[n] != other[n]
         ]
-        sections["two_path"] = {
-            "status": "pass" if not mismatches else "fail",
-            "details": {"compared_through": N, "mismatches": mismatches},
-        }
+        sections["two_path"] = _section(not mismatches,
+                                        {"compared_through": N, "mismatches": mismatches})
     else:
         sections["two_path"] = {
             "status": "skipped",
             "details": {"reason": "raw couples have a single construction route"},
         }
 
-    _, sections["recurrence"] = _recurrence_section(seq, check_d)
+    sections["recurrence"] = _recurrence_section(seq, check_d)
 
     # orthogonality reads moments up to degree N + N // check_d (the cell
     # n = N // check_d, m = N); duality and the lowering check need only N
     lop = lowering_from_couple(couple, N + N // check_d)
     fv = FunctionalVector(couple, lop, check_d)
-    dual = verify_duality(seq, fv)
-    sections["duality"] = {
-        "status": "pass" if dual.passed else "fail",
-        "details": dual.to_jsonable(),
-    }
-    orth = verify_d_orthogonality(seq, fv)
-    sections["orthogonality"] = {
-        "status": "pass" if orth.passed else "fail",
-        "details": orth.to_jsonable(),
-    }
-    low = verify_lowering(seq, lop)
-    sections["lowering"] = {
-        "status": "pass" if low.passed else "fail",
-        "details": low.to_jsonable(),
-    }
+    for name, check in (("duality", verify_duality(seq, fv)),
+                        ("orthogonality", verify_d_orthogonality(seq, fv)),
+                        ("lowering", verify_lowering(seq, lop))):
+        sections[name] = _section(check.passed, check.to_jsonable())
 
     ok = all(s["status"] in ("pass", "skipped") for s in sections.values())
     report = {
@@ -331,7 +307,7 @@ def cmd_functionals(args) -> int:
             cross = None
             if explicit is not None:
                 label, fn = explicit
-                cross_value = fn(i, Poly.monomial(m) if m else Poly.one())
+                cross_value = fn(i, Poly.monomial(m))
                 match = cross_value == value
                 all_match = all_match and match
                 cross = {"evaluator": label, "value": str(cross_value), "match": match}

@@ -39,11 +39,14 @@ num = den [i = k]; the integer cells, the OrthCell objects and their
 Fractions are built only for the cells a report prints or a caller reads,
 so a passing report builds none.  The recurrence table is held the same
 way, as integer numerators over one denominator, and prints from them.
-Back-substitution holds the coordinates of x P_n found so far over one
-running denominator, so a zero coordinate (every one below n - d in a
-d-orthogonal sequence) costs an integer dot product of at most d + 2 terms
-and no gcd; each nonzero coordinate is reduced by one gcd, and the rows are
-handed over as integers over their common denominator.
+Back-substitution keeps one running remainder per row, r / R = x P_n minus
+the c_j P_j found so far, integers over one denominator.  Going down from
+j = n + 1, a zero r[j] (every one below n - d in a d-orthogonal sequence)
+costs nothing; a nonzero one gives c_j by one gcd, grows R only when c_j
+P_j's denominator does not divide it, and c_j P_j is subtracted in place
+over P_j's entries alone.  After j = 0 every row checks that r is zero,
+whatever the degrees of the P_j, and the rows are handed over as integers
+over their common denominator.
 """
 
 from __future__ import annotations
@@ -184,8 +187,9 @@ class RecurrenceTable:
 def extract_recurrence(seq: PolySequence, d: int) -> RecurrenceTable:
     """Expand x P_n over P_0..P_{n+1} for every n and enforce the window.
 
-    Raises WindowViolationError if any coefficient survives below n - d, and
-    RegularityViolationError if the boundary coefficients vanish for n >= d.
+    Raises BackSubstitutionError if x P_n leaves a remainder, WindowViolationError
+    if any coefficient survives below n - d, and RegularityViolationError if
+    the boundary coefficients vanish for n >= d.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -193,40 +197,31 @@ def extract_recurrence(seq: PolySequence, d: int) -> RecurrenceTable:
     if top < d + 2:
         raise ValueError(f"need the sequence up to P_{d + 2} at least, got P_{top}")
     polys = [seq[j] for j in range(top + 1)]
-    # P_j = nums_j / den_j, padded so that column j < top + 2 of every P_i
-    # exists; nums_j[-1] is the numerator of its leading coefficient over den_j
-    padded = [((*p.nums, *[0] * (top + 2 - len(p.nums))), p.den) for p in polys]
     leads = [p.nums[-1] for p in polys]
-    # Each coordinate clears its own power of x, so only a row whose basis
-    # P_0..P_(n+1) holds a P_j of degree != j can leave a remainder; from the
-    # first such row on the remainder is computed in full
-    inexact = next((j - 1 for j, p in enumerate(polys) if p.degree() != j), top)
     rows = []
     for n in range(top):
-        pn, dn = padded[n]
+        pn = polys[n]
+        # the running remainder r / R: x P_n minus the coordinates found so far
+        r, R = [0, *pn.nums], pn.den
+        r += [0] * (n + 2 - len(r))
         coeffs = [(0, 1)] * (n + 2)         # c_j in lowest terms, as (p, q) with q > 0
-        # the coordinates found so far as e_i = c_i / D_i = E_i / R
-        found, R = [], 1
         for j in range(n + 1, -1, -1):
-            # [x^j] of x P_n minus sum_(i>j) c_i P_i[j], times D_n R
-            num = (pn[j - 1] * R if j else 0) - sum(e * ints[j] for ints, e in found) * dn
-            if not num:
+            if not r[j]:
                 continue
-            ints, dj = padded[j]
-            a, b = num * dj, dn * R * leads[j]
+            ints, dj = polys[j].nums, polys[j].den
+            a, b = r[j] * dj, R * leads[j]   # c_j = [x^j] r / lead(P_j) = a / b
             g = gcd(a, b) if b > 0 else -gcd(a, b)
-            p, qc = coeffs[j] = a // g, b // g
-            q = qc * dj
-            if R % q:
-                grow = q // gcd(R, q)
+            p, q = coeffs[j] = a // g, b // g
+            qd = q * dj                     # c_j P_j = p ints / qd
+            if R % qd:
+                grow = qd // gcd(R, qd)
                 R *= grow
-                found = [(f, e * grow) for f, e in found]
-            found.append((ints, p * (R // q)))
-        if n >= inexact:
-            rest = polys[n] * Poly.x() - sum(
-                (polys[j] * Fraction(*c) for j, c in enumerate(coeffs)), Poly.zero())
-            if not rest.is_zero():
-                raise BackSubstitutionError(n=n, remainder=rest)
+                r = [v * grow for v in r]
+            f = p * (R // qd)
+            r += [0] * (len(ints) - len(r))
+            r[:len(ints)] = [v - f * c for v, c in zip(r, ints)]
+        if any(r):
+            raise BackSubstitutionError(n=n, remainder=Poly.of(r, R))
         for j in range(0, n - d):
             if coeffs[j][0]:
                 raise WindowViolationError(d=d, n=n, index=j, value=Fraction(*coeffs[j]))

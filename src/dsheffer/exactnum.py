@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 Rat = Fraction
@@ -111,7 +110,6 @@ def stirling2_rows(m: int, width: int):
         yield row
 
 
-@lru_cache(maxsize=None)
 def stirling2(m: int, k: int) -> int:
     """Stirling numbers of the second kind S(m, k).
 

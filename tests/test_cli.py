@@ -9,6 +9,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -227,9 +228,12 @@ def test_verify_and_functionals_read_no_stirling_row(tmp_path, capsys, monkeypat
     def refuse(*args):
         raise AssertionError("a Stirling row was read")
 
-    monkeypatch.setattr(exactnum, "stirling2_rows", refuse)
+    for module in (exactnum, catalog):                 # every binding of the name
+        monkeypatch.setattr(module, "stirling2_rows", refuse)
     with pytest.raises(AssertionError):
-        exactnum.stirling2.__wrapped__(3, 1)           # the guard does bite (uncached)
+        exactnum.stirling2(3, 1)                       # the guard does bite
+    with pytest.raises(AssertionError):
+        catalog.meixner_classical_functional(Fraction(1, 2), 1, cli.Poly.x())
     path = tmp_path / "c.json"
     path.write_text(APP1)
     # (argv, run functionals too): the classical Meixner cross-check that
@@ -249,6 +253,32 @@ def test_verify_and_functionals_read_no_stirling_row(tmp_path, capsys, monkeypat
         if functionals:
             code, out, _ = run(capsys, "functionals", *argv, "--order", "8")
             assert code == 0 and json.loads(out)["rows"], argv
+
+
+def test_node_series_reads_one_stirling_table_per_evaluation(capsys, monkeypatch):
+    spec = catalog.default_spec(catalog.MEIXNER_EQ16, 2)
+    argv = (["functionals", "--family", spec.family, "--d", "2", "--order", "8"]
+            + [f"--param={k}={v}" for k, v in spec.params.items()])
+    plain = run(capsys, *argv)
+    reads, evaluations = [], []
+
+    def counted(name, record):
+        inner = getattr(catalog, name)
+
+        def wrapper(*args):
+            record.append(args)
+            return inner(*args)
+        monkeypatch.setattr(catalog, name, wrapper)
+
+    counted("stirling2_rows", reads)
+    counted("meixner_functional_exact", evaluations)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == plain and code == 0
+    rows = json.loads(out)["rows"]
+    assert {row["cross_check"]["evaluator"] for row in rows} == {"meixner-node-series"}
+    # x^m is evaluated once per row, and each evaluation reads the rows S(0..m, .) once
+    assert len(evaluations) == len(rows) == 2 * 9
+    assert reads == [(f.degree(), f.degree()) for *_, f in evaluations]
 
 
 def test_verify_reports_are_byte_identical(tmp_path, capsys):

@@ -173,6 +173,9 @@ def assert_sections_match_the_oracles(seq, lop, v):
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 nonzero = small.filter(bool)
+# nonzero rationals p/q of height max(|p|, q) <= 2^64
+tall = st.builds(lambda p, q, sign: sign * Fraction(p, q), st.integers(1, 2 ** 64),
+                 st.integers(1, 2 ** 64), st.sampled_from((1, -1)))
 
 
 @st.composite
@@ -418,6 +421,12 @@ def test_back_substitution_equals_the_oracle_on_perturbed_sequences(couple, data
     assert assert_back_substitution_matches_the_oracle(seq, couple.d)[0] == "rows"
     for _ in range(data.draw(st.integers(1, 3))):
         n = data.draw(st.integers(1, top))
+        if data.draw(st.booleans()):
+            # P_n times c keeps the window but makes the running remainder's
+            # denominator grow by large factors
+            c = data.draw(tall)
+            seq = PolySequence(seq.polys[:n] + (seq[n] * c,) + seq.polys[n + 1:])
+            continue
         j = data.draw(st.integers(0, n))
         delta = data.draw(nonzero)
         assume(j < n or seq[n].coeffs[n] + delta != 0)   # keep deg P_n = n
