@@ -35,7 +35,7 @@ from dsheffer.dorth import (
     verify_lowering,
 )
 from dsheffer.exactnum import parse_rational
-from dsheffer.operators import FunctionalVector, lowering_from_couple
+from dsheffer.operators import FunctionalVector
 from dsheffer.series import Poly
 from dsheffer.sheffer import (
     CoupleFileError,
@@ -242,11 +242,10 @@ def cmd_verify(args) -> int:
 
     # orthogonality reads moments up to degree N + N // check_d (the cell
     # n = N // check_d, m = N); duality and the lowering check need only N
-    lop = lowering_from_couple(couple, N + N // check_d)
-    fv = FunctionalVector(couple, lop, check_d)
+    fv = FunctionalVector(couple, N + N // check_d, check_d)
     for name, check in (("duality", verify_duality(seq, fv)),
                         ("orthogonality", verify_d_orthogonality(seq, fv)),
-                        ("lowering", verify_lowering(seq, lop))):
+                        ("lowering", verify_lowering(seq, fv.lop))):
         sections[name] = _section(check.passed, check.to_jsonable())
 
     ok = all(s["status"] in ("pass", "skipped") for s in sections.values())
@@ -297,7 +296,7 @@ def cmd_functionals(args) -> int:
     indices = range(d) if args.index is None else (args.index,)
     _require_order(N, max(1, d - 1), f" for {d} functionals")
 
-    fv = FunctionalVector(source.couple, lowering_from_couple(source.couple, N), d)
+    fv = FunctionalVector(source.couple, N, d)
     explicit = catalog.explicit_functional(source.spec) if source.is_family else None
 
     rows = []

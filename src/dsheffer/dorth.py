@@ -57,7 +57,7 @@ from itertools import islice
 from math import factorial, gcd, lcm
 from operator import mul
 
-from dsheffer.exactnum import exact, ratio_strings, scaled
+from dsheffer.exactnum import content_reduced, exact, ratio_strings, scaled
 from dsheffer.operators import FunctionalVector, LoweringOp
 # no longer called here; still importable as dorth.functional_eval, which
 # perfbench/test_perfbench.py reads
@@ -136,16 +136,12 @@ class RecurrenceTable:
     @classmethod
     def of(cls, d: int, nums, den: int) -> "RecurrenceTable":
         """Rows nums[n][k] / den for any nonzero int den, reduced by one content gcd."""
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        g = gcd(den, *(v for row in nums for v in row))
-        if den < 0:
-            g = -g
+        flat, den = content_reduced([v for row in nums for v in row], den)
+        ints = iter(flat)
         out = object.__new__(cls)
         _set(out, "d", d)
-        _set(out, "nums", tuple(tuple(v // g for v in row) if g != 1 else tuple(row)
-                                for row in nums))
-        _set(out, "den", den // g)
+        _set(out, "nums", tuple(tuple(islice(ints, len(row))) for row in nums))
+        _set(out, "den", den)
         _set(out, "_rows", None)
         return out
 
@@ -282,7 +278,7 @@ class OrthogonalityReport:
     where forms[m] = (nums, den) is P_m and moment_dens[k] the denominator
     of mu_k.  The report holds when every row starts nonzero (the boundary
     m = j d + k) and is zero after it; `passed`, `checked` and `unchecked`
-    need no cell.
+    need no cell; max_index and unchecked follow from d and forms.
 
     integer_cells[i] = (k, n, m, num, den) is the cell <u_k, P_n P_m> =
     num / den, num = sum_(j<=n) P_n[j] X_k[j][m] and den = dn dmu dm: the
@@ -296,17 +292,19 @@ class OrthogonalityReport:
     __slots__ = ("d", "max_index", "forms", "hankel", "moment_dens", "unchecked", "passed",
                  "_integer_cells", "_cells")
 
-    def __init__(self, d: int, max_index: int,
+    def __init__(self, d: int,
                  forms: tuple[tuple[tuple[int, ...], int], ...],
                  hankel: tuple[tuple[tuple[int, ...], ...], ...],
-                 moment_dens: tuple[int, ...],
-                 unchecked: tuple[tuple[int, int, int], ...]):
+                 moment_dens: tuple[int, ...]):
+        top = len(forms) - 1
         _set(self, "d", d)
-        _set(self, "max_index", max_index)
+        _set(self, "max_index", top)
         _set(self, "forms", forms)
         _set(self, "hankel", hankel)
         _set(self, "moment_dens", moment_dens)
-        _set(self, "unchecked", unchecked)
+        # the boundaries (k, n, n d + k) beyond P_top
+        _set(self, "unchecked", tuple((k, n, n * d + k) for k in range(d)
+                                      for n in range(top + 1) if n * d + k > top))
         _set(self, "passed", all(row[0] and not any(row[1:]) for rows in hankel for row in rows))
         _set(self, "_integer_cells", None)
         _set(self, "_cells", None)
@@ -413,11 +411,8 @@ def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> Orthogonal
             shifted = mu[j:]                # mu_k(j + b), b = 0, 1, ...
             rows.append(tuple([sum(map(mul, pm, shifted)) for pm in nums[j * d + k:]]))
         hankel.append(tuple(rows))
-    unchecked = tuple((k, n, n * d + k) for k in range(d) for n in range(top + 1)
-                      if n * d + k > top)
-    return OrthogonalityReport(d=d, max_index=top, forms=forms, hankel=tuple(hankel),
-                               moment_dens=tuple(row.den for row in v.rows),
-                               unchecked=unchecked)
+    return OrthogonalityReport(d=d, forms=forms, hankel=tuple(hankel),
+                               moment_dens=tuple(row.den for row in v.rows))
 
 
 @dataclass(frozen=True)
@@ -425,8 +420,14 @@ class DualityReport:
     d: int
     max_index: int
     failures: tuple[tuple[int, int, Fraction], ...]  # (i, k, value)
-    checked: int
-    passed: bool
+
+    @property
+    def checked(self) -> int:
+        return self.d * (self.max_index + 1)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def to_jsonable(self) -> dict:
         return {
@@ -460,20 +461,17 @@ def verify_duality(seq: PolySequence, v: FunctionalVector) -> DualityReport:
             num, den = sum(map(mul, pk.nums, mu)), pk.den * dmu
             if num != (den if i == k else 0):
                 failures.append((i, k, Fraction(num, den)))
-    return DualityReport(
-        d=v.d,
-        max_index=top,
-        failures=tuple(failures),
-        checked=v.d * len(polys),
-        passed=not failures,
-    )
+    return DualityReport(d=v.d, max_index=top, failures=tuple(failures))
 
 
 @dataclass(frozen=True)
 class LoweringReport:
     max_index: int
     failures: tuple[int, ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def to_jsonable(self) -> dict:
         return {
@@ -508,4 +506,4 @@ def verify_lowering(seq: PolySequence, op: LoweringOp) -> LoweringReport:
         if any(sum(map(mul, y, c[l + 1:])) * dprev != prev[l] * scale for l in range(n)):
             failures.append(n)
         prev, dprev = c, dn
-    return LoweringReport(max_index=top, failures=tuple(failures), passed=not failures)
+    return LoweringReport(max_index=top, failures=tuple(failures))

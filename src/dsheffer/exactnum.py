@@ -9,8 +9,9 @@ only.  `scaled` writes rationals as integer numerators over their least
 common denominator, the form `Poly` and `Series` store (see `series`): the
 public constructors and the couple's recurrence rows are its only callers,
 and every kernel after them reads that form directly, so a multiply-add
-costs no gcd and each result is reduced once.  `lowest_terms` and
-`ratio_strings` print that form back, one gcd per value and no Fraction."""
+costs no gcd and each result is reduced once, by `content_reduced`, one
+content gcd per vector.  `lowest_terms` and `ratio_strings` print that form
+back, one gcd per value and no Fraction."""
 
 from __future__ import annotations
 
@@ -64,6 +65,14 @@ def scaled(values: Sequence) -> tuple[list[int], int]:
     dens = [v.denominator for v in values]
     D = math.lcm(*dens)
     return [v.numerator * (D // q) for v, q in zip(values, dens)], D
+
+
+def content_reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """nums / den (den != 0) as (nums', den') with den' > 0 and gcd(den', *nums') = 1."""
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+    return (tuple([v // g for v in nums]) if g != 1 else tuple(nums)), den // g
 
 
 def lowest_terms(nums: Sequence[int], den: int) -> list[tuple[int, int]]:

@@ -25,9 +25,11 @@ and along y the same couple gives log A(y) = integral gamma(y), so each
 operator series w = y^i / A(y) needs only products, an integral and exp.
 gamma(y) itself costs no series product: the ODE's integer table of
 [s^k] y^j, taken up to j = deg gamma, gives it as one dot product per
-coefficient (lowering_from_couple hands it over as LoweringOp.gamma_y, and
-the Horner evaluation it replaced is the tests' oracle).  A functional is
-fixed by its moments, and [D^l x^j]_{x=0} = j! [l = j], so
+coefficient (the Horner evaluation it replaced is the tests' oracle).  One
+solver returns both series: lowering_from_couple keeps y, and
+FunctionalVector(couple, order, d) keeps y as its operator (`lop`) and
+reads gamma(y) off the same call, so its operator is the couple's own.
+A functional is fixed by its moments, and [D^l x^j]_{x=0} = j! [l = j], so
 
     mu_i(j) = <u_i, x^j> = w_j j! / i!,
 
@@ -37,8 +39,7 @@ functional value is a dot product with one row.
 
 `lowering_from_H` reverts a given H, and `apply_lowering` applies sigma by
 repeated derivatives; neither is on the verify path.  They are the
-independent routes the tests compare against.  An operator from
-`lowering_from_H` carries no couple, so no FunctionalVector is built on it.
+independent routes the tests compare against.
 """
 
 from __future__ import annotations
@@ -52,28 +53,16 @@ from dsheffer.sheffer import CoupleSpec
 
 
 class LoweringOp:
-    """Operator series H*(D) with H*(0) = 0 and a nonzero linear term.
+    """Operator series H*(D) with H*(0) = 0 and a nonzero linear term."""
 
-    An operator solved from a couple (lowering_from_couple) also carries
-    that couple and gamma(y), y = H*, at the same order: the series the
-    couple's FunctionalVector starts from.  Both are None otherwise.
-    """
+    __slots__ = ("hstar",)
 
-    __slots__ = ("hstar", "couple", "gamma_y")
-
-    def __init__(self, hstar: Series, *, couple: CoupleSpec | None = None,
-                 gamma_y: Series | None = None):
+    def __init__(self, hstar: Series):
         if hstar.nums[0]:
             raise ValueError("hstar must have zero constant term")
         if hstar.order < 1 or not hstar.nums[1]:
             raise ValueError("hstar must have a nonzero linear coefficient")
-        if (couple is None) != (gamma_y is None):
-            raise ValueError("couple and gamma_y come together")
-        if gamma_y is not None and gamma_y.order != hstar.order:
-            raise ValueError(f"gamma_y order {gamma_y.order} != hstar order {hstar.order}")
         object.__setattr__(self, "hstar", hstar)
-        object.__setattr__(self, "couple", couple)
-        object.__setattr__(self, "gamma_y", gamma_y)
 
     def __setattr__(self, name, value):
         raise AttributeError("LoweringOp is immutable")
@@ -83,7 +72,12 @@ class LoweringOp:
 
 
 def lowering_from_couple(couple: CoupleSpec, N: int) -> LoweringOp:
-    """The couple's lowering operator H*(D) at truncation order N.
+    """The couple's lowering operator H*(D) at truncation order N."""
+    return LoweringOp(_solve_couple(couple, N)[0])
+
+
+def _solve_couple(couple: CoupleSpec, N: int) -> tuple[Series, Series]:
+    """y = H* and gamma(y) at truncation order N, from the couple alone.
 
     y = H* solves y' = sigma(y) with y(0) = 0.  Comparing the coefficients
     of s^k gives (k+1) y_(k+1) = [s^k] sigma(y), and [s^k] y^j only involves
@@ -91,7 +85,7 @@ def lowering_from_couple(couple: CoupleSpec, N: int) -> LoweringOp:
     recursion runs on integers, and y is handed over as integer numerators
     over one denominator (Series.of).  The same table of [s^k] y^j, taken up
     to j = deg gamma, gives gamma(y) as one integer dot product per
-    coefficient, handed over on the operator (LoweringOp.gamma_y).
+    coefficient, handed over the same way.
     """
     if N < 1:
         raise ValueError("order must be at least 1")
@@ -120,7 +114,7 @@ def lowering_from_couple(couple: CoupleSpec, N: int) -> LoweringOp:
         G[k] *= scale
         scale *= k * R
     G[0] *= scale
-    return LoweringOp(Series.of(Y, scale), couple=couple, gamma_y=Series.of(G, scale * gam.den))
+    return Series.of(Y, scale), Series.of(G, scale * gam.den)
 
 
 def lowering_from_H(H: Series, N: int | None = None) -> LoweringOp:
@@ -150,26 +144,23 @@ def apply_lowering(op: LoweringOp, f: Poly) -> Poly:
 class FunctionalVector:
     """The d moment functionals of a couple, as their table of moments.
 
-    rows[i] is the Series of moments <u_i, x^j> for j up to the order of the
-    lowering operator, as integer numerators over one denominator, the form
-    that dorth's checks read; the functionals read nothing else.
-    moments[i][j] is the same table as Fractions.  The operator must be the
-    couple's own (lowering_from_couple), since gamma(y) is read off it.
+    The couple's ODE is solved here at the given order, and `lop` keeps the
+    operator H*(D) it gives (equal to lowering_from_couple at that order);
+    gamma(y) comes off the same solution.  rows[i] is the Series of moments
+    <u_i, x^j> for j <= order, as integer numerators over one denominator,
+    the form that dorth's checks read; the functionals read nothing else.
+    moments[i][j] is the same table as Fractions.
     """
 
     __slots__ = ("lop", "d", "rows")
 
-    def __init__(self, couple: CoupleSpec, lop: LoweringOp, d: int):
+    def __init__(self, couple: CoupleSpec, order: int, d: int):
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
-        if lop.couple is None or lop.couple != couple:
-            raise ValueError("the operator was not solved from this couple "
-                             "(build it with lowering_from_couple)")
-        y = lop.hstar
-        order = y.order
         if d - 1 > order:
             raise ValueError(f"order {order} too small for d={d}")
-        w = (-lop.gamma_y.integrate()).exp()       # 1 / A(y), then y^i / A(y)
+        y, gamma_y = _solve_couple(couple, order)
+        w = (-gamma_y.integrate()).exp()           # 1 / A(y), then y^i / A(y)
         facts = [factorial(j) for j in range(order + 1)]
         rows = []
         for i in range(d):
@@ -177,7 +168,7 @@ class FunctionalVector:
                 w = w * y
             # mu_i(j) = w_j j! / i!
             rows.append(Series.of(list(map(mul, w.nums, facts)), w.den * factorial(i)))
-        object.__setattr__(self, "lop", lop)
+        object.__setattr__(self, "lop", LoweringOp(y))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "rows", tuple(rows))
 

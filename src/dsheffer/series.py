@@ -46,7 +46,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from dsheffer.exactnum import exact, lowest_terms, ratio_strings, scaled
+from dsheffer.exactnum import content_reduced, exact, lowest_terms, ratio_strings, scaled
 
 _set = object.__setattr__
 
@@ -79,18 +79,14 @@ class _Vector:
         the numerators, and a Poly drops its trailing zeros); no value goes
         through exact() and no Fraction is made.
         """
-        if not den:
-            raise ZeroDivisionError("zero denominator")
         nums = list(nums)
         if cls._trims:
             while nums and not nums[-1]:
                 nums.pop()
-        g = gcd(den, *nums)
-        if den < 0:
-            g = -g
+        nums, den = content_reduced(nums, den)
         out = object.__new__(cls)
-        _set(out, "nums", tuple(v // g for v in nums) if g != 1 else tuple(nums))
-        _set(out, "den", den // g)
+        _set(out, "nums", nums)
+        _set(out, "den", den)
         _set(out, "_coeffs", None)
         return out
 

@@ -17,7 +17,7 @@ Fractions (`fraction_text` is the Fraction-reading `Poly._text` they
 replaced).
 
 `horner_gamma_y` is gamma(y) by Horner's rule on series products, from
-before `operators.lowering_from_couple` read it off its own table of
+before the couple's ODE solver in `operators` read it off its own table of
 [s^k] y^j.
 
 The Newton step omega lives here alone.  A difference family, stated as

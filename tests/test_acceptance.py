@@ -53,8 +53,7 @@ def mono(m: int) -> Poly:
 
 
 def family_functionals(spec, order):
-    return FunctionalVector(catalog.family_couple(spec), catalog.family_lowering(spec, order),
-                            d=spec.d)
+    return FunctionalVector(catalog.family_couple(spec), order, d=spec.d)
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +64,8 @@ def suite():
     for spec in catalog.default_sample_specs():
         pair = catalog.family_generating(spec, 2 * N)
         seq = expand_polynomials(pair, N)
-        lop = catalog.family_lowering(spec, 2 * N)
-        v = FunctionalVector(catalog.family_couple(spec), lop, d=spec.d)
+        v = FunctionalVector(catalog.family_couple(spec), 2 * N, d=spec.d)
+        lop = v.lop
         built.append((spec, pair, seq, lop, v))
     elapsed = time.perf_counter() - start
     return built, elapsed

@@ -55,8 +55,7 @@ def spec_of(family, d, params=None, aux=None):
 
 
 def family_functionals(spec, N):
-    return FunctionalVector(catalog.family_couple(spec), catalog.family_lowering(spec, N),
-                            d=spec.d)
+    return FunctionalVector(catalog.family_couple(spec), N, d=spec.d)
 
 
 # ---------------------------------------------------------------- registry

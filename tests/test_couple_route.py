@@ -33,7 +33,6 @@ from dsheffer import (
     check_conditions,
     expand_polynomials,
     functional_eval,
-    lowering_from_couple,
     lowering_from_H,
     pair_from_couple,
     verify_lowering,
@@ -67,8 +66,8 @@ def reference_family(spec: FamilySpec, N: int):
 
 
 def couple_route(couple: CoupleSpec, N: int, d: int):
-    lop = lowering_from_couple(couple, N)
-    return lop, FunctionalVector(couple, lop, d)
+    v = FunctionalVector(couple, N, d)
+    return v.lop, v
 
 
 def assert_family_routes_agree(spec: FamilySpec, N: int):
@@ -104,11 +103,11 @@ def test_h_star_of_d_and_the_newton_step_agree_on_every_sample():
         omega = catalog.family_step(spec)
         for N in (12, 24):
             order = N + N // spec.d
-            plain = lowering_from_couple(couple, order)
+            v = FunctionalVector(couple, order, spec.d)
+            plain = v.lop
             if N == 12:
                 hstar, _, ref_ops = reference_family(spec, order)
-                assert FunctionalVector(couple, plain, spec.d).moments \
-                    == stepped_moments(ref_ops, omega, order), spec
+                assert v.moments == stepped_moments(ref_ops, omega, order), spec
             polys = list(expand_polynomials(catalog.family_generating(spec, N), N))
             for p7, expected in ((polys[7], ()), (polys[7] * 2, (7, 8)),
                                  (polys[7] + polys[3], (7, 8))):

@@ -13,7 +13,6 @@ from dsheffer import (
     WindowViolationError,
     expand_polynomials,
     extract_recurrence,
-    lowering_from_couple,
     pair_from_couple,
     verify_d_orthogonality,
     verify_duality,
@@ -33,9 +32,8 @@ def build(couple, top, order=None):
     order = order if order is not None else 2 * top
     pair = pair_from_couple(couple, order)
     seq = expand_polynomials(pair, top)
-    lop = lowering_from_couple(couple, order)
-    v = FunctionalVector(couple, lop, d=couple.d)
-    return seq, v, lop
+    v = FunctionalVector(couple, order, d=couple.d)
+    return seq, v, v.lop
 
 
 # ---------------------------------------------------------------- recurrence
@@ -143,7 +141,7 @@ def test_a_passing_report_builds_no_orth_cell_until_its_cells_are_read(monkeypat
     spec = catalog.default_spec(catalog.MEIXNER_EQ16, 2)
     seq = expand_polynomials(catalog.family_generating(spec, 12), 12)
     couple = catalog.family_couple(spec)
-    v = FunctionalVector(couple, lowering_from_couple(couple, 18), d=2)
+    v = FunctionalVector(couple, 18, d=2)
     rep = verify_d_orthogonality(seq, v)
     doc = rep.to_jsonable()
     assert rep.passed and doc["failures"] == [] and doc["checked"] == rep.checked > 0
@@ -174,7 +172,7 @@ def test_orthogonality_costs_one_dot_product_per_cell(monkeypatch):
     top, d = 12, 2
     seq = expand_polynomials(catalog.family_generating(spec, top), top)
     couple = catalog.family_couple(spec)
-    v = FunctionalVector(couple, lowering_from_couple(couple, top + top // d), d=d)
+    v = FunctionalVector(couple, top + top // d, d=d)
     monkeypatch.setattr(dorth, "mul", counted)
     rep = verify_d_orthogonality(seq, v)
     assert rep.passed
@@ -197,7 +195,7 @@ def test_orthogonality_d2_has_unchecked_boundaries():
     spec = catalog.default_spec(catalog.LAGUERRE_EQ9, 2)
     pair = catalog.family_generating(spec, 12)
     seq = expand_polynomials(pair, 6)
-    v = FunctionalVector(catalog.family_couple(spec), catalog.family_lowering(spec, 12), d=2)
+    v = FunctionalVector(catalog.family_couple(spec), 12, d=2)
     rep = verify_d_orthogonality(seq, v)
     assert rep.passed
     assert rep.unchecked

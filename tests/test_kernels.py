@@ -43,6 +43,7 @@ from dsheffer.dorth import (
     recurrence_from_couple,
 )
 from dsheffer.exactnum import scaled
+from dsheffer.operators import _solve_couple
 from dsheffer.sheffer import CoupleSpec, recurrence_numerators, recurrence_rows
 from reference import (
     UncheckedSequence,
@@ -193,8 +194,8 @@ def regular_couples(draw):
 def test_verify_sections_match_the_oracles_on_perturbed_sequences(couple, data):
     top = data.draw(st.integers(couple.d + 2, 8))
     seq = expand_polynomials(pair_from_couple(couple, top), top)
-    lop = lowering_from_couple(couple, top + top // couple.d)
-    v = FunctionalVector(couple, lop, couple.d)
+    v = FunctionalVector(couple, top + top // couple.d, couple.d)
+    lop = v.lop
     assert not assert_sections_match_the_oracles(seq, lop, v).failures
     for _ in range(data.draw(st.integers(1, 3))):
         n = data.draw(st.integers(1, top))
@@ -231,7 +232,7 @@ def test_orthogonality_verdicts_equal_the_hankel_cells_at_every_claimed_d(couple
     top = data.draw(st.integers(7, 8))
     check_d = data.draw(st.sampled_from([c for c in (d - 1, d, d + 1) if c >= 1]))
     seq = expand_polynomials(pair_from_couple(couple, top), top)
-    v = FunctionalVector(couple, lowering_from_couple(couple, top + top // check_d), check_d)
+    v = FunctionalVector(couple, top + top // check_d, check_d)
     polys = list(seq)
     n = data.draw(st.integers(1, top))
     j = data.draw(st.integers(0, n))
@@ -256,8 +257,8 @@ def test_a_perturbed_p7_is_flagged_like_the_oracle_on_every_sample():
     for spec in catalog.default_sample_specs():
         couple = catalog.family_couple(spec)
         seq = expand_polynomials(catalog.family_generating(spec, top), top)
-        lop = lowering_from_couple(couple, top + top // spec.d)
-        v = FunctionalVector(couple, lop, spec.d)
+        v = FunctionalVector(couple, top + top // spec.d, spec.d)
+        lop = v.lop
         seq = perturbed(seq, 7, 3, F(1, 3))
         low = assert_sections_match_the_oracles(seq, lop, v)
         assert low.failures == (7, 8), (spec.family, spec.d)
@@ -306,16 +307,34 @@ def test_couple_recurrence_table_prints_the_fraction_rows(couple, top):
 @settings(max_examples=40, deadline=None)
 @given(couples(), st.sampled_from((12, 30)))
 def test_gamma_of_y_off_the_table_equals_horner_on_drawn_couples(couple, N):
-    lop = lowering_from_couple(couple, N)
-    assert lop.gamma_y == horner_gamma_y(couple, lop.hstar)
+    y, gamma_y = _solve_couple(couple, N)
+    assert gamma_y == horner_gamma_y(couple, y)
+
+
+def test_functional_vector_keeps_the_couples_own_operator():
+    # the operator a FunctionalVector solves is lowering_from_couple's, on
+    # every sample and on drawn couples (d <= 3, so any M >= 2 fits d)
+    for spec in catalog.default_sample_specs():
+        couple = catalog.family_couple(spec)
+        for M in (12, 30):
+            assert FunctionalVector(couple, M, spec.d).lop.hstar \
+                == lowering_from_couple(couple, M).hstar, (spec, M)
+
+    @settings(max_examples=40, deadline=None)
+    @given(couples(), st.integers(2, 30))
+    def on_drawn_couples(couple, M):
+        assert FunctionalVector(couple, M, couple.d).lop.hstar \
+            == lowering_from_couple(couple, M).hstar
+
+    on_drawn_couples()
 
 
 def test_gamma_of_y_off_the_table_equals_horner_on_every_sample():
     for spec in catalog.default_sample_specs():
         couple = catalog.family_couple(spec)
         for N in (12, 30):
-            lop = lowering_from_couple(couple, N)
-            assert lop.gamma_y == horner_gamma_y(couple, lop.hstar), (spec, N)
+            y, gamma_y = _solve_couple(couple, N)
+            assert gamma_y == horner_gamma_y(couple, y), (spec, N)
 
 
 @settings(max_examples=40, deadline=None)
@@ -373,8 +392,8 @@ def test_one_verify_reads_the_integer_forms_only(monkeypatch):
     couple = CoupleSpec(d=2, gamma=(1, F(-1, 2), 2), sigma=(F(-3, 2), 1, 0, F(-1, 3)))
     top = 9
     seq = expand_polynomials(pair_from_couple(couple, top), top)
-    lop = lowering_from_couple(couple, top + top // 2)
-    v = FunctionalVector(couple, lop, 2)
+    v = FunctionalVector(couple, top + top // 2, 2)
+    lop = v.lop
     calls.clear()
     extract_recurrence(seq, 2)
     verify_duality(seq, v)
