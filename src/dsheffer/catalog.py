@@ -410,10 +410,11 @@ def family_lowering(spec: FamilySpec, N: int) -> LoweringOp:
 def laguerre2_functionals(alpha: Fraction, i: int, f: Poly) -> Fraction:
     """Closed-form functionals of the 2-orthogonal Laguerre-type family.
 
-    <u_i, f> = sum_{r=0}^{i} C(i,r) (-1)^r sum_k ((alpha+r+1)/2)_k 2^k f^(k)(0) / k!
+    <u_i, f> = sum_{r=0}^{i} C(i,r) (-1)^r sum_k ((alpha+r+1)/2)_k 2^k f_k / i!
 
-    The derivative series terminates at deg f, so the value is exact.  The
-    rewriting behind it is certified in the tests by the duplication identity
+    with f_k = f^(k)(0) / k! the coefficients of f, so the sum stops at deg f
+    and the value is exact.  The rewriting behind it is certified in the
+    tests by the duplication identity
     (alpha+1)_{2k} = 4^k ((alpha+1)/2)_k ((alpha+2)/2)_k.
     """
     alpha = exact(alpha)
@@ -421,21 +422,10 @@ def laguerre2_functionals(alpha: Fraction, i: int, f: Poly) -> Fraction:
         raise InvalidParameterError("alpha = -1 is excluded")
     if not 0 <= i <= 1:
         raise IndexError(f"functional index {i} out of range for d=2")
-    deg = f.degree()
-    if deg is None:
-        return Fraction(0)
-    derivs = []
-    g = f
-    for _ in range(deg + 1):
-        derivs.append(g(Fraction(0)))
-        g = g.derivative()
     total = Fraction(0)
     for r in range(i + 1):
-        part = Fraction(0)
-        pw = Fraction(1)  # 2^k / k!
-        for k in range(deg + 1):
-            part += pochhammer(Fraction(alpha + r + 1, 2), k) * pw * derivs[k]
-            pw = pw * 2 / (k + 1)
+        a = Fraction(alpha + r + 1, 2)
+        part = sum(pochhammer(a, k) * 2 ** k * c for k, c in enumerate(f.coeffs))
         total += binomial(i, r) * (-1) ** r * part
     return total / factorial(i)
 

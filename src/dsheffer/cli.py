@@ -241,10 +241,11 @@ def cmd_verify(args) -> int:
     sections["recurrence"] = _recurrence_section(seq, check_d)
 
     # orthogonality reads moments up to degree N + N // check_d (the cell
-    # n = N // check_d, m = N); duality and the lowering check need only N
+    # n = N // check_d, m = N); the lowering check needs only N
     fv = FunctionalVector(couple, N + N // check_d, check_d)
-    for name, check in (("duality", verify_duality(seq, fv)),
-                        ("orthogonality", verify_d_orthogonality(seq, fv)),
+    orth = verify_d_orthogonality(seq, fv)   # duality reads its row j = 0
+    for name, check in (("duality", verify_duality(orth)),
+                        ("orthogonality", orth),
                         ("lowering", verify_lowering(seq, fv.lop))):
         sections[name] = _section(check.passed, check.to_jsonable())
 

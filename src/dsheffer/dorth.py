@@ -10,8 +10,10 @@ Two independent routes are verified and never conflated:
   Appl. Math. 1987; Maroni, Ann. Fac. Sci. Toulouse 1989):
   X_k[j][m] = <u_k, x^j P_m> = 0 for m > j d + k and != 0 at the boundary
   m = j d + k, read off the functionals' moment table mu_k(i) = <u_k, x^i>
-  as X_k[j][m] = sum_b P_m[b] mu_k(j+b), one dot product per entry;
-  duality <u_i, P_k> = delta_ik is the row j = 0 with every m.
+  as X_k[j][m] = sum_b P_m[b] mu_k(j+b), one dot product per entry.
+  Row j spans m = j d .. N for every k, so functional k's boundary sits at
+  index k; duality <u_i, P_k> = delta_ik is the row j = 0, which
+  verify_duality reads off the same table with no product of its own.
 
 The cells <u_k, P_n P_m> of the equivalent form are X_k[0..n][m] times the
 coefficients P_n[0..n], so for fixed m those with n d + k < m are a
@@ -19,8 +21,8 @@ lower-triangular matrix with the nonzero leading coefficients on its
 diagonal applied to the X_k[j][m] with j d + k < m: they all vanish exactly
 when those X entries do, and then each boundary cell is lead(P_n)
 X_k[n][n d + k].  The verdict is therefore decided on X alone, and the
-report derives the cells (k, n, m, num, den) from X and the P_n only when
-they are read.
+report derives the cells (k, n, m, num, den) from X and the P_n on each
+read; it caches none of them.
 
 The lowering check sigma P_n = n P_(n-1) works in the basis b_l = x^l / l!,
 where D b_l = b_(l-1): each P_n is converted once, c_l = l! p_l, and
@@ -37,8 +39,9 @@ reported; no check converts a coefficient.  An X entry holds or fails by
 its integer numerator alone, and a duality value is compared as
 num = den [i = k]; the integer cells, the OrthCell objects and their
 Fractions are built only for the cells a report prints or a caller reads,
-so a passing report builds none.  The recurrence table is held the same
-way, as integer numerators over one denominator, and prints from them.
+on each read, so a passing report builds none.  The recurrence table is
+held the same way, as integer numerators over one denominator, and prints
+from them.
 Back-substitution keeps one running remainder per row, r / R = x P_n minus
 the c_j P_j found so far, integers over one denominator.  Going down from
 j = n + 1, a zero r[j] (every one below n - d in a d-orthogonal sequence)
@@ -273,24 +276,26 @@ class OrthCell:
 class OrthogonalityReport:
     """The moment conditions of verify_d_orthogonality, as integers.
 
-    hankel[k][j] holds X_k[j][m] = <u_k, x^j P_m> for m = j d + k .. max_index,
-    each as the numerator of its value over moment_dens[k] * forms[m][1],
-    where forms[m] = (nums, den) is P_m and moment_dens[k] the denominator
-    of mu_k.  The report holds when every row starts nonzero (the boundary
-    m = j d + k) and is zero after it; `passed`, `checked` and `unchecked`
-    need no cell; max_index and unchecked follow from d and forms.
+    hankel[k][j] holds X_k[j][m] = <u_k, x^j P_m> for m = j d .. max_index,
+    so every functional's rows span the same m and functional k's boundary
+    m = j d + k sits at index k of row j.  Each entry is the numerator of its
+    value over moment_dens[k] * forms[m][1], where forms[m] = (nums, den) is
+    P_m and moment_dens[k] the denominator of mu_k.  The report holds when
+    every row is nonzero at index k and zero after it; the entries before
+    index k are the values duality reads off row 0.  `passed`, `checked`
+    and `unchecked` need no cell; max_index and unchecked follow from d and
+    forms.
 
     integer_cells[i] = (k, n, m, num, den) is the cell <u_k, P_n P_m> =
     num / den, num = sum_(j<=n) P_n[j] X_k[j][m] and den = dn dmu dm: the
     integers of the Hankel form sum_(a,b) P_n[a] mu_k(a+b) P_m[b], derived
-    from hankel and forms on the first read and kept.  The OrthCells, each
-    with its Fraction value, are built from integer_cells on the first read
-    of `cells`, and `failures` builds only the failing ones; a passing
-    report has none and derives no cell for them.
+    from hankel and forms on each read.  `cells` builds the OrthCells, each
+    with its Fraction value, from integer_cells on each read, and `failures`
+    builds only the failing ones; nothing is cached, and a passing report
+    derives no cell for its failures.
     """
 
-    __slots__ = ("d", "max_index", "forms", "hankel", "moment_dens", "unchecked", "passed",
-                 "_integer_cells", "_cells")
+    __slots__ = ("d", "max_index", "forms", "hankel", "moment_dens", "unchecked", "passed")
 
     def __init__(self, d: int,
                  forms: tuple[tuple[tuple[int, ...], int], ...],
@@ -305,30 +310,25 @@ class OrthogonalityReport:
         # the boundaries (k, n, n d + k) beyond P_top
         _set(self, "unchecked", tuple((k, n, n * d + k) for k in range(d)
                                       for n in range(top + 1) if n * d + k > top))
-        _set(self, "passed", all(row[0] and not any(row[1:]) for rows in hankel for row in rows))
-        _set(self, "_integer_cells", None)
-        _set(self, "_cells", None)
+        _set(self, "passed", all(row[k] and not any(row[k + 1:])
+                                 for k, rows in enumerate(hankel) for row in rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("OrthogonalityReport is immutable")
 
     @property
     def integer_cells(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """Every checked cell (k, n, m, num, den), derived on the first read and kept."""
-        cells = self._integer_cells
-        if cells is None:
-            d, top, forms = self.d, self.max_index, self.forms
-            cells = []
-            for k, rows in enumerate(self.hankel):
-                dmu = self.moment_dens[k]
-                for n, (pn, dn) in enumerate(forms[:len(rows)]):
-                    # X_k[j][m] sits at index m - j d - k of row j
-                    cells += [(k, n, m, sum(pn[j] * rows[j][m - j * d - k] for j in range(n + 1)),
-                               dn * dmu * forms[m][1])
-                              for m in range(n * d + k, top + 1)]
-            cells = tuple(cells)
-            _set(self, "_integer_cells", cells)
-        return cells
+        """Every checked cell (k, n, m, num, den), derived on each read."""
+        d, top, forms = self.d, self.max_index, self.forms
+        cells = []
+        for k, rows in enumerate(self.hankel):
+            dmu = self.moment_dens[k]
+            for n, (pn, dn) in enumerate(forms[:len(rows)]):
+                # X_k[j][m] sits at index m - j d of row j
+                cells += [(k, n, m, sum(pn[j] * rows[j][m - j * d] for j in range(n + 1)),
+                           dn * dmu * forms[m][1])
+                          for m in range(n * d + k, top + 1)]
+        return tuple(cells)
 
     def _cell(self, k: int, n: int, m: int, num: int, den: int) -> OrthCell:
         boundary = m == n * self.d + k
@@ -338,16 +338,12 @@ class OrthogonalityReport:
 
     @property
     def cells(self) -> tuple[OrthCell, ...]:
-        """Every checked cell as an OrthCell, built on the first read and kept."""
-        cells = self._cells
-        if cells is None:
-            cells = tuple(self._cell(*c) for c in self.integer_cells)
-            _set(self, "_cells", cells)
-        return cells
+        """Every checked cell as an OrthCell, built on each read."""
+        return tuple(self._cell(*c) for c in self.integer_cells)
 
     @property
     def checked(self) -> int:
-        return sum(len(row) for rows in self.hankel for row in rows)
+        return sum(len(row) - k for k, rows in enumerate(self.hankel) for row in rows)
 
     @property
     def failures(self) -> tuple[OrthCell, ...]:
@@ -387,12 +383,16 @@ def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> Orthogonal
     m > j d + k must vanish and the boundary m = j d + k must not;
     boundaries beyond the sequence are recorded as unchecked rather than
     silently skipped.  Each X_k[j][m] is one integer dot product of P_m's
-    numerators with the moment row mu_k shifted by j.  The verdict is that
-    of the cells <u_k, P_n P_m>, which the report derives from X on demand
-    (see the module docstring); that needs deg P_n = n, which is checked.
+    numerators with the moment row mu_k shifted by j.  Row j starts at
+    m = j d for every k, so row 0 holds every <u_k, P_m>, which
+    verify_duality reads.  The verdict is that of the cells <u_k, P_n P_m>,
+    which the report derives from X on demand (see the module docstring);
+    that needs deg P_n = n, which is checked.
     """
     top = seq.max_index
     d = v.d
+    if top < d - 1:                   # every functional needs its row 0
+        raise ValueError(f"need the sequence up to P_{d - 1} at least, got P_{top}")
     max_deg = top + top // d          # j = top // d at k = 0, with m = top
     if v.order < max_deg:
         raise ValueError(
@@ -409,7 +409,7 @@ def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> Orthogonal
         rows = []
         for j in range((top - k) // d + 1):
             shifted = mu[j:]                # mu_k(j + b), b = 0, 1, ...
-            rows.append(tuple([sum(map(mul, pm, shifted)) for pm in nums[j * d + k:]]))
+            rows.append(tuple([sum(map(mul, pm, shifted)) for pm in nums[j * d:]]))
         hankel.append(tuple(rows))
     return OrthogonalityReport(d=d, forms=forms, hankel=tuple(hankel),
                                moment_dens=tuple(row.den for row in v.rows))
@@ -440,28 +440,24 @@ class DualityReport:
         }
 
 
-def verify_duality(seq: PolySequence, v: FunctionalVector) -> DualityReport:
+def verify_duality(orth: OrthogonalityReport) -> DualityReport:
     """Check <u_i, P_k> = delta_{i,k} for i < d and every available k.
 
-    <u_i, P_k> is the entry X_i[0][k] of orthogonality's table, taken here
-    for every k and read off the same integer numerators and denominators
-    of P_k and mu_i; its numerator is compared with den [i = k], and a value
-    becomes a Fraction only when it fails.
+    <u_i, P_k> is the entry X_i[0][k] of orthogonality's table, row 0 of
+    which spans every k, so no dot product is made here: its numerator is
+    compared with den [i = k], den = den(P_k) den(mu_i), and a value becomes
+    a Fraction only when it fails.  orth's order guard covers degree
+    max_index.
     """
-    top = seq.max_index
-    if top > v.order:                   # deg P_k = k, as functional_eval requires
-        raise ValueError(
-            f"functional order {v.order} too small for polynomial degree {top}"
-        )
-    polys = [seq[k] for k in range(top + 1)]
+    forms = orth.forms
     failures = []
-    for i in range(v.d):
-        mu, dmu = v.rows[i].nums, v.rows[i].den
-        for k, pk in enumerate(polys):
-            num, den = sum(map(mul, pk.nums, mu)), pk.den * dmu
+    for i, rows in enumerate(orth.hankel):
+        dmu = orth.moment_dens[i]
+        for k, num in enumerate(rows[0]):
+            den = forms[k][1] * dmu
             if num != (den if i == k else 0):
                 failures.append((i, k, Fraction(num, den)))
-    return DualityReport(d=v.d, max_index=top, failures=tuple(failures))
+    return DualityReport(d=orth.d, max_index=orth.max_index, failures=tuple(failures))
 
 
 @dataclass(frozen=True)

@@ -243,38 +243,36 @@ def check_conditions(couple: CoupleSpec, N: int):
     The failing n is reported wherever it lies; N only fills the report's
     checked_n field.
     """
-    n = couple.irregular_n()
-    return ConditionReport(
-        d=couple.d,
-        alpha_0=couple.alpha_0,
-        beta_d=couple.beta_d,
-        alpha_top=couple.alpha_top,
-        checked_n=N,
-        failures=() if n is None else (n,),
-        passed=not couple.violations(),
-    )
+    return ConditionReport(couple, N)
 
 
 @dataclass(frozen=True)
 class ConditionReport:
-    d: int
-    alpha_0: Fraction
-    beta_d: Fraction
-    alpha_top: Fraction
+    """The couple's regularity decision; everything but checked_n is read off it."""
+
+    couple: CoupleSpec
     checked_n: int
-    failures: tuple[int, ...]
-    passed: bool
+
+    @property
+    def failures(self) -> tuple[int, ...]:
+        n = self.couple.irregular_n()
+        return () if n is None else (n,)
+
+    @property
+    def passed(self) -> bool:
+        return not self.couple.violations()
 
     def to_jsonable(self) -> dict:
+        c = self.couple
         return {
-            "d": self.d,
-            "alpha_0": str(self.alpha_0),
-            "beta_d": str(self.beta_d),
-            "alpha_top": str(self.alpha_top),
+            "d": c.d,
+            "alpha_0": str(c.alpha_0),
+            "beta_d": str(c.beta_d),
+            "alpha_top": str(c.alpha_top),
             "checked_n": self.checked_n,
             "failures": [{"n": n, "value": "0"} for n in self.failures],
-            "alpha_0_nonzero": self.alpha_0 != 0,
-            "beta_d_nonzero": self.beta_d != 0,
+            "alpha_0_nonzero": c.alpha_0 != 0,
+            "beta_d_nonzero": c.beta_d != 0,
         }
 
 

@@ -190,7 +190,7 @@ def test_criterion_4_orthogonality_and_duality(suite):
         if not orth.passed:
             failures.append((spec.family, spec.d, "orthogonality",
                              [c.to_jsonable() for c in orth.failures[:2]]))
-        dual = verify_duality(seq, v)
+        dual = verify_duality(orth)
         if not dual.passed:
             failures.append((spec.family, spec.d, "duality", dual.failures[:2]))
     report("criterion 4: constrained <u_k, P_n P_m> values and duality "

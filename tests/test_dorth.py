@@ -10,6 +10,7 @@ from dsheffer import (
     Poly,
     PolySequence,
     RegularityViolationError,
+    Series,
     WindowViolationError,
     expand_polynomials,
     extract_recurrence,
@@ -147,21 +148,19 @@ def test_a_passing_report_builds_no_orth_cell_until_its_cells_are_read(monkeypat
     assert rep.passed and doc["failures"] == [] and doc["checked"] == rep.checked > 0
     assert rep.failures == () and repr(rep)
     assert built == []
-    # nor the integer cells <u_k, P_n P_m>: the verdict is read off X_k[j][m]
-    assert rep._integer_cells is None
-    # the cells are built on the first read, one per checked cell, and kept
+    # the cells are built when they are read, one per checked cell
     cells = rep.cells
-    assert rep._integer_cells is rep.integer_cells
     assert len(built) == len(cells) == rep.checked
-    assert rep.cells is cells
     assert all(c.ok and c.value == F(num, den)
                for c, (_, _, _, num, den) in zip(cells, rep.integer_cells))
 
 
 def test_orthogonality_costs_one_dot_product_per_cell(monkeypatch):
     # X_k[j][m] = <u_k, x^j P_m> is one dot product of P_m's m + 1 numerators
-    # with a shifted moment row, for the (floor((m - k)/d) + 1) rows j of each
-    # m; a Hankel row per (k, n), or any other extra product, breaks the count
+    # with a shifted moment row, for m = j d .. top in each of the
+    # floor((top - k)/d) + 1 rows j of functional k; duality reads row j = 0
+    # and makes no product (its own would add 182 here).  A Hankel row per
+    # (k, n), or any other extra product, breaks the count
     products = []
 
     def counted(a, b):
@@ -175,9 +174,10 @@ def test_orthogonality_costs_one_dot_product_per_cell(monkeypatch):
     v = FunctionalVector(couple, top + top // d, d=d)
     monkeypatch.setattr(dorth, "mul", counted)
     rep = verify_d_orthogonality(seq, v)
-    assert rep.passed
-    bound = sum(((m - k) // d + 1) * (m + 1) for k in range(d) for m in range(k, top + 1))
-    assert len(products) == bound == 819
+    assert rep.passed and verify_duality(rep).passed
+    bound = sum(m + 1 for k in range(d) for j in range((top - k) // d + 1)
+                for m in range(j * d, top + 1))
+    assert len(products) == bound == 855
     assert rep.checked == sum((m - k) // d + 1 for k in range(d) for m in range(k, top + 1))
 
 
@@ -217,19 +217,20 @@ def test_orthogonality_order_guard():
         verify_d_orthogonality(seq, small_v)
 
 
+def test_orthogonality_needs_a_row_for_every_functional():
+    # functional k's row j = 0 is <u_k, P_0..P_top>; at top < d - 1 the last
+    # functionals would have none for duality to read
+    spec = catalog.default_spec(catalog.MEIXNER_EQ16, 3)
+    v = FunctionalVector(catalog.family_couple(spec), 6, d=3)
+    with pytest.raises(ValueError, match=r"^need the sequence up to P_2 at least, got P_1$"):
+        verify_d_orthogonality(PolySequence((Poly.one(), Poly.x())), v)
+
+
 # ---------------------------------------------------------------- duality
-
-def test_duality_order_guard_names_the_sequence_degree():
-    seq, _, _ = build(LAGUERRE, 15)
-    _, small_v, _ = build(LAGUERRE, 6, order=10)
-    with pytest.raises(ValueError,
-                       match=r"^functional order 10 too small for polynomial degree 15$"):
-        verify_duality(seq, small_v)
-
 
 def test_duality_clean():
     seq, v, _ = build(LAGUERRE, 6)
-    rep = verify_duality(seq, v)
+    rep = verify_duality(verify_d_orthogonality(seq, v))
     assert rep.passed
     assert rep.checked == 7
     assert rep.to_jsonable()["failures"] == []
@@ -239,9 +240,30 @@ def test_duality_detects_shifted_polynomial():
     seq, v, _ = build(LAGUERRE, 6)
     polys = list(seq)
     polys[1] = polys[1] + Poly.one()
-    rep = verify_duality(PolySequence(tuple(polys)), v)
+    rep = verify_duality(verify_d_orthogonality(PolySequence(tuple(polys)), v))
     assert not rep.passed
     assert any(i == 0 and k == 1 for i, k, _ in rep.failures)
+
+
+def test_duality_reads_the_entries_before_each_boundary():
+    # <u_i, P_k> with k < i sits in row j = 0 before functional i's boundary,
+    # where orthogonality checks nothing; a nonzero mu_1(0) must fail there
+    spec = catalog.default_spec(catalog.MEIXNER_EQ16, 2)
+    top = 6
+    seq = expand_polynomials(catalog.family_generating(spec, top), top)
+    v = FunctionalVector(catalog.family_couple(spec), top + top // 2, d=2)
+    mu = v.rows[1]
+    moved = Series.of((mu.nums[0] + mu.den,) + mu.nums[1:], mu.den)   # mu_1(0) += 1
+
+    class StandIn:
+        d, order, rows = v.d, v.order, (v.rows[0], moved)
+
+    assert verify_duality(verify_d_orthogonality(seq, v)).passed
+    rep = verify_duality(verify_d_orthogonality(seq, StandIn()))
+    # <u_1, P_k> grows by P_k(0), so every k with P_k(0) != 0 fails, k = 0 first
+    assert rep.failures == tuple((1, k, int(k == 1) + seq[k].coeffs[0])
+                                 for k in range(top + 1) if seq[k].coeffs[0])
+    assert rep.failures[0][:2] == (1, 0)
 
 
 # ---------------------------------------------------------------- lowering

@@ -168,7 +168,7 @@ def assert_sections_match_the_oracles(seq, lop, v):
     assert failures == tuple(c for c in orth.cells if not c.ok)
     assert orth.passed == (not failures) and orth.checked == len(cells)
     assert list(orth.unchecked) == unchecked
-    assert list(verify_duality(seq, v).failures) == duality_failures(seq, v)
+    assert list(verify_duality(orth).failures) == duality_failures(seq, v)
     return low
 
 
@@ -396,8 +396,7 @@ def test_one_verify_reads_the_integer_forms_only(monkeypatch):
     lop = v.lop
     calls.clear()
     extract_recurrence(seq, 2)
-    verify_duality(seq, v)
-    verify_d_orthogonality(seq, v)
+    verify_duality(verify_d_orthogonality(seq, v))
     verify_lowering(seq, lop)
     assert calls == []
     # no P_n and no moment row has built its Fraction coefficients
@@ -406,7 +405,8 @@ def test_one_verify_reads_the_integer_forms_only(monkeypatch):
     # an indexable sequence that is no PolySequence gives the same results
     plain = UncheckedSequence(list(seq))
     assert extract_recurrence(plain, 2) == extract_recurrence(seq, 2)
-    assert verify_duality(plain, v) == verify_duality(seq, v)
+    assert (verify_duality(verify_d_orthogonality(plain, v))
+            == verify_duality(verify_d_orthogonality(seq, v)))
     assert verify_d_orthogonality(plain, v) == verify_d_orthogonality(seq, v)
     assert verify_lowering(plain, lop) == verify_lowering(seq, lop)
 
