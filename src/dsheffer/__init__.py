@@ -22,11 +22,9 @@ from dsheffer.sheffer import (
     expand_from_couple,
     expand_polynomials,
     pair_from_couple,
-    recurrence_rows,
 )
 from dsheffer.operators import (
     FunctionalVector,
-    LoweringOp,
     apply_lowering,
     functional_eval,
     lowering_from_couple,
@@ -55,8 +53,7 @@ __all__ = [
     "CoupleFileError", "CoupleSpec", "InvalidCoupleError", "NotDOrthogonalShefferError",
     "PolySequence", "ShefferPair", "check_conditions", "couple_from_json_dict",
     "couple_from_pair", "expand_from_couple", "expand_polynomials", "pair_from_couple",
-    "recurrence_rows",
-    "FunctionalVector", "LoweringOp", "apply_lowering", "functional_eval",
+    "FunctionalVector", "apply_lowering", "functional_eval",
     "lowering_from_couple", "lowering_from_H",
     "BackSubstitutionError", "DualityReport", "LoweringReport", "OrthogonalityReport",
     "RecurrenceTable", "RegularityViolationError", "WindowViolationError",

@@ -42,7 +42,7 @@ from math import factorial
 from typing import Callable, Mapping, Optional
 
 from dsheffer.exactnum import binomial, exact, pochhammer, stirling2_rows
-from dsheffer.operators import LoweringOp, lowering_from_couple
+from dsheffer.operators import lowering_from_couple
 from dsheffer.series import Poly, Series
 from dsheffer.sheffer import CoupleSpec, ShefferPair
 
@@ -402,8 +402,8 @@ def family_step(spec: FamilySpec) -> Optional[Fraction]:
     return Fraction(1)
 
 
-def family_lowering(spec: FamilySpec, N: int) -> LoweringOp:
-    """The family's lowering operator H*(D) at truncation order N."""
+def family_lowering(spec: FamilySpec, N: int) -> Series:
+    """The family's H* at truncation order N, the series of its lowering operator H*(D)."""
     return lowering_from_couple(family_couple(spec), N)
 
 

@@ -246,7 +246,7 @@ def cmd_verify(args) -> int:
     orth = verify_d_orthogonality(seq, fv)   # duality reads its row j = 0
     for name, check in (("duality", verify_duality(orth)),
                         ("orthogonality", orth),
-                        ("lowering", verify_lowering(seq, fv.lop))):
+                        ("lowering", verify_lowering(seq, fv.hstar))):
         sections[name] = _section(check.passed, check.to_jsonable())
 
     ok = all(s["status"] in ("pass", "skipped") for s in sections.values())

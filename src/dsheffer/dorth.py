@@ -60,12 +60,12 @@ from itertools import islice
 from math import factorial, gcd, lcm
 from operator import mul
 
-from dsheffer.exactnum import content_reduced, exact, ratio_strings, scaled
-from dsheffer.operators import FunctionalVector, LoweringOp
+from dsheffer.exactnum import content_reduced, ratio_strings
+from dsheffer.operators import FunctionalVector
 # no longer called here; still importable as dorth.functional_eval, which
 # perfbench/test_perfbench.py reads
 from dsheffer.operators import functional_eval  # noqa: F401
-from dsheffer.series import Poly
+from dsheffer.series import Poly, Series
 from dsheffer.sheffer import CoupleSpec, PolySequence, recurrence_numerators
 
 _set = object.__setattr__
@@ -116,53 +116,31 @@ class BackSubstitutionError(RuntimeError):
 class RecurrenceTable:
     """Row n holds alpha_{0..d+1}(n); indices below zero are stored as 0.
 
-    Stored as integer numerators nums[n][k] over one denominator den > 0,
-    with gcd(den, *every numerator) = 1, so the form is canonical and
-    equality compares integers.  RecurrenceTable(d, rows) reads rationals
-    and keeps them; the couple's rows are handed over as integers with
-    `of(d, nums, den)`, which converts nothing.  `rows` and `row(n)` give
-    Fractions, built on the first read and kept, and `row_strings` and
-    `to_jsonable` print lowest-terms integer pairs with no Fraction.
+    RecurrenceTable(d, nums, den) takes integer numerators nums[n][k] over
+    any nonzero int den and reduces them by one content gcd, so den > 0 and
+    gcd(den, *every numerator) = 1: the form is canonical, and equality
+    compares integers.  `rows` gives the Fractions, built on each read, and
+    `row_strings` and `to_jsonable` print lowest-terms integer pairs with no
+    Fraction.
     """
 
-    __slots__ = ("d", "nums", "den", "_rows")
+    __slots__ = ("d", "nums", "den")
 
-    def __init__(self, d: int, rows):
-        rows = tuple(tuple(exact(c) for c in row) for row in rows)
-        flat, den = scaled([c for row in rows for c in row])
-        ints = iter(flat)
-        _set(self, "d", d)
-        _set(self, "nums", tuple(tuple(islice(ints, len(row))) for row in rows))
-        _set(self, "den", den)
-        _set(self, "_rows", rows)
-
-    @classmethod
-    def of(cls, d: int, nums, den: int) -> "RecurrenceTable":
-        """Rows nums[n][k] / den for any nonzero int den, reduced by one content gcd."""
+    def __init__(self, d: int, nums, den: int):
         flat, den = content_reduced([v for row in nums for v in row], den)
         ints = iter(flat)
-        out = object.__new__(cls)
-        _set(out, "d", d)
-        _set(out, "nums", tuple(tuple(islice(ints, len(row))) for row in nums))
-        _set(out, "den", den)
-        _set(out, "_rows", None)
-        return out
+        _set(self, "d", d)
+        _set(self, "nums", tuple(tuple(islice(ints, len(row))) for row in nums))
+        _set(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RecurrenceTable is immutable")
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rows as Fractions, built on the first read and kept."""
-        rows = self._rows
-        if rows is None:
-            den = self.den
-            rows = tuple(tuple(Fraction(v, den) for v in row) for row in self.nums)
-            _set(self, "_rows", rows)
-        return rows
-
-    def row(self, n: int) -> tuple[Fraction, ...]:
-        return self.rows[n]
+        """The rows as Fractions, built on each read."""
+        den = self.den
+        return tuple(tuple(Fraction(v, den) for v in row) for row in self.nums)
 
     def row_strings(self) -> list[list[str]]:
         """Each entry as str(Fraction) prints it, read off the integers."""
@@ -227,7 +205,7 @@ def extract_recurrence(seq: PolySequence, d: int) -> RecurrenceTable:
         rows.append([coeffs[n - d + k] if n - d + k >= 0 else (0, 1) for k in range(d + 2)])
     # every row over the one denominator L, handed over as integers
     L = lcm(*(q for row in rows for _, q in row))
-    return _regular(RecurrenceTable.of(d, [[p * (L // q) for p, q in row] for row in rows], L))
+    return _regular(RecurrenceTable(d, [[p * (L // q) for p, q in row] for row in rows], L))
 
 
 def recurrence_from_couple(couple: CoupleSpec, top: int) -> RecurrenceTable:
@@ -239,7 +217,7 @@ def recurrence_from_couple(couple: CoupleSpec, top: int) -> RecurrenceTable:
     Fraction is made.
     """
     nums, den = recurrence_numerators(couple, top)
-    return _regular(RecurrenceTable.of(couple.d, nums, den))
+    return _regular(RecurrenceTable(couple.d, nums, den))
 
 
 def _regular(table: RecurrenceTable) -> RecurrenceTable:
@@ -477,21 +455,24 @@ class LoweringReport:
         }
 
 
-def verify_lowering(seq: PolySequence, op: LoweringOp) -> LoweringReport:
-    """Check sigma P_n = n P_{n-1} for every n (and sigma P_0 = 0).
+def verify_lowering(seq: PolySequence, hstar: Series) -> LoweringReport:
+    """Check sigma P_n = n P_{n-1} for every n (and sigma P_0 = 0), sigma = H*(D).
 
     Both sides are compared in the basis b_l = x^l / l! (see the module
-    docstring), in integers: with P_n's coefficients c over dn and y over
-    dy, row l holds when sum_k y_k c_(l+k) * d(n-1) = n c'_l * dn * dy,
-    c' being P_(n-1)'s.
+    docstring), in integers: with P_n's coefficients c over dn and y = H*
+    over dy, row l holds when sum_k y_k c_(l+k) * d(n-1) = n c'_l * dn * dy,
+    c' being P_(n-1)'s.  H* must have a zero constant term, which the sum
+    over k >= 1 leaves out.
     """
     top = seq.max_index
-    if op.hstar.order < top:
+    if hstar.nums[0]:
+        raise ValueError("hstar must have zero constant term")
+    if hstar.order < top:
         raise ValueError(
-            f"operator order {op.hstar.order} too small for sequence up to P_{top}"
+            f"operator order {hstar.order} too small for sequence up to P_{top}"
         )
     facts = [factorial(l) for l in range(top + 1)]
-    hstar = op.hstar.truncate(top)
+    hstar = hstar.truncate(top)
     y, dy = hstar.nums[1:], hstar.den                   # y_1 .. y_top
     failures = []
     prev, dprev = [], 1

@@ -26,9 +26,10 @@ operator series w = y^i / A(y) needs only products, an integral and exp.
 gamma(y) itself costs no series product: the ODE's integer table of
 [s^k] y^j, taken up to j = deg gamma, gives it as one dot product per
 coefficient (the Horner evaluation it replaced is the tests' oracle).  One
-solver returns both series: lowering_from_couple keeps y, and
-FunctionalVector(couple, order, d) keeps y as its operator (`lop`) and
-reads gamma(y) off the same call, so its operator is the couple's own.
+solver returns both series: lowering_from_couple returns y, and
+FunctionalVector(couple, order, d) keeps y as `hstar` and reads gamma(y)
+off the same call, so its operator is the couple's own.  The operator is
+its Series y alone, with y_0 = 0 (verify_lowering rejects any other).
 A functional is fixed by its moments, and [D^l x^j]_{x=0} = j! [l = j], so
 
     mu_i(j) = <u_i, x^j> = w_j j! / i!,
@@ -52,28 +53,9 @@ from dsheffer.series import Poly, Series
 from dsheffer.sheffer import CoupleSpec
 
 
-class LoweringOp:
-    """Operator series H*(D) with H*(0) = 0 and a nonzero linear term."""
-
-    __slots__ = ("hstar",)
-
-    def __init__(self, hstar: Series):
-        if hstar.nums[0]:
-            raise ValueError("hstar must have zero constant term")
-        if hstar.order < 1 or not hstar.nums[1]:
-            raise ValueError("hstar must have a nonzero linear coefficient")
-        object.__setattr__(self, "hstar", hstar)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LoweringOp is immutable")
-
-    def __repr__(self) -> str:
-        return f"LoweringOp(order={self.hstar.order})"
-
-
-def lowering_from_couple(couple: CoupleSpec, N: int) -> LoweringOp:
-    """The couple's lowering operator H*(D) at truncation order N."""
-    return LoweringOp(_solve_couple(couple, N)[0])
+def lowering_from_couple(couple: CoupleSpec, N: int) -> Series:
+    """The couple's H* at truncation order N, the series of its lowering operator H*(D)."""
+    return _solve_couple(couple, N)[0]
 
 
 def _solve_couple(couple: CoupleSpec, N: int) -> tuple[Series, Series]:
@@ -117,24 +99,24 @@ def _solve_couple(couple: CoupleSpec, N: int) -> tuple[Series, Series]:
     return Series.of(Y, scale), Series.of(G, scale * gam.den)
 
 
-def lowering_from_H(H: Series, N: int | None = None) -> LoweringOp:
-    """Revert H and wrap it as an operator series at truncation order N."""
+def lowering_from_H(H: Series, N: int | None = None) -> Series:
+    """H* = the reversion of H at truncation order N."""
     if N is None:
         N = H.order
-    return LoweringOp(H.truncate(N).reversion())
+    return H.truncate(N).reversion()
 
 
-def apply_lowering(op: LoweringOp, f: Poly) -> Poly:
+def apply_lowering(hstar: Series, f: Poly) -> Poly:
     """Apply sigma = H*(D) to a polynomial: sum_k y_k D^k f, finite since D lowers degree."""
     deg = f.degree()
     if deg is None:
         return Poly.zero()
-    if op.hstar.order < deg:
+    if hstar.order < deg:
         raise ValueError(
-            f"operator order {op.hstar.order} too small for degree {deg}"
+            f"operator order {hstar.order} too small for degree {deg}"
         )
     out = Poly.zero()
-    g, ys = f, op.hstar.coeffs
+    g, ys = f, hstar.coeffs
     for k in range(1, deg + 1):
         g = g.derivative()
         out = out + g * ys[k]
@@ -144,15 +126,15 @@ def apply_lowering(op: LoweringOp, f: Poly) -> Poly:
 class FunctionalVector:
     """The d moment functionals of a couple, as their table of moments.
 
-    The couple's ODE is solved here at the given order, and `lop` keeps the
-    operator H*(D) it gives (equal to lowering_from_couple at that order);
-    gamma(y) comes off the same solution.  rows[i] is the Series of moments
-    <u_i, x^j> for j <= order, as integer numerators over one denominator,
-    the form that dorth's checks read; the functionals read nothing else.
-    moments[i][j] is the same table as Fractions.
+    The couple's ODE is solved here at the given order, and `hstar` keeps
+    the series y = H* it gives (equal to lowering_from_couple at that
+    order); gamma(y) comes off the same solution.  rows[i] is the Series
+    of moments <u_i, x^j> for j <= order, as integer numerators over one
+    denominator, the form that dorth's checks read; the functionals read
+    nothing else.  moments[i][j] is the same table as Fractions.
     """
 
-    __slots__ = ("lop", "d", "rows")
+    __slots__ = ("hstar", "d", "rows")
 
     def __init__(self, couple: CoupleSpec, order: int, d: int):
         if d < 1:
@@ -168,7 +150,7 @@ class FunctionalVector:
                 w = w * y
             # mu_i(j) = w_j j! / i!
             rows.append(Series.of(list(map(mul, w.nums, facts)), w.den * factorial(i)))
-        object.__setattr__(self, "lop", LoweringOp(y))
+        object.__setattr__(self, "hstar", y)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "rows", tuple(rows))
 
@@ -181,7 +163,7 @@ class FunctionalVector:
 
     @property
     def order(self) -> int:
-        return self.lop.hstar.order
+        return self.hstar.order
 
     def __repr__(self) -> str:
         return f"FunctionalVector(d={self.d}, order={self.order})"

@@ -14,8 +14,8 @@ is decided for all n at once: it fails exactly when beta_d / alpha_{d+1} is a
 positive integer (CoupleSpec.irregular_n), and CoupleSpec.violations is the
 one regularity decision that both check_conditions and the catalog's
 parameter validation read.  The same couple gives the (d+2)-term recurrence
-in closed form (recurrence_rows, integer numerators over one denominator in
-recurrence_numerators), which generates the sequence without any series
+in closed form, as integer numerators over one denominator
+(recurrence_numerators), which generates the sequence without any series
 (expand_from_couple).  Both expansions work on the integer form that Poly
 and Series store (numerators over one denominator, see `series`) and hand
 each P_n over with Poly.of, so no Fraction is made: expand_from_couple
@@ -69,7 +69,7 @@ class CoupleSpec:
 
     Value-level restrictions (beta_d != 0, alpha_0 != 0) are deliberately not
     enforced at construction: check_conditions must be able to report on
-    broken couples.  pair_from_couple and recurrence_rows enforce them.
+    broken couples.  pair_from_couple and recurrence_numerators enforce them.
     """
 
     d: int
@@ -325,7 +325,7 @@ def expand_polynomials(pair: ShefferPair, N: int) -> PolySequence:
     return PolySequence(tuple(polys))
 
 
-def recurrence_rows(couple: CoupleSpec, top: int) -> tuple[tuple[Fraction, ...], ...]:
+def recurrence_numerators(couple: CoupleSpec, top: int) -> tuple[list[list[int]], int]:
     """Rows n < top of the recurrence x P_n = sum_k alpha_k(n) P_(n-d+k), from the couple.
 
     x G = sigma(t) G_t - gamma(t) G read coefficient by coefficient gives
@@ -334,19 +334,9 @@ def recurrence_rows(couple: CoupleSpec, top: int) -> tuple[tuple[Fraction, ...],
     alpha_k(n) = sigma_(d+1-k) n^(d+1-k) - gamma_(d-k) n^(d-k) and
     alpha_(d+1)(n) = sigma_0.  n^(j) vanishes for j > n, which is the 0 that
     row n holds on the indices below zero.  No row is checked for
-    regularity.  The entries are recurrence_numerators' integers, each made
-    a Fraction once.
-    """
-    rows, R = recurrence_numerators(couple, top)
-    return tuple(tuple(Fraction(v, R) for v in row) for row in rows)
-
-
-def recurrence_numerators(couple: CoupleSpec, top: int) -> tuple[list[list[int]], int]:
-    """Rows n < top of recurrence_rows as integer numerators over one denominator R.
-
-    gamma and sigma are scaled once over R = lcm of their denominators, so
-    alpha_k(n) R = (R sigma_(d+1-k)) n^(d+1-k) - (R gamma_(d-k)) n^(d-k) is
-    an integer.
+    regularity.  gamma and sigma are scaled once over R = lcm of their
+    denominators, so the rows are handed over as the integers alpha_k(n) R
+    = (R sigma_(d+1-k)) n^(d+1-k) - (R gamma_(d-k)) n^(d-k), over R.
     """
     couple.validate()
     d = couple.d

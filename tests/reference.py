@@ -8,13 +8,13 @@ straightforward versions, one `Fraction` operation per term and the base
 operator applied repeatedly, kept as the oracles those kernels must match
 exactly.  The same holds for the back-substitution of `extract_recurrence`,
 the `exp`/`log`/`invert_mul` recursions, the lowering ODE,
-`expand_from_couple`, the couple's recurrence rows and the generating-
-function expansion, which now run on integers with one running or common
-denominator, and for `Poly.pretty`, `Poly.latex` and `Poly.coeff_strings`,
-which now read each coefficient's lowest-terms numerator and denominator
-from the stored integer form instead of building, comparing and negating
-Fractions (`fraction_text` is the Fraction-reading `Poly._text` they
-replaced).
+`expand_from_couple`, the couple's recurrence rows (`fraction_table` builds
+a `RecurrenceTable` from such rows) and the generating-function expansion,
+which now run on integers with one running or common denominator, and for
+`Poly.pretty`, `Poly.latex` and `Poly.coeff_strings`, which now read each
+coefficient's lowest-terms numerator and denominator from the stored
+integer form instead of building, comparing and negating Fractions
+(`fraction_text` is the Fraction-reading `Poly._text` they replaced).
 
 `horner_gamma_y` is gamma(y) by Horner's rule on series products, from
 before the couple's ODE solver in `operators` read it off its own table of
@@ -45,8 +45,8 @@ from math import factorial
 
 from dsheffer import Poly, PolySequence, Series, ShefferPair, functional_eval
 from dsheffer import catalog
-from dsheffer.dorth import BackSubstitutionError, WindowViolationError
-from dsheffer.exactnum import pochhammer, stirling2
+from dsheffer.dorth import BackSubstitutionError, RecurrenceTable, WindowViolationError
+from dsheffer.exactnum import pochhammer, scaled, stirling2
 
 
 class UncheckedSequence:
@@ -364,6 +364,13 @@ def fraction_recurrence_rows(seq, d) -> list[tuple[Fraction, ...]]:
             for k in range(d + 2)
         ))
     return rows
+
+
+def fraction_table(d, rows) -> RecurrenceTable:
+    """The RecurrenceTable of Fraction rows, as numerators over their least common denominator."""
+    flat, den = scaled([Fraction(c) for row in rows for c in row])
+    ints = iter(flat)
+    return RecurrenceTable(d, [[next(ints) for _ in row] for row in rows], den)
 
 
 def branch_family_generating(spec, N) -> ShefferPair:

@@ -287,8 +287,8 @@ def test_lowering_kind_follows_family():
     assert FAMILIES[CHARLIER_EQ13].kind == DIFFERENCE
     for family in (LAGUERRE_EQ9, CHARLIER_EQ13):
         spec = catalog.default_spec(family, 1)
-        assert catalog.family_lowering(spec, 6).hstar \
-            == lowering_from_couple(catalog.family_couple(spec), 6).hstar
+        assert catalog.family_lowering(spec, 6) \
+            == lowering_from_couple(catalog.family_couple(spec), 6)
 
 
 def test_lowering_drops_index_for_difference_families():
@@ -313,7 +313,7 @@ def test_eq11_lowering_matches_closed_form():
     op = catalog.family_lowering(spec, 16)
     closed = (Series.constant(F(1), 16) - Series.monomial(1, 16, 2)).pow_rat(F(-1, 2))
     closed = Series.constant(F(1), 16) - closed
-    assert op.hstar.coeffs == closed.coeffs
+    assert op.coeffs == closed.coeffs
 
 
 # ---------------------------------------------------------------- Laguerre 2-orthogonal functionals

@@ -34,7 +34,7 @@ def build(couple, top, order=None):
     pair = pair_from_couple(couple, order)
     seq = expand_polynomials(pair, top)
     v = FunctionalVector(couple, order, d=couple.d)
-    return seq, v, v.lop
+    return seq, v, v.hstar
 
 
 # ---------------------------------------------------------------- recurrence
@@ -58,7 +58,7 @@ def test_laguerre_recurrence_matches_classical_three_term():
 def test_recurrence_row_accessor_and_jsonable():
     seq, _, _ = build(LAGUERRE, 5)
     table = extract_recurrence(seq, 1)
-    assert table.row(2) == (-4, 5, -1)
+    assert table.rows[2] == (-4, 5, -1)
     doc = table.to_jsonable()
     assert doc["d"] == 1
     assert doc["rows"][2] == ["-4", "5", "-1"]

@@ -44,7 +44,7 @@ from dsheffer.dorth import (
 )
 from dsheffer.exactnum import scaled
 from dsheffer.operators import _solve_couple
-from dsheffer.sheffer import CoupleSpec, recurrence_numerators, recurrence_rows
+from dsheffer.sheffer import CoupleSpec, recurrence_numerators
 from reference import (
     UncheckedSequence,
     duality_failures,
@@ -58,6 +58,7 @@ from reference import (
     fraction_pretty,
     fraction_product,
     fraction_recurrence_rows,
+    fraction_table,
     fraction_text,
     hankel_cells,
     horner_gamma_y,
@@ -160,7 +161,7 @@ def perturbed(seq: PolySequence, n: int, j: int, delta: Fraction) -> PolySequenc
 
 def assert_sections_match_the_oracles(seq, lop, v):
     low = verify_lowering(seq, lop)
-    assert low.failures == tuple(lowering_failures(seq, lop.hstar.coeffs))
+    assert low.failures == tuple(lowering_failures(seq, lop.coeffs))
     orth = verify_d_orthogonality(seq, v)
     failures = orth.failures                    # built before the cells are
     cells, unchecked = hankel_cells(seq, v)
@@ -195,7 +196,7 @@ def test_verify_sections_match_the_oracles_on_perturbed_sequences(couple, data):
     top = data.draw(st.integers(couple.d + 2, 8))
     seq = expand_polynomials(pair_from_couple(couple, top), top)
     v = FunctionalVector(couple, top + top // couple.d, couple.d)
-    lop = v.lop
+    lop = v.hstar
     assert not assert_sections_match_the_oracles(seq, lop, v).failures
     for _ in range(data.draw(st.integers(1, 3))):
         n = data.draw(st.integers(1, top))
@@ -258,7 +259,7 @@ def test_a_perturbed_p7_is_flagged_like_the_oracle_on_every_sample():
         couple = catalog.family_couple(spec)
         seq = expand_polynomials(catalog.family_generating(spec, top), top)
         v = FunctionalVector(couple, top + top // spec.d, spec.d)
-        lop = v.lop
+        lop = v.hstar
         seq = perturbed(seq, 7, 3, F(1, 3))
         low = assert_sections_match_the_oracles(seq, lop, v)
         assert low.failures == (7, 8), (spec.family, spec.d)
@@ -280,28 +281,29 @@ def couples(draw):
 @settings(max_examples=60, deadline=None)
 @given(couples(), st.integers(0, 30))
 def test_recurrence_rows_equal_the_fraction_rows(couple, top):
-    assert recurrence_rows(couple, top) == fraction_couple_rows(couple, top)
+    nums, den = recurrence_numerators(couple, top)
+    assert tuple(tuple(F(v, den) for v in row) for row in nums) \
+        == fraction_couple_rows(couple, top)
 
 
 @settings(max_examples=60, deadline=None)
 @given(couples(), st.integers(0, 30))
 def test_couple_recurrence_table_prints_the_fraction_rows(couple, top):
     # recurrence_from_couple hands the integers over: the table prints and
-    # compares like the Fraction rows it replaced, and builds them only on read
+    # compares like the Fraction rows it replaced
+    nums, den = recurrence_numerators(couple, top)
+    rows = tuple(tuple(F(v, den) for v in row) for row in nums)
     try:
         table = recurrence_from_couple(couple, top)
     except RegularityViolationError as exc:
-        assert exc.rows == tuple(n for n, row in enumerate(recurrence_rows(couple, top))
+        assert exc.rows == tuple(n for n, row in enumerate(rows)
                                  if n >= couple.d and not (row[0] and row[couple.d + 1]))
         return
-    rows = recurrence_rows(couple, top)
     assert table.to_jsonable() == {"d": couple.d, "rows": [[str(c) for c in row] for row in rows]}
-    assert table._rows is None
-    assert table == RecurrenceTable(couple.d, rows)
-    assert hash(table) == hash(RecurrenceTable(couple.d, rows))
-    assert table.rows == rows and table.rows is table.rows
-    nums, den = recurrence_numerators(couple, top)
-    assert RecurrenceTable.of(couple.d, [[-v for v in row] for row in nums], -den) == table
+    assert table == fraction_table(couple.d, rows)
+    assert hash(table) == hash(fraction_table(couple.d, rows))
+    assert table.rows == rows
+    assert RecurrenceTable(couple.d, [[-v for v in row] for row in nums], -den) == table
 
 
 @settings(max_examples=40, deadline=None)
@@ -317,14 +319,14 @@ def test_functional_vector_keeps_the_couples_own_operator():
     for spec in catalog.default_sample_specs():
         couple = catalog.family_couple(spec)
         for M in (12, 30):
-            assert FunctionalVector(couple, M, spec.d).lop.hstar \
-                == lowering_from_couple(couple, M).hstar, (spec, M)
+            assert FunctionalVector(couple, M, spec.d).hstar \
+                == lowering_from_couple(couple, M), (spec, M)
 
     @settings(max_examples=40, deadline=None)
     @given(couples(), st.integers(2, 30))
     def on_drawn_couples(couple, M):
-        assert FunctionalVector(couple, M, couple.d).lop.hstar \
-            == lowering_from_couple(couple, M).hstar
+        assert FunctionalVector(couple, M, couple.d).hstar \
+            == lowering_from_couple(couple, M)
 
     on_drawn_couples()
 
@@ -354,7 +356,7 @@ def test_expand_polynomials_equals_the_series_products(orders, data):
 @given(regular_couples(), st.integers(1, 30))
 def test_lowering_ode_equals_the_fraction_recursion(couple, N):
     lop = lowering_from_couple(couple, N)
-    assert lop.hstar.coeffs == tuple(fraction_hstar(couple, N))
+    assert lop.coeffs == tuple(fraction_hstar(couple, N))
 
 
 @settings(max_examples=60, deadline=None)
@@ -393,7 +395,7 @@ def test_one_verify_reads_the_integer_forms_only(monkeypatch):
     top = 9
     seq = expand_polynomials(pair_from_couple(couple, top), top)
     v = FunctionalVector(couple, top + top // 2, 2)
-    lop = v.lop
+    lop = v.hstar
     calls.clear()
     extract_recurrence(seq, 2)
     verify_duality(verify_d_orthogonality(seq, v))
@@ -428,7 +430,7 @@ def recurrence_outcome(compute):
 def assert_back_substitution_matches_the_oracle(seq, d):
     got = recurrence_outcome(lambda: extract_recurrence(seq, d))
     assert got == recurrence_outcome(
-        lambda: _regular(RecurrenceTable(d, fraction_recurrence_rows(seq, d))))
+        lambda: _regular(fraction_table(d, fraction_recurrence_rows(seq, d))))
     return got
 
 

@@ -11,7 +11,6 @@ from reference import UncheckedSequence, delta, fraction_hstar, lowering_failure
 
 from dsheffer import (
     FunctionalVector,
-    LoweringOp,
     Poly,
     Series,
     apply_lowering,
@@ -20,6 +19,7 @@ from dsheffer import (
     lowering_from_couple,
     lowering_from_H,
     pair_from_couple,
+    verify_lowering,
 )
 from dsheffer.sheffer import CoupleSpec, InvalidCoupleError
 
@@ -33,7 +33,7 @@ HERMITE = CoupleSpec(d=1, gamma=(F(0), F(-1)), sigma=(F(1),))
 
 def test_derivative_base():
     # H* = t makes sigma the derivative itself
-    assert apply_lowering(LoweringOp(Series.identity(3)), Poly((0, 0, 0, 1))) == Poly((0, 0, 3))
+    assert apply_lowering(Series.identity(3), Poly((0, 0, 0, 1))) == Poly((0, 0, 3))
 
 
 def test_forward_difference_base():
@@ -49,32 +49,29 @@ def test_difference_requires_step():
 
 def test_unknown_base_kind():
     # the operator is H*(D) for every source: no base kind or step is taken
-    t = Series.identity(4)
-    with pytest.raises(TypeError):
-        LoweringOp("difference", t)
-    with pytest.raises(TypeError):
-        LoweringOp(t, omega=F(1))
     with pytest.raises(TypeError):
         lowering_from_couple(LAGUERRE, 6, F(1))
 
 
 # ---------------------------------------------------------------- lowering operators
 
-def test_lowering_op_invariants():
-    with pytest.raises(ValueError):
-        LoweringOp(Series((1, 1, 0, 0, 0)))                   # hstar(0) != 0
-    with pytest.raises(ValueError):
-        LoweringOp(Series((0, 0, 1, 0, 0)))                   # hstar'(0) = 0
+def test_verify_lowering_rejects_a_nonzero_constant_term():
+    seq = expand_polynomials(pair_from_couple(LAGUERRE, 8), 4)
+    with pytest.raises(ValueError, match="constant term"):
+        verify_lowering(seq, Series((1, 1, 0, 0, 0)))         # hstar(0) != 0
+    # hstar'(0) = 0 is no error: sigma = D^2 lowers by two, so every n >= 1 fails
+    assert verify_lowering(seq, Series((0, 0, 1, 0, 0))).failures == (1, 2, 3, 4)
+    assert verify_lowering(seq, lowering_from_couple(LAGUERRE, 4)).passed
 
 
 def test_lowering_from_moebius_H_is_its_own_inverse():
     hx = Series([0] + [F(-1)] * 8)                            # -t/(1-t)
     op = lowering_from_H(hx)
-    assert op.hstar.coeffs == hx.coeffs
+    assert op.coeffs == hx.coeffs
 
 
 def test_identity_hstar_reduces_to_base_operator():
-    op = LoweringOp(Series.identity(6))
+    op = Series.identity(6)
     p = Poly((1, 2, 0, 5))
     assert apply_lowering(op, p) == p.derivative()
     # in the oracle, h* = t with a step is Delta_omega itself, which lowers the
@@ -117,18 +114,18 @@ def test_lowering_order_guard():
 def test_lowering_from_H_can_re_truncate():
     hx = Series([0] + [F(-1)] * 10)
     op = lowering_from_H(hx, N=4)
-    assert op.hstar.order == 4
+    assert op.order == 4
 
 
 def test_lowering_from_couple_kind_follows_step():
     op = lowering_from_couple(LAGUERRE, 6)
-    assert op.hstar.order == 6
+    assert op.order == 6
     # Charlier at step 1/2: the oracle's Newton h* solves (1 + s/2) y' = 1 + y/2,
     # so it is t; the package's H* solves y' = 1 + y/2, so it is 2 (e^(s/2) - 1)
     charlier = CoupleSpec(d=1, gamma=(F(0), F(1)), sigma=(F(1), F(1, 2)))
     assert fraction_hstar(charlier, 6, F(1, 2)) == [0, 1, 0, 0, 0, 0, 0]
     opd = lowering_from_couple(charlier, 6)
-    assert opd.hstar.coeffs == (0, 1, F(1, 4), F(1, 24), F(1, 192), F(1, 1920), F(1, 23040))
+    assert opd.coeffs == (0, 1, F(1, 4), F(1, 24), F(1, 192), F(1, 1920), F(1, 23040))
 
 
 def test_lowering_from_couple_contracts():

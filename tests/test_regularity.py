@@ -6,7 +6,7 @@ n <= N scan and the catalog's per-family restatements (kept in
 `legacy_rules`) must agree with it wherever they could see the answer.  The
 paper's closed-form recurrence ties the same decision to the recurrence
 table: its alpha_0(n) vanishes exactly at n = d + irregular_n().  That table
-(`recurrence_rows`) and the sequence it generates (`expand_from_couple`) are
+(`recurrence_numerators`) and the sequence it generates (`expand_from_couple`) are
 checked against back-substitution and the generating-function expansion.
 """
 
@@ -31,11 +31,11 @@ from dsheffer import (
     extract_recurrence,
     pair_from_couple,
     recurrence_from_couple,
-    recurrence_rows,
 )
 from dsheffer import catalog
 from dsheffer.catalog import FAMILIES, FamilySpec
 from dsheffer.cli import main
+from dsheffer.sheffer import recurrence_numerators
 
 F = Fraction
 
@@ -214,7 +214,7 @@ def test_the_couple_recurrence_equals_expansion_and_back_substitution(case):
 
 
 def alpha_0_zeros(couple: CoupleSpec, top: int) -> list[int]:
-    return [n for n, row in enumerate(recurrence_rows(couple, top))
+    return [n for n, row in enumerate(recurrence_numerators(couple, top)[0])
             if n >= couple.d and row[0] == 0]
 
 
@@ -232,7 +232,7 @@ def test_alpha_0_vanishes_exactly_at_d_plus_the_root(couple):
     assume(couple.beta_d != 0)
     if couple.alpha_0 == 0:
         with pytest.raises(InvalidCoupleError):
-            recurrence_rows(couple, 1)
+            recurrence_numerators(couple, 1)
         # refused as a whole, but alpha_0(n) does not read sigma_0
         couple = replace(couple, sigma=(F(1),) + couple.sigma[1:])
     root = couple.irregular_n()

@@ -17,3 +17,8 @@ def test_no_module_guards_with_assert():
              if isinstance(node, ast.Assert)]
     assert not found, found
     assert len(list(SOURCE.glob("*.py"))) >= 9
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in dsheffer.__all__ if not hasattr(dsheffer, name)]
+    assert not missing, missing
