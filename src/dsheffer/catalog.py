@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
 from dsheffer.exactnum import binomial, exact, pochhammer, stirling2_rows
@@ -71,8 +72,8 @@ class DivergentParameterError(InvalidParameterError):
 class FamilySpec:
     """A family id with a concrete d, parameter values, and aux polynomial.
 
-    Do not change params after construction: the spec is screened once and
-    the result is kept on it (`_screened`).
+    `params` is a read-only mapping, so the screening kept on the spec
+    (`_screened`) always matches its values.
     """
 
     family: str
@@ -84,7 +85,8 @@ class FamilySpec:
         if self.family not in FAMILIES:
             raise InvalidParameterError(f"unknown family: {self.family!r}")
         object.__setattr__(
-            self, "params", {str(k): exact(v) for k, v in dict(self.params).items()}
+            self, "params",
+            MappingProxyType({str(k): exact(v) for k, v in dict(self.params).items()}),
         )
         if self.aux is not None:
             object.__setattr__(self, "aux", tuple(exact(a) for a in self.aux))

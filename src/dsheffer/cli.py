@@ -60,50 +60,17 @@ class CliError(Exception):
         self.code = code
 
 
-class _Source:
-    """Resolved construction source: a family spec or a raw couple.
-
-    Both resolve to a couple, which is all the lowering operator H*(D) and
-    the functionals need.
-    """
-
-    def __init__(self, couple: CoupleSpec, spec=None):
-        self.spec = spec
-        self.couple = couple
-
-    @property
-    def is_family(self) -> bool:
-        return self.spec is not None
-
-    @property
-    def d(self) -> int:
-        return self.couple.d
-
-    def to_jsonable(self) -> dict:
-        if self.is_family:
-            return {
-                "kind": "family",
-                "family": self.spec.family,
-                "d": self.spec.d,
-                "params": {k: str(v) for k, v in self.spec.params.items()},
-                "aux": None if self.spec.aux is None else [str(a) for a in self.spec.aux],
-            }
-        return {"kind": "couple", **self.couple.to_jsonable()}
-
-    def pair(self, N: int):
-        if self.is_family:
-            return catalog.family_generating(self.spec, N)
-        return pair_from_couple(self.couple, N)
-
-
 def _parse_param_items(items) -> dict[str, Fraction]:
     params = {}
     for item in items or ():
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise CliError(EXIT_BAD_PARAMS, f"--param expects name=value, got {item!r}")
+        key = name.strip()
+        if key in params:
+            raise CliError(EXIT_BAD_PARAMS, f"--param {key}: given more than once")
         try:
-            params[name.strip()] = parse_rational(value)
+            params[key] = parse_rational(value)
         except ValueError as exc:
             raise CliError(EXIT_BAD_PARAMS, f"--param {name}: {exc}") from None
     return params
@@ -118,7 +85,8 @@ def _parse_aux(text: str | None):
         raise CliError(EXIT_BAD_PARAMS, f"--aux: {exc}") from None
 
 
-def _resolve_source(args) -> _Source:
+def _resolve_source(args) -> tuple[catalog.FamilySpec | None, CoupleSpec]:
+    """(spec, couple) of the command's source; spec is None for a couple file."""
     has_family = getattr(args, "family", None) is not None
     has_file = getattr(args, "couple_file", None) is not None
     if has_family == has_file:
@@ -135,7 +103,7 @@ def _resolve_source(args) -> _Source:
             params=_parse_param_items(args.param),
             aux=_parse_aux(args.aux),
         )
-        return _Source(catalog.family_couple(spec), spec=spec)
+        return spec, catalog.family_couple(spec)
     if args.d is not None or args.param or args.aux is not None:
         raise CliError(EXIT_BAD_PARAMS, "--d/--param/--aux only apply to --family sources")
     try:
@@ -146,7 +114,19 @@ def _resolve_source(args) -> _Source:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_IO, f"couple file is not valid JSON: {exc}") from None
-    return _Source(couple_from_json_dict(doc))
+    return None, couple_from_json_dict(doc)
+
+
+def _source_jsonable(spec: catalog.FamilySpec | None, couple: CoupleSpec) -> dict:
+    if spec is None:
+        return {"kind": "couple", **couple.to_jsonable()}
+    return {
+        "kind": "family",
+        "family": spec.family,
+        "d": spec.d,
+        "params": {k: str(v) for k, v in spec.params.items()},
+        "aux": None if spec.aux is None else [str(a) for a in spec.aux],
+    }
 
 
 def _require_order(N: int, least: int, why: str = ""):
@@ -164,28 +144,26 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+def _emit_doc(args, command: str, N: int, spec, couple: CoupleSpec, **body):
+    """Write a command's JSON document: the command, order and source, then `body`."""
+    source = _source_jsonable(spec, couple)
+    _emit(args, render.dump_json({"command": command, "order": N, "source": source, **body}))
+
+
 def cmd_expand(args) -> int:
-    source = _resolve_source(args)
+    spec, couple = _resolve_source(args)
     N = args.order
     _require_order(N, 1)
-    seq = expand_from_couple(source.couple, N)
+    seq = expand_from_couple(couple, N)
     if args.format == render.JSON:
-        doc = {
-            "command": "expand",
-            "order": N,
-            "source": source.to_jsonable(),
-            "polynomials": [
-                {"n": n, "coeffs": p.coeff_strings(), "text": p.pretty()}
-                for n, p in enumerate(seq)
-            ],
-        }
-        _emit(args, render.dump_json(doc))
+        _emit_doc(args, "expand", N, spec, couple, polynomials=[
+            {"n": n, "coeffs": p.coeff_strings(), "text": p.pretty()}
+            for n, p in enumerate(seq)
+        ])
     elif args.format == render.CSV:
         headers = ["n", "text"] + [f"c{k}" for k in range(N + 1)]
-        rows = []
-        for n, p in enumerate(seq):
-            cells = p.coeff_strings() + ["0"] * (N + 1 - len(p.nums))
-            rows.append([n, p.pretty()] + cells)
+        rows = [[n, p.pretty()] + p.coeff_strings() + ["0"] * (N + 1 - len(p.nums))
+                for n, p in enumerate(seq)]
         _emit(args, render.dump_csv(headers, rows))
     else:
         headers = ["$n$", "$P_n(x)$"]
@@ -210,20 +188,25 @@ def _recurrence_section(seq, d) -> dict:
 
 
 def cmd_verify(args) -> int:
-    source = _resolve_source(args)
+    spec, couple = _resolve_source(args)
     N = args.order
-    check_d = args.check_d if args.check_d is not None else source.d
+    check_d = args.check_d if args.check_d is not None else couple.d
     if check_d < 1:
         raise CliError(EXIT_BAD_PARAMS, f"--check-d must be >= 1, got {check_d}")
     _require_order(N, check_d + 2, f" for the recurrence at d = {check_d}")
 
-    couple = source.couple
-    seq = expand_polynomials(source.pair(N), N)
+    pair = pair_from_couple(couple, N) if spec is None else catalog.family_generating(spec, N)
+    seq = expand_polynomials(pair, N)
 
     cond = check_conditions(couple, N)
     sections = {"conditions": _section(cond.passed, cond.to_jsonable())}
 
-    if source.is_family:
+    if spec is None:
+        sections["two_path"] = {
+            "status": "skipped",
+            "details": {"reason": "raw couples have a single construction route"},
+        }
+    else:
         other = expand_from_couple(couple, N)
         mismatches = [
             {"n": n, "closed_form": seq[n].pretty(), "from_couple": other[n].pretty()}
@@ -232,11 +215,6 @@ def cmd_verify(args) -> int:
         ]
         sections["two_path"] = _section(not mismatches,
                                         {"compared_through": N, "mismatches": mismatches})
-    else:
-        sections["two_path"] = {
-            "status": "skipped",
-            "details": {"reason": "raw couples have a single construction route"},
-        }
 
     sections["recurrence"] = _recurrence_section(seq, check_d)
 
@@ -250,37 +228,24 @@ def cmd_verify(args) -> int:
         sections[name] = _section(check.passed, check.to_jsonable())
 
     ok = all(s["status"] in ("pass", "skipped") for s in sections.values())
-    report = {
-        "command": "verify",
-        "order": N,
-        "check_d": check_d,
-        "source": source.to_jsonable(),
-        "overall": "pass" if ok else "fail",
-        **sections,
-    }
-    _emit(args, render.dump_json(report))
+    _emit_doc(args, "verify", N, spec, couple, check_d=check_d,
+              overall="pass" if ok else "fail", **sections)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def cmd_recurrence(args) -> int:
-    source = _resolve_source(args)
+    spec, couple = _resolve_source(args)
     N = args.order
-    d = source.d
+    d = couple.d
     _require_order(N, d + 2, f" for the recurrence at d = {d}")
-    table = recurrence_from_couple(source.couple, N)  # violations surface as exit 1 via main
+    table = recurrence_from_couple(couple, N)  # violations surface as exit 1 via main
     if args.format == render.JSON:
-        doc = {
-            "command": "recurrence",
-            "order": N,
-            "source": source.to_jsonable(),
-            "table": table.to_jsonable(),
-        }
-        _emit(args, render.dump_json(doc))
+        _emit_doc(args, "recurrence", N, spec, couple, table=table.to_jsonable())
         return EXIT_OK
-    headers_plain = ["n"] + [f"alpha_{k}" for k in range(d + 2)]
     rows = [[n] + row for n, row in enumerate(table.row_strings())]
     if args.format == render.CSV:
-        _emit(args, render.dump_csv(headers_plain, rows))
+        headers = ["n"] + [f"alpha_{k}" for k in range(d + 2)]
+        _emit(args, render.dump_csv(headers, rows))
     else:
         headers = ["$n$"] + [f"$\\alpha_{{{k},{d}}}(n)$" for k in range(d + 2)]
         body = [[row[0]] + [f"${c}$" for c in row[1:]] for row in rows]
@@ -289,83 +254,56 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_functionals(args) -> int:
-    source = _resolve_source(args)
+    spec, couple = _resolve_source(args)
     N = args.order
-    d = source.d
+    d = couple.d
     if args.index is not None and not 0 <= args.index < d:
         raise CliError(EXIT_BAD_PARAMS, f"--index must lie in 0..{d - 1}, got {args.index}")
     indices = range(d) if args.index is None else (args.index,)
     _require_order(N, max(1, d - 1), f" for {d} functionals")
 
-    fv = FunctionalVector(source.couple, N, d)
-    explicit = catalog.explicit_functional(source.spec) if source.is_family else None
-
-    rows = []
-    all_match = True
-    for i in indices:
-        for m, value in enumerate(fv.moments[i]):
-            cross = None
-            if explicit is not None:
-                label, fn = explicit
-                cross_value = fn(i, Poly.monomial(m))
-                match = cross_value == value
-                all_match = all_match and match
-                cross = {"evaluator": label, "value": str(cross_value), "match": match}
-            rows.append({
-                "i": i,
-                "m": m,
-                "value": str(value),
-                "evaluator": "operator-series",
-                "cross_check": cross,
-            })
+    fv = FunctionalVector(couple, N, d)
+    label, fn = (None if spec is None else catalog.explicit_functional(spec)) or (None, None)
+    # one (i, m, <u_i, x^m>, cross-check value or None) per row
+    rows = [(i, m, value, None if fn is None else fn(i, Poly.monomial(m)))
+            for i in indices for m, value in enumerate(fv.moments[i])]
 
     if args.format == render.JSON:
-        doc = {
-            "command": "functionals",
-            "order": N,
-            "source": source.to_jsonable(),
-            "rows": rows,
-        }
-        _emit(args, render.dump_json(doc))
+        _emit_doc(args, "functionals", N, spec, couple, rows=[
+            {"i": i, "m": m, "value": str(value), "evaluator": "operator-series",
+             "cross_check": None if cross is None else
+             {"evaluator": label, "value": str(cross), "match": cross == value}}
+            for i, m, value, cross in rows
+        ])
     elif args.format == render.CSV:
         headers = ["i", "m", "value", "evaluator", "cross_evaluator", "cross_value", "match"]
-        body = []
-        for row in rows:
-            cross = row["cross_check"]
-            body.append([
-                row["i"], row["m"], row["value"], row["evaluator"],
-                cross["evaluator"] if cross else "",
-                cross["value"] if cross else "",
-                str(cross["match"]).lower() if cross else "",
-            ])
+        body = [[i, m, str(value), "operator-series"]
+                + (["", "", ""] if cross is None
+                   else [label, str(cross), str(cross == value).lower()])
+                for i, m, value, cross in rows]
         _emit(args, render.dump_csv(headers, body))
     else:
         headers = ["$i$", "$m$", "$\\langle u_i, x^m\\rangle$", "cross-check"]
-        body = []
-        for row in rows:
-            cross = row["cross_check"]
-            note = ""
-            if cross:
-                note = f"{cross['evaluator']}: {'ok' if cross['match'] else 'MISMATCH'}"
-            body.append([row["i"], row["m"], f"${row['value']}$", note])
+        body = [[i, m, f"${value}$",
+                 "" if cross is None else f"{label}: {'ok' if cross == value else 'MISMATCH'}"]
+                for i, m, value, cross in rows]
         _emit(args, render.dump_latex_table(headers, body, align="rr|rl"))
-    return EXIT_OK if all_match else EXIT_VERIFY_FAIL
+    matched = all(cross is None or cross == value for _, _, value, cross in rows)
+    return EXIT_OK if matched else EXIT_VERIFY_FAIL
 
 
 def cmd_catalog_list(args) -> int:
-    families = []
-    for info in catalog.FAMILIES.values():
-        families.append({
-            "family": info.family,
-            "label": info.label,
-            "operator_kind": info.kind,
-            "params": list(info.params),
-            "aux": info.aux_text,
-            "d_min": info.d_min,
-            "d_fixed": info.d_fixed,
-            "restrictions": info.restrictions,
-            "generating_function": info.generating_text,
-        })
+    families = [{
+        "family": info.family,
+        "label": info.label,
+        "operator_kind": info.kind,
+        "params": list(info.params),
+        "aux": info.aux_text,
+        "d_min": info.d_min,
+        "d_fixed": info.d_fixed,
+        "restrictions": info.restrictions,
+        "generating_function": info.generating_text,
+    } for info in catalog.FAMILIES.values()]
     _emit(args, render.dump_json({"command": "catalog-list", "families": families}))
     return EXIT_OK
 

@@ -450,6 +450,41 @@ EXPAND_RECURRENCE_COUPLE_DIGESTS = {
 }
 
 
+# sha256 of the functionals --order 8 tables: the CSV and then the LaTeX table
+# of every default sample, hashed as one stream, and the JSON, CSV and LaTeX
+# outputs of the couple files of VERIFY_24_COUPLE_DIGESTS (keyed by d).
+# Computed while the CLI still wrapped its source in a class and built every
+# format's rows from one shared list of row dicts.
+FUNCTIONALS_TABLE_DIGESTS = {
+    ("laguerre-eq9", 1): "85766da04bc3a2b49b96b0ec1aa978842001c58ce1d163e194aa4bdec8a0561a",
+    ("laguerre-eq9", 2): "5c42af152a15b09f7ef455a5519cdb6904a6ae191a4c441be7c0fb18f33e1d80",
+    ("laguerre-eq9", 3): "ed7fa9d5d5ac3753b33f6282ba89af58337db2b520b52d1782d9e3806a27fed5",
+    ("laguerre-eq10", 1): "85766da04bc3a2b49b96b0ec1aa978842001c58ce1d163e194aa4bdec8a0561a",
+    ("laguerre-eq10", 2): "b22e1501e41ae4e1902a684d3b400d3c9ad31ddc147fa5c4337a381dac0409f6",
+    ("laguerre-eq10", 3): "5e6be8d36e0bb437f11bf9ee12f98a206adc8cbfb0e26a2bafd00e83e009ab8a",
+    ("laguerre-eq11", 2): "52d3f68dafe60d63c3f4d292618d2aa2d721497f888aaad0c6c65adc59b50dea",
+    ("hermite-eq12", 1): "ea79d9a5a3d25d3484ce39a11f2adca9f45ef6871345a2fff8b0fb1e030ad0ff",
+    ("hermite-eq12", 2): "c0c6acdd9286d9a1758e745564e7d517de52c0a569c8d3233422aaa5cb15bfb5",
+    ("hermite-eq12", 3): "3c5d3726dcfcd41fcac9fb863cfd932288bb822cb7acd90ef0d7302fcf139b69",
+    ("charlier-eq13", 1): "f4ec461f80d0e0a4e1a4570ca481eae36c3e3ba3bfc70aa4851b279bdf462a5a",
+    ("charlier-eq13", 2): "f2f87dd4a0b106bd25467de95370dce64ff86f4be2d6c8337957e99d20e969a1",
+    ("charlier-eq13", 3): "5b50c735b2069f7980c3da05ec32d6d0f1ecbae7d85c3105cc8a34fd3323ad86",
+    ("meixner-eq14", 1): "6e2ebad63109396a07c40fb6e2922b1b257a10ebf74db885605b183ed210ce1c",
+    ("meixner-eq14", 2): "a0a5dacb456650de53a6ecc824cd5a10d331f05fc7988068059fc5be2043517a",
+    ("meixner-eq14", 3): "a1225fe058263747da1a60422d2c66729b1c8d3346052e062eea36e18bff4ae8",
+    ("meixner-eq16", 1): "e602ee6b50a02c824c9d4647c11bb10c6a1fc670eed66c089b3c117a1cadbc02",
+    ("meixner-eq16", 2): "7a3ac97ad5bccecde040096e6ce9aac4249dbf26923be13f5ce5974c7a90b829",
+    ("meixner-eq16", 3): "695cd0e613ce4160a9875826bd8882c3659a1f85abf86bfc15567d990e354445",
+    ("meixner-eq21", 2): "7e407c93b80135f792615ff5edfd5c73622de783783e3cd8e064ee3a76be2335",
+    ("meixner-eq21", 3): "8112bcbbf38fabce443d589ebe10f9214e80b5e9202aec4e2bbe556143949ad3",
+}
+
+FUNCTIONALS_COUPLE_DIGESTS = {
+    1: "a55ef01bdf1b23eeca07a55630dab13da19173127f2d7e2e93cd64ef71f924d3",
+    2: "6c10ab012b9190254830cbc88311fc2fa17aaaab794a1f7aed569523281f66c9",
+    3: "c5f075f46d141807fd81fd888c935da61fed5a3ba5f9805537e446ce5c5dfdac",
+}
+
 def family_argv(spec) -> list[str]:
     argv = ["--family", spec.family, "--d", str(spec.d)]
     for key, value in spec.params.items():
@@ -504,17 +539,23 @@ def test_functionals_reports_match_their_digests(tmp_path):
            failures)
 
 
-def expand_recurrence_digest(argv, tmp_path, failures, key) -> str:
-    """sha256 of the expand and recurrence outputs, JSON at N = 40, CSV and LaTeX at 12."""
+# (command, format, order) of each output a digest hashes, in stream order
+EXPAND_RECURRENCE_RUNS = [(command, fmt, order) for command in ("expand", "recurrence")
+                          for fmt, order in (("json", 40), ("csv", 12), ("latex", 12))]
+FUNCTIONALS_TABLE_RUNS = [("functionals", "csv", 8), ("functionals", "latex", 8)]
+FUNCTIONALS_COUPLE_RUNS = [("functionals", "json", 8), *FUNCTIONALS_TABLE_RUNS]
+
+
+def outputs_digest(argv, runs, tmp_path, failures, key) -> str:
+    """sha256 of the outputs of `runs` on the source `argv`, hashed as one stream."""
     stream = hashlib.sha256()
-    for command in ("expand", "recurrence"):
-        for fmt, order in (("json", 40), ("csv", 12), ("latex", 12)):
-            path = tmp_path / f"{command}.{fmt}"
-            code = main([command, *argv, "--order", str(order),
-                         "--format", fmt, "--out", str(path)])
-            if code != 0:
-                failures.append((*key, command, fmt, code))
-            stream.update(path.read_bytes())
+    for command, fmt, order in runs:
+        path = tmp_path / f"{command}.{fmt}"
+        code = main([command, *argv, "--order", str(order),
+                     "--format", fmt, "--out", str(path)])
+        if code != 0:
+            failures.append((*key, command, fmt, code))
+        stream.update(path.read_bytes())
     return stream.hexdigest()
 
 
@@ -522,7 +563,7 @@ def test_expand_and_recurrence_outputs_match_their_digests(tmp_path):
     failures = []
     for spec in catalog.default_sample_specs():
         key = (spec.family, spec.d)
-        if expand_recurrence_digest(family_argv(spec), tmp_path, failures, key) \
+        if outputs_digest(family_argv(spec), EXPAND_RECURRENCE_RUNS, tmp_path, failures, key) \
                 != EXPAND_RECURRENCE_DIGESTS[key]:
             failures.append((*key, "outputs differ from their pinned digest"))
     report("expand and recurrence outputs of all samples (JSON at N=40, CSV and LaTeX "
@@ -535,7 +576,8 @@ def test_expand_and_recurrence_outputs_of_couple_files_match_their_digests(tmp_p
         path = tmp_path / f"couple-{doc['d']}.json"
         path.write_text(json.dumps(doc))
         key = ("couple", doc["d"])
-        if expand_recurrence_digest(["--couple-file", str(path)], tmp_path, failures, key) \
+        if outputs_digest(["--couple-file", str(path)], EXPAND_RECURRENCE_RUNS,
+                          tmp_path, failures, key) \
                 != EXPAND_RECURRENCE_COUPLE_DIGESTS[doc["d"]]:
             failures.append((*key, "outputs differ from their pinned digest"))
     report("expand and recurrence outputs of one couple file per d = 1, 2, 3 (JSON at "
@@ -558,3 +600,28 @@ def test_verify_order_24_reports_match_their_digests(tmp_path):
             failures.append((key, code))
     report("verify --order 24 reports of one sample per family and one couple per "
            "d = 1, 2, 3 match their pinned digests", failures)
+
+
+def test_functionals_tables_match_their_digests(tmp_path):
+    failures = []
+    for spec in catalog.default_sample_specs():
+        key = (spec.family, spec.d)
+        if outputs_digest(family_argv(spec), FUNCTIONALS_TABLE_RUNS, tmp_path, failures, key) \
+                != FUNCTIONALS_TABLE_DIGESTS[key]:
+            failures.append((*key, "tables differ from their pinned digest"))
+    report("functionals --order 8 CSV and LaTeX tables of all samples match their "
+           "pinned digests", failures)
+
+
+def test_functionals_outputs_of_couple_files_match_their_digests(tmp_path):
+    failures = []
+    for doc, _ in VERIFY_24_COUPLE_DIGESTS:
+        path = tmp_path / f"couple-{doc['d']}.json"
+        path.write_text(json.dumps(doc))
+        key = ("couple", doc["d"])
+        if outputs_digest(["--couple-file", str(path)], FUNCTIONALS_COUPLE_RUNS,
+                          tmp_path, failures, key) \
+                != FUNCTIONALS_COUPLE_DIGESTS[doc["d"]]:
+            failures.append((*key, "outputs differ from their pinned digest"))
+    report("functionals --order 8 outputs of one couple file per d = 1, 2, 3 (JSON, "
+           "CSV and LaTeX) match their pinned digests", failures)

@@ -80,6 +80,19 @@ def test_family_spec_coerces_params():
     assert isinstance(spec.param("alpha"), Fraction)
 
 
+
+def test_family_spec_params_are_read_only():
+    # the screening kept on the spec must match its values, so they cannot change
+    spec = catalog.default_spec(LAGUERRE_EQ9, 1)
+    couple = catalog.family_couple(spec)
+    with pytest.raises(TypeError):
+        spec.params["alpha"] = F(-1)
+    assert catalog.validate_params(spec) == ()
+    assert catalog.family_couple(spec) is couple
+    assert catalog.validate_params(spec_of(LAGUERRE_EQ9, 1, {"alpha": -1}))
+    assert spec == catalog.default_spec(LAGUERRE_EQ9, 1)
+    assert dict(spec.params) == {"alpha": F(1, 2)}
+
 def test_unknown_family_rejected():
     with pytest.raises(InvalidParameterError):
         FamilySpec(family="legendre", d=1, params={}, aux=None)

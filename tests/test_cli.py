@@ -113,6 +113,14 @@ def test_param_parsing_errors(capsys):
 
 # ---------------------------------------------------------------- file errors
 
+
+@pytest.mark.parametrize("command", ["expand", "recurrence", "functionals", "verify"])
+def test_repeated_param_exits_2(command, capsys):
+    # the last value used to win silently (P_1 = 3 - x, i.e. alpha = 2)
+    code, out, err = run(capsys, command, "--family", "laguerre-eq9", "--param", "alpha=1",
+                         "--param", "alpha=2", "--order", "3")
+    assert (code, out, err) == (2, "", "error: --param alpha: given more than once\n")
+
 def test_missing_couple_file(capsys):
     code, _, _ = run(capsys, "expand", "--couple-file", "/nonexistent/c.json")
     assert code == 3
@@ -378,6 +386,21 @@ def test_functionals_csv_annotations(capsys):
     # no explicit evaluator exists for this family: annotation columns stay empty
     assert lines[1].startswith("0,0,1,operator-series,,,")
 
+
+
+@pytest.mark.parametrize("fmt, marker", [
+    ("json", '"match": false'), ("csv", ",wrong,0,false"), ("latex", "wrong: MISMATCH"),
+])
+def test_functionals_cross_check_mismatch_exits_1(fmt, marker, monkeypatch, capsys):
+    # an evaluator that disagrees from m = 1 on: every format prints the
+    # disagreement, and the exit code reports it
+    monkeypatch.setattr(catalog, "explicit_functional",
+                        lambda spec: ("wrong", lambda i, f: Fraction(int(f.degree() == 0))))
+    code, out, _ = run(capsys, "functionals", "--family", "laguerre-eq9", "--d", "1",
+                       "--param", "alpha=0", "--order", "2", "--format", fmt)
+    assert code == 1
+    assert marker in out
+    assert out.count(marker) == 2                       # m = 1 and m = 2
 
 def test_functionals_couple_source(tmp_path, capsys):
     path = tmp_path / "c.json"
