@@ -425,9 +425,10 @@ def laguerre2_functionals(alpha: Fraction, i: int, f: Poly) -> Fraction:
     if not 0 <= i <= 1:
         raise IndexError(f"functional index {i} out of range for d=2")
     total = Fraction(0)
+    fs = f.coeffs
     for r in range(i + 1):
         a = Fraction(alpha + r + 1, 2)
-        part = sum(pochhammer(a, k) * 2 ** k * c for k, c in enumerate(f.coeffs))
+        part = sum(pochhammer(a, k) * 2 ** k * c for k, c in enumerate(fs))
         total += binomial(i, r) * (-1) ** r * part
     return total / factorial(i)
 
@@ -440,7 +441,7 @@ def _meixner_weight_ratio(d: int, c: Fraction) -> Fraction:
     return d * c / denom
 
 
-def _meixner_gates(d: int, c: Fraction, beta: Fraction, r: int) -> Fraction:
+def _meixner_gates(d: int, c: Fraction, r: int) -> Fraction:
     if d < 1:
         raise InvalidParameterError(f"d must be >= 1, got {d}")
     if c in (0, 1):
@@ -467,17 +468,18 @@ def meixner_functional_exact(d: int, c: Fraction, beta: Fraction,
     """
     c = exact(c)
     beta = exact(beta)
-    w = _meixner_gates(d, c, beta, r)
+    w = _meixner_gates(d, c, r)
     z = w / (1 - w)
     deg = f.degree()
     if deg is None:
         return Fraction(0)
     S = list(stirling2_rows(deg, deg))     # S[m][k] = S(m, k) for k <= m
+    fs = f.coeffs
     total = Fraction(0)
     for i in range(r + 1):
         b = beta + Fraction(i, d)
         part = Fraction(0)
-        for m, fm in enumerate(f.coeffs):
+        for m, fm in enumerate(fs):
             if fm == 0:
                 continue
             s = Fraction(0)

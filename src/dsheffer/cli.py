@@ -266,7 +266,7 @@ def cmd_functionals(args) -> int:
     label, fn = (None if spec is None else catalog.explicit_functional(spec)) or (None, None)
     # one (i, m, <u_i, x^m>, cross-check value or None) per row
     rows = [(i, m, value, None if fn is None else fn(i, Poly.monomial(m)))
-            for i in indices for m, value in enumerate(fv.moments[i])]
+            for i in indices for m, value in enumerate(fv.rows[i].coeffs)]
 
     if args.format == render.JSON:
         _emit_doc(args, "functionals", N, spec, couple, rows=[

@@ -22,7 +22,7 @@ from typing import Sequence
 
 Rat = Fraction
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")    # ASCII digits only
 
 
 def parse_rational(text: str) -> Fraction:

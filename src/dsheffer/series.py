@@ -7,19 +7,20 @@ inclusive order N; every operation is exact modulo t^(N+1), and operations
 that would need unknown coefficients beyond the truncation shrink the order
 instead of guessing.
 
-Both store one exact vector form: integer numerators `nums` over one
-denominator `den` > 0 with gcd(den, *nums) = 1, the content/primitive-part
-form of a polynomial over Q, so equal values are stored alike and
-comparison is integer comparison.  The public constructors `Poly(coeffs)`
-and `Series(coeffs)` read their values through `exactnum.exact` and scale
-them once (`exactnum.scaled`); the kernels hand their integer results over
-with `of(nums, den)`, which reduces by one content gcd and converts
-nothing.  `.coeffs`, the tuple of `Fraction`s, is built on its first read
-and kept, so a value that is only compared, multiplied or checked never
-makes a `Fraction` per coefficient.
+Both store one exact vector form and nothing else: integer numerators
+`nums` over one denominator `den` > 0 with gcd(den, *nums) = 1, the
+content/primitive-part form of a polynomial over Q, so equal values are
+stored alike and comparison is integer comparison.  The public
+constructors `Poly(coeffs)` and `Series(coeffs)` read their values through
+`exactnum.exact` and scale them once (`exactnum.scaled`), and the kernels
+hand their integer results to `of(nums, den)`; both end in one store step,
+which trims a Poly's trailing zeros and reduces by one content gcd.  The
+given `Fraction`s are not kept: `.coeffs` is built on each read, so a
+caller that needs the tuple reads it once.
 
-A series product is an integer convolution of the two numerator vectors
-over the product of their denominators.  The recursions of `invert_mul`
+A product is an integer convolution of the two numerator vectors over the
+product of their denominators (`_convolve`), at full length for a Poly and
+truncated at the order for a Series.  The recursions of `invert_mul`
 (s (1/s) = 1), `exp` (E' = s'E) and `log` (t L' = t s'/s, then an integral)
 hold their outputs as integer numerators over a running common
 denominator, extended by lcm as each coefficient lands, so only the
@@ -29,10 +30,10 @@ give the constant 1, the series itself and `invert_mul()`.
 
 `Poly.pretty`, `Poly.latex` and `Poly.coeff_strings` print each
 coefficient from its integer numerator and denominator: one gcd per
-coefficient puts nums[i] / den in lowest terms, so printing makes no
-Fraction and leaves `.coeffs` unbuilt.  The strings are kept on their first
-build, and `pretty` reads its magnitudes off them, so a polynomial printed
-both ways is reduced once.
+coefficient puts nums[i] / den in lowest terms, and no Fraction is made.
+The strings are the one derived value a Poly keeps, from their first
+build: `expand` prints every P_n through both `coeff_strings` and `pretty`,
+which reads its magnitudes off them, so each P_n is reduced once.
 
 Composition and reversion are the tests' independent reference route; the
 verifier builds H* and the functionals from the couple instead (see
@@ -58,50 +59,38 @@ class _Vector:
     the form is canonical and equality is equality of (nums, den).
     """
 
-    __slots__ = ("nums", "den", "_coeffs")
+    __slots__ = ("nums", "den")
     _trims = False
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [exact(c) for c in coeffs]
-        if self._trims:
-            while cs and cs[-1] == 0:
-                cs.pop()
-        nums, den = scaled(cs)
-        _set(self, "nums", tuple(nums))
-        _set(self, "den", den)
-        _set(self, "_coeffs", tuple(cs))
+        self._store(*scaled([exact(c) for c in coeffs]))
 
     @classmethod
     def of(cls, nums: Iterable[int], den: int):
-        """Coefficients nums[i] / den for any nonzero int den, the kernels' constructor.
+        """Coefficients nums[i] / den for any nonzero int den; nothing goes through exact()."""
+        out = object.__new__(cls)
+        out._store(nums, den)
+        return out
 
-        One content gcd reduces the form (a negative den moves its sign to
-        the numerators, and a Poly drops its trailing zeros); no value goes
-        through exact() and no Fraction is made.
-        """
+    def _store(self, nums: Iterable[int], den: int):
+        # a Poly drops its trailing zeros, then one content gcd reduces the
+        # form (a negative den moves its sign to the numerators)
         nums = list(nums)
-        if cls._trims:
+        if self._trims:
             while nums and not nums[-1]:
                 nums.pop()
         nums, den = content_reduced(nums, den)
-        out = object.__new__(cls)
-        _set(out, "nums", nums)
-        _set(out, "den", den)
-        _set(out, "_coeffs", None)
-        return out
+        _set(self, "nums", nums)
+        _set(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, built on the first read and kept."""
-        cs = self._coeffs
-        if cs is None:
-            den = self.den
-            cs = tuple(Fraction(v, den) for v in self.nums)
-            _set(self, "_coeffs", cs)
-        return cs
+        """The coefficients as Fractions, built on each read."""
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.nums)
 
     def _same_form(self, other) -> bool:
         return self.den == other.den and self.nums == other.nums
@@ -162,7 +151,7 @@ class Poly(_Vector):
         return len(self.nums) - 1 if self.nums else None
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.nums) else Fraction(0)
+        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
 
     @property
     def leading(self) -> Fraction:
@@ -184,6 +173,9 @@ class Poly(_Vector):
         return self._same_form(other)
 
     def __hash__(self):
+        # a constant hashes like the Fraction it equals, the zero polynomial like 0
+        if len(self.nums) < 2:
+            return hash(Fraction(sum(self.nums), self.den))
         return hash(("Poly", self.nums, self.den))
 
     def __add__(self, other) -> "Poly":
@@ -201,21 +193,9 @@ class Poly(_Vector):
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self.nums, other.nums
-        if not a or not b:
-            return Poly.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    out[i + j] += u * v
-        return Poly.of(out, self.den * other.den)
+        return Poly.of(_convolve(a, b, len(a) + len(b) - 1), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
@@ -269,7 +249,7 @@ class Poly(_Vector):
         """The nonzero terms, top degree first, each magnitude read off coeff_strings.
 
         A magnitude is its coefficient's string without the sign, so printing
-        shares coeff_strings' one lowest-terms pass and leaves `.coeffs` unbuilt.
+        shares coeff_strings' one lowest-terms pass and makes no Fraction.
         """
         def terms(strings):
             for k in range(len(strings) - 1, -1, -1):
@@ -286,7 +266,7 @@ class Poly(_Vector):
         """The nonzero terms, top degree first, as term(k, |p|, q) with their signs.
 
         Each coefficient is read as its lowest-terms pair (p, q), so printing
-        makes no Fraction and leaves `.coeffs` unbuilt.
+        makes no Fraction.
         """
         pairs = lowest_terms(self.nums, self.den)
         return self._join((p < 0, term(k, abs(p), q))
@@ -377,10 +357,7 @@ class Series(_Vector):
         if not isinstance(other, Series):
             return NotImplemented
         self._check_order(other)
-        a, rb = self.nums, other.nums[::-1]     # rb[n - k:] = b_k, ..., b_0
-        n = self.order
-        return Series.of([sum(map(mul, a[:k + 1], rb[n - k:])) for k in range(n + 1)],
-                         self.den * other.den)
+        return Series.of(_convolve(self.nums, other.nums, self.order + 1), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -442,21 +419,14 @@ class Series(_Vector):
     def compose(self, inner: "Series") -> "Series":
         """self(inner(t)); inner must have zero constant term (exactness)."""
         self._check_order(inner)
-        if inner.coeffs[0] != 0:
+        if inner.nums[0]:
             raise ValueError("composition needs an inner series with zero constant term")
+        cs = self.coeffs
         n = self.order
-        out = Series.constant(self.coeffs[n], n)
+        out = Series.constant(cs[n], n)
         for k in range(n - 1, -1, -1):
-            out = out * inner + self.coeffs[k]
+            out = out * inner + cs[k]
         return out
-
-    def _differentiate_padded(self) -> "Series":
-        # Derivative padded back to full order with a zero top coefficient.
-        # The pad is wrong in general but only pollutes orders > N after a
-        # composition with a zero-constant inner series, which Newton's
-        # iteration below never reads.
-        d = self.differentiate()
-        return Series(d.coeffs + (Fraction(0),))
 
     def reversion(self) -> "Series":
         """Compositional inverse g with self(g(t)) = t (mod t^(N+1)).
@@ -464,21 +434,33 @@ class Series(_Vector):
         Newton iteration on the composition equation, doubling the number of
         correct coefficients each round; needs coeffs[0] = 0, coeffs[1] != 0.
         """
-        if self.coeffs[0] != 0:
+        a = self.nums
+        if a[0]:
             raise ValueError("reversion needs a zero constant term")
-        if self.order < 1 or self.coeffs[1] == 0:
+        if self.order < 1 or not a[1]:
             raise ValueError("reversion needs a nonzero linear coefficient")
         n = self.order
-        c1 = self.coeffs[1]
-        g = Series.monomial(1, n, Fraction(1) / c1)
+        g = Series.monomial(1, n, Fraction(self.den, a[1]))
         ident = Series.identity(n)
-        deriv = self._differentiate_padded()
+        # the derivative padded back to full order with a zero top
+        # coefficient: the pad is wrong in general but only pollutes orders
+        # > N after a composition with a zero-constant inner series, which
+        # Newton's iteration never reads
+        d = self.differentiate()
+        deriv = Series.of(d.nums + (0,), d.den)
         prec = 2
         while prec < n + 1:
             err = self.compose(g) - ident
             g = g - err * deriv.compose(g).invert_mul()
             prec *= 2
         return g
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
+    """The first `length` coefficients of the product of the integer vectors a and b."""
+    rb, top = b[::-1], len(b) - 1           # rb[top - k:] = b_k, ..., b_0
+    return ([sum(map(mul, a[:k + 1], rb[top - k:])) for k in range(min(length, top + 1))]
+            + [sum(map(mul, a[k - top:k + 1], rb)) for k in range(top + 1, length)])
 
 
 def _recursion(first: Fraction, w: Sequence[int], coefficient) -> Series:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from dsheffer.exactnum import exact, parse_rational, scaled
+from dsheffer.exactnum import exact, scaled
 from dsheffer.series import Poly, Series
 
 
@@ -151,24 +151,17 @@ def couple_from_json_dict(obj) -> CoupleSpec:
     if not isinstance(gamma, list) or not isinstance(sigma, list):
         raise CoupleFileError("'gamma' and 'sigma' must be arrays")
 
-    def conv(values, name):
-        out = []
-        for v in values:
-            if isinstance(v, bool) or isinstance(v, float):
-                raise CoupleFileError(f"{name}: coefficients must be exact ('p/q' strings)")
-            if isinstance(v, int):
-                out.append(Fraction(v))
-            elif isinstance(v, str):
-                try:
-                    out.append(parse_rational(v))
-                except ValueError as exc:
-                    raise CoupleFileError(f"{name}: {exc}") from None
-            else:
-                raise CoupleFileError(f"{name}: coefficients must be exact ('p/q' strings)")
-        return out
+    def read(value, name):
+        # an int or a str only (JSON's true and false are ints to Python)
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise CoupleFileError(f"{name}: coefficients must be exact ('p/q' strings)")
+        try:
+            return exact(value)
+        except ValueError as exc:
+            raise CoupleFileError(f"{name}: {exc}") from None
 
-    g = conv(gamma, "gamma")
-    s = conv(sigma, "sigma")
+    g = [read(v, "gamma") for v in gamma]
+    s = [read(v, "sigma") for v in sigma]
     if 1 <= d and len(g) <= d and len(s) <= d + 2:
         # padding would give gamma a zero leading coefficient, after first
         # allocating d + 1 entries however large d is; d < 1 and an overlong

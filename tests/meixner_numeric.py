@@ -29,7 +29,7 @@ def meixner_functional_numeric(d: int, c: Fraction, beta: Fraction,
     """
     c = Fraction(c)
     beta = Fraction(beta)
-    w = _meixner_gates(d, c, beta, r)
+    w = _meixner_gates(d, c, r)
     deg = f.degree()
     if deg is None:
         return mpf(0)

@@ -73,8 +73,9 @@ def hankel_cells(seq, v) -> tuple[list, list]:
     """
     top = seq.max_index
     cells, unchecked = [], []
+    moments, cs = v.moments, [seq[n].coeffs for n in range(top + 1)]
     for k in range(v.d):
-        mu = v.moments[k]
+        mu = moments[k]
         for n in range(top + 1):
             boundary = n * v.d + k
             if boundary > top:
@@ -82,8 +83,8 @@ def hankel_cells(seq, v) -> tuple[list, list]:
                 continue
             for m in range(boundary, top + 1):
                 value = sum((a_c * mu[a + b] * b_c
-                             for a, a_c in enumerate(seq[n].coeffs)
-                             for b, b_c in enumerate(seq[m].coeffs)), Fraction(0))
+                             for a, a_c in enumerate(cs[n])
+                             for b, b_c in enumerate(cs[m])), Fraction(0))
                 cells.append((k, n, m, value))
     return cells, unchecked
 
@@ -251,19 +252,21 @@ def series_expand_polynomials(pair, N) -> PolySequence:
     columns = [pair.A.truncate(N)]             # columns[k] = A H^k
     for _ in range(N):
         columns.append(columns[-1] * hx)
+    columns = [column.coeffs for column in columns]
     return PolySequence(tuple(
-        Poly(columns[k].coeffs[n] * (factorial(n) // factorial(k)) for k in range(n + 1))
+        Poly(columns[k][n] * (factorial(n) // factorial(k)) for k in range(n + 1))
         for n in range(N + 1)
     ))
 
 
 def fraction_pretty(poly, var: str = "x") -> str:
     """Poly.pretty by Fraction comparisons, negation and str."""
-    if not poly.coeffs:
+    cs = poly.coeffs
+    if not cs:
         return "0"
     parts = []
-    for k in range(len(poly.coeffs) - 1, -1, -1):
-        c = poly.coeffs[k]
+    for k in range(len(cs) - 1, -1, -1):
+        c = cs[k]
         if c == 0:
             continue
         mag = -c if c < 0 else c
@@ -297,11 +300,12 @@ def fraction_text(poly, term) -> str:
 
 def fraction_latex(poly, var: str = "x") -> str:
     """Poly.latex by Fraction comparisons and negation."""
-    if not poly.coeffs:
+    cs = poly.coeffs
+    if not cs:
         return "0"
     parts = []
-    for k in range(len(poly.coeffs) - 1, -1, -1):
-        c = poly.coeffs[k]
+    for k in range(len(cs) - 1, -1, -1):
+        c = cs[k]
         if c == 0:
             continue
         mag = -c if c < 0 else c

@@ -141,6 +141,19 @@ def test_undecodable_couple_file(tmp_path, capsys):
     assert "couple file" in err
 
 
+def test_non_ascii_digits_are_rejected(tmp_path, capsys):
+    # "\u0661/\u0662" is 1/2 in Arabic-Indic digits; str.isdigit and int() accept them
+    code, out, err = run(capsys, "expand", "--family", "laguerre-eq9",
+                         "--param", "alpha=\u0661/\u0662", "--order", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --param alpha: not an exact rational")
+    path = tmp_path / "c.json"
+    path.write_text('{"d": 1, "gamma": [-1, "\u0661"], "sigma": [-1, 2, -1]}', encoding="utf-8")
+    code, out, err = run(capsys, "expand", "--couple-file", str(path), "--order", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: gamma: not an exact rational")
+
+
 def test_decimal_coefficients_in_file(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text('{"d": 1, "gamma": [-1.0, 1], "sigma": [-1, 2, -1]}')

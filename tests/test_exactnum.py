@@ -41,7 +41,11 @@ def test_parse_strips_whitespace():
     assert parse_rational(" 1/2 ") == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("bad", ["0.5", "1e3", "", "1/0", "1/-2", "a/b", "1 / 2", "½"])
+# the last five are Unicode digits that \d and int() accept: Arabic-Indic,
+# fullwidth and Devanagari
+@pytest.mark.parametrize("bad", ["0.5", "1e3", "", "1/0", "1/-2", "a/b", "1 / 2", "½",
+                                 "\u0661/\u0662", "\u0661", "1/\u0662", "\uff13",
+                                 "\u0967\u0966"])
 def test_parse_rejects_non_exact_forms(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

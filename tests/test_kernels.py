@@ -1,6 +1,6 @@
 """The integer kernels against the Fraction loops they replaced.
 
-Series products and the exp/log/invert_mul recursions, the lowering ODE
+Poly and Series products and the exp/log/invert_mul recursions, the lowering ODE
 and the gamma(y) read off its table, the couple's recurrence and its rows,
 the generating-function expansion, back-substitution, orthogonality,
 duality and the lowering check run on integer numerators over one common
@@ -14,9 +14,11 @@ equal the per-term Fraction oracle of tests/reference.py exactly, on valid
 sequences and on perturbed ones, errors included.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dsheffer import (
@@ -86,6 +88,22 @@ def test_series_product_equals_the_fraction_convolution(pair):
     assert (Series(a) * Series(b)).coeffs == tuple(fraction_product(a, b))
 
 
+poly_factors = st.lists(tall_fractions() | st.just(F(0)), max_size=8)
+
+
+@given(poly_factors, poly_factors)
+@example([], [F(1), F(2)])
+@example([F(1), F(0), F(0), F(-2, 3)], [F(0), F(1, 2)])
+def test_poly_product_equals_the_fraction_convolution(a, b):
+    # unequal lengths, interior zeros and the zero polynomial (all-zero or
+    # empty lists) included; both factors are padded to len(a) + len(b),
+    # which holds the whole product
+    length = len(a) + len(b)
+    product = fraction_product(a + [F(0)] * (length - len(a)), b + [F(0)] * (length - len(b)))
+    coeffs = (Poly(a) * Poly(b)).coeffs
+    assert list(coeffs) + [F(0)] * (length - len(coeffs)) == product
+
+
 tall_series = st.integers(0, 40).flatmap(
     lambda n: st.lists(tall_fractions(), min_size=n + 1, max_size=n + 1))
 
@@ -140,7 +158,9 @@ def test_printing_reads_the_integer_form_and_makes_no_fraction(nums, scale, den,
     assert p.pretty(var) == fraction_pretty(oracle, var)
     assert p.latex(var) == fraction_latex(oracle, var)
     assert p.coeff_strings() == [str(c) for c in oracle.coeffs]
-    assert p._coeffs is None
+    with coeffs_reads() as reads:
+        p._text(term), p.pretty(var), p.latex(var), p.coeff_strings(), repr(p)
+    assert reads == []
 
 
 def test_pretty_and_latex_text_of_fixed_polynomials():
@@ -389,21 +409,38 @@ def test_expand_from_couple_converts_no_value(monkeypatch):
     assert seq[40].degree() == 40
 
 
+@contextmanager
+def coeffs_reads():
+    """The Poly and Series whose `.coeffs` is read inside the block, in one list."""
+    reads, built = [], series._Vector.coeffs
+
+    def counted(self):
+        reads.append(self)
+        return built.fget(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series._Vector, "coeffs", property(counted))
+        yield reads
+
+
 def test_one_verify_reads_the_integer_forms_only(monkeypatch):
     calls = counting(monkeypatch, "scaled", series, sheffer)
     couple = CoupleSpec(d=2, gamma=(1, F(-1, 2), 2), sigma=(F(-3, 2), 1, 0, F(-1, 3)))
     top = 9
-    seq = expand_polynomials(pair_from_couple(couple, top), top)
-    v = FunctionalVector(couple, top + top // 2, 2)
-    lop = v.hstar
-    calls.clear()
-    extract_recurrence(seq, 2)
-    verify_duality(verify_d_orthogonality(seq, v))
-    verify_lowering(seq, lop)
-    assert calls == []
-    # no P_n and no moment row has built its Fraction coefficients
-    assert [p._coeffs for p in seq] == [None] * (top + 1)
-    assert [row._coeffs for row in v.rows] == [None] * 2
+    # the pair, the expansion, the functionals, the four checks and the
+    # printing of every P_n make no Fraction coefficient tuple
+    with coeffs_reads() as reads:
+        seq = expand_polynomials(pair_from_couple(couple, top), top)
+        v = FunctionalVector(couple, top + top // 2, 2)
+        lop = v.hstar
+        calls.clear()
+        extract_recurrence(seq, 2)
+        verify_duality(verify_d_orthogonality(seq, v))
+        verify_lowering(seq, lop)
+        assert calls == []
+        for p in seq:
+            p.coeff_strings(), p.pretty(), p.latex()
+    assert reads == []
     # an indexable sequence that is no PolySequence gives the same results
     plain = UncheckedSequence(list(seq))
     assert extract_recurrence(plain, 2) == extract_recurrence(seq, 2)

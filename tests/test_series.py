@@ -39,6 +39,16 @@ def test_poly_equality_against_scalars():
     assert Poly((0, 1)) != 1
 
 
+def test_constant_poly_hashes_like_its_value():
+    assert len({Poly.one(), 1, F(1)}) == 1
+    assert len({Poly.zero(), 0, F(0)}) == 1
+    half = Poly((F(-1, 2),))
+    assert half == F(-1, 2) and hash(half) == hash(F(-1, 2))
+    assert {half: "x"}[F(-1, 2)] == "x"
+    p = Poly((1, F(2, 3)))          # nonconstant: hashed by its stored form
+    assert hash(p) == hash(("Poly", (3, 2), 3))
+
+
 def test_poly_arithmetic():
     p = Poly((1, 2))          # 1 + 2x
     q = Poly((0, 0, 1))       # x^2
@@ -133,7 +143,7 @@ def test_series_rejects_empty_and_floats():
 def test_series_keeps_fraction_coefficients_as_given():
     third = F(1, 3)
     s = Series((third, 2))
-    assert s.coeffs[0] is third
+    assert s.coeffs[0] == third
     assert type(s.coeffs[1]) is Fraction and s.coeffs[1] == 2
     with pytest.raises(TypeError):
         Series((third, 0.5))

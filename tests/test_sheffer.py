@@ -82,22 +82,34 @@ def test_couple_from_json_accepts_ints_and_strings():
     assert c == LAGUERRE
 
 
-@pytest.mark.parametrize("doc", [
-    [],                                                     # not an object
-    {"d": 1, "gamma": [1, 1]},                              # missing sigma
-    {"d": "1", "gamma": [1, 1], "sigma": [1]},              # d not an int
-    {"d": True, "gamma": [1, 1], "sigma": [1]},             # bool masquerading
-    {"d": 1, "gamma": "11", "sigma": [1]},                  # gamma not an array
-    {"d": 1, "gamma": [1, 1.0], "sigma": [1]},              # float coefficient
-    {"d": 1, "gamma": [1, True], "sigma": [1]},             # bool coefficient
-    {"d": 1, "gamma": [1, "0.5"], "sigma": [1]},            # decimal string
-    {"d": 1, "gamma": [1, None], "sigma": [1]},             # null coefficient
-    {"d": 1, "gamma": [1, 1, 1], "sigma": [1]},             # degree too high
-    {"d": 0, "gamma": [1], "sigma": [1]},                   # d out of range
-])
-def test_couple_from_json_rejects_malformed_documents(doc):
-    with pytest.raises(CoupleFileError):
+EXACT_ONLY = "gamma: coefficients must be exact ('p/q' strings)"
+DECIMAL = "gamma: not an exact rational (expected p or p/q): '0.5'"
+
+
+MALFORMED = [
+    ([], "couple document must be a JSON object"),                          # not an object
+    ({"d": 1, "gamma": [1, 1]}, "couple document is missing key 'sigma'"),  # missing sigma
+    ({"d": "1", "gamma": [1, 1], "sigma": [1]}, "'d' must be an integer"),  # d not an int
+    ({"d": True, "gamma": [1, 1], "sigma": [1]}, "'d' must be an integer"),  # bool masquerading
+    ({"d": 1, "gamma": "11", "sigma": [1]},                                 # gamma not an array
+     "'gamma' and 'sigma' must be arrays"),
+    ({"d": 1, "gamma": [1, 1.0], "sigma": [1]}, EXACT_ONLY),                # float coefficient
+    ({"d": 1, "gamma": [1, True], "sigma": [1]}, EXACT_ONLY),               # bool coefficient
+    ({"d": 1, "gamma": [1, "0.5"], "sigma": [1]}, DECIMAL),                 # decimal string
+    ({"d": 1, "gamma": [1, None], "sigma": [1]}, EXACT_ONLY),               # null coefficient
+    ({"d": 1, "gamma": [1, 1, 1], "sigma": [1]},                            # degree too high
+     "gamma has 3 coefficients; at most 2 allowed"),
+    ({"d": 0, "gamma": [1], "sigma": [1]}, "d must be >= 1, got 0"),        # d out of range
+    ({"d": 1, "gamma": ["0.5", 1.0], "sigma": [1]}, DECIMAL),               # first bad value names it
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED,
+                         ids=[f"doc{i}" for i in range(len(MALFORMED))])
+def test_couple_from_json_rejects_malformed_documents(doc, message):
+    with pytest.raises(CoupleFileError) as info:
         couple_from_json_dict(doc)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------- conditions
