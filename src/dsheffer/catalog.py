@@ -35,12 +35,12 @@ route.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
 
 from dsheffer.exactnum import binomial, exact, pochhammer, stirling2_rows
 from dsheffer.operators import lowering_from_couple
@@ -79,7 +79,7 @@ class FamilySpec:
     family: str
     d: int
     params: Mapping[str, Fraction] = field(default_factory=dict)
-    aux: Optional[tuple[Fraction, ...]] = None
+    aux: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -95,7 +95,7 @@ class FamilySpec:
         return self.params[name]
 
     @cached_property
-    def _screened(self) -> tuple[tuple[str, ...], Optional[CoupleSpec]]:
+    def _screened(self) -> tuple[tuple[str, ...], CoupleSpec | None]:
         return _screen(self)
 
 
@@ -105,10 +105,10 @@ class FamilyInfo:
     label: str
     kind: str                      # derivative | difference
     params: tuple[str, ...]
-    aux_len: Optional[Callable[[int], int]]
-    aux_text: Optional[str]
+    aux_len: Callable[[int], int] | None
+    aux_text: str | None
     d_min: int
-    d_fixed: Optional[int]
+    d_fixed: int | None
     restrictions: str
     generating_text: str
     # (d, params) -> (e, k, s) of the closed form in the module docstring
@@ -242,7 +242,7 @@ def validate_params(spec: FamilySpec) -> tuple[str, ...]:
     return spec._screened[0]
 
 
-def _screen(spec: FamilySpec) -> tuple[tuple[str, ...], Optional[CoupleSpec]]:
+def _screen(spec: FamilySpec) -> tuple[tuple[str, ...], CoupleSpec | None]:
     # validate_params' verdict and the couple its regularity decision built
     # (None when a structural or value rule failed first)
     info = FAMILIES[spec.family]
@@ -392,7 +392,7 @@ def family_generating(spec: FamilySpec, N: int) -> ShefferPair:
     return ShefferPair(A=A, Hx=Hx)
 
 
-def family_step(spec: FamilySpec) -> Optional[Fraction]:
+def family_step(spec: FamilySpec) -> Fraction | None:
     """Step omega of the family's Newton form; None for the derivative kind.
 
     The Meixner families are stated in Newton form with step 1.

@@ -11,8 +11,9 @@ built on the first call and reused, and each call parses into a fresh
 namespace, so no option value carries over from one call to the next.
 
 Rationals on the command line and in files are exact "p/q" strings; decimal
-notation is rejected.  Reports are deterministic: identical inputs produce
-byte-identical output.
+notation is rejected, and no digit limit applies: `main` lifts Python's
+int/str conversion limit while a command runs and restores it after.
+Reports are deterministic: identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dsheffer.dorth import (
 )
 from dsheffer.exactnum import parse_rational
 from dsheffer.operators import FunctionalVector
-from dsheffer.series import Poly
+from dsheffer.series import Poly, poly_latex, poly_text
 from dsheffer.sheffer import (
     CoupleFileError,
     CoupleSpec,
@@ -154,20 +155,20 @@ def cmd_expand(args) -> int:
     spec, couple = _resolve_source(args)
     N = args.order
     _require_order(N, 1)
-    seq = expand_from_couple(couple, N)
+    # each P_n is put in lowest terms once; every format prints from that list
+    strings = [p.coeff_strings() for p in expand_from_couple(couple, N)]
     if args.format == render.JSON:
         _emit_doc(args, "expand", N, spec, couple, polynomials=[
-            {"n": n, "coeffs": p.coeff_strings(), "text": p.pretty()}
-            for n, p in enumerate(seq)
+            {"n": n, "coeffs": cs, "text": poly_text(cs)} for n, cs in enumerate(strings)
         ])
     elif args.format == render.CSV:
         headers = ["n", "text"] + [f"c{k}" for k in range(N + 1)]
-        rows = [[n, p.pretty()] + p.coeff_strings() + ["0"] * (N + 1 - len(p.nums))
-                for n, p in enumerate(seq)]
+        rows = [[n, poly_text(cs)] + cs + ["0"] * (N + 1 - len(cs))
+                for n, cs in enumerate(strings)]
         _emit(args, render.dump_csv(headers, rows))
     else:
         headers = ["$n$", "$P_n(x)$"]
-        rows = [[n, f"${p.latex()}$"] for n, p in enumerate(seq)]
+        rows = [[n, f"${poly_latex(cs)}$"] for n, cs in enumerate(strings)]
         _emit(args, render.dump_latex_table(headers, rows, align="r|l"))
     return EXIT_OK
 
@@ -372,6 +373,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has already printed its message
         return int(exc.code or 0)
+    # lift Python's int/str digit limit (3.10.7 on) for this command only
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if max_digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except CliError as exc:
@@ -386,6 +391,9 @@ def main(argv=None) -> int:
     except (catalog.InvalidParameterError, InvalidCoupleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
+    finally:
+        if max_digits is not None:
+            sys.set_int_max_str_digits(max_digits)
 
 
 if __name__ == "__main__":

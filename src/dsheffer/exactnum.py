@@ -10,15 +10,15 @@ common denominator, the form `Poly` and `Series` store (see `series`): the
 public constructors and the couple's recurrence rows are its only callers,
 and every kernel after them reads that form directly, so a multiply-add
 costs no gcd and each result is reduced once, by `content_reduced`, one
-content gcd per vector.  `lowest_terms` and `ratio_strings` print that form
-back, one gcd per value and no Fraction."""
+content gcd per vector.  `ratio_strings` prints that form back, one gcd
+per value and no Fraction."""
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 Rat = Fraction
 
@@ -75,19 +75,15 @@ def content_reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int
     return (tuple([v // g for v in nums]) if g != 1 else tuple(nums)), den // g
 
 
-def lowest_terms(nums: Sequence[int], den: int) -> list[tuple[int, int]]:
-    """Each nums[i] / den (den > 0) in lowest terms, as (p, q) with q > 0.
+def ratio_strings(nums: Sequence[int], den: int) -> list[str]:
+    """Each nums[i] / den (den > 0) as str(Fraction) prints it: "p" or "p/q", in lowest terms.
 
     One gcd per value and no Fraction: the form every printer reads.
     """
     if den == 1:
-        return [(v, 1) for v in nums]
-    return [(v // (g := math.gcd(v, den)), den // g) for v in nums]
-
-
-def ratio_strings(nums: Sequence[int], den: int) -> list[str]:
-    """Each nums[i] / den as str(Fraction) prints it: "p" or "p/q", in lowest terms."""
-    return [str(p) if q == 1 else f"{p}/{q}" for p, q in lowest_terms(nums, den)]
+        return [str(v) for v in nums]
+    return [str(v // g) if (g := math.gcd(v, den)) == den else f"{v // g}/{den // g}"
+            for v in nums]
 
 
 def binomial(n: int, k: int) -> int:

@@ -28,12 +28,12 @@ denominators the result needs ever appear (`_recursion`).  `pow_rat` is
 log, a scalar product and exp, except at the exponents 0, 1 and -1, which
 give the constant 1, the series itself and `invert_mul()`.
 
-`Poly.pretty`, `Poly.latex` and `Poly.coeff_strings` print each
-coefficient from its integer numerator and denominator: one gcd per
-coefficient puts nums[i] / den in lowest terms, and no Fraction is made.
-The strings are the one derived value a Poly keeps, from their first
-build: `expand` prints every P_n through both `coeff_strings` and `pretty`,
-which reads its magnitudes off them, so each P_n is reduced once.
+`Poly.coeff_strings` puts each nums[i] / den in lowest terms by one gcd
+(`exactnum.ratio_strings`) and makes no Fraction.  `poly_text` and
+`poly_latex` print such a list of strings as a signed sum through one
+walker; `Poly.pretty` and `Poly.latex` are those over `coeff_strings()`.
+A Poly keeps no strings: a caller that prints one polynomial twice
+(`cli.cmd_expand`) reduces it once and passes the list to both printers.
 
 Composition and reversion are the tests' independent reference route; the
 verifier builds H* and the functionals from the couple instead (see
@@ -42,12 +42,12 @@ verifier builds H* and the functionals from the couple instead (see
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
-from typing import Iterable, Sequence
 
-from dsheffer.exactnum import content_reduced, exact, lowest_terms, ratio_strings, scaled
+from dsheffer.exactnum import content_reduced, exact, ratio_strings, scaled
 
 _set = object.__setattr__
 
@@ -123,7 +123,7 @@ class _Vector:
 class Poly(_Vector):
     """Univariate polynomial over the rationals, dense, immutable."""
 
-    __slots__ = ("_coeff_strings",)
+    __slots__ = ()
     _trims = True
 
     @classmethod
@@ -222,64 +222,17 @@ class Poly(_Vector):
             out = out * base + Poly((c,))
         return out
 
-    def _strings(self) -> tuple[str, ...]:
-        """coeff_strings, computed on the first call and kept."""
-        strings = getattr(self, "_coeff_strings", None)
-        if strings is None:
-            strings = tuple(ratio_strings(self.nums, self.den))
-            _set(self, "_coeff_strings", strings)
-        return strings
-
     def coeff_strings(self) -> list[str]:
         """Each coefficient as str(Fraction) prints it: "p" or "p/q", in lowest terms."""
-        return list(self._strings())
-
-    @staticmethod
-    def _join(terms) -> str:
-        """The signed terms (negative, body), top degree first, as one sum."""
-        parts = []
-        for negative, body in terms:
-            if parts:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-            else:
-                parts.append(f"-{body}" if negative else body)
-        return " ".join(parts) if parts else "0"
+        return ratio_strings(self.nums, self.den)
 
     def pretty(self, var: str = "x") -> str:
-        """The nonzero terms, top degree first, each magnitude read off coeff_strings.
-
-        A magnitude is its coefficient's string without the sign, so printing
-        shares coeff_strings' one lowest-terms pass and makes no Fraction.
-        """
-        def terms(strings):
-            for k in range(len(strings) - 1, -1, -1):
-                text = strings[k]
-                if text != "0":
-                    mag = text.lstrip("-")
-                    if k:
-                        xk = var if k == 1 else f"{var}^{k}"
-                        mag = xk if mag == "1" else f"{mag}*{xk}"
-                    yield text[0] == "-", mag
-        return self._join(terms(self._strings()))
-
-    def _text(self, term) -> str:
-        """The nonzero terms, top degree first, as term(k, |p|, q) with their signs.
-
-        Each coefficient is read as its lowest-terms pair (p, q), so printing
-        makes no Fraction.
-        """
-        pairs = lowest_terms(self.nums, self.den)
-        return self._join((p < 0, term(k, abs(p), q))
-                          for k, (p, q) in reversed(list(enumerate(pairs))) if p)
+        """The nonzero terms, top degree first, as "-2*x^2 + 1/2" (see poly_text)."""
+        return poly_text(self.coeff_strings(), var)
 
     def latex(self, var: str = "x") -> str:
-        def term(k, mag, den):
-            mag_s = str(mag) if den == 1 else f"\\frac{{{mag}}}{{{den}}}"
-            if k == 0:
-                return mag_s
-            xk = var if k == 1 else f"{var}^{{{k}}}"
-            return xk if mag == den == 1 else f"{mag_s} {xk}"
-        return self._text(term)
+        """The same sum in LaTeX (see poly_latex)."""
+        return poly_latex(self.coeff_strings(), var)
 
     def __repr__(self) -> str:
         return f"Poly({self.pretty()})"
@@ -454,6 +407,43 @@ class Series(_Vector):
             g = g - err * deriv.compose(g).invert_mul()
             prec *= 2
         return g
+
+
+def _signed_sum(strings: Sequence[str], term) -> str:
+    """The nonzero lowest-terms strings, top degree first, as one sum of term(k, magnitude)."""
+    parts = []
+    for k in range(len(strings) - 1, -1, -1):
+        text = strings[k]
+        if text != "0":
+            negative = text[0] == "-"
+            body = term(k, text.lstrip("-"))
+            if parts:
+                parts.append(f"- {body}" if negative else f"+ {body}")
+            else:
+                parts.append(f"-{body}" if negative else body)
+    return " ".join(parts) if parts else "0"
+
+
+def poly_text(strings: Sequence[str], var: str = "x") -> str:
+    """The polynomial with lowest-terms coefficient strings `strings`, as "-2*x^2 + 1/2"."""
+    def term(k, mag):
+        if not k:
+            return mag
+        xk = var if k == 1 else f"{var}^{k}"
+        return xk if mag == "1" else f"{mag}*{xk}"
+    return _signed_sum(strings, term)
+
+
+def poly_latex(strings: Sequence[str], var: str = "x") -> str:
+    """The same sum in LaTeX: "p/q" prints as \\frac{p}{q}, x^k as x^{k}."""
+    def term(k, mag):
+        p, _, q = mag.partition("/")
+        mag_s = f"\\frac{{{p}}}{{{q}}}" if q else p
+        if not k:
+            return mag_s
+        xk = var if k == 1 else f"{var}^{{{k}}}"
+        return xk if mag == "1" else f"{mag_s} {xk}"
+    return _signed_sum(strings, term)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:

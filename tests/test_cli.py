@@ -192,6 +192,37 @@ def test_huge_d_exits_2_promptly(command, tmp_path):
     assert proc.stdout == ""
 
 
+# Python refuses int/str conversions past 4,300 digits by default; main lifts
+# that limit while a command runs and gives the caller's value back after
+ONES = "1" * 5000
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["expand", "--couple-file", "big.json", "--order", "2"], 0),
+    # gamma_1 / sigma_2 = 11...1 is a positive integer: irregular at that n
+    (["verify", "--couple-file", "big.json", "--order", "3"], 1),
+    (["expand", "--family", "laguerre-eq9", "--param", "alpha=" + "9" * 5000, "--order", "2"], 0),
+    (["expand", "--family", "laguerre-eq9", "--param", "alpha=" + "9" * 3000, "--order", "2"], 0),
+], ids=["expand-couple-file", "verify-couple-file", "param-5000-digits", "output-3000-digits"])
+def test_integers_past_the_digit_limit(argv, expected, tmp_path, monkeypatch, capsys):
+    (tmp_path / "big.json").write_text(f'{{"d": 1, "gamma": [1, {ONES}], "sigma": [1, 0, 1]}}')
+    monkeypatch.chdir(tmp_path)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4400)
+    try:
+        code, out, err = run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 4400
+        sys.set_int_max_str_digits(0)            # the verify report holds n = 11...1
+        doc = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert (code, err) == (expected, "")
+    if argv[0] == "verify":
+        assert doc["conditions"]["status"] == "fail"
+    else:
+        assert len(doc["polynomials"][2]["text"]) > 3000
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_meixner_eq16_passes(tmp_path, capsys):

@@ -14,6 +14,7 @@ equal the per-term Fraction oracle of tests/reference.py exactly, on valid
 sequences and on perturbed ones, errors included.
 """
 
+import json
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from dsheffer import (
     verify_duality,
     verify_lowering,
 )
-from dsheffer import catalog, series, sheffer
+from dsheffer import catalog, cli, series, sheffer
 from dsheffer.dorth import (
     BackSubstitutionError,
     RecurrenceTable,
@@ -61,7 +62,6 @@ from reference import (
     fraction_product,
     fraction_recurrence_rows,
     fraction_table,
-    fraction_text,
     hankel_cells,
     horner_gamma_y,
     lowering_failures,
@@ -151,16 +151,31 @@ def test_printing_reads_the_integer_form_and_makes_no_fraction(nums, scale, den,
     p = Poly.of([v * scale for v in nums], scale * den)
     oracle = Poly([F(v, den) for v in nums])
 
-    def term(k, mag, q):
-        return f"{k}:{mag}/{q}"
-
-    assert p._text(term) == fraction_text(oracle, term)
     assert p.pretty(var) == fraction_pretty(oracle, var)
     assert p.latex(var) == fraction_latex(oracle, var)
     assert p.coeff_strings() == [str(c) for c in oracle.coeffs]
     with coeffs_reads() as reads:
-        p._text(term), p.pretty(var), p.latex(var), p.coeff_strings(), repr(p)
+        p.pretty(var), p.latex(var), p.coeff_strings(), repr(p)
     assert reads == []
+
+
+def test_printing_keeps_nothing_on_the_poly():
+    p = Poly((F(-3, 4), -1, 0, 1, F(5, 2)))
+    p.pretty(), p.latex(), p.coeff_strings(), repr(p)
+    slots = [name for cls in type(p).__mro__ for name in vars(cls).get("__slots__", ())]
+    assert slots == ["nums", "den"] and not hasattr(p, "__dict__")
+    assert (p.nums, p.den) == ((-3, -4, 0, 4, 10), 4)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+def test_expand_puts_each_polynomial_in_lowest_terms_once(fmt, tmp_path, monkeypatch, capsys):
+    couple = CoupleSpec(d=2, gamma=(1, F(-1, 2), 2), sigma=(F(-3, 2), 1, 0, F(-1, 3)))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(couple.to_jsonable()))
+    calls = counting(monkeypatch, "ratio_strings", series)
+    assert cli.main(["expand", "--couple-file", str(path), "--order", "6", "--format", fmt]) == 0
+    assert ("\\frac" if fmt == "latex" else "/") in capsys.readouterr().out
+    assert calls == [(p.nums, p.den) for p in expand_from_couple(couple, 6)]
 
 
 def test_pretty_and_latex_text_of_fixed_polynomials():

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dsheffer
@@ -22,3 +25,14 @@ def test_no_module_guards_with_assert():
 def test_every_exported_name_resolves():
     missing = [name for name in dsheffer.__all__ if not hasattr(dsheffer, name)]
     assert not missing, missing
+
+
+def test_importing_the_cli_loads_no_typing():
+    # the modules take their abstract types from collections.abc; -S keeps the
+    # site hooks of the interpreter from loading typing before the import
+    code = ("import sys; before = set(sys.modules); import dsheffer.cli; "
+            "print('typing' in set(sys.modules) - before)")
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
