@@ -21,8 +21,8 @@ lower-triangular matrix with the nonzero leading coefficients on its
 diagonal applied to the X_k[j][m] with j d + k < m: they all vanish exactly
 when those X entries do, and then each boundary cell is lead(P_n)
 X_k[n][n d + k].  The verdict is therefore decided on X alone, and the
-report derives the cells (k, n, m, num, den) from X and the P_n on each
-read; it caches none of them.
+report derives the cells from X and the P_n on each read; it caches none
+of them, and a failing report's failures are the cells that fail.
 
 The lowering check sigma P_n = n P_(n-1) works in the basis b_l = x^l / l!,
 where D b_l = b_(l-1): each P_n is converted once, c_l = l! p_l, and
@@ -37,9 +37,9 @@ read the integer form that each P_n and each moment row stores (`nums`
 over `den`, see `series`), and a value becomes a Fraction once, when it is
 reported; no check converts a coefficient.  An X entry holds or fails by
 its integer numerator alone, and a duality value is compared as
-num = den [i = k]; the integer cells, the OrthCell objects and their
-Fractions are built only for the cells a report prints or a caller reads,
-on each read, so a passing report builds none.  The recurrence table is
+num = den [i = k]; the OrthCell objects and their Fractions are built only
+when a caller reads the cells or a failing report prints its failures, on
+each read, so a passing report builds none.  The recurrence table is
 held the same way, as integer numerators over one denominator, and prints
 from them.
 Back-substitution keeps one running remainder per row, r / R = x P_n minus
@@ -264,13 +264,11 @@ class OrthogonalityReport:
     and `unchecked` need no cell; max_index and unchecked follow from d and
     forms.
 
-    integer_cells[i] = (k, n, m, num, den) is the cell <u_k, P_n P_m> =
-    num / den, num = sum_(j<=n) P_n[j] X_k[j][m] and den = dn dmu dm: the
-    integers of the Hankel form sum_(a,b) P_n[a] mu_k(a+b) P_m[b], derived
-    from hankel and forms on each read.  `cells` builds the OrthCells, each
-    with its Fraction value, from integer_cells on each read, and `failures`
-    builds only the failing ones; nothing is cached, and a passing report
-    derives no cell for its failures.
+    `cells` is the one place that derives and judges a cell: <u_k, P_n P_m>
+    = num / (dn dmu dm) with num = sum_(j<=n) P_n[j] X_k[j][m], the integers
+    of the Hankel form sum_(a,b) P_n[a] mu_k(a+b) P_m[b], read off hankel and
+    forms on each read.  `failures` is the cells that fail, read only when
+    the report fails; nothing is cached, so a passing report builds no cell.
     """
 
     __slots__ = ("d", "max_index", "forms", "hankel", "moment_dens", "unchecked", "passed")
@@ -295,29 +293,21 @@ class OrthogonalityReport:
         raise AttributeError("OrthogonalityReport is immutable")
 
     @property
-    def integer_cells(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """Every checked cell (k, n, m, num, den), derived on each read."""
+    def cells(self) -> tuple[OrthCell, ...]:
+        """Every checked cell, derived from X and judged, on each read."""
         d, top, forms = self.d, self.max_index, self.forms
         cells = []
         for k, rows in enumerate(self.hankel):
             dmu = self.moment_dens[k]
             for n, (pn, dn) in enumerate(forms[:len(rows)]):
-                # X_k[j][m] sits at index m - j d of row j
-                cells += [(k, n, m, sum(pn[j] * rows[j][m - j * d] for j in range(n + 1)),
-                           dn * dmu * forms[m][1])
-                          for m in range(n * d + k, top + 1)]
+                for m in range(n * d + k, top + 1):
+                    # X_k[j][m] sits at index m - j d of row j
+                    num = sum(pn[j] * rows[j][m - j * d] for j in range(n + 1))
+                    boundary = m == n * d + k
+                    cells.append(OrthCell(
+                        k=k, n=n, m=m, value=Fraction(num, dn * dmu * forms[m][1]),
+                        requirement="nonzero" if boundary else "zero", ok=bool(num) == boundary))
         return tuple(cells)
-
-    def _cell(self, k: int, n: int, m: int, num: int, den: int) -> OrthCell:
-        boundary = m == n * self.d + k
-        return OrthCell(k=k, n=n, m=m, value=Fraction(num, den),
-                        requirement="nonzero" if boundary else "zero",
-                        ok=bool(num) == boundary)
-
-    @property
-    def cells(self) -> tuple[OrthCell, ...]:
-        """Every checked cell as an OrthCell, built on each read."""
-        return tuple(self._cell(*c) for c in self.integer_cells)
 
     @property
     def checked(self) -> int:
@@ -325,12 +315,7 @@ class OrthogonalityReport:
 
     @property
     def failures(self) -> tuple[OrthCell, ...]:
-        if self.passed:
-            return ()
-        d = self.d
-        # a cell holds when num != 0 exactly at its boundary m = n d + k
-        return tuple(self._cell(*c) for c in self.integer_cells
-                     if bool(c[3]) != (c[2] == c[1] * d + c[0]))
+        return () if self.passed else tuple(c for c in self.cells if not c.ok)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrthogonalityReport):

@@ -29,6 +29,11 @@ difference, `newton_hstar` reverts the closed form's Newton h,
 Delta_omega repeatedly, so the tests can hold H*(D) against h*(Delta_omega)
 on the moment table and on the lowering check.
 
+`l_table` is no replaced kernel but the couple's closed form of the
+orthogonality table, X_k[j][m] = m! [t^m] L^j(t^k/k!) with
+L = sigma d/dt - gamma: it reads neither the P_n nor the moments, so the
+tests hold every X entry's value against it, not only its zero pattern.
+
 `branch_family_generating` is the catalog's closed generating pair written
 out once per family, each with its own series operations, from before
 `catalog.family_generating` read every family from three numbers and its
@@ -86,6 +91,36 @@ def hankel_cells(seq, v) -> tuple[list, list]:
                              for b, b_c in enumerate(cs[m])), Fraction(0))
                 cells.append((k, n, m, value))
     return cells, unchecked
+
+
+def l_step(couple, f: list[Fraction]) -> list[Fraction]:
+    """L f = sigma f' - gamma f, kept whole: len(f) + d coefficients."""
+    out = [Fraction(0)] * (len(f) + couple.d)
+    for i, c in enumerate(f):
+        if i:
+            for a, s in enumerate(couple.sigma):
+                out[a + i - 1] += s * i * c
+        for a, g in enumerate(couple.gamma):
+            out[a + i] -= g * c
+    return out
+
+
+def l_table(couple, k: int, rows: int, top: int) -> list[list[Fraction]]:
+    """X_k[j][m] = m! [t^m] L^j(t^k/k!) for j < rows and m <= top, L = sigma d/dt - gamma.
+
+    With M_k(s) = <u_k, e^(x s)>, sum_m <u_k, x^j P_m> t^m/m! = A(t) M_k^(j)(H(t));
+    duality makes the j = 0 series t^k/k!, and H' = 1/sigma, A'/A = gamma/sigma
+    give F_(j+1) = sigma F_j' - gamma F_j.  Each F_j is kept whole, never cut
+    at t^top: d/dt brings the term t^(r+1) of F_j down to t^r, so an F_j cut
+    at t^top would spoil F_(j+1) at t^top, F_(j+2) from t^(top-1) on, and so on.
+    """
+    f = [Fraction(0)] * k + [Fraction(1, factorial(k))]
+    table = []
+    for _ in range(rows):
+        table.append([factorial(m) * f[m] if m < len(f) else Fraction(0)
+                      for m in range(top + 1)])
+        f = l_step(couple, f)
+    return table
 
 
 def horner_gamma_y(couple, y) -> Series:

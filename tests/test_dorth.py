@@ -21,7 +21,7 @@ from dsheffer import (
 )
 from dsheffer import catalog, dorth
 from dsheffer.sheffer import CoupleSpec
-from reference import UncheckedSequence
+from reference import UncheckedSequence, l_table
 
 F = Fraction
 
@@ -148,11 +148,13 @@ def test_a_passing_report_builds_no_orth_cell_until_its_cells_are_read(monkeypat
     assert rep.passed and doc["failures"] == [] and doc["checked"] == rep.checked > 0
     assert rep.failures == () and repr(rep)
     assert built == []
-    # the cells are built when they are read, one per checked cell
+    # the cells are built when they are read, one per checked cell, each
+    # valued sum_(j<=n) P_n[j] X_k[j][m] with X off the couple's L table
     cells = rep.cells
     assert len(built) == len(cells) == rep.checked
-    assert all(c.ok and c.value == F(num, den)
-               for c, (_, _, _, num, den) in zip(cells, rep.integer_cells))
+    xs = [l_table(couple, k, 12 // 2 + 1, 12) for k in range(2)]
+    assert all(c.ok and c.value == sum(a * xs[c.k][j][c.m] for j, a in enumerate(seq[c.n].coeffs))
+               for c in cells)
 
 
 def test_orthogonality_costs_one_dot_product_per_cell(monkeypatch):

@@ -1,0 +1,106 @@
+"""The t -> c t relation of the Sheffer group, on the library and through the CLI.
+
+G(x, c t) = sum_n c^n P_n(x) t^n/n! has the couple (gamma(c t), sigma(c t)/c),
+so the scaled couple gives Q_n = c^n P_n, the recurrence rows
+c^(d-k) alpha_k(n), the moments c^(-k) mu_k(j) and every orthogonality cell
+<u_k, Q_n Q_m> = c^(n+m-k) <u_k, P_n P_m>.  gamma_d / sigma_(d+1) and the
+constant terms' being nonzero do not change, so neither does any verdict,
+also at --check-d d +- 1, where both reports fail in the same cells.  Negative
+and non-unit c flip signs and grow denominators: the integer store steps of
+`Poly` and `Series` meet both.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from dsheffer import (
+    CoupleSpec,
+    FunctionalVector,
+    cli,
+    couple_from_json_dict,
+    expand_polynomials,
+    pair_from_couple,
+    recurrence_from_couple,
+    verify_d_orthogonality,
+)
+from dsheffer import catalog
+from sweep import load_workloads
+
+F = Fraction
+N = 12
+SCALES = (F(2), F(-1, 3), F(5, 7))
+COUPLES = {f"{s.family}-d{s.d}": catalog.family_couple(s) for s in catalog.default_sample_specs()}
+COUPLES.update((f"seed{seed}-{i}", couple_from_json_dict(doc)) for seed in (1, 2, 3)
+               for i, doc in enumerate(load_workloads().draw_couples(seed)))
+
+
+def scaled(couple: CoupleSpec, c: Fraction) -> CoupleSpec:
+    """The couple of G(x, c t): gamma(c t) and sigma(c t) / c."""
+    return CoupleSpec(d=couple.d,
+                      gamma=tuple(g * c ** i for i, g in enumerate(couple.gamma)),
+                      sigma=tuple(s * c ** (i - 1) for i, s in enumerate(couple.sigma)))
+
+
+def check_ds(couple) -> list[int]:
+    return [e for e in (couple.d - 1, couple.d, couple.d + 1) if e >= 1]
+
+
+def orthogonality(couple, seq, check_d):
+    return verify_d_orthogonality(seq, FunctionalVector(couple, N + N // check_d, check_d))
+
+
+@pytest.mark.parametrize("c", SCALES, ids=str)
+@pytest.mark.parametrize("name", COUPLES)
+def test_the_scaled_couple_scales_every_quantity(name, c):
+    couple = COUPLES[name]
+    other = scaled(couple, c)
+    d = couple.d
+    seq = expand_polynomials(pair_from_couple(couple, N), N)
+    seq_c = expand_polynomials(pair_from_couple(other, N), N)
+    assert all(seq_c[n] == seq[n] * c ** n for n in range(N + 1))
+
+    rows = recurrence_from_couple(couple, N).rows
+    rows_c = recurrence_from_couple(other, N).rows
+    assert rows_c == tuple(tuple(a * c ** (d - k) for k, a in enumerate(row)) for row in rows)
+
+    mu = FunctionalVector(couple, 2 * N, d).moments
+    mu_c = FunctionalVector(other, 2 * N, d).moments
+    assert mu_c == tuple(tuple(v * c ** -k for v in row) for k, row in enumerate(mu))
+
+    for check_d in check_ds(couple):
+        cells = orthogonality(couple, seq, check_d).cells
+        cells_c = orthogonality(other, seq_c, check_d).cells
+        assert len(cells_c) == len(cells) > 0
+        for a, b in zip(cells, cells_c):
+            assert (b.k, b.n, b.m, b.requirement, b.ok) == (a.k, a.n, a.m, a.requirement, a.ok)
+            assert b.value == a.value * c ** (a.n + a.m - a.k), (check_d, a)
+
+
+def verify_doc(tmp_path, capsys, couple, *extra) -> tuple[int, dict]:
+    path = tmp_path / "couple.json"
+    path.write_text(json.dumps(couple.to_jsonable()))
+    code = cli.main(["verify", "--couple-file", str(path), "--order", str(N), *extra])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("c", SCALES, ids=str)
+@pytest.mark.parametrize("name", COUPLES)
+def test_the_scaled_couple_keeps_every_verdict(name, c, tmp_path, capsys):
+    couple = COUPLES[name]
+    for extra in [(), *(("--check-d", str(e)) for e in check_ds(couple) if e != couple.d)]:
+        code, doc = verify_doc(tmp_path, capsys, couple, *extra)
+        code_c, doc_c = verify_doc(tmp_path, capsys, scaled(couple, c), *extra)
+        assert code_c == code
+        verdicts = [(key, section["status"]) for key, section in doc.items()
+                    if isinstance(section, dict) and "status" in section]
+        assert len(verdicts) == 6
+        assert verdicts == [(key, doc_c[key]["status"]) for key, _ in verdicts]
+        assert doc_c["overall"] == doc["overall"] == ("fail" if extra else "pass")
+        failures = doc["orthogonality"]["details"]["failures"]
+        failures_c = doc_c["orthogonality"]["details"]["failures"]
+        assert [(f["k"], f["n"], f["m"]) for f in failures_c] == \
+            [(f["k"], f["n"], f["m"]) for f in failures]
+        assert all(F(b["value"]) == F(a["value"]) * c ** (a["n"] + a["m"] - a["k"])
+                   for a, b in zip(failures, failures_c))

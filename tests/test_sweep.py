@@ -1,0 +1,44 @@
+"""The byte-identity sweep's corpus and digests (the full sweep is `python tests/sweep.py`)."""
+
+import argparse
+import json
+
+import sweep
+from dsheffer import catalog, cli, render
+
+
+def subcommands() -> list[str]:
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+def test_the_corpus_covers_every_subcommand_format_and_source_kind(tmp_path):
+    argvs = set(sweep.corpus(tmp_path))
+    assert {argv[0] for argv in argvs if argv} >= set(subcommands())
+    for command in ("expand", "recurrence", "functionals"):
+        for kind in ("--family", "--couple-file"):
+            for fmt in render.FORMATS:
+                assert any(argv[0] == command and argv[1] == kind and argv[-1] == fmt
+                           for argv in argvs if argv), (command, kind, fmt)
+    # verify at d - 1 and d + 1 up to N = 48, on every sample and benchmark couple
+    sources = [(sweep.load_workloads()._family_argv(spec), spec.d)
+               for spec in catalog.default_sample_specs()]
+    couple_files = sorted(tmp_path.glob("seed*.json"))
+    assert len(couple_files) == 27
+    sources += [(["--couple-file", path.name], json.loads(path.read_text())["d"])
+                for path in couple_files]
+    for source, d in sources:
+        for e in (d - 1, d + 1):
+            assert ("verify", *source, "--order", "48", "--check-d", str(e)) in argvs
+    # the irregular and edge couples, and the refused files
+    for name in [*sweep.EDGE_COUPLES, *(f"bad-{key}" for key in sweep.BAD_FILES)]:
+        assert ("verify", "--couple-file", f"{name}.json", "--order", "3") in argvs, name
+
+
+def test_a_slice_of_the_corpus_gives_the_same_digests_twice(tmp_path):
+    argvs = sweep.corpus(tmp_path)[::25]
+    first = sweep.digests(argvs, tmp_path)
+    assert len(first) == len(argvs) > 100
+    assert len(set(first)) > len(first) // 2          # the digests read the output
+    assert sweep.digests(argvs, tmp_path) == first
