@@ -350,7 +350,7 @@ def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> Orthogonal
     m = j d for every k, so row 0 holds every <u_k, P_m>, which
     verify_duality reads.  The verdict is that of the cells <u_k, P_n P_m>,
     which the report derives from X on demand (see the module docstring);
-    that needs deg P_n = n, which is checked.
+    that needs deg P_n = n, which PolySequence guarantees.
     """
     top = seq.max_index
     d = v.d
@@ -363,9 +363,6 @@ def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> Orthogonal
         )
     forms = tuple((seq[n].nums, seq[n].den) for n in range(top + 1))
     nums = [pn for pn, _ in forms]
-    for n, pn in enumerate(nums):
-        if len(pn) != n + 1:
-            raise ValueError(f"P_{n} must have degree exactly {n}")
     hankel = []
     for k in range(d):
         mu = v.rows[k].nums

@@ -14,29 +14,27 @@ and A'/A = gamma/sigma.  The inverse y = H* solves the polynomial ODE
 
     y' = sigma(y),    y(0) = 0,
 
-on integers: with R = den sigma, y_k = Y_k / (k! R^k) makes every Y_k an
-integer and [s^k] y^j a binomial-weighted integer convolution, and y is
-handed over as numerators over the one denominator N! R^N.  The functional
-vector (u_0, ..., u_{d-1}) dual to the sequence is
+and, since d/ds log A(y) = gamma(y), w = 1/A(y) solves w' = -gamma(y) w
+with w(0) = 1.  The functional vector (u_0, ..., u_{d-1}) dual to the
+sequence is
 
-    <u_i, f> = (1/i!) [ sigma^i / A(sigma) f(x) ]_{x=0}
+    <u_i, f> = (1/i!) [ sigma^i / A(sigma) f(x) ]_{x=0},
 
-and along y the same couple gives log A(y) = integral gamma(y), so each
-operator series w = y^i / A(y) needs only products, an integral and exp.
-gamma(y) itself costs no series product: the ODE's integer table of
-[s^k] y^j, taken up to j = deg gamma, gives it as one dot product per
-coefficient (the Horner evaluation it replaced is the tests' oracle).  One
-solver returns both series: lowering_from_couple returns y, and
-FunctionalVector(couple, order, d) keeps y as `hstar` and reads gamma(y)
-off the same call, so its operator is the couple's own.  The operator is
-its Series y alone, with y_0 = 0 (verify_lowering rejects any other).
-A functional is fixed by its moments, and [D^l x^j]_{x=0} = j! [l = j], so
+and a functional is fixed by its moments: [D^l x^j]_{x=0} = j! [l = j], so
 
-    mu_i(j) = <u_i, x^j> = w_j j! / i!,
+    mu_i(j) = <u_i, x^j> = (j!/i!) [s^j] y^i w.
 
-one elementwise product per row.  Each row mu_i is kept as a Series
-(FunctionalVector.rows), integer numerators over one denominator, and every
-functional value is a dot product with one row.
+One solver gives y and the rows mu_i on integers, in one scale: with
+R = den sigma, Dg = den gamma and S = R Dg, the numbers k! R^k [s^k] y^j,
+k! S^k w_k and i! S^j mu_i(j) are integers, each a binomial convolution of
+the ones before, and gamma(y) is a dot product per column of that table.
+y and each row are handed over once, over N! R^N and i! S^N (the Series
+route it replaced, gamma(y) by Horner's rule, an integral, exp and
+products by y, is the tests' oracle).  lowering_from_couple returns y;
+FunctionalVector(couple, order, d) keeps y as `hstar` next to the rows,
+so its operator is the couple's own: the Series y, with y_0 = 0
+(verify_lowering rejects any other).  Every functional value is a dot
+product with one row.
 
 `lowering_from_H` reverts a given H, and `apply_lowering` applies sigma by
 repeated derivatives; neither is on the verify path.  They are the
@@ -55,19 +53,15 @@ from dsheffer.sheffer import CoupleSpec
 
 def lowering_from_couple(couple: CoupleSpec, N: int) -> Series:
     """The couple's H* at truncation order N, the series of its lowering operator H*(D)."""
-    return _solve_couple(couple, N)[0]
+    return _solve_couple(couple, N, 0)[0]
 
 
-def _solve_couple(couple: CoupleSpec, N: int) -> tuple[Series, Series]:
-    """y = H* and gamma(y) at truncation order N, from the couple alone.
+def _solve_couple(couple: CoupleSpec, N: int, d: int) -> tuple[Series, tuple[Series, ...]]:
+    """y = H* and the moment rows mu_0 .. mu_(d-1) at truncation order N, from the couple alone.
 
-    y = H* solves y' = sigma(y) with y(0) = 0.  Comparing the coefficients
-    of s^k gives (k+1) y_(k+1) = [s^k] sigma(y), and [s^k] y^j only involves
-    y_1..y_k, so each coefficient follows from the ones before it.  The
-    recursion runs on integers, and y is handed over as integer numerators
-    over one denominator (Series.of).  The same table of [s^k] y^j, taken up
-    to j = deg gamma, gives gamma(y) as one integer dot product per
-    coefficient, handed over the same way.
+    (k+1) y_(k+1) = [s^k] sigma(y) and (k+1) w_(k+1) = -[s^k] gamma(y) w,
+    and [s^k] y^j needs only y_1..y_k, so each coefficient follows from the
+    ones before it; mu_i(j) = (j!/i!) [s^j] y^i w.  At d = 0 no row is built.
     """
     if N < 1:
         raise ValueError("order must be at least 1")
@@ -79,24 +73,37 @@ def _solve_couple(couple: CoupleSpec, N: int) -> tuple[Series, Series]:
     # the ODE reads Y_(k+1) = sum_j R sigma_j Z_j[k], R sigma_j being sigma's numerators.
     R, s = sig.den, sig.nums
     Y = [0] * (N + 1)
-    # Z[j][k] for j <= max(deg sigma, deg gamma), filled one column k at a time
-    Z = [[1] + [0] * N, Y] + [[0] * (N + 1) for _ in range(max(len(s), len(gam.nums)) - 2)]
+    # Z[j][k] for j <= max(deg sigma, deg gamma, d - 1), filled one column k at a time
+    Z = [[1] + [0] * N, Y] + [[0] * (N + 1) for _ in range(max(len(s), len(gam.nums), d) - 2)]
     for k in range(N + 1):
         by = [comb(k, i) * Y[i] for i in range(1, k + 1)]      # C(k, i) Y_i, i >= 1
         for j in range(2, len(Z)):
             Z[j][k] = sum(map(mul, by, reversed(Z[j - 1][:k])))
         if k < N:
             Y[k + 1] = sum(s[j] * Z[j][k] for j in range(1, len(s))) + (s[0] if k == 0 else 0)
-    # k! R^k [s^k] gamma(y) = sum_j gamma_j Z_j[k], over den gamma
-    G = [sum(map(mul, gam.nums, col)) for col in zip(*Z[:len(gam.nums)])]
-    # y_k = Y_k (N!/k!) R^(N-k) / (N! R^N), and gamma(y)_k alike
-    scale = 1
+    # y_k = Y_k (N!/k!) R^(N-k) / (N! R^N)
+    ys, scale = [0] * (N + 1), 1
     for k in range(N, 0, -1):
-        Y[k] *= scale
-        G[k] *= scale
+        ys[k] = Y[k] * scale
         scale *= k * R
-    G[0] *= scale
-    return Series.of(Y, scale), Series.of(G, scale * gam.den)
+    if not d:
+        return Series.of(ys, scale), ()
+    # With Dg = den gamma and S = R Dg, G_k = sum_j gamma_j Z_j[k] and W_k = k! S^k w_k
+    # are integers, and W_(k+1) = -R sum_i C(k, i) Dg^i G_i W_(k-i).
+    Dg, S = gam.den, R * gam.den
+    pw = [Dg ** k for k in range(N + 1)]
+    DG = [p * sum(map(mul, gam.nums, col)) for p, col in zip(pw, zip(*Z[:len(gam.nums)]))]
+    W, cw = [1], [[1]]                  # cw[k][i] = C(k, i) W_(k-i)
+    for k in range(1, N + 1):
+        W.append(-R * sum(map(mul, DG, cw[-1])))
+        cw.append([comb(k, i) * w for i, w in enumerate(reversed(W))])
+    # i! S^j mu_i(j) = sum_l C(j, l) Dg^l Z_i[l] W_(j-l), times S^(N-j) over i! S^N
+    rows = []
+    for i in range(d):
+        zi = list(map(mul, pw, Z[i]))
+        rows.append(Series.of([sum(map(mul, zi, c)) * S ** (N - j) for j, c in enumerate(cw)],
+                              factorial(i) * S ** N))
+    return Series.of(ys, scale), tuple(rows)
 
 
 def lowering_from_H(H: Series, N: int | None = None) -> Series:
@@ -128,9 +135,9 @@ class FunctionalVector:
 
     The couple's ODE is solved here at the given order, and `hstar` keeps
     the series y = H* it gives (equal to lowering_from_couple at that
-    order); gamma(y) comes off the same solution.  rows[i] is the Series
-    of moments <u_i, x^j> for j <= order, as integer numerators over one
-    denominator, the form that dorth's checks read; the functionals read
+    order); the moment rows come off the same solution.  rows[i] is the
+    Series of moments <u_i, x^j> for j <= order, as integer numerators over
+    one denominator, the form that dorth's checks read; the functionals read
     nothing else.  moments[i][j] is the same table as Fractions.
     """
 
@@ -141,18 +148,10 @@ class FunctionalVector:
             raise ValueError(f"d must be >= 1, got {d}")
         if d - 1 > order:
             raise ValueError(f"order {order} too small for d={d}")
-        y, gamma_y = _solve_couple(couple, order)
-        w = (-gamma_y.integrate()).exp()           # 1 / A(y), then y^i / A(y)
-        facts = [factorial(j) for j in range(order + 1)]
-        rows = []
-        for i in range(d):
-            if i:
-                w = w * y
-            # mu_i(j) = w_j j! / i!
-            rows.append(Series.of(list(map(mul, w.nums, facts)), w.den * factorial(i)))
+        y, rows = _solve_couple(couple, order, d)
         object.__setattr__(self, "hstar", y)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("FunctionalVector is immutable")

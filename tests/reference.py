@@ -15,9 +15,11 @@ which now run on integers with one running or common denominator, and for
 coefficient's lowest-terms numerator and denominator from the stored
 integer form instead of building, comparing and negating Fractions.
 
-`horner_gamma_y` is gamma(y) by Horner's rule on series products, from
-before the couple's ODE solver in `operators` read it off its own table of
-[s^k] y^j.
+`series_moment_rows` is the functionals' moment table by series
+arithmetic, from before the couple's ODE solver in `operators` read it off
+its own integer table in one scale: y from the Fraction ODE, gamma(y) by
+Horner's rule on series products (`horner_gamma_y`), 1/A(y) as
+exp(-integral gamma(y)), then the products by y and the factors j!/i!.
 
 The Newton step omega lives here alone.  A difference family, stated as
 A(t) (1 + omega h(t))^(x/omega), has the lowering operator h*(Delta_omega),
@@ -129,6 +131,21 @@ def horner_gamma_y(couple, y) -> Series:
     for c in reversed(couple.gamma[:-1]):
         out = out * y + c
     return out
+
+
+def series_moment_rows(couple, M: int, d: int) -> tuple[Series, tuple[Series, ...]]:
+    """y = H* and the moment rows mu_0 .. mu_(d-1) at order M, by Series products, integral and exp.
+
+    mu_i(j) = (j!/i!) [s^j] y^i / A(y), with 1/A(y) = exp(-integral gamma(y)).
+    """
+    y = Series(fraction_hstar(couple, M))
+    w = (-horner_gamma_y(couple, y).integrate()).exp()
+    rows = []
+    for i in range(d):
+        if i:
+            w = w * y
+        rows.append(Series([c * factorial(j) / factorial(i) for j, c in enumerate(w.coeffs)]))
+    return y, tuple(rows)
 
 
 def duality_failures(seq, v) -> list[tuple[int, int, Fraction]]:

@@ -184,12 +184,13 @@ def test_orthogonality_costs_one_dot_product_per_cell(monkeypatch):
 
 
 def test_orthogonality_refuses_a_sequence_off_exact_degree():
-    # the triangular basis argument needs deg P_n = n
+    # the triangular basis argument needs deg P_n = n; PolySequence is the
+    # one guard, so such a sequence never reaches verify_d_orthogonality
     seq, v, _ = build(LAGUERRE, 6)
     polys = list(seq)
     polys[4] = polys[4] + Poly.monomial(5)
-    with pytest.raises(ValueError):
-        verify_d_orthogonality(UncheckedSequence(polys), v)
+    with pytest.raises(ValueError, match="P_4 must have degree exactly 4"):
+        verify_d_orthogonality(PolySequence(tuple(polys)), v)
 
 
 def test_orthogonality_d2_has_unchecked_boundaries():

@@ -1,7 +1,7 @@
 """The integer kernels against the Fraction loops they replaced.
 
 Poly and Series products and the exp/log/invert_mul recursions, the lowering ODE
-and the gamma(y) read off its table, the couple's recurrence and its rows,
+and the moment rows read off its table, the couple's recurrence and its rows,
 the generating-function expansion, back-substitution, orthogonality,
 duality and the lowering check run on integer numerators over one common
 (or running) denominator, and the lowering check works in the basis
@@ -46,7 +46,6 @@ from dsheffer.dorth import (
     recurrence_from_couple,
 )
 from dsheffer.exactnum import scaled
-from dsheffer.operators import _solve_couple
 from dsheffer.sheffer import CoupleSpec, recurrence_numerators
 from reference import (
     UncheckedSequence,
@@ -63,9 +62,9 @@ from reference import (
     fraction_recurrence_rows,
     fraction_table,
     hankel_cells,
-    horner_gamma_y,
     lowering_failures,
     series_expand_polynomials,
+    series_moment_rows,
 )
 
 F = Fraction
@@ -342,10 +341,16 @@ def test_couple_recurrence_table_prints_the_fraction_rows(couple, top):
 
 
 @settings(max_examples=40, deadline=None)
-@given(couples(), st.sampled_from((12, 30)))
-def test_gamma_of_y_off_the_table_equals_horner_on_drawn_couples(couple, N):
-    y, gamma_y = _solve_couple(couple, N)
-    assert gamma_y == horner_gamma_y(couple, y)
+@given(couples(), st.sampled_from((12, 30)), st.integers(-1, 1))
+@example(CoupleSpec(d=2, gamma=(F(7, 11), F(-13, 17), F(19, 23)),
+                    sigma=(F(29, 31), F(-37, 41), F(43, 47), F(-53, 59))), 48, 0)
+def test_moment_rows_equal_the_series_route_on_drawn_couples(couple, M, dd):
+    # the rows and y come off the ODE's integer table in one scale; the
+    # oracle goes through gamma(y), an integral, exp and products by y.
+    # dd moves d to d +- 1, as --check-d does
+    d = max(1, couple.d + dd)
+    v = FunctionalVector(couple, M, d)
+    assert (v.hstar, v.rows) == series_moment_rows(couple, M, d)
 
 
 def test_functional_vector_keeps_the_couples_own_operator():
@@ -366,12 +371,12 @@ def test_functional_vector_keeps_the_couples_own_operator():
     on_drawn_couples()
 
 
-def test_gamma_of_y_off_the_table_equals_horner_on_every_sample():
+def test_moment_rows_equal_the_series_route_on_every_sample():
     for spec in catalog.default_sample_specs():
         couple = catalog.family_couple(spec)
-        for N in (12, 30):
-            y, gamma_y = _solve_couple(couple, N)
-            assert gamma_y == horner_gamma_y(couple, y), (spec, N)
+        for M in (12, 30):
+            v = FunctionalVector(couple, M, spec.d)
+            assert (v.hstar, v.rows) == series_moment_rows(couple, M, spec.d), (spec, M)
 
 
 @settings(max_examples=40, deadline=None)
@@ -422,6 +427,17 @@ def test_expand_from_couple_converts_no_value(monkeypatch):
     seq = expand_from_couple(couple, 40)
     assert calls == []
     assert seq[40].degree() == 40
+
+
+def test_functional_vector_runs_no_series_arithmetic(monkeypatch):
+    # y and each moment row leave the ODE's integer table once, through
+    # Series.of; no Series product, integral or exp runs on the way
+    arithmetic = [counting(monkeypatch, name, Series) for name in ("__mul__", "integrate", "exp")]
+    handed = counting(monkeypatch, "of", Series)
+    couple = CoupleSpec(d=2, gamma=(1, F(-1, 2), 2), sigma=(F(-3, 2), 1, 0, F(-1, 3)))
+    v = FunctionalVector(couple, 30, 3)
+    assert arithmetic == [[], [], []]
+    assert len(handed) == 1 + len(v.rows) == 4
 
 
 @contextmanager
