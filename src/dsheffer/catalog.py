@@ -10,7 +10,9 @@ independent routes.  Every family has the same closed form,
 
 and differs only in three numbers (e, k, s), given per family by
 `FamilyInfo.factors` (tabulated in README, "Built-in families"), and its step
-omega (`family_step`).
+omega (`family_step`).  `family_generating` solves the closed form's own ODEs,
+(1 - t) A' = ((1 - t) pi' - e) A and (1 - t) h' = k (h + s), on the recurrence
+kernel of `series`; only the difference kind's log is a series operation.
 
 Families whose generating function carries exp(pi(t)) for an auxiliary
 polynomial pi are normalized to exp(pi(t) - pi(0)): the couple only ever
@@ -42,9 +44,9 @@ from functools import cached_property
 from math import factorial
 from types import MappingProxyType
 
-from dsheffer.exactnum import binomial, exact, pochhammer, stirling2_rows
+from dsheffer.exactnum import binomial, exact, pochhammer, scaled, stirling2_rows
 from dsheffer.operators import lowering_from_couple
-from dsheffer.series import Poly, Series
+from dsheffer.series import Poly, Series, _first_order
 from dsheffer.sheffer import CoupleSpec, ShefferPair
 
 LAGUERRE_EQ9 = "laguerre-eq9"
@@ -309,13 +311,6 @@ def _aux_poly(spec: FamilySpec) -> Poly:
     return Poly(spec.aux or ())
 
 
-def _aux_tilde(spec: FamilySpec) -> Poly:
-    # pi(t) - pi(0): the constant term never reaches the couple and would
-    # need the transcendental factor e^(a_0) in the generating function
-    aux = spec.aux or ()
-    return Poly((0,) + tuple(aux[1:]))
-
-
 def family_couple(spec: FamilySpec) -> CoupleSpec:
     """The couple (gamma, sigma) of a valid family instance.
 
@@ -376,18 +371,17 @@ def _couple_of(spec: FamilySpec) -> CoupleSpec:
 
 
 def family_generating(spec: FamilySpec, N: int) -> ShefferPair:
-    """The closed-form generating pair, truncated at order N."""
+    """The closed-form generating pair at order N, from its own ODEs (module docstring)."""
     family_couple(spec)
     if N < 1:
         raise ValueError("order must be at least 1")
     e, k, s = FAMILIES[spec.family].factors(spec.d, spec.params)
     omega = family_step(spec)
-    one_minus_t = Series.from_poly(_ONE_MINUS_T, N)
-    A = one_minus_t.pow_rat(e)
-    pi = _aux_tilde(spec)
-    if pi:
-        A = Series.from_poly(pi, N).exp() * A
-    h = (one_minus_t.pow_rat(-k) - 1) * s
+    dpi = [j * a for j, a in enumerate(spec.aux or ()) if j]                    # pi'
+    ints, _ = scaled([1, -1, *(c - b for b, c in zip([e, *dpi], [*dpi, 0]))])  # (1 - t) pi' - e
+    A = _first_order(ints[:2], ints[2:], (), Fraction(1), N)
+    ints, _ = scaled([1, -1, k, k * s])
+    h = _first_order(ints[:2], ints[2:3], ints[3:], Fraction(0), N)
     Hx = h if omega is None else (1 + h * omega).log() * (1 / omega)
     return ShefferPair(A=A, Hx=Hx)
 

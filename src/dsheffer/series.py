@@ -20,13 +20,13 @@ caller that needs the tuple reads it once.
 
 A product is an integer convolution of the two numerator vectors over the
 product of their denominators (`_convolve`), at full length for a Poly and
-truncated at the order for a Series.  The recursions of `invert_mul`
-(s (1/s) = 1), `exp` (E' = s'E) and `log` (t L' = t s'/s, then an integral)
-hold their outputs as integer numerators over a running common
-denominator, extended by lcm as each coefficient lands, so only the
-denominators the result needs ever appear (`_recursion`).  `pow_rat` is
-log, a scalar product and exp, except at the exponents 0, 1 and -1, which
-give the constant 1, the series itself and `invert_mul()`.
+truncated at the order for a Series.  Every other operation is one
+recurrence sum_j (a_j + n b_j) c_(n-j) = r_n on integer vectors, solved by
+one kernel (`_recurrence`) over a running lcm denominator; a first-order ODE
+p f' = q f + r reaches it through `_first_order`.  `invert_mul` solves
+s (1/s) = 1, `exp` E' = s'E, `log` s M = t s' with M = t L' (then an
+integral), `pow_rat` s f' = r s' f for every r, and the generating pairs of
+`sheffer` and `catalog` their own ODEs.
 
 `Poly.coeff_strings` puts each nums[i] / den in lowest terms by one gcd
 (`exactnum.ratio_strings`) and makes no Fraction.  `poly_text` and
@@ -45,7 +45,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 from dsheffer.exactnum import content_reduced, exact, ratio_strings, scaled
 
@@ -329,45 +329,37 @@ class Series(_Vector):
         a = self.nums
         if not a[0]:
             raise ValueError("series with zero constant term has no multiplicative inverse")
-        # s (1/s) = 1: b_n = -(1/a_0) sum_(k>=1) a_k b_(n-k); the scale of a cancels
-        return _recursion(Fraction(self.den, a[0]), a, lambda n, acc, R: (-acc, a[0] * R))
+        # s (1/s) = 1: sum_j a_j c_(n-j) = 0 for n >= 1; the scale of a cancels
+        return _recurrence(Fraction(self.den, a[0]), a, (0,), (), self.order)
 
     def exp(self) -> "Series":
         """exp of a series with zero constant term, via E' = s' E."""
         if self.nums[0]:
             raise ValueError("exp needs a zero constant term")
-        # n E_n = sum_(k>=1) k s_k E_(n-k)
-        da = self.den
-        ka = [k * c for k, c in enumerate(self.nums)]
-        return _recursion(Fraction(1), ka, lambda n, acc, R: (acc, n * da * R))
+        ds = [k * c for k, c in enumerate(self.nums) if k]
+        return _first_order((self.den,), ds, (), Fraction(1), self.order)
 
     def log(self) -> "Series":
         """log of a series with constant term 1, via s' = L' s."""
-        a, da = self.nums, self.den
-        if a[0] != da:
+        a = self.nums
+        if a[0] != self.den:
             raise ValueError("log needs constant term 1")
-        # M = t L' has M_n = n s_n - sum_(1<=k<n) M_k s_(n-k), as s_0 = a_0 / da = 1;
+        # M = t L' solves s M = t s', so sum_j a_j M_(n-j) = n a_n with M_0 = 0;
         # L is the integral of M / t
-        m = _recursion(Fraction(0), a, lambda n, acc, R: (n * R * a[n] - acc, R * da))
+        m = _recurrence(Fraction(0), a, (0,), [n * c for n, c in enumerate(a)], self.order)
         return Series.of(m.nums[1:] + (0,), m.den).integrate()
 
     def pow_rat(self, r) -> "Series":
-        """Raise a series with constant term 1 to a rational power.
+        """s^r for constant term 1: s f' = r s' f, one recursion for every rational r.
 
-        exp(r log s) in general; the exponents 0, 1 and -1 take the values
-        that route gives directly: the constant 1, the series itself and
-        its multiplicative inverse.
+        J. C. P. Miller's power rule (Knuth, TAOCP vol. 2, 4.7), over the scale v den for r = u/v.
         """
         r = exact(r)
-        if self.nums[0] != self.den:
+        a = self.nums
+        if a[0] != self.den:
             raise ValueError("pow_rat needs constant term 1")
-        if r == 0:
-            return Series.of((1,) + (0,) * self.order, 1)
-        if r == 1:
-            return self
-        if r == -1:
-            return self.invert_mul()
-        return (self.log() * r).exp()
+        ds = [r.numerator * k * c for k, c in enumerate(a) if k]
+        return _first_order([r.denominator * c for c in a], ds, (), Fraction(1), self.order)
 
     def compose(self, inner: "Series") -> "Series":
         """self(inner(t)); inner must have zero constant term (exactness)."""
@@ -453,20 +445,24 @@ def _convolve(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
             + [sum(map(mul, a[k - top:k + 1], rb)) for k in range(top + 1, length)])
 
 
-def _recursion(first: Fraction, w: Sequence[int], coefficient) -> Series:
-    """The series c_0 = first, then c_n = num / den for n = 1 .. len(w) - 1.
+def _recurrence(first: Fraction, a, b, r, order: int) -> Series:
+    """The series c_0 = first, then sum_j (a_j + n b_j) c_(n-j) = r_n for n = 1 .. order.
 
-    The c_i are held as integer numerators X_i over a running common
-    denominator R, extended by lcm as each coefficient lands, and
-    (num, den) = coefficient(n, acc, R) with the integer convolution
-    acc = sum_(i<n) X_i w_(n-i).  Each c_n is reduced once, with one gcd,
-    as it lands.
+    a, b and r are integer vectors over one shared denominator, which cancels
+    (an entry past a vector's end is 0, and a_0 + n b_0 != 0).  The c_i are
+    integer numerators X_i over a running common denominator R, extended by
+    lcm as each c_n lands, reduced by one gcd.  A convolution over a vector
+    that is only a constant term is skipped.
     """
     xs, R = [first.numerator], first.denominator
-    rw = w[::-1]                            # rw[top - n:] = w_n, ..., w_0
-    top = len(w) - 1
-    for n in range(1, top + 1):
-        num, den = coefficient(n, sum(map(mul, xs, rw[top - n:])), R)
+    a1, b1 = a[1:order + 1], b[1:order + 1]
+    r = list(r[:order + 1]) + [0] * (order + 1 - len(r))
+    for n in range(1, order + 1):
+        acc = sum(map(mul, a1, reversed(xs)))
+        if b1:
+            acc += n * sum(map(mul, b1, reversed(xs)))
+        num = r[n] * R - acc
+        den = (a[0] + n * b[0]) * R
         g = gcd(num, den) if den > 0 else -gcd(num, den)
         q = den // g
         if R % q:
@@ -475,3 +471,14 @@ def _recursion(first: Fraction, w: Sequence[int], coefficient) -> Series:
             xs = [x * grow for x in xs]
         xs.append(num // g * (R // q))
     return Series.of(xs, R)
+
+
+def _first_order(p, q, r, first: Fraction, order: int) -> Series:
+    """f with f(0) = first and p f' = q f + r (integer vectors over one denominator, p(0) != 0).
+
+    [t^(n-1)] of it is sum_j ((n - j) p_j - q_(j-1)) f_(n-j) = r_(n-1): the
+    kernel with a_j = -j p_j - q_(j-1), b = p and r shifted by one.
+    """
+    a = [-j * c for j, c in enumerate(p)] + [0] * (len(q) + 1 - len(p))
+    a[1:len(q) + 1] = map(sub, a[1:], q)
+    return _recurrence(first, a, p, (0, *r), order)

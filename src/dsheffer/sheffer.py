@@ -35,7 +35,7 @@ from math import gcd, lcm
 from operator import mul
 
 from dsheffer.exactnum import exact, scaled
-from dsheffer.series import Poly, Series
+from dsheffer.series import Poly, Series, _first_order
 
 
 class InvalidCoupleError(ValueError):
@@ -270,15 +270,14 @@ class ConditionReport:
 
 
 def pair_from_couple(couple: CoupleSpec, N: int) -> ShefferPair:
-    """Integrate the couple into its generating pair at truncation order N."""
+    """The generating pair at truncation order N: sigma H' = 1 and sigma A' = gamma A, O(N d)."""
     if N < 1:
         raise ValueError("order must be at least 1")
     couple.validate()
-    sigma = Series.from_poly(Poly(couple.sigma), N)
-    gamma = Series.from_poly(Poly(couple.gamma), N)
-    inv_sigma = sigma.invert_mul()
-    hx = inv_sigma.integrate()
-    a = (gamma * inv_sigma).integrate().exp()
+    ints, R = scaled(couple.gamma + couple.sigma)
+    gamma, sigma = ints[:couple.d + 1], ints[couple.d + 1:]
+    hx = _first_order(sigma, (), (R,), Fraction(0), N)
+    a = _first_order(sigma, gamma, (), Fraction(1), N)
     return ShefferPair(A=a, Hx=hx)
 
 

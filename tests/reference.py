@@ -7,7 +7,8 @@ over one common denominator (the `nums` over `den` that `Poly` and
 straightforward versions, one `Fraction` operation per term and the base
 operator applied repeatedly, kept as the oracles those kernels must match
 exactly.  The same holds for the back-substitution of `extract_recurrence`,
-the `exp`/`log`/`invert_mul` recursions, the lowering ODE,
+`exp`, `log` and `invert_mul` (now each one linear recurrence on the one
+kernel of `series`), the lowering ODE,
 `expand_from_couple`, the couple's recurrence rows (`fraction_table` builds
 a `RecurrenceTable` from such rows) and the generating-function expansion,
 which now run on integers with one running or common denominator, and for
@@ -39,7 +40,13 @@ tests hold every X entry's value against it, not only its zero pattern.
 `branch_family_generating` is the catalog's closed generating pair written
 out once per family, each with its own series operations, from before
 `catalog.family_generating` read every family from three numbers and its
-Newton step.  `stirling_classical_meixner` is the classical (d = 1) Meixner
+Newton step.  `chain_family_generating` and `chain_pair_from_couple` are
+the generating pairs from before each solved its own first-order ODEs:
+powers of 1 - t as exp(r log s) (`log_exp_pow`, the former branches of
+`Series.pow_rat` included), exp(pi - pi(0)) and a product; and the
+couple's H and A by 1/sigma, integrals, a product and exp.
+
+`stirling_classical_meixner` is the classical (d = 1) Meixner
 functional's own Stirling-number collapse, from before
 `catalog.meixner_classical_functional` delegated to the d-dimensional
 evaluator.
@@ -460,6 +467,50 @@ def branch_family_generating(spec, N) -> ShefferPair:
                   * Series.from_poly(Poly((1, -2, 1)), N).invert_mul())
         return ShefferPair(A=A, Hx=(1 + newton).log())
     raise ValueError(f"unknown family: {fam!r}")
+
+
+def log_exp_pow(s: Series, r) -> Series:
+    """s^r for s(0) = 1 as exp(r log s), with 0, 1 and -1 answered directly.
+
+    The constant 1, s itself and 1/s: the values of the branches that
+    `Series.pow_rat` had before it solved s f' = r s' f for every r.
+    """
+    r = Fraction(r)
+    if r == 0:
+        return Series.constant(1, s.order)
+    if r == 1:
+        return s
+    if r == -1:
+        return s.invert_mul()
+    return (s.log() * r).exp()
+
+
+def chain_pair_from_couple(couple, N) -> ShefferPair:
+    """(A, H) as H = integral 1/sigma and A = exp integral gamma/sigma, by series operations."""
+    couple.validate()
+    sigma = Series.from_poly(Poly(couple.sigma), N)
+    gamma = Series.from_poly(Poly(couple.gamma), N)
+    inv_sigma = sigma.invert_mul()
+    return ShefferPair(A=(gamma * inv_sigma).integrate().exp(), Hx=inv_sigma.integrate())
+
+
+def chain_family_generating(spec, N) -> ShefferPair:
+    """The catalog's closed form by powers of 1 - t, exp(pi - pi(0)) and a product.
+
+    A = exp(pi - pi(0)) (1 - t)^e, h = s ((1 - t)^(-k) - 1), and H = h or
+    log(1 + omega h)/omega, the powers by `log_exp_pow`.
+    """
+    catalog.family_couple(spec)
+    e, k, s = catalog.FAMILIES[spec.family].factors(spec.d, spec.params)
+    omega = catalog.family_step(spec)
+    one_minus_t = Series.from_poly(Poly((1, -1)), N)
+    A = log_exp_pow(one_minus_t, e)
+    pi = Poly((0,) + tuple((spec.aux or ())[1:]))
+    if pi:
+        A = Series.from_poly(pi, N).exp() * A
+    h = (log_exp_pow(one_minus_t, -k) - 1) * s
+    Hx = h if omega is None else (1 + h * omega).log() * (1 / omega)
+    return ShefferPair(A=A, Hx=Hx)
 
 
 def stirling_classical_meixner(c, beta, f) -> Fraction:

@@ -301,11 +301,15 @@ def test_pow_rat_needs_unit_constant():
 @given(st.lists(st.fractions(max_denominator=9, min_value=-7, max_value=7), max_size=10),
        st.sampled_from([0, 1, -1, F(0), F(1), F(-1), "-1"]))
 def test_pow_rat_unit_exponents_equal_the_log_exp_route(tail, r):
-    # orders 0 .. 10; 0, 1 and -1 skip log and exp, the values must not change
+    # orders 0 .. 10; pow_rat has no branch on r, and at 0, 1 and -1 it must
+    # give the log/exp route's values and those of its former branches: the
+    # constant 1, the series itself and its inverse
     s = Series([F(1)] + tail)
     direct = s.pow_rat(r)
     route = (s.log() * F(r)).exp()
+    branch = {0: Series.constant(1, s.order), 1: s, -1: s.invert_mul()}[int(r)]
     assert (direct.nums, direct.den, direct.order) == (route.nums, route.den, route.order)
+    assert (direct.nums, direct.den, direct.order) == (branch.nums, branch.den, branch.order)
 
 
 unit_series = st.lists(st.fractions(max_denominator=6, min_value=-5, max_value=5),
