@@ -10,9 +10,15 @@ independent routes.  Every family has the same closed form,
 
 and differs only in three numbers (e, k, s), given per family by
 `FamilyInfo.factors` (tabulated in README, "Built-in families"), and its step
-omega (`family_step`).  `family_generating` solves the closed form's own ODEs,
-(1 - t) A' = ((1 - t) pi' - e) A and (1 - t) h' = k (h + s), on the recurrence
-kernel of `series`; only the difference kind's log is a series operation.
+omega (`family_step`).  `family_generating` solves the closed form's own ODEs
+on the recurrence kernel of `series`: (1 - t) A' = ((1 - t) pi' - e) A, and
+for both kinds p H' = s k with H(0) = 0 and
+
+    p = (1 - omega s)(1 - t)^(k+1) + omega s (1 - t)    (k >= -1),
+
+which is H' = h'/(1 + omega h) with both sides of the quotient multiplied
+by (1 - t)^(k+1), and omega = 0 for the derivative kind (H' = h').  No series
+is multiplied, and the difference kind takes no logarithm.
 
 Families whose generating function carries exp(pi(t)) for an auxiliary
 polynomial pi are normalized to exp(pi(t) - pi(0)): the couple only ever
@@ -41,7 +47,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import comb, factorial
 from types import MappingProxyType
 
 from dsheffer.exactnum import binomial, exact, pochhammer, scaled, stirling2_rows
@@ -376,13 +382,16 @@ def family_generating(spec: FamilySpec, N: int) -> ShefferPair:
     if N < 1:
         raise ValueError("order must be at least 1")
     e, k, s = FAMILIES[spec.family].factors(spec.d, spec.params)
-    omega = family_step(spec)
+    omega_s = (family_step(spec) or 0) * s
     dpi = [j * a for j, a in enumerate(spec.aux or ()) if j]                    # pi'
     ints, _ = scaled([1, -1, *(c - b for b, c in zip([e, *dpi], [*dpi, 0]))])  # (1 - t) pi' - e
     A = _first_order(ints[:2], ints[2:], (), Fraction(1), N)
-    ints, _ = scaled([1, -1, k, k * s])
-    h = _first_order(ints[:2], ints[2:3], ints[3:], Fraction(0), N)
-    Hx = h if omega is None else (1 + h * omega).log() * (1 / omega)
+    # p H' = s k with p = (1 - omega s)(1 - t)^(k+1) + omega s (1 - t), k >= -1
+    p = [(1 - omega_s) * comb(k + 1, j) * (-1) ** j for j in range(max(k + 2, 2))]
+    p[0] += omega_s
+    p[1] -= omega_s
+    ints, _ = scaled([*p, s * k])
+    Hx = _first_order(ints[:-1], (), ints[-1:], Fraction(0), N)
     return ShefferPair(A=A, Hx=Hx)
 
 

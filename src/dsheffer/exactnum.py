@@ -6,12 +6,13 @@ when the denominator is 1); decimal notation is rejected on input so no
 value ever passes through floating point.  `exact` is the one conversion of
 outside values to Fraction: it rejects floats and reads strings as "p/q"
 only.  `scaled` writes rationals as integer numerators over their least
-common denominator, the form `Poly` and `Series` store (see `series`): the
-public constructors and the couple's recurrence rows are its only callers,
-and every kernel after them reads that form directly, so a multiply-add
-costs no gcd and each result is reduced once, by `content_reduced`, one
-content gcd per vector.  `ratio_strings` prints that form back, one gcd
-per value and no Fraction."""
+common denominator, the form `Poly` and `Series` store (see `series`).  Its
+callers are the public constructors and the places that hand a couple or a
+closed form to the kernels (the couple's recurrence rows, `pair_from_couple`
+and `catalog.family_generating`), and every kernel after them reads that
+form directly, so a multiply-add costs no gcd and each result is reduced
+once, by `content_reduced`, one content gcd per vector.  `ratio_strings`
+prints that form back, one gcd per value and no Fraction."""
 
 from __future__ import annotations
 

@@ -24,9 +24,9 @@ truncated at the order for a Series.  Every other operation is one
 recurrence sum_j (a_j + n b_j) c_(n-j) = r_n on integer vectors, solved by
 one kernel (`_recurrence`) over a running lcm denominator; a first-order ODE
 p f' = q f + r reaches it through `_first_order`.  `invert_mul` solves
-s (1/s) = 1, `exp` E' = s'E, `log` s M = t s' with M = t L' (then an
-integral), `pow_rat` s f' = r s' f for every r, and the generating pairs of
-`sheffer` and `catalog` their own ODEs.
+s (1/s) = 1, and the generating pairs of `sheffer` and `catalog` solve their
+own ODEs.  No product path needs an integral, exp, log or rational power of
+a series, so those live with the tests' reference routes, on these kernels.
 
 `Poly.coeff_strings` puts each nums[i] / den in lowest terms by one gcd
 (`exactnum.ratio_strings`) and makes no Fraction.  `poly_text` and
@@ -269,11 +269,6 @@ class Series(_Vector):
         out[k] = c
         return cls(out)
 
-    @classmethod
-    def from_poly(cls, p: Poly, order: int) -> "Series":
-        """Inject a polynomial in t, truncating or zero-padding to `order`."""
-        return cls.of((p.nums + (0,) * (order + 1))[:order + 1], p.den)
-
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise ValueError(f"cannot truncate order {self.order} up to {order}")
@@ -318,12 +313,6 @@ class Series(_Vector):
         """Formal d/dt; the result order drops by one (top coeff unknown)."""
         return Series.of([k * v for k, v in enumerate(self.nums) if k] or [0], self.den)
 
-    def integrate(self) -> "Series":
-        """Formal integral from 0; same order, the top input coefficient drops."""
-        L = lcm(*range(1, self.order + 1))
-        return Series.of([0] + [v * (L // k) for k, v in enumerate(self.nums[:-1], 1)],
-                         self.den * L)
-
     def invert_mul(self) -> "Series":
         """Multiplicative inverse; requires an invertible constant term."""
         a = self.nums
@@ -331,35 +320,6 @@ class Series(_Vector):
             raise ValueError("series with zero constant term has no multiplicative inverse")
         # s (1/s) = 1: sum_j a_j c_(n-j) = 0 for n >= 1; the scale of a cancels
         return _recurrence(Fraction(self.den, a[0]), a, (0,), (), self.order)
-
-    def exp(self) -> "Series":
-        """exp of a series with zero constant term, via E' = s' E."""
-        if self.nums[0]:
-            raise ValueError("exp needs a zero constant term")
-        ds = [k * c for k, c in enumerate(self.nums) if k]
-        return _first_order((self.den,), ds, (), Fraction(1), self.order)
-
-    def log(self) -> "Series":
-        """log of a series with constant term 1, via s' = L' s."""
-        a = self.nums
-        if a[0] != self.den:
-            raise ValueError("log needs constant term 1")
-        # M = t L' solves s M = t s', so sum_j a_j M_(n-j) = n a_n with M_0 = 0;
-        # L is the integral of M / t
-        m = _recurrence(Fraction(0), a, (0,), [n * c for n, c in enumerate(a)], self.order)
-        return Series.of(m.nums[1:] + (0,), m.den).integrate()
-
-    def pow_rat(self, r) -> "Series":
-        """s^r for constant term 1: s f' = r s' f, one recursion for every rational r.
-
-        J. C. P. Miller's power rule (Knuth, TAOCP vol. 2, 4.7), over the scale v den for r = u/v.
-        """
-        r = exact(r)
-        a = self.nums
-        if a[0] != self.den:
-            raise ValueError("pow_rat needs constant term 1")
-        ds = [r.numerator * k * c for k, c in enumerate(a) if k]
-        return _first_order([r.denominator * c for c in a], ds, (), Fraction(1), self.order)
 
     def compose(self, inner: "Series") -> "Series":
         """self(inner(t)); inner must have zero constant term (exactness)."""

@@ -43,8 +43,14 @@ out once per family, each with its own series operations, from before
 Newton step.  `chain_family_generating` and `chain_pair_from_couple` are
 the generating pairs from before each solved its own first-order ODEs:
 powers of 1 - t as exp(r log s) (`log_exp_pow`, the former branches of
-`Series.pow_rat` included), exp(pi - pi(0)) and a product; and the
+`pow_rat` included), exp(pi - pi(0)) and a product; and the
 couple's H and A by 1/sigma, integrals, a product and exp.
+
+`from_poly`, `integrate`, `exp`, `log` and `pow_rat` are the series
+operations that no product path needs, moved out of `Series` into
+functions over a `Series` on the same kernels (`series._first_order` and
+`_recurrence`).  The routes here and the tests build on them, and
+`fraction_exp` and `fraction_log` stay their term-by-term oracles.
 
 `stirling_classical_meixner` is the classical (d = 1) Meixner
 functional's own Stirling-number collapse, from before
@@ -54,12 +60,56 @@ evaluator.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from dsheffer import Poly, PolySequence, Series, ShefferPair, functional_eval
 from dsheffer import catalog
 from dsheffer.dorth import BackSubstitutionError, RecurrenceTable, WindowViolationError
-from dsheffer.exactnum import pochhammer, scaled, stirling2
+from dsheffer.exactnum import exact, pochhammer, scaled, stirling2
+from dsheffer.series import _first_order, _recurrence
+
+
+def from_poly(p: Poly, order: int) -> Series:
+    """The polynomial p in t as a series, truncated or zero-padded to `order`."""
+    return Series.of((p.nums + (0,) * (order + 1))[:order + 1], p.den)
+
+
+def integrate(s: Series) -> Series:
+    """Formal integral from 0; same order, the top input coefficient drops."""
+    L = lcm(*range(1, s.order + 1))
+    return Series.of([0] + [v * (L // k) for k, v in enumerate(s.nums[:-1], 1)], s.den * L)
+
+
+def exp(s: Series) -> Series:
+    """exp of a series with zero constant term, via E' = s' E."""
+    if s.nums[0]:
+        raise ValueError("exp needs a zero constant term")
+    ds = [k * c for k, c in enumerate(s.nums) if k]
+    return _first_order((s.den,), ds, (), Fraction(1), s.order)
+
+
+def log(s: Series) -> Series:
+    """log of a series with constant term 1, via s' = L' s."""
+    a = s.nums
+    if a[0] != s.den:
+        raise ValueError("log needs constant term 1")
+    # M = t L' solves s M = t s', so sum_j a_j M_(n-j) = n a_n with M_0 = 0;
+    # L is the integral of M / t
+    m = _recurrence(Fraction(0), a, (0,), [n * c for n, c in enumerate(a)], s.order)
+    return integrate(Series.of(m.nums[1:] + (0,), m.den))
+
+
+def pow_rat(s: Series, r) -> Series:
+    """s^r for constant term 1: s f' = r s' f, one recursion for every rational r.
+
+    J. C. P. Miller's power rule (Knuth, TAOCP vol. 2, 4.7), over the scale v den for r = u/v.
+    """
+    r = exact(r)
+    a = s.nums
+    if a[0] != s.den:
+        raise ValueError("pow_rat needs constant term 1")
+    ds = [r.numerator * k * c for k, c in enumerate(a) if k]
+    return _first_order([r.denominator * c for c in a], ds, (), Fraction(1), s.order)
 
 
 class UncheckedSequence:
@@ -146,7 +196,7 @@ def series_moment_rows(couple, M: int, d: int) -> tuple[Series, tuple[Series, ..
     mu_i(j) = (j!/i!) [s^j] y^i / A(y), with 1/A(y) = exp(-integral gamma(y)).
     """
     y = Series(fraction_hstar(couple, M))
-    w = (-horner_gamma_y(couple, y).integrate()).exp()
+    w = exp(-integrate(horner_gamma_y(couple, y)))
     rows = []
     for i in range(d):
         if i:
@@ -207,7 +257,7 @@ def newton_hstar(spec, N) -> Series:
     """h* of a difference family: its closed form's Newton h = (e^(omega H) - 1)/omega, reverted."""
     omega = catalog.family_step(spec)
     Hx = catalog.family_generating(spec, N).Hx
-    return (((Hx * omega).exp() - 1) * (1 / omega)).reversion()
+    return ((exp(Hx * omega) - 1) * (1 / omega)).reversion()
 
 
 def lowering_failures(seq, hstar, omega=None) -> list[int]:
@@ -425,47 +475,47 @@ def branch_family_generating(spec, N) -> ShefferPair:
     d = spec.d
     p = spec.params
     fam = spec.family
-    one_minus_t = Series.from_poly(Poly((1, -1)), N)
+    one_minus_t = from_poly(Poly((1, -1)), N)
     aux = spec.aux or ()
-    exp_pi = Series.from_poly(Poly((0,) + tuple(aux[1:])), N).exp()   # exp(pi(t) - pi(0))
+    exp_pi = exp(from_poly(Poly((0,) + tuple(aux[1:])), N))   # exp(pi(t) - pi(0))
     if fam == catalog.LAGUERRE_EQ9:
         a = p["alpha"]
-        A = one_minus_t.pow_rat(-(a + 1) * d)
-        Hx = 1 - one_minus_t.pow_rat(-d)
+        A = pow_rat(one_minus_t, -(a + 1) * d)
+        Hx = 1 - pow_rat(one_minus_t, -d)
         return ShefferPair(A=A, Hx=Hx)
     if fam == catalog.LAGUERRE_EQ10:
         a = p["alpha"]
-        A = exp_pi * one_minus_t.pow_rat(-(a + 1))
-        Hx = Series.from_poly(Poly((0, -1)), N) * one_minus_t.invert_mul()
+        A = exp_pi * pow_rat(one_minus_t, -(a + 1))
+        Hx = from_poly(Poly((0, -1)), N) * one_minus_t.invert_mul()
         return ShefferPair(A=A, Hx=Hx)
     if fam == catalog.LAGUERRE_EQ11:
         a = p["alpha"]
-        A = one_minus_t.pow_rat(-(a + 1))
-        Hx = (Series.from_poly(Poly((0, -2, 1)), N) * Fraction(1, 2)
-              * Series.from_poly(Poly((1, -2, 1)), N).invert_mul())
+        A = pow_rat(one_minus_t, -(a + 1))
+        Hx = (from_poly(Poly((0, -2, 1)), N) * Fraction(1, 2)
+              * from_poly(Poly((1, -2, 1)), N).invert_mul())
         return ShefferPair(A=A, Hx=Hx)
     if fam == catalog.HERMITE_EQ12:
         return ShefferPair(A=exp_pi, Hx=Series.identity(N))
     if fam == catalog.CHARLIER_EQ13:
         omega = p["omega"]
-        Hx = Series.from_poly(Poly((1, omega)), N).log() * (1 / omega)
+        Hx = log(from_poly(Poly((1, omega)), N)) * (1 / omega)
         return ShefferPair(A=exp_pi, Hx=Hx)
     if fam == catalog.MEIXNER_EQ14:
         c, beta = p["c"], p["beta"]
-        A = exp_pi * one_minus_t.pow_rat(-beta)
-        newton = Series.from_poly(Poly((0, (c - 1) / c)), N) * one_minus_t.invert_mul()
-        return ShefferPair(A=A, Hx=(1 + newton).log())
+        A = exp_pi * pow_rat(one_minus_t, -beta)
+        newton = from_poly(Poly((0, (c - 1) / c)), N) * one_minus_t.invert_mul()
+        return ShefferPair(A=A, Hx=log(1 + newton))
     if fam == catalog.MEIXNER_EQ16:
         c, beta = p["c"], p["beta"]
-        A = one_minus_t.pow_rat(-beta * d)
-        newton = (one_minus_t.pow_rat(-d) - 1) * ((c - 1) / (d * c))
-        return ShefferPair(A=A, Hx=(1 + newton).log())
+        A = pow_rat(one_minus_t, -beta * d)
+        newton = (pow_rat(one_minus_t, -d) - 1) * ((c - 1) / (d * c))
+        return ShefferPair(A=A, Hx=log(1 + newton))
     if fam == catalog.MEIXNER_EQ21:
         c, beta = p["c"], p["beta"]
-        A = exp_pi * one_minus_t.pow_rat(-beta)
-        newton = (Series.from_poly(Poly((0, -2, 1)), N) * ((c - 1) / (2 * c))
-                  * Series.from_poly(Poly((1, -2, 1)), N).invert_mul())
-        return ShefferPair(A=A, Hx=(1 + newton).log())
+        A = exp_pi * pow_rat(one_minus_t, -beta)
+        newton = (from_poly(Poly((0, -2, 1)), N) * ((c - 1) / (2 * c))
+                  * from_poly(Poly((1, -2, 1)), N).invert_mul())
+        return ShefferPair(A=A, Hx=log(1 + newton))
     raise ValueError(f"unknown family: {fam!r}")
 
 
@@ -473,7 +523,7 @@ def log_exp_pow(s: Series, r) -> Series:
     """s^r for s(0) = 1 as exp(r log s), with 0, 1 and -1 answered directly.
 
     The constant 1, s itself and 1/s: the values of the branches that
-    `Series.pow_rat` had before it solved s f' = r s' f for every r.
+    `pow_rat` had before it solved s f' = r s' f for every r.
     """
     r = Fraction(r)
     if r == 0:
@@ -482,16 +532,16 @@ def log_exp_pow(s: Series, r) -> Series:
         return s
     if r == -1:
         return s.invert_mul()
-    return (s.log() * r).exp()
+    return exp(log(s) * r)
 
 
 def chain_pair_from_couple(couple, N) -> ShefferPair:
     """(A, H) as H = integral 1/sigma and A = exp integral gamma/sigma, by series operations."""
     couple.validate()
-    sigma = Series.from_poly(Poly(couple.sigma), N)
-    gamma = Series.from_poly(Poly(couple.gamma), N)
+    sigma = from_poly(Poly(couple.sigma), N)
+    gamma = from_poly(Poly(couple.gamma), N)
     inv_sigma = sigma.invert_mul()
-    return ShefferPair(A=(gamma * inv_sigma).integrate().exp(), Hx=inv_sigma.integrate())
+    return ShefferPair(A=exp(integrate(gamma * inv_sigma)), Hx=integrate(inv_sigma))
 
 
 def chain_family_generating(spec, N) -> ShefferPair:
@@ -503,13 +553,13 @@ def chain_family_generating(spec, N) -> ShefferPair:
     catalog.family_couple(spec)
     e, k, s = catalog.FAMILIES[spec.family].factors(spec.d, spec.params)
     omega = catalog.family_step(spec)
-    one_minus_t = Series.from_poly(Poly((1, -1)), N)
+    one_minus_t = from_poly(Poly((1, -1)), N)
     A = log_exp_pow(one_minus_t, e)
     pi = Poly((0,) + tuple((spec.aux or ())[1:]))
     if pi:
-        A = Series.from_poly(pi, N).exp() * A
+        A = exp(from_poly(pi, N)) * A
     h = (log_exp_pow(one_minus_t, -k) - 1) * s
-    Hx = h if omega is None else (1 + h * omega).log() * (1 / omega)
+    Hx = h if omega is None else log(1 + h * omega) * (1 / omega)
     return ShefferPair(A=A, Hx=Hx)
 
 

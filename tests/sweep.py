@@ -7,6 +7,11 @@ sweeping the tree before it and the tree after it over the same corpus:
     python tests/sweep.py                 # this tree: the count and one digest of all runs
     python tests/sweep.py --against DIR   # also DIR's src/, in a subprocess; lists every
                                           # argv whose digest differs, exits 1 if any does
+    python tests/sweep.py --expect FILE   # exits 1 unless the digest of all runs is FILE's
+
+tests/sweep.sha256 pins the digest of all runs: a change that alters an
+output on purpose updates it, and lists the argv that --against the tree
+before it reports as differing.
 
 The corpus covers every subcommand, format and source kind: the 21 default
 samples, the benchmark's couples of seeds 1-3, the over-N, irregular and
@@ -175,6 +180,7 @@ def digests(argvs, workdir: Path) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--against", type=Path, help="a checkout whose src/ is swept too")
+    parser.add_argument("--expect", type=Path, help="a file holding the expected digest of all runs")
     parser.add_argument("--src", type=Path, help=argparse.SUPPRESS)   # a subprocess's tree
     args = parser.parse_args(argv)
 
@@ -191,8 +197,11 @@ def main(argv=None) -> int:
         ours = digests(argvs, workdir)
         total = hashlib.sha256("".join(ours).encode()).hexdigest()
         print(f"{len(argvs)} runs, sha256 of all digests {total}")
+        mismatch = args.expect is not None and total != (expected := args.expect.read_text().strip())
+        if mismatch:
+            print(f"expected {expected} ({args.expect})")
         if args.against is None:
-            return 0
+            return int(mismatch)
         done = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--src", str(args.against.resolve() / "src")],
             input=json.dumps(argvs), capture_output=True, text=True, cwd=workdir, check=True)
@@ -201,7 +210,7 @@ def main(argv=None) -> int:
     for argv in differ:
         print("differs:", shlex.join(argv))
     print(f"{len(argvs) - len(differ)} of {len(argvs)} runs byte-identical to {args.against}")
-    return 1 if differ else 0
+    return 1 if differ or mismatch else 0
 
 
 if __name__ == "__main__":

@@ -113,7 +113,6 @@ EXACT_BUILDERS = (
     lambda v: meixner_functional_exact(1, v, 1, 0, Poly.one()),
     lambda v: meixner_functional_exact(1, Fraction(1, 2), v, 0, Poly.one()),
     lambda v: meixner_classical_functional(v, 1, Poly.one()),
-    lambda v: Series((1, -1)).pow_rat(v),
 )
 
 

@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import re
+import sys
 
 import sweep
 from dsheffer import catalog, cli, render
@@ -42,3 +44,17 @@ def test_a_slice_of_the_corpus_gives_the_same_digests_twice(tmp_path):
     assert len(first) == len(argvs) > 100
     assert len(set(first)) > len(first) // 2          # the digests read the output
     assert sweep.digests(argvs, tmp_path) == first
+
+
+def test_expect_exits_1_when_the_digest_of_all_runs_differs(tmp_path, monkeypatch, capsys):
+    full = sweep.corpus
+    monkeypatch.setattr(sweep, "corpus", lambda workdir: full(workdir)[::200])
+    monkeypatch.setattr(sys, "path", list(sys.path))     # main() puts src/ on the path
+    pin = tmp_path / "sweep.sha256"
+    pin.write_text("0" * 64 + "\n")
+    assert sweep.main(["--expect", str(pin)]) == 1
+    out = capsys.readouterr().out
+    assert f"expected {'0' * 64}" in out
+    pin.write_text(re.search(r"sha256 of all digests ([0-9a-f]{64})\n", out).group(1) + "\n")
+    assert sweep.main(["--expect", str(pin)]) == 0
+    assert "expected" not in capsys.readouterr().out
