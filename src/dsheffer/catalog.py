@@ -37,8 +37,10 @@ independent route the closed form is compared against.
 
 The Laguerre-type 2-orthogonal family and the Meixner-type family also carry
 explicit moment functionals (series in derivatives of f, respectively sums
-over integer nodes); these give closed-form cross-checks for the operator
-route.
+over integer nodes).  Like `FunctionalVector`, each closed form gives a
+functional as its moment row <u_i, x^m>, m = 0..order (`laguerre2_moments`,
+`meixner_moments`, `meixner_classical_moments`); `explicit_functional` hands
+these rows out as closed-form cross-checks for the operator route.
 """
 
 from __future__ import annotations
@@ -46,11 +48,12 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb, factorial
+from operator import mul
 from types import MappingProxyType
 
-from dsheffer.exactnum import binomial, exact, pochhammer, scaled, stirling2_rows
+from dsheffer.exactnum import exact, scaled, stirling2_rows
 from dsheffer.operators import lowering_from_couple
 from dsheffer.series import Poly, Series, _first_order
 from dsheffer.sheffer import CoupleSpec, ShefferPair
@@ -412,14 +415,13 @@ def family_lowering(spec: FamilySpec, N: int) -> Series:
     return lowering_from_couple(family_couple(spec), N)
 
 
-def laguerre2_functionals(alpha: Fraction, i: int, f: Poly) -> Fraction:
-    """Closed-form functionals of the 2-orthogonal Laguerre-type family.
+def laguerre2_moments(alpha: Fraction, i: int, order: int) -> tuple[Fraction, ...]:
+    """Moments <u_i, x^m>, m = 0..order, of the 2-orthogonal Laguerre-type family.
 
-    <u_i, f> = sum_{r=0}^{i} C(i,r) (-1)^r sum_k ((alpha+r+1)/2)_k 2^k f_k / i!
+    mu_i(m) = (2^m / i!) sum_{r=0}^{i} C(i,r) (-1)^r ((alpha+r+1)/2)_m,
 
-    with f_k = f^(k)(0) / k! the coefficients of f, so the sum stops at deg f
-    and the value is exact.  The rewriting behind it is certified in the
-    tests by the duplication identity
+    each 2^m ((alpha+r+1)/2)_m a running product over m.  The rewriting
+    behind it is certified in the tests by the duplication identity
     (alpha+1)_{2k} = 4^k ((alpha+1)/2)_k ((alpha+2)/2)_k.
     """
     alpha = exact(alpha)
@@ -427,13 +429,13 @@ def laguerre2_functionals(alpha: Fraction, i: int, f: Poly) -> Fraction:
         raise InvalidParameterError("alpha = -1 is excluded")
     if not 0 <= i <= 1:
         raise IndexError(f"functional index {i} out of range for d=2")
-    total = Fraction(0)
-    fs = f.coeffs
+    mu = [Fraction(0)] * (order + 1)
     for r in range(i + 1):
-        a = Fraction(alpha + r + 1, 2)
-        part = sum(pochhammer(a, k) * 2 ** k * c for k, c in enumerate(fs))
-        total += binomial(i, r) * (-1) ** r * part
-    return total / factorial(i)
+        term = Fraction(comb(i, r) * (-1) ** r, factorial(i))
+        for m in range(order + 1):
+            mu[m] += term
+            term *= alpha + r + 1 + 2 * m
+    return tuple(mu)
 
 
 def _meixner_weight_ratio(d: int, c: Fraction) -> Fraction:
@@ -459,78 +461,66 @@ def _meixner_gates(d: int, c: Fraction, r: int) -> Fraction:
     return w
 
 
-def meixner_functional_exact(d: int, c: Fraction, beta: Fraction,
-                             r: int, f: Poly) -> Fraction:
-    """Exact <u_r, f> for the Meixner-type family, via the Stirling transform.
+def meixner_moments(d: int, c: Fraction, beta: Fraction,
+                    r: int, order: int) -> tuple[Fraction, ...]:
+    """Exact moments <u_r, x^m>, m = 0..order, of the Meixner-type family.
 
     The defining value is (1/r!) sum_i C(r,i)(-1)^i times a series over
-    integer nodes j; expanding f(j) in falling factorials collapses each node
-    series to the finite sum over k of S(m,k) (beta+i/d)_k w^k (1-w)^(-k)
-    with w = dc/(1 + c(d-1)), using (1 - dc/(c-1)) (1 - w) = 1.  Demands
+    integer nodes j; expanding x^m at the nodes in falling factorials
+    collapses each node series to the finite sum over k of S(m,k) g_k, with
+
+        g_k = (1/r!) sum_i C(r,i) (-1)^i (beta+i/d)_k z^k,   z = w/(1 - w),
+
+    w = dc/(1 + c(d-1)), using (1 - dc/(c-1)) (1 - w) = 1.  The g_k are
+    running products, read by every row of one Stirling table.  Demands
     |w| < 1, where the node series converges.
     """
     c = exact(c)
     beta = exact(beta)
     w = _meixner_gates(d, c, r)
     z = w / (1 - w)
-    deg = f.degree()
-    if deg is None:
-        return Fraction(0)
-    S = list(stirling2_rows(deg, deg))     # S[m][k] = S(m, k) for k <= m
-    fs = f.coeffs
-    total = Fraction(0)
+    g = [Fraction(0)] * (order + 1)
     for i in range(r + 1):
         b = beta + Fraction(i, d)
-        part = Fraction(0)
-        for m, fm in enumerate(fs):
-            if fm == 0:
-                continue
-            s = Fraction(0)
-            for k, s2 in enumerate(S[m]):
-                if s2:
-                    s += s2 * pochhammer(b, k) * z ** k
-            part += fm * s
-        total += binomial(r, i) * (-1) ** i * part
-    return total / factorial(r)
+        term = Fraction(comb(r, i) * (-1) ** i, factorial(r))
+        for k in range(order + 1):
+            g[k] += term
+            term *= (b + k) * z
+    ints, D = scaled(g)
+    return tuple(Fraction(sum(map(mul, row, ints)), D) for row in stirling2_rows(order, order))
 
 
-def meixner_classical_functional(c: Fraction, beta: Fraction, f: Poly) -> Fraction:
-    """Exact classical Meixner functional (1-c)^beta sum_j (beta)_j c^j f(j)/j!.
+def meixner_classical_moments(c: Fraction, beta: Fraction, order: int) -> tuple[Fraction, ...]:
+    """Moments of the classical Meixner functional (1-c)^beta sum_j (beta)_j c^j f(j)/j!.
 
-    This is `meixner_functional_exact` at d = 1, r = 0, where w = c and the
-    collapse leaves sum_k S(m,k) (beta)_k (c/(1-c))^k.  Requires 0 < c < 1.
+    This is `meixner_moments` at d = 1, r = 0, where w = c and the collapse
+    leaves sum_k S(m,k) (beta)_k (c/(1-c))^k.  Requires 0 < c < 1.
     """
     c = exact(c)
     if not 0 < c < 1:
         raise InvalidParameterError(f"c = {c} must lie strictly between 0 and 1")
-    return meixner_functional_exact(1, c, beta, 0, f)
+    return meixner_moments(1, c, beta, 0, order)
 
 
 def explicit_functional(spec: FamilySpec):
-    """Closed-form evaluator for families that have one, or None.
+    """Closed-form moment rows for families that have them, or None.
 
-    Returns (label, eval_fn) with eval_fn(i, f) -> Fraction, for use as an
-    independent cross-check against the operator-series route.
+    Returns (label, rows) with rows(i, order) the moments <u_i, x^m> for
+    m = 0..order, a tuple of order + 1 Fractions, for use as an independent
+    cross-check against the operator-series route.
     """
     p = spec.params
     if spec.family == LAGUERRE_EQ11:
-        alpha = p["alpha"]
-        return ("laguerre2-series", lambda i, f: laguerre2_functionals(alpha, i, f))
+        return ("laguerre2-series", partial(laguerre2_moments, p["alpha"]))
     if spec.family == MEIXNER_EQ16:
         c, beta = p["c"], p["beta"]
         if abs(_meixner_weight_ratio(spec.d, c)) < 1:
-            return (
-                "meixner-node-series",
-                lambda i, f: meixner_functional_exact(spec.d, c, beta, i, f),
-            )
+            return ("meixner-node-series", partial(meixner_moments, spec.d, c, beta))
         return None
     if spec.family == MEIXNER_EQ14 and spec.d == 1:
         c, beta = p["c"], p["beta"]
         if 0 < c < 1:
-            return (
-                "meixner-classical",
-                lambda i, f: meixner_classical_functional(c, beta, f),
-            )
+            return ("meixner-classical", lambda i, order: meixner_classical_moments(c, beta, order))
     return None
 
 

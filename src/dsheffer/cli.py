@@ -37,7 +37,7 @@ from dsheffer.dorth import (
 )
 from dsheffer.exactnum import parse_rational
 from dsheffer.operators import FunctionalVector
-from dsheffer.series import Poly, poly_latex, poly_text
+from dsheffer.series import poly_latex, poly_text
 from dsheffer.sheffer import (
     CoupleFileError,
     CoupleSpec,
@@ -264,10 +264,11 @@ def cmd_functionals(args) -> int:
     _require_order(N, max(1, d - 1), f" for {d} functionals")
 
     fv = FunctionalVector(couple, N, d)
-    label, fn = (None if spec is None else catalog.explicit_functional(spec)) or (None, None)
+    label, moments = (None if spec is None else catalog.explicit_functional(spec)) or (None, None)
     # one (i, m, <u_i, x^m>, cross-check value or None) per row
-    rows = [(i, m, value, None if fn is None else fn(i, Poly.monomial(m)))
-            for i in indices for m, value in enumerate(fv.rows[i].coeffs)]
+    rows = [(i, m, value, cross) for i in indices
+            for m, (value, cross) in enumerate(zip(
+                fv.rows[i].coeffs, [None] * (N + 1) if moments is None else moments(i, N)))]
 
     if args.format == render.JSON:
         _emit_doc(args, "functionals", N, spec, couple, rows=[

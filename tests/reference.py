@@ -53,9 +53,9 @@ functions over a `Series` on the same kernels (`series._first_order` and
 `fraction_exp` and `fraction_log` stay their term-by-term oracles.
 
 `stirling_classical_meixner` is the classical (d = 1) Meixner
-functional's own Stirling-number collapse, from before
-`catalog.meixner_classical_functional` delegated to the d-dimensional
-evaluator.
+functional's own Stirling-number collapse at one polynomial f, from before
+the classical functional delegated to the d-dimensional evaluator and every
+closed form returned a whole moment row (`catalog.meixner_classical_moments`).
 """
 
 from fractions import Fraction

@@ -17,6 +17,8 @@ The corpus covers every subcommand, format and source kind: the 21 default
 samples, the benchmark's couples of seeds 1-3, the over-N, irregular and
 edge couples, invalid, malformed and unreadable couple files, edge --family
 sources (non-ASCII digits, values past Python's int/str digit limit),
+`functionals --order 40` on family specs off the defaults whose closed-form
+rows cross-check it (negative c among them) or that have none (c = -9),
 `verify` at N = 3 .. 48 without --check-d and at d - 1, d and d + 1,
 `catalog-list`, help, bare and invalid argv, and the README's command lines.
 The files the corpus reads are written to one working directory, and every
@@ -56,6 +58,15 @@ EDGE_COUPLES = {
     "rational-d2": {"d": 2, "gamma": ["1", "-1/2", "2"], "sigma": ["-3/2", "1", "0", "-1/3"]},
     "short-sigma": {"d": 1, "gamma": [0, -1], "sigma": [1]},
 }
+# family sources for functionals --order 40 beside the default samples
+CROSS_CHECK_SPECS = (
+    ("meixner-eq16", 2, {"c": "-1/5", "beta": "1/2"}),
+    ("meixner-eq16", 3, {"c": "-1/8", "beta": "-5/4"}),
+    ("meixner-eq16", 1, {"c": "-1/3", "beta": "2"}),
+    ("meixner-eq16", 2, {"c": "-9", "beta": "1"}),
+    ("laguerre-eq11", 2, {"alpha": "-3/2"}),
+    ("meixner-eq14", 1, {"c": "1/3", "beta": "5/2"}),
+)
 # couple files that must be refused, and the text they hold
 BAD_FILES = {
     "missing-key": '{"d": 1, "gamma": [0, 1]}',
@@ -111,6 +122,11 @@ def corpus(workdir: Path) -> list[tuple[str, ...]]:
     workloads = load_workloads()
     for spec in catalog.default_sample_specs():
         runs += _source_runs(workloads._family_argv(spec), spec.d)
+    # the closed-form moment rows away from the defaults: negative c with
+    # |w| < 1, a divergent c that has no cross-check, and other alpha, beta
+    for family, d, params in CROSS_CHECK_SPECS:
+        argv = workloads._family_argv(catalog.FamilySpec(family=family, d=d, params=params))
+        runs += [["functionals", *argv, "--order", "40", "--format", fmt] for fmt in FORMATS]
     for seed in (1, 2, 3):
         for i, doc in enumerate(workloads.draw_couples(seed)):
             name = write(f"seed{seed}-{i}.json", json.dumps(doc))

@@ -334,10 +334,10 @@ def test_eq11_lowering_matches_closed_form():
 
 def test_laguerre2_frozen_values():
     alpha = F(1, 2)
-    assert catalog.laguerre2_functionals(alpha, 0, Poly.one()) == 1
-    assert catalog.laguerre2_functionals(alpha, 0, Poly.x()) == F(3, 2)
-    assert catalog.laguerre2_functionals(alpha, 1, Poly.one()) == 0
-    assert catalog.laguerre2_functionals(alpha, 1, Poly.x()) == -1
+    assert catalog.laguerre2_moments(alpha, 0, 1)[0] == 1
+    assert catalog.laguerre2_moments(alpha, 0, 1)[1] == F(3, 2)
+    assert catalog.laguerre2_moments(alpha, 1, 1)[0] == 0
+    assert catalog.laguerre2_moments(alpha, 1, 1)[1] == -1
 
 
 def test_laguerre2_matches_operator_route():
@@ -345,24 +345,24 @@ def test_laguerre2_matches_operator_route():
         spec = spec_of(LAGUERRE_EQ11, 2, {"alpha": alpha})
         v = family_functionals(spec, 10)
         for i in (0, 1):
+            row = catalog.laguerre2_moments(alpha, i, 8)
             for m in range(9):
-                assert catalog.laguerre2_functionals(alpha, i, mono(m)) == \
-                    functional_eval(v, i, mono(m)), (alpha, i, m)
+                assert row[m] == functional_eval(v, i, mono(m)), (alpha, i, m)
 
 
 def test_laguerre2_contracts():
     with pytest.raises(InvalidParameterError):
-        catalog.laguerre2_functionals(F(-1), 0, Poly.one())
+        catalog.laguerre2_moments(F(-1), 0, 0)
     with pytest.raises(IndexError):
-        catalog.laguerre2_functionals(F(0), 2, Poly.one())
+        catalog.laguerre2_moments(F(0), 2, 0)
 
 
 # ---------------------------------------------------------------- Meixner functionals
 
 def test_meixner_exact_frozen_values():
-    assert catalog.meixner_functional_exact(2, F(1, 2), F(1), 0, Poly.x()) == 2
-    assert catalog.meixner_functional_exact(2, F(1, 2), F(1), 0, Poly.one()) == 1
-    assert catalog.meixner_functional_exact(2, F(1, 2), F(1), 1, mono(3)) == -79
+    assert catalog.meixner_moments(2, F(1, 2), F(1), 0, 1)[1] == 2
+    assert catalog.meixner_moments(2, F(1, 2), F(1), 0, 1)[0] == 1
+    assert catalog.meixner_moments(2, F(1, 2), F(1), 1, 3)[3] == -79
 
 
 def test_meixner_exact_matches_operator_route():
@@ -370,14 +370,15 @@ def test_meixner_exact_matches_operator_route():
         spec = spec_of(MEIXNER_EQ16, d, {"c": c, "beta": beta})
         v = family_functionals(spec, 8)
         for r in range(d):
+            row = catalog.meixner_moments(d, c, beta, r, 6)
             for m in range(7):
-                assert catalog.meixner_functional_exact(d, c, beta, r, mono(m)) == \
-                    functional_eval(v, r, mono(m)), (d, r, m)
+                assert row[m] == functional_eval(v, r, mono(m)), (d, r, m)
 
 
 def test_meixner_numeric_agrees_with_exact():
+    row = catalog.meixner_moments(2, F(1, 2), F(1), 1, 6)
     for m in range(7):
-        exact = catalog.meixner_functional_exact(2, F(1, 2), F(1), 1, mono(m))
+        exact = row[m]
         approx = meixner_functional_numeric(2, F(1, 2), F(1), 1, mono(m))
         if exact == 0:
             assert abs(approx) < 1e-25
@@ -388,39 +389,40 @@ def test_meixner_numeric_agrees_with_exact():
 def test_meixner_divergence_gate():
     # w = 2c/(1+c) = 9/4 at c = -9: the node series diverges
     with pytest.raises(DivergentParameterError):
-        catalog.meixner_functional_exact(2, F(-9), F(1), 0, Poly.one())
+        catalog.meixner_moments(2, F(-9), F(1), 0, 0)
     with pytest.raises(DivergentParameterError):
         meixner_functional_numeric(2, F(-9), F(1), 0, Poly.one())
 
 
 def test_meixner_gates():
     with pytest.raises(InvalidParameterError):
-        catalog.meixner_functional_exact(0, F(1, 2), F(1), 0, Poly.one())
+        catalog.meixner_moments(0, F(1, 2), F(1), 0, 0)
     with pytest.raises(InvalidParameterError):
-        catalog.meixner_functional_exact(2, F(1), F(1), 0, Poly.one())
+        catalog.meixner_moments(2, F(1), F(1), 0, 0)
     with pytest.raises(IndexError):
-        catalog.meixner_functional_exact(2, F(1, 2), F(1), 2, Poly.one())
+        catalog.meixner_moments(2, F(1, 2), F(1), 2, 0)
 
 
 def test_classical_meixner_moments():
-    values = [catalog.meixner_classical_functional(F(1, 2), F(1), mono(m))
-              for m in range(5)]
+    values = list(catalog.meixner_classical_moments(F(1, 2), F(1), 4))
     assert values == [1, 1, 3, 13, 75]
 
 
 def test_classical_meixner_needs_inner_c():
     with pytest.raises(InvalidParameterError):
-        catalog.meixner_classical_functional(F(3, 2), F(1), Poly.one())
+        catalog.meixner_classical_moments(F(3, 2), F(1), 0)
     with pytest.raises(InvalidParameterError):
-        catalog.meixner_classical_functional(F(-1, 2), F(1), Poly.one())
+        catalog.meixner_classical_moments(F(-1, 2), F(1), 0)
 
 
 def test_meixner_d1_reduces_to_classical():
     for c, beta in ((F(1, 2), F(1)), (F(3, 4), F(5, 2))):
+        one_d = catalog.meixner_moments(1, c, beta, 0, 6)
+        classical = catalog.meixner_classical_moments(c, beta, 6)
         for m in range(7):
             oracle = stirling_classical_meixner(c, beta, mono(m))
-            assert catalog.meixner_functional_exact(1, c, beta, 0, mono(m)) == oracle, (c, m)
-            assert catalog.meixner_classical_functional(c, beta, mono(m)) == oracle, (c, m)
+            assert one_d[m] == oracle, (c, m)
+            assert classical[m] == oracle, (c, m)
 
 
 # ---------------------------------------------------------------- evaluator routing
@@ -451,11 +453,33 @@ def test_explicit_functional_routes():
 
 def test_explicit_functional_values_match_labelled_evaluator():
     spec = spec_of(MEIXNER_EQ16, 2, {"beta": 1, "c": "1/2"})
-    label, fn = catalog.explicit_functional(spec)
-    assert fn(0, Poly.x()) == 2
+    label, rows = catalog.explicit_functional(spec)
+    assert rows(0, 1)[1] == 2
     spec11 = spec_of(LAGUERRE_EQ11, 2, {"alpha": "1/2"})
-    _, fn11 = catalog.explicit_functional(spec11)
-    assert fn11(0, Poly.x()) == F(3, 2)
+    _, rows11 = catalog.explicit_functional(spec11)
+    assert rows11(0, 1)[1] == F(3, 2)
+
+
+ROW_SPECS = (
+    [spec for spec in catalog.default_sample_specs() if catalog.explicit_functional(spec)]
+    + [spec_of(MEIXNER_EQ16, d, {"c": c, "beta": beta})
+       for d, c in ((1, "-1/3"), (1, "1/3"), (2, "-1/5"), (2, "-1/4"), (3, "-1/8"), (3, "2/5"))
+       for beta in ("1/2", "-5/4")]
+    + [spec_of(LAGUERRE_EQ11, 2, {"alpha": alpha}) for alpha in (0, 3, "-3/2")]
+    + [spec_of(MEIXNER_EQ14, 1, {"c": "1/3", "beta": "5/2"})]
+)
+
+
+@pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda s: f"{s.family}-d{s.d}-"
+                         + "-".join(f"{k}{v}" for k, v in s.params.items()))
+def test_explicit_rows_equal_the_functional_vector_at_order_40(spec):
+    # the whole closed-form row, m = 0..40, against the couple's moment table
+    fv = family_functionals(spec, 40)
+    _, rows = catalog.explicit_functional(spec)
+    for i in range(spec.d):
+        row = rows(i, 40)
+        assert len(row) == 41 and all(type(v) is F for v in row)
+        assert row == fv.rows[i].coeffs, (spec, i)
 
 
 # ---------------------------------------------------------------- defaults

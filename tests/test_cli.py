@@ -285,12 +285,12 @@ def test_verify_and_functionals_read_no_stirling_row(tmp_path, capsys, monkeypat
     with pytest.raises(AssertionError):
         exactnum.stirling2(3, 1)                       # the guard does bite
     with pytest.raises(AssertionError):
-        catalog.meixner_classical_functional(Fraction(1, 2), 1, cli.Poly.x())
+        catalog.meixner_classical_moments(Fraction(1, 2), 1, 1)
     path = tmp_path / "c.json"
     path.write_text(APP1)
     # (argv, run functionals too): the classical Meixner cross-check that
     # functionals adds for meixner-eq14 at d = 1 is itself a sum of Stirling
-    # numbers (catalog.meixner_classical_functional), an independent route
+    # numbers (catalog.meixner_classical_moments), an independent route
     sources = [(["--couple-file", str(path)], True)]
     for spec in catalog.default_sample_specs():
         if spec.family in (catalog.CHARLIER_EQ13, catalog.MEIXNER_EQ14):
@@ -323,14 +323,15 @@ def test_node_series_reads_one_stirling_table_per_evaluation(capsys, monkeypatch
         monkeypatch.setattr(catalog, name, wrapper)
 
     counted("stirling2_rows", reads)
-    counted("meixner_functional_exact", evaluations)
+    counted("meixner_moments", evaluations)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == plain and code == 0
     rows = json.loads(out)["rows"]
     assert {row["cross_check"]["evaluator"] for row in rows} == {"meixner-node-series"}
-    # x^m is evaluated once per row, and each evaluation reads the rows S(0..m, .) once
-    assert len(evaluations) == len(rows) == 2 * 9
-    assert reads == [(f.degree(), f.degree()) for *_, f in evaluations]
+    # one moment row per functional index, each reading the rows S(0..8, .) once
+    assert len(rows) == 2 * 9
+    assert [(r, order) for *_, r, order in evaluations] == [(0, 8), (1, 8)]
+    assert reads == [(8, 8), (8, 8)]
 
 
 def test_verify_reports_are_byte_identical(tmp_path, capsys):
@@ -438,8 +439,10 @@ def test_functionals_csv_annotations(capsys):
 def test_functionals_cross_check_mismatch_exits_1(fmt, marker, monkeypatch, capsys):
     # an evaluator that disagrees from m = 1 on: every format prints the
     # disagreement, and the exit code reports it
-    monkeypatch.setattr(catalog, "explicit_functional",
-                        lambda spec: ("wrong", lambda i, f: Fraction(int(f.degree() == 0))))
+    def row(i, order):                                  # the row 1, 0, ..., 0
+        return (Fraction(1),) + (Fraction(0),) * order
+
+    monkeypatch.setattr(catalog, "explicit_functional", lambda spec: ("wrong", row))
     code, out, _ = run(capsys, "functionals", "--family", "laguerre-eq9", "--d", "1",
                        "--param", "alpha=0", "--order", "2", "--format", fmt)
     assert code == 1
@@ -545,7 +548,7 @@ def test_internal_errors_are_not_read_as_bad_input(monkeypatch, capsys):
         main(["expand", "--order", "3", *LAGUERRE_D1])
 
     def remainder(*args, **kwargs):
-        raise BackSubstitutionError(n=1, remainder=cli.Poly.x())
+        raise BackSubstitutionError(n=1, remainder=dsheffer.Poly.x())
 
     monkeypatch.undo()
     # only verify back-substitutes; recurrence reads its rows off the couple

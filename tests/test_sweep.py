@@ -33,6 +33,18 @@ def test_the_corpus_covers_every_subcommand_format_and_source_kind(tmp_path):
     for source, d in sources:
         for e in (d - 1, d + 1):
             assert ("verify", *source, "--order", "48", "--check-d", str(e)) in argvs
+    # functionals at order 40 on every sample and on the specs off the
+    # defaults, among them a negative c with closed-form rows and c = -9 without
+    specs = [*catalog.default_sample_specs(),
+             *(catalog.FamilySpec(family=f, d=d, params=p) for f, d, p in sweep.CROSS_CHECK_SPECS)]
+    assert any(catalog.explicit_functional(s) is None and s.param("c") == -9
+               for s in specs if s.family == catalog.MEIXNER_EQ16)
+    assert any(catalog.explicit_functional(s) and s.param("c") < 0
+               for s in specs if s.family == catalog.MEIXNER_EQ16)
+    for spec in specs:
+        for fmt in render.FORMATS:
+            assert ("functionals", *sweep.load_workloads()._family_argv(spec),
+                    "--order", "40", "--format", fmt) in argvs, (spec, fmt)
     # the irregular and edge couples, and the refused files
     for name in [*sweep.EDGE_COUPLES, *(f"bad-{key}" for key in sweep.BAD_FILES)]:
         assert ("verify", "--couple-file", f"{name}.json", "--order", "3") in argvs, name
