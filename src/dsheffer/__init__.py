@@ -1,13 +1,6 @@
 """Exact construction and verification of d-orthogonal Sheffer polynomial sets."""
 
-from dsheffer.exactnum import (
-    Rat,
-    binomial,
-    format_rational,
-    parse_rational,
-    pochhammer,
-    stirling2,
-)
+from dsheffer.exactnum import parse_rational
 from dsheffer.series import Poly, Series
 from dsheffer.sheffer import (
     CoupleFileError,
@@ -48,7 +41,7 @@ from dsheffer.dorth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rat", "binomial", "format_rational", "parse_rational", "pochhammer", "stirling2",
+    "parse_rational",
     "Poly", "Series",
     "CoupleFileError", "CoupleSpec", "InvalidCoupleError", "NotDOrthogonalShefferError",
     "PolySequence", "ShefferPair", "check_conditions", "couple_from_json_dict",

@@ -1,4 +1,4 @@
-"""Exact rational scalars and the combinatorial primitives built on them.
+"""Exact rational scalars, their integer vector form, and Stirling-2 rows.
 
 Every value is an exact rational, so equality tests (the heart of every
 verification here) are exact.  Rationals serialize as "p/q" strings ("p"
@@ -12,7 +12,8 @@ closed form to the kernels (the couple's recurrence rows, `pair_from_couple`
 and `catalog.family_generating`), and every kernel after them reads that
 form directly, so a multiply-add costs no gcd and each result is reduced
 once, by `content_reduced`, one content gcd per vector.  `ratio_strings`
-prints that form back, one gcd per value and no Fraction."""
+prints that form back, one gcd per value and no Fraction.  `stirling2_rows`
+gives the rows of Stirling numbers that `catalog.meixner_moments` reads."""
 
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ import math
 import re
 from collections.abc import Sequence
 from fractions import Fraction
-
-Rat = Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")    # ASCII digits only
 
@@ -53,11 +52,6 @@ def exact(value) -> Fraction:
     return Fraction(value)
 
 
-def format_rational(value: Fraction) -> str:
-    # Fraction.__str__ already prints the reduced p/q (or p) form.
-    return str(exact(value))
-
-
 def scaled(values: Sequence) -> tuple[list[int], int]:
     """Integer numerators of rationals over their least common denominator D.
 
@@ -87,22 +81,6 @@ def ratio_strings(nums: Sequence[int], den: int) -> list[str]:
             for v in nums]
 
 
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); 0 when k > n, error on negatives."""
-    return math.comb(n, k)
-
-
-def pochhammer(a: Fraction | int, n: int) -> Fraction:
-    """Rising factorial a (a+1) ... (a+n-1), with the empty product = 1."""
-    if n < 0:
-        raise ValueError("pochhammer needs n >= 0")
-    a = exact(a)
-    out = Fraction(1)
-    for k in range(n):
-        out *= a + k
-    return out
-
-
 def stirling2_rows(m: int, width: int):
     """Yield the rows S(r, 0..min(r, width)) for r = 0..m, each from the one before.
 
@@ -115,17 +93,3 @@ def stirling2_rows(m: int, width: int):
                + ([1] if r <= width else []))
         yield row
 
-
-def stirling2(m: int, k: int) -> int:
-    """Stirling numbers of the second kind S(m, k).
-
-    Counts partitions of an m-set into k nonempty blocks.  Computed row by
-    row, each row cut at column k, so S(2000, 3) costs 2000 short rows and
-    no recursion.
-    """
-    if m < 0 or k < 0:
-        raise ValueError("stirling2 needs m, k >= 0")
-    if k > m:
-        return 0
-    *_, row = stirling2_rows(m, k)
-    return row[k]

@@ -138,7 +138,7 @@ class FunctionalVector:
     order); the moment rows come off the same solution.  rows[i] is the
     Series of moments <u_i, x^j> for j <= order, as integer numerators over
     one denominator, the form that dorth's checks read; the functionals read
-    nothing else.  moments[i][j] is the same table as Fractions.
+    nothing else.
     """
 
     __slots__ = ("hstar", "d", "rows")
@@ -155,10 +155,6 @@ class FunctionalVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("FunctionalVector is immutable")
-
-    @property
-    def moments(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(row.coeffs for row in self.rows)
 
     @property
     def order(self) -> int:

@@ -31,7 +31,7 @@ a series, so those live with the tests' reference routes, on these kernels.
 `Poly.coeff_strings` puts each nums[i] / den in lowest terms by one gcd
 (`exactnum.ratio_strings`) and makes no Fraction.  `poly_text` and
 `poly_latex` print such a list of strings as a signed sum through one
-walker; `Poly.pretty` and `Poly.latex` are those over `coeff_strings()`.
+walker; `Poly.pretty` is `poly_text` over `coeff_strings()`.
 A Poly keeps no strings: a caller that prints one polynomial twice
 (`cli.cmd_expand`) reduces it once and passes the list to both printers.
 
@@ -135,16 +135,8 @@ class Poly(_Vector):
         return cls.of((1,), 1)
 
     @classmethod
-    def x(cls) -> "Poly":
-        return cls.of((0, 1), 1)
-
-    @classmethod
     def constant(cls, c) -> "Poly":
         return cls((c,))
-
-    @classmethod
-    def monomial(cls, k: int, c=1) -> "Poly":
-        return cls((0,) * k + (c,))
 
     def degree(self) -> int | None:
         # degree of the zero polynomial is None, not -1 or -inf
@@ -152,15 +144,6 @@ class Poly(_Vector):
 
     def coeff(self, k: int) -> Fraction:
         return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.nums:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.nums[-1], self.den)
-
-    def is_zero(self) -> bool:
-        return not self.nums
 
     def __bool__(self) -> bool:
         return bool(self.nums)
@@ -205,12 +188,6 @@ class Poly(_Vector):
             out = out * self
         return out
 
-    def __call__(self, value):
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * value + c
-        return out
-
     def derivative(self) -> "Poly":
         return Poly.of([k * v for k, v in enumerate(self.nums) if k], self.den)
 
@@ -229,10 +206,6 @@ class Poly(_Vector):
     def pretty(self, var: str = "x") -> str:
         """The nonzero terms, top degree first, as "-2*x^2 + 1/2" (see poly_text)."""
         return poly_text(self.coeff_strings(), var)
-
-    def latex(self, var: str = "x") -> str:
-        """The same sum in LaTeX (see poly_latex)."""
-        return poly_latex(self.coeff_strings(), var)
 
     def __repr__(self) -> str:
         return f"Poly({self.pretty()})"
@@ -273,9 +246,6 @@ class Series(_Vector):
         if order > self.order:
             raise ValueError(f"cannot truncate order {self.order} up to {order}")
         return Series.of(self.nums[:order + 1], self.den)
-
-    def constant_term(self) -> Fraction:
-        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):

@@ -6,17 +6,24 @@ tests can compare the two independently.  Only the tests need `mpmath`.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from mpmath import mp, mpf
 
 from dsheffer.catalog import _meixner_gates
-from dsheffer.exactnum import binomial
 from dsheffer.series import Poly
 
 
 def _to_mpf(x: Fraction):
     return mpf(x.numerator) / mpf(x.denominator)
+
+
+def _at(coeffs, x: Fraction) -> Fraction:
+    # the polynomial with these coefficients, lowest degree first, at x (Horner)
+    out = Fraction(0)
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
 
 def meixner_functional_numeric(d: int, c: Fraction, beta: Fraction,
@@ -33,7 +40,8 @@ def meixner_functional_numeric(d: int, c: Fraction, beta: Fraction,
     deg = f.degree()
     if deg is None:
         return mpf(0)
-    abs_f = Poly(tuple(abs(fc) for fc in f.coeffs))
+    fs = f.coeffs
+    abs_fs = tuple(abs(fc) for fc in fs)
     with mp.workdps(dps):
         z = _to_mpf(d * c / (1 - c))
         big_m = _to_mpf(1 - d * c / (c - 1))
@@ -48,16 +56,16 @@ def meixner_functional_numeric(d: int, c: Fraction, beta: Fraction,
             inner = mpf(0)
             j = 0
             while True:
-                inner += base * _to_mpf(f(Fraction(j)))
+                inner += base * _to_mpf(_at(fs, Fraction(j)))
                 nxt = base * (b_mp + j) * z / (big_m * (j + 1))
                 ratio_bound = (w_abs * (1 + (abs(b_mp) + 1) / (j + 1))
                                * ((j + 2) / (j + 1)) ** deg)
-                tail_bound = abs(nxt) * _to_mpf(abs_f(Fraction(j + 1))) / (1 - q)
+                tail_bound = abs(nxt) * _to_mpf(_at(abs_fs, Fraction(j + 1))) / (1 - q)
                 if j > deg and ratio_bound <= q and tail_bound < tol * (1 + abs(inner)):
                     break
                 base = nxt
                 j += 1
                 if j > 100000:  # pragma: no cover
                     raise RuntimeError("node series failed to converge numerically")
-            total += binomial(r, i) * (-1) ** i * inner
+            total += comb(r, i) * (-1) ** i * inner
         return total / factorial(r)

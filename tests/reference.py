@@ -12,7 +12,7 @@ kernel of `series`), the lowering ODE,
 `expand_from_couple`, the couple's recurrence rows (`fraction_table` builds
 a `RecurrenceTable` from such rows) and the generating-function expansion,
 which now run on integers with one running or common denominator, and for
-`Poly.pretty`, `Poly.latex` and `Poly.coeff_strings`, which now read each
+`Poly.pretty`, `poly_latex` and `Poly.coeff_strings`, which now read each
 coefficient's lowest-terms numerator and denominator from the stored
 integer form instead of building, comparing and negating Fractions.
 
@@ -60,12 +60,12 @@ closed form returned a whole moment row (`catalog.meixner_classical_moments`).
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from dsheffer import Poly, PolySequence, Series, ShefferPair, functional_eval
 from dsheffer import catalog
 from dsheffer.dorth import BackSubstitutionError, RecurrenceTable, WindowViolationError
-from dsheffer.exactnum import exact, pochhammer, scaled, stirling2
+from dsheffer.exactnum import exact, scaled, stirling2_rows
 from dsheffer.series import _first_order, _recurrence
 
 
@@ -136,7 +136,7 @@ def hankel_cells(seq, v) -> tuple[list, list]:
     """
     top = seq.max_index
     cells, unchecked = [], []
-    moments, cs = v.moments, [seq[n].coeffs for n in range(top + 1)]
+    moments, cs = [row.coeffs for row in v.rows], [seq[n].coeffs for n in range(top + 1)]
     for k in range(v.d):
         mu = moments[k]
         for n in range(top + 1):
@@ -234,7 +234,7 @@ def base_values(f: Poly, omega=None) -> list[Fraction]:
     values = []
     g = f
     for _ in f.coeffs:                         # B lowers the degree of f each time
-        values.append(g(Fraction(0)))
+        values.append(g.coeff(0))
         g = base(g, omega)
     return values
 
@@ -242,7 +242,7 @@ def base_values(f: Poly, omega=None) -> list[Fraction]:
 @lru_cache(maxsize=None)
 def monomial_base_values(omega, order: int) -> tuple[list[Fraction], ...]:
     """base_values of x^0..x^order; they depend on the base operator only."""
-    return tuple(base_values(Poly.monomial(j), omega) for j in range(order + 1))
+    return tuple(base_values(Poly((0,) * j + (1,)), omega) for j in range(order + 1))
 
 
 def stepped_moments(ws, omega, order) -> tuple[tuple[Fraction, ...], ...]:
@@ -391,7 +391,7 @@ def fraction_pretty(poly, var: str = "x") -> str:
 
 
 def fraction_latex(poly, var: str = "x") -> str:
-    """Poly.latex by Fraction comparisons and negation."""
+    """poly_latex(poly.coeff_strings(), var) by Fraction comparisons and negation."""
     cs = poly.coeffs
     if not cs:
         return "0"
@@ -440,17 +440,17 @@ def fraction_recurrence_rows(seq, d) -> list[tuple[Fraction, ...]]:
     dorth.extract_recurrence; the regularity decision on the rows is left
     to the caller.
     """
-    x = Poly.x()
+    x = Poly((0, 1))
     rows = []
     for n in range(seq.max_index):
         q = seq[n] * x
         coeffs = {}
         for j in range(n + 1, -1, -1):
-            cj = q.coeff(j) / seq[j].leading
+            cj = q.coeff(j) / seq[j].coeff(seq[j].degree())
             if cj:
                 q = q - seq[j] * cj
             coeffs[j] = cj
-        if not q.is_zero():
+        if q:
             raise BackSubstitutionError(n=n, remainder=q)
         for j in range(0, n - d):
             if coeffs[j]:
@@ -568,13 +568,13 @@ def stirling_classical_meixner(c, beta, f) -> Fraction:
     c, beta = Fraction(c), Fraction(beta)
     z = c / (1 - c)
     total = Fraction(0)
-    for m, fm in enumerate(f.coeffs):
+    top = len(f.coeffs) - 1
+    for fm, row in zip(f.coeffs, stirling2_rows(top, top)):
         if fm == 0:
             continue
         s = Fraction(0)
-        for k in range(m + 1):
-            s2 = stirling2(m, k)
+        for k, s2 in enumerate(row):
             if s2:
-                s += s2 * pochhammer(beta, k) * z ** k
+                s += s2 * prod(beta + i for i in range(k)) * z ** k
         total += fm * s
     return total

@@ -46,7 +46,7 @@ F = Fraction
 
 
 def mono(m: int) -> Poly:
-    return Poly.monomial(m) if m else Poly.one()
+    return Poly((0,) * m + (1,))
 
 
 def spec_of(family, d, params=None, aux=None):

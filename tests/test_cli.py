@@ -282,9 +282,7 @@ def test_verify_and_functionals_read_no_stirling_row(tmp_path, capsys, monkeypat
 
     for module in (exactnum, catalog):                 # every binding of the name
         monkeypatch.setattr(module, "stirling2_rows", refuse)
-    with pytest.raises(AssertionError):
-        exactnum.stirling2(3, 1)                       # the guard does bite
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError):                # the guard does bite
         catalog.meixner_classical_moments(Fraction(1, 2), 1, 1)
     path = tmp_path / "c.json"
     path.write_text(APP1)
@@ -548,7 +546,7 @@ def test_internal_errors_are_not_read_as_bad_input(monkeypatch, capsys):
         main(["expand", "--order", "3", *LAGUERRE_D1])
 
     def remainder(*args, **kwargs):
-        raise BackSubstitutionError(n=1, remainder=dsheffer.Poly.x())
+        raise BackSubstitutionError(n=1, remainder=dsheffer.Poly((0, 1)))
 
     monkeypatch.undo()
     # only verify back-substitutes; recurrence reads its rows off the couple

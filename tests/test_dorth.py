@@ -104,7 +104,7 @@ def test_recurrence_needs_enough_polynomials():
 
 def test_back_substitution_remainder_raises_typed_error():
     # P_2 has degree 1, so x P_1 = x^2 cannot be written in P_0..P_2
-    seq = UncheckedSequence([Poly.one(), Poly.x(), Poly((1, 1)), Poly.monomial(3)])
+    seq = UncheckedSequence([Poly.one(), Poly((0, 1)), Poly((1, 1)), Poly((0, 0, 0, 1))])
     with pytest.raises(BackSubstitutionError) as info:
         extract_recurrence(seq, 1)
     assert info.value.n == 1
@@ -188,7 +188,7 @@ def test_orthogonality_refuses_a_sequence_off_exact_degree():
     # one guard, so such a sequence never reaches verify_d_orthogonality
     seq, v, _ = build(LAGUERRE, 6)
     polys = list(seq)
-    polys[4] = polys[4] + Poly.monomial(5)
+    polys[4] = polys[4] + Poly((0,) * 5 + (1,))
     with pytest.raises(ValueError, match="P_4 must have degree exactly 4"):
         verify_d_orthogonality(PolySequence(tuple(polys)), v)
 
@@ -226,7 +226,7 @@ def test_orthogonality_needs_a_row_for_every_functional():
     spec = catalog.default_spec(catalog.MEIXNER_EQ16, 3)
     v = FunctionalVector(catalog.family_couple(spec), 6, d=3)
     with pytest.raises(ValueError, match=r"^need the sequence up to P_2 at least, got P_1$"):
-        verify_d_orthogonality(PolySequence((Poly.one(), Poly.x())), v)
+        verify_d_orthogonality(PolySequence((Poly.one(), Poly((0, 1)))), v)
 
 
 # ---------------------------------------------------------------- duality

@@ -1,4 +1,4 @@
-"""Exact helpers: rational parsing, binomials, Pochhammer, Stirling numbers, scaling."""
+"""Exact helpers: rational parsing and printing, Stirling rows, scaling."""
 
 import os
 import subprocess
@@ -13,14 +13,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dsheffer
-from dsheffer import Poly, Series, binomial, format_rational, parse_rational, pochhammer, stirling2
+from dsheffer import Poly, Series, parse_rational
 from dsheffer.catalog import (
     FamilySpec,
     laguerre2_moments,
     meixner_classical_moments,
     meixner_moments,
 )
-from dsheffer.exactnum import exact, scaled
+from dsheffer.exactnum import exact, ratio_strings, scaled, stirling2_rows
 from dsheffer.sheffer import CoupleSpec
 
 
@@ -52,58 +52,31 @@ def test_parse_rejects_non_exact_forms(bad):
 
 
 def test_format_is_canonical():
-    assert format_rational(Fraction(-2, 3)) == "-2/3"
-    assert format_rational(Fraction(4)) == "4"
-    assert format_rational(Fraction(2, 4)) == "1/2"
+    # ratio_strings prints nums[i] / den in lowest terms, as str(Fraction) does
+    assert ratio_strings([-2, 4, 2], 3) == ["-2/3", "4/3", "2/3"]
+    assert ratio_strings([8, 2, 0], 2) == ["4", "1", "0"]
+    assert ratio_strings([2], 4) == ["1/2"]
 
 
 @given(st.fractions())
 def test_format_parse_roundtrip(q):
-    assert parse_rational(format_rational(q)) == q
+    (text,) = ratio_strings([q.numerator], q.denominator)
+    assert text == str(q) and parse_rational(text) == q
 
 
 def test_format_takes_integers():
-    assert format_rational(-7) == "-7"
+    assert ratio_strings([-7], 1) == ["-7"]
 
 
 @pytest.mark.parametrize("value", [0.1, 0.5, 2.0, -0.0])
 def test_format_rejects_floats(value):
-    # 0.1 would otherwise print its binary expansion, 3602879701896397/36028797018963968
+    # Fraction(0.1) would be its binary expansion, 3602879701896397/36028797018963968
     with pytest.raises(TypeError, match="not exact"):
-        format_rational(value)
-
-
-# ---------------------------------------------------------------- binomial
-
-def test_binomial_row():
-    assert [binomial(4, k) for k in range(5)] == [1, 4, 6, 4, 1]
-
-
-def test_binomial_out_of_range_is_zero():
-    assert binomial(3, 5) == 0
-
-
-# ---------------------------------------------------------------- pochhammer
-
-def test_pochhammer_frozen_values():
-    assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
-    assert pochhammer(3, 2) == 12
-    assert pochhammer(Fraction(-1, 2), 2) == Fraction(-1, 4)
-
-
-def test_pochhammer_empty_product():
-    assert pochhammer(Fraction(7, 3), 0) == 1
-
-
-@pytest.mark.parametrize("a, n", [(0.5, 2), (3.0, 1), (0.25, 0)])
-def test_pochhammer_rejects_floats(a, n):
-    with pytest.raises(TypeError, match="not exact"):
-        pochhammer(a, n)
+        exact(value)
 
 
 EXACT_BUILDERS = (
-    format_rational,
-    lambda v: pochhammer(v, 1),
+    exact,
     lambda v: Poly((v,)),
     lambda v: Series((v,)),
     lambda v: CoupleSpec(d=1, gamma=(v, 1), sigma=(1, 0, 1)),
@@ -133,28 +106,7 @@ def test_exact_reads_strings_as_rationals_only(text):
             build(text)
 
 
-def test_pochhammer_hits_zero_at_nonpositive_integers():
-    assert pochhammer(-2, 3) == 0
-    assert pochhammer(-2, 2) == 2
-
-
-small_fractions = st.fractions(max_denominator=20, min_value=-10, max_value=10)
-
-
-@given(small_fractions, st.integers(0, 8), st.integers(0, 8))
-def test_pochhammer_additivity(a, m, n):
-    assert pochhammer(a, m + n) == pochhammer(a, m) * pochhammer(a + m, n)
-
-
-@given(small_fractions, st.integers(0, 20))
-def test_pochhammer_duplication(alpha, k):
-    # (alpha+1)_{2k} = 4^k ((alpha+1)/2)_k ((alpha+2)/2)_k
-    lhs = pochhammer(alpha + 1, 2 * k)
-    rhs = 4**k * pochhammer((alpha + 1) / 2, k) * pochhammer((alpha + 2) / 2, k)
-    assert lhs == rhs
-
-
-# ---------------------------------------------------------------- stirling2
+# ---------------------------------------------------------------- stirling2_rows
 
 def brute_stirling2(m: int, k: int) -> int:
     """Count the set partitions of {0..m-1} into k nonempty blocks directly."""
@@ -177,45 +129,46 @@ def brute_stirling2(m: int, k: int) -> int:
 
 
 def test_stirling2_frozen_values():
-    assert stirling2(0, 0) == 1
-    assert stirling2(3, 2) == 3
-    assert stirling2(4, 2) == 7
-    assert stirling2(5, 3) == 25
-    assert stirling2(3, 0) == 0
-    assert stirling2(2, 5) == 0
+    assert list(stirling2_rows(5, 5)) == [
+        [1], [0, 1], [0, 1, 1], [0, 1, 3, 1], [0, 1, 7, 6, 1], [0, 1, 15, 25, 10, 1]]
+    assert list(stirling2_rows(5, 2))[-1] == [0, 1, 15]     # rows cut at column 2
+    assert list(stirling2_rows(2, 5))[-1] == [0, 1, 1]      # S(2, k) = 0 for k > 2
 
 
 def test_stirling2_matches_partition_count():
-    for m in range(7):
-        for k in range(m + 2):
-            assert stirling2(m, k) == brute_stirling2(m, k), (m, k)
+    for m, row in enumerate(stirling2_rows(6, 6)):
+        assert row == [brute_stirling2(m, k) for k in range(m + 1)], m
+        assert brute_stirling2(m, m + 1) == 0
 
 
-@given(st.integers(1, 30), st.integers(1, 30))
-def test_stirling2_recurrence(m, k):
-    assert stirling2(m, k) == k * stirling2(m - 1, k) + stirling2(m - 1, k - 1)
-
-
-def test_stirling2_rejects_negative_arguments():
-    for m, k in ((-1, 0), (0, -1), (-3, -2)):
-        with pytest.raises(ValueError):
-            stirling2(m, k)
+@given(st.integers(1, 30), st.integers(0, 30))
+def test_stirling2_recurrence(m, width):
+    # each row cut at `width` is the recurrence on the row before it, cut alike
+    rows = list(stirling2_rows(m, width))
+    assert len(rows) == m + 1 and all(len(row) == min(r, width) + 1 for r, row in enumerate(rows))
+    prev, row = rows[-2], rows[-1]
+    for k in range(1, len(row)):
+        assert row[k] == k * (prev[k] if k < len(prev) else 0) + prev[k - 1], (m, width, k)
 
 
 @given(st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)), max_size=12))
 def test_stirling2_matches_the_explicit_sum_in_any_query_order(queries):
     # S(m, k) = (1/k!) sum_i (-1)^i C(k, i) (k - i)^m; narrow and wide k interleave
     for m, k in queries:
+        *_, row = stirling2_rows(m, k)
         explicit = sum((-1) ** i * comb(k, i) * (k - i) ** m for i in range(k + 1))
-        assert stirling2(m, k) == explicit // factorial(k), (m, k)
+        assert len(row) == min(m, k) + 1
+        assert (row[k] if k <= m else 0) == explicit // factorial(k), (m, k)
 
 
 def test_stirling2_on_a_cold_cache_at_m_2000():
-    # a fresh interpreter, so no smaller row is cached; S(m, 3) = (3^m - 3 2^m + 3) / 6
+    # a fresh interpreter, and rows cut at column 3: 2000 short rows, no recursion;
+    # S(m, 3) = (3^m - 3 2^m + 3) / 6
     env = {**os.environ, "PYTHONPATH": str(Path(dsheffer.__file__).parents[1])}
+    code = ("from dsheffer.exactnum import stirling2_rows; "
+            "*_, row = stirling2_rows(2000, 3); print(row[3])")
     out = subprocess.run(
-        [sys.executable, "-c", "from dsheffer import stirling2; print(stirling2(2000, 3))"],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
     )
     assert int(out.stdout) == (3 ** 2000 - 3 * 2 ** 2000 + 3) // 6
 

@@ -20,6 +20,7 @@ d and d +- 1 alike.
 
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -36,7 +37,6 @@ from dsheffer import (
     verify_d_orthogonality,
 )
 from dsheffer import catalog
-from dsheffer.exactnum import binomial
 from sweep import load_workloads
 
 F = Fraction
@@ -84,8 +84,8 @@ def test_the_scaled_couple_scales_every_quantity(name, c):
     rows_c = recurrence_from_couple(other, N).rows
     assert rows_c == tuple(tuple(a * c ** (d - k) for k, a in enumerate(row)) for row in rows)
 
-    mu = FunctionalVector(couple, 2 * N, d).moments
-    mu_c = FunctionalVector(other, 2 * N, d).moments
+    mu = tuple(r.coeffs for r in FunctionalVector(couple, 2 * N, d).rows)
+    mu_c = tuple(r.coeffs for r in FunctionalVector(other, 2 * N, d).rows)
     assert mu_c == tuple(tuple(v * c ** -k for v in row) for k, row in enumerate(mu))
 
     for check_d in check_ds(couple):
@@ -115,10 +115,10 @@ def test_the_shifted_couple_shifts_every_quantity(name, a, b):
     assert rows_ab == tuple(tuple((v - b if k == d else v) / a for k, v in enumerate(row))
                             for row in rows)
 
-    mu = FunctionalVector(couple, 2 * N, d).moments
-    mu_ab = FunctionalVector(other, 2 * N, d).moments
+    mu = tuple(r.coeffs for r in FunctionalVector(couple, 2 * N, d).rows)
+    mu_ab = tuple(r.coeffs for r in FunctionalVector(other, 2 * N, d).rows)
     assert mu_ab == tuple(
-        tuple(sum(binomial(j, i) * (-b) ** (j - i) * row[i] for i in range(j + 1)) / a ** j
+        tuple(sum(comb(j, i) * (-b) ** (j - i) * row[i] for i in range(j + 1)) / a ** j
               for j in range(len(row)))
         for row in mu)
 

@@ -8,17 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsheffer import Poly, Series
+from dsheffer.series import poly_latex
 from dsheffer.exactnum import scaled
 from reference import exp, from_poly, integrate, log, pow_rat
 
 F = Fraction
 
 
+def horner(p: Poly, value) -> Fraction:
+    """p(value), by Horner's rule over the coefficients."""
+    out = Fraction(0)
+    for c in reversed(p.coeffs):
+        out = out * value + c
+    return out
+
+
 # ================================================================ Poly
 
 def test_poly_trims_trailing_zeros():
     assert Poly((1, 2, 0, 0)) == Poly((1, 2))
-    assert Poly((0, 0)).is_zero
+    assert not Poly((0, 0)) and Poly((0, 0)).degree() is None
     assert Poly(()).degree() is None
     assert Poly((5,)).degree() == 0
 
@@ -57,7 +66,7 @@ def test_poly_arithmetic():
     assert p - p == Poly(())
     assert p * q == Poly((0, 0, 1, 2))
     assert p * F(1, 2) == Poly((F(1, 2), 1))
-    assert (p + q)(F(1, 2)) == F(9, 4)
+    assert horner(p + q, F(1, 2)) == F(9, 4)
 
 
 def test_poly_cancellation_trims():
@@ -72,7 +81,7 @@ def test_poly_pow():
 
 def test_poly_derivative():
     assert Poly((5, 3, 0, 2)).derivative() == Poly((3, 0, 6))
-    assert Poly((7,)).derivative().is_zero
+    assert not Poly((7,)).derivative()
 
 
 def test_poly_shift():
@@ -81,26 +90,18 @@ def test_poly_shift():
     assert Poly((0, 1)).shift(F(-1, 2)) == Poly((F(-1, 2), 1))
 
 
-def test_poly_evaluation_matches_horner_by_hand():
-    p = Poly((2, -4, 1))
-    assert p(0) == 2
-    assert p(F(3)) == 2 - 12 + 9 == -1
-
-
 def test_poly_pretty_and_latex():
     p = Poly((2, -4, 1))
     assert p.pretty() == "x^2 - 4*x + 2"
-    assert p.latex() == "x^{2} - 4 x + 2"
+    assert poly_latex(p.coeff_strings()) == "x^{2} - 4 x + 2"
     q = Poly((F(1, 2), 0, F(-3, 2), 1))
     assert q.pretty() == "x^3 - 3/2*x^2 + 1/2"
-    assert q.latex() == "x^{3} - \\frac{3}{2} x^{2} + \\frac{1}{2}"
+    assert poly_latex(q.coeff_strings()) == "x^{3} - \\frac{3}{2} x^{2} + \\frac{1}{2}"
     assert Poly(()).pretty() == "0"
     assert Poly((0, 1)).pretty("t") == "t"
 
 
 def test_poly_constructors():
-    assert Poly.x() == Poly((0, 1))
-    assert Poly.monomial(3, F(1, 2)) == Poly((0, 0, 0, F(1, 2)))
     assert Poly.constant(F(2, 3)).degree() == 0
 
 
@@ -111,15 +112,15 @@ poly_coeffs = st.lists(st.fractions(max_denominator=8, min_value=-8, max_value=8
 @given(poly_coeffs, poly_coeffs, st.fractions(max_denominator=6, min_value=-4, max_value=4))
 def test_poly_product_evaluation_homomorphism(a, b, x):
     p, q = Poly(a), Poly(b)
-    assert (p * q)(x) == p(x) * q(x)
-    assert (p + q)(x) == p(x) + q(x)
+    assert horner(p * q, x) == horner(p, x) * horner(q, x)
+    assert horner(p + q, x) == horner(p, x) + horner(q, x)
 
 
 @given(poly_coeffs, st.fractions(max_denominator=6, min_value=-4, max_value=4),
        st.fractions(max_denominator=6, min_value=-4, max_value=4))
 def test_poly_shift_evaluates_correctly(a, w, x):
     p = Poly(a)
-    assert p.shift(w)(x) == p(x + w)
+    assert horner(p.shift(w), x) == horner(p, x + w)
 
 
 # ================================================================ Series basics
@@ -127,7 +128,7 @@ def test_poly_shift_evaluates_correctly(a, w, x):
 def test_series_orders():
     s = Series((1, 2, 3))
     assert s.order == 2
-    assert s.constant_term() == 1
+    assert s.coeffs[0] == 1
     assert Series.identity(5).coeffs == (0, 1, 0, 0, 0, 0)
     assert Series.constant(F(1), 3).coeffs == (1, 0, 0, 0)
     assert Series.monomial(2, 4).coeffs == (0, 0, 1, 0, 0)
@@ -180,7 +181,7 @@ def test_of_any_multiple_of_the_form_equals_the_public_constructor(coeffs, m):
 
 def test_of_reduces_the_zero_polynomial_to_denominator_one():
     z = Poly.of((0, 0), 5)
-    assert z == Poly.zero() and z.is_zero() and z.degree() is None
+    assert z == Poly.zero() and not z and z.degree() is None
     assert z.nums == () and z.den == 1
     assert Series.of((0, 0), -5).nums == (0, 0) and Series.of((0, 0), -5).den == 1
 

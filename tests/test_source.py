@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import dsheffer
 
 SOURCE = Path(dsheffer.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_no_module_guards_with_assert():
@@ -25,6 +27,45 @@ def test_no_module_guards_with_assert():
 def test_every_exported_name_resolves():
     missing = [name for name in dsheffer.__all__ if not hasattr(dsheffer, name)]
     assert not missing, missing
+
+
+# the public names that nothing but the tests reads, kept on purpose: the
+# catalog's non-raising validation API (family_couple raises on the same verdict)
+UNREAD_PUBLIC = {"catalog.validate_params"}
+
+
+def public_definitions():
+    """(module, qualified name, name) of each public top-level function, class and method."""
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                yield path.stem, node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield path.stem, f"{node.name}.{item.name}", item.name
+
+
+def test_every_public_name_has_a_reader():
+    # a public name is read by package code (a name, an attribute or an
+    # import), exported by dsheffer, or read by the benchmark; anything else
+    # is surface that only tests keep alive
+    read = set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    benchmark = {word for path in PERFBENCH.iterdir() if path.is_file()
+                 for word in re.findall(r"\w+", path.read_text())}
+    unread = {f"{module}.{qualname}" for module, qualname, name in public_definitions()
+              if name not in read | benchmark and qualname not in dsheffer.__all__}
+    assert unread == UNREAD_PUBLIC
 
 
 def test_importing_the_cli_loads_no_typing():
