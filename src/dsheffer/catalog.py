@@ -26,21 +26,23 @@ sees pi', and exact rational arithmetic cannot represent the constant factor
 e^(pi(0)) anyway.  Discrete families are stated in the Newton form
 A(t) (1 + omega*h(t))^(x/omega); expansion goes through the equivalent
 exponential form above.  The lowering operator H*(D) and the functionals
-come from the couple alone (`family_lowering`; a difference family's
-h*(Delta_omega) is the same operator on polynomials), so a family is
-realized in closed form only for the generating pair, and its step omega
-(`family_step`) is read by that closed form alone.  The labels DERIVATIVE
-and DIFFERENCE (`FamilyInfo.kind`) say in which form the paper states a
-family.
+come from the couple alone: `verify` and `functionals` build them in
+`operators.FunctionalVector` (a difference family's h*(Delta_omega) is the
+same operator on polynomials), and `family_lowering` stays only for the
+benchmark's tracer.  So a family is realized in closed form only for the
+generating pair, and its step omega (`family_step`) is read by that closed
+form alone.  The labels DERIVATIVE and DIFFERENCE (`FamilyInfo.kind`) say
+in which form the paper states a family.
 The couples (`_couple_of`) stay written out by hand: they are the
 independent route the closed form is compared against.
 
 The Laguerre-type 2-orthogonal family and the Meixner-type family also carry
 explicit moment functionals (series in derivatives of f, respectively sums
 over integer nodes).  Like `FunctionalVector`, each closed form gives a
-functional as its moment row <u_i, x^m>, m = 0..order (`laguerre2_moments`,
-`meixner_moments`, `meixner_classical_moments`); `explicit_functional` hands
-these rows out as closed-form cross-checks for the operator route.
+functional as its moment row <u_i, x^m>, m = 0..order (`laguerre2_moments`
+and `meixner_moments`, whose d = 1 row is the classical Meixner functional);
+`explicit_functional` hands these rows out as closed-form cross-checks for
+the operator route.
 """
 
 from __future__ import annotations
@@ -101,9 +103,6 @@ class FamilySpec:
         )
         if self.aux is not None:
             object.__setattr__(self, "aux", tuple(exact(a) for a in self.aux))
-
-    def param(self, name: str) -> Fraction:
-        return self.params[name]
 
     @cached_property
     def _screened(self) -> tuple[tuple[str, ...], CoupleSpec | None]:
@@ -365,12 +364,12 @@ def _couple_of(spec: FamilySpec) -> CoupleSpec:
         sigma = base
     elif fam == MEIXNER_EQ16:
         c, beta = p["c"], p["beta"]
-        bracket = _ONE_MINUS_T ** d * ((d * c - c + 1) / (d * c)) + Poly.constant((c - 1) / (d * c))
+        bracket = _ONE_MINUS_T ** d * ((d * c - c + 1) / (d * c)) + Poly(((c - 1) / (d * c),))
         gamma = bracket * (d * c * beta / (c - 1))
         sigma = _ONE_MINUS_T * bracket * (c / (c - 1))
     elif fam == MEIXNER_EQ21:
         c, beta = p["c"], p["beta"]
-        bracket = Poly((1, -2, 1)) * ((3 * c - 1) / (2 * c)) - Poly.constant((c - 1) / (2 * c))
+        bracket = Poly((1, -2, 1)) * ((3 * c - 1) / (2 * c)) - Poly(((c - 1) / (2 * c),))
         dpi = _aux_poly(spec).derivative()
         gamma = -(_ONE_MINUS_T * bracket * dpi) * (c / (c - 1)) - bracket * (beta * c / (c - 1))
         sigma = -(_ONE_MINUS_T * bracket) * (c / (c - 1))
@@ -406,7 +405,7 @@ def family_step(spec: FamilySpec) -> Fraction | None:
     if FAMILIES[spec.family].kind == DERIVATIVE:
         return None
     if spec.family == CHARLIER_EQ13:
-        return spec.param("omega")
+        return spec.params["omega"]
     return Fraction(1)
 
 
@@ -490,18 +489,6 @@ def meixner_moments(d: int, c: Fraction, beta: Fraction,
     return tuple(Fraction(sum(map(mul, row, ints)), D) for row in stirling2_rows(order, order))
 
 
-def meixner_classical_moments(c: Fraction, beta: Fraction, order: int) -> tuple[Fraction, ...]:
-    """Moments of the classical Meixner functional (1-c)^beta sum_j (beta)_j c^j f(j)/j!.
-
-    This is `meixner_moments` at d = 1, r = 0, where w = c and the collapse
-    leaves sum_k S(m,k) (beta)_k (c/(1-c))^k.  Requires 0 < c < 1.
-    """
-    c = exact(c)
-    if not 0 < c < 1:
-        raise InvalidParameterError(f"c = {c} must lie strictly between 0 and 1")
-    return meixner_moments(1, c, beta, 0, order)
-
-
 def explicit_functional(spec: FamilySpec):
     """Closed-form moment rows for families that have them, or None.
 
@@ -520,7 +507,7 @@ def explicit_functional(spec: FamilySpec):
     if spec.family == MEIXNER_EQ14 and spec.d == 1:
         c, beta = p["c"], p["beta"]
         if 0 < c < 1:
-            return ("meixner-classical", lambda i, order: meixner_classical_moments(c, beta, order))
+            return ("meixner-classical", partial(meixner_moments, 1, c, beta))
     return None
 
 

@@ -35,7 +35,7 @@ from dsheffer.dorth import (
     verify_duality,
     verify_lowering,
 )
-from dsheffer.exactnum import parse_rational
+from dsheffer.exactnum import parse_rational, ratio_strings
 from dsheffer.operators import FunctionalVector
 from dsheffer.series import poly_latex, poly_text
 from dsheffer.sheffer import (
@@ -47,6 +47,7 @@ from dsheffer.sheffer import (
     expand_from_couple,
     expand_polynomials,
     pair_from_couple,
+    recurrence_numerators,
 )
 
 EXIT_OK = 0
@@ -177,7 +178,7 @@ def _section(passed: bool, details: dict) -> dict:
     return {"status": "pass" if passed else "fail", "details": details}
 
 
-def _recurrence_section(seq, d) -> dict:
+def _recurrence_section(seq, d, couple) -> dict:
     try:
         table = extract_recurrence(seq, d)
     except WindowViolationError as exc:
@@ -185,6 +186,16 @@ def _recurrence_section(seq, d) -> dict:
                                 "index": exc.index, "value": str(exc.value)})
     except RegularityViolationError as exc:
         return _section(False, {"error": "regularity-violation", "rows": list(exc.rows)})
+    if d == couple.d:
+        # the rows must be the couple's own (the recurrence command's), compared
+        # as cross-multiplied integers: nums / den == rows / R
+        rows, R = recurrence_numerators(couple, len(table.nums))
+        den = table.den
+        for n, (got, want) in enumerate(zip(table.nums, rows)):
+            if any(a * R != b * den for a, b in zip(got, want)):
+                return _section(False, {"error": "couple-mismatch", "n": n,
+                                        "extracted": ratio_strings(got, den),
+                                        "from_couple": ratio_strings(want, R)})
     return _section(True, table.to_jsonable())
 
 
@@ -217,7 +228,7 @@ def cmd_verify(args) -> int:
         sections["two_path"] = _section(not mismatches,
                                         {"compared_through": N, "mismatches": mismatches})
 
-    sections["recurrence"] = _recurrence_section(seq, check_d)
+    sections["recurrence"] = _recurrence_section(seq, check_d, couple)
 
     # orthogonality reads moments up to degree N + N // check_d (the cell
     # n = N // check_d, m = N); the lowering check needs only N

@@ -20,7 +20,8 @@ caller that needs the tuple reads it once.
 
 A product is an integer convolution of the two numerator vectors over the
 product of their denominators (`_convolve`), at full length for a Poly and
-truncated at the order for a Series.  Every other operation is one
+truncated at the order for a Series; `sheffer.expand_polynomials` builds
+its columns A H^k on the same kernel.  Every other operation is one
 recurrence sum_j (a_j + n b_j) c_(n-j) = r_n on integer vectors, solved by
 one kernel (`_recurrence`) over a running lcm denominator; a first-order ODE
 p f' = q f + r reaches it through `_first_order`.  `invert_mul` solves
@@ -134,10 +135,6 @@ class Poly(_Vector):
     def one(cls) -> "Poly":
         return cls.of((1,), 1)
 
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
-
     def degree(self) -> int | None:
         # degree of the zero polynomial is None, not -1 or -inf
         return len(self.nums) - 1 if self.nums else None
@@ -203,9 +200,9 @@ class Poly(_Vector):
         """Each coefficient as str(Fraction) prints it: "p" or "p/q", in lowest terms."""
         return ratio_strings(self.nums, self.den)
 
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         """The nonzero terms, top degree first, as "-2*x^2 + 1/2" (see poly_text)."""
-        return poly_text(self.coeff_strings(), var)
+        return poly_text(self.coeff_strings())
 
     def __repr__(self) -> str:
         return f"Poly({self.pretty()})"
@@ -228,11 +225,6 @@ class Series(_Vector):
     @classmethod
     def constant(cls, c, order: int) -> "Series":
         return cls((exact(c),) + (Fraction(0),) * order)
-
-    @classmethod
-    def identity(cls, order: int) -> "Series":
-        # the series t
-        return cls.monomial(1, order)
 
     @classmethod
     def monomial(cls, k: int, order: int, c=1) -> "Series":
@@ -316,7 +308,7 @@ class Series(_Vector):
             raise ValueError("reversion needs a nonzero linear coefficient")
         n = self.order
         g = Series.monomial(1, n, Fraction(self.den, a[1]))
-        ident = Series.identity(n)
+        ident = Series.monomial(1, n)
         # the derivative padded back to full order with a zero top
         # coefficient: the pad is wrong in general but only pollutes orders
         # > N after a composition with a zero-constant inner series, which
@@ -346,32 +338,32 @@ def _signed_sum(strings: Sequence[str], term) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def poly_text(strings: Sequence[str], var: str = "x") -> str:
+def poly_text(strings: Sequence[str]) -> str:
     """The polynomial with lowest-terms coefficient strings `strings`, as "-2*x^2 + 1/2"."""
     def term(k, mag):
         if not k:
             return mag
-        xk = var if k == 1 else f"{var}^{k}"
+        xk = "x" if k == 1 else f"x^{k}"
         return xk if mag == "1" else f"{mag}*{xk}"
     return _signed_sum(strings, term)
 
 
-def poly_latex(strings: Sequence[str], var: str = "x") -> str:
+def poly_latex(strings: Sequence[str]) -> str:
     """The same sum in LaTeX: "p/q" prints as \\frac{p}{q}, x^k as x^{k}."""
     def term(k, mag):
         p, _, q = mag.partition("/")
         mag_s = f"\\frac{{{p}}}{{{q}}}" if q else p
         if not k:
             return mag_s
-        xk = var if k == 1 else f"{var}^{{{k}}}"
+        xk = "x" if k == 1 else f"x^{{{k}}}"
         return xk if mag == "1" else f"{mag_s} {xk}"
     return _signed_sum(strings, term)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
     """The first `length` coefficients of the product of the integer vectors a and b."""
-    rb, top = b[::-1], len(b) - 1           # rb[top - k:] = b_k, ..., b_0
-    return ([sum(map(mul, a[:k + 1], rb[top - k:])) for k in range(min(length, top + 1))]
+    rb, top = b[::-1], len(b) - 1           # rb[top - k:] = b_k, ..., b_0, so map stops at a_k
+    return ([sum(map(mul, a, rb[top - k:])) for k in range(min(length, top + 1))]
             + [sum(map(mul, a[k - top:k + 1], rb)) for k in range(top + 1, length)])
 
 

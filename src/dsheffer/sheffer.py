@@ -32,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 from dsheffer.exactnum import exact, scaled
-from dsheffer.series import Poly, Series, _first_order
+from dsheffer.series import Poly, Series, _convolve, _first_order
 
 
 class InvalidCoupleError(ValueError):
@@ -287,15 +286,16 @@ def expand_polynomials(pair: ShefferPair, N: int) -> PolySequence:
     exp(x H) = sum_k x^k H^k / k!, so [x^k] P_n = n!/k! [t^n] (A H^k).  The
     columns A H^k are integer numerators over one denominator D_k each,
     starting from A's own form, and since H(0) = 0 column k + 1 is the
-    convolution of column k with H's numerators over n >= k + 1 only.  One
-    content gcd per column keeps D_k least, and only the current column is
-    held.  P_n collects n!/k! col_k[n] / D_k over the lcm of its D_k and is
-    handed over as integers (Poly.of); no Fraction is made.
+    convolution (`series._convolve`) of column k with H's numerators over
+    n >= k + 1 only.  One content gcd per column keeps D_k least, and only
+    the current column is held.  P_n collects n!/k! col_k[n] / D_k over the
+    lcm of its D_k and is handed over as integers (Poly.of); no Fraction is
+    made.
     """
     if pair.order < N:
         raise ValueError(f"pair order {pair.order} too small for expansion order {N}")
     col, D = pair.A.nums[:N + 1], pair.A.den   # col[n] / D = [t^n] A H^k, from k = 0
-    h, dh = pair.Hx.nums, pair.Hx.den           # h[0] = 0
+    h, dh = pair.Hx.nums[1:N + 1], pair.Hx.den  # h_1 .. h_N, as h_0 = 0
     terms = [[] for _ in range(N + 1)]          # terms[n][k] = ([x^k] P_n numerator, D_k)
     for k in range(N + 1):
         fac = 1                                 # n!/k!
@@ -304,10 +304,8 @@ def expand_polynomials(pair: ShefferPair, N: int) -> PolySequence:
                 fac *= n
             terms[n].append((col[n] * fac, D))
         if k < N:
-            # [t^n] A H^(k+1) = sum_(1<=i<=n-k) h_i [t^(n-i)] A H^k, rc[N - m] = col[m]
-            rc = col[::-1]
-            col = [0] * (k + 1) + [sum(map(mul, h[1:n - k + 1], rc[N - n + 1:N - k + 1]))
-                                   for n in range(k + 1, N + 1)]
+            # [t^n] A H^(k+1) = sum_(1<=i<=n-k) h_i [t^(n-i)] A H^k
+            col = [0] * (k + 1) + _convolve(col[k:], h, N - k)
             g = gcd(D * dh, *col)
             col, D = [c // g for c in col], D * dh // g
     polys = []

@@ -54,8 +54,8 @@ functions over a `Series` on the same kernels (`series._first_order` and
 
 `stirling_classical_meixner` is the classical (d = 1) Meixner
 functional's own Stirling-number collapse at one polynomial f, from before
-the classical functional delegated to the d-dimensional evaluator and every
-closed form returned a whole moment row (`catalog.meixner_classical_moments`).
+the classical functional became the d = 1 row of the d-dimensional evaluator
+(`catalog.meixner_moments(1, c, beta, 0, order)`).
 """
 
 from fractions import Fraction
@@ -367,7 +367,7 @@ def series_expand_polynomials(pair, N) -> PolySequence:
     ))
 
 
-def fraction_pretty(poly, var: str = "x") -> str:
+def fraction_pretty(poly) -> str:
     """Poly.pretty by Fraction comparisons, negation and str."""
     cs = poly.coeffs
     if not cs:
@@ -381,7 +381,7 @@ def fraction_pretty(poly, var: str = "x") -> str:
         if k == 0:
             body = str(mag)
         else:
-            xk = var if k == 1 else f"{var}^{k}"
+            xk = "x" if k == 1 else f"x^{k}"
             body = xk if mag == 1 else f"{mag}*{xk}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
@@ -390,8 +390,8 @@ def fraction_pretty(poly, var: str = "x") -> str:
     return " ".join(parts)
 
 
-def fraction_latex(poly, var: str = "x") -> str:
-    """poly_latex(poly.coeff_strings(), var) by Fraction comparisons and negation."""
+def fraction_latex(poly) -> str:
+    """poly_latex(poly.coeff_strings()) by Fraction comparisons and negation."""
     cs = poly.coeffs
     if not cs:
         return "0"
@@ -408,7 +408,7 @@ def fraction_latex(poly, var: str = "x") -> str:
         if k == 0:
             body = mag_s
         else:
-            xk = var if k == 1 else f"{var}^{{{k}}}"
+            xk = "x" if k == 1 else f"x^{{{k}}}"
             body = xk if mag == 1 else f"{mag_s} {xk}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
@@ -495,7 +495,7 @@ def branch_family_generating(spec, N) -> ShefferPair:
               * from_poly(Poly((1, -2, 1)), N).invert_mul())
         return ShefferPair(A=A, Hx=Hx)
     if fam == catalog.HERMITE_EQ12:
-        return ShefferPair(A=exp_pi, Hx=Series.identity(N))
+        return ShefferPair(A=exp_pi, Hx=Series.monomial(1, N))
     if fam == catalog.CHARLIER_EQ13:
         omega = p["omega"]
         Hx = log(from_poly(Poly((1, omega)), N)) * (1 / omega)

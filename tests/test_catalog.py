@@ -77,8 +77,8 @@ def test_operator_kinds():
 
 def test_family_spec_coerces_params():
     spec = spec_of(LAGUERRE_EQ9, 1, {"alpha": 0})
-    assert spec.param("alpha") == F(0)
-    assert isinstance(spec.param("alpha"), Fraction)
+    assert spec.params["alpha"] == F(0)
+    assert isinstance(spec.params["alpha"], Fraction)
 
 
 
@@ -404,25 +404,21 @@ def test_meixner_gates():
 
 
 def test_classical_meixner_moments():
-    values = list(catalog.meixner_classical_moments(F(1, 2), F(1), 4))
+    values = list(catalog.meixner_moments(1, F(1, 2), F(1), 0, 4))
     assert values == [1, 1, 3, 13, 75]
 
 
 def test_classical_meixner_needs_inner_c():
-    with pytest.raises(InvalidParameterError):
-        catalog.meixner_classical_moments(F(3, 2), F(1), 0)
-    with pytest.raises(InvalidParameterError):
-        catalog.meixner_classical_moments(F(-1, 2), F(1), 0)
+    # the classical functional is the d = 1 row only for 0 < c < 1
+    for c in ("3/2", "-1/2"):
+        assert catalog.explicit_functional(spec_of(MEIXNER_EQ14, 1, {"beta": 1, "c": c})) is None
 
 
 def test_meixner_d1_reduces_to_classical():
     for c, beta in ((F(1, 2), F(1)), (F(3, 4), F(5, 2))):
         one_d = catalog.meixner_moments(1, c, beta, 0, 6)
-        classical = catalog.meixner_classical_moments(c, beta, 6)
         for m in range(7):
-            oracle = stirling_classical_meixner(c, beta, mono(m))
-            assert one_d[m] == oracle, (c, m)
-            assert classical[m] == oracle, (c, m)
+            assert one_d[m] == stirling_classical_meixner(c, beta, mono(m)), (c, m)
 
 
 # ---------------------------------------------------------------- evaluator routing

@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 
 import dsheffer
-from dsheffer import catalog, cli, exactnum
+from dsheffer import catalog, cli, dorth, exactnum, sheffer
 from dsheffer.cli import main
 from dsheffer.dorth import BackSubstitutionError
+from sweep import load_workloads
 
 APP1 = '{"d": 1, "gamma": [-1, 1], "sigma": [-1, 2, -1]}'
 
@@ -274,6 +275,31 @@ def test_verify_check_d_window_violation(tmp_path, capsys):
     assert doc["recurrence"]["details"]["error"] == "window-violation"
 
 
+def test_verify_fails_when_the_couples_recurrence_is_wrong(tmp_path, capsys, monkeypatch):
+    # a mutant that adds 1 to alpha_0(5) in the couple's rows: verify builds
+    # the sequence from the generating pair, so only the comparison of the
+    # extracted rows with the couple's own can see it
+    real = sheffer.recurrence_numerators
+
+    def mutant(couple, top):
+        rows, R = real(couple, top)
+        if top > 5:
+            rows[5][0] += R
+        return rows, R
+
+    for module in (sheffer, dorth, cli):                # every binding of the name
+        monkeypatch.setattr(module, "recurrence_numerators", mutant, raising=False)
+    docs = [doc for seed in (1, 2, 3) for doc in load_workloads().draw_couples(seed)]
+    assert len(docs) == 27
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"c{i}.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", "--couple-file", str(path), "--order", "12")
+        assert code == 1, doc
+        details = json.loads(out)["recurrence"]["details"]
+        assert details["error"] == "couple-mismatch" and details["n"] == 5, doc
+
+
 def test_verify_and_functionals_read_no_stirling_row(tmp_path, capsys, monkeypatch):
     # every source gets H*(D), whose moments are w_j j!/i!, so the
     # difference families need no Stirling numbers
@@ -283,12 +309,12 @@ def test_verify_and_functionals_read_no_stirling_row(tmp_path, capsys, monkeypat
     for module in (exactnum, catalog):                 # every binding of the name
         monkeypatch.setattr(module, "stirling2_rows", refuse)
     with pytest.raises(AssertionError):                # the guard does bite
-        catalog.meixner_classical_moments(Fraction(1, 2), 1, 1)
+        catalog.meixner_moments(1, Fraction(1, 2), 1, 0, 1)
     path = tmp_path / "c.json"
     path.write_text(APP1)
     # (argv, run functionals too): the classical Meixner cross-check that
     # functionals adds for meixner-eq14 at d = 1 is itself a sum of Stirling
-    # numbers (catalog.meixner_classical_moments), an independent route
+    # numbers (catalog.meixner_moments at d = 1), an independent route
     sources = [(["--couple-file", str(path)], True)]
     for spec in catalog.default_sample_specs():
         if spec.family in (catalog.CHARLIER_EQ13, catalog.MEIXNER_EQ14):

@@ -17,7 +17,6 @@ from dsheffer import Poly, Series, parse_rational
 from dsheffer.catalog import (
     FamilySpec,
     laguerre2_moments,
-    meixner_classical_moments,
     meixner_moments,
 )
 from dsheffer.exactnum import exact, ratio_strings, scaled, stirling2_rows
@@ -85,7 +84,6 @@ EXACT_BUILDERS = (
     lambda v: laguerre2_moments(v, 0, 0),
     lambda v: meixner_moments(1, v, 1, 0, 0),
     lambda v: meixner_moments(1, Fraction(1, 2), v, 0, 0),
-    lambda v: meixner_classical_moments(v, 1, 0),
 )
 
 

@@ -138,26 +138,26 @@ printed_coefficients = (st.sampled_from([F(0), F(1), F(-1)]) | st.integers(-40, 
                         | st.builds(F, tall_fractions()))
 
 
-@given(st.lists(printed_coefficients, max_size=12), st.sampled_from(["x", "t", "y_1"]))
-def test_pretty_and_latex_equal_the_fraction_text(coeffs, var):
+@given(st.lists(printed_coefficients, max_size=12))
+def test_pretty_and_latex_equal_the_fraction_text(coeffs):
     p = Poly(coeffs)                # the zero polynomial too, once trailing zeros go
-    assert p.pretty(var) == fraction_pretty(p, var)
-    assert poly_latex(p.coeff_strings(), var) == fraction_latex(p, var)
+    assert p.pretty() == fraction_pretty(p)
+    assert poly_latex(p.coeff_strings()) == fraction_latex(p)
     assert repr(p) == f"Poly({fraction_pretty(p)})"
 
 
 @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12),
-       st.integers(-60, 60).filter(bool), st.integers(1, 40), st.sampled_from(["x", "t"]))
-def test_printing_reads_the_integer_form_and_makes_no_fraction(nums, scale, den, var):
+       st.integers(-60, 60).filter(bool), st.integers(1, 40))
+def test_printing_reads_the_integer_form_and_makes_no_fraction(nums, scale, den):
     # non-reduced forms: every numerator times scale, over scale * den
     p = Poly.of([v * scale for v in nums], scale * den)
     oracle = Poly([F(v, den) for v in nums])
 
-    assert p.pretty(var) == fraction_pretty(oracle, var)
-    assert poly_latex(p.coeff_strings(), var) == fraction_latex(oracle, var)
+    assert p.pretty() == fraction_pretty(oracle)
+    assert poly_latex(p.coeff_strings()) == fraction_latex(oracle)
     assert p.coeff_strings() == [str(c) for c in oracle.coeffs]
     with coeffs_reads() as reads:
-        p.pretty(var), poly_latex(p.coeff_strings(), var), p.coeff_strings(), repr(p)
+        p.pretty(), poly_latex(p.coeff_strings()), p.coeff_strings(), repr(p)
     assert reads == []
 
 

@@ -33,7 +33,7 @@ HERMITE = CoupleSpec(d=1, gamma=(F(0), F(-1)), sigma=(F(1),))
 
 def test_derivative_base():
     # H* = t makes sigma the derivative itself
-    assert apply_lowering(Series.identity(3), Poly((0, 0, 0, 1))) == Poly((0, 0, 3))
+    assert apply_lowering(Series.monomial(1, 3), Poly((0, 0, 0, 1))) == Poly((0, 0, 3))
 
 
 def test_forward_difference_base():
@@ -71,7 +71,7 @@ def test_lowering_from_moebius_H_is_its_own_inverse():
 
 
 def test_identity_hstar_reduces_to_base_operator():
-    op = Series.identity(6)
+    op = Series.monomial(1, 6)
     p = Poly((1, 2, 0, 5))
     assert apply_lowering(op, p) == p.derivative()
     # in the oracle, h* = t with a step is Delta_omega itself, which lowers the
@@ -79,7 +79,7 @@ def test_identity_hstar_reduces_to_base_operator():
     falling = [Poly.one()]
     for n in range(5):
         falling.append(falling[-1] * Poly((-n * F(1, 2), 1)))
-    seq, t = UncheckedSequence(falling), Series.identity(6).coeffs
+    seq, t = UncheckedSequence(falling), Series.monomial(1, 6).coeffs
     assert lowering_failures(seq, t, F(1, 2)) == []
     assert lowering_failures(seq, t) == [2, 3, 4, 5]
 
@@ -106,7 +106,7 @@ def test_lowering_drops_sequence_index():
 
 
 def test_lowering_order_guard():
-    op = lowering_from_H(Series.identity(3))
+    op = lowering_from_H(Series.monomial(1, 3))
     with pytest.raises(ValueError):
         apply_lowering(op, Poly((0,) * 5 + (1,)))
 

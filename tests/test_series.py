@@ -98,11 +98,10 @@ def test_poly_pretty_and_latex():
     assert q.pretty() == "x^3 - 3/2*x^2 + 1/2"
     assert poly_latex(q.coeff_strings()) == "x^{3} - \\frac{3}{2} x^{2} + \\frac{1}{2}"
     assert Poly(()).pretty() == "0"
-    assert Poly((0, 1)).pretty("t") == "t"
 
 
 def test_poly_constructors():
-    assert Poly.constant(F(2, 3)).degree() == 0
+    assert Poly((F(2, 3),)).degree() == 0
 
 
 poly_coeffs = st.lists(st.fractions(max_denominator=8, min_value=-8, max_value=8),
@@ -129,7 +128,7 @@ def test_series_orders():
     s = Series((1, 2, 3))
     assert s.order == 2
     assert s.coeffs[0] == 1
-    assert Series.identity(5).coeffs == (0, 1, 0, 0, 0, 0)
+    assert Series.monomial(1, 5).coeffs == (0, 1, 0, 0, 0, 0)
     assert Series.constant(F(1), 3).coeffs == (1, 0, 0, 0)
     assert Series.monomial(2, 4).coeffs == (0, 0, 1, 0, 0)
     assert Series.monomial(1, 3, F(1, 2)).coeffs == (0, F(1, 2), 0, 0)
@@ -403,7 +402,7 @@ invertible_series = st.lists(
 @given(invertible_series)
 def test_reversion_composes_to_identity(s):
     g = s.reversion()
-    assert s.compose(g).coeffs == Series.identity(s.order).coeffs
+    assert s.compose(g).coeffs == Series.monomial(1, s.order).coeffs
     assert g.reversion().coeffs == s.coeffs
 
 

@@ -176,7 +176,7 @@ def test_pair_from_couple_validates_first():
 
 
 def test_pair_invariants_enforced():
-    t = Series.identity(3)
+    t = Series.monomial(1, 3)
     with pytest.raises(ValueError):
         ShefferPair(A=Series((2, 0, 0, 0)), Hx=t)      # A(0) != 1
     with pytest.raises(ValueError):
@@ -206,7 +206,7 @@ def test_laguerre_expansion_has_n_factorial_normalization():
 def test_appell_cubic_expansion():
     # A = exp(t^3), H = t: P_3 = 3! (1 + x^3/3!) = x^3 + 6
     a = exp(Series.monomial(3, 6))
-    pair = ShefferPair(A=a, Hx=Series.identity(6))
+    pair = ShefferPair(A=a, Hx=Series.monomial(1, 6))
     seq = expand_polynomials(pair, 4)
     assert seq[3] == Poly((6, 0, 0, 1))
     assert seq[2] == Poly((0, 0, 1))
@@ -250,14 +250,14 @@ def test_couple_from_pair_rejects_nonpolynomial_sigma():
 def test_couple_from_pair_rejects_nonpolynomial_gamma():
     # A = 1 + t with H = t: A'/(A H') = 1/(1+t) is not a polynomial
     a = Series((1, 1) + (0,) * 11)
-    pair = ShefferPair(A=a, Hx=Series.identity(12))
+    pair = ShefferPair(A=a, Hx=Series.monomial(1, 12))
     with pytest.raises(NotDOrthogonalShefferError):
         couple_from_pair(pair, 1)
 
 
 def test_couple_from_pair_rejects_gamma_degree_overflow():
     # A = exp(t^3) with H = t gives gamma = 3t^2, too big for d = 1
-    pair = ShefferPair(A=exp(Series.monomial(3, 12)), Hx=Series.identity(12))
+    pair = ShefferPair(A=exp(Series.monomial(3, 12)), Hx=Series.monomial(1, 12))
     with pytest.raises(NotDOrthogonalShefferError):
         couple_from_pair(pair, 1)
     # but it is exactly the d = 2 couple [3t^2, 1]
@@ -268,7 +268,7 @@ def test_couple_from_pair_rejects_gamma_degree_overflow():
 
 def test_couple_from_pair_rejects_gamma_degree_deficit():
     # A = 1 means gamma = 0, never degree exactly d
-    pair = ShefferPair(A=Series.constant(F(1), 12), Hx=Series.identity(12))
+    pair = ShefferPair(A=Series.constant(F(1), 12), Hx=Series.monomial(1, 12))
     with pytest.raises(NotDOrthogonalShefferError):
         couple_from_pair(pair, 1)
 

@@ -37,9 +37,9 @@ def test_the_corpus_covers_every_subcommand_format_and_source_kind(tmp_path):
     # defaults, among them a negative c with closed-form rows and c = -9 without
     specs = [*catalog.default_sample_specs(),
              *(catalog.FamilySpec(family=f, d=d, params=p) for f, d, p in sweep.CROSS_CHECK_SPECS)]
-    assert any(catalog.explicit_functional(s) is None and s.param("c") == -9
+    assert any(catalog.explicit_functional(s) is None and s.params["c"] == -9
                for s in specs if s.family == catalog.MEIXNER_EQ16)
-    assert any(catalog.explicit_functional(s) and s.param("c") < 0
+    assert any(catalog.explicit_functional(s) and s.params["c"] < 0
                for s in specs if s.family == catalog.MEIXNER_EQ16)
     for spec in specs:
         for fmt in render.FORMATS:
