@@ -284,22 +284,32 @@ class Series(_Vector):
         return _recurrence(Fraction(self.den, a[0]), a, (0,), (), self.order)
 
     def compose(self, inner: "Series") -> "Series":
-        """self(inner(t)); inner must have zero constant term (exactness)."""
-        self._check_order(inner)
-        if inner.nums[0]:
+        """self(inner(t)); inner must have zero constant term (exactness).
+
+        Horner's rule on the numerators: with a over Da and b over Db, the
+        vector O_k = Da Db^(n-k) (a_k/Da + ... + a_n/Da inner^(n-k)) is
+        O_(k+1) * b + a_k Db^(n-k), one convolution per step, and the result
+        is O_0 over Da Db^n.
+        """
+        if self.order != inner.order:
+            raise ValueError(f"series order mismatch: {self.order} != {inner.order}")
+        b, db = inner.nums, inner.den
+        if b[0]:
             raise ValueError("composition needs an inner series with zero constant term")
-        cs = self.coeffs
-        n = self.order
-        out = Series.constant(cs[n], n)
+        a, n = self.nums, self.order
+        out, scale = [a[n]] + [0] * n, 1
         for k in range(n - 1, -1, -1):
-            out = out * inner + cs[k]
-        return out
+            out = _convolve(out, b, n + 1)
+            scale *= db
+            out[0] += a[k] * scale
+        return Series.of(out, self.den * scale)
 
     def reversion(self) -> "Series":
         """Compositional inverse g with self(g(t)) = t (mod t^(N+1)).
 
-        Newton iteration on the composition equation, doubling the number of
-        correct coefficients each round; needs coeffs[0] = 0, coeffs[1] != 0.
+        Lagrange inversion: g_m = (1/m) [t^(m-1)] phi^m with phi = t/self,
+        the inverse of self/t by one recurrence and its powers by one
+        convolution each; needs coeffs[0] = 0, coeffs[1] != 0.
         """
         a = self.nums
         if a[0]:
@@ -307,20 +317,17 @@ class Series(_Vector):
         if self.order < 1 or not a[1]:
             raise ValueError("reversion needs a nonzero linear coefficient")
         n = self.order
-        g = Series.monomial(1, n, Fraction(self.den, a[1]))
-        ident = Series.monomial(1, n)
-        # the derivative padded back to full order with a zero top
-        # coefficient: the pad is wrong in general but only pollutes orders
-        # > N after a composition with a zero-constant inner series, which
-        # Newton's iteration never reads
-        d = self.differentiate()
-        deriv = Series.of(d.nums + (0,), d.den)
-        prec = 2
-        while prec < n + 1:
-            err = self.compose(g) - ident
-            g = g - err * deriv.compose(g).invert_mul()
-            prec *= 2
-        return g
+        # (self/t) phi = 1; the scale of self cancels
+        phi = _recurrence(Fraction(self.den, a[1]), a[1:], (0,), (), n - 1)
+        power, den = [1] + [0] * (n - 1), 1      # phi^m as power / den, from m = 0
+        terms = [(0, 1)]                          # g_m as a numerator over a denominator
+        for m in range(1, n + 1):
+            power = _convolve(power, phi.nums, n)
+            g = gcd(den * phi.den, *power)
+            power, den = [v // g for v in power], den * phi.den // g
+            terms.append((power[m - 1], m * den))
+        L = lcm(*(q for _, q in terms))
+        return Series.of([p * (L // q) for p, q in terms], L)
 
 
 def _signed_sum(strings: Sequence[str], term) -> str:

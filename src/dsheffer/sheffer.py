@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from dsheffer.exactnum import exact, scaled
-from dsheffer.series import Poly, Series, _convolve, _first_order
+from dsheffer.series import Poly, Series, _convolve, _first_order, _recurrence
 
 
 class InvalidCoupleError(ValueError):
@@ -391,17 +391,21 @@ def couple_from_pair(pair: ShefferPair, d: int) -> CoupleSpec:
         raise ValueError(
             f"pair order {N} too small to certify degrees for d={d}; need order > {2 * (d + 1)}"
         )
-    hp = pair.Hx.differentiate()           # order N-1, exact
-    sigma = hp.invert_mul()
-    for k in range(d + 2, sigma.order + 1):
+    # sigma = 1/H' from H' sigma = 1; the scale of H' cancels
+    hp = [k * v for k, v in enumerate(pair.Hx.nums) if k]
+    sigma = _recurrence(Fraction(pair.Hx.den, hp[0]), hp, (0,), (), N - 1)
+    for k in range(d + 2, N):
         if sigma.nums[k]:
             raise NotDOrthogonalShefferError(
                 f"1/H' has a nonzero t^{k} coefficient ({sigma.coeffs[k]}); "
                 f"not a polynomial of degree <= {d + 1}"
             )
-    inv_a = pair.A.truncate(N - 1).invert_mul()
-    gamma = pair.A.differentiate() * inv_a * sigma
-    for k in range(d + 1, gamma.order + 1):
+    # gamma from A gamma = sigma A', both sides over sigma.den A.den
+    a = pair.A.nums
+    rhs = _convolve([k * v for k, v in enumerate(a) if k], sigma.nums[:d + 2], N)
+    lhs = [v * sigma.den for v in a]
+    gamma = _recurrence(Fraction(rhs[0], lhs[0]), lhs, (0,), rhs, N - 1)
+    for k in range(d + 1, N):
         if gamma.nums[k]:
             raise NotDOrthogonalShefferError(
                 f"A'/(A H') has a nonzero t^{k} coefficient ({gamma.coeffs[k]}); "
