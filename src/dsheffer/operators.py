@@ -36,9 +36,10 @@ so its operator is the couple's own: the Series y, with y_0 = 0
 (verify_lowering rejects any other).  Every functional value is a dot
 product with one row.
 
-`lowering_from_H` reverts a given H, and `apply_lowering` applies sigma by
-repeated derivatives; neither is on the verify path.  They are the
-independent routes the tests compare against.
+`lowering_from_H` reverts a given H by Lagrange inversion
+(`Series.reversion`, on the integer kernels of `series`), and
+`apply_lowering` applies sigma by repeated derivatives; neither is on the
+verify path.  They are the independent routes the tests compare against.
 """
 
 from __future__ import annotations

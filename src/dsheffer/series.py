@@ -2,10 +2,10 @@
 
 `Poly` is a dense univariate polynomial over the rationals, lowest degree
 first, trailing zeros trimmed (the zero polynomial has no coefficients and
-degree None).  `Series` is a formal power series, truncated at a fixed
-inclusive order N; every operation is exact modulo t^(N+1), and operations
-that would need unknown coefficients beyond the truncation shrink the order
-instead of guessing.
+degree None).  `Series` is a formal power series truncated at a fixed
+inclusive order N: a record of its coefficients with no operators.  The
+series work of the package runs on the kernels below, exact modulo
+t^(N+1), and hands its integer results to `Series.of`.
 
 Both store one exact vector form and nothing else: integer numerators
 `nums` over one denominator `den` > 0 with gcd(den, *nums) = 1, the
@@ -20,14 +20,17 @@ caller that needs the tuple reads it once.
 
 A product is an integer convolution of the two numerator vectors over the
 product of their denominators (`_convolve`), at full length for a Poly and
-truncated at the order for a Series; `sheffer.expand_polynomials` builds
-its columns A H^k on the same kernel.  Every other operation is one
+truncated at the order for a series; `sheffer.expand_polynomials` builds
+its columns A H^k on the same kernel.  Every other series operation is one
 recurrence sum_j (a_j + n b_j) c_(n-j) = r_n on integer vectors, solved by
 one kernel (`_recurrence`) over a running lcm denominator; a first-order ODE
-p f' = q f + r reaches it through `_first_order`.  `invert_mul` solves
-s (1/s) = 1, and the generating pairs of `sheffer` and `catalog` solve their
-own ODEs.  No product path needs an integral, exp, log or rational power of
-a series, so those live with the tests' reference routes, on these kernels.
+p f' = q f + r reaches it through `_first_order`.  The generating pairs of
+`sheffer` and `catalog` solve their own ODEs, and `sheffer.couple_from_pair`
+solves H' sigma = 1 and A gamma = sigma A'.  `Series.compose` is Horner's
+rule on the numerators and `Series.reversion` is Lagrange inversion,
+g_m = (1/m) [t^(m-1)] (t/f)^m; the verifier builds H* and the functionals
+from the couple instead (see `operators`).  Sums, inverses, integrals, exp,
+log and rational powers of a series live with the tests' reference routes.
 
 `Poly.coeff_strings` puts each nums[i] / den in lowest terms by one gcd
 (`exactnum.ratio_strings`) and makes no Fraction.  `poly_text` and
@@ -35,10 +38,6 @@ a series, so those live with the tests' reference routes, on these kernels.
 walker; `Poly.pretty` is `poly_text` over `coeff_strings()`.
 A Poly keeps no strings: a caller that prints one polynomial twice
 (`cli.cmd_expand`) reduces it once and passes the list to both printers.
-
-Composition and reversion are the tests' independent reference route; the
-verifier builds H* and the functionals from the couple instead (see
-`operators`).
 """
 
 from __future__ import annotations
@@ -96,30 +95,6 @@ class _Vector:
     def _same_form(self, other) -> bool:
         return self.den == other.den and self.nums == other.nums
 
-    def _plus(self, other):
-        # self + other over lcm(den, other.den); the shorter vector is padded
-        L = lcm(self.den, other.den)
-        a = [v * (L // self.den) for v in self.nums]
-        b = [v * (L // other.den) for v in other.nums]
-        if len(a) < len(b):
-            a, b = b, a
-        a[:len(b)] = map(add, a, b)
-        return type(self).of(a, L)
-
-    def _scaled_by(self, c):
-        return type(self).of([v * c.numerator for v in self.nums], self.den * c.denominator)
-
-    def __neg__(self):
-        return type(self).of([-v for v in self.nums], self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, (type(self), int, Fraction)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
 
 class Poly(_Vector):
     """Univariate polynomial over the rationals, dense, immutable."""
@@ -163,13 +138,31 @@ class Poly(_Vector):
             other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._plus(other)
+        # over lcm(den, other.den); the shorter vector is padded
+        L = lcm(self.den, other.den)
+        a = [v * (L // self.den) for v in self.nums]
+        b = [v * (L // other.den) for v in other.nums]
+        if len(a) < len(b):
+            a, b = b, a
+        a[:len(b)] = map(add, a, b)
+        return Poly.of(a, L)
 
     __radd__ = __add__
 
+    def __neg__(self) -> "Poly":
+        return Poly.of([-v for v in self.nums], self.den)
+
+    def __sub__(self, other) -> "Poly":
+        if not isinstance(other, (Poly, int, Fraction)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "Poly":
+        return (-self) + other
+
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return self._scaled_by(other)
+            return Poly.of([v * other.numerator for v in self.nums], self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self.nums, other.nums
@@ -222,18 +215,6 @@ class Series(_Vector):
     def order(self) -> int:
         return len(self.nums) - 1
 
-    @classmethod
-    def constant(cls, c, order: int) -> "Series":
-        return cls((exact(c),) + (Fraction(0),) * order)
-
-    @classmethod
-    def monomial(cls, k: int, order: int, c=1) -> "Series":
-        if not 0 <= k <= order:
-            raise ValueError(f"monomial degree {k} outside order {order}")
-        out = [Fraction(0)] * (order + 1)
-        out[k] = c
-        return cls(out)
-
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise ValueError(f"cannot truncate order {self.order} up to {order}")
@@ -247,49 +228,11 @@ class Series(_Vector):
     def __repr__(self) -> str:
         return f"Series({list(self.coeffs)!r})"
 
-    def _check_order(self, other: "Series"):
-        if self.order != other.order:
-            raise ValueError(f"series order mismatch: {self.order} != {other.order}")
-
-    def __add__(self, other) -> "Series":
-        if isinstance(other, (int, Fraction)):
-            other = Series.constant(other, self.order)
-        if not isinstance(other, Series):
-            return NotImplemented
-        self._check_order(other)
-        return self._plus(other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "Series":
-        if isinstance(other, (int, Fraction)):
-            return self._scaled_by(other)
-        if not isinstance(other, Series):
-            return NotImplemented
-        self._check_order(other)
-        return Series.of(_convolve(self.nums, other.nums, self.order + 1), self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def differentiate(self) -> "Series":
-        """Formal d/dt; the result order drops by one (top coeff unknown)."""
-        return Series.of([k * v for k, v in enumerate(self.nums) if k] or [0], self.den)
-
-    def invert_mul(self) -> "Series":
-        """Multiplicative inverse; requires an invertible constant term."""
-        a = self.nums
-        if not a[0]:
-            raise ValueError("series with zero constant term has no multiplicative inverse")
-        # s (1/s) = 1: sum_j a_j c_(n-j) = 0 for n >= 1; the scale of a cancels
-        return _recurrence(Fraction(self.den, a[0]), a, (0,), (), self.order)
-
     def compose(self, inner: "Series") -> "Series":
         """self(inner(t)); inner must have zero constant term (exactness).
 
-        Horner's rule on the numerators: with a over Da and b over Db, the
-        vector O_k = Da Db^(n-k) (a_k/Da + ... + a_n/Da inner^(n-k)) is
-        O_(k+1) * b + a_k Db^(n-k), one convolution per step, and the result
-        is O_0 over Da Db^n.
+        Horner's rule on the numerators, one convolution per step: after step
+        k, out / (self.den inner.den^(n-k)) = sum_(i>=k) coeffs[i] inner^(i-k).
         """
         if self.order != inner.order:
             raise ValueError(f"series order mismatch: {self.order} != {inner.order}")

@@ -378,11 +378,14 @@ def expand_from_couple(couple: CoupleSpec, N: int) -> PolySequence:
 def couple_from_pair(pair: ShefferPair, d: int) -> CoupleSpec:
     """Recover the couple from a pair, certifying the degree bounds.
 
-    1/H' must be a polynomial of degree <= d+1 and A'/(A H') a polynomial of
-    degree exactly d; any nonzero coefficient beyond those bounds (checkable
-    because the arithmetic is exact) means the pair is not a d-orthogonal
-    Sheffer pair.  The truncation order must exceed 2(d+1) so that the
-    vanishing checks see a meaningful stretch of coefficients.
+    sigma = 1/H' solves H' sigma = 1 and gamma solves A gamma = sigma A',
+    each one recurrence of the series kernel (`series._recurrence`), and
+    sigma A' is one convolution.  1/H' must be a polynomial of degree
+    <= d+1 and A'/(A H') a polynomial of degree exactly d; any nonzero
+    coefficient beyond those bounds (checkable because the arithmetic is
+    exact) means the pair is not a d-orthogonal Sheffer pair.  The
+    truncation order must exceed 2(d+1) so that the vanishing checks see a
+    meaningful stretch of coefficients.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -391,7 +394,7 @@ def couple_from_pair(pair: ShefferPair, d: int) -> CoupleSpec:
         raise ValueError(
             f"pair order {N} too small to certify degrees for d={d}; need order > {2 * (d + 1)}"
         )
-    # sigma = 1/H' from H' sigma = 1; the scale of H' cancels
+    # the scale of H' cancels
     hp = [k * v for k, v in enumerate(pair.Hx.nums) if k]
     sigma = _recurrence(Fraction(pair.Hx.den, hp[0]), hp, (0,), (), N - 1)
     for k in range(d + 2, N):

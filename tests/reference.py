@@ -66,7 +66,108 @@ from dsheffer import Poly, PolySequence, Series, ShefferPair, functional_eval
 from dsheffer import catalog
 from dsheffer.dorth import BackSubstitutionError, RecurrenceTable, WindowViolationError
 from dsheffer.exactnum import exact, scaled, stirling2_rows
-from dsheffer.series import _first_order, _recurrence
+from dsheffer.series import _convolve, _first_order, _recurrence
+
+
+def constant(c, order: int) -> Series:
+    """The constant c as a series of the given order."""
+    return Series((exact(c),) + (Fraction(0),) * order)
+
+
+def monomial(k: int, order: int, c=1) -> Series:
+    """c t^k as a series of the given order."""
+    if not 0 <= k <= order:
+        raise ValueError(f"monomial degree {k} outside order {order}")
+    out = [Fraction(0)] * (order + 1)
+    out[k] = c
+    return Series(out)
+
+
+def _same_order(a, b) -> tuple[Series, Series]:
+    """a and b as series of one order; an int or a Fraction is a constant series."""
+    if isinstance(a, (int, Fraction)):
+        a = constant(a, b.order)
+    if isinstance(b, (int, Fraction)):
+        b = constant(b, a.order)
+    if a.order != b.order:
+        raise ValueError(f"series order mismatch: {a.order} != {b.order}")
+    return a, b
+
+
+def add(a, b) -> Series:
+    """a + b over lcm(a.den, b.den)."""
+    a, b = _same_order(a, b)
+    L = lcm(a.den, b.den)
+    return Series.of([x * (L // a.den) + y * (L // b.den) for x, y in zip(a.nums, b.nums)], L)
+
+
+def neg(s: Series) -> Series:
+    return Series.of([-v for v in s.nums], s.den)
+
+
+def sub(a, b) -> Series:
+    a, b = _same_order(a, b)
+    return add(a, neg(b))
+
+
+def mul(a, b) -> Series:
+    """a * b: a scalar scales, two series convolve to their common order."""
+    if isinstance(a, (int, Fraction)):
+        a, b = b, a
+    if isinstance(b, (int, Fraction)):
+        return Series.of([v * b.numerator for v in a.nums], a.den * b.denominator)
+    a, b = _same_order(a, b)
+    return Series.of(_convolve(a.nums, b.nums, a.order + 1), a.den * b.den)
+
+
+def differentiate(s: Series) -> Series:
+    """Formal d/dt; the result order drops by one (top coeff unknown)."""
+    return Series.of([k * v for k, v in enumerate(s.nums) if k] or [0], s.den)
+
+
+def invert_mul(s: Series) -> Series:
+    """Multiplicative inverse; requires an invertible constant term."""
+    a = s.nums
+    if not a[0]:
+        raise ValueError("series with zero constant term has no multiplicative inverse")
+    # s (1/s) = 1: sum_j a_j c_(n-j) = 0 for n >= 1; the scale of a cancels
+    return _recurrence(Fraction(s.den, a[0]), a, (0,), (), s.order)
+
+
+def fraction_compose(outer, inner) -> list[Fraction]:
+    """outer(inner) for coefficient sequences of one length, inner_0 = 0, by Horner's rule."""
+    out = [Fraction(0)] * len(inner)
+    for c in reversed(outer):
+        out = fraction_product(out, inner)
+        out[0] += c
+    return out
+
+
+def newton_reversion(s: Series) -> Series:
+    """Compositional inverse g with s(g(t)) = t, by Newton's iteration on s(g) - t.
+
+    Each round doubles the number of correct coefficients; needs s_0 = 0 and
+    s_1 != 0.  The compositions are `fraction_compose`, so this route shares
+    neither its algorithm nor its composition with `Series.reversion`.
+    """
+    a = s.nums
+    if a[0] or s.order < 1 or not a[1]:
+        raise ValueError("reversion needs a zero constant term and a nonzero linear coefficient")
+    n = s.order
+    g = monomial(1, n, Fraction(s.den, a[1]))
+    ident = monomial(1, n)
+    # the derivative padded back to full order with a zero top coefficient:
+    # the pad is wrong in general but only pollutes orders > N after a
+    # composition with a zero-constant inner series, which the iteration
+    # never reads
+    d = differentiate(s)
+    deriv = Series.of(d.nums + (0,), d.den)
+    prec = 2
+    while prec < n + 1:
+        err = sub(Series(fraction_compose(s.coeffs, g.coeffs)), ident)
+        g = sub(g, mul(err, invert_mul(Series(fraction_compose(deriv.coeffs, g.coeffs)))))
+        prec *= 2
+    return g
 
 
 def from_poly(p: Poly, order: int) -> Series:
@@ -184,9 +285,9 @@ def l_table(couple, k: int, rows: int, top: int) -> list[list[Fraction]]:
 
 def horner_gamma_y(couple, y) -> Series:
     """gamma(y) at the order of y, by Horner's rule: deg gamma series products."""
-    out = Series.constant(couple.gamma[-1], y.order)
+    out = constant(couple.gamma[-1], y.order)
     for c in reversed(couple.gamma[:-1]):
-        out = out * y + c
+        out = add(mul(out, y), c)
     return out
 
 
@@ -196,11 +297,11 @@ def series_moment_rows(couple, M: int, d: int) -> tuple[Series, tuple[Series, ..
     mu_i(j) = (j!/i!) [s^j] y^i / A(y), with 1/A(y) = exp(-integral gamma(y)).
     """
     y = Series(fraction_hstar(couple, M))
-    w = exp(-integrate(horner_gamma_y(couple, y)))
+    w = exp(neg(integrate(horner_gamma_y(couple, y))))
     rows = []
     for i in range(d):
         if i:
-            w = w * y
+            w = mul(w, y)
         rows.append(Series([c * factorial(j) / factorial(i) for j, c in enumerate(w.coeffs)]))
     return y, tuple(rows)
 
@@ -257,7 +358,7 @@ def newton_hstar(spec, N) -> Series:
     """h* of a difference family: its closed form's Newton h = (e^(omega H) - 1)/omega, reverted."""
     omega = catalog.family_step(spec)
     Hx = catalog.family_generating(spec, N).Hx
-    return ((exp(Hx * omega) - 1) * (1 / omega)).reversion()
+    return mul(sub(exp(mul(Hx, omega)), 1), 1 / omega).reversion()
 
 
 def lowering_failures(seq, hstar, omega=None) -> list[int]:
@@ -359,7 +460,7 @@ def series_expand_polynomials(pair, N) -> PolySequence:
     hx = pair.Hx.truncate(N)
     columns = [pair.A.truncate(N)]             # columns[k] = A H^k
     for _ in range(N):
-        columns.append(columns[-1] * hx)
+        columns.append(mul(columns[-1], hx))
     columns = [column.coeffs for column in columns]
     return PolySequence(tuple(
         Poly(columns[k][n] * (factorial(n) // factorial(k)) for k in range(n + 1))
@@ -481,41 +582,41 @@ def branch_family_generating(spec, N) -> ShefferPair:
     if fam == catalog.LAGUERRE_EQ9:
         a = p["alpha"]
         A = pow_rat(one_minus_t, -(a + 1) * d)
-        Hx = 1 - pow_rat(one_minus_t, -d)
+        Hx = sub(1, pow_rat(one_minus_t, -d))
         return ShefferPair(A=A, Hx=Hx)
     if fam == catalog.LAGUERRE_EQ10:
         a = p["alpha"]
-        A = exp_pi * pow_rat(one_minus_t, -(a + 1))
-        Hx = from_poly(Poly((0, -1)), N) * one_minus_t.invert_mul()
+        A = mul(exp_pi, pow_rat(one_minus_t, -(a + 1)))
+        Hx = mul(from_poly(Poly((0, -1)), N), invert_mul(one_minus_t))
         return ShefferPair(A=A, Hx=Hx)
     if fam == catalog.LAGUERRE_EQ11:
         a = p["alpha"]
         A = pow_rat(one_minus_t, -(a + 1))
-        Hx = (from_poly(Poly((0, -2, 1)), N) * Fraction(1, 2)
-              * from_poly(Poly((1, -2, 1)), N).invert_mul())
+        Hx = mul(mul(from_poly(Poly((0, -2, 1)), N), Fraction(1, 2)),
+                 invert_mul(from_poly(Poly((1, -2, 1)), N)))
         return ShefferPair(A=A, Hx=Hx)
     if fam == catalog.HERMITE_EQ12:
-        return ShefferPair(A=exp_pi, Hx=Series.monomial(1, N))
+        return ShefferPair(A=exp_pi, Hx=monomial(1, N))
     if fam == catalog.CHARLIER_EQ13:
         omega = p["omega"]
-        Hx = log(from_poly(Poly((1, omega)), N)) * (1 / omega)
+        Hx = mul(log(from_poly(Poly((1, omega)), N)), 1 / omega)
         return ShefferPair(A=exp_pi, Hx=Hx)
     if fam == catalog.MEIXNER_EQ14:
         c, beta = p["c"], p["beta"]
-        A = exp_pi * pow_rat(one_minus_t, -beta)
-        newton = from_poly(Poly((0, (c - 1) / c)), N) * one_minus_t.invert_mul()
-        return ShefferPair(A=A, Hx=log(1 + newton))
+        A = mul(exp_pi, pow_rat(one_minus_t, -beta))
+        newton = mul(from_poly(Poly((0, (c - 1) / c)), N), invert_mul(one_minus_t))
+        return ShefferPair(A=A, Hx=log(add(1, newton)))
     if fam == catalog.MEIXNER_EQ16:
         c, beta = p["c"], p["beta"]
         A = pow_rat(one_minus_t, -beta * d)
-        newton = (pow_rat(one_minus_t, -d) - 1) * ((c - 1) / (d * c))
-        return ShefferPair(A=A, Hx=log(1 + newton))
+        newton = mul(sub(pow_rat(one_minus_t, -d), 1), (c - 1) / (d * c))
+        return ShefferPair(A=A, Hx=log(add(1, newton)))
     if fam == catalog.MEIXNER_EQ21:
         c, beta = p["c"], p["beta"]
-        A = exp_pi * pow_rat(one_minus_t, -beta)
-        newton = (from_poly(Poly((0, -2, 1)), N) * ((c - 1) / (2 * c))
-                  * from_poly(Poly((1, -2, 1)), N).invert_mul())
-        return ShefferPair(A=A, Hx=log(1 + newton))
+        A = mul(exp_pi, pow_rat(one_minus_t, -beta))
+        newton = mul(mul(from_poly(Poly((0, -2, 1)), N), (c - 1) / (2 * c)),
+                     invert_mul(from_poly(Poly((1, -2, 1)), N)))
+        return ShefferPair(A=A, Hx=log(add(1, newton)))
     raise ValueError(f"unknown family: {fam!r}")
 
 
@@ -527,12 +628,12 @@ def log_exp_pow(s: Series, r) -> Series:
     """
     r = Fraction(r)
     if r == 0:
-        return Series.constant(1, s.order)
+        return constant(1, s.order)
     if r == 1:
         return s
     if r == -1:
-        return s.invert_mul()
-    return exp(log(s) * r)
+        return invert_mul(s)
+    return exp(mul(log(s), r))
 
 
 def chain_pair_from_couple(couple, N) -> ShefferPair:
@@ -540,8 +641,8 @@ def chain_pair_from_couple(couple, N) -> ShefferPair:
     couple.validate()
     sigma = from_poly(Poly(couple.sigma), N)
     gamma = from_poly(Poly(couple.gamma), N)
-    inv_sigma = sigma.invert_mul()
-    return ShefferPair(A=exp(integrate(gamma * inv_sigma)), Hx=integrate(inv_sigma))
+    inv_sigma = invert_mul(sigma)
+    return ShefferPair(A=exp(integrate(mul(gamma, inv_sigma))), Hx=integrate(inv_sigma))
 
 
 def chain_family_generating(spec, N) -> ShefferPair:
@@ -557,9 +658,9 @@ def chain_family_generating(spec, N) -> ShefferPair:
     A = log_exp_pow(one_minus_t, e)
     pi = Poly((0,) + tuple((spec.aux or ())[1:]))
     if pi:
-        A = exp(from_poly(pi, N)) * A
-    h = (log_exp_pow(one_minus_t, -k) - 1) * s
-    Hx = h if omega is None else log(1 + h * omega) * (1 / omega)
+        A = mul(exp(from_poly(pi, N)), A)
+    h = mul(sub(log_exp_pow(one_minus_t, -k), 1), s)
+    Hx = h if omega is None else mul(log(add(1, mul(h, omega))), 1 / omega)
     return ShefferPair(A=A, Hx=Hx)
 
 

@@ -22,8 +22,8 @@ from math import factorial
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from reference import base_values, fraction_hstar, lowering_failures, newton_hstar, \
-    stepped_moments
+from reference import base_values, fraction_hstar, invert_mul, lowering_failures, monomial, \
+    mul, newton_hstar, stepped_moments
 
 from dsheffer import (
     FunctionalVector,
@@ -47,8 +47,8 @@ F = Fraction
 
 def reference_ops(A: Series, hstar: Series, d: int):
     """t^i / A(t) composed with H*, for i < d."""
-    inv_a = A.invert_mul()
-    return [(Series.monomial(i, hstar.order) * inv_a).compose(hstar) for i in range(d)]
+    inv_a = invert_mul(A)
+    return [mul(monomial(i, hstar.order), inv_a).compose(hstar) for i in range(d)]
 
 
 def reference_eval(w: Series, i: int, omega, f: Poly) -> Fraction:

@@ -8,7 +8,8 @@ both kinds, p H' = s k with p = (1 - omega s)(1 - t)^(k+1) + omega s (1 - t)
 integrals, a product and exp for the couple; powers of 1 - t as
 exp(r log s), exp(pi - pi(0)), a product and the difference kind's
 log(1 + omega h)/omega for the catalog.  Each pair is exactly two first-order
-ODEs on the series kernel, with no series product or invert_mul.
+ODEs on the series kernel, with no series product and no other recurrence
+(`Series` has no inverse to call).
 """
 
 from fractions import Fraction
@@ -95,17 +96,22 @@ def test_the_pairs_run_no_product_exp_inverse_or_power(monkeypatch):
                                                                 catalog.DIFFERENCE}
     for spec in specs:
         catalog.family_couple(spec)         # the couple is built with Poly products
-    spied = {"invert_mul": counting(monkeypatch, Series, "invert_mul"),
-             "_convolve": counting(monkeypatch, series, "_convolve")}
+    assert not hasattr(Series, "invert_mul")
+    spied = {"_convolve": counting(monkeypatch, series, "_convolve")}
     solved = counting(monkeypatch, series, "_first_order")
+    recurrences = counting(monkeypatch, series, "_recurrence")
     for module in (sheffer, catalog):       # each binds the kernel's name on import
         monkeypatch.setattr(module, "_first_order", series._first_order)
     for couple in [*SEED_COUPLES.values(), *(catalog.family_couple(s) for s in specs)]:
         solved.clear()
+        recurrences.clear()
         pair_from_couple(couple, 24)
         assert len(solved) == 2, couple     # H, then A
+        assert len(recurrences) == 2, couple
     for spec in specs:
         solved.clear()
+        recurrences.clear()
         catalog.family_generating(spec, 24)
         assert len(solved) == 2, spec       # A, then H, on both kinds
+        assert len(recurrences) == 2, spec
     assert all(calls == [] for calls in spied.values()), {k: len(v) for k, v in spied.items()}

@@ -1,6 +1,6 @@
 """The integer kernels against the Fraction loops they replaced.
 
-Poly and Series products and the exp/log/invert_mul recursions, the lowering ODE
+Poly and series products and the exp/log/invert_mul recursions, the lowering ODE
 and the moment rows read off its table, the couple's recurrence and its rows,
 the generating-function expansion, back-substitution, orthogonality,
 duality and the lowering check run on integer numerators over one common
@@ -64,8 +64,10 @@ from reference import (
     fraction_recurrence_rows,
     fraction_table,
     hankel_cells,
+    invert_mul,
     log,
     lowering_failures,
+    mul,
     series_expand_polynomials,
     series_moment_rows,
 )
@@ -87,7 +89,7 @@ def tall_fractions(draw):
     lambda n: st.tuples(*[st.lists(tall_fractions(), min_size=n + 1, max_size=n + 1)] * 2)))
 def test_series_product_equals_the_fraction_convolution(pair):
     a, b = pair
-    assert (Series(a) * Series(b)).coeffs == tuple(fraction_product(a, b))
+    assert mul(Series(a), Series(b)).coeffs == tuple(fraction_product(a, b))
 
 
 poly_factors = st.lists(tall_fractions() | st.just(F(0)), max_size=8)
@@ -114,7 +116,7 @@ tall_series = st.integers(0, 40).flatmap(
 @given(tall_series)
 def test_invert_mul_equals_the_fraction_recursion(s):
     assume(s[0] != 0)
-    assert Series(s).invert_mul().coeffs == tuple(fraction_invert_mul(s))
+    assert invert_mul(Series(s)).coeffs == tuple(fraction_invert_mul(s))
 
 
 @settings(max_examples=60, deadline=None)
@@ -435,9 +437,10 @@ def test_expand_from_couple_converts_no_value(monkeypatch):
 
 def test_functional_vector_runs_no_series_arithmetic(monkeypatch):
     # y and each moment row leave the ODE's integer table once, through
-    # Series.of; no Series product runs on the way, and no recursion of the
-    # series kernel, which every exp, log, power or inverse runs
-    arithmetic = [counting(monkeypatch, "__mul__", Series),
+    # Series.of; no product runs on the way (every one is a convolution of the
+    # series kernel), and no recursion of the series kernel, which every exp,
+    # log, power or inverse runs
+    arithmetic = [counting(monkeypatch, "_convolve", series),
                   counting(monkeypatch, "_recurrence", series)]
     handed = counting(monkeypatch, "of", Series)
     couple = CoupleSpec(d=2, gamma=(1, F(-1, 2), 2), sigma=(F(-3, 2), 1, 0, F(-1, 3)))

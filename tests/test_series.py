@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from dsheffer import Poly, Series
 from dsheffer.series import poly_latex
 from dsheffer.exactnum import scaled
-from reference import exp, from_poly, integrate, log, pow_rat
+from reference import (
+    add, constant, differentiate, exp, fraction_compose, from_poly, integrate, invert_mul, log,
+    monomial, mul, newton_reversion, pow_rat, sub,
+)
 
 F = Fraction
 
@@ -128,10 +131,10 @@ def test_series_orders():
     s = Series((1, 2, 3))
     assert s.order == 2
     assert s.coeffs[0] == 1
-    assert Series.monomial(1, 5).coeffs == (0, 1, 0, 0, 0, 0)
-    assert Series.constant(F(1), 3).coeffs == (1, 0, 0, 0)
-    assert Series.monomial(2, 4).coeffs == (0, 0, 1, 0, 0)
-    assert Series.monomial(1, 3, F(1, 2)).coeffs == (0, F(1, 2), 0, 0)
+    assert monomial(1, 5).coeffs == (0, 1, 0, 0, 0, 0)
+    assert constant(F(1), 3).coeffs == (1, 0, 0, 0)
+    assert monomial(2, 4).coeffs == (0, 0, 1, 0, 0)
+    assert monomial(1, 3, F(1, 2)).coeffs == (0, F(1, 2), 0, 0)
 
 
 def test_series_rejects_empty_and_floats():
@@ -196,18 +199,28 @@ def test_series_is_immutable():
         s.coeffs = ()
 
 
+def test_series_has_no_operators():
+    # Series is a record; the series arithmetic is the tests' (reference.py)
+    s = Series((1, 2, 3))
+    for operate in (lambda: s + s, lambda: s * s, lambda: s - s, lambda: -s,
+                    lambda: s + 1, lambda: 1 + s, lambda: s * F(1, 2), lambda: 2 * s,
+                    lambda: s - 1, lambda: 1 - s):
+        with pytest.raises(TypeError):
+            operate()
+
+
 def test_series_equal_order_requirement():
     with pytest.raises(ValueError):
-        Series((1, 2)) + Series((1, 2, 3))
+        add(Series((1, 2)), Series((1, 2, 3)))
     with pytest.raises(ValueError):
-        Series((1, 2)) * Series((1, 2, 3))
+        mul(Series((1, 2)), Series((1, 2, 3)))
 
 
 def test_series_scalar_arithmetic():
     s = Series((1, 2, 3))
-    assert (s + 1).coeffs == (2, 2, 3)
-    assert (s - F(1, 2)).coeffs == (F(1, 2), 2, 3)
-    assert (s * 2).coeffs == (2, 4, 6)
+    assert add(s, 1).coeffs == (2, 2, 3)
+    assert sub(s, F(1, 2)).coeffs == (F(1, 2), 2, 3)
+    assert mul(s, 2).coeffs == (2, 4, 6)
 
 
 def test_series_truncate():
@@ -219,7 +232,7 @@ def test_series_truncate():
 
 def test_series_cauchy_product():
     geo = Series((1, 1, 1, 1))
-    assert (geo * geo).coeffs == (1, 2, 3, 4)
+    assert mul(geo, geo).coeffs == (1, 2, 3, 4)
 
 
 def test_series_from_poly_pads_and_truncates():
@@ -231,13 +244,13 @@ def test_series_from_poly_pads_and_truncates():
 
 def test_differentiate_drops_order():
     s = Series((5, 1, 2, 3))
-    ds = s.differentiate()
+    ds = differentiate(s)
     assert ds.order == 2
     assert ds.coeffs == (1, 4, 9)
 
 
 def test_differentiate_at_order_zero():
-    assert Series((7,)).differentiate().coeffs == (0,)
+    assert differentiate(Series((7,))).coeffs == (0,)
 
 
 def test_integrate_keeps_order_and_drops_top():
@@ -247,7 +260,7 @@ def test_integrate_keeps_order_and_drops_top():
 
 def test_integrate_then_differentiate():
     s = Series((0, 1, 2, 3))
-    back = integrate(s).differentiate()
+    back = differentiate(integrate(s))
     assert back.coeffs == s.truncate(back.order).coeffs
 
 
@@ -255,12 +268,12 @@ def test_integrate_then_differentiate():
 
 def test_invert_mul_geometric():
     one_minus_t = Series((1, -1, 0, 0, 0))
-    assert one_minus_t.invert_mul().coeffs == (1, 1, 1, 1, 1)
+    assert invert_mul(one_minus_t).coeffs == (1, 1, 1, 1, 1)
 
 
 def test_invert_mul_needs_unit_constant():
     with pytest.raises(ValueError):
-        Series((0, 1)).invert_mul()
+        invert_mul(Series((0, 1)))
 
 
 def test_exp_frozen_example():
@@ -290,7 +303,7 @@ def test_pow_rat_frozen_example():
 
 def test_pow_rat_integer_exponent_agrees_with_multiplication():
     s = Series((1, 2, -1, 3))
-    assert pow_rat(s, F(3)).coeffs == (s * s * s).coeffs
+    assert pow_rat(s, F(3)).coeffs == mul(mul(s, s), s).coeffs
 
 
 def test_pow_rat_needs_unit_constant():
@@ -307,8 +320,8 @@ def test_pow_rat_unit_exponents_equal_the_log_exp_route(tail, r):
     # constant 1, the series itself and its inverse
     s = Series([F(1)] + tail)
     direct = pow_rat(s, r)
-    route = exp(log(s) * F(r))
-    branch = {0: Series.constant(1, s.order), 1: s, -1: s.invert_mul()}[int(r)]
+    route = exp(mul(log(s), F(r)))
+    branch = {0: constant(1, s.order), 1: s, -1: invert_mul(s)}[int(r)]
     assert (direct.nums, direct.den, direct.order) == (route.nums, route.den, route.order)
     assert (direct.nums, direct.den, direct.order) == (branch.nums, branch.den, branch.order)
 
@@ -327,7 +340,7 @@ def test_exp_log_roundtrip(s):
 @given(unit_series, st.fractions(max_denominator=4, min_value=-3, max_value=3),
        st.fractions(max_denominator=4, min_value=-3, max_value=3))
 def test_pow_rat_additivity(s, a, b):
-    assert (pow_rat(s, a) * pow_rat(s, b)).coeffs == pow_rat(s, a + b).coeffs
+    assert mul(pow_rat(s, a), pow_rat(s, b)).coeffs == pow_rat(s, a + b).coeffs
 
 
 # ---------------------------------------------------------------- composition
@@ -359,10 +372,10 @@ def lagrange_inversion(s: Series, n: int) -> Fraction:
     if n < 1 or n > s.order:
         raise ValueError("need 1 <= n <= order")
     u = Series(s.coeffs[1:])             # s/t, constant = s_1 != 0
-    w = u.invert_mul()                   # (t/s) as a series in t
-    power = Series.constant(F(1), w.order)
+    w = invert_mul(u)                    # (t/s) as a series in t
+    power = constant(F(1), w.order)
     for _ in range(n):
-        power = power * w
+        power = mul(power, w)
     return power.coeffs[n - 1] / n
 
 
@@ -377,10 +390,14 @@ def test_reversion_is_involutive_on_moebius():
 
 
 def test_reversion_agrees_with_lagrange_inversion():
+    # Series.reversion is Lagrange inversion itself, so the test's Lagrange
+    # route is held against the Newton oracle, and the Newton oracle against
+    # Series.reversion
     s = Series((0, 1, F(2, 3), -1, F(1, 2), 0, 2, -1, F(5, 7)))
-    g = s.reversion()
+    g = newton_reversion(s)
     for n in range(1, s.order + 1):
         assert g.coeffs[n] == lagrange_inversion(s, n), n
+    assert s.reversion() == g
 
 
 def test_reversion_requires_zero_constant_and_unit():
@@ -402,8 +419,32 @@ invertible_series = st.lists(
 @given(invertible_series)
 def test_reversion_composes_to_identity(s):
     g = s.reversion()
-    assert s.compose(g).coeffs == Series.monomial(1, s.order).coeffs
+    assert s.compose(g).coeffs == monomial(1, s.order).coeffs
     assert g.reversion().coeffs == s.coeffs
+
+
+series_coeffs = st.fractions(max_denominator=7, min_value=-6, max_value=6)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+    series_coeffs.filter(lambda c: c not in (0, 1)),
+    st.lists(series_coeffs, min_size=n - 1, max_size=n - 1))))
+def test_reversion_equals_newton_iteration(drawn):
+    # orders 1..20, a linear coefficient other than 0 and 1
+    c1, tail = drawn
+    s = Series([F(0), c1] + tail)
+    assert s.reversion() == newton_reversion(s)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 16).flatmap(lambda n: st.tuples(
+    st.lists(series_coeffs, min_size=n + 1, max_size=n + 1),
+    st.lists(series_coeffs, min_size=n, max_size=n))))
+def test_compose_equals_the_fraction_horner_oracle(drawn):
+    outer, tail = drawn
+    inner = [F(0)] + tail
+    assert Series(outer).compose(Series(inner)).coeffs == tuple(fraction_compose(outer, inner))
 
 
 # ---------------------------------------------------------------- coefficient ring
@@ -418,4 +459,4 @@ def test_polynomial_coefficients_rejected():
     with pytest.raises(TypeError):
         Series((Poly(()), Poly((0, 1))))
     with pytest.raises(TypeError):
-        Series.constant(Poly((0, 1)), 3)
+        constant(Poly((0, 1)), 3)

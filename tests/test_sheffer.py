@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import exp
+from reference import constant, exp, monomial
 
 from dsheffer import (
     CoupleFileError,
@@ -176,7 +176,7 @@ def test_pair_from_couple_validates_first():
 
 
 def test_pair_invariants_enforced():
-    t = Series.monomial(1, 3)
+    t = monomial(1, 3)
     with pytest.raises(ValueError):
         ShefferPair(A=Series((2, 0, 0, 0)), Hx=t)      # A(0) != 1
     with pytest.raises(ValueError):
@@ -205,8 +205,8 @@ def test_laguerre_expansion_has_n_factorial_normalization():
 
 def test_appell_cubic_expansion():
     # A = exp(t^3), H = t: P_3 = 3! (1 + x^3/3!) = x^3 + 6
-    a = exp(Series.monomial(3, 6))
-    pair = ShefferPair(A=a, Hx=Series.monomial(1, 6))
+    a = exp(monomial(3, 6))
+    pair = ShefferPair(A=a, Hx=monomial(1, 6))
     seq = expand_polynomials(pair, 4)
     assert seq[3] == Poly((6, 0, 0, 1))
     assert seq[2] == Poly((0, 0, 1))
@@ -242,7 +242,7 @@ def test_roundtrip_hermite():
 def test_couple_from_pair_rejects_nonpolynomial_sigma():
     # H = t + t^3: 1/H' = 1/(1+3t^2) is not a polynomial
     hx = Series((0, 1, 0, 1) + (0,) * 9)
-    pair = ShefferPair(A=Series.constant(F(1), 12), Hx=hx)
+    pair = ShefferPair(A=constant(F(1), 12), Hx=hx)
     with pytest.raises(NotDOrthogonalShefferError):
         couple_from_pair(pair, 1)
 
@@ -250,14 +250,14 @@ def test_couple_from_pair_rejects_nonpolynomial_sigma():
 def test_couple_from_pair_rejects_nonpolynomial_gamma():
     # A = 1 + t with H = t: A'/(A H') = 1/(1+t) is not a polynomial
     a = Series((1, 1) + (0,) * 11)
-    pair = ShefferPair(A=a, Hx=Series.monomial(1, 12))
+    pair = ShefferPair(A=a, Hx=monomial(1, 12))
     with pytest.raises(NotDOrthogonalShefferError):
         couple_from_pair(pair, 1)
 
 
 def test_couple_from_pair_rejects_gamma_degree_overflow():
     # A = exp(t^3) with H = t gives gamma = 3t^2, too big for d = 1
-    pair = ShefferPair(A=exp(Series.monomial(3, 12)), Hx=Series.monomial(1, 12))
+    pair = ShefferPair(A=exp(monomial(3, 12)), Hx=monomial(1, 12))
     with pytest.raises(NotDOrthogonalShefferError):
         couple_from_pair(pair, 1)
     # but it is exactly the d = 2 couple [3t^2, 1]
@@ -268,9 +268,25 @@ def test_couple_from_pair_rejects_gamma_degree_overflow():
 
 def test_couple_from_pair_rejects_gamma_degree_deficit():
     # A = 1 means gamma = 0, never degree exactly d
-    pair = ShefferPair(A=Series.constant(F(1), 12), Hx=Series.monomial(1, 12))
+    pair = ShefferPair(A=constant(F(1), 12), Hx=monomial(1, 12))
     with pytest.raises(NotDOrthogonalShefferError):
         couple_from_pair(pair, 1)
+
+
+@pytest.mark.parametrize("A, Hx, message", [
+    ((1,) + (0,) * 12, (0, 1, 0, 1) + (0,) * 9,
+     "1/H' has a nonzero t^4 coefficient (9); not a polynomial of degree <= 2"),
+    ((1, F(1, 3)) + (0,) * 11, (0, 2, F(1, 2)) + (0,) * 10,
+     "1/H' has a nonzero t^3 coefficient (-1/16); not a polynomial of degree <= 2"),
+    ((1, 1) + (0,) * 11, (0, 1) + (0,) * 11,
+     "A'/(A H') has a nonzero t^2 coefficient (1); not a polynomial of degree <= 1"),
+    ((1,) + (0,) * 12, (0, 1) + (0,) * 11,
+     "A'/(A H') has degree < 1; the set is not exactly d-orthogonal for d=1"),
+])
+def test_couple_from_pair_error_messages(A, Hx, message):
+    with pytest.raises(NotDOrthogonalShefferError) as caught:
+        couple_from_pair(ShefferPair(A=Series(A), Hx=Series(Hx)), 1)
+    assert str(caught.value) == message
 
 
 def test_couple_from_pair_order_guard():

@@ -49,22 +49,36 @@ def public_definitions():
                         yield path.stem, f"{node.name}.{item.name}", item.name
 
 
-def test_every_public_name_has_a_reader():
-    # a public name is read by package code (a name, an attribute or an
-    # import) or by the benchmark; anything else is surface that only tests
-    # keep alive.  dsheffer's re-exports and __all__ read nothing: a name
-    # does not count as read by being exported
+def package_reads(source: Path = SOURCE) -> set[str]:
+    """The names the modules in `source` read: each Name and attribute, and
+    each name a module imports that it then reads under its bound name.
+
+    dsheffer's re-exports and __all__ read nothing: a name does not count as
+    read by being exported, nor by an import that nothing in its module reads.
+    """
     read = set()
-    for path in SOURCE.glob("*.py"):
+    for path in source.glob("*.py"):
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.alias):
-                read.add(node.name)
+        nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        read |= names
+        read |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        read |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+                 for alias in node.names if (alias.asname or alias.name) in names}
+    return read
+
+
+def test_an_import_counts_only_when_its_module_reads_it(tmp_path):
+    (tmp_path / "a.py").write_text("from b import kept, dropped as gone\nkept()\n")
+    (tmp_path / "__init__.py").write_text("from a import exported\n")
+    assert package_reads(tmp_path) == {"kept"}
+
+
+def test_every_public_name_has_a_reader():
+    # a public name is read by package code or by the benchmark; anything
+    # else is surface that only tests keep alive
+    read = package_reads()
     benchmark = {word for path in PERFBENCH.iterdir() if path.is_file()
                  for word in re.findall(r"\w+", path.read_text())}
     unread = {f"{module}.{qualname}" for module, qualname, name in public_definitions()
