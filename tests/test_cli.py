@@ -300,6 +300,46 @@ def test_verify_fails_when_the_couples_recurrence_is_wrong(tmp_path, capsys, mon
         assert details["error"] == "couple-mismatch" and details["n"] == 5, doc
 
 
+@pytest.mark.parametrize("n", [1, 12])
+def test_verify_two_path_fails_where_the_couple_route_differs(n, capsys, monkeypatch):
+    # a mutant that adds 1 to P_n of the couple's route: only two_path reads
+    # that route, and it must name n, the last index N = 12 included
+    real = cli.expand_from_couple
+
+    def mutant(couple, N):
+        polys = list(real(couple, N).polys)
+        polys[n] = polys[n] + 1
+        return sheffer.PolySequence(tuple(polys))
+
+    monkeypatch.setattr(cli, "expand_from_couple", mutant)
+    code, out, _ = run(capsys, "verify", "--family", "meixner-eq16", "--d", "2",
+                       "--param", "c=1/2", "--param", "beta=1", "--order", "12")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["two_path"]["status"] == "fail"
+    assert [m["n"] for m in doc["two_path"]["details"]["mismatches"]] == [n]
+    assert all(doc[s]["status"] == "pass"
+               for s in ("conditions", "recurrence", "duality", "orthogonality", "lowering"))
+
+
+def test_verify_compares_the_couples_last_recurrence_row(tmp_path, capsys, monkeypatch):
+    # a mutant that adds 1 to alpha_0(N - 1), the last row the comparison reads
+    real = sheffer.recurrence_numerators
+
+    def mutant(couple, top):
+        rows, R = real(couple, top)
+        rows[-1][0] += R
+        return rows, R
+
+    monkeypatch.setattr(cli, "recurrence_numerators", mutant)
+    path = tmp_path / "c.json"
+    path.write_text(APP1)
+    code, out, _ = run(capsys, "verify", "--couple-file", str(path), "--order", "12")
+    assert code == 1
+    details = json.loads(out)["recurrence"]["details"]
+    assert details["error"] == "couple-mismatch" and details["n"] == 11
+
+
 def test_verify_and_functionals_read_no_stirling_row(tmp_path, capsys, monkeypatch):
     # every source gets H*(D), whose moments are w_j j!/i!, so the
     # difference families need no Stirling numbers

@@ -213,6 +213,31 @@ def test_orthogonality_fails_for_mismatched_functionals():
     assert rep.failures
 
 
+def test_orthogonality_sees_the_first_cell_after_a_boundary():
+    # P_4 + 2 P_3 moves X_0[3][4] = <u_0, x^3 P_4>, the cell right after
+    # row 3's boundary, off zero and leaves every other cell of the pattern
+    # alone (P_4 + P_3 would also zero row 4's boundary)
+    seq, v, _ = build(LAGUERRE, 6)
+    polys = list(seq)
+    polys[4] = polys[4] + polys[3] * 2
+    rep = verify_d_orthogonality(PolySequence(tuple(polys)), v)
+    assert not rep.passed
+    assert [(c.k, c.n, c.m) for c in rep.failures] == [(0, 3, 4)]
+
+
+def test_orthogonality_sees_the_last_row():
+    # at d = 2 and top = 7, P_7 + P_6 moves X_0[3][7] = <u_0, x^3 P_7> off
+    # zero: it sits in row j = 3, the last row of u_0
+    couple = CoupleSpec(d=2, gamma=(1, F(-1, 2), 2), sigma=(F(-3, 2), 1, 0, F(-1, 3)))
+    seq, v, _ = build(couple, 7)
+    polys = list(seq)
+    polys[7] = polys[7] + polys[6]
+    rep = verify_d_orthogonality(PolySequence(tuple(polys)), v)
+    assert len(rep.hankel[0]) == 4
+    assert not rep.passed
+    assert [(c.k, c.n, c.m) for c in rep.failures] == [(0, 3, 7)]
+
+
 def test_orthogonality_order_guard():
     seq, _, _ = build(LAGUERRE, 6)
     _, small_v, _ = build(LAGUERRE, 6, order=10)
