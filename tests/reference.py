@@ -49,8 +49,18 @@ couple's H and A by 1/sigma, integrals, a product and exp.
 `from_poly`, `integrate`, `exp`, `log` and `pow_rat` are the series
 operations that no product path needs, moved out of `Series` into
 functions over a `Series` on the same kernels (`series._first_order` and
-`_recurrence`).  The routes here and the tests build on them, and
-`fraction_exp` and `fraction_log` stay their term-by-term oracles.
+`_recurrence`).  `constant`, `monomial`, `add`, `sub`, `neg`, `mul`,
+`differentiate` and `invert_mul` followed when `Series` became a record
+with no operators; like the operators they replace, `add`, `sub` and `mul`
+take an int or a Fraction on either side as a constant series.  The routes
+here and the tests build on them, and `fraction_exp`, `fraction_log`,
+`fraction_invert_mul` and `fraction_product` stay their term-by-term
+oracles.
+
+`newton_reversion` is the Newton iteration that `Series.reversion` ran
+before it became Lagrange inversion, composing by `fraction_compose`, the
+Fraction Horner oracle of `Series.compose`; the tests hold the two
+reversions against each other.
 
 `stirling_classical_meixner` is the classical (d = 1) Meixner
 functional's own Stirling-number collapse at one polynomial f, from before
