@@ -33,6 +33,7 @@ from dsheffer.dorth import (
     WindowViolationError,
     extract_recurrence,
     recurrence_from_couple,
+    verify,
     verify_d_orthogonality,
     verify_duality,
     verify_lowering,
@@ -50,6 +51,6 @@ __all__ = [
     "lowering_from_couple", "lowering_from_H",
     "BackSubstitutionError", "DualityReport", "LoweringReport", "OrthogonalityReport",
     "RecurrenceTable", "RegularityViolationError", "WindowViolationError",
-    "extract_recurrence", "recurrence_from_couple", "verify_d_orthogonality",
+    "extract_recurrence", "recurrence_from_couple", "verify", "verify_d_orthogonality",
     "verify_duality", "verify_lowering",
 ]

@@ -1,10 +1,10 @@
 """Command line interface.
 
-Subcommands: expand, verify, recurrence, functionals, catalog-list.  A
-construction source is either a built-in family (--family with --d, --param,
---aux) or a couple document (--couple-file).  Exit codes: 0 success / all
-checks pass, 1 verification failure, 2 invalid parameters or contract
-violation, 3 I/O or parse error.
+Subcommands: expand, verify (which renders the sections of dorth.verify),
+recurrence, functionals, catalog-list.  A source is a built-in family
+(--family with --d, --param, --aux) or a couple document (--couple-file).
+Exit codes: 0 success / all checks pass, 1 verification failure, 2 invalid
+parameters or contract violation, 3 I/O or parse error.
 
 `main(argv)` may be called any number of times in one process: the parser is
 built on the first call and reused, and each call parses into a fresh
@@ -29,25 +29,21 @@ from dsheffer import catalog, render
 from dsheffer.dorth import (
     RegularityViolationError,
     WindowViolationError,
-    extract_recurrence,
     recurrence_from_couple,
-    verify_d_orthogonality,
-    verify_duality,
-    verify_lowering,
+    verify,
 )
-from dsheffer.exactnum import parse_rational, ratio_strings
+# not called here; still importable as cli.verify_duality, which perfbench/test_perfbench.py reads
+from dsheffer.dorth import verify_duality  # noqa: F401
+from dsheffer.exactnum import parse_rational
 from dsheffer.operators import FunctionalVector
 from dsheffer.series import poly_latex, poly_text
 from dsheffer.sheffer import (
     CoupleFileError,
     CoupleSpec,
     InvalidCoupleError,
-    check_conditions,
     couple_from_json_dict,
     expand_from_couple,
     expand_polynomials,
-    pair_from_couple,
-    recurrence_numerators,
 )
 
 EXIT_OK = 0
@@ -174,31 +170,6 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _section(passed: bool, details: dict) -> dict:
-    return {"status": "pass" if passed else "fail", "details": details}
-
-
-def _recurrence_section(seq, d, couple) -> dict:
-    try:
-        table = extract_recurrence(seq, d)
-    except WindowViolationError as exc:
-        return _section(False, {"error": "window-violation", "n": exc.n,
-                                "index": exc.index, "value": str(exc.value)})
-    except RegularityViolationError as exc:
-        return _section(False, {"error": "regularity-violation", "rows": list(exc.rows)})
-    if d == couple.d:
-        # the rows must be the couple's own (the recurrence command's), compared
-        # as cross-multiplied integers: nums / den == rows / R
-        rows, R = recurrence_numerators(couple, len(table.nums))
-        den = table.den
-        for n, (got, want) in enumerate(zip(table.nums, rows)):
-            if any(a * R != b * den for a, b in zip(got, want)):
-                return _section(False, {"error": "couple-mismatch", "n": n,
-                                        "extracted": ratio_strings(got, den),
-                                        "from_couple": ratio_strings(want, R)})
-    return _section(True, table.to_jsonable())
-
-
 def cmd_verify(args) -> int:
     spec, couple = _resolve_source(args)
     N = args.order
@@ -206,39 +177,9 @@ def cmd_verify(args) -> int:
     if check_d < 1:
         raise CliError(EXIT_BAD_PARAMS, f"--check-d must be >= 1, got {check_d}")
     _require_order(N, check_d + 2, f" for the recurrence at d = {check_d}")
-
-    pair = pair_from_couple(couple, N) if spec is None else catalog.family_generating(spec, N)
-    seq = expand_polynomials(pair, N)
-
-    cond = check_conditions(couple, N)
-    sections = {"conditions": _section(cond.passed, cond.to_jsonable())}
-
-    if spec is None:
-        sections["two_path"] = {
-            "status": "skipped",
-            "details": {"reason": "raw couples have a single construction route"},
-        }
-    else:
-        other = expand_from_couple(couple, N)
-        mismatches = [
-            {"n": n, "closed_form": seq[n].pretty(), "from_couple": other[n].pretty()}
-            for n in range(N + 1)
-            if seq[n] != other[n]
-        ]
-        sections["two_path"] = _section(not mismatches,
-                                        {"compared_through": N, "mismatches": mismatches})
-
-    sections["recurrence"] = _recurrence_section(seq, check_d, couple)
-
-    # orthogonality reads moments up to degree N + N // check_d (the cell
-    # n = N // check_d, m = N); the lowering check needs only N
-    fv = FunctionalVector(couple, N + N // check_d, check_d)
-    orth = verify_d_orthogonality(seq, fv)   # duality reads its row j = 0
-    for name, check in (("duality", verify_duality(orth)),
-                        ("orthogonality", orth),
-                        ("lowering", verify_lowering(seq, fv.hstar))):
-        sections[name] = _section(check.passed, check.to_jsonable())
-
+    # a family is checked on its closed-form expansion, a couple file on its own pair
+    seq = None if spec is None else expand_polynomials(catalog.family_generating(spec, N), N)
+    sections = verify(couple, N, check_d, seq)
     ok = all(s["status"] in ("pass", "skipped") for s in sections.values())
     _emit_doc(args, "verify", N, spec, couple, check_d=check_d,
               overall="pass" if ok else "fail", **sections)

@@ -1,4 +1,4 @@
-"""Structural checks that a sequence really is d-orthogonal.
+"""Structural checks that a sequence really is d-orthogonal, and `verify`, their battery.
 
 Two independent routes are verified and never conflated:
 
@@ -32,16 +32,15 @@ exactly when the polynomials differ, and no derivative is ever taken (the
 tests' oracle applies sigma by repeated derivatives).
 
 All values are exact rationals; failing cells carry the offending value.
-The loops over P_n (back-substitution, the X table, duality, lowering)
-read the integer form that each P_n and each moment row stores (`nums`
-over `den`, see `series`), and a value becomes a Fraction once, when it is
+The loops over P_n (back-substitution, the X table, duality, lowering) read
+the integer form that each P_n and each moment row stores (`nums` over
+`den`, see `series`), and a value becomes a Fraction once, when it is
 reported; no check converts a coefficient.  An X entry holds or fails by
-its integer numerator alone, and a duality value is compared as
-num = den [i = k]; the OrthCell objects and their Fractions are built only
-when a caller reads the cells or a failing report prints its failures, on
-each read, so a passing report builds none.  The recurrence table is
-held the same way, as integer numerators over one denominator, and prints
-from them.
+its integer numerator alone, and a duality value is compared as num = den
+[i = k]; the OrthCell objects and their Fractions are built only when a
+caller reads the cells or a failing report prints its failures, on each
+read, so a passing report builds none.  The recurrence table is held the
+same way, as integer numerators over one denominator, and prints from them.
 Back-substitution keeps one running remainder per row, r / R = x P_n minus
 the c_j P_j found so far, integers over one denominator.  Going down from
 j = n + 1, a zero r[j] (every one below n - d in a d-orthogonal sequence)
@@ -66,7 +65,8 @@ from dsheffer.operators import FunctionalVector
 # perfbench/test_perfbench.py reads
 from dsheffer.operators import functional_eval  # noqa: F401
 from dsheffer.series import Poly, Series
-from dsheffer.sheffer import CoupleSpec, PolySequence, recurrence_numerators
+from dsheffer.sheffer import (CoupleSpec, PolySequence, check_conditions, expand_from_couple,
+                              expand_polynomials, pair_from_couple, recurrence_numerators)
 
 _set = object.__setattr__
 
@@ -466,3 +466,63 @@ def verify_lowering(seq: PolySequence, hstar: Series) -> LoweringReport:
             failures.append(n)
         prev, dprev = c, dn
     return LoweringReport(max_index=top, failures=tuple(failures))
+
+
+def _section(passed: bool, details: dict) -> dict:
+    return {"status": "pass" if passed else "fail", "details": details}
+
+
+def _recurrence_section(seq, d, couple) -> dict:
+    try:
+        table = extract_recurrence(seq, d)
+    except WindowViolationError as exc:
+        return _section(False, {"error": "window-violation", "n": exc.n,
+                                "index": exc.index, "value": str(exc.value)})
+    except RegularityViolationError as exc:
+        return _section(False, {"error": "regularity-violation", "rows": list(exc.rows)})
+    if d == couple.d:
+        # the rows must be the couple's own (the recurrence command's), compared
+        # as cross-multiplied integers: nums / den == rows / R
+        rows, R = recurrence_numerators(couple, len(table.nums))
+        den = table.den
+        for n, (got, want) in enumerate(zip(table.nums, rows)):
+            if any(a * R != b * den for a, b in zip(got, want)):
+                return _section(False, {"error": "couple-mismatch", "n": n,
+                                        "extracted": ratio_strings(got, den),
+                                        "from_couple": ratio_strings(want, R)})
+    return _section(True, table.to_jsonable())
+
+
+def verify(couple: CoupleSpec, N: int, d: int, seq: PolySequence | None = None) -> dict:
+    """The sections of `verify`'s report on P_0..P_N checked at d, in report order:
+    conditions, two_path, recurrence (compared with the couple's own rows at
+    d = couple.d), duality, orthogonality and lowering, each {"status",
+    "details"}; the last three read one FunctionalVector of order N + N // d.
+    `seq` is a family's closed-form expansion, which two_path compares with
+    expand_from_couple; with seq None the couple's own pair is expanded and
+    two_path is skipped.  The CLI only renders the sections.
+    """
+    if own := seq is None:
+        seq = expand_polynomials(pair_from_couple(couple, N), N)
+    cond = check_conditions(couple, N)
+    sections = {"conditions": _section(cond.passed, cond.to_jsonable())}
+    if own:
+        sections["two_path"] = {"status": "skipped", "details": {
+            "reason": "raw couples have a single construction route"}}
+    else:
+        other = expand_from_couple(couple, N)
+        mismatches = [
+            {"n": n, "closed_form": seq[n].pretty(), "from_couple": other[n].pretty()}
+            for n in range(N + 1)
+            if seq[n] != other[n]
+        ]
+        sections["two_path"] = _section(not mismatches,
+                                        {"compared_through": N, "mismatches": mismatches})
+    sections["recurrence"] = _recurrence_section(seq, d, couple)
+    fv = FunctionalVector(couple, N + N // d, d)    # orthogonality's cell n = N // d, m = N
+    orth = verify_d_orthogonality(seq, fv)   # duality reads its row j = 0
+    for name, check in (("duality", verify_duality(orth)),
+                        ("orthogonality", orth),
+                        ("lowering", verify_lowering(seq, fv.hstar))):
+        sections[name] = _section(check.passed, check.to_jsonable())
+    return sections

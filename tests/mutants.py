@@ -71,20 +71,30 @@ MUTANTS = (
            "        if False:\n            raise BackSubstitutionError",
            "tests/test_dorth.py::test_back_substitution_remainder_raises_typed_error"),
     # two_path compares n < N only
-    Mutant("cli.py",
+    Mutant("dorth.py",
            "            for n in range(N + 1)\n            if seq[n] != other[n]",
            "            for n in range(N)\n            if seq[n] != other[n]",
            "tests/test_cli.py::test_verify_two_path_fails_where_the_couple_route_differs[12]"),
     # two_path never reports a mismatch
-    Mutant("cli.py",
+    Mutant("dorth.py",
            "            if seq[n] != other[n]",
            "            if False",
            "tests/test_cli.py::test_verify_two_path_fails_where_the_couple_route_differs[1]"),
     # the couple-row comparison skips the last row
-    Mutant("cli.py",
+    Mutant("dorth.py",
            "enumerate(zip(table.nums, rows)):",
            "enumerate(zip(table.nums[:-1], rows)):",
            "tests/test_cli.py::test_verify_compares_the_couples_last_recurrence_row"),
+    # the couple-row comparison never runs
+    Mutant("dorth.py",
+           "if d == couple.d:",
+           "if False:",
+           "tests/test_cli.py::test_verify_fails_when_the_couples_recurrence_is_wrong"),
+    # the overall verdict ignores a failing section
+    Mutant("cli.py",
+           '("pass", "skipped")',
+           '("pass", "skipped", "fail")',
+           "tests/test_cli.py::test_verify_fails_when_the_couples_recurrence_is_wrong"),
 )
 
 

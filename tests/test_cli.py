@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import dsheffer
-from dsheffer import catalog, cli, dorth, exactnum, sheffer
+from dsheffer import catalog, cli, dorth, exactnum, render, sheffer
 from dsheffer.cli import main
 from dsheffer.dorth import BackSubstitutionError
 from sweep import load_workloads
@@ -287,7 +287,7 @@ def test_verify_fails_when_the_couples_recurrence_is_wrong(tmp_path, capsys, mon
             rows[5][0] += R
         return rows, R
 
-    for module in (sheffer, dorth, cli):                # every binding of the name
+    for module in (sheffer, dorth):                     # every binding of the name
         monkeypatch.setattr(module, "recurrence_numerators", mutant, raising=False)
     docs = [doc for seed in (1, 2, 3) for doc in load_workloads().draw_couples(seed)]
     assert len(docs) == 27
@@ -304,14 +304,14 @@ def test_verify_fails_when_the_couples_recurrence_is_wrong(tmp_path, capsys, mon
 def test_verify_two_path_fails_where_the_couple_route_differs(n, capsys, monkeypatch):
     # a mutant that adds 1 to P_n of the couple's route: only two_path reads
     # that route, and it must name n, the last index N = 12 included
-    real = cli.expand_from_couple
+    real = dorth.expand_from_couple
 
     def mutant(couple, N):
         polys = list(real(couple, N).polys)
         polys[n] = polys[n] + 1
         return sheffer.PolySequence(tuple(polys))
 
-    monkeypatch.setattr(cli, "expand_from_couple", mutant)
+    monkeypatch.setattr(dorth, "expand_from_couple", mutant)
     code, out, _ = run(capsys, "verify", "--family", "meixner-eq16", "--d", "2",
                        "--param", "c=1/2", "--param", "beta=1", "--order", "12")
     assert code == 1
@@ -331,13 +331,36 @@ def test_verify_compares_the_couples_last_recurrence_row(tmp_path, capsys, monke
         rows[-1][0] += R
         return rows, R
 
-    monkeypatch.setattr(cli, "recurrence_numerators", mutant)
+    monkeypatch.setattr(dorth, "recurrence_numerators", mutant)
     path = tmp_path / "c.json"
     path.write_text(APP1)
     code, out, _ = run(capsys, "verify", "--couple-file", str(path), "--order", "12")
     assert code == 1
     details = json.loads(out)["recurrence"]["details"]
     assert details["error"] == "couple-mismatch" and details["n"] == 11
+
+
+def test_verify_reports_the_sections_of_the_library_call(tmp_path, capsys):
+    # the command renders dorth.verify: on the couple's own pair for a couple
+    # file, on the family's closed-form expansion for a family
+    path = tmp_path / "c.json"
+    path.write_text(APP1)
+    spec = catalog.FamilySpec(family="meixner-eq16", d=2, aux=None,
+                              params={"c": Fraction(1, 2), "beta": Fraction(1)})
+    closed_form = sheffer.expand_polynomials(catalog.family_generating(spec, 12), 12)
+    for argv, couple, seq in [
+        (["--couple-file", str(path), "--check-d", "2"],
+         sheffer.couple_from_json_dict(json.loads(APP1)), None),
+        (["--family", "meixner-eq16", "--d", "2", "--param", "c=1/2", "--param", "beta=1"],
+         catalog.family_couple(spec), closed_form),
+    ]:
+        code, out, _ = run(capsys, "verify", "--order", "12", *argv)
+        doc = json.loads(out)
+        sections = dorth.verify(couple, 12, doc["check_d"], seq)
+        assert list(sections) == ["conditions", "two_path", "recurrence", "duality",
+                                  "orthogonality", "lowering"]
+        assert {name: doc[name] for name in sections} == json.loads(render.dump_json(sections))
+        assert (code, doc["overall"]) in ((0, "pass"), (1, "fail"))
 
 
 def test_verify_and_functionals_read_no_stirling_row(tmp_path, capsys, monkeypatch):
@@ -616,7 +639,7 @@ def test_internal_errors_are_not_read_as_bad_input(monkeypatch, capsys):
 
     monkeypatch.undo()
     # only verify back-substitutes; recurrence reads its rows off the couple
-    monkeypatch.setattr(cli, "extract_recurrence", remainder)
+    monkeypatch.setattr(dorth, "extract_recurrence", remainder)
     with pytest.raises(BackSubstitutionError):
         main(["verify", "--order", "3", *LAGUERRE_D1])
 

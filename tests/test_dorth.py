@@ -310,3 +310,38 @@ def test_lowering_detects_rescaled_polynomial():
     rep = verify_lowering(PolySequence(tuple(polys)), lop)
     assert not rep.passed
     assert rep.failures
+
+
+# ---------------------------------------------------------------- the battery
+
+def failing(sections) -> set[str]:
+    return {name for name, section in sections.items() if section["status"] == "fail"}
+
+
+def test_verify_names_the_sections_that_one_changed_p7_fails_on_every_sample():
+    # dorth.verify on each default sample's closed form at N = 12, with P_7
+    # changed.  Doubled, P_7 keeps the staircase and <u_i, P_7> = 0, but it
+    # leaves the couple's route, halves alpha_(d+1)(6) in x P_6 and breaks
+    # sigma P_n = n P_(n-1) at n = 7 and 8.  Moved to P_7(x + 1), it breaks
+    # the window and the staircase too, and duality unless P_7(x + 1) - P_7
+    # lies in the span of P_j with j >= d: charlier-eq13 has omega = 1, so
+    # sigma is the forward difference there and P_7(x + 1) = P_7 + 7 P_6.
+    # conditions reads the couple alone and never fails.
+    top = 12
+    for spec in catalog.default_sample_specs():
+        couple = catalog.family_couple(spec)
+        polys = list(expand_polynomials(catalog.family_generating(spec, top), top))
+
+        def with_p7(p7):
+            seq = PolySequence(tuple(polys[:7] + [p7] + polys[8:]))
+            return dorth.verify(couple, top, spec.d, seq)
+
+        assert not failing(with_p7(polys[7])), spec
+        doubled = with_p7(polys[7] * 2)
+        assert failing(doubled) == {"two_path", "recurrence", "lowering"}, spec
+        details = doubled["recurrence"]["details"]
+        assert (details["error"], details["n"]) == ("couple-mismatch", 6), spec
+        assert doubled["lowering"]["details"]["failures"] == [7, 8], spec
+        moved = failing(with_p7(polys[7].shift(1)))
+        assert moved - {"duality"} == {"two_path", "recurrence", "orthogonality", "lowering"}
+        assert ("duality" in moved) == (spec.family != "charlier-eq13"), spec

@@ -16,6 +16,11 @@ recurrence rows alpha_k(n)/a except alpha_d(n), which becomes
 <u_k, ((x - b)/a)^j> = a^(-j) sum_i C(j, i) (-b)^(j-i) mu_k(i), and every
 orthogonality cell <u_k, Q_n Q_m> = <u_k, P_n P_m> unchanged, at --check-d
 d and d +- 1 alike.
+
+The fixed couples above are checked at N = 12.  The relations need no
+oracle, so a Hypothesis test also draws regular couples (d = 1..3),
+rationals c, a != 0 and b, and N up to 40, and holds both expansions and
+the six statuses of dorth.verify, at d and d +- 1, against the drawn couple's.
 """
 
 import json
@@ -23,6 +28,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsheffer import (
     CoupleSpec,
@@ -34,10 +41,12 @@ from dsheffer import (
     expand_polynomials,
     pair_from_couple,
     recurrence_from_couple,
+    verify,
     verify_d_orthogonality,
 )
 from dsheffer import catalog
 from sweep import load_workloads
+from test_kernels import nonzero, regular_couples, small
 
 F = Fraction
 N = 12
@@ -64,6 +73,11 @@ def shifted(couple: CoupleSpec, a: Fraction, b: Fraction) -> CoupleSpec:
 
 def check_ds(couple) -> list[int]:
     return [e for e in (couple.d - 1, couple.d, couple.d + 1) if e >= 1]
+
+
+def moved(p: Poly, a: Fraction, b: Fraction) -> Poly:
+    """P(a x + b): the variable scaled on the coefficients, then shifted by b/a."""
+    return Poly([v * a ** i for i, v in enumerate(p.coeffs)]).shift(b / a)
 
 
 def orthogonality(couple, seq, check_d):
@@ -104,11 +118,9 @@ def test_the_shifted_couple_shifts_every_quantity(name, a, b):
     other = shifted(couple, a, b)
     d = couple.d
     seq = expand_polynomials(pair_from_couple(couple, N), N)
-    # P_n(a x + b): the variable scaled on the coefficients, then shifted by b/a
-    moved = [Poly([v * a ** i for i, v in enumerate(p.coeffs)]).shift(b / a) for p in seq]
     seq_ab = expand_polynomials(pair_from_couple(other, N), N)
-    assert list(seq_ab) == moved
-    assert list(expand_from_couple(other, N)) == moved
+    assert list(seq_ab) == [moved(p, a, b) for p in seq]
+    assert list(expand_from_couple(other, N)) == list(seq_ab)
 
     rows = recurrence_from_couple(couple, N).rows
     rows_ab = recurrence_from_couple(other, N).rows
@@ -171,3 +183,25 @@ def test_the_scaled_couple_keeps_every_verdict(name, c, tmp_path, capsys):
             [(f["k"], f["n"], f["m"]) for f in failures]
         assert all(F(b["value"]) == F(a["value"]) * c ** (a["n"] + a["m"] - a["k"])
                    for a, b in zip(failures, failures_c))
+
+
+def statuses(sections) -> list[tuple[str, str]]:
+    return [(name, section["status"]) for name, section in sections.items()]
+
+
+@settings(max_examples=20, deadline=None)
+@given(regular_couples(), nonzero, nonzero, small, st.data())
+def test_the_group_relations_hold_on_drawn_couples(couple, c, a, b, data):
+    # no oracle: the images of a drawn couple under t -> c t and x -> a x + b
+    # expand to c^n P_n and P_n(a x + b) at orders up to 40, and dorth.verify
+    # gives the three couples the same six statuses at d and at d +- 1
+    top = data.draw(st.integers(couple.d + 3, 40), label="N")
+    images = (scaled(couple, c), shifted(couple, a, b))
+    seq = expand_from_couple(couple, top)
+    assert list(expand_from_couple(images[0], top)) == [p * c ** n for n, p in enumerate(seq)]
+    assert list(expand_from_couple(images[1], top)) == [moved(p, a, b) for p in seq]
+    for check_d in check_ds(couple):
+        expected = statuses(verify(couple, top, check_d))
+        assert len(expected) == 6
+        for image in images:
+            assert statuses(verify(image, top, check_d)) == expected, check_d
