@@ -118,9 +118,10 @@ def test_the_shifted_couple_shifts_every_quantity(name, a, b):
     other = shifted(couple, a, b)
     d = couple.d
     seq = expand_polynomials(pair_from_couple(couple, N), N)
+    images = [moved(p, a, b) for p in seq]
     seq_ab = expand_polynomials(pair_from_couple(other, N), N)
-    assert list(seq_ab) == [moved(p, a, b) for p in seq]
-    assert list(expand_from_couple(other, N)) == list(seq_ab)
+    assert list(seq_ab) == images
+    assert list(expand_from_couple(other, N)) == images
 
     rows = recurrence_from_couple(couple, N).rows
     rows_ab = recurrence_from_couple(other, N).rows
