@@ -16,13 +16,7 @@ from dsheffer.sheffer import (
     expand_polynomials,
     pair_from_couple,
 )
-from dsheffer.operators import (
-    FunctionalVector,
-    apply_lowering,
-    functional_eval,
-    lowering_from_couple,
-    lowering_from_H,
-)
+from dsheffer.operators import FunctionalVector
 from dsheffer.dorth import (
     BackSubstitutionError,
     DualityReport,
@@ -47,8 +41,7 @@ __all__ = [
     "CoupleFileError", "CoupleSpec", "InvalidCoupleError", "NotDOrthogonalShefferError",
     "PolySequence", "ShefferPair", "check_conditions", "couple_from_json_dict",
     "couple_from_pair", "expand_from_couple", "expand_polynomials", "pair_from_couple",
-    "FunctionalVector", "apply_lowering", "functional_eval",
-    "lowering_from_couple", "lowering_from_H",
+    "FunctionalVector",
     "BackSubstitutionError", "DualityReport", "LoweringReport", "OrthogonalityReport",
     "RecurrenceTable", "RegularityViolationError", "WindowViolationError",
     "extract_recurrence", "recurrence_from_couple", "verify", "verify_d_orthogonality",

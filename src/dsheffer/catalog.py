@@ -8,17 +8,17 @@ independent routes.  Every family has the same closed form,
     H(t) = h(t)                   (derivative kind),
     H(t) = log(1 + omega h(t))/omega   (difference kind, step omega),
 
-and differs only in three numbers (e, k, s), given per family by
-`FamilyInfo.factors` (tabulated in README, "Built-in families"), and its step
-omega (`family_step`).  `family_generating` solves the closed form's own ODEs
-on the recurrence kernel of `series`: (1 - t) A' = ((1 - t) pi' - e) A, and
-for both kinds p H' = s k with H(0) = 0 and
+and differs only in four numbers (e, k, s, omega), omega = 0 for the
+derivative kind, given per family by `FamilyInfo.factors` (tabulated in
+README, "Built-in families").  `family_generating` solves the closed form's
+own ODEs on the recurrence kernel of `series`: (1 - t) A' = ((1 - t) pi' - e) A,
+and for both kinds p H' = s k with H(0) = 0 and
 
     p = (1 - omega s)(1 - t)^(k+1) + omega s (1 - t)    (k >= -1),
 
 which is H' = h'/(1 + omega h) with both sides of the quotient multiplied
-by (1 - t)^(k+1), and omega = 0 for the derivative kind (H' = h').  No series
-is multiplied, and the difference kind takes no logarithm.
+by (1 - t)^(k+1), H' = h' at omega = 0.  No series is multiplied, and the
+difference kind takes no logarithm.
 
 Families whose generating function carries exp(pi(t)) for an auxiliary
 polynomial pi are normalized to exp(pi(t) - pi(0)): the couple only ever
@@ -28,11 +28,11 @@ A(t) (1 + omega*h(t))^(x/omega); expansion goes through the equivalent
 exponential form above.  The lowering operator H*(D) and the functionals
 come from the couple alone: `verify` and `functionals` build them in
 `operators.FunctionalVector` (a difference family's h*(Delta_omega) is the
-same operator on polynomials), and `family_lowering` stays only for the
-benchmark's tracer.  So a family is realized in closed form only for the
-generating pair, and its step omega (`family_step`) is read by that closed
-form alone.  The labels DERIVATIVE and DIFFERENCE (`FamilyInfo.kind`) say
-in which form the paper states a family.
+same operator on polynomials), and `family_lowering`, the `hstar` of one
+at d = 1, stays only for the benchmark's tracer.  So a family is realized
+in closed form only for the generating pair, and its step omega is read by
+that closed form alone.  The labels DERIVATIVE and DIFFERENCE
+(`FamilyInfo.kind`) say in which form the paper states a family.
 The couples (`_couple_of`) stay written out by hand: they are the
 independent route the closed form is compared against.
 
@@ -56,7 +56,7 @@ from operator import mul
 from types import MappingProxyType
 
 from dsheffer.exactnum import exact, scaled, stirling2_rows
-from dsheffer.operators import lowering_from_couple
+from dsheffer.operators import FunctionalVector
 from dsheffer.series import Poly, Series, _first_order
 from dsheffer.sheffer import CoupleSpec, ShefferPair
 
@@ -121,8 +121,8 @@ class FamilyInfo:
     d_fixed: int | None
     restrictions: str
     generating_text: str
-    # (d, params) -> (e, k, s) of the closed form in the module docstring
-    factors: Callable[[int, Mapping[str, Fraction]], tuple[Fraction, int, Fraction]]
+    # (d, params) -> (e, k, s, omega) of the closed form in the module docstring
+    factors: Callable[[int, Mapping[str, Fraction]], tuple[Fraction, int, Fraction, Fraction]]
 
 
 FAMILIES: dict[str, FamilyInfo] = {}
@@ -143,7 +143,7 @@ _register(FamilyInfo(
     d_fixed=None,
     restrictions="n/d + alpha + 1 != 0 for all n >= 0",
     generating_text="(1-t)^(-(alpha+1)d) * exp(-x[(1-t)^(-d) - 1])",
-    factors=lambda d, p: (-(p["alpha"] + 1) * d, d, Fraction(-1)),
+    factors=lambda d, p: (-(p["alpha"] + 1) * d, d, Fraction(-1), Fraction(0)),
 ))
 _register(FamilyInfo(
     family=LAGUERRE_EQ10,
@@ -156,7 +156,7 @@ _register(FamilyInfo(
     d_fixed=None,
     restrictions="a_(d-1) != 0 for d >= 2; alpha + n + 1 != 0 for d = 1",
     generating_text="exp(pi(t)-pi(0)) * (1-t)^(-alpha-1) * exp(-x t/(1-t))",
-    factors=lambda d, p: (-(p["alpha"] + 1), 1, Fraction(-1)),
+    factors=lambda d, p: (-(p["alpha"] + 1), 1, Fraction(-1), Fraction(0)),
 ))
 _register(FamilyInfo(
     family=LAGUERRE_EQ11,
@@ -169,7 +169,7 @@ _register(FamilyInfo(
     d_fixed=2,
     restrictions="alpha + n + 1 != 0 for all n >= 0",
     generating_text="(1-t)^(-alpha-1) * exp(x (t^2 - 2t) / (2 (1-t)^2))",
-    factors=lambda d, p: (-(p["alpha"] + 1), 2, Fraction(-1, 2)),
+    factors=lambda d, p: (-(p["alpha"] + 1), 2, Fraction(-1, 2), Fraction(0)),
 ))
 _register(FamilyInfo(
     family=HERMITE_EQ12,
@@ -182,7 +182,7 @@ _register(FamilyInfo(
     d_fixed=None,
     restrictions="a_(d+1) != 0",
     generating_text="exp(pi(t)-pi(0)) * exp(x t)",
-    factors=lambda d, p: (Fraction(0), -1, Fraction(-1)),
+    factors=lambda d, p: (Fraction(0), -1, Fraction(-1), Fraction(0)),
 ))
 _register(FamilyInfo(
     family=CHARLIER_EQ13,
@@ -195,7 +195,7 @@ _register(FamilyInfo(
     d_fixed=None,
     restrictions="a_d != 0; omega != 0",
     generating_text="exp(pi(t)-pi(0)) * (1 + omega t)^(x/omega)",
-    factors=lambda d, p: (Fraction(0), -1, Fraction(-1)),
+    factors=lambda d, p: (Fraction(0), -1, Fraction(-1), p["omega"]),
 ))
 _register(FamilyInfo(
     family=MEIXNER_EQ14,
@@ -209,7 +209,7 @@ _register(FamilyInfo(
     restrictions="c not in {0, 1}; a_(d-1) != 0 for d >= 2; "
                  "beta not a nonpositive integer for d = 1",
     generating_text="exp(pi(t)-pi(0)) * (1-t)^(-beta) * (1 + ((c-1)/c) t/(1-t))^x",
-    factors=lambda d, p: (-p["beta"], 1, (p["c"] - 1) / p["c"]),
+    factors=lambda d, p: (-p["beta"], 1, (p["c"] - 1) / p["c"], Fraction(1)),
 ))
 _register(FamilyInfo(
     family=MEIXNER_EQ16,
@@ -222,7 +222,7 @@ _register(FamilyInfo(
     d_fixed=None,
     restrictions="c not in {0, 1/(1-d), 1}; beta != -n/d for all n >= 0",
     generating_text="(1-t)^(-beta d) * (1 + ((c-1)/(dc)) [(1-t)^(-d) - 1])^x",
-    factors=lambda d, p: (-p["beta"] * d, d, (p["c"] - 1) / (d * p["c"])),
+    factors=lambda d, p: (-p["beta"] * d, d, (p["c"] - 1) / (d * p["c"]), Fraction(1)),
 ))
 _register(FamilyInfo(
     family=MEIXNER_EQ21,
@@ -237,7 +237,7 @@ _register(FamilyInfo(
                  "beta not a nonpositive integer for d = 2",
     generating_text="exp(pi(t)-pi(0)) * (1-t)^(-beta) * "
                     "(1 + ((c-1)/(2c)) (t^2 - 2t)/(1-t)^2)^x",
-    factors=lambda d, p: (-p["beta"], 2, -(p["c"] - 1) / (2 * p["c"])),
+    factors=lambda d, p: (-p["beta"], 2, -(p["c"] - 1) / (2 * p["c"]), Fraction(1)),
 ))
 
 
@@ -383,8 +383,8 @@ def family_generating(spec: FamilySpec, N: int) -> ShefferPair:
     family_couple(spec)
     if N < 1:
         raise ValueError("order must be at least 1")
-    e, k, s = FAMILIES[spec.family].factors(spec.d, spec.params)
-    omega_s = (family_step(spec) or 0) * s
+    e, k, s, omega = FAMILIES[spec.family].factors(spec.d, spec.params)
+    omega_s = omega * s
     dpi = [j * a for j, a in enumerate(spec.aux or ()) if j]                    # pi'
     ints, _ = scaled([1, -1, *(c - b for b, c in zip([e, *dpi], [*dpi, 0]))])  # (1 - t) pi' - e
     A = _first_order(ints[:2], ints[2:], (), Fraction(1), N)
@@ -397,21 +397,9 @@ def family_generating(spec: FamilySpec, N: int) -> ShefferPair:
     return ShefferPair(A=A, Hx=Hx)
 
 
-def family_step(spec: FamilySpec) -> Fraction | None:
-    """Step omega of the family's Newton form; None for the derivative kind.
-
-    The Meixner families are stated in Newton form with step 1.
-    """
-    if FAMILIES[spec.family].kind == DERIVATIVE:
-        return None
-    if spec.family == CHARLIER_EQ13:
-        return spec.params["omega"]
-    return Fraction(1)
-
-
 def family_lowering(spec: FamilySpec, N: int) -> Series:
     """The family's H* at truncation order N, the series of its lowering operator H*(D)."""
-    return lowering_from_couple(family_couple(spec), N)
+    return FunctionalVector(family_couple(spec), N, 1).hstar
 
 
 def laguerre2_moments(alpha: Fraction, i: int, order: int) -> tuple[Fraction, ...]:

@@ -498,12 +498,15 @@ def verify(couple: CoupleSpec, N: int, d: int, seq: PolySequence | None = None) 
     conditions, two_path, recurrence (compared with the couple's own rows at
     d = couple.d), duality, orthogonality and lowering, each {"status",
     "details"}; the last three read one FunctionalVector of order N + N // d.
-    `seq` is a family's closed-form expansion, which two_path compares with
-    expand_from_couple; with seq None the couple's own pair is expanded and
-    two_path is skipped.  The CLI only renders the sections.
+    `seq` is a family's closed-form expansion P_0..P_N (ValueError for any
+    other length), which two_path compares with expand_from_couple; with seq
+    None the couple's own pair is expanded and two_path is skipped.  The CLI
+    only renders the sections.
     """
     if own := seq is None:
         seq = expand_polynomials(pair_from_couple(couple, N), N)
+    elif seq.max_index != N:
+        raise ValueError(f"seq holds P_0..P_{seq.max_index}, not P_0..P_{N}")
     cond = check_conditions(couple, N)
     sections = {"conditions": _section(cond.passed, cond.to_jsonable())}
     if own:

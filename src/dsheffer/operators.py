@@ -30,16 +30,18 @@ k! S^k w_k and i! S^j mu_i(j) are integers, each a binomial convolution of
 the ones before, and gamma(y) is a dot product per column of that table.
 y and each row are handed over once, over N! R^N and i! S^N (the Series
 route it replaced, gamma(y) by Horner's rule, an integral, exp and
-products by y, is the tests' oracle).  lowering_from_couple returns y;
-FunctionalVector(couple, order, d) keeps y as `hstar` next to the rows,
-so its operator is the couple's own: the Series y, with y_0 = 0
+products by y, is the tests' oracle).  FunctionalVector(couple, order, d)
+is the solver's one caller and keeps y as `hstar` next to the rows, so
+its operator is the couple's own: the Series y, with y_0 = 0
 (verify_lowering rejects any other).  Every functional value is a dot
 product with one row.
 
 `lowering_from_H` reverts a given H by Lagrange inversion
 (`Series.reversion`, on the integer kernels of `series`), and
 `apply_lowering` applies sigma by repeated derivatives; neither is on the
-verify path.  They are the independent routes the tests compare against.
+verify path.  They are the independent routes the tests compare against,
+and with `functional_eval` they are read from this module, not from the
+package's top level.
 """
 
 from __future__ import annotations
@@ -52,17 +54,12 @@ from dsheffer.series import Poly, Series
 from dsheffer.sheffer import CoupleSpec
 
 
-def lowering_from_couple(couple: CoupleSpec, N: int) -> Series:
-    """The couple's H* at truncation order N, the series of its lowering operator H*(D)."""
-    return _solve_couple(couple, N, 0)[0]
-
-
 def _solve_couple(couple: CoupleSpec, N: int, d: int) -> tuple[Series, tuple[Series, ...]]:
     """y = H* and the moment rows mu_0 .. mu_(d-1) at truncation order N, from the couple alone.
 
     (k+1) y_(k+1) = [s^k] sigma(y) and (k+1) w_(k+1) = -[s^k] gamma(y) w,
     and [s^k] y^j needs only y_1..y_k, so each coefficient follows from the
-    ones before it; mu_i(j) = (j!/i!) [s^j] y^i w.  At d = 0 no row is built.
+    ones before it; mu_i(j) = (j!/i!) [s^j] y^i w.
     """
     if N < 1:
         raise ValueError("order must be at least 1")
@@ -87,8 +84,6 @@ def _solve_couple(couple: CoupleSpec, N: int, d: int) -> tuple[Series, tuple[Ser
     for k in range(N, 0, -1):
         ys[k] = Y[k] * scale
         scale *= k * R
-    if not d:
-        return Series.of(ys, scale), ()
     # With Dg = den gamma and S = R Dg, G_k = sum_j gamma_j Z_j[k] and W_k = k! S^k w_k
     # are integers, and W_(k+1) = -R sum_i C(k, i) Dg^i G_i W_(k-i).
     Dg, S = gam.den, R * gam.den
@@ -135,8 +130,8 @@ class FunctionalVector:
     """The d moment functionals of a couple, as their table of moments.
 
     The couple's ODE is solved here at the given order, and `hstar` keeps
-    the series y = H* it gives (equal to lowering_from_couple at that
-    order); the moment rows come off the same solution.  rows[i] is the
+    the series y = H* it gives, the couple's lowering operator at that
+    order; the moment rows come off the same solution.  rows[i] is the
     Series of moments <u_i, x^j> for j <= order, as integer numerators over
     one denominator, the form that dorth's checks read; the functionals read
     nothing else.

@@ -95,6 +95,11 @@ MUTANTS = (
            '("pass", "skipped")',
            '("pass", "skipped", "fail")',
            "tests/test_cli.py::test_verify_fails_when_the_couples_recurrence_is_wrong"),
+    # verify reads a seq of any length
+    Mutant("dorth.py",
+           "    elif seq.max_index != N:",
+           "    elif False:",
+           "tests/test_dorth.py::test_verify_refuses_a_seq_that_is_not_p0_to_pN[14]"),
 )
 
 

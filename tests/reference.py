@@ -72,10 +72,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
 
-from dsheffer import Poly, PolySequence, Series, ShefferPair, functional_eval
+from dsheffer import Poly, PolySequence, Series, ShefferPair
 from dsheffer import catalog
 from dsheffer.dorth import BackSubstitutionError, RecurrenceTable, WindowViolationError
 from dsheffer.exactnum import exact, scaled, stirling2_rows
+from dsheffer.operators import functional_eval
 from dsheffer.series import _convolve, _first_order, _recurrence
 
 
@@ -364,9 +365,14 @@ def stepped_moments(ws, omega, order) -> tuple[tuple[Fraction, ...], ...]:
                  for i, w in enumerate(ws))
 
 
+def newton_step(spec) -> Fraction | None:
+    """Step omega of a family's Newton form, None for the derivative kind (omega = 0)."""
+    return catalog.FAMILIES[spec.family].factors(spec.d, spec.params)[3] or None
+
+
 def newton_hstar(spec, N) -> Series:
     """h* of a difference family: its closed form's Newton h = (e^(omega H) - 1)/omega, reverted."""
-    omega = catalog.family_step(spec)
+    omega = newton_step(spec)
     Hx = catalog.family_generating(spec, N).Hx
     return mul(sub(exp(mul(Hx, omega)), 1), 1 / omega).reversion()
 
@@ -662,8 +668,8 @@ def chain_family_generating(spec, N) -> ShefferPair:
     log(1 + omega h)/omega, the powers by `log_exp_pow`.
     """
     catalog.family_couple(spec)
-    e, k, s = catalog.FAMILIES[spec.family].factors(spec.d, spec.params)
-    omega = catalog.family_step(spec)
+    e, k, s, _ = catalog.FAMILIES[spec.family].factors(spec.d, spec.params)
+    omega = newton_step(spec)
     one_minus_t = from_poly(Poly((1, -1)), N)
     A = log_exp_pow(one_minus_t, e)
     pi = Poly((0,) + tuple((spec.aux or ())[1:]))

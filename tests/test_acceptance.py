@@ -15,7 +15,7 @@ from math import prod
 import pytest
 from meixner_numeric import meixner_functional_numeric
 from reference import (
-    add, constant, exp, fraction_hstar, lowering_failures, monomial, pow_rat,
+    add, constant, exp, fraction_hstar, lowering_failures, monomial, newton_step, pow_rat,
     stirling_classical_meixner, sub,
 )
 
@@ -29,7 +29,6 @@ from dsheffer import (
     couple_from_pair,
     expand_polynomials,
     extract_recurrence,
-    functional_eval,
     pair_from_couple,
     verify_d_orthogonality,
     verify_duality,
@@ -38,6 +37,7 @@ from dsheffer import (
 from dsheffer import catalog
 from dsheffer.catalog import FamilySpec
 from dsheffer.cli import main
+from dsheffer.operators import functional_eval
 from dsheffer.sheffer import CoupleSpec
 
 F = Fraction
@@ -275,7 +275,7 @@ def test_criterion_7_lowering_operators(suite):
         rep = verify_lowering(seq, lop)
         if not rep.passed:
             failures.append((spec.family, spec.d, rep.failures))
-        step = catalog.family_step(spec)
+        step = newton_step(spec)
         if step is not None:
             newton = fraction_hstar(catalog.family_couple(spec), N, step)
             stepped = lowering_failures(seq, newton, step)

@@ -13,6 +13,7 @@ from reference import (
     fraction_hstar,
     lowering_failures,
     monomial,
+    newton_step,
     pow_rat,
     stirling_classical_meixner,
     sub,
@@ -21,10 +22,7 @@ from reference import (
 from dsheffer import (
     FunctionalVector,
     Poly,
-    apply_lowering,
     expand_polynomials,
-    functional_eval,
-    lowering_from_couple,
     pair_from_couple,
 )
 from dsheffer import catalog
@@ -44,6 +42,7 @@ from dsheffer.catalog import (
     MEIXNER_EQ16,
     MEIXNER_EQ21,
 )
+from dsheffer.operators import apply_lowering, functional_eval
 
 F = Fraction
 
@@ -245,9 +244,7 @@ def test_closed_form_factors_satisfy_the_couple_identities():
     specs = grid_specs()
     assert len(specs) == 362
     for spec in specs:
-        e, k, s = FAMILIES[spec.family].factors(spec.d, spec.params)
-        step = catalog.family_step(spec)
-        omega = 0 if step is None else step
+        e, k, s, omega = FAMILIES[spec.family].factors(spec.d, spec.params)
         couple = catalog.family_couple(spec)
         gamma, sigma = Poly(couple.gamma), Poly(couple.sigma)
         dpi = Poly(spec.aux or ()).derivative()
@@ -305,7 +302,7 @@ def test_lowering_kind_follows_family():
     for family in (LAGUERRE_EQ9, CHARLIER_EQ13):
         spec = catalog.default_spec(family, 1)
         assert catalog.family_lowering(spec, 6) \
-            == lowering_from_couple(catalog.family_couple(spec), 6)
+            == FunctionalVector(catalog.family_couple(spec), 6, 1).hstar
 
 
 def test_lowering_drops_index_for_difference_families():
@@ -318,7 +315,7 @@ def test_lowering_drops_index_for_difference_families():
         for n in range(1, 6):
             assert apply_lowering(op, seq[n]) == seq[n - 1] * F(n), (family, n)
         # and so does the family's own h*(Delta_omega), the tests' oracle
-        step = catalog.family_step(spec)
+        step = newton_step(spec)
         newton = fraction_hstar(catalog.family_couple(spec), 12, step)
         assert lowering_failures(seq, newton, step) == [], family
 

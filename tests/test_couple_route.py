@@ -23,7 +23,7 @@ from math import factorial
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from reference import base_values, fraction_hstar, invert_mul, lowering_failures, monomial, \
-    mul, newton_hstar, stepped_moments
+    mul, newton_hstar, newton_step, stepped_moments
 
 from dsheffer import (
     FunctionalVector,
@@ -32,14 +32,13 @@ from dsheffer import (
     Series,
     check_conditions,
     expand_polynomials,
-    functional_eval,
-    lowering_from_H,
     pair_from_couple,
     verify_lowering,
 )
 from dsheffer import catalog
 from dsheffer.catalog import FAMILIES, FamilySpec
 from dsheffer.cli import main
+from dsheffer.operators import functional_eval, lowering_from_H
 from dsheffer.sheffer import CoupleSpec
 
 F = Fraction
@@ -60,7 +59,7 @@ def reference_eval(w: Series, i: int, omega, f: Poly) -> Fraction:
 def reference_family(spec: FamilySpec, N: int):
     """(y, omega, functional series): H* of the closed form, or h* of its Newton form."""
     pair = catalog.family_generating(spec, N)
-    omega = catalog.family_step(spec)
+    omega = newton_step(spec)
     hstar = lowering_from_H(pair.Hx, N) if omega is None else newton_hstar(spec, N)
     return hstar, omega, reference_ops(pair.A, hstar, spec.d)
 
@@ -100,7 +99,7 @@ def test_h_star_of_d_and_the_newton_step_agree_on_every_sample():
     # (order 24 is test_default_samples_agree_at_order_24's)
     for spec in catalog.default_sample_specs():
         couple = catalog.family_couple(spec)
-        omega = catalog.family_step(spec)
+        omega = newton_step(spec)
         for N in (12, 24):
             order = N + N // spec.d
             v = FunctionalVector(couple, order, spec.d)

@@ -318,6 +318,21 @@ def failing(sections) -> set[str]:
     return {name for name, section in sections.items() if section["status"] == "fail"}
 
 
+@pytest.mark.parametrize("top", [10, 14])
+def test_verify_refuses_a_seq_that_is_not_p0_to_pN(top, monkeypatch):
+    # verify reads seq as P_0..P_N: a shorter one would run two_path past its
+    # end and a longer one past the functionals' order N + N // d, so either
+    # is refused, naming both orders, before the first section runs
+    def section(*args):
+        raise AssertionError("a section ran")
+
+    monkeypatch.setattr(dorth, "check_conditions", section)
+    spec = catalog.default_spec(catalog.LAGUERRE_EQ9, 1)
+    seq = expand_polynomials(catalog.family_generating(spec, top), top)
+    with pytest.raises(ValueError, match=rf"^seq holds P_0\.\.P_{top}, not P_0\.\.P_12$"):
+        dorth.verify(catalog.family_couple(spec), 12, 1, seq)
+
+
 def test_verify_names_the_sections_that_one_changed_p7_fails_on_every_sample():
     # dorth.verify on each default sample's closed form at N = 12, with P_7
     # changed.  Doubled, P_7 keeps the staircase and <u_i, P_7> = 0, but it

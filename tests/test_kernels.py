@@ -30,7 +30,6 @@ from dsheffer import (
     expand_from_couple,
     expand_polynomials,
     extract_recurrence,
-    lowering_from_couple,
     pair_from_couple,
     verify_d_orthogonality,
     verify_duality,
@@ -360,19 +359,19 @@ def test_moment_rows_equal_the_series_route_on_drawn_couples(couple, M, dd):
 
 
 def test_functional_vector_keeps_the_couples_own_operator():
-    # the operator a FunctionalVector solves is lowering_from_couple's, on
-    # every sample and on drawn couples (d <= 3, so any M >= 2 fits d)
+    # the operator a FunctionalVector solves is the same at its d as at
+    # d = 1, on every sample and on drawn couples (d <= 3, so any M >= 2 fits d)
     for spec in catalog.default_sample_specs():
         couple = catalog.family_couple(spec)
         for M in (12, 30):
             assert FunctionalVector(couple, M, spec.d).hstar \
-                == lowering_from_couple(couple, M), (spec, M)
+                == FunctionalVector(couple, M, 1).hstar, (spec, M)
 
     @settings(max_examples=40, deadline=None)
     @given(couples(), st.integers(2, 30))
     def on_drawn_couples(couple, M):
         assert FunctionalVector(couple, M, couple.d).hstar \
-            == lowering_from_couple(couple, M)
+            == FunctionalVector(couple, M, 1).hstar
 
     on_drawn_couples()
 
@@ -401,7 +400,7 @@ def test_expand_polynomials_equals_the_series_products(orders, data):
 @settings(max_examples=60, deadline=None)
 @given(regular_couples(), st.integers(1, 30))
 def test_lowering_ode_equals_the_fraction_recursion(couple, N):
-    lop = lowering_from_couple(couple, N)
+    lop = FunctionalVector(couple, N, 1).hstar
     assert lop.coeffs == tuple(fraction_hstar(couple, N))
 
 

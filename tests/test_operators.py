@@ -13,14 +13,11 @@ from dsheffer import (
     FunctionalVector,
     Poly,
     Series,
-    apply_lowering,
     expand_polynomials,
-    functional_eval,
-    lowering_from_couple,
-    lowering_from_H,
     pair_from_couple,
     verify_lowering,
 )
+from dsheffer.operators import apply_lowering, functional_eval, lowering_from_H
 from dsheffer.sheffer import CoupleSpec, InvalidCoupleError
 
 F = Fraction
@@ -47,12 +44,6 @@ def test_difference_requires_step():
         delta(Poly((0, 1)), 0)
 
 
-def test_unknown_base_kind():
-    # the operator is H*(D) for every source: no base kind or step is taken
-    with pytest.raises(TypeError):
-        lowering_from_couple(LAGUERRE, 6, F(1))
-
-
 # ---------------------------------------------------------------- lowering operators
 
 def test_verify_lowering_rejects_a_nonzero_constant_term():
@@ -61,7 +52,7 @@ def test_verify_lowering_rejects_a_nonzero_constant_term():
         verify_lowering(seq, Series((1, 1, 0, 0, 0)))         # hstar(0) != 0
     # hstar'(0) = 0 is no error: sigma = D^2 lowers by two, so every n >= 1 fails
     assert verify_lowering(seq, Series((0, 0, 1, 0, 0))).failures == (1, 2, 3, 4)
-    assert verify_lowering(seq, lowering_from_couple(LAGUERRE, 4)).passed
+    assert verify_lowering(seq, FunctionalVector(LAGUERRE, 4, 1).hstar).passed
 
 
 def test_lowering_from_moebius_H_is_its_own_inverse():
@@ -118,21 +109,21 @@ def test_lowering_from_H_can_re_truncate():
 
 
 def test_lowering_from_couple_kind_follows_step():
-    op = lowering_from_couple(LAGUERRE, 6)
+    op = FunctionalVector(LAGUERRE, 6, 1).hstar
     assert op.order == 6
     # Charlier at step 1/2: the oracle's Newton h* solves (1 + s/2) y' = 1 + y/2,
     # so it is t; the package's H* solves y' = 1 + y/2, so it is 2 (e^(s/2) - 1)
     charlier = CoupleSpec(d=1, gamma=(F(0), F(1)), sigma=(F(1), F(1, 2)))
     assert fraction_hstar(charlier, 6, F(1, 2)) == [0, 1, 0, 0, 0, 0, 0]
-    opd = lowering_from_couple(charlier, 6)
+    opd = FunctionalVector(charlier, 6, 1).hstar
     assert opd.coeffs == (0, 1, F(1, 4), F(1, 24), F(1, 192), F(1, 1920), F(1, 23040))
 
 
 def test_lowering_from_couple_contracts():
     with pytest.raises(ValueError):
-        lowering_from_couple(LAGUERRE, 0)
+        FunctionalVector(LAGUERRE, 0, 1)
     with pytest.raises(InvalidCoupleError):
-        lowering_from_couple(CoupleSpec(d=1, gamma=(F(1), F(1)), sigma=(F(0), F(1))), 6)
+        FunctionalVector(CoupleSpec(d=1, gamma=(F(1), F(1)), sigma=(F(0), F(1))), 6, 1)
 
 
 # ---------------------------------------------------------------- functional vector

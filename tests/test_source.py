@@ -86,6 +86,13 @@ def test_every_public_name_has_a_reader():
     assert unread == UNREAD_PUBLIC
 
 
+def test_every_top_level_export_has_a_package_reader():
+    # the top level exports the product path; the operators module keeps the
+    # test and benchmark routes, and Theorem 2.2's converse is library-only
+    unread = {name for name in dsheffer.__all__ if name not in package_reads()}
+    assert unread == {"couple_from_pair"}
+
+
 def test_importing_the_cli_loads_no_typing():
     # the modules take their abstract types from collections.abc; -S keeps the
     # site hooks of the interpreter from loading typing before the import
