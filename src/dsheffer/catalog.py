@@ -474,7 +474,7 @@ def meixner_moments(d: int, c: Fraction, beta: Fraction,
             g[k] += term
             term *= (b + k) * z
     ints, D = scaled(g)
-    return tuple(Fraction(sum(map(mul, row, ints)), D) for row in stirling2_rows(order, order))
+    return tuple(Fraction(sum(map(mul, row, ints)), D) for row in stirling2_rows(order))
 
 
 def explicit_functional(spec: FamilySpec):

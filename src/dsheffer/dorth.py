@@ -443,8 +443,8 @@ def verify_lowering(seq: PolySequence, hstar: Series) -> LoweringReport:
     Both sides are compared in the basis b_l = x^l / l! (see the module
     docstring), in integers: with P_n's coefficients c over dn and y = H*
     over dy, row l holds when sum_k y_k c_(l+k) * d(n-1) = n c'_l * dn * dy,
-    c' being P_(n-1)'s.  H* must have a zero constant term, which the sum
-    over k >= 1 leaves out.
+    c' being P_(n-1)'s.  H* must have y_0 = 0; y_1 .. y_top are reduced by
+    their own gcd, as H*'s den at its longer order can be over twice as tall.
     """
     top = seq.max_index
     if hstar.nums[0]:
@@ -454,8 +454,7 @@ def verify_lowering(seq: PolySequence, hstar: Series) -> LoweringReport:
             f"operator order {hstar.order} too small for sequence up to P_{top}"
         )
     facts = [factorial(l) for l in range(top + 1)]
-    hstar = hstar.truncate(top)
-    y, dy = hstar.nums[1:], hstar.den                   # y_1 .. y_top
+    y, dy = content_reduced(hstar.nums[1:top + 1], hstar.den)   # y_1 .. y_top
     failures = []
     prev, dprev = [], 1
     for n in range(top + 1):

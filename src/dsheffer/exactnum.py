@@ -81,15 +81,14 @@ def ratio_strings(nums: Sequence[int], den: int) -> list[str]:
             for v in nums]
 
 
-def stirling2_rows(m: int, width: int):
-    """Yield the rows S(r, 0..min(r, width)) for r = 0..m, each from the one before.
+def stirling2_rows(m: int):
+    """Yield the rows S(r, 0..r) for r = 0..m, each from the one before.
 
     S(r, j) = j S(r-1, j) + S(r-1, j-1), the standard recurrence.
     """
     row = [1]
     yield row
     for r in range(1, m + 1):
-        row = ([0] + [j * row[j] + row[j - 1] for j in range(1, min(r - 1, width) + 1)]
-               + ([1] if r <= width else []))
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, r)] + [1]
         yield row
 

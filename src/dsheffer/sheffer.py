@@ -354,9 +354,9 @@ def expand_from_couple(couple: CoupleSpec, N: int) -> PolySequence:
     O(N^2 d) exact operations and no series product.  x P_n and the d + 1
     lower terms are combined on integer numerators over one common
     denominator L, with the rows' numerators over their one denominator da
-    (recurrence_numerators); the division by sigma_0 = p/q multiplies the
-    numerators by q and L by p, and Poly.of's content gcd brings the
-    denominator back to the least one.  No Fraction is made.
+    (recurrence_numerators); the division by sigma_0 = p/q puts q into the
+    factor each term is scaled by and p into L, and Poly.of's content gcd
+    brings the denominator back to the least one.  No Fraction is made.
     """
     rows, da = recurrence_numerators(couple, N)   # alpha_k(n) = rows[n][k] / da
     d = couple.d
@@ -367,11 +367,12 @@ def expand_from_couple(couple: CoupleSpec, N: int) -> PolySequence:
                  for k in range(max(d - n, 0), d + 1) if alpha[k]]
         pn = polys[n]
         L = lcm(pn.den, *(da * pm.den for _, pm in terms))
-        nxt = [0] + [c * (L // pn.den) for c in pn.nums]     # x P_n
+        f = q * (L // pn.den)
+        nxt = [0] + [c * f for c in pn.nums]                 # q x P_n
         for a, pm in terms:
-            f = a * (L // (da * pm.den))
+            f = a * q * (L // (da * pm.den))
             nxt[:len(pm.nums)] = [v - f * c for v, c in zip(nxt, pm.nums)]
-        polys.append(Poly.of([v * q for v in nxt], L * p))
+        polys.append(Poly.of(nxt, L * p))
     return PolySequence(tuple(polys))
 
 

@@ -686,7 +686,7 @@ def stirling_classical_meixner(c, beta, f) -> Fraction:
     z = c / (1 - c)
     total = Fraction(0)
     top = len(f.coeffs) - 1
-    for fm, row in zip(f.coeffs, stirling2_rows(top, top)):
+    for fm, row in zip(f.coeffs, stirling2_rows(top)):
         if fm == 0:
             continue
         s = Fraction(0)

@@ -418,7 +418,7 @@ def test_node_series_reads_one_stirling_table_per_evaluation(capsys, monkeypatch
     # one moment row per functional index, each reading the rows S(0..8, .) once
     assert len(rows) == 2 * 9
     assert [(r, order) for *_, r, order in evaluations] == [(0, 8), (1, 8)]
-    assert reads == [(8, 8), (8, 8)]
+    assert reads == [(8,), (8,)]
 
 
 def test_verify_reports_are_byte_identical(tmp_path, capsys):

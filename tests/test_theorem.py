@@ -1,0 +1,60 @@
+"""Theorem 2.2 and Meixner's classes on the d = 1 slice with coefficients in {-1, 0, 1}.
+
+The whole domains run in `python tests/theorem.py`; this is its tier-1 slice.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import classical
+import theorem
+from dsheffer import catalog
+from dsheffer.operators import FunctionalVector
+from dsheffer.sheffer import CoupleSpec
+
+
+def test_the_d1_slice_passes_exactly_when_regular():
+    # 243 couples: 72 regular, 36 with n alpha_2 = beta_1 for some n, 135 refused
+    counts, above, wrong = theorem.forward(1, theorem.NARROW)
+    assert wrong == []
+    assert counts == (72, 36, 135)
+    assert above == 72 + 36
+
+
+def test_the_classical_rows_match_on_the_d1_slice():
+    checked, wrong = theorem.classical_rows(theorem.NARROW, 12)
+    assert wrong == []
+    assert checked == 42
+
+
+@pytest.mark.parametrize("family, kind", [
+    (catalog.HERMITE_EQ12, classical.GAUSSIAN),
+    (catalog.CHARLIER_EQ13, classical.POISSON),
+    (catalog.LAGUERRE_EQ9, classical.GAMMA),
+    (catalog.LAGUERRE_EQ10, classical.GAMMA),
+    (catalog.MEIXNER_EQ14, classical.PASCAL),
+    (catalog.MEIXNER_EQ16, classical.PASCAL),
+])
+def test_each_catalog_family_at_d1_falls_in_its_class(family, kind):
+    couple = catalog.family_couple(catalog.default_spec(family, 1))
+    assert classical.classify(couple)[0] == kind
+    row = list(FunctionalVector(couple, 12, 1).rows[0].coeffs)
+    assert classical.moments(couple, 12, 0) == classical.moments(couple, 12, 1) == row
+
+
+def test_irrational_and_complex_roots_have_no_rational_class():
+    # s1^2 - 4 s0 s2 = 5 (irrational roots) and -3 (complex roots)
+    for sigma in ((1, 1, -1), (1, 1, 1)):
+        couple = CoupleSpec(d=1, gamma=(0, 1), sigma=sigma)
+        assert classical.classify(couple) is None
+        assert classical.moments(couple, 4) is None
+    # a rational discriminant that is a square: (1/2)^2 - 4 (1/16) (-3) = 1
+    couple = CoupleSpec(d=1, gamma=(0, 1), sigma=(Fraction(1, 16), Fraction(1, 2), -3))
+    assert classical.classify(couple)[0] == classical.PASCAL
+    assert classical.moments(couple, 12) == list(FunctionalVector(couple, 12, 1).rows[0].coeffs)
+
+
+def test_the_classes_are_the_d1_sets_only():
+    with pytest.raises(ValueError, match="d = 1"):
+        classical.classify(CoupleSpec(d=2, gamma=(0, 0, 1), sigma=(1, 0, 0, 0)))
