@@ -1,8 +1,11 @@
 """The built-in families of d-orthogonal Sheffer sets.
 
-Each family is stored twice over: as a couple (gamma, sigma) and as a closed
-generating function, so the construction can be verified along two
-independent routes.  Every family has the same closed form,
+Each family is one record, `FamilyInfo`, made by one `_register` call, with
+three routes to it: `factors`, its closed generating function (below);
+`couple`, the paper's couple (gamma, sigma) from (d, params, pi'), written
+out by hand so that `verify`'s two_path compares two independent routes;
+and `moments`, closed-form moment functionals for the families that have
+them.  Every family has the same closed form,
 
     A(t) = exp(pi(t) - pi(0)) (1 - t)^e,    h(t) = s ((1 - t)^(-k) - 1),
     H(t) = h(t)                   (derivative kind),
@@ -33,16 +36,13 @@ at d = 1, stays only for the benchmark's tracer.  So a family is realized
 in closed form only for the generating pair, and its step omega is read by
 that closed form alone.  The labels DERIVATIVE and DIFFERENCE
 (`FamilyInfo.kind`) say in which form the paper states a family.
-The couples (`_couple_of`) stay written out by hand: they are the
-independent route the closed form is compared against.
 
-The Laguerre-type 2-orthogonal family and the Meixner-type family also carry
-explicit moment functionals (series in derivatives of f, respectively sums
-over integer nodes).  Like `FunctionalVector`, each closed form gives a
-functional as its moment row <u_i, x^m>, m = 0..order (`laguerre2_moments`
-and `meixner_moments`, whose d = 1 row is the classical Meixner functional);
-`explicit_functional` hands these rows out as closed-form cross-checks for
-the operator route.
+The Laguerre-type 2-orthogonal family and the Meixner-type families give
+their `moments` as series in derivatives of f, respectively sums over
+integer nodes, each functional a moment row <u_i, x^m>, m = 0..order, like
+`FunctionalVector`'s (`laguerre2_moments` and `meixner_moments`, whose
+d = 1 row is the classical Meixner functional); `explicit_functional`
+hands them out as closed-form cross-checks for the operator route.
 """
 
 from __future__ import annotations
@@ -123,9 +123,14 @@ class FamilyInfo:
     generating_text: str
     # (d, params) -> (e, k, s, omega) of the closed form in the module docstring
     factors: Callable[[int, Mapping[str, Fraction]], tuple[Fraction, int, Fraction, Fraction]]
+    # (d, params, pi') -> (gamma, sigma), the paper's couple written out by hand
+    couple: Callable[[int, Mapping[str, Fraction], Poly], tuple[Poly, Poly]]
+    # spec -> (label, rows) of the closed-form functionals, or None (`explicit_functional`)
+    moments: Callable[[FamilySpec], tuple[str, Callable] | None] | None = None
 
 
 FAMILIES: dict[str, FamilyInfo] = {}
+_ONE_MINUS_T = Poly((1, -1))
 
 
 def _register(info: FamilyInfo):
@@ -144,6 +149,8 @@ _register(FamilyInfo(
     restrictions="n/d + alpha + 1 != 0 for all n >= 0",
     generating_text="(1-t)^(-(alpha+1)d) * exp(-x[(1-t)^(-d) - 1])",
     factors=lambda d, p: (-(p["alpha"] + 1) * d, d, Fraction(-1), Fraction(0)),
+    couple=lambda d, p, dpi: (_ONE_MINUS_T ** d * (-(p["alpha"] + 1)),
+                              _ONE_MINUS_T ** (d + 1) * Fraction(-1, d)),
 ))
 _register(FamilyInfo(
     family=LAGUERRE_EQ10,
@@ -157,6 +164,8 @@ _register(FamilyInfo(
     restrictions="a_(d-1) != 0 for d >= 2; alpha + n + 1 != 0 for d = 1",
     generating_text="exp(pi(t)-pi(0)) * (1-t)^(-alpha-1) * exp(-x t/(1-t))",
     factors=lambda d, p: (-(p["alpha"] + 1), 1, Fraction(-1), Fraction(0)),
+    couple=lambda d, p, dpi: (-(_ONE_MINUS_T ** 2 * dpi) - _ONE_MINUS_T * (p["alpha"] + 1),
+                              -(_ONE_MINUS_T ** 2)),
 ))
 _register(FamilyInfo(
     family=LAGUERRE_EQ11,
@@ -170,6 +179,8 @@ _register(FamilyInfo(
     restrictions="alpha + n + 1 != 0 for all n >= 0",
     generating_text="(1-t)^(-alpha-1) * exp(x (t^2 - 2t) / (2 (1-t)^2))",
     factors=lambda d, p: (-(p["alpha"] + 1), 2, Fraction(-1, 2), Fraction(0)),
+    couple=lambda d, p, dpi: (_ONE_MINUS_T ** 2 * (-(p["alpha"] + 1)), -(_ONE_MINUS_T ** 3)),
+    moments=lambda spec: ("laguerre2-series", partial(laguerre2_moments, spec.params["alpha"])),
 ))
 _register(FamilyInfo(
     family=HERMITE_EQ12,
@@ -183,6 +194,7 @@ _register(FamilyInfo(
     restrictions="a_(d+1) != 0",
     generating_text="exp(pi(t)-pi(0)) * exp(x t)",
     factors=lambda d, p: (Fraction(0), -1, Fraction(-1), Fraction(0)),
+    couple=lambda d, p, dpi: (dpi, Poly.one()),
 ))
 _register(FamilyInfo(
     family=CHARLIER_EQ13,
@@ -196,7 +208,24 @@ _register(FamilyInfo(
     restrictions="a_d != 0; omega != 0",
     generating_text="exp(pi(t)-pi(0)) * (1 + omega t)^(x/omega)",
     factors=lambda d, p: (Fraction(0), -1, Fraction(-1), p["omega"]),
+    couple=lambda d, p, dpi: (Poly((1, p["omega"])) * dpi, Poly((1, p["omega"]))),
 ))
+
+
+def _meixner_eq14_couple(d, p, dpi):
+    c, beta = p["c"], p["beta"]
+    base = Poly((c, -1)) * _ONE_MINUS_T * (1 / (c - 1))
+    return base * dpi + Poly((c, -1)) * (beta / (c - 1)), base
+
+
+def _meixner_eq14_moments(spec):
+    # at d = 1 the classical Meixner functional, a node series for 0 < c < 1
+    c, beta = spec.params["c"], spec.params["beta"]
+    if spec.d == 1 and 0 < c < 1:
+        return ("meixner-classical", partial(meixner_moments, 1, c, beta))
+    return None
+
+
 _register(FamilyInfo(
     family=MEIXNER_EQ14,
     label="Meixner type with auxiliary exp(pi_(d-1))",
@@ -210,7 +239,25 @@ _register(FamilyInfo(
                  "beta not a nonpositive integer for d = 1",
     generating_text="exp(pi(t)-pi(0)) * (1-t)^(-beta) * (1 + ((c-1)/c) t/(1-t))^x",
     factors=lambda d, p: (-p["beta"], 1, (p["c"] - 1) / p["c"], Fraction(1)),
+    couple=_meixner_eq14_couple,
+    moments=_meixner_eq14_moments,
 ))
+
+
+def _meixner_eq16_couple(d, p, dpi):
+    c, beta = p["c"], p["beta"]
+    bracket = _ONE_MINUS_T ** d * ((d * c - c + 1) / (d * c)) + Poly(((c - 1) / (d * c),))
+    return bracket * (d * c * beta / (c - 1)), _ONE_MINUS_T * bracket * (c / (c - 1))
+
+
+def _meixner_eq16_moments(spec):
+    # the node series, where it converges
+    c, beta = spec.params["c"], spec.params["beta"]
+    if abs(_meixner_weight_ratio(spec.d, c)) < 1:
+        return ("meixner-node-series", partial(meixner_moments, spec.d, c, beta))
+    return None
+
+
 _register(FamilyInfo(
     family=MEIXNER_EQ16,
     label="Meixner type with closed-form moment functionals",
@@ -223,7 +270,18 @@ _register(FamilyInfo(
     restrictions="c not in {0, 1/(1-d), 1}; beta != -n/d for all n >= 0",
     generating_text="(1-t)^(-beta d) * (1 + ((c-1)/(dc)) [(1-t)^(-d) - 1])^x",
     factors=lambda d, p: (-p["beta"] * d, d, (p["c"] - 1) / (d * p["c"]), Fraction(1)),
+    couple=_meixner_eq16_couple,
+    moments=_meixner_eq16_moments,
 ))
+
+
+def _meixner_eq21_couple(d, p, dpi):
+    c, beta = p["c"], p["beta"]
+    bracket = Poly((1, -2, 1)) * ((3 * c - 1) / (2 * c)) - Poly(((c - 1) / (2 * c),))
+    return (-(_ONE_MINUS_T * bracket * dpi) * (c / (c - 1)) - bracket * (beta * c / (c - 1)),
+            -(_ONE_MINUS_T * bracket) * (c / (c - 1)))
+
+
 _register(FamilyInfo(
     family=MEIXNER_EQ21,
     label="Meixner type with quadratic Newton argument (d >= 2)",
@@ -238,6 +296,7 @@ _register(FamilyInfo(
     generating_text="exp(pi(t)-pi(0)) * (1-t)^(-beta) * "
                     "(1 + ((c-1)/(2c)) (t^2 - 2t)/(1-t)^2)^x",
     factors=lambda d, p: (-p["beta"], 2, -(p["c"] - 1) / (2 * p["c"]), Fraction(1)),
+    couple=_meixner_eq21_couple,
 ))
 
 
@@ -288,10 +347,10 @@ def _screen(spec: FamilySpec) -> tuple[tuple[str, ...], CoupleSpec | None]:
 
     p = spec.params
     fam = spec.family
-    # the couple divides by c and c - 1, and its omega = 0 is no difference step
-    if fam in (MEIXNER_EQ14, MEIXNER_EQ16, MEIXNER_EQ21) and p["c"] in (0, 1):
+    # a couple divides by c and c - 1, and omega = 0 is no difference step
+    if "c" in p and p["c"] in (0, 1):
         violations.append(f"c = {p['c']} must avoid 0 and 1")
-    if fam == CHARLIER_EQ13 and p["omega"] == 0:
+    if "omega" in p and p["omega"] == 0:
         violations.append("omega must be nonzero")
     # at d = 2 the derivative of pi drops a_0 before it reaches the couple
     if fam == MEIXNER_EQ21 and _aux_poly(spec).coeff(spec.d - 2) == 0:
@@ -312,9 +371,6 @@ def _screen(spec: FamilySpec) -> tuple[tuple[str, ...], CoupleSpec | None]:
     return tuple(violations), couple
 
 
-_ONE_MINUS_T = Poly((1, -1))
-
-
 def _aux_poly(spec: FamilySpec) -> Poly:
     return Poly(spec.aux or ())
 
@@ -333,49 +389,9 @@ def family_couple(spec: FamilySpec) -> CoupleSpec:
 
 def _couple_of(spec: FamilySpec) -> CoupleSpec:
     # the couple of a well-shaped spec with c not in {0, 1}, unchecked
-    d = spec.d
-    p = spec.params
-    fam = spec.family
-    if fam == LAGUERRE_EQ9:
-        a = p["alpha"]
-        gamma = _ONE_MINUS_T ** d * (-(a + 1))
-        sigma = _ONE_MINUS_T ** (d + 1) * Fraction(-1, d)
-    elif fam == LAGUERRE_EQ10:
-        a = p["alpha"]
-        dpi = _aux_poly(spec).derivative()
-        sq = _ONE_MINUS_T ** 2
-        gamma = -(sq * dpi) - _ONE_MINUS_T * (a + 1)
-        sigma = -sq
-    elif fam == LAGUERRE_EQ11:
-        a = p["alpha"]
-        gamma = _ONE_MINUS_T ** 2 * (-(a + 1))
-        sigma = -(_ONE_MINUS_T ** 3)
-    elif fam == HERMITE_EQ12:
-        gamma = _aux_poly(spec).derivative()
-        sigma = Poly.one()
-    elif fam == CHARLIER_EQ13:
-        lin = Poly((1, p["omega"]))
-        gamma = lin * _aux_poly(spec).derivative()
-        sigma = lin
-    elif fam == MEIXNER_EQ14:
-        c, beta = p["c"], p["beta"]
-        base = Poly((c, -1)) * _ONE_MINUS_T * (1 / (c - 1))
-        gamma = base * _aux_poly(spec).derivative() + Poly((c, -1)) * (beta / (c - 1))
-        sigma = base
-    elif fam == MEIXNER_EQ16:
-        c, beta = p["c"], p["beta"]
-        bracket = _ONE_MINUS_T ** d * ((d * c - c + 1) / (d * c)) + Poly(((c - 1) / (d * c),))
-        gamma = bracket * (d * c * beta / (c - 1))
-        sigma = _ONE_MINUS_T * bracket * (c / (c - 1))
-    elif fam == MEIXNER_EQ21:
-        c, beta = p["c"], p["beta"]
-        bracket = Poly((1, -2, 1)) * ((3 * c - 1) / (2 * c)) - Poly(((c - 1) / (2 * c),))
-        dpi = _aux_poly(spec).derivative()
-        gamma = -(_ONE_MINUS_T * bracket * dpi) * (c / (c - 1)) - bracket * (beta * c / (c - 1))
-        sigma = -(_ONE_MINUS_T * bracket) * (c / (c - 1))
-    else:  # pragma: no cover
-        raise InvalidParameterError(f"unknown family: {fam!r}")
-    return CoupleSpec(d=d, gamma=gamma.coeffs, sigma=sigma.coeffs)
+    gamma, sigma = FAMILIES[spec.family].couple(spec.d, spec.params,
+                                                _aux_poly(spec).derivative())
+    return CoupleSpec(d=spec.d, gamma=gamma.coeffs, sigma=sigma.coeffs)
 
 
 def family_generating(spec: FamilySpec, N: int) -> ShefferPair:
@@ -482,35 +498,20 @@ def explicit_functional(spec: FamilySpec):
 
     Returns (label, rows) with rows(i, order) the moments <u_i, x^m> for
     m = 0..order, a tuple of order + 1 Fractions, for use as an independent
-    cross-check against the operator-series route.
+    cross-check against the operator-series route (`FamilyInfo.moments`).
     """
-    p = spec.params
-    if spec.family == LAGUERRE_EQ11:
-        return ("laguerre2-series", partial(laguerre2_moments, p["alpha"]))
-    if spec.family == MEIXNER_EQ16:
-        c, beta = p["c"], p["beta"]
-        if abs(_meixner_weight_ratio(spec.d, c)) < 1:
-            return ("meixner-node-series", partial(meixner_moments, spec.d, c, beta))
-        return None
-    if spec.family == MEIXNER_EQ14 and spec.d == 1:
-        c, beta = p["c"], p["beta"]
-        if 0 < c < 1:
-            return ("meixner-classical", partial(meixner_moments, 1, c, beta))
-    return None
+    moments = FAMILIES[spec.family].moments
+    return moments(spec) if moments else None
+
+
+_DEFAULT_PARAMS = {"alpha": Fraction(1, 2), "beta": Fraction(1), "c": Fraction(1, 2),
+                   "omega": Fraction(1)}
 
 
 def default_spec(family: str, d: int) -> FamilySpec:
     """The documented default parameter sample for a family at a given d."""
     info = FAMILIES[family]
-    params = {}
-    if "alpha" in info.params:
-        params["alpha"] = Fraction(1, 2)
-    if "beta" in info.params:
-        params["beta"] = Fraction(1)
-    if "c" in info.params:
-        params["c"] = Fraction(1, 2)
-    if "omega" in info.params:
-        params["omega"] = Fraction(1)
+    params = {k: v for k, v in _DEFAULT_PARAMS.items() if k in info.params}
     aux = None
     if info.aux_len is not None:
         aux = tuple(Fraction(1) for _ in range(info.aux_len(d)))
@@ -519,12 +520,6 @@ def default_spec(family: str, d: int) -> FamilySpec:
 
 def default_sample_specs() -> tuple[FamilySpec, ...]:
     """One valid default FamilySpec per family and applicable d in {1, 2, 3}."""
-    out = []
-    for family, info in FAMILIES.items():
-        if info.d_fixed is not None:
-            ds = (info.d_fixed,)
-        else:
-            ds = tuple(d for d in (1, 2, 3) if d >= info.d_min)
-        for d in ds:
-            out.append(default_spec(family, d))
-    return tuple(out)
+    return tuple(default_spec(family, d) for family, info in FAMILIES.items()
+                 for d in ((info.d_fixed,) if info.d_fixed is not None else (1, 2, 3))
+                 if d >= info.d_min)

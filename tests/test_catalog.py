@@ -1,5 +1,6 @@
 """The eight built-in families: restrictions, couples, functionals, evaluators."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -103,6 +104,25 @@ def test_unknown_family_rejected():
 
 def test_divergent_error_is_a_parameter_error():
     assert issubclass(DivergentParameterError, InvalidParameterError)
+
+
+@pytest.mark.parametrize("family, params, rule", [
+    (MEIXNER_EQ16, {"c": 1, "beta": 1}, "c = 1 must avoid 0 and 1"),
+    (CHARLIER_EQ13, {"omega": 0}, "omega must be nonzero"),
+])
+def test_a_family_is_its_record(family, params, rule, monkeypatch):
+    # a copy of a record under a new id is a whole family: its couple, closed
+    # form and moments come from the record, its value rules from its names
+    info = replace(FAMILIES[family], family="copy")
+    monkeypatch.setitem(FAMILIES, "copy", info)
+    for d in (1, 2):
+        spec, twin = catalog.default_spec("copy", d), catalog.default_spec(family, d)
+        assert catalog.family_couple(spec) == catalog.family_couple(twin)
+        assert catalog.family_generating(spec, 8) == catalog.family_generating(twin, 8)
+        ours, theirs = catalog.explicit_functional(spec), catalog.explicit_functional(twin)
+        assert (ours and (ours[0], ours[1](0, 6))) == (theirs and (theirs[0], theirs[1](0, 6)))
+    aux = catalog.default_spec("copy", 1).aux
+    assert catalog.validate_params(FamilySpec("copy", 1, params, aux)) == (rule,)
 
 
 # ---------------------------------------------------------------- validation

@@ -32,7 +32,7 @@ from dsheffer import (
     pair_from_couple,
     recurrence_from_couple,
 )
-from dsheffer import catalog
+from dsheffer import catalog, dorth
 from dsheffer.catalog import FAMILIES, FamilySpec
 from dsheffer.cli import main
 from dsheffer.sheffer import recurrence_numerators
@@ -138,6 +138,29 @@ def test_derived_restrictions_accept_what_the_per_family_rules_accept():
             differ.append(spec)
     assert differ == []
     assert 1000 < accepted < 7000
+
+
+def test_family_restrictions_are_theorem_2_2s():
+    # wherever the couple can be built, validation accepts exactly the specs
+    # whose couple verify passes at the family's d; a refusal is a failure
+    differ, checked, accepted = [], 0, 0
+    for family, d, values, aux in random.Random(20261019).sample(list(family_grid()), 600):
+        spec = FamilySpec(family=family, d=d, params=dict(zip(FAMILIES[family].params, values)),
+                          aux=aux)
+        violations, couple = spec._screened
+        if couple is None:
+            continue            # a shape or value rule failed before the couple
+        try:
+            passed = all(section["status"] in ("pass", "skipped")
+                         for section in dorth.verify(couple, 10, d).values())
+        except InvalidCoupleError:
+            passed = False
+        checked += 1
+        accepted += not violations
+        if passed != (not violations):
+            differ.append(spec)
+    assert differ == []
+    assert checked > 400 and 200 < accepted < checked
 
 
 @pytest.mark.parametrize("spec, parts", [

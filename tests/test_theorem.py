@@ -1,11 +1,15 @@
 """Theorem 2.2 and Meixner's classes on the d = 1 slice with coefficients in {-1, 0, 1}.
 
-The whole domains run in `python tests/theorem.py`; this is its tier-1 slice.
+The whole domains run in `python tests/theorem.py`; this is its tier-1 slice,
+with the d - 1 side on the d = 2 couples with coefficients in {-1, 1} and
+Meixner's classes on drawn couples with rational roots.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import classical
 import theorem
@@ -20,6 +24,11 @@ def test_the_d1_slice_passes_exactly_when_regular():
     assert wrong == []
     assert counts == (72, 36, 135)
     assert above == 72 + 36
+
+
+def test_the_d2_couples_fail_at_d_minus_1():
+    # 2^7 couples, none refused: each fails recurrence's window and orthogonality at d = 1
+    assert theorem.below(2, (-1, 1)) == (128, [])
 
 
 def test_the_classical_rows_match_on_the_d1_slice():
@@ -41,6 +50,39 @@ def test_each_catalog_family_at_d1_falls_in_its_class(family, kind):
     assert classical.classify(couple)[0] == kind
     row = list(FunctionalVector(couple, 12, 1).rows[0].coeffs)
     assert classical.moments(couple, 12, 0) == classical.moments(couple, 12, 1) == row
+
+
+nonzero = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
+
+
+@st.composite
+def classical_couples(draw):
+    """(regular d = 1 couple, its class): sigma = s2 (t - r1)(t - r2) with rational
+    roots, a double root among them, or s2 = 0 (Hermite's and Charlier's shapes)."""
+    gamma = (draw(nonzero | st.just(Fraction(0))), draw(nonzero))
+    shape = draw(st.sampled_from((classical.GAUSSIAN, classical.POISSON, "roots")))
+    if shape == classical.GAUSSIAN:
+        sigma, kind = (draw(nonzero), 0, 0), shape
+    elif shape == classical.POISSON:
+        sigma, kind = (draw(nonzero), draw(nonzero), 0), shape
+    else:
+        s2, r1 = draw(nonzero), draw(nonzero)
+        r2 = draw(st.just(r1) | nonzero)
+        sigma = (s2 * r1 * r2, -s2 * (r1 + r2), s2)
+        kind = classical.GAMMA if r1 == r2 else classical.PASCAL
+    couple = CoupleSpec(d=1, gamma=gamma, sigma=tuple(map(Fraction, sigma)))
+    assume(not couple.violations())
+    return couple, kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(classical_couples())
+def test_the_classical_rows_match_on_drawn_couples(case):
+    couple, kind = case
+    row = list(FunctionalVector(couple, 12, 1).rows[0].coeffs)
+    for first_root in (0, 1):
+        assert classical.classify(couple, first_root)[0] == kind
+        assert classical.moments(couple, 12, first_root) == row
 
 
 def test_irrational_and_complex_roots_have_no_rational_class():

@@ -12,7 +12,10 @@ run through `dorth.verify(couple, 10, d)`:
   and no other couple is refused;
 * every other couple passes exactly when `violations()` is empty;
 * `verify(couple, 10, d + 1)` fails orthogonality on every couple that was
-  not refused.
+  not refused;
+* on the d = 2 domain, `verify(couple, 10, d - 1)` fails recurrence with a
+  window-violation, and fails orthogonality, on every couple it does not
+  refuse: the set is d-orthogonal and no less.
 
 At d = 1 it also compares `tests/classical.py`'s moments of u_0, Meixner's
 closed forms, with `FunctionalVector(couple, 30, 1).rows[0]` on every
@@ -22,7 +25,8 @@ taking either root as r1.
     python tests/theorem.py    # exits 1 unless every count is EXPECTED's and nothing disagrees
 
 `tests/test_theorem.py` runs the d = 1 slice with coefficients in
-{-1, 0, 1} in tier-1.  Not covered: the converse half (a pair off the
+{-1, 0, 1}, and the d - 1 side on the d = 2 couples with coefficients in
+{-1, 1}, in tier-1.  Not covered: the converse half (a pair off the
 couple's form gives no d-orthogonal set) and couples whose sigma has
 irrational or complex roots, whose classical moments live in Q(sqrt D).
 """
@@ -48,6 +52,7 @@ CLASSICAL_ORDER = 30        # the moment rows' N
 WIDE, NARROW = range(-2, 3), range(-1, 2)
 # (d, coefficient values) -> (pass, fail, refused)
 EXPECTED = {(1, WIDE): (1400, 600, 1125), (2, NARROW): (648, 324, 1215)}
+EXPECTED_BELOW = 648 + 324  # couples of the d = 2 domain that verify does not refuse
 EXPECTED_CLASSICAL = 590    # regular d = 1 couples of WIDE with rational roots or none
 
 
@@ -91,6 +96,28 @@ def forward(d: int, values, N: int = ORDER) -> tuple[tuple[int, int, int], int, 
     return (counts["pass"], counts["fail"], counts["refused"]), counts["above"], wrong
 
 
+def below(d: int, values, N: int = ORDER) -> tuple[int, list]:
+    """(couples checked, disagreements) of verify(couple, N, d - 1) over the domain.
+
+    Every couple that verify does not refuse is checked, regular or not.  A
+    disagreement is (couple, what went wrong): recurrence not failing with a
+    window-violation, or orthogonality not failing, at d - 1.
+    """
+    checked, wrong = 0, []
+    for couple in couples(d, values):
+        try:
+            sections = verify(couple, N, d - 1)
+        except InvalidCoupleError:
+            continue
+        checked += 1
+        details = sections["recurrence"]["details"]
+        if sections["recurrence"]["status"] != "fail" or details.get("error") != "window-violation":
+            wrong.append((couple, f"no window-violation at d = {d - 1}"))
+        if sections["orthogonality"]["status"] != "fail":
+            wrong.append((couple, f"orthogonal at d = {d - 1}"))
+    return checked, wrong
+
+
 def classical_rows(values, N: int = CLASSICAL_ORDER) -> tuple[int, list]:
     """(couples compared, disagreements) of Meixner's moments against FunctionalVector's row 0.
 
@@ -125,6 +152,16 @@ def main() -> int:
         failed |= bool(wrong) or got != want
         total_above += above
     print(f"{total_above} couples failing orthogonality at d + 1")
+    start = time.process_time()
+    checked, wrong = below(2, NARROW)
+    print(f"d = 2, coefficients {NARROW.start}..{NARROW.stop - 1} at d - 1 = 1: "
+          f"{checked - len({c for c, _ in wrong})} of {checked} failing recurrence "
+          f"(window-violation) and orthogonality, {time.process_time() - start:.1f} CPU s")
+    for couple, what in wrong:
+        print(f"  disagrees: {couple.to_jsonable()}: {what}")
+    if checked != EXPECTED_BELOW:
+        print(f"  expected {EXPECTED_BELOW} couples")
+    failed |= bool(wrong) or checked != EXPECTED_BELOW
     start = time.process_time()
     checked, wrong = classical_rows(WIDE)
     print(f"classical rows at N = {CLASSICAL_ORDER}: {checked - len({c for c, _ in wrong})} "
