@@ -68,9 +68,6 @@ from dsheffer.series import Poly, Series
 from dsheffer.sheffer import (CoupleSpec, PolySequence, check_conditions, expand_from_couple,
                               expand_polynomials, pair_from_couple, recurrence_numerators)
 
-_set = object.__setattr__
-
-
 class WindowViolationError(Exception):
     """x P_n needed a basis element below index n - d."""
 
@@ -113,6 +110,7 @@ class BackSubstitutionError(RuntimeError):
         )
 
 
+@dataclass(frozen=True)
 class RecurrenceTable:
     """Row n holds alpha_{0..d+1}(n); indices below zero are stored as 0.
 
@@ -124,17 +122,15 @@ class RecurrenceTable:
     Fraction.
     """
 
-    __slots__ = ("d", "nums", "den")
+    d: int
+    nums: tuple[tuple[int, ...], ...]
+    den: int
 
-    def __init__(self, d: int, nums, den: int):
-        flat, den = content_reduced([v for row in nums for v in row], den)
+    def __post_init__(self):
+        flat, den = content_reduced([v for row in self.nums for v in row], self.den)
         ints = iter(flat)
-        _set(self, "d", d)
-        _set(self, "nums", tuple(tuple(islice(ints, len(row))) for row in nums))
-        _set(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RecurrenceTable is immutable")
+        object.__setattr__(self, "nums", tuple(tuple(islice(ints, len(row))) for row in self.nums))
+        object.__setattr__(self, "den", den)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -145,14 +141,6 @@ class RecurrenceTable:
     def row_strings(self) -> list[list[str]]:
         """Each entry as str(Fraction) prints it, read off the integers."""
         return [ratio_strings(row, self.den) for row in self.nums]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RecurrenceTable):
-            return NotImplemented
-        return (self.d, self.den, self.nums) == (other.d, other.den, other.nums)
-
-    def __hash__(self):
-        return hash(("RecurrenceTable", self.d, self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"RecurrenceTable(d={self.d}, rows={self.row_strings()!r})"
@@ -251,6 +239,7 @@ class OrthCell:
         }
 
 
+@dataclass(frozen=True)
 class OrthogonalityReport:
     """The moment conditions of verify_d_orthogonality, as integers.
 
@@ -261,8 +250,7 @@ class OrthogonalityReport:
     P_m and moment_dens[k] the denominator of mu_k.  The report holds when
     every row is nonzero at index k and zero after it; the entries before
     index k are the values duality reads off row 0.  `passed`, `checked`
-    and `unchecked` need no cell; max_index and unchecked follow from d and
-    forms.
+    and `unchecked` need no cell: each is read off d, forms and hankel.
 
     `cells` is the one place that derives and judges a cell: <u_k, P_n P_m>
     = num / (dn dmu dm) with num = sum_(j<=n) P_n[j] X_k[j][m], the integers
@@ -271,26 +259,26 @@ class OrthogonalityReport:
     the report fails; nothing is cached, so a passing report builds no cell.
     """
 
-    __slots__ = ("d", "max_index", "forms", "hankel", "moment_dens", "unchecked", "passed")
+    d: int
+    forms: tuple[tuple[tuple[int, ...], int], ...]
+    hankel: tuple[tuple[tuple[int, ...], ...], ...]
+    moment_dens: tuple[int, ...]
 
-    def __init__(self, d: int,
-                 forms: tuple[tuple[tuple[int, ...], int], ...],
-                 hankel: tuple[tuple[tuple[int, ...], ...], ...],
-                 moment_dens: tuple[int, ...]):
-        top = len(forms) - 1
-        _set(self, "d", d)
-        _set(self, "max_index", top)
-        _set(self, "forms", forms)
-        _set(self, "hankel", hankel)
-        _set(self, "moment_dens", moment_dens)
-        # the boundaries (k, n, n d + k) beyond P_top
-        _set(self, "unchecked", tuple((k, n, n * d + k) for k in range(d)
-                                      for n in range(top + 1) if n * d + k > top))
-        _set(self, "passed", all(row[k] and not any(row[k + 1:])
-                                 for k, rows in enumerate(hankel) for row in rows))
+    @property
+    def max_index(self) -> int:
+        return len(self.forms) - 1
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OrthogonalityReport is immutable")
+    @property
+    def unchecked(self) -> tuple[tuple[int, int, int], ...]:
+        """The boundaries (k, n, n d + k) beyond P_max_index."""
+        d, top = self.d, self.max_index
+        return tuple((k, n, n * d + k) for k in range(d)
+                     for n in range(top + 1) if n * d + k > top)
+
+    @property
+    def passed(self) -> bool:
+        return all(row[k] and not any(row[k + 1:])
+                   for k, rows in enumerate(self.hankel) for row in rows)
 
     @property
     def cells(self) -> tuple[OrthCell, ...]:
@@ -316,12 +304,6 @@ class OrthogonalityReport:
     @property
     def failures(self) -> tuple[OrthCell, ...]:
         return () if self.passed else tuple(c for c in self.cells if not c.ok)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrthogonalityReport):
-            return NotImplemented
-        return ((self.d, self.max_index, self.unchecked, self.cells)
-                == (other.d, other.max_index, other.unchecked, other.cells))
 
     def __repr__(self) -> str:
         return (f"OrthogonalityReport(d={self.d}, max_index={self.max_index}, "

@@ -52,8 +52,8 @@ MUTANTS = (
            "tests/test_dorth.py::test_orthogonality_sees_the_first_cell_after_a_boundary"),
     # the staircase skips its last row j
     Mutant("dorth.py",
-           "for k, rows in enumerate(hankel) for row in rows))",
-           "for k, rows in enumerate(hankel) for row in rows[:-1]))",
+           "any(row[k + 1:])\n                   for k, rows in enumerate(self.hankel) for row in rows)",
+           "any(row[k + 1:])\n                   for k, rows in enumerate(self.hankel) for row in rows[:-1])",
            "tests/test_dorth.py::test_orthogonality_sees_the_last_row"),
     # the window skips index n - d - 1
     Mutant("dorth.py",

@@ -9,9 +9,12 @@ sweeping the tree before it and the tree after it over the same corpus:
                                           # argv whose digest differs, exits 1 if any does
     python tests/sweep.py --expect FILE   # exits 1 unless the digest of all runs is FILE's
 
-tests/sweep.sha256 pins the digest of all runs: a change that alters an
-output on purpose updates it, and lists the argv that --against the tree
-before it reports as differing.
+tests/sweep.sha256 pins the digest of all runs, and it is the package's one
+byte pin of its outputs: tier-1 (tests/test_sweep.py) sweeps the whole
+corpus in process and compares the digest with it.  When that test fails,
+--against the tree before the change lists the argv whose output differs.
+A change that alters an output on purpose updates the pin, and lists those
+argv.
 
 The corpus covers every subcommand, format and source kind: the 21 default
 samples, the benchmark's couples of seeds 1-3, the over-N, irregular and
@@ -19,7 +22,8 @@ edge couples, invalid, malformed and unreadable couple files, edge --family
 sources (non-ASCII digits, values past Python's int/str digit limit),
 `functionals --order 40` on family specs off the defaults whose closed-form
 rows cross-check it (negative c among them) or that have none (c = -9),
-`verify` at N = 3 .. 48 without --check-d and at d - 1, d and d + 1,
+`verify` at N = 3 .. 48 without --check-d and at d - 1, d and d + 1, and
+at N = 24 on one sample per family and one rational couple per d = 1, 2, 3,
 `catalog-list`, help, bare and invalid argv, and the README's command lines.
 The files the corpus reads are written to one working directory, and every
 run starts there, so the argv and the digests name no absolute path.
@@ -57,7 +61,22 @@ EDGE_COUPLES = {
     "both-zero": {"d": 2, "gamma": [1, 1, 0], "sigma": [1, 0, 1, 0]},
     "rational-d2": {"d": 2, "gamma": ["1", "-1/2", "2"], "sigma": ["-3/2", "1", "0", "-1/3"]},
     "short-sigma": {"d": 1, "gamma": [0, -1], "sigma": [1]},
+    # with rational-d2, one couple per d whose negative and fractional
+    # coefficients reach every sign and fraction case of the printed text
+    "rational-d1": {"d": 1, "gamma": ["1/2", "-3"], "sigma": ["2", "-1/3", "1"]},
+    "rational-d3": {"d": 3, "gamma": ["0", "1", "-2/3", "5/4"], "sigma": ["1", "1/2", "-1", "0", "2"]},
+    # n alpha_(d+1) = beta_d at n = 5, 7 and 12, so verify --order 20 prints
+    # the failing cells and duality values of a vanishing boundary
+    "irregular-n5": {"d": 1, "gamma": ["1/2", "15/2"], "sigma": ["2", "-1/3", "3/2"]},
+    "irregular-n7": {"d": 2, "gamma": ["1", "-1/2", "-7/3"], "sigma": ["-3/2", "1", "0", "-1/3"]},
+    "irregular-n12": {"d": 3, "gamma": ["0", "1", "-2/3", "6"], "sigma": ["1", "1/2", "-1", "0", "1/2"]},
 }
+# verify --order 24 on one sample per family, both operator kinds, and on
+# the rational couple of each d
+VERIFY_24_SAMPLES = (("laguerre-eq9", 3), ("laguerre-eq10", 2), ("laguerre-eq11", 2),
+                     ("hermite-eq12", 1), ("charlier-eq13", 3), ("meixner-eq14", 1),
+                     ("meixner-eq16", 2), ("meixner-eq21", 3))
+VERIFY_24_COUPLES = ("rational-d1", "rational-d2", "rational-d3")
 # family sources for functionals --order 40 beside the default samples
 CROSS_CHECK_SPECS = (
     ("meixner-eq16", 2, {"c": "-1/5", "beta": "1/2"}),
@@ -133,6 +152,9 @@ def corpus(workdir: Path) -> list[tuple[str, ...]]:
             runs += _source_runs(["--couple-file", name], doc["d"])
     for key, doc in EDGE_COUPLES.items():
         runs += _source_runs(["--couple-file", write(f"{key}.json", json.dumps(doc))], doc["d"])
+    runs += [["verify", *workloads._family_argv(spec), "--order", "24"]
+             for spec in catalog.default_sample_specs() if (spec.family, spec.d) in VERIFY_24_SAMPLES]
+    runs += [["verify", "--couple-file", f"{key}.json", "--order", "24"] for key in VERIFY_24_COUPLES]
     for key, text in BAD_FILES.items():
         runs += _small_runs(["--couple-file", write(f"bad-{key}.json", text)])
     runs += _small_runs(["--couple-file", write("not-utf8.json", b'{"d": 1, "\xff": 1}')])
@@ -193,6 +215,11 @@ def digests(argvs, workdir: Path) -> list[str]:
             os.environ["COLUMNS"] = columns
 
 
+def combined(digests: list[str]) -> str:
+    """The digest of all runs, which tests/sweep.sha256 pins."""
+    return hashlib.sha256("".join(digests).encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--against", type=Path, help="a checkout whose src/ is swept too")
@@ -211,7 +238,7 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         argvs = corpus(workdir)
         ours = digests(argvs, workdir)
-        total = hashlib.sha256("".join(ours).encode()).hexdigest()
+        total = combined(ours)
         print(f"{len(argvs)} runs, sha256 of all digests {total}")
         mismatch = args.expect is not None and total != (expected := args.expect.read_text().strip())
         if mismatch:

@@ -1,4 +1,4 @@
-"""The byte-identity sweep's corpus and digests (the full sweep is `python tests/sweep.py`)."""
+"""The byte-identity sweep: its corpus, and the whole corpus against tests/sweep.sha256."""
 
 import argparse
 import json
@@ -48,6 +48,39 @@ def test_the_corpus_covers_every_subcommand_format_and_source_kind(tmp_path):
     # the irregular and edge couples, and the refused files
     for name in [*sweep.EDGE_COUPLES, *(f"bad-{key}" for key in sweep.BAD_FILES)]:
         assert ("verify", "--couple-file", f"{name}.json", "--order", "3") in argvs, name
+    # verify --order 24 on one sample per family and on the rational couple of each d
+    samples = {(spec.family, spec.d): spec for spec in catalog.default_sample_specs()}
+    assert {family for family, _ in sweep.VERIFY_24_SAMPLES} == set(catalog.FAMILIES)
+    for key in sweep.VERIFY_24_SAMPLES:
+        assert ("verify", *sweep.load_workloads()._family_argv(samples[key]),
+                "--order", "24") in argvs, key
+    for d, name in enumerate(sweep.VERIFY_24_COUPLES, 1):
+        assert json.loads((tmp_path / f"{name}.json").read_text())["d"] == d
+        source = ("--couple-file", f"{name}.json")
+        assert ("verify", *source, "--order", "24") in argvs, name
+        # expand and recurrence in JSON at N = 40 and as tables at N = 12,
+        # and functionals in every format at N = 8
+        for command in ("expand", "recurrence"):
+            for fmt, n in (("json", 40), ("csv", 12), ("latex", 12)):
+                assert (command, *source, "--order", str(n), "--format", fmt) in argvs, name
+        for fmt in render.FORMATS:
+            assert ("functionals", *source, "--order", "8", "--format", fmt) in argvs, name
+    # failing verify reports that print cells: --check-d d - 1 and d + 1 at
+    # N = 12 on every sample, and the couples irregular at n <= 20 at N = 20
+    for spec in catalog.default_sample_specs():
+        for e in (spec.d - 1, spec.d + 1):
+            assert ("verify", *sweep.load_workloads()._family_argv(spec),
+                    "--order", "12", "--check-d", str(e)) in argvs
+    for name in ("irregular-n5", "irregular-n7", "irregular-n12"):
+        assert ("verify", "--couple-file", f"{name}.json", "--order", "20") in argvs, name
+
+
+def test_every_output_of_the_corpus_is_the_pinned_bytes(tmp_path):
+    # tests/sweep.sha256 is the one byte pin of the CLI's outputs
+    pin = (sweep.ROOT / "tests" / "sweep.sha256").read_text().strip()
+    argvs = sweep.corpus(tmp_path)
+    assert sweep.combined(sweep.digests(argvs, tmp_path)) == pin, \
+        "an output changed: `python tests/sweep.py --against DIR` lists the argv that differ from DIR's"
 
 
 def test_a_slice_of_the_corpus_gives_the_same_digests_twice(tmp_path):
