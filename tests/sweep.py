@@ -11,8 +11,10 @@ sweeping the tree before it and the tree after it over the same corpus:
 
 tests/sweep.sha256 pins the digest of all runs, and it is the package's one
 byte pin of its outputs: tier-1 (tests/test_sweep.py) sweeps the whole
-corpus in process and compares the digest with it.  When that test fails,
---against the tree before the change lists the argv whose output differs.
+corpus in process and compares the digest with it, and tests of particular
+reports ask `unpinned` which of their argv print other bytes.  When the
+digest differs, --against the tree before the change lists the argv whose
+output differs.
 A change that alters an output on purpose updates the pin, and lists those
 argv.
 
@@ -47,6 +49,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PIN = ROOT / "tests" / "sweep.sha256"
 ORDERS = (1, 3, 8, 12, 20, 40)
 VERIFY_ORDERS = (3, 8, 12, 20, 48)
 FORMATS = ("json", "csv", "latex")
@@ -218,6 +221,30 @@ def digests(argvs, workdir: Path) -> list[str]:
 def combined(digests: list[str]) -> str:
     """The digest of all runs, which tests/sweep.sha256 pins."""
     return hashlib.sha256("".join(digests).encode()).hexdigest()
+
+
+@functools.cache
+def swept() -> tuple[str, dict[tuple[str, ...], str]]:
+    """The digest of all runs of this tree, and each argv's digest; swept once a process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = corpus(Path(tmp))
+        ours = digests(argvs, Path(tmp))
+    return combined(ours), dict(zip(argvs, ours))
+
+
+def unpinned(argvs) -> list[tuple[str, ...]]:
+    """The argvs whose output here is not the bytes tests/sweep.sha256 pins.
+
+    An argv outside the corpus is never pinned, and while the digest of all
+    runs differs from the pin, no argv is.
+    """
+    total, pinned = swept()
+    if total != PIN.read_text().strip():
+        return list(argvs)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus(Path(tmp))                         # the files the argvs read
+        ours = digests(argvs, Path(tmp))
+    return [argv for argv, digest in zip(argvs, ours) if pinned.get(argv) != digest]
 
 
 def main(argv=None) -> int:

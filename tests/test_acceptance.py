@@ -17,7 +17,7 @@ from reference import (
     add, constant, exp, fraction_hstar, lowering_failures, monomial, newton_step, pow_rat,
     stirling_classical_meixner, sub,
 )
-from sweep import load_workloads
+from sweep import VERIFY_24_COUPLES, VERIFY_24_SAMPLES, load_workloads, unpinned
 
 from dsheffer import (
     FunctionalVector,
@@ -364,3 +364,62 @@ def test_criterion_9_runtime_and_determinism(suite, tmp_path):
         json.loads(first.read_text())                   # and they are valid JSON
     report(f"criterion 9: full verification of {len(built)} samples at N={N} in "
            f"{total:.1f}s (< 60s) with byte-identical reports", failures)
+
+
+# The reports below are pinned by tests/sweep.sha256 (tests/sweep.py's corpus
+# holds each of their argv); each test runs its reports afresh and lists
+# those whose bytes are not the pinned ones.
+
+def sample_argvs(runs) -> list[tuple[str, ...]]:
+    """(command, *source, --order N, --format F) of every sample, for each (command, format, N)."""
+    return [(command, *load_workloads()._family_argv(spec), "--order", str(n), "--format", fmt)
+            for spec in catalog.default_sample_specs() for command, fmt, n in runs]
+
+
+def couple_argvs(runs) -> list[tuple[str, ...]]:
+    """The same on the rational couple file of each d = 1, 2, 3."""
+    return [(command, "--couple-file", f"{name}.json", "--order", str(n), "--format", fmt)
+            for name in VERIFY_24_COUPLES for command, fmt, n in runs]
+
+
+EXPAND_RECURRENCE_RUNS = [(command, fmt, n) for command in ("expand", "recurrence")
+                          for fmt, n in (("json", 40), ("csv", 12), ("latex", 12))]
+
+
+def test_functionals_reports_match_their_digests():
+    report("functionals --order 8 reports of all samples match their pinned bytes",
+           unpinned(sample_argvs([("functionals", "json", 8)])))
+
+
+def test_expand_and_recurrence_outputs_match_their_digests():
+    report("expand and recurrence outputs of all samples (JSON at N=40, CSV and LaTeX "
+           "at N=12) match their pinned bytes", unpinned(sample_argvs(EXPAND_RECURRENCE_RUNS)))
+
+
+def test_expand_and_recurrence_outputs_of_couple_files_match_their_digests():
+    report("expand and recurrence outputs of one couple file per d = 1, 2, 3 (JSON at "
+           "N=40, CSV and LaTeX at N=12) match their pinned bytes",
+           unpinned(couple_argvs(EXPAND_RECURRENCE_RUNS)))
+
+
+def test_verify_order_24_reports_match_their_digests():
+    specs = [spec for spec in catalog.default_sample_specs()
+             if (spec.family, spec.d) in VERIFY_24_SAMPLES]
+    assert len(specs) == len(VERIFY_24_SAMPLES)
+    argvs = [("verify", *load_workloads()._family_argv(spec), "--order", "24") for spec in specs]
+    argvs += [("verify", "--couple-file", f"{name}.json", "--order", "24")
+              for name in VERIFY_24_COUPLES]
+    report("verify --order 24 reports of one sample per family and one couple per "
+           "d = 1, 2, 3 match their pinned bytes", unpinned(argvs))
+
+
+def test_functionals_tables_match_their_digests():
+    report("functionals --order 8 CSV and LaTeX tables of all samples match their "
+           "pinned bytes", unpinned(sample_argvs([("functionals", "csv", 8),
+                                                   ("functionals", "latex", 8)])))
+
+
+def test_functionals_outputs_of_couple_files_match_their_digests():
+    report("functionals --order 8 outputs of one couple file per d = 1, 2, 3 (JSON, "
+           "CSV and LaTeX) match their pinned bytes",
+           unpinned(couple_argvs([("functionals", fmt, 8) for fmt in ("json", "csv", "latex")])))

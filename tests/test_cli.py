@@ -17,7 +17,7 @@ import dsheffer
 from dsheffer import catalog, cli, dorth, exactnum, render, sheffer
 from dsheffer.cli import main
 from dsheffer.dorth import BackSubstitutionError
-from sweep import load_workloads
+from sweep import load_workloads, unpinned
 
 APP1 = '{"d": 1, "gamma": [-1, 1], "sigma": [-1, 2, -1]}'
 
@@ -558,6 +558,13 @@ def test_catalog_list(capsys):
     by_id = {f["family"]: f for f in doc["families"]}
     assert by_id["laguerre-eq11"]["d_fixed"] == 2
     assert by_id["charlier-eq13"]["operator_kind"] == "difference"
+
+
+def test_catalog_list_bytes_are_pinned(capsys):
+    # the listing reads fields of catalog.FAMILIES: a field added there must not leak
+    code, _, _ = run(capsys, "catalog-list")
+    assert code == 0
+    assert unpinned([("catalog-list",)]) == []
 
 
 # ---------------------------------------------------------------- misc plumbing

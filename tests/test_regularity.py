@@ -20,7 +20,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from legacy_rules import per_family_violations, scan_conditions
-from sweep import EDGE_COUPLES, load_workloads
 
 from dsheffer import (
     CoupleSpec,
@@ -333,25 +332,6 @@ def test_verify_within_the_order_keeps_its_conditions_section(tmp_path, capsys):
             "failures": [{"n": 20, "value": "0"}],
         },
     }
-
-
-def test_verify_fails_at_the_wrong_d_and_at_a_vanishing_boundary(tmp_path, capsys):
-    # every sample checked at d - 1 (where d - 1 >= 1) and at d + 1, and the
-    # couples irregular at n = 5, 7 and 12 at N = 20, whose reports list the
-    # orthogonality cells that fail
-    for spec in SAMPLES:
-        for check_d in (spec.d - 1, spec.d + 1):
-            if check_d >= 1:
-                code = main(["verify", *load_workloads()._family_argv(spec), "--order", "12",
-                             "--check-d", str(check_d)])
-                assert code == 1, (spec, check_d)
-    capsys.readouterr()
-    for name in ("irregular-n5", "irregular-n7", "irregular-n12"):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(EDGE_COUPLES[name]))
-        code = main(["verify", "--couple-file", str(path), "--order", "20"])
-        report = json.loads(capsys.readouterr().out)
-        assert code == 1 and report["orthogonality"]["details"]["failures"], name
 
 
 def test_a_couple_with_every_n_a_root_is_rejected_before_any_report(tmp_path, capsys):
