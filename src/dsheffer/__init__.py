@@ -19,8 +19,6 @@ from dsheffer.sheffer import (
 from dsheffer.operators import FunctionalVector
 from dsheffer.dorth import (
     BackSubstitutionError,
-    DualityReport,
-    LoweringReport,
     OrthogonalityReport,
     RecurrenceTable,
     RegularityViolationError,
@@ -42,8 +40,8 @@ __all__ = [
     "PolySequence", "ShefferPair", "check_conditions", "couple_from_json_dict",
     "couple_from_pair", "expand_from_couple", "expand_polynomials", "pair_from_couple",
     "FunctionalVector",
-    "BackSubstitutionError", "DualityReport", "LoweringReport", "OrthogonalityReport",
-    "RecurrenceTable", "RegularityViolationError", "WindowViolationError",
+    "BackSubstitutionError", "OrthogonalityReport", "RecurrenceTable",
+    "RegularityViolationError", "WindowViolationError",
     "extract_recurrence", "recurrence_from_couple", "verify", "verify_d_orthogonality",
     "verify_duality", "verify_lowering",
 ]

@@ -219,9 +219,9 @@ def _meixner_eq14_couple(d, p, dpi):
 
 
 def _meixner_eq14_moments(spec):
-    # at d = 1 the classical Meixner functional, a node series for 0 < c < 1
+    # at d = 1 the classical Meixner functional, a node series for |c| < 1 (eq16's |w| < 1)
     c, beta = spec.params["c"], spec.params["beta"]
-    if spec.d == 1 and 0 < c < 1:
+    if spec.d == 1 and abs(c) < 1:
         return ("meixner-classical", partial(meixner_moments, 1, c, beta))
     return None
 

@@ -357,39 +357,14 @@ def verify_d_orthogonality(seq: PolySequence, v: FunctionalVector) -> Orthogonal
                                moment_dens=tuple(row.den for row in v.rows))
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    d: int
-    max_index: int
-    failures: tuple[tuple[int, int, Fraction], ...]  # (i, k, value)
-
-    @property
-    def checked(self) -> int:
-        return self.d * (self.max_index + 1)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_jsonable(self) -> dict:
-        return {
-            "d": self.d,
-            "max_index": self.max_index,
-            "checked": self.checked,
-            "failures": [
-                {"i": i, "k": k, "value": str(value)} for i, k, value in self.failures
-            ],
-        }
-
-
-def verify_duality(orth: OrthogonalityReport) -> DualityReport:
-    """Check <u_i, P_k> = delta_{i,k} for i < d and every available k.
+def verify_duality(orth: OrthogonalityReport) -> tuple[tuple[int, int, Fraction], ...]:
+    """The failures (i, k, <u_i, P_k>) of <u_i, P_k> = delta_{i,k}, i < d, k <= max_index.
 
     <u_i, P_k> is the entry X_i[0][k] of orthogonality's table, row 0 of
     which spans every k, so no dot product is made here: its numerator is
     compared with den [i = k], den = den(P_k) den(mu_i), and a value becomes
     a Fraction only when it fails.  orth's order guard covers degree
-    max_index.
+    max_index.  An empty tuple means duality holds.
     """
     forms = orth.forms
     failures = []
@@ -399,34 +374,18 @@ def verify_duality(orth: OrthogonalityReport) -> DualityReport:
             den = forms[k][1] * dmu
             if num != (den if i == k else 0):
                 failures.append((i, k, Fraction(num, den)))
-    return DualityReport(d=orth.d, max_index=orth.max_index, failures=tuple(failures))
+    return tuple(failures)
 
 
-@dataclass(frozen=True)
-class LoweringReport:
-    max_index: int
-    failures: tuple[int, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_jsonable(self) -> dict:
-        return {
-            "max_index": self.max_index,
-            "checked": self.max_index + 1,
-            "failures": list(self.failures),
-        }
-
-
-def verify_lowering(seq: PolySequence, hstar: Series) -> LoweringReport:
-    """Check sigma P_n = n P_{n-1} for every n (and sigma P_0 = 0), sigma = H*(D).
+def verify_lowering(seq: PolySequence, hstar: Series) -> tuple[int, ...]:
+    """The n whose sigma P_n = n P_{n-1} fails (sigma P_0 = 0 at n = 0), sigma = H*(D).
 
     Both sides are compared in the basis b_l = x^l / l! (see the module
     docstring), in integers: with P_n's coefficients c over dn and y = H*
     over dy, row l holds when sum_k y_k c_(l+k) * d(n-1) = n c'_l * dn * dy,
     c' being P_(n-1)'s.  H* must have y_0 = 0; y_1 .. y_top are reduced by
     their own gcd, as H*'s den at its longer order can be over twice as tall.
+    An empty tuple means the check holds.
     """
     top = seq.max_index
     if hstar.nums[0]:
@@ -446,7 +405,7 @@ def verify_lowering(seq: PolySequence, hstar: Series) -> LoweringReport:
         if any(sum(map(mul, y, c[l + 1:])) * dprev != prev[l] * scale for l in range(n)):
             failures.append(n)
         prev, dprev = c, dn
-    return LoweringReport(max_index=top, failures=tuple(failures))
+    return tuple(failures)
 
 
 def _section(passed: bool, details: dict) -> dict:
@@ -505,8 +464,12 @@ def verify(couple: CoupleSpec, N: int, d: int, seq: PolySequence | None = None) 
     sections["recurrence"] = _recurrence_section(seq, d, couple)
     fv = FunctionalVector(couple, N + N // d, d)    # orthogonality's cell n = N // d, m = N
     orth = verify_d_orthogonality(seq, fv)   # duality reads its row j = 0
-    for name, check in (("duality", verify_duality(orth)),
-                        ("orthogonality", orth),
-                        ("lowering", verify_lowering(seq, fv.hstar))):
-        sections[name] = _section(check.passed, check.to_jsonable())
+    dual = verify_duality(orth)
+    sections["duality"] = _section(not dual, {
+        "d": d, "max_index": N, "checked": d * (N + 1),
+        "failures": [{"i": i, "k": k, "value": str(value)} for i, k, value in dual]})
+    sections["orthogonality"] = _section(orth.passed, orth.to_jsonable())
+    low = verify_lowering(seq, fv.hstar)
+    sections["lowering"] = _section(not low, {"max_index": N, "checked": N + 1,
+                                              "failures": list(low)})
     return sections

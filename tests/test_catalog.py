@@ -428,8 +428,9 @@ def test_classical_meixner_moments():
 
 
 def test_classical_meixner_needs_inner_c():
-    # the classical functional is the d = 1 row only for 0 < c < 1
-    for c in ("3/2", "-1/2"):
+    # the classical functional is the d = 1 row only for |c| < 1, where its
+    # node series converges (c = -1/2 is inside, see test_explicit_functional_routes)
+    for c in ("3/2", "-3/2"):
         assert catalog.explicit_functional(spec_of(MEIXNER_EQ14, 1, {"beta": 1, "c": c})) is None
 
 
@@ -458,9 +459,10 @@ def test_explicit_functional_routes():
         spec_of(MEIXNER_EQ14, 1, {"beta": 1, "c": "1/2"}))
     assert classical is not None and classical[0] == "meixner-classical"
 
-    outside = catalog.explicit_functional(
+    # the node series converges for |c| < 1, negative c included
+    negative = catalog.explicit_functional(
         spec_of(MEIXNER_EQ14, 1, {"beta": 1, "c": "-1/2"}))
-    assert outside is None
+    assert negative is not None and negative[0] == "meixner-classical"
 
     assert catalog.explicit_functional(
         spec_of(LAGUERRE_EQ9, 1, {"alpha": 0})) is None

@@ -67,6 +67,14 @@ def test_expand_latex(capsys):
     assert "$-x + 1$" in out
 
 
+def test_expand_aux_starting_with_a_minus_sign(capsys):
+    # argparse reads "--aux -1,1,1" as two options; "--aux=-1,1,1" is one
+    code, out, _ = run(capsys, "expand", "--family", "hermite-eq12", "--d", "1",
+                       "--aux=-1,1,1", "--order", "2")
+    assert code == 0
+    assert json.loads(out)["source"]["aux"] == ["-1", "1", "1"]
+
+
 def test_expand_rejects_invalid_family_parameter(capsys):
     code, _, err = run(capsys, "expand", "--family", "laguerre-eq9",
                        "--param", "alpha=-1")
@@ -489,6 +497,24 @@ def test_functionals_classical_meixner_row(capsys):
     assert values[(0, 2)]["value"] == "3"
     assert values[(0, 2)]["cross_check"]["evaluator"] == "meixner-classical"
     assert values[(0, 2)]["cross_check"]["match"] is True
+
+
+def test_functionals_meixner_eq14_cross_checks_at_negative_c(capsys):
+    # at d = 1 eq14 and eq16 are one couple with one node series, which
+    # converges for |c| < 1: both cross-check every row, with equal values
+    rows = {}
+    for family in ("meixner-eq14", "meixner-eq16"):
+        code, out, _ = run(capsys, "functionals", "--family", family, "--d", "1",
+                           "--param", "beta=1", "--param", "c=-1/2", "--order", "6")
+        assert code == 0
+        rows[family] = json.loads(out)["rows"]
+    eq14, eq16 = rows["meixner-eq14"], rows["meixner-eq16"]
+    assert len(eq14) == 7
+    assert all(r["cross_check"] == {"evaluator": "meixner-classical", "match": True,
+                                    "value": r["value"]} for r in eq14)
+    assert [(r["i"], r["m"], r["value"]) for r in eq14] \
+        == [(r["i"], r["m"], r["value"]) for r in eq16]
+    assert {r["cross_check"]["evaluator"] for r in eq16} == {"meixner-node-series"}
 
 
 def test_functionals_laguerre_eq11_value(capsys):

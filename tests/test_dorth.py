@@ -15,6 +15,7 @@ from dsheffer import (
     expand_polynomials,
     extract_recurrence,
     pair_from_couple,
+    verify,
     verify_d_orthogonality,
     verify_duality,
     verify_lowering,
@@ -176,7 +177,7 @@ def test_orthogonality_costs_one_dot_product_per_cell(monkeypatch):
     v = FunctionalVector(couple, top + top // d, d=d)
     monkeypatch.setattr(dorth, "mul", counted)
     rep = verify_d_orthogonality(seq, v)
-    assert rep.passed and verify_duality(rep).passed
+    assert rep.passed and not verify_duality(rep)
     bound = sum(m + 1 for k in range(d) for j in range((top - k) // d + 1)
                 for m in range(j * d, top + 1))
     assert len(products) == bound == 855
@@ -258,19 +259,21 @@ def test_orthogonality_needs_a_row_for_every_functional():
 
 def test_duality_clean():
     seq, v, _ = build(LAGUERRE, 6)
-    rep = verify_duality(verify_d_orthogonality(seq, v))
-    assert rep.passed
-    assert rep.checked == 7
-    assert rep.to_jsonable()["failures"] == []
+    assert not verify_duality(verify_d_orthogonality(seq, v))
+    # verify's section on the same P_0..P_6 and functionals of order 12
+    section = verify(LAGUERRE, 6, 1)["duality"]
+    assert section["status"] == "pass"
+    assert section["details"]["checked"] == 7
+    assert section["details"]["failures"] == []
 
 
 def test_duality_detects_shifted_polynomial():
     seq, v, _ = build(LAGUERRE, 6)
     polys = list(seq)
     polys[1] = polys[1] + Poly.one()
-    rep = verify_duality(verify_d_orthogonality(PolySequence(tuple(polys)), v))
-    assert not rep.passed
-    assert any(i == 0 and k == 1 for i, k, _ in rep.failures)
+    failures = verify_duality(verify_d_orthogonality(PolySequence(tuple(polys)), v))
+    assert failures
+    assert any(i == 0 and k == 1 for i, k, _ in failures)
 
 
 def test_duality_reads_the_entries_before_each_boundary():
@@ -286,30 +289,31 @@ def test_duality_reads_the_entries_before_each_boundary():
     class StandIn:
         d, order, rows = v.d, v.order, (v.rows[0], moved)
 
-    assert verify_duality(verify_d_orthogonality(seq, v)).passed
-    rep = verify_duality(verify_d_orthogonality(seq, StandIn()))
+    assert not verify_duality(verify_d_orthogonality(seq, v))
+    failures = verify_duality(verify_d_orthogonality(seq, StandIn()))
     # <u_1, P_k> grows by P_k(0), so every k with P_k(0) != 0 fails, k = 0 first
-    assert rep.failures == tuple((1, k, int(k == 1) + seq[k].coeffs[0])
-                                 for k in range(top + 1) if seq[k].coeffs[0])
-    assert rep.failures[0][:2] == (1, 0)
+    assert failures == tuple((1, k, int(k == 1) + seq[k].coeffs[0])
+                             for k in range(top + 1) if seq[k].coeffs[0])
+    assert failures[0][:2] == (1, 0)
 
 
 # ---------------------------------------------------------------- lowering
 
 def test_lowering_report_clean():
     seq, _, lop = build(LAGUERRE, 6)
-    rep = verify_lowering(seq, lop)
-    assert rep.passed
-    assert rep.to_jsonable() == {"max_index": 6, "checked": 7, "failures": []}
+    assert not verify_lowering(seq, lop)
+    # verify's section on the same P_0..P_6 and H* of order 12
+    section = verify(LAGUERRE, 6, 1)["lowering"]
+    assert section["status"] == "pass"
+    assert section["details"] == {"max_index": 6, "checked": 7, "failures": []}
 
 
 def test_lowering_detects_rescaled_polynomial():
     seq, _, lop = build(LAGUERRE, 6)
     polys = list(seq)
     polys[1] = polys[1] * F(2)
-    rep = verify_lowering(PolySequence(tuple(polys)), lop)
-    assert not rep.passed
-    assert rep.failures
+    failures = verify_lowering(PolySequence(tuple(polys)), lop)
+    assert failures
 
 
 # ---------------------------------------------------------------- the battery

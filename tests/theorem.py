@@ -1,13 +1,13 @@
-"""Theorem 2.2 on two bounded-exhaustive domains, and Meixner's classes at d = 1.
+"""Theorem 2.2 on three bounded-exhaustive domains, and Meixner's classes at d = 1.
 
 Theorem 2.2 says that a couple [gamma_d, sigma_(d+1)] gives a d-orthogonal
 Sheffer set exactly when it is regular: alpha_0 != 0, beta_d != 0 and
 n alpha_(d+1) != beta_d for every n >= 1 (`CoupleSpec.violations`).  This
-script checks the forward half on every couple of two small domains, each
-run through `dorth.verify(couple, 10, d)`:
+script checks the forward half on every couple of three small domains,
+each run through `dorth.verify(couple, 10, d)`:
 
-* d = 1 with coefficients in {-2..2} (3,125 couples) and d = 2 with
-  coefficients in {-1, 0, 1} (2,187 couples);
+* d = 1 with coefficients in {-2..2} (3,125 couples), and d = 2 and d = 3
+  with coefficients in {-1, 0, 1} (2,187 and 19,683 couples);
 * alpha_0 = 0 or beta_d = 0 raises `InvalidCoupleError` (the CLI's exit 2),
   and no other couple is refused;
 * every other couple passes exactly when `violations()` is empty;
@@ -51,7 +51,8 @@ ORDER = 10                  # verify's N
 CLASSICAL_ORDER = 30        # the moment rows' N
 WIDE, NARROW = range(-2, 3), range(-1, 2)
 # (d, coefficient values) -> (pass, fail, refused)
-EXPECTED = {(1, WIDE): (1400, 600, 1125), (2, NARROW): (648, 324, 1215)}
+EXPECTED = {(1, WIDE): (1400, 600, 1125), (2, NARROW): (648, 324, 1215),
+            (3, NARROW): (5832, 2916, 10935)}
 EXPECTED_BELOW = 648 + 324  # couples of the d = 2 domain that verify does not refuse
 EXPECTED_CLASSICAL = 590    # regular d = 1 couples of WIDE with rational roots or none
 
