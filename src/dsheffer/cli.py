@@ -28,7 +28,6 @@ from pathlib import Path
 from dsheffer import catalog, render
 from dsheffer.dorth import (
     RegularityViolationError,
-    WindowViolationError,
     recurrence_from_couple,
     verify,
 )
@@ -191,7 +190,7 @@ def cmd_recurrence(args) -> int:
     N = args.order
     d = couple.d
     _require_order(N, d + 2, f" for the recurrence at d = {d}")
-    table = recurrence_from_couple(couple, N)  # violations surface as exit 1 via main
+    table = recurrence_from_couple(couple, N)  # a regularity violation exits 1 via main
     if args.format == render.JSON:
         _emit_doc(args, "recurrence", N, spec, couple, table=table.to_jsonable())
         return EXIT_OK
@@ -335,7 +334,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (WindowViolationError, RegularityViolationError) as exc:
+    except RegularityViolationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     except CoupleFileError as exc:

@@ -21,8 +21,9 @@ lower-triangular matrix with the nonzero leading coefficients on its
 diagonal applied to the X_k[j][m] with j d + k < m: they all vanish exactly
 when those X entries do, and then each boundary cell is lead(P_n)
 X_k[n][n d + k].  The verdict is therefore decided on X alone, and the
-report derives the cells from X and the P_n on each read; it caches none
-of them, and a failing report's failures are the cells that fail.
+report derives the cells, plain (k, n, m, value) tuples, from X and the
+P_n on each read; it caches none of them, and a failing report's failures
+are the cells zero at their boundary m = n d + k or nonzero off it.
 
 The lowering check sigma P_n = n P_(n-1) works in the basis b_l = x^l / l!,
 where D b_l = b_(l-1): each P_n is converted once, c_l = l! p_l, and
@@ -37,9 +38,9 @@ the integer form that each P_n and each moment row stores (`nums` over
 `den`, see `series`), and a value becomes a Fraction once, when it is
 reported; no check converts a coefficient.  An X entry holds or fails by
 its integer numerator alone, and a duality value is compared as num = den
-[i = k]; the OrthCell objects and their Fractions are built only when a
-caller reads the cells or a failing report prints its failures, on each
-read, so a passing report builds none.  The recurrence table is held the
+[i = k]; the cells' Fractions are built only when a caller reads the
+cells or a failing report prints its failures, on each read, so a passing
+report builds none.  The recurrence table is held the
 same way, as integer numerators over one denominator, and prints from them.
 Back-substitution keeps one running remainder per row, r / R = x P_n minus
 the c_j P_j found so far, integers over one denominator.  Going down from
@@ -220,26 +221,6 @@ def _regular(table: RecurrenceTable) -> RecurrenceTable:
 
 
 @dataclass(frozen=True)
-class OrthCell:
-    k: int
-    n: int
-    m: int
-    value: Fraction
-    requirement: str  # "zero" | "nonzero"
-    ok: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "m": self.m,
-            "value": str(self.value),
-            "requirement": self.requirement,
-            "ok": self.ok,
-        }
-
-
-@dataclass(frozen=True)
 class OrthogonalityReport:
     """The moment conditions of verify_d_orthogonality, as integers.
 
@@ -252,11 +233,13 @@ class OrthogonalityReport:
     index k are the values duality reads off row 0.  `passed`, `checked`
     and `unchecked` need no cell: each is read off d, forms and hankel.
 
-    `cells` is the one place that derives and judges a cell: <u_k, P_n P_m>
-    = num / (dn dmu dm) with num = sum_(j<=n) P_n[j] X_k[j][m], the integers
-    of the Hankel form sum_(a,b) P_n[a] mu_k(a+b) P_m[b], read off hankel and
-    forms on each read.  `failures` is the cells that fail, read only when
-    the report fails; nothing is cached, so a passing report builds no cell.
+    `cells` is the one place that derives a cell (k, n, m, value): value =
+    <u_k, P_n P_m> = num / (dn dmu dm) with num = sum_(j<=n) P_n[j]
+    X_k[j][m], the integers of the Hankel form sum_(a,b) P_n[a] mu_k(a+b)
+    P_m[b], read off hankel and forms on each read.  `failures` is the cells
+    that fail, read only when the report fails, and `to_jsonable` reads each
+    failure's requirement off m == n d + k; nothing is cached, so a passing
+    report builds no cell.
     """
 
     d: int
@@ -281,8 +264,8 @@ class OrthogonalityReport:
                    for k, rows in enumerate(self.hankel) for row in rows)
 
     @property
-    def cells(self) -> tuple[OrthCell, ...]:
-        """Every checked cell, derived from X and judged, on each read."""
+    def cells(self) -> tuple[tuple[int, int, int, Fraction], ...]:
+        """Every checked cell (k, n, m, <u_k, P_n P_m>), derived from X on each read."""
         d, top, forms = self.d, self.max_index, self.forms
         cells = []
         for k, rows in enumerate(self.hankel):
@@ -291,10 +274,7 @@ class OrthogonalityReport:
                 for m in range(n * d + k, top + 1):
                     # X_k[j][m] sits at index m - j d of row j
                     num = sum(pn[j] * rows[j][m - j * d] for j in range(n + 1))
-                    boundary = m == n * d + k
-                    cells.append(OrthCell(
-                        k=k, n=n, m=m, value=Fraction(num, dn * dmu * forms[m][1]),
-                        requirement="nonzero" if boundary else "zero", ok=bool(num) == boundary))
+                    cells.append((k, n, m, Fraction(num, dn * dmu * forms[m][1])))
         return tuple(cells)
 
     @property
@@ -302,8 +282,12 @@ class OrthogonalityReport:
         return sum(len(row) - k for k, rows in enumerate(self.hankel) for row in rows)
 
     @property
-    def failures(self) -> tuple[OrthCell, ...]:
-        return () if self.passed else tuple(c for c in self.cells if not c.ok)
+    def failures(self) -> tuple[tuple[int, int, int, Fraction], ...]:
+        """The cells zero at their boundary m = n d + k or nonzero off it."""
+        d = self.d
+        return () if self.passed else tuple(
+            (k, n, m, value) for k, n, m, value in self.cells
+            if bool(value) != (m == n * d + k))
 
     def __repr__(self) -> str:
         return (f"OrthogonalityReport(d={self.d}, max_index={self.max_index}, "
@@ -314,7 +298,9 @@ class OrthogonalityReport:
             "d": self.d,
             "max_index": self.max_index,
             "checked": self.checked,
-            "failures": [c.to_jsonable() for c in self.failures],
+            "failures": [{"k": k, "n": n, "m": m, "value": str(value), "ok": False,
+                          "requirement": "nonzero" if m == n * self.d + k else "zero"}
+                         for k, n, m, value in self.failures],
             "unchecked_boundaries": [
                 {"k": k, "n": n, "m": m} for k, n, m in self.unchecked
             ],

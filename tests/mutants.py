@@ -100,6 +100,11 @@ MUTANTS = (
            "    elif seq.max_index != N:",
            "    elif False:",
            "tests/test_dorth.py::test_verify_refuses_a_seq_that_is_not_p0_to_pN[14]"),
+    # a failing report lists the cells that hold instead of those that fail
+    Mutant("dorth.py",
+           "if bool(value) != (m == n * d + k))",
+           "if bool(value) != (m != n * d + k))",
+           "tests/test_dorth.py::test_orthogonality_sees_the_first_cell_after_a_boundary"),
 )
 
 

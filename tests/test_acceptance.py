@@ -191,7 +191,7 @@ def test_criterion_4_orthogonality_and_duality(suite):
         orth = verify_d_orthogonality(seq, v)
         if not orth.passed:
             failures.append((spec.family, spec.d, "orthogonality",
-                             [c.to_jsonable() for c in orth.failures[:2]]))
+                             orth.failures[:2]))
         dual = verify_duality(orth)
         if dual:
             failures.append((spec.family, spec.d, "duality", dual[:2]))

@@ -462,6 +462,19 @@ def test_recurrence_violation_exits_1(tmp_path, capsys):
     assert "regularity" in err
 
 
+def test_a_window_violation_is_not_a_verification_failure_of_main(monkeypatch, capsys):
+    # only extract_recurrence raises WindowViolationError, and verify's
+    # recurrence section reports it, so main does not catch one: an error
+    # that cannot reach it would only hide a fault as a verdict
+    def raising(couple, top):
+        raise dorth.WindowViolationError(d=1, n=3, index=0, value=Fraction(1))
+
+    monkeypatch.setattr(cli, "recurrence_from_couple", raising)
+    with pytest.raises(dorth.WindowViolationError):
+        main(["recurrence", "--order", "5", *LAGUERRE_D1])
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["expand", "recurrence"])
 @pytest.mark.parametrize("doc, message", [
     ('{"d": 1, "gamma": [1, 1], "sigma": [0, 1, 1]}',

@@ -126,20 +126,21 @@ def test_laguerre_orthogonality_clean():
 def test_orthogonality_boundary_cells_are_nonzero():
     seq, v, _ = build(LAGUERRE, 6)
     rep = verify_d_orthogonality(seq, v)
-    boundary = [c for c in rep.cells if c.requirement == "nonzero"]
-    assert boundary
-    assert all(c.m == c.n * 1 + c.k for c in boundary)
+    boundary = [(k, n, m, value) for k, n, m, value in rep.cells if m == n * 1 + k]
+    assert [(k, n, m) for k, n, m, _ in boundary] == [(0, n, n) for n in range(7)]
+    assert all(value for *_, value in boundary)
 
 
 def test_a_passing_report_builds_no_orth_cell_until_its_cells_are_read(monkeypatch):
+    # a cell is a tuple around one Fraction, so counting the Fractions that
+    # dorth builds counts the cells
     built = []
 
-    def counted(**fields):
-        built.append(fields)
-        return original(**fields)
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
 
-    original = dorth.OrthCell
-    monkeypatch.setattr(dorth, "OrthCell", counted)
+    monkeypatch.setattr(dorth, "Fraction", counted)
     spec = catalog.default_spec(catalog.MEIXNER_EQ16, 2)
     seq = expand_polynomials(catalog.family_generating(spec, 12), 12)
     couple = catalog.family_couple(spec)
@@ -150,12 +151,14 @@ def test_a_passing_report_builds_no_orth_cell_until_its_cells_are_read(monkeypat
     assert rep.failures == () and repr(rep)
     assert built == []
     # the cells are built when they are read, one per checked cell, each
-    # valued sum_(j<=n) P_n[j] X_k[j][m] with X off the couple's L table
+    # valued sum_(j<=n) P_n[j] X_k[j][m] with X off the couple's L table,
+    # and nonzero exactly at its boundary m = n d + k
     cells = rep.cells
     assert len(built) == len(cells) == rep.checked
     xs = [l_table(couple, k, 12 // 2 + 1, 12) for k in range(2)]
-    assert all(c.ok and c.value == sum(a * xs[c.k][j][c.m] for j, a in enumerate(seq[c.n].coeffs))
-               for c in cells)
+    assert all(bool(value) == (m == n * 2 + k)
+               and value == sum(a * xs[k][j][m] for j, a in enumerate(seq[n].coeffs))
+               for k, n, m, value in cells)
 
 
 def test_orthogonality_costs_one_dot_product_per_cell(monkeypatch):
@@ -223,7 +226,7 @@ def test_orthogonality_sees_the_first_cell_after_a_boundary():
     polys[4] = polys[4] + polys[3] * 2
     rep = verify_d_orthogonality(PolySequence(tuple(polys)), v)
     assert not rep.passed
-    assert [(c.k, c.n, c.m) for c in rep.failures] == [(0, 3, 4)]
+    assert [(k, n, m) for k, n, m, _ in rep.failures] == [(0, 3, 4)]
 
 
 def test_orthogonality_sees_the_last_row():
@@ -236,7 +239,7 @@ def test_orthogonality_sees_the_last_row():
     rep = verify_d_orthogonality(PolySequence(tuple(polys)), v)
     assert len(rep.hankel[0]) == 4
     assert not rep.passed
-    assert [(c.k, c.n, c.m) for c in rep.failures] == [(0, 3, 7)]
+    assert [(k, n, m) for k, n, m, _ in rep.failures] == [(0, 3, 7)]
 
 
 def test_orthogonality_order_guard():

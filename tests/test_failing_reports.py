@@ -6,8 +6,10 @@ failing orthogonality cell or duality value.  These reports do:
 every default sample, and `verify --order 20` on three irregular couples
 (n alpha_(d+1) = beta_d at n = 5, 7 and 12), whose boundary cells vanish.
 Each must exit 1, and print the bytes tests/sweep.sha256 pins, which were
-computed while every orthogonality cell was still built as a Fraction and an
-OrthCell as it was checked.
+computed while every orthogonality cell was still built, as a Fraction in a
+record with its requirement and verdict, as it was checked; a failing cell
+is now a plain (k, n, m, value) tuple, and the report reads its requirement
+off m = n d + k when it prints it.
 """
 
 import json

@@ -198,14 +198,19 @@ def perturbed(seq: PolySequence, n: int, j: int, delta: Fraction) -> PolySequenc
     return PolySequence(seq.polys[:n] + (Poly(coeffs),) + seq.polys[n + 1:])
 
 
+def failing_cells(cells, d) -> list:
+    """The oracle's cells that are zero at their boundary m = n d + k or nonzero off it."""
+    return [(k, n, m, value) for k, n, m, value in cells if bool(value) != (m == n * d + k)]
+
+
 def assert_sections_match_the_oracles(seq, lop, v):
     low = verify_lowering(seq, lop)
     assert low == tuple(lowering_failures(seq, lop.coeffs))
     orth = verify_d_orthogonality(seq, v)
     failures = orth.failures                    # built before the cells are
     cells, unchecked = hankel_cells(seq, v)
-    assert [(c.k, c.n, c.m, c.value) for c in orth.cells] == cells
-    assert failures == tuple(c for c in orth.cells if not c.ok)
+    assert list(orth.cells) == cells
+    assert list(failures) == failing_cells(cells, v.d)
     assert orth.passed == (not failures) and orth.checked == len(cells)
     assert list(orth.unchecked) == unchecked
     assert list(verify_duality(orth)) == duality_failures(seq, v)
@@ -251,13 +256,12 @@ def assert_orthogonality_matches_the_hankel_cells(seq, v) -> bool:
     orth = verify_d_orthogonality(seq, v)
     failures = orth.failures                    # derived before the cells are
     cells, unchecked = hankel_cells(seq, v)
-    d = v.d
-    failing = [c for c in cells if bool(c[3]) != (c[2] == c[1] * d + c[0])]
-    assert [(c.k, c.n, c.m, c.value) for c in failures] == failing
+    failing = failing_cells(cells, v.d)
+    assert list(failures) == failing
     assert orth.passed == (not failing)
     assert orth.checked == len(cells)
     assert list(orth.unchecked) == unchecked
-    assert [(c.k, c.n, c.m, c.value) for c in orth.cells] == cells
+    assert list(orth.cells) == cells
     return orth.passed
 
 

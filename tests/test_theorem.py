@@ -2,7 +2,10 @@
 
 The whole domains run in `python tests/theorem.py`; this is its tier-1 slice,
 with the d - 1 side on the d = 2 couples with coefficients in {-1, 1} and
-Meixner's classes on drawn couples with rational roots.
+Meixner's classes on drawn couples with rational roots.  The converse is
+drawn here: a regular couple's pair with one coefficient of A or H moved
+off the couple's form gives a set that `couple_from_pair` refuses at d',
+exactly when its recurrence breaks the (d' + 2)-term window or regularity.
 """
 
 from fractions import Fraction
@@ -13,9 +16,21 @@ from hypothesis import strategies as st
 
 import classical
 import theorem
-from dsheffer import catalog
+from dsheffer import (
+    NotDOrthogonalShefferError,
+    RegularityViolationError,
+    Series,
+    ShefferPair,
+    WindowViolationError,
+    catalog,
+    couple_from_pair,
+    expand_polynomials,
+    extract_recurrence,
+    pair_from_couple,
+)
 from dsheffer.operators import FunctionalVector
 from dsheffer.sheffer import CoupleSpec
+from test_kernels import regular_couples
 
 
 def test_the_d1_slice_passes_exactly_when_regular():
@@ -100,3 +115,38 @@ def test_irrational_and_complex_roots_have_no_rational_class():
 def test_the_classes_are_the_d1_sets_only():
     with pytest.raises(ValueError, match="d = 1"):
         classical.classify(CoupleSpec(d=2, gamma=(0, 0, 1), sigma=(1, 0, 0, 0)))
+
+
+def refusals(pair, d: int, top: int) -> tuple[bool, bool]:
+    """Whether couple_from_pair refuses the pair at d, and whether the
+    recurrence of its P_0..P_top breaks the window or regularity at d."""
+    try:
+        couple_from_pair(pair, d)
+        by_couple = False
+    except NotDOrthogonalShefferError:
+        by_couple = True
+    try:
+        extract_recurrence(expand_polynomials(pair, top), d)
+        by_recurrence = False
+    except (WindowViolationError, RegularityViolationError):
+        by_recurrence = True
+    return by_couple, by_recurrence
+
+
+@settings(max_examples=150, deadline=None)
+@given(regular_couples(), st.data())
+def test_a_pair_off_the_couples_form_is_refused_by_both_routes(couple, data):
+    # moving A at t^j, j >= d + 2, moves gamma = sigma A'/A at t^(j-1) > d,
+    # and moving H there leaves 1/H' no polynomial, so at d' = d both refuse
+    d, order = couple.d, 14
+    pair = pair_from_couple(couple, order)
+    name = data.draw(st.sampled_from(("A", "Hx")))
+    j = data.draw(st.integers(d + 2, 6))
+    coeffs = list(getattr(pair, name).coeffs)
+    coeffs[j] += data.draw(nonzero)
+    pair = ShefferPair(**{"A": pair.A, "Hx": pair.Hx, name: Series(coeffs)})
+    for check_d in (d - 1, d, d + 1):
+        if check_d >= 1:
+            by_couple, by_recurrence = refusals(pair, check_d, order)
+            assert by_couple == by_recurrence, (check_d, name, j)
+            assert by_couple or check_d != d, (name, j)
