@@ -109,7 +109,7 @@ def _resolve_source(args) -> tuple[catalog.FamilySpec | None, CoupleSpec]:
         raise CliError(EXIT_IO, f"cannot read couple file: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deeply to decode
         raise CliError(EXIT_IO, f"couple file is not valid JSON: {exc}") from None
     return None, couple_from_json_dict(doc)
 
@@ -177,7 +177,7 @@ def cmd_verify(args) -> int:
         raise CliError(EXIT_BAD_PARAMS, f"--check-d must be >= 1, got {check_d}")
     _require_order(N, check_d + 2, f" for the recurrence at d = {check_d}")
     # a family is checked on its closed-form expansion, a couple file on its own pair
-    seq = None if spec is None else expand_polynomials(catalog.family_generating(spec, N), N)
+    seq = None if spec is None else expand_polynomials(catalog.family_generating(spec, N))
     sections = verify(couple, N, check_d, seq)
     ok = all(s["status"] in ("pass", "skipped") for s in sections.values())
     _emit_doc(args, "verify", N, spec, couple, check_d=check_d,

@@ -430,7 +430,7 @@ def verify(couple: CoupleSpec, N: int, d: int, seq: PolySequence | None = None) 
     only renders the sections.
     """
     if own := seq is None:
-        seq = expand_polynomials(pair_from_couple(couple, N), N)
+        seq = expand_polynomials(pair_from_couple(couple, N))
     elif seq.max_index != N:
         raise ValueError(f"seq holds P_0..P_{seq.max_index}, not P_0..P_{N}")
     cond = check_conditions(couple, N)

@@ -36,8 +36,8 @@ its operator is the couple's own: the Series y, with y_0 = 0
 (verify_lowering rejects any other).  Every functional value is a dot
 product with one row.
 
-`lowering_from_H` reverts a given H by Lagrange inversion
-(`Series.reversion`, on the integer kernels of `series`), and
+`lowering_from_H` reverts a given H at H's own order by Lagrange
+inversion (`Series.reversion`, on the integer kernels of `series`), and
 `apply_lowering` applies sigma by repeated derivatives; neither is on the
 verify path.  They are the independent routes the tests compare against,
 and with `functional_eval` they are read from this module, not from the
@@ -102,23 +102,21 @@ def _solve_couple(couple: CoupleSpec, N: int, d: int) -> tuple[Series, tuple[Ser
     return Series.of(ys, scale), tuple(rows)
 
 
-def lowering_from_H(H: Series, N: int | None = None) -> Series:
-    """H* = the reversion of H at truncation order N."""
-    if N is None:
-        N = H.order
-    return H.truncate(N).reversion()
+def lowering_from_H(H: Series) -> Series:
+    """H* = the reversion of H, at H's own truncation order."""
+    return H.reversion()
 
 
 def apply_lowering(hstar: Series, f: Poly) -> Poly:
     """Apply sigma = H*(D) to a polynomial: sum_k y_k D^k f, finite since D lowers degree."""
     deg = f.degree()
     if deg is None:
-        return Poly.zero()
+        return f
     if hstar.order < deg:
         raise ValueError(
             f"operator order {hstar.order} too small for degree {deg}"
         )
-    out = Poly.zero()
+    out = Poly.of((), 1)
     g, ys = f, hstar.coeffs
     for k in range(1, deg + 1):
         g = g.derivative()

@@ -29,8 +29,9 @@ p f' = q f + r reaches it through `_first_order`.  The generating pairs of
 solves H' sigma = 1 and A gamma = sigma A'.  `Series.compose` is Horner's
 rule on the numerators and `Series.reversion` is Lagrange inversion,
 g_m = (1/m) [t^(m-1)] (t/f)^m; the verifier builds H* and the functionals
-from the couple instead (see `operators`).  Sums, inverses, integrals, exp,
-log and rational powers of a series live with the tests' reference routes.
+from the couple instead (see `operators`).  A series keeps the order it was
+built at.  Sums, inverses, integrals, exp, log, rational powers and
+truncation of a series live with the tests' reference routes.
 
 `Poly.coeff_strings` puts each nums[i] / den in lowest terms by one gcd
 (`exactnum.ratio_strings`) and makes no Fraction.  `poly_text` and
@@ -103,10 +104,6 @@ class Poly(_Vector):
     _trims = True
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls.of((), 1)
-
-    @classmethod
     def one(cls) -> "Poly":
         return cls.of((1,), 1)
 
@@ -134,8 +131,6 @@ class Poly(_Vector):
         return hash(("Poly", self.nums, self.den))
 
     def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
         # over lcm(den, other.den); the shorter vector is padded
@@ -147,18 +142,13 @@ class Poly(_Vector):
         a[:len(b)] = map(add, a, b)
         return Poly.of(a, L)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Poly":
         return Poly.of([-v for v in self.nums], self.den)
 
     def __sub__(self, other) -> "Poly":
-        if not isinstance(other, (Poly, int, Fraction)):
+        if not isinstance(other, Poly):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -167,8 +157,6 @@ class Poly(_Vector):
             return NotImplemented
         a, b = self.nums, other.nums
         return Poly.of(_convolve(a, b, len(a) + len(b) - 1), self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
@@ -214,11 +202,6 @@ class Series(_Vector):
     @property
     def order(self) -> int:
         return len(self.nums) - 1
-
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise ValueError(f"cannot truncate order {self.order} up to {order}")
-        return Series.of(self.nums[:order + 1], self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):

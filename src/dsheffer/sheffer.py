@@ -217,9 +217,6 @@ class PolySequence:
     def max_index(self) -> int:
         return len(self.polys) - 1
 
-    def __len__(self) -> int:
-        return len(self.polys)
-
     def __getitem__(self, n: int) -> Poly:
         return self.polys[n]
 
@@ -280,8 +277,8 @@ def pair_from_couple(couple: CoupleSpec, N: int) -> ShefferPair:
     return ShefferPair(A=a, Hx=hx)
 
 
-def expand_polynomials(pair: ShefferPair, N: int) -> PolySequence:
-    """Expand A(t) exp(x H(t)) into P_0..P_N (with the n! normalization).
+def expand_polynomials(pair: ShefferPair) -> PolySequence:
+    """Expand A(t) exp(x H(t)) into P_0..P_N, N the pair's order (with the n! normalization).
 
     exp(x H) = sum_k x^k H^k / k!, so [x^k] P_n = n!/k! [t^n] (A H^k).  The
     columns A H^k are integer numerators over one denominator D_k each,
@@ -292,10 +289,9 @@ def expand_polynomials(pair: ShefferPair, N: int) -> PolySequence:
     lcm of its D_k and is handed over as integers (Poly.of); no Fraction is
     made.
     """
-    if pair.order < N:
-        raise ValueError(f"pair order {pair.order} too small for expansion order {N}")
-    col, D = pair.A.nums[:N + 1], pair.A.den   # col[n] / D = [t^n] A H^k, from k = 0
-    h, dh = pair.Hx.nums[1:N + 1], pair.Hx.den  # h_1 .. h_N, as h_0 = 0
+    N = pair.order
+    col, D = pair.A.nums, pair.A.den            # col[n] / D = [t^n] A H^k, from k = 0
+    h, dh = pair.Hx.nums[1:], pair.Hx.den       # h_1 .. h_N, as h_0 = 0
     terms = [[] for _ in range(N + 1)]          # terms[n][k] = ([x^k] P_n numerator, D_k)
     for k in range(N + 1):
         fac = 1                                 # n!/k!

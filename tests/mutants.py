@@ -105,6 +105,16 @@ MUTANTS = (
            "if bool(value) != (m == n * d + k))",
            "if bool(value) != (m != n * d + k))",
            "tests/test_dorth.py::test_orthogonality_sees_the_first_cell_after_a_boundary"),
+    # regularity misses a root at n = 1
+    Mutant("sheffer.py",
+           "root.denominator == 1 and root >= 1",
+           "root.denominator == 1 and root > 1",
+           "tests/test_regularity.py::test_irregular_n_is_the_smallest_root[couple8-1]"),
+    # the conditions section passes every couple
+    Mutant("sheffer.py",
+           "        return not self.couple.violations()",
+           "        return True",
+           "tests/test_sheffer.py::test_conditions_report_a_root_beyond_n"),
 )
 
 

@@ -51,7 +51,8 @@ operations that no product path needs, moved out of `Series` into
 functions over a `Series` on the same kernels (`series._first_order` and
 `_recurrence`).  `constant`, `monomial`, `add`, `sub`, `neg`, `mul`,
 `differentiate` and `invert_mul` followed when `Series` became a record
-with no operators; like the operators they replace, `add`, `sub` and `mul`
+with no operators, and `truncate` when the package's series routes came to
+work at their argument's own order; like the operators they replace, `add`, `sub` and `mul`
 take an int or a Fraction on either side as a constant series.  The routes
 here and the tests build on them, and `fraction_exp`, `fraction_log`,
 `fraction_invert_mul` and `fraction_product` stay their term-by-term
@@ -129,6 +130,13 @@ def mul(a, b) -> Series:
         return Series.of([v * b.numerator for v in a.nums], a.den * b.denominator)
     a, b = _same_order(a, b)
     return Series.of(_convolve(a.nums, b.nums, a.order + 1), a.den * b.den)
+
+
+def truncate(s: Series, order: int) -> Series:
+    """s mod t^(order+1); a series cannot be truncated above its own order."""
+    if order > s.order:
+        raise ValueError(f"cannot truncate order {s.order} up to {order}")
+    return Series.of(s.nums[:order + 1], s.den)
 
 
 def differentiate(s: Series) -> Series:
@@ -385,14 +393,14 @@ def lowering_failures(seq, hstar, omega=None) -> list[int]:
     def lower(f):
         if len(hstar) < len(f.coeffs):
             raise ValueError(f"operator order {len(hstar) - 1} too small for degree {f.degree()}")
-        out, g = Poly.zero(), f
+        out, g = Poly(), f
         for y in hstar[1:len(f.coeffs)]:
             g = base(g, omega)
             out = out + g * y
         return out
 
     return [n for n in range(seq.max_index + 1)
-            if lower(seq[n]) != (seq[n - 1] * n if n else Poly.zero())]
+            if lower(seq[n]) != (seq[n - 1] * n if n else Poly())]
 
 
 def fraction_invert_mul(s) -> list[Fraction]:
@@ -471,12 +479,12 @@ def fraction_couple_rows(couple, top) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
-def series_expand_polynomials(pair, N) -> PolySequence:
-    """P_0..P_N with [x^k] P_n = n!/k! [t^n] (A H^k), each A H^k a Series product."""
-    hx = pair.Hx.truncate(N)
-    columns = [pair.A.truncate(N)]             # columns[k] = A H^k
+def series_expand_polynomials(pair) -> PolySequence:
+    """P_0..P_N, N = pair.order, with [x^k] P_n = n!/k! [t^n] (A H^k) by Series products."""
+    N = pair.order
+    columns = [pair.A]                         # columns[k] = A H^k
     for _ in range(N):
-        columns.append(mul(columns[-1], hx))
+        columns.append(mul(columns[-1], pair.Hx))
     columns = [column.coeffs for column in columns]
     return PolySequence(tuple(
         Poly(columns[k][n] * (factorial(n) // factorial(k)) for k in range(n + 1))

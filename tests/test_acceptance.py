@@ -64,8 +64,8 @@ def suite():
     built = []
     start = time.perf_counter()
     for spec in catalog.default_sample_specs():
-        pair = catalog.family_generating(spec, 2 * N)
-        seq = expand_polynomials(pair, N)
+        pair = catalog.family_generating(spec, N)
+        seq = expand_polynomials(pair)
         v = FunctionalVector(catalog.family_couple(spec), 2 * N, d=spec.d)
         lop = v.hstar
         built.append((spec, pair, seq, lop, v))
@@ -142,7 +142,7 @@ def test_criterion_2_two_path_equality(suite):
     built, _ = suite
     failures = []
     for spec, pair, seq, _, _ in built:
-        other = expand_polynomials(pair_from_couple(catalog.family_couple(spec), N), N)
+        other = expand_polynomials(pair_from_couple(catalog.family_couple(spec), N))
         for n in range(N + 1):
             if seq[n] != other[n]:
                 failures.append((spec.family, spec.d, n))
@@ -170,7 +170,7 @@ def test_criterion_3_recurrence_structure(suite):
 
     eq11 = FamilySpec(family=catalog.LAGUERRE_EQ11, d=2,
                       params={"alpha": F(1, 2)}, aux=None)
-    seq11 = expand_polynomials(catalog.family_generating(eq11, 8), 8)
+    seq11 = expand_polynomials(catalog.family_generating(eq11, 8))
     try:
         extract_recurrence(seq11, 1)
         failures.append("eq11 passed the d=1 window check")
@@ -304,7 +304,7 @@ def test_criterion_8_classical_reductions():
 
     hermite = FamilySpec(family=catalog.HERMITE_EQ12, d=1, params={},
                          aux=(F(0), F(0), F(-1, 2)))
-    seq = expand_polynomials(catalog.family_generating(hermite, 12), 6)
+    seq = expand_polynomials(catalog.family_generating(hermite, 6))
     table = extract_recurrence(seq, 1)
     for n, row in enumerate(table.rows):
         if row != (F(n), F(0), F(1)):
@@ -321,7 +321,7 @@ def test_criterion_8_classical_reductions():
 
     charlier = FamilySpec(family=catalog.CHARLIER_EQ13, d=1,
                           params={"omega": F(1)}, aux=(F(0), F(-1)))
-    cseq = expand_polynomials(catalog.family_generating(charlier, 6), 2)
+    cseq = expand_polynomials(catalog.family_generating(charlier, 2))
     if cseq[1] != Poly((-1, 1)):
         failures.append(("charlier-P1", cseq[1].pretty()))
 

@@ -230,9 +230,9 @@ def test_generating_pair_invariants():
 
 def test_two_path_equality_small():
     for spec in catalog.default_sample_specs():
-        direct = expand_polynomials(catalog.family_generating(spec, 8), 8)
+        direct = expand_polynomials(catalog.family_generating(spec, 8))
         via_couple = expand_polynomials(
-            pair_from_couple(catalog.family_couple(spec), 8), 8)
+            pair_from_couple(catalog.family_couple(spec), 8))
         for n in range(9):
             assert direct[n] == via_couple[n], (spec.family, spec.d, n)
 
@@ -270,7 +270,7 @@ def test_closed_form_factors_satisfy_the_couple_identities():
         dpi = Poly(spec.aux or ()).derivative()
         assert sigma * (s * k) == (one_minus_t ** (k + 1) * (1 - omega * s)
                                    + one_minus_t * (omega * s)), spec
-        assert gamma * one_minus_t == sigma * (dpi * one_minus_t - e), spec
+        assert gamma * one_minus_t == sigma * (dpi * one_minus_t - Poly((e,))), spec
         pair = catalog.family_generating(spec, 1)
         assert pair.A.coeffs[0] == 1 and pair.Hx.coeffs[0] == 0, spec
 
@@ -291,6 +291,17 @@ def family_specs(draw) -> FamilySpec:
     return FamilySpec(family=family, d=d, params=params, aux=aux)
 
 
+@given(family_specs(), st.integers(1, 16).flatmap(lambda N: st.tuples(st.integers(1, N),
+                                                                      st.just(N))))
+@settings(max_examples=40, deadline=None)
+def test_a_lower_order_family_pair_expands_to_a_prefix(spec, orders):
+    # family_generating(spec, k) expands to P_0..P_k of the same family at N >= k
+    assume(catalog.validate_params(spec) == ())
+    k, N = orders
+    short = expand_polynomials(catalog.family_generating(spec, k))
+    assert short.polys == expand_polynomials(catalog.family_generating(spec, N)).polys[:k + 1]
+
+
 @given(family_specs(), st.integers(1, 24))
 @settings(max_examples=120, deadline=None)
 def test_family_generating_equals_the_branch_oracle(spec, N):
@@ -302,13 +313,13 @@ def test_family_generating_equals_the_branch_oracle(spec, N):
 
 def test_meixner_eq16_first_polynomials():
     spec = catalog.default_spec(MEIXNER_EQ16, 2)       # beta = 1, c = 1/2
-    seq = expand_polynomials(catalog.family_generating(spec, 6), 3)
+    seq = expand_polynomials(catalog.family_generating(spec, 3))
     assert seq[1] == Poly((2, -1))
 
 
 def test_charlier_classical_convention():
     spec = spec_of(CHARLIER_EQ13, 1, {"omega": 1}, aux=(0, -1))
-    seq = expand_polynomials(catalog.family_generating(spec, 6), 3)
+    seq = expand_polynomials(catalog.family_generating(spec, 3))
     assert seq[1] == Poly((-1, 1))                      # x - 1
     assert seq[2] == Poly((1, -3, 1))                   # x^2 - 3x + 1
 
@@ -329,8 +340,7 @@ def test_lowering_drops_index_for_difference_families():
     for family, d in ((CHARLIER_EQ13, 1), (MEIXNER_EQ14, 1), (MEIXNER_EQ16, 2),
                       (MEIXNER_EQ21, 2)):
         spec = catalog.default_spec(family, d)
-        pair = catalog.family_generating(spec, 12)
-        seq = expand_polynomials(pair, 5)
+        seq = expand_polynomials(catalog.family_generating(spec, 5))
         op = catalog.family_lowering(spec, 12)
         for n in range(1, 6):
             assert apply_lowering(op, seq[n]) == seq[n - 1] * F(n), (family, n)

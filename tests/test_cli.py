@@ -141,6 +141,16 @@ def test_malformed_json(tmp_path, capsys):
     assert code == 3
 
 
+def test_couple_file_nested_past_the_recursion_limit_exits_3(tmp_path, capsys):
+    # the JSON decoder recurses once per nested array; too deep is an input error
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "expand", "--couple-file", str(path), "--order", "2")
+    assert code == 3
+    assert "couple file is not valid JSON" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_undecodable_couple_file(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_bytes(b"\xff\xfe{")
@@ -315,7 +325,7 @@ def test_verify_two_path_fails_where_the_couple_route_differs(n, capsys, monkeyp
 
     def mutant(couple, N):
         polys = list(real(couple, N).polys)
-        polys[n] = polys[n] + 1
+        polys[n] = polys[n] + dsheffer.Poly.one()
         return sheffer.PolySequence(tuple(polys))
 
     monkeypatch.setattr(dorth, "expand_from_couple", mutant)
@@ -354,7 +364,7 @@ def test_verify_reports_the_sections_of_the_library_call(tmp_path, capsys):
     path.write_text(APP1)
     spec = catalog.FamilySpec(family="meixner-eq16", d=2, aux=None,
                               params={"c": Fraction(1, 2), "beta": Fraction(1)})
-    closed_form = sheffer.expand_polynomials(catalog.family_generating(spec, 12), 12)
+    closed_form = sheffer.expand_polynomials(catalog.family_generating(spec, 12))
     for argv, couple, seq in [
         (["--couple-file", str(path), "--check-d", "2"],
          sheffer.couple_from_json_dict(json.loads(APP1)), None),

@@ -60,7 +60,7 @@ def reference_family(spec: FamilySpec, N: int):
     """(y, omega, functional series): H* of the closed form, or h* of its Newton form."""
     pair = catalog.family_generating(spec, N)
     omega = newton_step(spec)
-    hstar = lowering_from_H(pair.Hx, N) if omega is None else newton_hstar(spec, N)
+    hstar = lowering_from_H(pair.Hx) if omega is None else newton_hstar(spec, N)
     return hstar, omega, reference_ops(pair.A, hstar, spec.d)
 
 
@@ -108,7 +108,7 @@ def test_h_star_of_d_and_the_newton_step_agree_on_every_sample():
                 hstar, _, ref_ops = reference_family(spec, order)
                 moments = tuple(r.coeffs for r in v.rows)
                 assert moments == stepped_moments(ref_ops, omega, order), spec
-            polys = list(expand_polynomials(catalog.family_generating(spec, N), N))
+            polys = list(expand_polynomials(catalog.family_generating(spec, N)))
             for p7, expected in ((polys[7], ()), (polys[7] * 2, (7, 8)),
                                  (polys[7] + polys[3], (7, 8))):
                 seq = PolySequence(tuple(polys[:7] + [p7] + polys[8:]))
@@ -149,7 +149,7 @@ def test_couple_sources_agree_at_order_24():
     ] + [random_regular_couple(rng) for _ in range(6)]
     for couple in couples:
         pair = pair_from_couple(couple, 24)
-        ref = lowering_from_H(pair.Hx, 24)
+        ref = lowering_from_H(pair.Hx)
         lop, v = couple_route(couple, 24, couple.d)
         assert lop == ref, couple
         ref_ops = reference_ops(pair.A, ref, couple.d)

@@ -32,8 +32,7 @@ HERMITE = CoupleSpec(d=1, gamma=(F(0), F(-1)), sigma=(F(1),))
 
 def build(couple, top, order=None):
     order = order if order is not None else 2 * top
-    pair = pair_from_couple(couple, order)
-    seq = expand_polynomials(pair, top)
+    seq = expand_polynomials(pair_from_couple(couple, top))
     v = FunctionalVector(couple, order, d=couple.d)
     return seq, v, v.hstar
 
@@ -67,7 +66,7 @@ def test_recurrence_row_accessor_and_jsonable():
 
 def test_recurrence_window_width_for_d2():
     spec = catalog.default_spec(catalog.LAGUERRE_EQ9, 2)
-    seq = expand_polynomials(catalog.family_generating(spec, 8), 8)
+    seq = expand_polynomials(catalog.family_generating(spec, 8))
     table = extract_recurrence(seq, 2)
     assert len(table.rows[0]) == 4          # alpha_0..alpha_3
     for n in range(2, 8):                   # regularity region
@@ -79,7 +78,7 @@ def test_window_violation_for_overclaimed_orthogonality():
     # a 2-orthogonal set cannot satisfy a three-term recurrence
     spec = catalog.FamilySpec(family=catalog.LAGUERRE_EQ11, d=2,
                               params={"alpha": F(1, 2)}, aux=None)
-    seq = expand_polynomials(catalog.family_generating(spec, 8), 8)
+    seq = expand_polynomials(catalog.family_generating(spec, 8))
     with pytest.raises(WindowViolationError) as info:
         extract_recurrence(seq, 1)
     err = info.value
@@ -91,7 +90,7 @@ def test_regularity_violation_when_conditions_fail():
     # n*alpha_top - beta_d = n - 3 vanishes at n = 3; the recurrence degrades
     # one row later, where alpha_0(4) is the coefficient on P_3
     couple = CoupleSpec(d=1, gamma=(F(1), F(3)), sigma=(F(1), F(0), F(1)))
-    seq = expand_polynomials(pair_from_couple(couple, 12), 6)
+    seq = expand_polynomials(pair_from_couple(couple, 6))
     with pytest.raises(RegularityViolationError) as info:
         extract_recurrence(seq, 1)
     assert 4 in info.value.rows
@@ -142,7 +141,7 @@ def test_a_passing_report_builds_no_orth_cell_until_its_cells_are_read(monkeypat
 
     monkeypatch.setattr(dorth, "Fraction", counted)
     spec = catalog.default_spec(catalog.MEIXNER_EQ16, 2)
-    seq = expand_polynomials(catalog.family_generating(spec, 12), 12)
+    seq = expand_polynomials(catalog.family_generating(spec, 12))
     couple = catalog.family_couple(spec)
     v = FunctionalVector(couple, 18, d=2)
     rep = verify_d_orthogonality(seq, v)
@@ -175,7 +174,7 @@ def test_orthogonality_costs_one_dot_product_per_cell(monkeypatch):
 
     spec = catalog.default_spec(catalog.MEIXNER_EQ16, 2)
     top, d = 12, 2
-    seq = expand_polynomials(catalog.family_generating(spec, top), top)
+    seq = expand_polynomials(catalog.family_generating(spec, top))
     couple = catalog.family_couple(spec)
     v = FunctionalVector(couple, top + top // d, d=d)
     monkeypatch.setattr(dorth, "mul", counted)
@@ -200,8 +199,7 @@ def test_orthogonality_refuses_a_sequence_off_exact_degree():
 def test_orthogonality_d2_has_unchecked_boundaries():
     # for d = 2 the boundary m = 2n + k outruns the expanded range
     spec = catalog.default_spec(catalog.LAGUERRE_EQ9, 2)
-    pair = catalog.family_generating(spec, 12)
-    seq = expand_polynomials(pair, 6)
+    seq = expand_polynomials(catalog.family_generating(spec, 6))
     v = FunctionalVector(catalog.family_couple(spec), 12, d=2)
     rep = verify_d_orthogonality(seq, v)
     assert rep.passed
@@ -284,7 +282,7 @@ def test_duality_reads_the_entries_before_each_boundary():
     # where orthogonality checks nothing; a nonzero mu_1(0) must fail there
     spec = catalog.default_spec(catalog.MEIXNER_EQ16, 2)
     top = 6
-    seq = expand_polynomials(catalog.family_generating(spec, top), top)
+    seq = expand_polynomials(catalog.family_generating(spec, top))
     v = FunctionalVector(catalog.family_couple(spec), top + top // 2, d=2)
     mu = v.rows[1]
     moved = Series.of((mu.nums[0] + mu.den,) + mu.nums[1:], mu.den)   # mu_1(0) += 1
@@ -335,7 +333,7 @@ def test_verify_refuses_a_seq_that_is_not_p0_to_pN(top, monkeypatch):
 
     monkeypatch.setattr(dorth, "check_conditions", section)
     spec = catalog.default_spec(catalog.LAGUERRE_EQ9, 1)
-    seq = expand_polynomials(catalog.family_generating(spec, top), top)
+    seq = expand_polynomials(catalog.family_generating(spec, top))
     with pytest.raises(ValueError, match=rf"^seq holds P_0\.\.P_{top}, not P_0\.\.P_12$"):
         dorth.verify(catalog.family_couple(spec), 12, 1, seq)
 
@@ -352,7 +350,7 @@ def test_verify_names_the_sections_that_one_changed_p7_fails_on_every_sample():
     top = 12
     for spec in catalog.default_sample_specs():
         couple = catalog.family_couple(spec)
-        polys = list(expand_polynomials(catalog.family_generating(spec, top), top))
+        polys = list(expand_polynomials(catalog.family_generating(spec, top)))
 
         def with_p7(p7):
             seq = PolySequence(tuple(polys[:7] + [p7] + polys[8:]))

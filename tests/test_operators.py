@@ -7,7 +7,8 @@ oracle (tests/reference.py); the package's operator is H*(D) alone.
 from fractions import Fraction
 
 import pytest
-from reference import UncheckedSequence, delta, fraction_hstar, lowering_failures, monomial
+from reference import (UncheckedSequence, delta, fraction_hstar, lowering_failures, monomial,
+                       truncate)
 
 from dsheffer import (
     FunctionalVector,
@@ -47,7 +48,7 @@ def test_difference_requires_step():
 # ---------------------------------------------------------------- lowering operators
 
 def test_verify_lowering_rejects_a_nonzero_constant_term():
-    seq = expand_polynomials(pair_from_couple(LAGUERRE, 8), 4)
+    seq = expand_polynomials(pair_from_couple(LAGUERRE, 4))
     with pytest.raises(ValueError, match="constant term"):
         verify_lowering(seq, Series((1, 1, 0, 0, 0)))         # hstar(0) != 0
     # hstar'(0) = 0 is no error: sigma = D^2 lowers by two, so every n >= 1 fails
@@ -88,8 +89,8 @@ def test_lowering_annihilates_constants():
 
 
 def test_lowering_drops_sequence_index():
-    pair = pair_from_couple(LAGUERRE, 16)
-    seq = expand_polynomials(pair, 6)
+    pair = pair_from_couple(LAGUERRE, 6)
+    seq = expand_polynomials(pair)
     op = lowering_from_H(pair.Hx)
     for n in range(1, 7):
         assert apply_lowering(op, seq[n]) == seq[n - 1] * F(n)
@@ -104,7 +105,7 @@ def test_lowering_order_guard():
 
 def test_lowering_from_H_can_re_truncate():
     hx = Series([0] + [F(-1)] * 10)
-    op = lowering_from_H(hx, N=4)
+    op = lowering_from_H(truncate(hx, 4))
     assert op.order == 4
 
 
@@ -160,8 +161,7 @@ def test_functional_is_linear():
 
 
 def test_functional_duality_on_expanded_sequence():
-    pair = pair_from_couple(HERMITE, 12)
-    seq = expand_polynomials(pair, 5)
+    seq = expand_polynomials(pair_from_couple(HERMITE, 5))
     v = hermite_functionals()
     for k in range(6):
         assert functional_eval(v, 0, seq[k]) == (1 if k == 0 else 0)

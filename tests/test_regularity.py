@@ -57,6 +57,7 @@ def couple_of(d, gamma, sigma):
     (couple_of(1, (0, 1), (1, 0, 0)), None),         # alpha_(d+1) = 0
     (couple_of(1, (1, 0), (1, 0, 1)), None),         # ratio 0 is not an n >= 1
     (couple_of(1, (1, 0), (1, 0, 0)), 1),            # both vanish: every n
+    (couple_of(1, (0, 1), (1, 0, 1)), 1),            # ratio 1, the smallest n
 ])
 def test_irregular_n_is_the_smallest_root(couple, root):
     assert couple.irregular_n() == root
@@ -197,7 +198,7 @@ SAMPLES = catalog.default_sample_specs()
 
 @pytest.mark.parametrize("spec", SAMPLES, ids=[f"{s.family}-d{s.d}" for s in SAMPLES])
 def test_closed_form_recurrence_equals_back_substitution(spec):
-    seq = expand_polynomials(catalog.family_generating(spec, 24), 24)
+    seq = expand_polynomials(catalog.family_generating(spec, 24))
     couple = catalog.family_couple(spec)
     table = extract_recurrence(seq, spec.d)
     assert recurrence_from_couple(couple, 24) == table
@@ -224,7 +225,7 @@ def couples_and_orders(draw):
 @given(couples_and_orders())
 def test_the_couple_recurrence_equals_expansion_and_back_substitution(case):
     couple, N = case
-    seq = expand_polynomials(pair_from_couple(couple, N), N)
+    seq = expand_polynomials(pair_from_couple(couple, N))
     assert expand_from_couple(couple, N) == seq
     try:
         table = extract_recurrence(seq, couple.d)
@@ -263,7 +264,7 @@ def test_alpha_0_vanishes_exactly_at_d_plus_the_root(couple):
 
 
 def test_back_substitution_breaks_at_the_same_row():
-    seq = expand_polynomials(pair_from_couple(OVER_N, 24), 24)
+    seq = expand_polynomials(pair_from_couple(OVER_N, 24))
     with pytest.raises(RegularityViolationError) as info:
         extract_recurrence(seq, 1)
     assert info.value.rows == (1 + OVER_N.irregular_n(),)
@@ -300,7 +301,7 @@ def test_expand_runs_past_the_row_of_the_root(tmp_path, capsys):
     code, out, err = run_over_n(tmp_path, capsys, "expand", "--order", "24")
     assert (code, err) == (0, "")
     got = [[F(c) for c in p["coeffs"]] for p in json.loads(out)["polynomials"]]
-    want = expand_polynomials(pair_from_couple(OVER_N, 24), 24)
+    want = expand_polynomials(pair_from_couple(OVER_N, 24))
     assert got == [list(p.coeffs) for p in want]
 
 

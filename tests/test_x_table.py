@@ -67,7 +67,7 @@ def boundary_product(couple, k: int, j: int) -> Fraction:
 @pytest.mark.parametrize("spec", SAMPLES, ids=lambda s: f"{s.family}-d{s.d}")
 def test_x_values_of_the_samples_are_the_l_table(spec, top):
     couple = catalog.family_couple(spec)
-    seq = expand_polynomials(catalog.family_generating(spec, top), top)
+    seq = expand_polynomials(catalog.family_generating(spec, top))
     d = couple.d
     assert sum(assert_x_is_the_l_table(couple, seq, check_d)
                for check_d in (d - 1, d, d + 1) if check_d >= 1) > 0
@@ -77,7 +77,7 @@ def test_x_values_of_the_samples_are_the_l_table(spec, top):
 def test_boundary_values_are_the_closed_product(spec):
     couple = catalog.family_couple(spec)
     d, top = couple.d, 24
-    seq = expand_polynomials(catalog.family_generating(spec, top), top)
+    seq = expand_polynomials(catalog.family_generating(spec, top))
     report = report_at(couple, seq, d)
     assert report.passed
     xs = x_values(report)
@@ -94,7 +94,7 @@ def test_boundary_values_are_the_closed_product(spec):
 def test_a_doubled_polynomial_passes_the_pattern_but_not_the_values():
     spec = catalog.default_spec(catalog.MEIXNER_EQ16, 2)
     couple, top = catalog.family_couple(spec), 8
-    seq = expand_polynomials(catalog.family_generating(spec, top), top)
+    seq = expand_polynomials(catalog.family_generating(spec, top))
     doubled = type(seq)(seq.polys[:3] + (seq[3] * 2,) + seq.polys[4:])
     report = report_at(couple, doubled, 2)
     assert report.passed
@@ -108,5 +108,5 @@ def test_x_values_of_drawn_couples_are_the_l_table(couple, data):
     d = couple.d
     check_d = data.draw(st.integers(max(1, d - 1), d + 1))
     top = data.draw(st.integers(check_d + 1, 16))
-    seq = expand_polynomials(pair_from_couple(couple, top), top)
+    seq = expand_polynomials(pair_from_couple(couple, top))
     assert assert_x_is_the_l_table(couple, seq, check_d) > 0
