@@ -50,7 +50,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from math import comb, factorial
 from operator import mul
 from types import MappingProxyType
@@ -74,7 +74,11 @@ DIFFERENCE = "difference"
 
 
 class InvalidParameterError(ValueError):
-    """Family parameters violate a named restriction."""
+    """Family parameters violate named restrictions, one text each in `violations`."""
+
+    def __init__(self, *violations: str):
+        super().__init__("; ".join(violations))
+        self.violations = violations
 
 
 class DivergentParameterError(InvalidParameterError):
@@ -83,16 +87,18 @@ class DivergentParameterError(InvalidParameterError):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family id with a concrete d, parameter values, and aux polynomial.
+    """A valid family instance: a family id, a concrete d, parameter values and aux polynomial.
 
-    `params` is a read-only mapping, so the screening kept on the spec
-    (`_screened`) always matches its values.
+    Building one screens it (`_screen`) or raises InvalidParameterError, and
+    it keeps the couple the screen built as `couple`; `params` is a read-only
+    mapping, so that couple always matches its values.
     """
 
     family: str
     d: int
     params: Mapping[str, Fraction] = field(default_factory=dict)
     aux: tuple[Fraction, ...] | None = None
+    couple: CoupleSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -103,10 +109,7 @@ class FamilySpec:
         )
         if self.aux is not None:
             object.__setattr__(self, "aux", tuple(exact(a) for a in self.aux))
-
-    @cached_property
-    def _screened(self) -> tuple[tuple[str, ...], CoupleSpec | None]:
-        return _screen(self)
+        object.__setattr__(self, "couple", _screen(self))
 
 
 @dataclass(frozen=True)
@@ -300,20 +303,14 @@ _register(FamilyInfo(
 ))
 
 
-def validate_params(spec: FamilySpec) -> tuple[str, ...]:
-    """Return the violated restrictions (empty tuple means valid).
+def _screen(spec: FamilySpec) -> CoupleSpec:
+    """The couple of a valid spec, or InvalidParameterError naming the violated restrictions.
 
     Shape first (d, parameter names, aux length), then the few rules the
     couple cannot express, then the couple's own regularity decision: every
     other restriction in a family's text is that decision written out for
     the family's parameters.
     """
-    return spec._screened[0]
-
-
-def _screen(spec: FamilySpec) -> tuple[tuple[str, ...], CoupleSpec | None]:
-    # validate_params' verdict and the couple its regularity decision built
-    # (None when a structural or value rule failed first)
     info = FAMILIES[spec.family]
     violations = []
 
@@ -343,7 +340,7 @@ def _screen(spec: FamilySpec) -> tuple[tuple[str, ...], CoupleSpec | None]:
 
     if violations:
         # structural problems first; value restrictions need the right shape
-        return tuple(violations), None
+        raise InvalidParameterError(*violations)
 
     p = spec.params
     fam = spec.family
@@ -356,7 +353,7 @@ def _screen(spec: FamilySpec) -> tuple[tuple[str, ...], CoupleSpec | None]:
     if fam == MEIXNER_EQ21 and _aux_poly(spec).coeff(spec.d - 2) == 0:
         violations.append("leading auxiliary coefficient a_(d-2) must be nonzero")
     if violations:
-        return tuple(violations), None
+        raise InvalidParameterError(*violations)
 
     couple = _couple_of(spec)
     broken = couple.violations()
@@ -364,27 +361,15 @@ def _screen(spec: FamilySpec) -> tuple[tuple[str, ...], CoupleSpec | None]:
         values = [f"d = {spec.d}"] + [f"{k} = {v}" for k, v in p.items()]
         if spec.aux is not None:
             values.append("aux = " + ",".join(str(a) for a in spec.aux))
-        violations.append(
+        raise InvalidParameterError(
             f"{fam} at {', '.join(values)} violates {info.restrictions!r}: "
             f"its couple has {'; '.join(broken)}"
         )
-    return tuple(violations), couple
+    return couple
 
 
 def _aux_poly(spec: FamilySpec) -> Poly:
     return Poly(spec.aux or ())
-
-
-def family_couple(spec: FamilySpec) -> CoupleSpec:
-    """The couple (gamma, sigma) of a valid family instance.
-
-    It is the couple that validation built, kept on the spec, so it is
-    built once per spec.
-    """
-    violations, couple = spec._screened
-    if violations:
-        raise InvalidParameterError("; ".join(violations))
-    return couple
 
 
 def _couple_of(spec: FamilySpec) -> CoupleSpec:
@@ -396,7 +381,6 @@ def _couple_of(spec: FamilySpec) -> CoupleSpec:
 
 def family_generating(spec: FamilySpec, N: int) -> ShefferPair:
     """The closed-form generating pair at order N, from its own ODEs (module docstring)."""
-    family_couple(spec)
     if N < 1:
         raise ValueError("order must be at least 1")
     e, k, s, omega = FAMILIES[spec.family].factors(spec.d, spec.params)
@@ -415,7 +399,7 @@ def family_generating(spec: FamilySpec, N: int) -> ShefferPair:
 
 def family_lowering(spec: FamilySpec, N: int) -> Series:
     """The family's H* at truncation order N, the series of its lowering operator H*(D)."""
-    return FunctionalVector(family_couple(spec), N, 1).hstar
+    return FunctionalVector(spec.couple, N, 1).hstar
 
 
 def laguerre2_moments(alpha: Fraction, i: int, order: int) -> tuple[Fraction, ...]:

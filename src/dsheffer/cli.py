@@ -100,7 +100,7 @@ def _resolve_source(args) -> tuple[catalog.FamilySpec | None, CoupleSpec]:
             params=_parse_param_items(args.param),
             aux=_parse_aux(args.aux),
         )
-        return spec, catalog.family_couple(spec)
+        return spec, spec.couple
     if args.d is not None or args.param or args.aux is not None:
         raise CliError(EXIT_BAD_PARAMS, "--d/--param/--aux only apply to --family sources")
     try:

@@ -4,7 +4,9 @@
 the catalog's family-by-family restatement of the couple's regularity in
 terms of each family's parameters.  The package now decides both from the
 couple alone (`CoupleSpec.irregular_n`, `CoupleSpec.violations`); these
-copies stay as independent oracles for that decision.
+copies stay as independent oracles for that decision.  `violations` is the
+package's own verdict in the same form: a FamilySpec is screened when it is
+built, and it returns what the refusal names.
 """
 
 from fractions import Fraction
@@ -12,7 +14,9 @@ from fractions import Fraction
 from dsheffer.catalog import (
     CHARLIER_EQ13,
     FAMILIES,
+    FamilySpec,
     HERMITE_EQ12,
+    InvalidParameterError,
     LAGUERRE_EQ9,
     LAGUERRE_EQ10,
     LAGUERRE_EQ11,
@@ -20,6 +24,15 @@ from dsheffer.catalog import (
     MEIXNER_EQ16,
     MEIXNER_EQ21,
 )
+
+
+def violations(family, d, params=None, aux=None) -> tuple[str, ...]:
+    """The restrictions a FamilySpec of these values violates, in order; () if it is valid."""
+    try:
+        FamilySpec(family=family, d=d, params=params or {}, aux=aux)
+    except InvalidParameterError as exc:
+        return exc.violations
+    return ()
 
 
 def scan_conditions(couple, N: int) -> tuple[tuple[int, ...], bool]:
@@ -34,29 +47,28 @@ def _is_nonpositive_integer(x: Fraction) -> bool:
     return x.denominator == 1 and x <= 0
 
 
-def per_family_violations(spec) -> tuple[str, ...]:
+def per_family_violations(fam, d, p, aux) -> tuple[str, ...]:
     """The shape checks, then one hand-written branch of value rules per family."""
-    info = FAMILIES[spec.family]
+    info = FAMILIES[fam]
     violations = []
 
-    if info.d_fixed is not None and spec.d != info.d_fixed:
-        violations.append(f"{spec.family} requires d = {info.d_fixed}, got d = {spec.d}")
-    elif spec.d < info.d_min:
-        violations.append(f"{spec.family} requires d >= {info.d_min}, got d = {spec.d}")
+    if info.d_fixed is not None and d != info.d_fixed:
+        violations.append(f"{fam} requires d = {info.d_fixed}, got d = {d}")
+    elif d < info.d_min:
+        violations.append(f"{fam} requires d >= {info.d_min}, got d = {d}")
 
-    missing = [p for p in info.params if p not in spec.params]
-    unknown = [p for p in spec.params if p not in info.params]
+    missing = [name for name in info.params if name not in p]
+    unknown = [name for name in p if name not in info.params]
     if missing:
         violations.append(f"missing parameter(s): {', '.join(missing)}")
     if unknown:
         violations.append(f"unknown parameter(s): {', '.join(sorted(unknown))}")
 
-    aux = spec.aux
     if info.aux_len is None:
         if aux is not None:
-            violations.append(f"{spec.family} takes no auxiliary polynomial")
+            violations.append(f"{fam} takes no auxiliary polynomial")
     else:
-        want = max(info.aux_len(spec.d), 0) if spec.d >= 1 else 0
+        want = max(info.aux_len(d), 0) if d >= 1 else 0
         if aux is None:
             aux = (Fraction(0),) * want
         elif len(aux) != want:
@@ -65,9 +77,6 @@ def per_family_violations(spec) -> tuple[str, ...]:
     if violations:
         return tuple(violations)
 
-    p = spec.params
-    d = spec.d
-    fam = spec.family
     if fam == LAGUERRE_EQ9:
         if _is_nonpositive_integer((p["alpha"] + 1) * d):
             violations.append("n/d + alpha + 1 = 0")

@@ -596,7 +596,6 @@ def fraction_table(d, rows) -> RecurrenceTable:
 
 def branch_family_generating(spec, N) -> ShefferPair:
     """The closed-form generating pair of a valid family instance, one branch per family."""
-    catalog.family_couple(spec)
     d = spec.d
     p = spec.params
     fam = spec.family
@@ -675,7 +674,6 @@ def chain_family_generating(spec, N) -> ShefferPair:
     A = exp(pi - pi(0)) (1 - t)^e, h = s ((1 - t)^(-k) - 1), and H = h or
     log(1 + omega h)/omega, the powers by `log_exp_pow`.
     """
-    catalog.family_couple(spec)
     e, k, s, _ = catalog.FAMILIES[spec.family].factors(spec.d, spec.params)
     omega = newton_step(spec)
     one_minus_t = from_poly(Poly((1, -1)), N)

@@ -55,7 +55,7 @@ def mono(m: int) -> Poly:
 
 
 def family_functionals(spec, order):
-    return FunctionalVector(catalog.family_couple(spec), order, d=spec.d)
+    return FunctionalVector(spec.couple, order, d=spec.d)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,7 @@ def suite():
     for spec in catalog.default_sample_specs():
         pair = catalog.family_generating(spec, N)
         seq = expand_polynomials(pair)
-        v = FunctionalVector(catalog.family_couple(spec), 2 * N, d=spec.d)
+        v = FunctionalVector(spec.couple, 2 * N, d=spec.d)
         lop = v.hstar
         built.append((spec, pair, seq, lop, v))
     elapsed = time.perf_counter() - start
@@ -142,7 +142,7 @@ def test_criterion_2_two_path_equality(suite):
     built, _ = suite
     failures = []
     for spec, pair, seq, _, _ in built:
-        other = expand_polynomials(pair_from_couple(catalog.family_couple(spec), N))
+        other = expand_polynomials(pair_from_couple(spec.couple, N))
         for n in range(N + 1):
             if seq[n] != other[n]:
                 failures.append((spec.family, spec.d, n))
@@ -277,7 +277,7 @@ def test_criterion_7_lowering_operators(suite):
             failures.append((spec.family, spec.d, low))
         step = newton_step(spec)
         if step is not None:
-            newton = fraction_hstar(catalog.family_couple(spec), N, step)
+            newton = fraction_hstar(spec.couple, N, step)
             stepped = lowering_failures(seq, newton, step)
             if stepped:
                 failures.append((spec.family, spec.d, "h*(Delta_omega)", stepped))

@@ -369,7 +369,7 @@ def test_verify_reports_the_sections_of_the_library_call(tmp_path, capsys):
         (["--couple-file", str(path), "--check-d", "2"],
          sheffer.couple_from_json_dict(json.loads(APP1)), None),
         (["--family", "meixner-eq16", "--d", "2", "--param", "c=1/2", "--param", "beta=1"],
-         catalog.family_couple(spec), closed_form),
+         spec.couple, closed_form),
     ]:
         code, out, _ = run(capsys, "verify", "--order", "12", *argv)
         doc = json.loads(out)
@@ -766,8 +766,8 @@ def count_couples(monkeypatch) -> list[str]:
 
 
 @pytest.mark.parametrize("command, couples", [
-    # family_generating, a public entry point, validates the spec again, and
-    # reads the result the first validation kept on the spec
+    # the spec builds its couple once, when it is screened, and every reader
+    # takes the couple kept on it
     ("expand", 1), ("recurrence", 1), ("functionals", 1), ("verify", 1),
 ])
 def test_one_couple_per_family_command(command, couples, monkeypatch, capsys):

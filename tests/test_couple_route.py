@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 from reference import base_values, fraction_hstar, invert_mul, lowering_failures, monomial, \
     mul, newton_hstar, newton_step, stepped_moments
@@ -36,7 +36,7 @@ from dsheffer import (
     verify_lowering,
 )
 from dsheffer import catalog
-from dsheffer.catalog import FAMILIES, FamilySpec
+from dsheffer.catalog import FAMILIES, FamilySpec, InvalidParameterError
 from dsheffer.cli import main
 from dsheffer.operators import functional_eval, lowering_from_H
 from dsheffer.sheffer import CoupleSpec
@@ -70,7 +70,7 @@ def couple_route(couple: CoupleSpec, N: int, d: int):
 
 
 def assert_family_routes_agree(spec: FamilySpec, N: int):
-    couple = catalog.family_couple(spec)
+    couple = spec.couple
     hstar, omega, ref_ops = reference_family(spec, N)
     lop, v = couple_route(couple, N, spec.d)
     assert catalog.family_lowering(spec, N) == lop
@@ -98,7 +98,7 @@ def test_h_star_of_d_and_the_newton_step_agree_on_every_sample():
     # operator n times per P_n and j times per x^j, so it runs at N = 12
     # (order 24 is test_default_samples_agree_at_order_24's)
     for spec in catalog.default_sample_specs():
-        couple = catalog.family_couple(spec)
+        couple = spec.couple
         omega = newton_step(spec)
         for N in (12, 24):
             order = N + N // spec.d
@@ -166,7 +166,7 @@ def property_routes(index: int):
     """Reference step and series, and the verifier's table, at order 12."""
     spec = PROPERTY_SPECS[index]
     _, omega, ref_ops = reference_family(spec, 12)
-    _, v = couple_route(catalog.family_couple(spec), 12, spec.d)
+    _, v = couple_route(spec.couple, 12, spec.d)
     return omega, ref_ops, v
 
 
@@ -194,9 +194,10 @@ def family_specs(draw):
     aux = None
     if info.aux_len is not None:
         aux = tuple(draw(RATIONALS) for _ in range(info.aux_len(d)))
-    spec = FamilySpec(family=info.family, d=d, params=params, aux=aux)
-    assume(not catalog.validate_params(spec))
-    return spec
+    try:
+        return FamilySpec(family=info.family, d=d, params=params, aux=aux)
+    except InvalidParameterError:
+        reject()
 
 
 def family_argv(spec: FamilySpec) -> list[str]:

@@ -142,7 +142,7 @@ def test_a_passing_report_builds_no_orth_cell_until_its_cells_are_read(monkeypat
     monkeypatch.setattr(dorth, "Fraction", counted)
     spec = catalog.default_spec(catalog.MEIXNER_EQ16, 2)
     seq = expand_polynomials(catalog.family_generating(spec, 12))
-    couple = catalog.family_couple(spec)
+    couple = spec.couple
     v = FunctionalVector(couple, 18, d=2)
     rep = verify_d_orthogonality(seq, v)
     doc = rep.to_jsonable()
@@ -175,7 +175,7 @@ def test_orthogonality_costs_one_dot_product_per_cell(monkeypatch):
     spec = catalog.default_spec(catalog.MEIXNER_EQ16, 2)
     top, d = 12, 2
     seq = expand_polynomials(catalog.family_generating(spec, top))
-    couple = catalog.family_couple(spec)
+    couple = spec.couple
     v = FunctionalVector(couple, top + top // d, d=d)
     monkeypatch.setattr(dorth, "mul", counted)
     rep = verify_d_orthogonality(seq, v)
@@ -200,7 +200,7 @@ def test_orthogonality_d2_has_unchecked_boundaries():
     # for d = 2 the boundary m = 2n + k outruns the expanded range
     spec = catalog.default_spec(catalog.LAGUERRE_EQ9, 2)
     seq = expand_polynomials(catalog.family_generating(spec, 6))
-    v = FunctionalVector(catalog.family_couple(spec), 12, d=2)
+    v = FunctionalVector(spec.couple, 12, d=2)
     rep = verify_d_orthogonality(seq, v)
     assert rep.passed
     assert rep.unchecked
@@ -251,7 +251,7 @@ def test_orthogonality_needs_a_row_for_every_functional():
     # functional k's row j = 0 is <u_k, P_0..P_top>; at top < d - 1 the last
     # functionals would have none for duality to read
     spec = catalog.default_spec(catalog.MEIXNER_EQ16, 3)
-    v = FunctionalVector(catalog.family_couple(spec), 6, d=3)
+    v = FunctionalVector(spec.couple, 6, d=3)
     with pytest.raises(ValueError, match=r"^need the sequence up to P_2 at least, got P_1$"):
         verify_d_orthogonality(PolySequence((Poly.one(), Poly((0, 1)))), v)
 
@@ -283,7 +283,7 @@ def test_duality_reads_the_entries_before_each_boundary():
     spec = catalog.default_spec(catalog.MEIXNER_EQ16, 2)
     top = 6
     seq = expand_polynomials(catalog.family_generating(spec, top))
-    v = FunctionalVector(catalog.family_couple(spec), top + top // 2, d=2)
+    v = FunctionalVector(spec.couple, top + top // 2, d=2)
     mu = v.rows[1]
     moved = Series.of((mu.nums[0] + mu.den,) + mu.nums[1:], mu.den)   # mu_1(0) += 1
 
@@ -335,7 +335,7 @@ def test_verify_refuses_a_seq_that_is_not_p0_to_pN(top, monkeypatch):
     spec = catalog.default_spec(catalog.LAGUERRE_EQ9, 1)
     seq = expand_polynomials(catalog.family_generating(spec, top))
     with pytest.raises(ValueError, match=rf"^seq holds P_0\.\.P_{top}, not P_0\.\.P_12$"):
-        dorth.verify(catalog.family_couple(spec), 12, 1, seq)
+        dorth.verify(spec.couple, 12, 1, seq)
 
 
 def test_verify_names_the_sections_that_one_changed_p7_fails_on_every_sample():
@@ -349,7 +349,7 @@ def test_verify_names_the_sections_that_one_changed_p7_fails_on_every_sample():
     # conditions reads the couple alone and never fails.
     top = 12
     for spec in catalog.default_sample_specs():
-        couple = catalog.family_couple(spec)
+        couple = spec.couple
         polys = list(expand_polynomials(catalog.family_generating(spec, top)))
 
         def with_p7(p7):

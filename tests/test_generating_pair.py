@@ -48,7 +48,7 @@ FAMILY_ORDERS = [*((name, N) for N in (1, 12, 40) for name in [*SAMPLES, *CHARLI
 def test_family_pair_equals_the_chain(name, N):
     spec = SAMPLES.get(name) or CHARLIER[name]
     assert forms(catalog.family_generating(spec, N)) == forms(chain_family_generating(spec, N))
-    couple = catalog.family_couple(spec)
+    couple = spec.couple
     assert forms(pair_from_couple(couple, N)) == forms(chain_pair_from_couple(couple, N))
 
 
@@ -94,15 +94,13 @@ def test_the_pairs_run_no_product_exp_inverse_or_power(monkeypatch):
     specs = [*SAMPLES.values(), *CHARLIER.values()]
     assert {catalog.FAMILIES[s.family].kind for s in specs} == {catalog.DERIVATIVE,
                                                                 catalog.DIFFERENCE}
-    for spec in specs:
-        catalog.family_couple(spec)         # the couple is built with Poly products
     assert not hasattr(Series, "invert_mul")
     spied = {"_convolve": counting(monkeypatch, series, "_convolve")}
     solved = counting(monkeypatch, series, "_first_order")
     recurrences = counting(monkeypatch, series, "_recurrence")
     for module in (sheffer, catalog):       # each binds the kernel's name on import
         monkeypatch.setattr(module, "_first_order", series._first_order)
-    for couple in [*SEED_COUPLES.values(), *(catalog.family_couple(s) for s in specs)]:
+    for couple in [*SEED_COUPLES.values(), *(s.couple for s in specs)]:
         solved.clear()
         recurrences.clear()
         pair_from_couple(couple, 24)

@@ -299,7 +299,7 @@ def test_orthogonality_verdicts_equal_the_hankel_cells_at_every_claimed_d(couple
 def test_a_perturbed_p7_is_flagged_like_the_oracle_on_every_sample():
     top = 10
     for spec in catalog.default_sample_specs():
-        couple = catalog.family_couple(spec)
+        couple = spec.couple
         seq = expand_polynomials(catalog.family_generating(spec, top))
         v = FunctionalVector(couple, top + top // spec.d, spec.d)
         lop = v.hstar
@@ -366,7 +366,7 @@ def test_functional_vector_keeps_the_couples_own_operator():
     # the operator a FunctionalVector solves is the same at its d as at
     # d = 1, on every sample and on drawn couples (d <= 3, so any M >= 2 fits d)
     for spec in catalog.default_sample_specs():
-        couple = catalog.family_couple(spec)
+        couple = spec.couple
         for M in (12, 30):
             assert FunctionalVector(couple, M, spec.d).hstar \
                 == FunctionalVector(couple, M, 1).hstar, (spec, M)
@@ -382,7 +382,7 @@ def test_functional_vector_keeps_the_couples_own_operator():
 
 def test_moment_rows_equal_the_series_route_on_every_sample():
     for spec in catalog.default_sample_specs():
-        couple = catalog.family_couple(spec)
+        couple = spec.couple
         for M in (12, 30):
             v = FunctionalVector(couple, M, spec.d)
             assert (v.hstar, v.rows) == series_moment_rows(couple, M, spec.d), (spec, M)

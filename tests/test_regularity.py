@@ -19,11 +19,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from legacy_rules import per_family_violations, scan_conditions
+from legacy_rules import per_family_violations, scan_conditions, violations
 
 from dsheffer import (
     CoupleSpec,
     InvalidCoupleError,
+    Poly,
     RegularityViolationError,
     check_conditions,
     expand_from_couple,
@@ -33,7 +34,7 @@ from dsheffer import (
     recurrence_from_couple,
 )
 from dsheffer import catalog, dorth
-from dsheffer.catalog import FAMILIES, FamilySpec
+from dsheffer.catalog import FAMILIES
 from dsheffer.cli import main
 from dsheffer.sheffer import recurrence_numerators
 
@@ -131,12 +132,11 @@ def test_derived_restrictions_accept_what_the_per_family_rules_accept():
     differ = []
     accepted = 0
     for family, d, values, aux in sample:
-        spec = FamilySpec(family=family, d=d, params=dict(zip(FAMILIES[family].params, values)),
-                          aux=aux)
-        ok = not catalog.validate_params(spec)
+        params = dict(zip(FAMILIES[family].params, values))
+        ok = not violations(family, d, params, aux)
         accepted += ok
-        if ok != (not per_family_violations(spec)):
-            differ.append(spec)
+        if ok != (not per_family_violations(family, d, params, aux)):
+            differ.append((family, d, params, aux))
     assert differ == []
     assert 1000 < accepted < 7000
 
@@ -146,48 +146,49 @@ def test_family_restrictions_are_theorem_2_2s():
     # whose couple verify passes at the family's d; a refusal is a failure
     differ, checked, accepted = [], 0, 0
     for family, d, values, aux in random.Random(20261019).sample(list(family_grid()), 600):
-        spec = FamilySpec(family=family, d=d, params=dict(zip(FAMILIES[family].params, values)),
-                          aux=aux)
-        violations, couple = spec._screened
-        if couple is None:
+        params = dict(zip(FAMILIES[family].params, values))
+        refused = violations(family, d, params, aux)
+        if refused and "its couple has" not in refused[-1]:
             continue            # a shape or value rule failed before the couple
+        # the family record's couple, on which the screen decided
+        gamma, sigma = FAMILIES[family].couple(d, params, Poly(aux or ()).derivative())
+        couple = CoupleSpec(d=d, gamma=gamma.coeffs, sigma=sigma.coeffs)
         try:
             passed = all(section["status"] in ("pass", "skipped")
                          for section in dorth.verify(couple, 10, d).values())
         except InvalidCoupleError:
             passed = False
         checked += 1
-        accepted += not violations
-        if passed != (not violations):
-            differ.append(spec)
+        accepted += not refused
+        if passed != (not refused):
+            differ.append((family, d, params, aux))
     assert differ == []
     assert checked > 400 and 200 < accepted < checked
 
 
 @pytest.mark.parametrize("spec, parts", [
-    (FamilySpec("laguerre-eq9", 1, {"alpha": -1}),
+    (("laguerre-eq9", 1, {"alpha": -1}),
      ("alpha = -1", "n/d + alpha + 1 != 0 for all n >= 0", "beta_d = 0")),
-    (FamilySpec("laguerre-eq9", 2, {"alpha": F(-3, 2)}),
+    (("laguerre-eq9", 2, {"alpha": F(-3, 2)}),
      ("alpha = -3/2", "n*alpha_(d+1) = beta_d at n = 1")),
-    (FamilySpec("meixner-eq16", 3, {"c": 4, "beta": F(-2, 3)}),
+    (("meixner-eq16", 3, {"c": 4, "beta": F(-2, 3)}),
      ("c = 4, beta = -2/3", "beta != -n/d", "n*alpha_(d+1) = beta_d at n = 2")),
-    (FamilySpec("hermite-eq12", 1, {}, (1, 1, 0)),
+    (("hermite-eq12", 1, {}, (1, 1, 0)),
      ("aux = 1,1,0", "a_(d+1) != 0", "beta_d = 0")),
 ])
 def test_a_regularity_violation_names_restriction_values_and_fact(spec, parts):
-    (message,) = catalog.validate_params(spec)
-    assert spec.family in message
+    # spec holds the arguments of a FamilySpec, which refuses to be built
+    (message,) = violations(*spec)
+    assert spec[0] in message
     for part in parts:
         assert part in message
 
 
 def test_rules_outside_the_couple_come_first():
-    assert catalog.validate_params(FamilySpec("meixner-eq14", 1, {"c": 1, "beta": 0})) == (
-        "c = 1 must avoid 0 and 1",)
-    assert catalog.validate_params(FamilySpec("charlier-eq13", 1, {"omega": 0}, (0, 0))) == (
-        "omega must be nonzero",)
+    assert violations("meixner-eq14", 1, {"c": 1, "beta": 0}) == ("c = 1 must avoid 0 and 1",)
+    assert violations("charlier-eq13", 1, {"omega": 0}, (0, 0)) == ("omega must be nonzero",)
     # at d = 2 the auxiliary constant a_0 never reaches the couple
-    assert catalog.validate_params(FamilySpec("meixner-eq21", 2, {"c": 2, "beta": 1}, (0,))) == (
+    assert violations("meixner-eq21", 2, {"c": 2, "beta": 1}, (0,)) == (
         "leading auxiliary coefficient a_(d-2) must be nonzero",)
 
 
@@ -199,7 +200,7 @@ SAMPLES = catalog.default_sample_specs()
 @pytest.mark.parametrize("spec", SAMPLES, ids=[f"{s.family}-d{s.d}" for s in SAMPLES])
 def test_closed_form_recurrence_equals_back_substitution(spec):
     seq = expand_polynomials(catalog.family_generating(spec, 24))
-    couple = catalog.family_couple(spec)
+    couple = spec.couple
     table = extract_recurrence(seq, spec.d)
     assert recurrence_from_couple(couple, 24) == table
     assert expand_from_couple(couple, 24) == seq
@@ -244,7 +245,7 @@ def alpha_0_zeros(couple: CoupleSpec, top: int) -> list[int]:
 
 def test_alpha_0_of_the_samples_never_vanishes():
     for spec in SAMPLES:
-        couple = catalog.family_couple(spec)
+        couple = spec.couple
         assert couple.irregular_n() is None
         assert alpha_0_zeros(couple, 80) == [], spec
 

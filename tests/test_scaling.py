@@ -52,7 +52,7 @@ F = Fraction
 N = 12
 SCALES = (F(2), F(-1, 3), F(5, 7))
 AFFINE = ((F(2), F(1)), (F(-1, 3), F(5, 7)), (F(1), F(-2)))
-COUPLES = {f"{s.family}-d{s.d}": catalog.family_couple(s) for s in catalog.default_sample_specs()}
+COUPLES = {f"{s.family}-d{s.d}": s.couple for s in catalog.default_sample_specs()}
 COUPLES.update((f"seed{seed}-{i}", couple_from_json_dict(doc)) for seed in (1, 2, 3)
                for i, doc in enumerate(load_workloads().draw_couples(seed)))
 

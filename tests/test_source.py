@@ -29,10 +29,9 @@ def test_every_exported_name_resolves():
     assert not missing, missing
 
 
-# the library-only entry points, which nothing but the tests reads: the
-# catalog's non-raising validation API (family_couple raises on the same
-# verdict) and Theorem 2.2's converse, the couple recovered from a pair
-UNREAD_PUBLIC = {"catalog.validate_params", "sheffer.couple_from_pair"}
+# the library-only entry point, which nothing but the tests reads:
+# Theorem 2.2's converse, the couple recovered from a pair
+UNREAD_PUBLIC = {"sheffer.couple_from_pair"}
 
 
 def public_definitions():

@@ -61,7 +61,7 @@ def test_the_classical_rows_match_on_the_d1_slice():
     (catalog.MEIXNER_EQ16, classical.PASCAL),
 ])
 def test_each_catalog_family_at_d1_falls_in_its_class(family, kind):
-    couple = catalog.family_couple(catalog.default_spec(family, 1))
+    couple = catalog.default_spec(family, 1).couple
     assert classical.classify(couple)[0] == kind
     row = list(FunctionalVector(couple, 12, 1).rows[0].coeffs)
     assert classical.moments(couple, 12, 0) == classical.moments(couple, 12, 1) == row

@@ -66,7 +66,7 @@ def boundary_product(couple, k: int, j: int) -> Fraction:
 @pytest.mark.parametrize("top", [12, 24])
 @pytest.mark.parametrize("spec", SAMPLES, ids=lambda s: f"{s.family}-d{s.d}")
 def test_x_values_of_the_samples_are_the_l_table(spec, top):
-    couple = catalog.family_couple(spec)
+    couple = spec.couple
     seq = expand_polynomials(catalog.family_generating(spec, top))
     d = couple.d
     assert sum(assert_x_is_the_l_table(couple, seq, check_d)
@@ -75,7 +75,7 @@ def test_x_values_of_the_samples_are_the_l_table(spec, top):
 
 @pytest.mark.parametrize("spec", SAMPLES, ids=lambda s: f"{s.family}-d{s.d}")
 def test_boundary_values_are_the_closed_product(spec):
-    couple = catalog.family_couple(spec)
+    couple = spec.couple
     d, top = couple.d, 24
     seq = expand_polynomials(catalog.family_generating(spec, top))
     report = report_at(couple, seq, d)
@@ -93,7 +93,7 @@ def test_boundary_values_are_the_closed_product(spec):
 
 def test_a_doubled_polynomial_passes_the_pattern_but_not_the_values():
     spec = catalog.default_spec(catalog.MEIXNER_EQ16, 2)
-    couple, top = catalog.family_couple(spec), 8
+    couple, top = spec.couple, 8
     seq = expand_polynomials(catalog.family_generating(spec, top))
     doubled = type(seq)(seq.polys[:3] + (seq[3] * 2,) + seq.polys[4:])
     report = report_at(couple, doubled, 2)
