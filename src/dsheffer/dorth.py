@@ -407,15 +407,26 @@ def _recurrence_section(seq, d, couple) -> dict:
     except RegularityViolationError as exc:
         return _section(False, {"error": "regularity-violation", "rows": list(exc.rows)})
     if d == couple.d:
-        # the rows must be the couple's own (the recurrence command's), compared
-        # as cross-multiplied integers: nums / den == rows / R
-        rows, R = recurrence_numerators(couple, len(table.nums))
+        # the rows must be the couple's own, alpha_k(n) = sigma_(d+1-k) n^(d+1-k)
+        # - gamma_(d-k) n^(d-k) (sheffer.recurrence_numerators), each coefficient
+        # read as its own p/q: with sigma_(d+1-k) = p/q and gamma_(d-k) = r/s,
+        # alpha_k(n) = (p s n^(d+1-k) - r q n^(d-k)) / (q s), compared with
+        # the extracted a / den as cross-multiplied integers
         den = table.den
-        for n, (got, want) in enumerate(zip(table.nums, rows)):
-            if any(a * R != b * den for a, b in zip(got, want)):
+        terms = [(p.numerator * r.denominator, r.numerator * p.denominator,
+                  p.denominator * r.denominator)          # k = 0 .. d + 1; gamma_(-1) = 0
+                 for p, r in zip(reversed(couple.sigma), (*reversed(couple.gamma), Fraction(0)))]
+        for n, got in enumerate(table.nums):
+            falling = [1]                   # falling[j] = n^(j)
+            for j in range(d + 1):
+                falling.append(falling[-1] * (n - j))
+            want = [ps * falling[d + 1 - k] - rq * falling[d - k]
+                    for k, (ps, rq, _) in enumerate(terms)]
+            if any(a * qs != w * den for a, w, (_, _, qs) in zip(got, want, terms)):
                 return _section(False, {"error": "couple-mismatch", "n": n,
                                         "extracted": ratio_strings(got, den),
-                                        "from_couple": ratio_strings(want, R)})
+                                        "from_couple": [str(Fraction(w, qs)) for w, (_, _, qs)
+                                                        in zip(want, terms)]})
     return _section(True, table.to_jsonable())
 
 

@@ -82,8 +82,8 @@ MUTANTS = (
            "tests/test_cli.py::test_verify_two_path_fails_where_the_couple_route_differs[1]"),
     # the couple-row comparison skips the last row
     Mutant("dorth.py",
-           "enumerate(zip(table.nums, rows)):",
-           "enumerate(zip(table.nums[:-1], rows)):",
+           "for n, got in enumerate(table.nums):",
+           "for n, got in enumerate(table.nums[:-1]):",
            "tests/test_cli.py::test_verify_compares_the_couples_last_recurrence_row"),
     # the couple-row comparison never runs
     Mutant("dorth.py",
@@ -110,6 +110,12 @@ MUTANTS = (
            "root.denominator == 1 and root >= 1",
            "root.denominator == 1 and root > 1",
            "tests/test_regularity.py::test_irregular_n_is_the_smallest_root[couple8-1]"),
+    # rationals are scaled to twice their common denominator, which every
+    # route that shares it agrees on; the couple's rows read each p/q alone
+    Mutant("exactnum.py",
+           "for v, q in zip(values, dens)], D",
+           "for v, q in zip(values, dens)], 2 * D",
+           "tests/test_cli.py::test_verify_passes_the_rational_couple"),
     # the conditions section passes every couple
     Mutant("sheffer.py",
            "        return not self.couple.violations()",

@@ -17,7 +17,7 @@ import dsheffer
 from dsheffer import catalog, cli, dorth, exactnum, render, sheffer
 from dsheffer.cli import main
 from dsheffer.dorth import BackSubstitutionError
-from sweep import load_workloads, unpinned
+from sweep import EDGE_COUPLES, load_workloads, unpinned
 
 APP1 = '{"d": 1, "gamma": [-1, 1], "sigma": [-1, 2, -1]}'
 
@@ -292,20 +292,24 @@ def test_verify_check_d_window_violation(tmp_path, capsys):
     assert doc["recurrence"]["details"]["error"] == "window-violation"
 
 
+def perturbed_extraction(monkeypatch, n):
+    """Make verify's extracted recurrence table hold alpha_0(n) + 1 in row n."""
+    real = dorth.extract_recurrence
+
+    def mutant(seq, d):
+        table = real(seq, d)
+        nums = [list(row) for row in table.nums]
+        nums[n][0] += table.den
+        return dorth.RecurrenceTable(d, nums, table.den)
+
+    monkeypatch.setattr(dorth, "extract_recurrence", mutant)
+
+
 def test_verify_fails_when_the_couples_recurrence_is_wrong(tmp_path, capsys, monkeypatch):
-    # a mutant that adds 1 to alpha_0(5) in the couple's rows: verify builds
-    # the sequence from the generating pair, so only the comparison of the
-    # extracted rows with the couple's own can see it
-    real = sheffer.recurrence_numerators
-
-    def mutant(couple, top):
-        rows, R = real(couple, top)
-        if top > 5:
-            rows[5][0] += R
-        return rows, R
-
-    for module in (sheffer, dorth):                     # every binding of the name
-        monkeypatch.setattr(module, "recurrence_numerators", mutant, raising=False)
+    # a mutant that adds 1 to alpha_0(5) in the extracted rows: the window and
+    # regularity were checked before it, so only the comparison with the
+    # couple's own rows, read off its coefficients, can see it
+    perturbed_extraction(monkeypatch, 5)
     docs = [doc for seed in (1, 2, 3) for doc in load_workloads().draw_couples(seed)]
     assert len(docs) == 27
     for i, doc in enumerate(docs):
@@ -341,20 +345,23 @@ def test_verify_two_path_fails_where_the_couple_route_differs(n, capsys, monkeyp
 
 def test_verify_compares_the_couples_last_recurrence_row(tmp_path, capsys, monkeypatch):
     # a mutant that adds 1 to alpha_0(N - 1), the last row the comparison reads
-    real = sheffer.recurrence_numerators
-
-    def mutant(couple, top):
-        rows, R = real(couple, top)
-        rows[-1][0] += R
-        return rows, R
-
-    monkeypatch.setattr(dorth, "recurrence_numerators", mutant)
+    perturbed_extraction(monkeypatch, 11)
     path = tmp_path / "c.json"
     path.write_text(APP1)
     code, out, _ = run(capsys, "verify", "--couple-file", str(path), "--order", "12")
     assert code == 1
     details = json.loads(out)["recurrence"]["details"]
     assert details["error"] == "couple-mismatch" and details["n"] == 11
+
+
+def test_verify_passes_the_rational_couple(tmp_path, capsys):
+    # the couple's rows are read off each coefficient's own p/q, and its
+    # sequence off the pair, whose integers sit over one common denominator
+    # (exactnum.scaled): a wrong common denominator fails the comparison
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(EDGE_COUPLES["rational-d2"]))
+    code, out, _ = run(capsys, "verify", "--couple-file", str(path), "--order", "12")
+    assert (code, json.loads(out)["overall"]) == (0, "pass")
 
 
 def test_verify_reports_the_sections_of_the_library_call(tmp_path, capsys):
