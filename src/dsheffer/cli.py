@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,11 +74,13 @@ def _parse_param_items(items) -> dict[str, Fraction]:
     return params
 
 
-def _parse_aux(text: str | None):
-    if text is None:
+def _parse_aux(items):
+    if items is None:
         return None
+    if len(items) > 1:
+        raise CliError(EXIT_BAD_PARAMS, "--aux: given more than once")
     try:
-        return tuple(parse_rational(part) for part in text.split(","))
+        return tuple(parse_rational(part) for part in items[0].split(","))
     except ValueError as exc:
         raise CliError(EXIT_BAD_PARAMS, f"--aux: {exc}") from None
 
@@ -108,10 +111,17 @@ def _resolve_source(args) -> tuple[catalog.FamilySpec | None, CoupleSpec]:
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_IO, f"cannot read couple file: {exc}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object_without_repeats)
     except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deeply to decode
         raise CliError(EXIT_IO, f"couple file is not valid JSON: {exc}") from None
     return None, couple_from_json_dict(doc)
+
+
+def _object_without_repeats(pairs) -> dict:
+    # json keeps a repeated key's last value; a couple file may not repeat one
+    if repeated := [key for key, n in Counter(key for key, _ in pairs).items() if n > 1]:
+        raise CliError(EXIT_IO, f"couple file repeats the key {repeated[0]!r}")
+    return dict(pairs)
 
 
 def _source_jsonable(spec: catalog.FamilySpec | None, couple: CoupleSpec) -> dict:
@@ -267,7 +277,7 @@ def _add_source_args(sub):
     sub.add_argument("--d", type=int, default=None, help="orthogonality order d")
     sub.add_argument("--param", action="append", metavar="NAME=P/Q",
                      help="family parameter (repeatable)")
-    sub.add_argument("--aux", metavar="P/Q,...",
+    sub.add_argument("--aux", action="append", metavar="P/Q,...",
                      help="auxiliary polynomial coefficients a_0,a_1,...")
 
 

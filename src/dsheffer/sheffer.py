@@ -133,12 +133,14 @@ class CoupleSpec:
 
 
 def couple_from_json_dict(obj) -> CoupleSpec:
-    """Build a CoupleSpec from a parsed JSON document.
+    """Build a CoupleSpec from a parsed JSON document with the keys d, gamma and sigma.
 
     Coefficients are "p/q" strings or integers; decimals are rejected.
     """
     if not isinstance(obj, dict):
         raise CoupleFileError("couple document must be a JSON object")
+    if unknown := sorted(set(obj) - {"d", "gamma", "sigma"}):
+        raise CoupleFileError(f"couple document has unknown key {unknown[0]!r}")
     try:
         d = obj["d"]
         gamma = obj["gamma"]

@@ -100,6 +100,8 @@ BAD_FILES = {
     "malformed": "{not json",
     "empty": "",
     "huge-literal": '{"d": 1, "gamma": [1, ' + "1" * 5000 + '], "sigma": [1, 0, 1]}',
+    "repeated-key": '{"d": 1, "gamma": [0, 0], "sigma": [1, 0, 1], "gamma": [0, 1]}',
+    "unknown-key": '{"d": 1, "gamma": [0, 1], "sigma": [1, 0, 1], "name": "x"}',
 }
 
 
@@ -176,6 +178,7 @@ def corpus(workdir: Path) -> list[tuple[str, ...]]:
         ["--family", "laguerre-eq9", "--d", "0"],
         ["--family", "laguerre-eq11", "--d", "3"],
         ["--family", "hermite-eq12", "--d", "1", "--aux", "1,x"],
+        ["--family", "hermite-eq12", "--d", "1", "--aux", "0,0,1", "--aux", "0,0,2"],
         ["--family", "nope"],
         ["--family", "laguerre-eq9", "--couple-file", "seed1-0.json"],
         ["--couple-file", "seed1-0.json", "--d", "2"],

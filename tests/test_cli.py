@@ -129,6 +129,31 @@ def test_repeated_param_exits_2(command, capsys):
                          "--param", "alpha=2", "--order", "3")
     assert (code, out, err) == (2, "", "error: --param alpha: given more than once\n")
 
+
+@pytest.mark.parametrize("command", ["expand", "recurrence", "functionals", "verify"])
+def test_repeated_aux_exits_2(command, capsys):
+    # argparse's last-wins rule would drop the first list silently
+    code, out, err = run(capsys, command, "--family", "hermite-eq12", "--aux", "0,0,1",
+                         "--aux", "0,0,2", "--order", "3")
+    assert (code, out, err) == (2, "", "error: --aux: given more than once\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    # json.loads keeps the last value of a repeated key, here a regular couple
+    ('{"d": 1, "gamma": [0, 0], "sigma": [1, 0, 1], "gamma": [0, 1]}',
+     "couple file repeats the key 'gamma'"),
+    ('{"d": 1, "gamma": [0, 1], "sigma": [1, 0, 1], "Sigma": [1], "name": "x"}',
+     "couple document has unknown key 'Sigma'"),
+])
+@pytest.mark.parametrize("command", ["expand", "verify"])
+def test_couple_file_with_a_repeated_or_unknown_key_exits_3(command, doc, message,
+                                                            tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, command, "--couple-file", str(path), "--order", "3")
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 def test_missing_couple_file(capsys):
     code, _, _ = run(capsys, "expand", "--couple-file", "/nonexistent/c.json")
     assert code == 3
