@@ -89,9 +89,8 @@ class DivergentParameterError(InvalidParameterError):
 class FamilySpec:
     """A valid family instance: a family id, a concrete d, parameter values and aux polynomial.
 
-    Building one screens it (`_screen`) or raises InvalidParameterError, and
-    it keeps the couple the screen built as `couple`; `params` is a read-only
-    mapping, so that couple always matches its values.
+    Building one screens it (`_screen`) or raises InvalidParameterError.  It keeps
+    the couple the screen built as `couple`; `params` is read-only, so the two agree.
     """
 
     family: str
@@ -350,7 +349,7 @@ def _screen(spec: FamilySpec) -> CoupleSpec:
     if "omega" in p and p["omega"] == 0:
         violations.append("omega must be nonzero")
     # at d = 2 the derivative of pi drops a_0 before it reaches the couple
-    if fam == MEIXNER_EQ21 and _aux_poly(spec).coeff(spec.d - 2) == 0:
+    if fam == MEIXNER_EQ21 and Poly(spec.aux or ()).coeff(spec.d - 2) == 0:
         violations.append("leading auxiliary coefficient a_(d-2) must be nonzero")
     if violations:
         raise InvalidParameterError(*violations)
@@ -368,14 +367,10 @@ def _screen(spec: FamilySpec) -> CoupleSpec:
     return couple
 
 
-def _aux_poly(spec: FamilySpec) -> Poly:
-    return Poly(spec.aux or ())
-
-
 def _couple_of(spec: FamilySpec) -> CoupleSpec:
     # the couple of a well-shaped spec with c not in {0, 1}, unchecked
     gamma, sigma = FAMILIES[spec.family].couple(spec.d, spec.params,
-                                                _aux_poly(spec).derivative())
+                                                Poly(spec.aux or ()).derivative())
     return CoupleSpec(d=spec.d, gamma=gamma.coeffs, sigma=sigma.coeffs)
 
 

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from math import factorial, gcd, lcm
 from operator import mul
 
@@ -407,26 +407,21 @@ def _recurrence_section(seq, d, couple) -> dict:
     except RegularityViolationError as exc:
         return _section(False, {"error": "regularity-violation", "rows": list(exc.rows)})
     if d == couple.d:
-        # the rows must be the couple's own, alpha_k(n) = sigma_(d+1-k) n^(d+1-k)
-        # - gamma_(d-k) n^(d-k) (sheffer.recurrence_numerators), each coefficient
-        # read as its own p/q: with sigma_(d+1-k) = p/q and gamma_(d-k) = r/s,
-        # alpha_k(n) = (p s n^(d+1-k) - r q n^(d-k)) / (q s), compared with
-        # the extracted a / den as cross-multiplied integers
+        # the rows must be the couple's own (sheffer.recurrence_numerators), each
+        # coefficient read as its own p/q: with sigma_(d+1-k) = p/q and gamma_(d-k) =
+        # r/s, alpha_k(n) = (p s n^(d+1-k) - r q n^(d-k)) / (q s), cross-multiplied
         den = table.den
         terms = [(p.numerator * r.denominator, r.numerator * p.denominator,
-                  p.denominator * r.denominator)          # k = 0 .. d + 1; gamma_(-1) = 0
-                 for p, r in zip(reversed(couple.sigma), (*reversed(couple.gamma), Fraction(0)))]
+                  p.denominator * r.denominator)                  # k = 0 .. d + 1
+                 for p, r in zip(reversed(couple.sigma), (*reversed(couple.gamma), 0))]
         for n, got in enumerate(table.nums):
-            falling = [1]                   # falling[j] = n^(j)
-            for j in range(d + 1):
-                falling.append(falling[-1] * (n - j))
-            want = [ps * falling[d + 1 - k] - rq * falling[d - k]
-                    for k, (ps, rq, _) in enumerate(terms)]
-            if any(a * qs != w * den for a, w, (_, _, qs) in zip(got, want, terms)):
+            falling = list(accumulate(range(n, n - d - 1, -1), mul, initial=1))[::-1]
+            want = [(ps * f1 - rq * f0, qs)                       # f1 = n^(d+1-k), f0 = n^(d-k)
+                    for (ps, rq, qs), f1, f0 in zip(terms, falling, falling[1:] + [0])]
+            if any(a * qs != w * den for a, (w, qs) in zip(got, want)):
                 return _section(False, {"error": "couple-mismatch", "n": n,
                                         "extracted": ratio_strings(got, den),
-                                        "from_couple": [str(Fraction(w, qs)) for w, (_, _, qs)
-                                                        in zip(want, terms)]})
+                                        "from_couple": [str(Fraction(*v)) for v in want]})
     return _section(True, table.to_jsonable())
 
 
