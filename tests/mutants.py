@@ -110,17 +110,17 @@ MUTANTS = (
            "root.denominator == 1 and root >= 1",
            "root.denominator == 1 and root > 1",
            "tests/test_regularity.py::test_irregular_n_is_the_smallest_root[couple8-1]"),
+    # the conditions section passes every couple
+    Mutant("sheffer.py",
+           "        return not self.couple.violations()",
+           "        return True",
+           "tests/test_sheffer.py::test_conditions_report_a_root_beyond_n"),
     # rationals are scaled to twice their common denominator, which every
     # route that shares it agrees on; the couple's rows read each p/q alone
     Mutant("exactnum.py",
            "for v, q in zip(values, dens)], D",
            "for v, q in zip(values, dens)], 2 * D",
            "tests/test_cli.py::test_verify_passes_the_rational_couple"),
-    # the conditions section passes every couple
-    Mutant("sheffer.py",
-           "        return not self.couple.violations()",
-           "        return True",
-           "tests/test_sheffer.py::test_conditions_report_a_root_beyond_n"),
 )
 
 
