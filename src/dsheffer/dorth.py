@@ -5,7 +5,7 @@ Two independent routes are verified and never conflated:
 * the (d+2)-term recurrence x P_n = sum_k alpha_k(n) P_{n-d+k}, read off by
   exact back-substitution in the triangular basis P_0..P_{n+1} (the
   `recurrence` command reads the same table off the couple instead, through
-  recurrence_from_couple, and both enforce regularity in one place);
+  recurrence_from_couple, which reads regularity off the couple's irregular_n);
 * d-orthogonality in the definition's own form (Van Iseghem, J. Comput.
   Appl. Math. 1987; Maroni, Ann. Fac. Sci. Toulouse 1989):
   X_k[j][m] = <u_k, x^j P_m> = 0 for m > j d + k and != 0 at the boundary
@@ -154,8 +154,8 @@ def extract_recurrence(seq: PolySequence, d: int) -> RecurrenceTable:
     """Expand x P_n over P_0..P_{n+1} for every n and enforce the window.
 
     Raises BackSubstitutionError if x P_n leaves a remainder, WindowViolationError
-    if any coefficient survives below n - d, and RegularityViolationError if
-    the boundary coefficients vanish for n >= d.
+    if any coefficient survives below n - d, and, once every row is read,
+    RegularityViolationError naming the rows n >= d whose alpha_0(n) vanishes.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -164,7 +164,7 @@ def extract_recurrence(seq: PolySequence, d: int) -> RecurrenceTable:
         raise ValueError(f"need the sequence up to P_{d + 2} at least, got P_{top}")
     polys = [seq[j] for j in range(top + 1)]
     leads = [p.nums[-1] for p in polys]
-    rows = []
+    rows, irregular = [], []
     for n in range(top):
         pn = polys[n]
         # the running remainder r / R: x P_n minus the coordinates found so far
@@ -191,33 +191,32 @@ def extract_recurrence(seq: PolySequence, d: int) -> RecurrenceTable:
         for j in range(0, n - d):
             if coeffs[j][0]:
                 raise WindowViolationError(d=d, n=n, index=j, value=Fraction(*coeffs[j]))
+        # alpha_(d+1)(n) = lead(P_n) / lead(P_(n+1)) is never 0: regularity is alpha_0's
+        if n >= d and not coeffs[n - d][0]:
+            irregular.append(n)
         rows.append([coeffs[n - d + k] if n - d + k >= 0 else (0, 1) for k in range(d + 2)])
+    if irregular:
+        raise RegularityViolationError(d=d, rows=tuple(irregular))
     # every row over the one denominator L, handed over as integers
     L = lcm(*(q for row in rows for _, q in row))
-    return _regular(RecurrenceTable(d, [[p * (L // q) for p, q in row] for row in rows], L))
+    return RecurrenceTable(d, [[p * (L // q) for p, q in row] for row in rows], L)
 
 
 def recurrence_from_couple(couple: CoupleSpec, top: int) -> RecurrenceTable:
     """The rows n < top read off the couple (sheffer.recurrence_numerators), no expansion.
 
-    Equal to extract_recurrence on the couple's sequence P_0..P_top, and
-    raises the same RegularityViolationError; the window holds by
-    construction.  The rows are handed over as their integers, so no
-    Fraction is made.
+    Equal to extract_recurrence on the couple's sequence P_0..P_top, whose
+    RegularityViolationError it reads off the couple: alpha_0(n) =
+    n^(d) ((n - d) sigma_(d+1) - gamma_d) vanishes for n >= d only at
+    n = d + irregular_n(), and alpha_(d+1)(n) = sigma_0 != 0 after validation.
+    The window holds by construction, and the rows are handed over as
+    integers, so no Fraction is made.
     """
     nums, den = recurrence_numerators(couple, top)
-    return _regular(RecurrenceTable(couple.d, nums, den))
-
-
-def _regular(table: RecurrenceTable) -> RecurrenceTable:
-    d = table.d
-    bad = tuple(
-        n for n, row in enumerate(table.nums)
-        if n >= d and (not row[0] or not row[d + 1])
-    )
-    if bad:
-        raise RegularityViolationError(d=d, rows=bad)
-    return table
+    d, m = couple.d, couple.irregular_n()
+    if m is not None and d + m < top:
+        raise RegularityViolationError(d=d, rows=(d + m,))
+    return RecurrenceTable(d, nums, den)
 
 
 @dataclass(frozen=True)

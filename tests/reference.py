@@ -10,7 +10,9 @@ exactly.  The same holds for the back-substitution of `extract_recurrence`,
 `exp`, `log` and `invert_mul` (now each one linear recurrence on the one
 kernel of `series`), the lowering ODE,
 `expand_from_couple`, the couple's recurrence rows (`fraction_table` builds
-a `RecurrenceTable` from such rows) and the generating-function expansion,
+a `RecurrenceTable` from such rows, and `regular_fraction_table` decides
+regularity on both boundary entries of every row, where the product reads
+alpha_0 alone) and the generating-function expansion,
 which now run on integers with one running or common denominator, and for
 `Poly.pretty`, `poly_latex` and `Poly.coeff_strings`, which now read each
 coefficient's lowest-terms numerator and denominator from the stored
@@ -75,7 +77,8 @@ from math import factorial, lcm, prod
 
 from dsheffer import Poly, PolySequence, Series, ShefferPair
 from dsheffer import catalog
-from dsheffer.dorth import BackSubstitutionError, RecurrenceTable, WindowViolationError
+from dsheffer.dorth import (BackSubstitutionError, RecurrenceTable, RegularityViolationError,
+                            WindowViolationError)
 from dsheffer.exactnum import exact, scaled, stirling2_rows
 from dsheffer.operators import functional_eval
 from dsheffer.series import _convolve, _first_order, _recurrence
@@ -592,6 +595,17 @@ def fraction_table(d, rows) -> RecurrenceTable:
     flat, den = scaled([Fraction(c) for row in rows for c in row])
     ints = iter(flat)
     return RecurrenceTable(d, [[next(ints) for _ in row] for row in rows], den)
+
+
+def regular_fraction_table(d, rows) -> RecurrenceTable:
+    """fraction_table of the rows, after Theorem 2.2's regularity on every row.
+
+    Raises RegularityViolationError naming each n >= d with
+    alpha_0(n) alpha_(d+1)(n) = 0, both factors read off the row itself.
+    """
+    if bad := tuple(n for n, row in enumerate(rows) if n >= d and not (row[0] and row[d + 1])):
+        raise RegularityViolationError(d=d, rows=bad)
+    return fraction_table(d, rows)
 
 
 def branch_family_generating(spec, N) -> ShefferPair:

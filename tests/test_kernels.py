@@ -41,7 +41,6 @@ from dsheffer.dorth import (
     RecurrenceTable,
     RegularityViolationError,
     WindowViolationError,
-    _regular,
     recurrence_from_couple,
 )
 from dsheffer.exactnum import scaled
@@ -67,6 +66,7 @@ from reference import (
     log,
     lowering_failures,
     mul,
+    regular_fraction_table,
     series_expand_polynomials,
     series_moment_rows,
 )
@@ -508,7 +508,7 @@ def recurrence_outcome(compute):
 def assert_back_substitution_matches_the_oracle(seq, d):
     got = recurrence_outcome(lambda: extract_recurrence(seq, d))
     assert got == recurrence_outcome(
-        lambda: _regular(fraction_table(d, fraction_recurrence_rows(seq, d))))
+        lambda: regular_fraction_table(d, fraction_recurrence_rows(seq, d)))
     return got
 
 
