@@ -205,18 +205,17 @@ def extract_recurrence(seq: PolySequence, d: int) -> RecurrenceTable:
 def recurrence_from_couple(couple: CoupleSpec, top: int) -> RecurrenceTable:
     """The rows n < top read off the couple (sheffer.recurrence_numerators), no expansion.
 
-    Equal to extract_recurrence on the couple's sequence P_0..P_top, whose
-    RegularityViolationError it reads off the couple: alpha_0(n) =
+    Equal to extract_recurrence on the couple's sequence P_0..P_top, but
+    regularity is decided for every n, as `verify` decides it: alpha_0(n) =
     n^(d) ((n - d) sigma_(d+1) - gamma_d) vanishes for n >= d only at
-    n = d + irregular_n(), and alpha_(d+1)(n) = sigma_0 != 0 after validation.
-    The window holds by construction, and the rows are handed over as
-    integers, so no Fraction is made.
+    n = d + irregular_n(), and alpha_(d+1)(n) = sigma_0 != 0 after validation,
+    so RegularityViolationError names that row wherever it lies.  The window
+    holds by construction, and the rows are handed over as integers.
     """
     nums, den = recurrence_numerators(couple, top)
-    d, m = couple.d, couple.irregular_n()
-    if m is not None and d + m < top:
-        raise RegularityViolationError(d=d, rows=(d + m,))
-    return RecurrenceTable(d, nums, den)
+    if (m := couple.irregular_n()) is not None:
+        raise RegularityViolationError(d=couple.d, rows=(couple.d + m,))
+    return RecurrenceTable(couple.d, nums, den)
 
 
 @dataclass(frozen=True)

@@ -336,12 +336,17 @@ def test_couple_recurrence_table_prints_the_fraction_rows(couple, top):
     # compares like the Fraction rows it replaced
     nums, den = recurrence_numerators(couple, top)
     rows = tuple(tuple(F(v, den) for v in row) for row in nums)
-    try:
-        table = recurrence_from_couple(couple, top)
-    except RegularityViolationError as exc:
-        assert exc.rows == tuple(n for n, row in enumerate(rows)
-                                 if n >= couple.d and not (row[0] and row[couple.d + 1]))
+    d, root = couple.d, couple.irregular_n()
+    # regularity is decided for every n: the table's only irregular row is
+    # the couple's root row d + root, when that lies below top
+    assert tuple(n for n, row in enumerate(rows) if n >= d and not (row[0] and row[d + 1])) \
+        == (() if root is None or d + root >= top else (d + root,))
+    if root is not None:
+        with pytest.raises(RegularityViolationError) as info:
+            recurrence_from_couple(couple, top)
+        assert info.value.rows == (d + root,)
         return
+    table = recurrence_from_couple(couple, top)
     assert table.to_jsonable() == {"d": couple.d, "rows": [[str(c) for c in row] for row in rows]}
     assert table == fraction_table(couple.d, rows)
     assert hash(table) == hash(fraction_table(couple.d, rows))

@@ -228,14 +228,21 @@ def test_the_couple_recurrence_equals_expansion_and_back_substitution(case):
     couple, N = case
     seq = expand_polynomials(pair_from_couple(couple, N))
     assert expand_from_couple(couple, N) == seq
+    root = couple.irregular_n()
     try:
         table = extract_recurrence(seq, couple.d)
     except RegularityViolationError as exc:
+        assert exc.rows == (couple.d + root,)
+    else:
+        # back-substitution reads the rows n < N only
+        assert root is None or couple.d + root >= N
+    if root is None:
+        assert recurrence_from_couple(couple, N) == table
+    else:
+        # the couple's rows are decided for every n, so its root row fails past N too
         with pytest.raises(RegularityViolationError) as info:
             recurrence_from_couple(couple, N)
-        assert info.value.rows == exc.rows
-    else:
-        assert recurrence_from_couple(couple, N) == table
+        assert info.value.rows == (couple.d + root,)
 
 
 def alpha_0_zeros(couple: CoupleSpec, top: int) -> list[int]:
@@ -289,13 +296,13 @@ def test_recurrence_fails_at_the_row_of_the_root(tmp_path, capsys):
                "alpha_0(n) * alpha_(d+1)(n) must stay nonzero\n")
 
 
-def test_recurrence_below_the_row_of_the_root_prints_its_rows(tmp_path, capsys):
-    code, out, err = run_over_n(tmp_path, capsys, "recurrence", "--order", "12")
-    assert (code, err) == (0, "")
-    rows = json.loads(out)["table"]["rows"]
-    assert len(rows) == 12
-    # alpha_0(n) = n ((n - 1) - 20), alpha_1(n) = 0, alpha_2(n) = 1
-    assert rows[11] == ["-110", "0", "1"]
+@pytest.mark.parametrize("order", [3, 12, 22])
+def test_recurrence_fails_on_the_row_of_the_root_at_any_order(tmp_path, capsys, order):
+    # row 21 lies past --order 3 and 12; regularity is decided for every n, as
+    # verify's conditions section decides it
+    assert run_over_n(tmp_path, capsys, "recurrence", "--order", str(order)) == (
+        1, "", "verification failure: regularity violation for d=1 at n in [21]: "
+               "alpha_0(n) * alpha_(d+1)(n) must stay nonzero\n")
 
 
 def test_expand_runs_past_the_row_of_the_root(tmp_path, capsys):
