@@ -91,11 +91,12 @@ class FamilySpec:
 
     Building one screens it (`_screen`) or raises InvalidParameterError.  It keeps
     the couple the screen built as `couple`; `params` is read-only, so the two agree.
+    `params` is compared but not hashed, so equal specs hash alike.
     """
 
     family: str
     d: int
-    params: Mapping[str, Fraction] = field(default_factory=dict)
+    params: Mapping[str, Fraction] = field(default_factory=dict, hash=False)
     aux: tuple[Fraction, ...] | None = None
     couple: CoupleSpec = field(init=False, repr=False, compare=False)
 

@@ -101,6 +101,18 @@ def test_family_spec_params_are_read_only():
     # the couple is neither compared nor printed: the spec is its values
     assert "couple" not in repr(spec)
 
+
+def test_family_specs_hash_by_their_values():
+    samples = catalog.default_sample_specs()
+    assert len(set(samples)) == len(samples) == 21
+    # params is compared but not hashed, so its order cannot split equal specs
+    one = spec_of(MEIXNER_EQ16, 2, {"c": F(1, 2), "beta": 1})
+    other = spec_of(MEIXNER_EQ16, 2, {"beta": 1, "c": F(1, 2)})
+    assert one == other and hash(one) == hash(other)
+    assert one in set(samples)
+    assert spec_of(MEIXNER_EQ16, 2, {"c": F(1, 3), "beta": 1}) not in set(samples)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(InvalidParameterError):
         FamilySpec(family="legendre", d=1, params={}, aux=None)
