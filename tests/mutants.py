@@ -121,6 +121,16 @@ MUTANTS = (
            "for v, q in zip(values, dens)], D",
            "for v, q in zip(values, dens)], 2 * D",
            "tests/test_cli.py::test_verify_passes_the_rational_couple"),
+    # the couple's irregular row is read one row early
+    Mutant("dorth.py",
+           "rows=(couple.d + m,)",
+           "rows=(couple.d + m - 1,)",
+           "tests/test_regularity.py::test_recurrence_fails_at_the_row_of_the_root"),
+    # back-substitution never sees a vanishing alpha_0(n)
+    Mutant("dorth.py",
+           "if n >= d and not coeffs[n - d][0]:",
+           "if False:",
+           "tests/test_regularity.py::test_back_substitution_breaks_at_the_same_row"),
 )
 
 
