@@ -15,6 +15,10 @@ fails the test until it is listed with its reason, and a listed one that
 is no longer shared fails it until it is taken off.
 """
 
+import functools
+import importlib
+import inspect
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -66,21 +70,71 @@ SHARED = {
 }
 
 
+def _functions(namespace, module):
+    """The functions defined in a module's or class's namespace, unwrapped."""
+    for value in vars(namespace).values():
+        if isinstance(value, (staticmethod, classmethod)):
+            value = value.__func__
+        elif isinstance(value, functools.cached_property):
+            value = value.func
+        if isinstance(value, property):
+            yield from (f for f in (value.fget, value.fset, value.fdel) if f is not None)
+        elif inspect.isclass(value) and value.__module__ == module:
+            yield from _functions(value, module)
+        elif callable(value) and getattr(value, "__module__", None) == module:
+            value = inspect.unwrap(value)
+            if inspect.isfunction(value):
+                yield value
+
+
+def _qualnames() -> tuple[dict, set]:
+    """Each src/ function's code object mapped to module.qualname, and the nested codes.
+
+    A code object carries its qualified name (co_qualname) only from Python
+    3.11, so the names are read off the functions themselves.  The codes
+    nested in those functions (inner functions, lambdas, comprehensions)
+    are returned apart: the test records no function defined inside another.
+    """
+    names, nested = {}, set()
+    for info in pkgutil.iter_modules(dsheffer.__path__, "dsheffer."):
+        module = importlib.import_module(info.name)
+        for function in _functions(module, info.name):
+            code = function.__code__
+            if code.co_filename.startswith(SRC):    # not dataclass's generated methods
+                names[code] = f"{Path(code.co_filename).stem}.{function.__qualname__}"
+    stack = list(names)
+    while stack:
+        inner = [c for c in stack.pop().co_consts if inspect.iscode(c) and c not in nested]
+        nested.update(inner)
+        stack += inner
+    return names, nested
+
+
+QUALNAMES, NESTED = _qualnames()
+
+
 def entered(route, *args) -> set[str]:
     """The src/ functions that route(*args) enters, as module.qualname."""
-    names = set()
+    codes = set()
 
     def record(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_filename.startswith(SRC) and "<" not in code.co_qualname:
-            names.add(f"{Path(code.co_filename).stem}.{code.co_qualname}")
+        if event == "call" and frame.f_code.co_filename.startswith(SRC):
+            codes.add(frame.f_code)
 
     sys.setprofile(record)
     try:
         route(*args)
     finally:
         sys.setprofile(None)
-    return names
+    # a src/ function the map misses would drop out of the comparison unseen;
+    # lambdas and comprehensions (co_name "<lambda>", "<genexpr>", ...) are not recorded
+    assert {code.co_name for code in codes
+            if code not in QUALNAMES and code not in NESTED and code.co_name[0] != "<"} == set()
+    names = {QUALNAMES[code] for code in codes if code in QUALNAMES}
+    # where the interpreter names a code itself (3.11 on), the map must agree
+    assert all(name.endswith("." + getattr(code, "co_qualname", name.split(".", 1)[1]))
+               for code, name in QUALNAMES.items())
+    return {name for name in names if "<" not in name}
 
 
 def checked_sequence(spec, couple):
