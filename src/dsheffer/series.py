@@ -35,10 +35,10 @@ truncation of a series live with the tests' reference routes.
 
 `Poly.coeff_strings` puts each nums[i] / den in lowest terms by one gcd
 (`exactnum.ratio_strings`) and makes no Fraction.  `poly_text` and
-`poly_latex` print such a list of strings as a signed sum through one
-walker; `Poly.pretty` is `poly_text` over `coeff_strings()`.
-A Poly keeps no strings: a caller that prints one polynomial twice
-(`cli.cmd_expand`) reduces it once and passes the list to both printers.
+`poly_latex` join such a list's nonzero terms by " + " in one pass each
+and read " + -" as " - " (only a string's first character can be "-");
+`Poly.pretty` is `poly_text` over `coeff_strings()`.  A Poly keeps no
+strings: `cli.cmd_expand` reduces each one once and prints from the list.
 """
 
 from __future__ import annotations
@@ -256,41 +256,31 @@ class Series(_Vector):
         return Series.of([p * (L // q) for p, q in terms], L)
 
 
-def _signed_sum(strings: Sequence[str], term) -> str:
-    """The nonzero lowest-terms strings, top degree first, as one sum of term(k, magnitude)."""
-    parts = []
-    for k in range(len(strings) - 1, -1, -1):
-        text = strings[k]
-        if text != "0":
-            negative = text[0] == "-"
-            body = term(k, text.lstrip("-"))
-            if parts:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-            else:
-                parts.append(f"-{body}" if negative else body)
-    return " ".join(parts) if parts else "0"
-
-
 def poly_text(strings: Sequence[str]) -> str:
     """The polynomial with lowest-terms coefficient strings `strings`, as "-2*x^2 + 1/2"."""
-    def term(k, mag):
-        if not k:
-            return mag
-        xk = "x" if k == 1 else f"x^{k}"
-        return xk if mag == "1" else f"{mag}*{xk}"
-    return _signed_sum(strings, term)
+    terms = []
+    for k in range(len(strings) - 1, -1, -1):
+        if (c := strings[k]) != "0":
+            if k:
+                xk = "x" if k == 1 else f"x^{k}"
+                c = xk if c == "1" else f"-{xk}" if c == "-1" else f"{c}*{xk}"
+            terms.append(c)
+    return " + ".join(terms).replace(" + -", " - ") or "0"
 
 
 def poly_latex(strings: Sequence[str]) -> str:
     """The same sum in LaTeX: "p/q" prints as \\frac{p}{q}, x^k as x^{k}."""
-    def term(k, mag):
-        p, _, q = mag.partition("/")
-        mag_s = f"\\frac{{{p}}}{{{q}}}" if q else p
-        if not k:
-            return mag_s
-        xk = "x" if k == 1 else f"x^{{{k}}}"
-        return xk if mag == "1" else f"{mag_s} {xk}"
-    return _signed_sum(strings, term)
+    terms = []
+    for k in range(len(strings) - 1, -1, -1):
+        if (c := strings[k]) != "0":
+            sign, mag = ("-", c[1:]) if c[0] == "-" else ("", c)
+            p, _, q = mag.partition("/")
+            mag_s = f"\\frac{{{p}}}{{{q}}}" if q else p
+            if k:
+                xk = "x" if k == 1 else f"x^{{{k}}}"
+                mag_s = xk if mag == "1" else f"{mag_s} {xk}"
+            terms.append(sign + mag_s)
+    return " + ".join(terms).replace(" + -", " - ") or "0"
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
