@@ -42,6 +42,7 @@ from dsheffer.dorth import (
     RegularityViolationError,
     WindowViolationError,
     recurrence_from_couple,
+    verify,
 )
 from dsheffer.exactnum import scaled
 from dsheffer.series import poly_latex
@@ -188,6 +189,14 @@ def test_pretty_and_latex_text_of_fixed_polynomials():
             == "-2 x^{5} + \\frac{5}{2} x^{4} + x^{3} - x - \\frac{3}{4}")
     assert Poly().pretty() == poly_latex(Poly().coeff_strings()) == "0"
     assert Poly((-1,)).pretty() == "-1"
+    # magnitudes ending in 1 at degrees 0, 1 and >= 2, where rewriting "1*x" as text would fail
+    p = Poly((F(-1, 11), 11, F(21, 11), -1, 1))
+    assert p.pretty() == "x^4 - x^3 + 21/11*x^2 + 11*x - 1/11"
+    assert (poly_latex(p.coeff_strings())
+            == "x^{4} - x^{3} + \\frac{21}{11} x^{2} + 11 x - \\frac{1}{11}")
+    p = Poly((-1, -1, -1))
+    assert p.pretty() == "-x^2 - x - 1"
+    assert poly_latex(p.coeff_strings()) == "-x^{2} - x - 1"
 
 
 # ---------------------------------------------------------------- verify sections
@@ -453,6 +462,26 @@ def test_functional_vector_runs_no_series_arithmetic(monkeypatch):
     v = FunctionalVector(couple, 30, 3)
     assert arithmetic == [[], []]
     assert len(handed) == 1 + len(v.rows) == 4
+
+
+def test_a_wrong_product_kernel_fails_verify_on_every_sample(monkeypatch):
+    # every product longer than 3 entries gains 1 in its last entry; the
+    # samples' couples are Poly products, so they are built before the patch
+    specs = catalog.default_sample_specs()
+    convolve = series._convolve
+
+    def off_by_one(a, b, length):
+        out = convolve(a, b, length)
+        if len(out) > 3:
+            out[-1] += 1
+        return out
+
+    for module in (series, sheffer):
+        monkeypatch.setattr(module, "_convolve", off_by_one)
+    for spec in specs:
+        seq = expand_polynomials(catalog.family_generating(spec, 12))
+        sections = verify(spec.couple, 12, spec.d, seq)
+        assert "fail" in [s["status"] for s in sections.values()], (spec.family, spec.d)
 
 
 @contextmanager

@@ -1,11 +1,11 @@
 """Theorem 2.2 and Meixner's classes on the d = 1 slice with coefficients in {-1, 0, 1}.
 
 The whole domains run in `python tests/theorem.py`; this is its tier-1 slice,
-with the d - 1 side on the d = 2 couples with coefficients in {-1, 1} and
-Meixner's classes on drawn couples with rational roots.  The converse is
-drawn here: a regular couple's pair with one coefficient of A or H moved
-off the couple's form gives a set that `couple_from_pair` refuses at d',
-exactly when its recurrence breaks the (d' + 2)-term window or regularity.
+with the d - 1 side on the d = 2 and d = 3 couples with coefficients in
+{-1, 1} and Meixner's classes on drawn couples with rational roots.  The
+converse is drawn here: a regular couple's pair with one coefficient of A or
+H moved off the couple's form gives a set that `couple_from_pair` refuses at
+d', exactly when its recurrence breaks the (d' + 2)-term window or regularity.
 """
 
 from fractions import Fraction
@@ -44,6 +44,11 @@ def test_the_d1_slice_passes_exactly_when_regular():
 def test_the_d2_couples_fail_at_d_minus_1():
     # 2^7 couples, none refused: each fails recurrence's window and orthogonality at d = 1
     assert theorem.below(2, (-1, 1)) == (128, [])
+
+
+def test_the_d3_couples_fail_at_d_minus_1():
+    # 2^9 couples, none refused: each fails recurrence's window and orthogonality at d = 2
+    assert theorem.below(3, (-1, 1)) == (512, [])
 
 
 def test_the_classical_rows_match_on_the_d1_slice():

@@ -13,9 +13,9 @@ each run through `dorth.verify(couple, 10, d)`:
 * every other couple passes exactly when `violations()` is empty;
 * `verify(couple, 10, d + 1)` fails orthogonality on every couple that was
   not refused;
-* on the d = 2 domain, `verify(couple, 10, d - 1)` fails recurrence with a
-  window-violation, and fails orthogonality, on every couple it does not
-  refuse: the set is d-orthogonal and no less.
+* on the d = 2 and d = 3 domains, `verify(couple, 10, d - 1)` fails
+  recurrence with a window-violation, and fails orthogonality, on every
+  couple it does not refuse: the set is d-orthogonal and no less.
 
 At d = 1 it also compares `tests/classical.py`'s moments of u_0, Meixner's
 closed forms, with `FunctionalVector(couple, 30, 1).rows[0]` on every
@@ -25,8 +25,8 @@ taking either root as r1.
     python tests/theorem.py    # exits 1 unless every count is EXPECTED's and nothing disagrees
 
 `tests/test_theorem.py` runs the d = 1 slice with coefficients in
-{-1, 0, 1}, and the d - 1 side on the d = 2 couples with coefficients in
-{-1, 1}, in tier-1.  Not covered: the converse half (a pair off the
+{-1, 0, 1}, and the d - 1 side on the d = 2 and d = 3 couples with
+coefficients in {-1, 1}, in tier-1.  Not covered: the converse half (a pair off the
 couple's form gives no d-orthogonal set) and couples whose sigma has
 irrational or complex roots, whose classical moments live in Q(sqrt D).
 """
@@ -53,7 +53,8 @@ WIDE, NARROW = range(-2, 3), range(-1, 2)
 # (d, coefficient values) -> (pass, fail, refused)
 EXPECTED = {(1, WIDE): (1400, 600, 1125), (2, NARROW): (648, 324, 1215),
             (3, NARROW): (5832, 2916, 10935)}
-EXPECTED_BELOW = 648 + 324  # couples of the d = 2 domain that verify does not refuse
+# d -> couples of the NARROW domain at d that verify does not refuse
+EXPECTED_BELOW = {2: 648 + 324, 3: 5832 + 2916}
 EXPECTED_CLASSICAL = 590    # regular d = 1 couples of WIDE with rational roots or none
 
 
@@ -153,16 +154,17 @@ def main() -> int:
         failed |= bool(wrong) or got != want
         total_above += above
     print(f"{total_above} couples failing orthogonality at d + 1")
-    start = time.process_time()
-    checked, wrong = below(2, NARROW)
-    print(f"d = 2, coefficients {NARROW.start}..{NARROW.stop - 1} at d - 1 = 1: "
-          f"{checked - len({c for c, _ in wrong})} of {checked} failing recurrence "
-          f"(window-violation) and orthogonality, {time.process_time() - start:.1f} CPU s")
-    for couple, what in wrong:
-        print(f"  disagrees: {couple.to_jsonable()}: {what}")
-    if checked != EXPECTED_BELOW:
-        print(f"  expected {EXPECTED_BELOW} couples")
-    failed |= bool(wrong) or checked != EXPECTED_BELOW
+    for d, want in EXPECTED_BELOW.items():
+        start = time.process_time()
+        checked, wrong = below(d, NARROW)
+        print(f"d = {d}, coefficients {NARROW.start}..{NARROW.stop - 1} at d - 1 = {d - 1}: "
+              f"{checked - len({c for c, _ in wrong})} of {checked} failing recurrence "
+              f"(window-violation) and orthogonality, {time.process_time() - start:.1f} CPU s")
+        for couple, what in wrong:
+            print(f"  disagrees: {couple.to_jsonable()}: {what}")
+        if checked != want:
+            print(f"  expected {want} couples")
+        failed |= bool(wrong) or checked != want
     start = time.process_time()
     checked, wrong = classical_rows(WIDE)
     print(f"classical rows at N = {CLASSICAL_ORDER}: {checked - len({c for c, _ in wrong})} "
