@@ -26,8 +26,8 @@ taking either root as r1.
 
 `tests/test_theorem.py` runs the d = 1 slice with coefficients in
 {-1, 0, 1}, and the d - 1 side on the d = 2 and d = 3 couples with
-coefficients in {-1, 1}, in tier-1.  Not covered: the converse half (a pair off the
-couple's form gives no d-orthogonal set) and couples whose sigma has
+coefficients in {-1, 1}, in tier-1.  Not covered: the converse half (a pair
+off the couple's form gives no d-orthogonal set) and couples whose sigma has
 irrational or complex roots, whose classical moments live in Q(sqrt D).
 """
 
