@@ -266,6 +266,15 @@ def test_integers_past_the_digit_limit(argv, expected, tmp_path, monkeypatch, ca
         assert len(doc["polynomials"][2]["text"]) > 3000
 
 
+def test_an_interpreter_with_no_digit_limit_prints_the_same(monkeypatch, capsys):
+    # before 3.10.7 sys has no int/str digit limit, and main lifts none
+    argv = ["verify", "--family", "hermite-eq12", "--d", "1", "--order", "3"]
+    expected = run(capsys, *argv)
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert run(capsys, *argv) == expected
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_meixner_eq16_passes(tmp_path, capsys):

@@ -62,6 +62,8 @@ def test_recurrence_row_accessor_and_jsonable():
     doc = table.to_jsonable()
     assert doc["d"] == 1
     assert doc["rows"][2] == ["-4", "5", "-1"]
+    assert repr(table) == ("RecurrenceTable(d=1, rows=[['0', '1', '-1'], ['-1', '3', '-1'], "
+                           "['-4', '5', '-1'], ['-9', '7', '-1'], ['-16', '9', '-1']])")
 
 
 def test_recurrence_window_width_for_d2():

@@ -181,6 +181,13 @@ def test_functional_degree_guard():
         functional_eval(v, 0, Poly((0,) * 5 + (1,)))
 
 
+def test_functional_vector_is_immutable_and_prints_its_shape():
+    v = laguerre_functionals(order=4)
+    with pytest.raises(AttributeError):
+        v.d = 2
+    assert repr(v) == "FunctionalVector(d=1, order=4)"
+
+
 def test_functional_vector_truncates_to_common_order():
     # the functionals are built at the order they are given, whatever the
     # order of the pair

@@ -199,6 +199,14 @@ def test_series_is_immutable():
         s.coeffs = ()
 
 
+def test_series_equality_and_text():
+    # equal values at equal orders; the order is part of the value
+    assert Series((1, F(2, 4))) == Series((F(2, 2), F(1, 2)))
+    assert Series((1, 0)) != Series((1,))
+    assert Series((1,)) != Poly((1,))
+    assert repr(Series((1, F(-1, 2)))) == "Series([Fraction(1, 1), Fraction(-1, 2)])"
+
+
 def test_series_has_no_operators():
     # Series is a record; the series arithmetic is the tests' (reference.py)
     s = Series((1, 2, 3))
