@@ -24,17 +24,17 @@ and a functional is fixed by its moments: [D^l x^j]_{x=0} = j! [l = j], so
 
     mu_i(j) = <u_i, x^j> = (j!/i!) [s^j] y^i w.
 
-One solver gives y and the rows mu_i on integers, in one scale: with
-R = den sigma, Dg = den gamma and S = R Dg, the numbers k! R^k [s^k] y^j,
-k! S^k w_k and i! S^j mu_i(j) are integers, each a binomial convolution of
-the ones before, and gamma(y) is a dot product per column of that table.
-y and each row are handed over once, over N! R^N and i! S^N (the Series
-route it replaced, gamma(y) by Horner's rule, an integral, exp and
-products by y, is the tests' oracle).  FunctionalVector(couple, order, d)
-is the solver's one caller and keeps y as `hstar` next to the rows, so
-its operator is the couple's own: the Series y, with y_0 = 0
-(verify_lowering rejects any other).  Every functional value is a dot
-product with one row.
+One solver gives y and the rows mu_i on integers, in one scale: the couple
+is read once over R = lcm(den gamma, den sigma), as pair_from_couple reads
+it, and k! R^k [s^k] y^j, k! R^k w_k and i! R^j mu_i(j) are integers, each
+a binomial convolution of the ones before, and gamma(y) is a dot product
+per column of that table.  y and each row are handed over once, over
+N! R^N and i! R^N (the Series route it replaced, gamma(y) by Horner's
+rule, an integral, exp and products by y, is the tests' oracle).
+FunctionalVector(couple, order, d) is the solver's one caller and keeps y
+as `hstar` next to the rows, so its operator is the couple's own: the
+Series y, with y_0 = 0 (verify_lowering rejects any other).  Every
+functional value is a dot product with one row.
 
 `lowering_from_H` reverts a given H at H's own order by Lagrange
 inversion (`Series.reversion`, on the integer kernels of `series`), and
@@ -50,6 +50,7 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import mul
 
+from dsheffer.exactnum import scaled
 from dsheffer.series import Poly, Series
 from dsheffer.sheffer import CoupleSpec
 
@@ -64,15 +65,18 @@ def _solve_couple(couple: CoupleSpec, N: int, d: int) -> tuple[Series, tuple[Ser
     if N < 1:
         raise ValueError("order must be at least 1")
     couple.validate()
-    sig, gam = Poly(couple.sigma), Poly(couple.gamma)
-    # With R = den sigma and y_k = Y_k / (k! R^k), the numbers
-    # Z_j[k] = k! R^k [s^k] y^j are integers with the binomial convolution
-    # Z_j[k] = sum_i C(k, i) Y_i Z_(j-1)[k-i] (Z_1 = Y, Z_0[k] = [k = 0]), and
-    # the ODE reads Y_(k+1) = sum_j R sigma_j Z_j[k], R sigma_j being sigma's numerators.
-    R, s = sig.den, sig.nums
+    # the couple read once, as g_j = R gamma_j and s_j = R sigma_j over R = lcm of
+    # their denominators; sigma drops its trailing zeros (sigma_0 != 0)
+    ints, R = scaled(couple.gamma + couple.sigma)
+    g, s = ints[:couple.d + 1], ints[couple.d + 1:]
+    while not s[-1]:
+        s.pop()
+    # With y_k = Y_k / (k! R^k), the numbers Z_j[k] = k! R^k [s^k] y^j are
+    # integers with the binomial convolution Z_j[k] = sum_i C(k, i) Y_i Z_(j-1)[k-i]
+    # (Z_1 = Y, Z_0[k] = [k = 0]), and the ODE reads Y_(k+1) = sum_j s_j Z_j[k].
     Y = [0] * (N + 1)
     # Z[j][k] for j <= max(deg sigma, deg gamma, d - 1), filled one column k at a time
-    Z = [[1] + [0] * N, Y] + [[0] * (N + 1) for _ in range(max(len(s), len(gam.nums), d) - 2)]
+    Z = [[1] + [0] * N, Y] + [[0] * (N + 1) for _ in range(max(len(s), len(g), d) - 2)]
     for k in range(N + 1):
         by = [comb(k, i) * Y[i] for i in range(1, k + 1)]      # C(k, i) Y_i, i >= 1
         for j in range(2, len(Z)):
@@ -84,21 +88,17 @@ def _solve_couple(couple: CoupleSpec, N: int, d: int) -> tuple[Series, tuple[Ser
     for k in range(N, 0, -1):
         ys[k] = Y[k] * scale
         scale *= k * R
-    # With Dg = den gamma and S = R Dg, G_k = sum_j gamma_j Z_j[k] and W_k = k! S^k w_k
-    # are integers, and W_(k+1) = -R sum_i C(k, i) Dg^i G_i W_(k-i).
-    Dg, S = gam.den, R * gam.den
-    pw = [Dg ** k for k in range(N + 1)]
-    DG = [p * sum(map(mul, gam.nums, col)) for p, col in zip(pw, zip(*Z[:len(gam.nums)]))]
+    # On the same R, G_k = sum_j g_j Z_j[k] = k! R^(k+1) [s^k] gamma(y) and
+    # W_k = k! R^k w_k are integers, and W_(k+1) = -sum_i C(k, i) G_i W_(k-i).
+    G = [sum(map(mul, g, col)) for col in zip(*Z[:len(g)])]
     W, cw = [1], [[1]]                  # cw[k][i] = C(k, i) W_(k-i)
     for k in range(1, N + 1):
-        W.append(-R * sum(map(mul, DG, cw[-1])))
+        W.append(-sum(map(mul, G, cw[-1])))
         cw.append([comb(k, i) * w for i, w in enumerate(reversed(W))])
-    # i! S^j mu_i(j) = sum_l C(j, l) Dg^l Z_i[l] W_(j-l), times S^(N-j) over i! S^N
-    rows = []
-    for i in range(d):
-        zi = list(map(mul, pw, Z[i]))
-        rows.append(Series.of([sum(map(mul, zi, c)) * S ** (N - j) for j, c in enumerate(cw)],
-                              factorial(i) * S ** N))
+    # i! R^j mu_i(j) = sum_l C(j, l) Z_i[l] W_(j-l), times R^(N-j) over i! R^N
+    rows = [Series.of([sum(map(mul, Z[i], c)) * R ** (N - j) for j, c in enumerate(cw)],
+                      factorial(i) * R ** N)
+            for i in range(d)]
     return Series.of(ys, scale), tuple(rows)
 
 

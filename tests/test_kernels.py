@@ -363,14 +363,29 @@ def test_couple_recurrence_table_prints_the_fraction_rows(couple, top):
     assert RecurrenceTable(couple.d, [[-v for v in row] for row in nums], -den) == table
 
 
+# the magnitudes of the benchmark's seed-1 couple at d = 3, whose denominators
+# share factors (R = 60, where den sigma * den gamma = 3,600), and a couple
+# with sigma_(d+1) = 0, whose sigma the solver reads without its zero top
+SEED_1_D3 = CoupleSpec(d=3, gamma=(F(1, 2), F(-5, 3), F(7, 5), F(-3, 4)),
+                       sigma=(F(5, 6), F(-2, 3), F(3, 5), F(7, 4), F(-4, 3)))
+TOP_ZERO = CoupleSpec(d=2, gamma=(F(2, 3), F(-1, 4), F(5, 7)),
+                      sigma=(F(3, 5), F(1, 6), F(-2, 9), 0))
+
+
 @settings(max_examples=40, deadline=None)
 @given(couples(), st.sampled_from((12, 30)), st.integers(-1, 1))
 @example(CoupleSpec(d=2, gamma=(F(7, 11), F(-13, 17), F(19, 23)),
                     sigma=(F(29, 31), F(-37, 41), F(43, 47), F(-53, 59))), 48, 0)
+@example(SEED_1_D3, 48, -1)
+@example(SEED_1_D3, 48, 0)
+@example(SEED_1_D3, 48, 1)
+@example(TOP_ZERO, 48, -1)
+@example(TOP_ZERO, 48, 0)
+@example(TOP_ZERO, 48, 1)
 def test_moment_rows_equal_the_series_route_on_drawn_couples(couple, M, dd):
-    # the rows and y come off the ODE's integer table in one scale; the
-    # oracle goes through gamma(y), an integral, exp and products by y.
-    # dd moves d to d +- 1, as --check-d does
+    # the rows and y come off the ODE's integer table in one scale, R = the
+    # lcm of the couple's denominators; the oracle goes through gamma(y), an
+    # integral, exp and products by y.  dd moves d to d +- 1, as --check-d does
     d = max(1, couple.d + dd)
     v = FunctionalVector(couple, M, d)
     assert (v.hstar, v.rows) == series_moment_rows(couple, M, d)

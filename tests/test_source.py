@@ -90,10 +90,11 @@ def test_every_public_name_has_a_reader():
 
 def test_every_top_level_export_has_a_package_reader():
     # the top level exports the product path; the operators module keeps the
-    # test and benchmark routes, and Theorem 2.2's converse is library-only
+    # test and benchmark routes, and the exports no package code reads are
+    # exactly tests/reach.py's library API (Theorem 2.2's converse among them)
     read = package_reads()
     unread = {name for name in dsheffer.__all__ if name not in read}
-    assert unread == {"couple_from_pair"}
+    assert unread == {name.rpartition(".")[2] for name in UNREAD_PUBLIC} & set(dsheffer.__all__)
 
 
 def test_importing_the_cli_loads_no_typing():

@@ -6,12 +6,15 @@ with the d - 1 side on the d = 2 and d = 3 couples with coefficients in
 converse is drawn here: a regular couple's pair with one coefficient of A or
 H moved off the couple's form gives a set that `couple_from_pair` refuses at
 d', exactly when its recurrence breaks the (d' + 2)-term window or regularity.
+The orthogonality report's boundary values <u_k, x^j P_(jd+k)> must be the
+theorem's, on the samples and on drawn couples.
 """
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import classical
@@ -27,10 +30,11 @@ from dsheffer import (
     expand_polynomials,
     extract_recurrence,
     pair_from_couple,
+    verify_d_orthogonality,
 )
 from dsheffer.operators import FunctionalVector
 from dsheffer.sheffer import CoupleSpec
-from test_kernels import regular_couples
+from test_kernels import SEED_1_D3, regular_couples
 
 
 def test_the_d1_slice_passes_exactly_when_regular():
@@ -156,3 +160,41 @@ def test_a_pair_off_the_couples_form_is_refused_by_both_routes(couple, data):
             by_couple, by_recurrence = refusals(pair, check_d)
             assert by_couple == by_recurrence, (check_d, name, j)
             assert by_couple or check_d != d, (name, j)
+
+
+def boundary_misses(couple, seq):
+    """The boundaries (k, j) of verify_d_orthogonality's report on seq whose
+    value is not Theorem 2.2's: <u_k, x^j P_(jd+k)> = ((jd + k)!/k!)
+    prod_(i<j) ((k + i d) sigma_(d+1) - gamma_d), read off the entry over
+    moment_dens[k] * den(P_(jd+k)); and the number of boundaries read."""
+    d, N = couple.d, seq.max_index
+    orth = verify_d_orthogonality(seq, FunctionalVector(couple, N + N // d, d))
+    misses = []
+    for k, rows in enumerate(orth.hankel):
+        for j, row in enumerate(rows):
+            m = j * d + k
+            value = Fraction(row[k], orth.moment_dens[k] * orth.forms[m][1])
+            if value != Fraction(factorial(m), factorial(k)) * prod(
+                    (k + i * d) * couple.alpha_top - couple.beta_d for i in range(j)):
+                misses.append((k, j))
+    return misses, sum(map(len, orth.hankel))
+
+
+def test_the_boundary_values_are_theorem_2_2s_on_every_sample():
+    # the values the orthogonality verdict only asks to be nonzero pin the
+    # moments' scale: 25 boundaries per sample at N = 24
+    N, read = 24, 0
+    for spec in catalog.default_sample_specs():
+        misses, n = boundary_misses(spec.couple,
+                                    expand_polynomials(catalog.family_generating(spec, N)))
+        assert misses == [], spec
+        read += n
+    assert read == 21 * (N + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(regular_couples(), st.integers(3, 16))
+@example(SEED_1_D3, 20)
+def test_the_boundary_values_are_theorem_2_2s_on_drawn_couples(couple, N):
+    misses, read = boundary_misses(couple, expand_polynomials(pair_from_couple(couple, N)))
+    assert (misses, read) == ([], N + 1)
