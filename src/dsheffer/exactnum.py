@@ -8,12 +8,13 @@ outside values to Fraction: it rejects floats and reads strings as "p/q"
 only.  `scaled` writes rationals as integer numerators over their least
 common denominator, the form `Poly` and `Series` store (see `series`).  Its
 callers are the public constructors and the places that hand a couple or a
-closed form to the kernels (the couple's recurrence rows, `pair_from_couple`
-and `catalog.family_generating`), and every kernel after them reads that
-form directly, so a multiply-add costs no gcd and each result is reduced
-once, by `content_reduced`, one content gcd per vector.  `ratio_strings`
-prints that form back, one gcd per value and no Fraction.  `stirling2_rows`
-gives the rows of Stirling numbers that `catalog.meixner_moments` reads."""
+closed form to the kernels (`CoupleSpec.validate`, the couple's one read,
+`catalog.family_generating` and `catalog.meixner_moments`), and every kernel
+after them reads that form directly, so a multiply-add costs no gcd and each
+result is reduced once, by `content_reduced`, one content gcd per vector.
+`ratio_strings` prints that form back, one gcd per value and no Fraction.
+`stirling2_rows` gives the rows of Stirling numbers that `meixner_moments`
+reads."""
 
 from __future__ import annotations
 

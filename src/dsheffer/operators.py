@@ -24,13 +24,13 @@ and a functional is fixed by its moments: [D^l x^j]_{x=0} = j! [l = j], so
 
     mu_i(j) = <u_i, x^j> = (j!/i!) [s^j] y^i w.
 
-One solver gives y and the rows mu_i on integers, in one scale: the couple
-is read once over R = lcm(den gamma, den sigma), as pair_from_couple reads
-it, and k! R^k [s^k] y^j, k! R^k w_k and i! R^j mu_i(j) are integers, each
-a binomial convolution of the ones before, and gamma(y) is a dot product
-per column of that table.  y and each row are handed over once, over
-N! R^N and i! R^N (the Series route it replaced, gamma(y) by Horner's
-rule, an integral, exp and products by y, is the tests' oracle).
+One solver gives y and the rows mu_i on integers, in one scale: the couple is
+read once over R = lcm(den gamma, den sigma) by CoupleSpec.validate, and
+k! R^k [s^k] y^j, k! R^k w_k and i! R^j mu_i(j) are integers, each a binomial
+convolution of the ones before, and gamma(y) is a dot product per column of
+that table.  y and each row are handed over once, over N! R^N and i! R^N (the
+Series route it replaced, gamma(y) by Horner's rule, an integral, exp and
+products by y, is the tests' oracle).
 FunctionalVector(couple, order, d) is the solver's one caller and keeps y
 as `hstar` next to the rows, so its operator is the couple's own: the
 Series y, with y_0 = 0 (verify_lowering rejects any other).  Every
@@ -50,7 +50,6 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import mul
 
-from dsheffer.exactnum import scaled
 from dsheffer.series import Poly, Series
 from dsheffer.sheffer import CoupleSpec
 
@@ -64,11 +63,9 @@ def _solve_couple(couple: CoupleSpec, N: int, d: int) -> tuple[Series, tuple[Ser
     """
     if N < 1:
         raise ValueError("order must be at least 1")
-    couple.validate()
     # the couple read once, as g_j = R gamma_j and s_j = R sigma_j over R = lcm of
     # their denominators; sigma drops its trailing zeros (sigma_0 != 0)
-    ints, R = scaled(couple.gamma + couple.sigma)
-    g, s = ints[:couple.d + 1], ints[couple.d + 1:]
+    g, s, R = couple.validate()
     while not s[-1]:
         s.pop()
     # With y_k = Y_k / (k! R^k), the numbers Z_j[k] = k! R^k [s^k] y^j are

@@ -68,7 +68,7 @@ class CoupleSpec:
 
     Value-level restrictions (beta_d != 0, alpha_0 != 0) are deliberately not
     enforced at construction: check_conditions must be able to report on
-    broken couples.  pair_from_couple and recurrence_numerators enforce them.
+    broken couples.  validate enforces them and reads the couple for its solvers.
     """
 
     d: int
@@ -116,13 +116,18 @@ class CoupleSpec:
             found.append(f"n*alpha_(d+1) = beta_d at n = {n}")
         return tuple(found)
 
-    def validate(self):
+    def validate(self) -> tuple[list[int], list[int], int]:
+        """Refuse beta_d = 0 and sigma_0 = 0, then read the couple once, as
+        (gamma, sigma, R): integer numerators over R = lcm of its denominators.
+        """
         if self.beta_d == 0:
             raise InvalidCoupleError(
                 f"gamma must have degree exactly d={self.d} (leading coefficient is 0)"
             )
         if self.alpha_0 == 0:
             raise InvalidCoupleError("sigma must have a nonzero constant term")
+        ints, R = scaled(self.gamma + self.sigma)
+        return ints[:self.d + 1], ints[self.d + 1:], R
 
     def to_jsonable(self) -> dict:
         return {
@@ -271,9 +276,7 @@ def pair_from_couple(couple: CoupleSpec, N: int) -> ShefferPair:
     """The generating pair at truncation order N: sigma H' = 1 and sigma A' = gamma A, O(N d)."""
     if N < 1:
         raise ValueError("order must be at least 1")
-    couple.validate()
-    ints, R = scaled(couple.gamma + couple.sigma)
-    gamma, sigma = ints[:couple.d + 1], ints[couple.d + 1:]
+    gamma, sigma, R = couple.validate()
     hx = _first_order(sigma, (), (R,), Fraction(0), N)
     a = _first_order(sigma, gamma, (), Fraction(1), N)
     return ShefferPair(A=a, Hx=hx)
@@ -322,14 +325,13 @@ def recurrence_numerators(couple: CoupleSpec, top: int) -> tuple[list[list[int]]
     alpha_k(n) = sigma_(d+1-k) n^(d+1-k) - gamma_(d-k) n^(d-k) and
     alpha_(d+1)(n) = sigma_0.  n^(j) vanishes for j > n, which is the 0 that
     row n holds on the indices below zero.  No row is checked for
-    regularity.  gamma and sigma are scaled once over R = lcm of their
-    denominators, so the rows are handed over as the integers alpha_k(n) R
-    = (R sigma_(d+1-k)) n^(d+1-k) - (R gamma_(d-k)) n^(d-k), over R.
+    regularity.  gamma and sigma are read over R = lcm of their
+    denominators (CoupleSpec.validate), so the rows are handed over as the
+    integers alpha_k(n) R = (R sigma_(d+1-k)) n^(d+1-k) - (R gamma_(d-k)) n^(d-k),
+    over R.
     """
-    couple.validate()
+    gamma, sigma, R = couple.validate()
     d = couple.d
-    ints, R = scaled(couple.gamma + couple.sigma)
-    gamma, sigma = ints[:d + 1], ints[d + 1:]
     rows = []
     for n in range(top):
         falling = [1]                       # falling[j] = n^(j)
@@ -346,31 +348,30 @@ def recurrence_numerators(couple: CoupleSpec, top: int) -> tuple[list[list[int]]
 def expand_from_couple(couple: CoupleSpec, N: int) -> PolySequence:
     """P_0..P_N generated by the couple's recurrence, equal to expand_polynomials.
 
-    Row n solved for its last term, alpha_(d+1)(n) P_(n+1) with
-    alpha_(d+1)(n) = sigma_0, gives
-    P_(n+1) = (x P_n - sum_(k<=d) alpha_k(n) P_(n-d+k)) / sigma_0:
-    O(N^2 d) exact operations and no series product.  x P_n and the d + 1
-    lower terms are combined on integer numerators over one common
-    denominator L, with the rows' numerators over their one denominator da
-    (recurrence_numerators); the division by sigma_0 = p/q puts q into the
-    factor each term is scaled by and p into L, and Poly.of's content gcd
+    Row n solved for its last term, alpha_(d+1)(n) P_(n+1), gives
+    P_(n+1) = (x P_n - sum_(k<=d) alpha_k(n) P_(n-d+k)) / alpha_(d+1)(n):
+    O(N^2 d) exact operations and no series product.  With the row's
+    integer numerators alpha over their one denominator da
+    (recurrence_numerators) that is
+    (da x P_n - sum_(k<=d) alpha[k] P_(n-d+k)) / alpha[d + 1], combined on
+    integer numerators over L = lcm of those P's denominators and handed
+    over L alpha[d + 1] (= L da sigma_0, nonzero); Poly.of's content gcd
     brings the denominator back to the least one.  No Fraction is made.
     """
     rows, da = recurrence_numerators(couple, N)   # alpha_k(n) = rows[n][k] / da
     d = couple.d
-    p, q = couple.alpha_0.numerator, couple.alpha_0.denominator
     polys = [Poly.one()]
     for n, alpha in enumerate(rows):
         terms = [(alpha[k], polys[n - d + k])
                  for k in range(max(d - n, 0), d + 1) if alpha[k]]
         pn = polys[n]
-        L = lcm(pn.den, *(da * pm.den for _, pm in terms))
-        f = q * (L // pn.den)
-        nxt = [0] + [c * f for c in pn.nums]                 # q x P_n
+        L = lcm(pn.den, *(pm.den for _, pm in terms))
+        f = da * (L // pn.den)
+        nxt = [0] + [c * f for c in pn.nums]                 # da x P_n
         for a, pm in terms:
-            f = a * q * (L // (da * pm.den))
+            f = a * (L // pm.den)
             nxt[:len(pm.nums)] = [v - f * c for v, c in zip(nxt, pm.nums)]
-        polys.append(Poly.of(nxt, L * p))
+        polys.append(Poly.of(nxt, L * alpha[d + 1]))
     return PolySequence(tuple(polys))
 
 

@@ -137,6 +137,11 @@ MUTANTS = (
            "factorial(i) * R ** N)",
            "factorial(i) * R ** (N - 1))",
            "tests/test_theorem.py::test_the_boundary_values_are_theorem_2_2s_on_every_sample"),
+    # a family spec whose couple breaks regularity is accepted
+    Mutant("catalog.py",
+           "    if broken:",
+           "    if False:",
+           "tests/test_catalog.py::test_restriction_violations"),
 )
 
 

@@ -26,7 +26,9 @@ sources (non-ASCII digits, values past Python's int/str digit limit),
 rows cross-check it (negative c among them) or that have none (c = -9),
 `verify` at N = 3 .. 48 without --check-d and at d - 1, d and d + 1, and
 at N = 24 on one sample per family and one rational couple per d = 1, 2, 3,
-`catalog-list`, help, bare and invalid argv, and the README's command lines.
+`catalog-list`, help, bare and invalid argv, the README's command lines,
+family specs refused by each value rule and the aux rules, and --out to a
+file and into a missing directory.
 The files the corpus reads are written to one working directory, and every
 run starts there, so the argv and the digests name no absolute path.
 """
@@ -89,6 +91,25 @@ CROSS_CHECK_SPECS = (
     ("laguerre-eq11", 2, {"alpha": "-3/2"}),
     ("meixner-eq14", 1, {"c": "1/3", "beta": "5/2"}),
 )
+# family sources that a value or aux rule refuses with exit 2 (the restriction
+# text, the values and the couple fact quoted), and a valid aux led by a minus
+REFUSED_FAMILY_SOURCES = (
+    "laguerre-eq9 --d 1 --param alpha=-2",
+    "meixner-eq16 --d 2 --param c=-1 --param beta=1",
+    "meixner-eq14 --d 1 --param c=1 --param beta=1",
+    "charlier-eq13 --d 1 --param omega=0 --aux=1,1",
+    "meixner-eq21 --d 2 --param c=1/2 --param beta=1 --aux=0",
+    "laguerre-eq9 --d 1 --param alpha=1 --aux=1",
+    "hermite-eq12 --d 1 --aux=1,1",
+    "hermite-eq12 --d 1 --aux=-1,0,1",
+)
+# --out to a relative file (exit 0, no stdout) and into a missing directory (exit 3)
+OUT_RUNS = (
+    ("expand", "--family", "laguerre-eq9", "--d", "1", "--param", "alpha=1", "--order", "3",
+     "--out", "out.json"),
+    ("verify", "--family", "laguerre-eq9", "--d", "1", "--param", "alpha=1", "--order", "3",
+     "--out", "missing/out.json"),
+)
 # couple files that must be refused, and the text they hold
 BAD_FILES = {
     "missing-key": '{"d": 1, "gamma": [0, 1]}',
@@ -107,13 +128,25 @@ BAD_FILES = {
 
 @functools.cache
 def load_workloads():
-    """perfbench/workloads.py: the benchmark's couples and its family argv."""
+    """perfbench/workloads.py: the benchmark's couples."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module           # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def family_argv(spec) -> list[str]:
+    """The --family source of a FamilySpec, as the CLI reads it back."""
+    # --aux=v, not --aux v: argparse reads a list that starts with a minus
+    # sign, such as a negative first coefficient, as an option
+    argv = ["--family", spec.family, "--d", str(spec.d)]
+    for name, value in sorted(spec.params.items()):
+        argv += ["--param", f"{name}={value}"]
+    if spec.aux is not None:
+        argv.append("--aux=" + ",".join(str(a) for a in spec.aux))
+    return argv
 
 
 def _source_runs(source: list[str], d: int) -> list[list[str]]:
@@ -145,11 +178,11 @@ def corpus(workdir: Path) -> list[tuple[str, ...]]:
             *([command, "--help"] for command in (*COMMANDS, "verify", "catalog-list"))]
     workloads = load_workloads()
     for spec in catalog.default_sample_specs():
-        runs += _source_runs(workloads._family_argv(spec), spec.d)
+        runs += _source_runs(family_argv(spec), spec.d)
     # the closed-form moment rows away from the defaults: negative c with
     # |w| < 1, a divergent c that has no cross-check, and other alpha, beta
     for family, d, params in CROSS_CHECK_SPECS:
-        argv = workloads._family_argv(catalog.FamilySpec(family=family, d=d, params=params))
+        argv = family_argv(catalog.FamilySpec(family=family, d=d, params=params))
         runs += [["functionals", *argv, "--order", "40", "--format", fmt] for fmt in FORMATS]
     for seed in (1, 2, 3):
         for i, doc in enumerate(workloads.draw_couples(seed)):
@@ -157,7 +190,7 @@ def corpus(workdir: Path) -> list[tuple[str, ...]]:
             runs += _source_runs(["--couple-file", name], doc["d"])
     for key, doc in EDGE_COUPLES.items():
         runs += _source_runs(["--couple-file", write(f"{key}.json", json.dumps(doc))], doc["d"])
-    runs += [["verify", *workloads._family_argv(spec), "--order", "24"]
+    runs += [["verify", *family_argv(spec), "--order", "24"]
              for spec in catalog.default_sample_specs() if (spec.family, spec.d) in VERIFY_24_SAMPLES]
     runs += [["verify", "--couple-file", f"{key}.json", "--order", "24"] for key in VERIFY_24_COUPLES]
     for key, text in BAD_FILES.items():
@@ -194,6 +227,10 @@ def corpus(workdir: Path) -> list[tuple[str, ...]]:
     write("couple.json", re.search(r"^```json\n(.*?)^```$", readme, re.M | re.S).group(1))
     lines = re.search(r"^```sh\n(.*?)^```$", readme, re.M | re.S).group(1).splitlines()
     runs += [shlex.split(line)[1:] for line in lines]
+
+    for text in REFUSED_FAMILY_SOURCES:
+        runs += _small_runs(["--family", *text.split()])
+    runs += OUT_RUNS
     return [tuple(argv) for argv in runs]
 
 

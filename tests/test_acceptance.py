@@ -17,7 +17,7 @@ from reference import (
     add, constant, exp, fraction_hstar, lowering_failures, monomial, newton_step, pow_rat,
     stirling_classical_meixner, sub,
 )
-from sweep import VERIFY_24_COUPLES, VERIFY_24_SAMPLES, load_workloads, unpinned
+from sweep import VERIFY_24_COUPLES, VERIFY_24_SAMPLES, family_argv, unpinned
 
 from dsheffer import (
     FunctionalVector,
@@ -344,7 +344,7 @@ def test_criterion_9_runtime_and_determinism(suite, tmp_path):
     failures = []
     start = time.perf_counter()
     for spec, *_rest in built:
-        code = main(["verify", *load_workloads()._family_argv(spec), "--order", str(N),
+        code = main(["verify", *family_argv(spec), "--order", str(N),
                      "--out", str(tmp_path / "report.json")])
         if code != 0:
             failures.append((spec.family, spec.d, f"exit {code}"))
@@ -372,7 +372,7 @@ def test_criterion_9_runtime_and_determinism(suite, tmp_path):
 
 def sample_argvs(runs) -> list[tuple[str, ...]]:
     """(command, *source, --order N, --format F) of every sample, for each (command, format, N)."""
-    return [(command, *load_workloads()._family_argv(spec), "--order", str(n), "--format", fmt)
+    return [(command, *family_argv(spec), "--order", str(n), "--format", fmt)
             for spec in catalog.default_sample_specs() for command, fmt, n in runs]
 
 
@@ -406,7 +406,7 @@ def test_verify_order_24_reports_match_their_digests():
     specs = [spec for spec in catalog.default_sample_specs()
              if (spec.family, spec.d) in VERIFY_24_SAMPLES]
     assert len(specs) == len(VERIFY_24_SAMPLES)
-    argvs = [("verify", *load_workloads()._family_argv(spec), "--order", "24") for spec in specs]
+    argvs = [("verify", *family_argv(spec), "--order", "24") for spec in specs]
     argvs += [("verify", "--couple-file", f"{name}.json", "--order", "24")
               for name in VERIFY_24_COUPLES]
     report("verify --order 24 reports of one sample per family and one couple per "

@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 from reference import base_values, fraction_hstar, invert_mul, lowering_failures, monomial, \
     mul, newton_hstar, newton_step, stepped_moments
+from sweep import family_argv
 
 from dsheffer import (
     FunctionalVector,
@@ -198,17 +199,6 @@ def family_specs(draw):
         return FamilySpec(family=info.family, d=d, params=params, aux=aux)
     except InvalidParameterError:
         reject()
-
-
-def family_argv(spec: FamilySpec) -> list[str]:
-    # --aux=v, not --aux v: argparse reads a list that starts with a minus
-    # sign, such as a drawn negative first coefficient, as an option
-    argv = ["--family", spec.family, "--d", str(spec.d)]
-    for name, value in sorted(spec.params.items()):
-        argv += ["--param", f"{name}={value}"]
-    if spec.aux is not None:
-        argv.append("--aux=" + ",".join(str(a) for a in spec.aux))
-    return argv
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])

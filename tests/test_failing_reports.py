@@ -14,7 +14,7 @@ off m = n d + k when it prints it.
 
 import json
 
-from sweep import EDGE_COUPLES, load_workloads, unpinned
+from sweep import EDGE_COUPLES, family_argv, unpinned
 
 from dsheffer import catalog
 from dsheffer.cli import main
@@ -23,7 +23,7 @@ IRREGULAR_COUPLES = ("irregular-n5", "irregular-n7", "irregular-n12")
 
 
 def test_check_d_reports_of_every_sample_match_their_digests(capsys):
-    argvs = [("verify", *load_workloads()._family_argv(spec), "--order", "12",
+    argvs = [("verify", *family_argv(spec), "--order", "12",
               "--check-d", str(check_d))
              for spec in catalog.default_sample_specs()
              for check_d in (spec.d - 1, spec.d + 1) if check_d >= 1]

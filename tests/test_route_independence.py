@@ -32,6 +32,10 @@ STORE = ("the integer form every Poly and Series is stored in, reduced by its co
          "tests/test_kernels.py holds each kernel that fills it to a Fraction oracle")
 REFUSAL = ("the input refusal (beta_d = 0 or sigma_0 = 0) a raw couple passes before "
            "either route reads it; it computes no value")
+COUPLE_READ = ("the input refusal (beta_d = 0 or sigma_0 = 0), then the couple's one read "
+               "as integers over one denominator, which every solver of the couple takes; "
+               "the recurrence claim's couple rows read each p/q alone, so a wrong read "
+               "fails that claim")
 SEQUENCE = ("PolySequence's construction check (P_0 = 1, deg P_n = n) that both "
             "sequences pass; it refuses a malformed sequence and computes no value")
 
@@ -40,7 +44,7 @@ CHECKED_AGAINST_FUNCTIONALS = {
     "exactnum.content_reduced": STORE,
     "series._Vector.of": STORE,
     "series._Vector._store": STORE,
-    "sheffer.CoupleSpec.validate": REFUSAL,
+    "sheffer.CoupleSpec.validate": COUPLE_READ,
     "sheffer.CoupleSpec.alpha_0": REFUSAL,
     "sheffer.CoupleSpec.beta_d": REFUSAL,
 }

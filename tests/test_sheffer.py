@@ -1,9 +1,10 @@
 """Couple <-> generating pair <-> polynomial sequence, in both directions."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import constant, exp, monomial
 
@@ -61,13 +62,14 @@ def test_couple_leading_accessors():
 
 def test_validate_rejects_zero_beta_d():
     broken = CoupleSpec(d=1, gamma=(F(1), F(0)), sigma=(F(1),))
-    with pytest.raises(InvalidCoupleError):
+    with pytest.raises(InvalidCoupleError,
+                       match=r"^gamma must have degree exactly d=1 \(leading coefficient is 0\)$"):
         broken.validate()
 
 
 def test_validate_rejects_zero_alpha_0():
     broken = CoupleSpec(d=1, gamma=(F(0), F(1)), sigma=(F(0), F(1)))
-    with pytest.raises(InvalidCoupleError):
+    with pytest.raises(InvalidCoupleError, match="^sigma must have a nonzero constant term$"):
         broken.validate()
 
 
@@ -337,6 +339,14 @@ def test_a_lower_order_pair_expands_to_a_prefix(couple, orders):
 
 @settings(deadline=None, max_examples=30)
 @given(valid_couples())
+@example(HERMITE)                                                   # integers, so R = 1
+@example(CoupleSpec(d=2, gamma=(F(1, 2), 0, F(-2, 3)), sigma=(F(3, 4), F(1, 6))))
 def test_random_couples_roundtrip(couple):
+    # validate reads the couple once: integers over R = lcm of its denominators,
+    # sigma's trailing zeros kept
+    gamma, sigma, R = couple.validate()
+    assert (len(gamma), len(sigma)) == (couple.d + 1, couple.d + 2)
+    assert [F(v, R) for v in gamma + sigma] == [*couple.gamma, *couple.sigma]
+    assert gcd(R, *gamma, *sigma) == 1
     pair = pair_from_couple(couple, 12)
     assert couple_from_pair(pair, couple.d) == couple

@@ -24,7 +24,7 @@ def test_the_corpus_covers_every_subcommand_format_and_source_kind(tmp_path):
                 assert any(argv[0] == command and argv[1] == kind and argv[-1] == fmt
                            for argv in argvs if argv), (command, kind, fmt)
     # verify at d - 1 and d + 1 up to N = 48, on every sample and benchmark couple
-    sources = [(sweep.load_workloads()._family_argv(spec), spec.d)
+    sources = [(sweep.family_argv(spec), spec.d)
                for spec in catalog.default_sample_specs()]
     couple_files = sorted(tmp_path.glob("seed*.json"))
     assert len(couple_files) == 27
@@ -43,7 +43,7 @@ def test_the_corpus_covers_every_subcommand_format_and_source_kind(tmp_path):
                for s in specs if s.family == catalog.MEIXNER_EQ16)
     for spec in specs:
         for fmt in render.FORMATS:
-            assert ("functionals", *sweep.load_workloads()._family_argv(spec),
+            assert ("functionals", *sweep.family_argv(spec),
                     "--order", "40", "--format", fmt) in argvs, (spec, fmt)
     # the irregular and edge couples, and the refused files
     for name in [*sweep.EDGE_COUPLES, *(f"bad-{key}" for key in sweep.BAD_FILES)]:
@@ -52,7 +52,7 @@ def test_the_corpus_covers_every_subcommand_format_and_source_kind(tmp_path):
     samples = {(spec.family, spec.d): spec for spec in catalog.default_sample_specs()}
     assert {family for family, _ in sweep.VERIFY_24_SAMPLES} == set(catalog.FAMILIES)
     for key in sweep.VERIFY_24_SAMPLES:
-        assert ("verify", *sweep.load_workloads()._family_argv(samples[key]),
+        assert ("verify", *sweep.family_argv(samples[key]),
                 "--order", "24") in argvs, key
     for d, name in enumerate(sweep.VERIFY_24_COUPLES, 1):
         assert json.loads((tmp_path / f"{name}.json").read_text())["d"] == d
@@ -69,10 +69,16 @@ def test_the_corpus_covers_every_subcommand_format_and_source_kind(tmp_path):
     # N = 12 on every sample, and the couples irregular at n <= 20 at N = 20
     for spec in catalog.default_sample_specs():
         for e in (spec.d - 1, spec.d + 1):
-            assert ("verify", *sweep.load_workloads()._family_argv(spec),
+            assert ("verify", *sweep.family_argv(spec),
                     "--order", "12", "--check-d", str(e)) in argvs
     for name in ("irregular-n5", "irregular-n7", "irregular-n12"):
         assert ("verify", "--couple-file", f"{name}.json", "--order", "20") in argvs, name
+    # each value refusal of a family spec, the aux rules, and --out
+    for text in sweep.REFUSED_FAMILY_SOURCES:
+        for command in ("expand", "recurrence", "functionals", "verify"):
+            assert (command, "--family", *text.split(), "--order", "3") in argvs, text
+    for argv in sweep.OUT_RUNS:
+        assert argv in argvs and "--out" in argv, argv
 
 
 def test_every_output_of_the_corpus_is_the_pinned_bytes():
